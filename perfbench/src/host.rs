@@ -10,7 +10,7 @@
 //! and the probe medians are printed in the notes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -48,52 +48,61 @@ pub fn scale(probes: &[Duration]) -> f64 {
     REFERENCE.as_secs_f64() / probe.max(1e-9)
 }
 
-/// Pause between two probes of a [`Sampler`].
-const SAMPLE_EVERY: Duration = Duration::from_millis(50);
-
 /// Probes the host from a background thread, so an operation that runs for
 /// seconds — longer than the host keeps one speed — is rescaled by the
-/// probes taken while it ran. At one probe per 50 ms it keeps a second
-/// core about 3 % busy.
+/// probes taken while it ran, and another process (the daemon) can sample
+/// its own host speed. At one probe per 50 ms it keeps a core about 3 %
+/// busy.
 #[derive(Debug)]
 pub struct Sampler {
-    origin: Instant,
-    probes: Arc<Mutex<Vec<(Duration, Duration)>>>,
-    stop: Arc<AtomicBool>,
+    probes: Arc<Mutex<Vec<(Instant, Duration)>>>,
+    stop: Option<Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Sampler {
-    /// Starts the sampling thread.
-    pub fn start() -> Sampler {
-        let origin = Instant::now();
+    /// Starts the sampling thread, pausing `every` between probes.
+    pub fn start(every: Duration) -> Sampler {
         let probes = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = {
-            let (probes, stop) = (Arc::clone(&probes), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let at = origin.elapsed();
-                    let time = probe();
-                    probes
-                        .lock()
-                        .expect("sampler lock poisoned")
-                        .push((at, time));
-                    std::thread::sleep(SAMPLE_EVERY);
+            let probes = Arc::clone(&probes);
+            std::thread::spawn(move || loop {
+                let at = Instant::now();
+                let time = probe();
+                probes
+                    .lock()
+                    .expect("sampler lock poisoned")
+                    .push((at, time));
+                // Wakes at once when the sampler is dropped, so stopping
+                // never waits out a pause.
+                if stopped.recv_timeout(every) != Err(RecvTimeoutError::Timeout) {
+                    break;
                 }
             })
         };
         Sampler {
-            origin,
             probes,
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
 
+    /// The median of every probe so far.
+    pub fn median(&self) -> Option<Duration> {
+        let mut times: Vec<Duration> = self
+            .probes
+            .lock()
+            .expect("sampler lock poisoned")
+            .iter()
+            .map(|&(_, time)| time)
+            .collect();
+        times.sort();
+        times.get(times.len() / 2).copied()
+    }
+
     /// The probes that started between `from` and `to`.
     fn between(&self, from: Instant, to: Instant) -> Vec<Duration> {
-        let (from, to) = (from - self.origin, to - self.origin);
         self.probes
             .lock()
             .expect("sampler lock poisoned")
@@ -106,7 +115,7 @@ impl Sampler {
 
 impl Drop for Sampler {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(thread) = self.thread.take() {
             // A panicked sampler only loses probes; nothing to report.
             let _ = thread.join();
@@ -137,10 +146,10 @@ impl Meter {
         }
     }
 
-    /// A meter that also probes from a background [`Sampler`].
+    /// A meter that also probes from a background [`Sampler`] every 50 ms.
     pub fn sampled() -> Self {
         Meter {
-            sampler: Some(Sampler::start()),
+            sampler: Some(Sampler::start(Duration::from_millis(50))),
             ..Meter::new()
         }
     }

@@ -19,7 +19,7 @@ pub enum Size {
 
 /// The 13 mid-size circuits of the full-scale suite: every Table 1 circuit
 /// except the five largest (`div`, `multiplier`, `mem_ctrl`, `sqrt`,
-/// `square`), one of which alone would take most of a run at `-O2`.
+/// `square`).
 pub const MID_SIZE: [&str; 13] = [
     "adder",
     "bar",
@@ -107,26 +107,20 @@ fn compile_inputs(
     inputs
 }
 
-/// `compile-o2` inputs: the mid-size suite plus seeded control circuits of
-/// about 2.5k and 5k nodes after rewriting, large enough that
-/// `PassManager::run` does most of their work. Four draws per size keep
-/// the seed from moving the totals much; the largest single compile stays
-/// the fixed `voter`, so the latency tail does not hang on one draw.
+/// `compile-o2` inputs: the mid-size suite and the large arithmetic
+/// `multiplier`, `sqrt` and `square` (full-scale `div` and `mem_ctrl`
+/// would each take most of a run), plus seven seeded control circuits of
+/// about 3k nodes after rewriting, large enough that `PassManager::run`
+/// does most of their work. The draws are sized to fall between `sin` and
+/// `voter`, so the median and the latency tail are fixed suite circuits:
+/// with 23 inputs and three rounds both ranks sit in the middle of one
+/// input's samples, and neither hangs on a seeded draw.
 pub fn compile_o2(size: Size, seed: u64) -> Vec<Input> {
     let spec = o2_spec(RewriteMode::Arena);
     match size {
         Size::Full => compile_inputs(
-            &MID_SIZE,
-            &[
-                (768, 96, 4000),
-                (768, 96, 4000),
-                (768, 96, 4000),
-                (768, 96, 4000),
-                (1024, 128, 8000),
-                (1024, 128, 8000),
-                (1024, 128, 8000),
-                (1024, 128, 8000),
-            ],
+            &[&MID_SIZE[..], &["multiplier", "sqrt", "square"]].concat(),
+            &[(1024, 128, 5500); 7],
             size,
             seed,
             spec,
@@ -135,14 +129,15 @@ pub fn compile_o2(size: Size, seed: u64) -> Vec<Input> {
     }
 }
 
-/// `egraph-o2` inputs: the mid-size suite plus smaller seeded control
-/// circuits, under `--rewrite egraph`.
+/// `egraph-o2` inputs: the mid-size suite plus two smaller seeded control
+/// circuits, under `--rewrite egraph` (15 inputs: with three rounds the
+/// median and the tail rank fall in the middle of one input's samples).
 pub fn egraph_o2(size: Size, seed: u64) -> Vec<Input> {
     let spec = o2_spec(RewriteMode::Egraph);
     match size {
         Size::Full => compile_inputs(
             &MID_SIZE,
-            &[(256, 32, 1000), (256, 32, 1000), (384, 48, 1600)],
+            &[(256, 32, 1000), (256, 32, 1000)],
             size,
             seed,
             spec,
@@ -151,12 +146,19 @@ pub fn egraph_o2(size: Size, seed: u64) -> Vec<Input> {
     }
 }
 
-/// `table1` circuits: the mid-size suite plus full-scale `sqrt`, the large
-/// arithmetic circuit that makes the batch's long pole real. The suite is
+/// `table1` circuits: the mid-size suite but `ctrl` (56 nodes, nothing to
+/// measure) plus full-scale `sqrt`, the large arithmetic circuit that makes
+/// the batch's long pole real. 13 circuits and three rounds put the median
+/// and the tail rank in the middle of one circuit's samples. The suite is
 /// fixed; the seed does not apply.
 pub fn table1(size: Size) -> Vec<(String, String)> {
     let names: Vec<&str> = match size {
-        Size::Full => MID_SIZE.iter().copied().chain(["sqrt"]).collect(),
+        Size::Full => MID_SIZE
+            .iter()
+            .copied()
+            .filter(|&name| name != "ctrl")
+            .chain(["sqrt"])
+            .collect(),
         Size::Tiny => TINY_SUITE.to_vec(),
     };
     names

@@ -143,8 +143,8 @@ pub fn run(config: &Config) -> Result<RunResult, String> {
     plim_egraph::install();
     match config.workload {
         Workload::Table1 => offline::run_table1(config, 11.0),
-        Workload::CompileO2 => offline::run_compile(config, inputs::compile_o2, 3.3),
-        Workload::EgraphO2 => offline::run_compile(config, inputs::egraph_o2, 4.0),
+        Workload::CompileO2 => offline::run_compile(config, inputs::compile_o2, 5.5),
+        Workload::EgraphO2 => offline::run_compile(config, inputs::egraph_o2, 3.8),
         Workload::PlimdMixed => plimd::run_plimd(config),
     }
 }

@@ -14,7 +14,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use plim_perfbench::host::Sampler;
 use plim_perfbench::inputs::Size;
+use plim_perfbench::plimd::DAEMON_PROBE;
 use plim_perfbench::{report, run, Config, Workload};
 
 fn parse_args(args: &[String]) -> Result<Config, String> {
@@ -64,13 +66,26 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("daemon") {
-        return match plim_service::server::serve_cli(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
+        // The daemon samples its own host speed, so the client can rescale
+        // what it measured against the process that did the work; the
+        // median is the daemon's last line of output. One probe per 200 ms
+        // keeps the sampler under 1 % of a core.
+        let sampler = Sampler::start(std::time::Duration::from_millis(200));
+        let result = plim_service::server::serve_cli(&args[1..]);
+        if let Some(median) = sampler.median() {
+            println!("{DAEMON_PROBE}{:.6}", median.as_secs_f64() * 1e3);
+        }
+        // Exit at once, as `plimd` does when its server returns: lingering
+        // (say, to join the sampler) lets a pool worker drop the server's
+        // last reference and try to join itself. The sampler holds nothing
+        // that needs cleaning up.
+        std::process::exit(match result {
+            Ok(()) => 0,
             Err(message) => {
                 eprintln!("perfbench daemon: {message}");
-                ExitCode::FAILURE
+                1
             }
-        };
+        });
     }
     let config = match parse_args(&args) {
         Ok(config) => config,

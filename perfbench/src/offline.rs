@@ -136,10 +136,9 @@ pub fn run_compile(
         if config.trace {
             let mut traced = Duration::ZERO;
             for (key, input) in inputs.iter().enumerate() {
-                let probe_before = tracer.total("analyze");
-                let (result, scaled, raw) = meter.time(|| {
+                let (result, time) = time_traced(&mut meter, &mut tracer, |t| {
                     path::traced(
-                        &mut tracer,
+                        t,
                         compile_id,
                         &input.text,
                         &input.spec,
@@ -147,11 +146,7 @@ pub fn run_compile(
                         &mut counts,
                     )
                 });
-                let probe = tracer.total("analyze") - probe_before;
-                // The `analyze` probe is not part of the product path.
-                traced += raw
-                    .saturating_sub(probe)
-                    .mul_f64(scaled.as_secs_f64() / raw.as_secs_f64().max(1e-12));
+                traced += time;
                 compile_id += 1;
                 measured.outcomes.record(match result {
                     Ok(output) if fnv128(output.text.as_bytes()) == digests[key] => None,
@@ -185,6 +180,7 @@ pub fn run_compile(
     let layers = config.trace.then(|| {
         let extras = LayerExtras {
             overhead_share: overhead(&traced_rounds, &measured.rounds),
+            latency_p90_ms: measured.latency_p90_ms(),
             ..LayerExtras::default()
         };
         report::per_layer(
@@ -201,6 +197,20 @@ pub fn run_compile(
         layers,
         config.trace.then_some(tracer),
     ))
+}
+
+/// Times a traced replay with `meter`; returns its result and its rescaled
+/// time less the `analyze` probe, which the product path does not make.
+pub(crate) fn time_traced<T>(
+    meter: &mut Meter,
+    tracer: &mut Tracer,
+    f: impl FnOnce(&mut Tracer) -> T,
+) -> (T, Duration) {
+    let before = tracer.total("analyze");
+    let (value, scaled, raw) = meter.time(|| f(tracer));
+    let probe = tracer.total("analyze") - before;
+    let factor = scaled.as_secs_f64() / raw.as_secs_f64().max(1e-12);
+    (value, raw.saturating_sub(probe).mul_f64(factor))
 }
 
 /// Median traced round (probe time excluded) over median untraced round,
@@ -333,14 +343,10 @@ pub fn run_table1(config: &Config, nominal_round_seconds: f64) -> Result<RunResu
         if config.trace {
             let mut traced = Duration::ZERO;
             for (key, (_, text)) in texts.iter().enumerate() {
-                let probe_before = tracer.total("analyze");
-                let (result, scaled, raw) = meter
-                    .time(|| traced_table1_circuit(&mut tracer, key as u64, text, &mut counts));
-                let probe = tracer.total("analyze") - probe_before;
-                // The `analyze` probe is not part of the product path.
-                traced += raw
-                    .saturating_sub(probe)
-                    .mul_f64(scaled.as_secs_f64() / raw.as_secs_f64().max(1e-12));
+                let (result, time) = time_traced(&mut meter, &mut tracer, |t| {
+                    traced_table1_circuit(t, key as u64, text, &mut counts)
+                });
+                traced += time;
                 let row = &first[key].rows[0];
                 measured.outcomes.record(match result {
                     Ok(points) if points == [row.naive, row.rewritten, row.compiled] => None,
@@ -378,6 +384,7 @@ pub fn run_table1(config: &Config, nominal_round_seconds: f64) -> Result<RunResu
         let extras = LayerExtras {
             batch: [column(0), column(1), column(2), column(3)],
             overhead_share: overhead(&traced_rounds, &measured.rounds),
+            latency_p90_ms: measured.latency_p90_ms(),
             ..LayerExtras::default()
         };
         report::per_layer(

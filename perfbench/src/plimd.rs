@@ -18,6 +18,7 @@ use plim_service::protocol::{CompileRequest, Request, Response};
 
 use crate::host::Meter;
 use crate::inputs::{self, control_text, mix, Size};
+use crate::offline::time_traced;
 use crate::path::{self, LayerCounts, Quality};
 use crate::report::{self, LayerExtras, Measured};
 use crate::stats::{self, Failure, OpenLoopSample};
@@ -38,8 +39,13 @@ const STORED_PERCENT: usize = 15;
 /// targets instead of the default options.
 const VARIANT_PERCENT: u64 = 10;
 
-/// Least time between two host probes in the open loop.
-const PROBE_EVERY: Duration = Duration::from_millis(100);
+/// Prefix of the daemon's last output line: the median host probe (ms)
+/// its own sampler thread took while it served.
+pub const DAEMON_PROBE: &str = "perfbench daemon: probe median ms ";
+
+/// Consecutive slices of the schedule whose latency figures are taken
+/// separately; the median over them is reported.
+const SEGMENTS: usize = 5;
 
 /// How long responses may trail the end of the schedule before the missing
 /// ones count as timed out.
@@ -212,18 +218,14 @@ impl Mix {
 struct Daemon {
     child: Child,
     addr: String,
-    // Held open so the daemon's start-up lines never hit a closed pipe.
-    _stdout: BufReader<ChildStdout>,
+    // Held open so the daemon's lines never hit a closed pipe; read after
+    // exit for its probe median.
+    stdout: BufReader<ChildStdout>,
 }
 
 impl Daemon {
     fn spawn(exe: &Path, store: &Path) -> Result<Daemon, String> {
-        // One core stays free for the client thread and the reactor, so
-        // the generator is not starved while both workers compile.
-        let threads = plim_parallel::available_threads()
-            .saturating_sub(1)
-            .max(1)
-            .to_string();
+        let threads = plim_parallel::available_threads().to_string();
         let mut child = Command::new(exe)
             .args([
                 "daemon",
@@ -250,7 +252,7 @@ impl Daemon {
         let mut daemon = Daemon {
             child,
             addr: String::new(),
-            _stdout: stdout,
+            stdout,
         };
         match (read, addr) {
             (Ok(_), Some(addr)) => {
@@ -267,9 +269,9 @@ impl Daemon {
         self.child.id()
     }
 
-    /// Stops the daemon through the `shutdown` op and checks its exit
-    /// status.
-    fn shutdown(mut self) -> Result<(), String> {
+    /// Stops the daemon through the `shutdown` op, checks its exit status,
+    /// and returns the median host probe it reported.
+    fn shutdown(mut self) -> Result<Option<Duration>, String> {
         match client::send(&self.addr, &Request::Shutdown)? {
             Response::Shutdown => {}
             other => return Err(format!("shutdown answered {other:?}")),
@@ -277,11 +279,16 @@ impl Daemon {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             if let Some(status) = self.child.try_wait().map_err(|e| format!("waiting: {e}"))? {
-                return if status.success() {
-                    Ok(())
-                } else {
-                    Err(format!("the daemon exited with {status}"))
-                };
+                if !status.success() {
+                    return Err(format!("the daemon exited with {status}"));
+                }
+                let mut rest = String::new();
+                let _ = self.stdout.read_to_string(&mut rest);
+                return Ok(rest
+                    .lines()
+                    .find_map(|line| line.strip_prefix(DAEMON_PROBE))
+                    .and_then(|ms| ms.trim().parse::<f64>().ok())
+                    .map(|ms| Duration::from_secs_f64(ms / 1e3)));
             }
             if Instant::now() > deadline {
                 return Err("the daemon did not exit after shutdown".to_string());
@@ -358,20 +365,14 @@ struct Answer {
     closed: bool,
 }
 
-/// Per-request answers, the phase's wall time, and the host probes (start
-/// offset, raw time).
-type LoopOutcome = (Vec<Answer>, Duration, Vec<(Duration, Duration)>);
-
-/// Drives the schedule; returns per-request answers, the phase's wall
-/// time, and the host probes taken while no request was in flight
-/// (start offset and raw probe time).
+/// Drives the schedule; returns per-request answers and the phase's wall
+/// time.
 fn open_loop(
     addr: &str,
     mix: &Mix,
     lines: &[Vec<u8>],
     connections: usize,
-    meter: &mut Meter,
-) -> Result<LoopOutcome, String> {
+) -> Result<(Vec<Answer>, Duration), String> {
     let mut poller = Poller::new().map_err(|e| format!("creating the poller: {e}"))?;
     let mut conns = Vec::with_capacity(connections);
     for index in 0..connections {
@@ -400,7 +401,6 @@ fn open_loop(
     let mut finished = 0usize;
     let mut events: Vec<Event> = Vec::new();
     let mut chunk = vec![0u8; 1 << 16];
-    let mut probes: Vec<(Duration, Duration)> = Vec::new();
     let start = Instant::now();
     let deadline = due(total) + DRAIN_TIMEOUT;
     while finished < total {
@@ -469,20 +469,12 @@ fn open_loop(
         }
         // Sleep until the next send is due or a response arrives; near the
         // due time, poll in short steps so sends are not a millisecond late.
-        // An idle gap long enough for a host probe takes one.
         let until_next = if next < total {
             due(next).saturating_sub(start.elapsed())
         } else {
             Duration::from_millis(50)
         };
-        let idle = conns.iter().all(|c| c.inflight.is_empty());
-        let probe_due = probes
-            .last()
-            .is_none_or(|&(at, _)| start.elapsed() >= at + PROBE_EVERY);
-        if idle && probe_due && next < total && until_next > Duration::from_millis(3) {
-            let at = start.elapsed();
-            probes.push((at, meter.probe()));
-        } else if until_next > Duration::from_millis(2) {
+        if until_next > Duration::from_millis(2) {
             poller
                 .wait(&mut events, Some(until_next - Duration::from_millis(1)))
                 .map_err(|e| format!("polling: {e}"))?;
@@ -494,21 +486,7 @@ fn open_loop(
     for conn in &conns {
         let _ = poller.deregister(conn.stream.as_raw_fd());
     }
-    Ok((answers, wall, probes))
-}
-
-/// The rescale factor at `at`: from the median of the probes nearest in
-/// time (`probes` ascending by offset).
-fn local_scale(probes: &[(Duration, Duration)], at: Duration) -> f64 {
-    if probes.is_empty() {
-        return 1.0;
-    }
-    let index = probes.partition_point(|&(offset, _)| offset < at);
-    let nearby: Vec<Duration> = probes[index.saturating_sub(2)..(index + 2).min(probes.len())]
-        .iter()
-        .map(|&(_, probe)| probe)
-        .collect();
-    crate::host::scale(&nearby)
+    Ok((answers, wall))
 }
 
 /// `plimd-mixed`.
@@ -549,26 +527,27 @@ pub fn run_plimd(config: &Config) -> Result<RunResult, String> {
     );
 
     let cpu_start = crate::sys::cpu_time(Some(daemon.pid()))?;
-    let (answers, wall, loop_probes) =
-        open_loop(&daemon.addr, &mix, &lines, connections, &mut meter)?;
+    let (answers, wall) = open_loop(&daemon.addr, &mix, &lines, connections)?;
     let cpu = crate::sys::cpu_time(Some(daemon.pid()))? - cpu_start;
     measured.peak_rss_mb = crate::sys::peak_rss_mb(Some(daemon.pid()))?;
-    let run_scale = if loop_probes.is_empty() {
-        1.0
-    } else {
-        crate::host::scale(&loop_probes.iter().map(|&(_, p)| p).collect::<Vec<_>>())
-    };
-    // The schedule fixes the phase's length, so wall time is reported raw.
-    measured.rounds.push(wall);
-    measured.raw_rounds.push(wall);
-    measured.cpu_rounds.push(cpu.mul_f64(run_scale));
-    measured.elapsed = wall;
     let service = match client::send(&daemon.addr, &Request::Stats)? {
         Response::Stats(stats) => stats,
         other => return Err(format!("stats answered {other:?}")),
     };
-    daemon.shutdown()?;
+    // Times are rescaled by the probes the daemon took of its own host
+    // speed while it served (the client thread's speed says little about
+    // the daemon's threads).
+    let daemon_probe = daemon
+        .shutdown()?
+        .ok_or("the daemon reported no host probe")?;
+    measured.probes.push(daemon_probe);
+    let scale = crate::host::scale(&[daemon_probe]);
     drop(store);
+    // The schedule fixes the phase's length, so wall time is reported raw.
+    measured.rounds.push(wall);
+    measured.raw_rounds.push(wall);
+    measured.cpu_rounds.push(cpu.mul_f64(scale));
+    measured.elapsed = wall;
 
     // The offline references, outside the timed phase (and traced in a
     // traced run, against the untraced product path).
@@ -581,15 +560,10 @@ pub fn run_plimd(config: &Config) -> Result<RunResult, String> {
         let (output, scaled, _) = meter.time(|| path::product(text, &spec, "listing").ok());
         untraced += scaled;
         if config.trace {
-            let probe_before = tracer.total("analyze");
-            let (replay, scaled, raw) = meter.time(|| {
-                path::traced(&mut tracer, job as u64, text, &spec, "listing", &mut counts)
+            let (replay, time) = time_traced(&mut meter, &mut tracer, |t| {
+                path::traced(t, job as u64, text, &spec, "listing", &mut counts)
             });
-            let probe = tracer.total("analyze") - probe_before;
-            // The `analyze` probe is not part of the product path.
-            traced += raw
-                .saturating_sub(probe)
-                .mul_f64(scaled.as_secs_f64() / raw.as_secs_f64().max(1e-12));
+            traced += time;
             if replay.ok().map(|r| r.text) != output.as_ref().map(|o| o.text.clone()) {
                 measured.outcomes.record(Some(Failure::Mismatch));
             }
@@ -646,12 +620,8 @@ pub fn run_plimd(config: &Config) -> Result<RunResult, String> {
             .flat_map(|d| d.to_le_bytes())
             .collect::<Vec<u8>>(),
     );
-    // Each latency is rescaled by the host probes taken around it.
-    let scaled = |sample: &OpenLoopSample| {
-        sample
-            .latency()
-            .mul_f64(local_scale(&loop_probes, sample.done))
-    };
+    let scaled = |sample: &OpenLoopSample| sample.latency().mul_f64(scale);
+    measured.segments = SEGMENTS;
     measured.latencies = samples
         .iter()
         .map(|(job, s, _)| (*job, scaled(s)))
@@ -715,11 +685,12 @@ pub fn run_plimd(config: &Config) -> Result<RunResult, String> {
             } else {
                 traced.as_secs_f64() / untraced.as_secs_f64() - 1.0
             },
+            latency_p90_ms: measured.latency_p90_ms(),
             ..LayerExtras::default()
         };
         report::per_layer(&tracer, &counts, &extras, 1, &meter.probes)
     });
-    measured.probes = meter.probes;
+    measured.probes.extend(meter.probes);
     Ok(RunResult::new(
         measured,
         layers,

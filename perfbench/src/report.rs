@@ -9,14 +9,13 @@ use crate::stats::{self, Outcomes};
 use crate::trace::Tracer;
 
 /// The end-to-end metrics every untraced run prints, with their units.
-pub const END_TO_END: [(&str, &str); 11] = [
+pub const END_TO_END: [(&str, &str); 10] = [
     ("setup_s", "s"),
     ("wall_s", "s"),
     ("cpu_s", "s"),
     ("compile_ms_geomean", "ms"),
     ("ops_per_s", "1/s"),
     ("latency_ms_p50", "ms"),
-    ("latency_ms_p90", "ms"),
     ("peak_rss_mb", "MB"),
     ("instructions", "count"),
     ("rams", "count"),
@@ -25,7 +24,7 @@ pub const END_TO_END: [(&str, &str); 11] = [
 
 /// The per-layer metrics every traced run prints, with their units. A
 /// layer that does not run on a workload reads 0 there.
-pub const PER_LAYER: [(&str, &str); 35] = [
+pub const PER_LAYER: [(&str, &str); 36] = [
     ("parse.ms", "ms"),
     ("parse.nodes", "count"),
     ("rewrite.ms", "ms"),
@@ -61,6 +60,7 @@ pub const PER_LAYER: [(&str, &str); 35] = [
     ("gen.lateness_ms_p99", "ms"),
     ("trace.overhead_share", "ratio"),
     ("host.probe_ms", "ms"),
+    ("latency_ms_p90", "ms"),
 ];
 
 /// What a workload run measured, before it is reduced to metrics. Times
@@ -80,6 +80,9 @@ pub struct Measured {
     pub elapsed: Duration,
     /// One latency per operation, tagged with the operation's input key.
     pub latencies: Vec<(usize, Duration)>,
+    /// Consecutive slices of `latencies` whose latency figures are taken
+    /// separately and reported as their median (0 or 1: all at once).
+    pub segments: usize,
     /// Raw times of every host probe of the run.
     pub probes: Vec<Duration>,
     /// Peak RSS of the measured process.
@@ -98,29 +101,52 @@ pub struct Measured {
     pub notes: Vec<String>,
 }
 
+/// Operation latencies tagged with their input keys.
+type Latencies = [(usize, Duration)];
+
 fn secs(durations: &[Duration]) -> Vec<f64> {
     durations.iter().map(Duration::as_secs_f64).collect()
 }
 
+fn latency_ms(slice: &Latencies) -> Vec<f64> {
+    slice.iter().map(|&(_, l)| stats::ms(l)).collect()
+}
+
 impl Measured {
+    /// A figure per segment of `latencies`, then their median: a stall
+    /// that spans part of an open-loop schedule moves one segment, not the
+    /// result.
+    fn per_segment(&self, figure: &dyn Fn(&Latencies) -> f64) -> f64 {
+        let n = self.latencies.len();
+        let segments = self.segments.max(1);
+        let values: Vec<f64> = (0..segments)
+            .map(|s| figure(&self.latencies[s * n / segments..(s + 1) * n / segments]))
+            .collect();
+        stats::median(&values)
+    }
+
+    /// The latency tail: p90 when 10 samples lie beyond it, per segment.
+    pub fn latency_p90_ms(&self) -> f64 {
+        self.per_segment(&|slice| stats::tail(&latency_ms(slice), 90.0).value)
+    }
+
     /// The end-to-end metrics, in [`END_TO_END`] order.
     pub fn end_to_end(&self) -> Vec<(&'static str, &'static str, f64)> {
-        let mut by_key: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        let mut all: Vec<f64> = Vec::with_capacity(self.latencies.len());
-        for &(key, latency) in &self.latencies {
-            by_key.entry(key).or_default().push(stats::ms(latency));
-            all.push(stats::ms(latency));
-        }
-        let per_key: Vec<f64> = by_key.values().map(|v| stats::median(v)).collect();
-        let tail = stats::tail(&all, 90.0);
+        let geomean = |slice: &Latencies| {
+            let mut by_key: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+            for &(key, latency) in slice {
+                by_key.entry(key).or_default().push(stats::ms(latency));
+            }
+            let per_key: Vec<f64> = by_key.values().map(|v| stats::median(v)).collect();
+            stats::geomean(&per_key)
+        };
         let values = [
             stats::median(&secs(&self.setup)),
             stats::median(&secs(&self.rounds)),
             stats::median(&secs(&self.cpu_rounds)),
-            stats::geomean(&per_key),
-            all.len() as f64 / self.elapsed.as_secs_f64().max(1e-9),
-            stats::median(&all),
-            tail.value,
+            self.per_segment(&geomean),
+            self.latencies.len() as f64 / self.elapsed.as_secs_f64().max(1e-9),
+            self.per_segment(&|slice| stats::median(&latency_ms(slice))),
             self.peak_rss_mb,
             self.quality.instructions as f64,
             self.quality.rams as f64,
@@ -136,10 +162,14 @@ impl Measured {
     /// Notes on how the latency tail and the sample counts came about, and
     /// each named input's median latency.
     pub fn latency_notes(&self) -> Vec<String> {
-        let all: Vec<f64> = self.latencies.iter().map(|&(_, l)| stats::ms(l)).collect();
-        let tail = stats::tail(&all, 90.0);
+        let segments = self.segments.max(1);
+        let first: Vec<f64> = self.latencies[..self.latencies.len() / segments]
+            .iter()
+            .map(|&(_, l)| stats::ms(l))
+            .collect();
+        let tail = stats::tail(&first, 90.0);
         let mut notes = vec![format!(
-            "latency_ms_p90 reports p{:.2} over {} samples ({} beyond it); {} rounds; error_share {:.6}",
+            "latency_ms_p90 (per layer) reports p{:.2} over {} samples ({} beyond it) per segment, median of {segments} segment(s); {} rounds; error_share {:.6}",
             tail.percentile,
             tail.samples,
             tail.beyond,
@@ -189,6 +219,8 @@ pub struct LayerExtras {
     pub service: [f64; 8],
     /// Traced time over untraced time of the same work, minus one.
     pub overhead_share: f64,
+    /// `latency_ms_p90` of the run's untraced operations.
+    pub latency_p90_ms: f64,
 }
 
 /// The per-layer metrics of a traced run, in [`PER_LAYER`] order. Span
@@ -254,6 +286,7 @@ pub fn per_layer(
         extras.service[7],
         extras.overhead_share,
         probe_ms,
+        extras.latency_p90_ms,
     ];
     PER_LAYER
         .iter()
