@@ -17,7 +17,21 @@
 //! (unknown cells or op indexes become diagnostics too), so it can be
 //! pointed at hand-doctored or hostile inputs where
 //! [`IrProgram::check`]'s `Result` would stop at the first violation.
+//!
+//! # Cost
+//!
+//! [`analyze_events`] runs in O(#events + #cells) expected time on any
+//! stream, hostile ones included. Every event costs O(1) amortized, with
+//! one exception that needs an index: a value-changing write to `z` under
+//! node `n` must mark stale every cached complement of `z` recorded for
+//! `n`. A dependents index maps each `(source, node)` pair to the cells
+//! materialized as `¬source` for `node`. A write to `z` under `n` consumes
+//! the `(z, n)` list and visits only those cells. Each visited cell either
+//! goes stale or no longer caches that complement, so no later write needs
+//! it; each indexed cell is therefore visited at most once. Writes to a
+//! cell nothing is indexed under skip the lookup entirely.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use mig::NodeId;
@@ -271,6 +285,15 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
     // `z ← ⟨1 s̄ z⟩` over the known-zero cell): a *main* RM3 can carry the
     // same operand shape, but never over a known-zero destination.
     let mut known: Vec<Option<bool>> = vec![None; ir.cells.len()];
+    // The dependents index: `(source, node)` -> the cells recorded as
+    // caching `¬source` for `node` since that pair was last written. A
+    // cell re-materialized or re-requested since its push keeps a dead
+    // entry here, which the complement check skips when the list is
+    // consumed.
+    let mut dependents: HashMap<(CellId, NodeId), Vec<CellId>> = HashMap::new();
+    // Per source cell: how many cells its lists hold, so writes to cells
+    // nothing depends on skip the lookup.
+    let mut indexed = vec![0usize; ir.cells.len()];
     // Physical address -> currently live virtual cell, per the lowering's
     // pinned assignment (only consulted under `pinned_faithful`).
     let mut pinned_live: Vec<Option<CellId>> = Vec::new();
@@ -447,6 +470,12 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     let was_zero = known[op.z.index()] == Some(false);
                     complement[op.z.index()] = match (op.a, op.b, op.node) {
                         (Value::Const(true), Value::Cell(source), Some(node)) if was_zero => {
+                            // No write reaches an unknown source cell, so
+                            // nothing is indexed under one.
+                            if let Some(count) = indexed.get_mut(source.index()) {
+                                *count += 1;
+                                dependents.entry((source, node)).or_default().push(op.z);
+                            }
                             Some(Complement {
                                 source,
                                 node,
@@ -464,13 +493,20 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     // the same node*: that is a recomputation, which
                     // correct lowering never emits while the complement is
                     // still consumed. Forwarding retargets carry the *new*
-                    // node's provenance and so never trip this.
-                    if let Some(node) = op.node {
-                        for (index, entry) in complement.iter_mut().enumerate() {
-                            if index == op.z.index() {
+                    // node's provenance and so never trip this. Only the
+                    // cells indexed under `(z, n)` can be affected, and the
+                    // walk consumes their list: each ends up stale or no
+                    // longer caching `¬z` for `n`, which no later write
+                    // changes. `z` itself is skipped, as any later
+                    // value-changing write to `z` rewrites its entry first.
+                    if let Some(node) = op.node.filter(|_| indexed[op.z.index()] > 0) {
+                        let list = dependents.remove(&(op.z, node)).unwrap_or_default();
+                        indexed[op.z.index()] -= list.len();
+                        for cell in list {
+                            if cell == op.z {
                                 continue;
                             }
-                            if let Some(entry) = entry {
+                            if let Some(entry) = &mut complement[cell.index()] {
                                 if entry.source == op.z && entry.node == node {
                                     entry.stale = true;
                                 }

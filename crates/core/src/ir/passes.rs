@@ -180,6 +180,10 @@ impl PassManager {
     /// compiler bugs that must not reach emitted artifacts.
     pub fn run(&self, ir: &mut IrProgram, mig: &Mig, backend: &dyn Backend) -> PassReport {
         let mut report = PassReport::default();
+        // `-O0`: nothing would read the cost or lint baselines below.
+        if self.passes.is_empty() || self.rounds == 0 {
+            return report;
+        }
         // The current stream's cost, threaded across pass runs: each
         // editing pass pays exactly one scoring (for its after-state), and
         // no-op runs pay none.

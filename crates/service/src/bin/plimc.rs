@@ -47,7 +47,7 @@
 //!                             exhaustive proof — a refusal, not a disproof
 //!
 //! plimc lint [compile OPTIONS] [--json] [--deny LINT] [--allow LINT]
-//!            [--doctor write-after-release] FILE
+//!            [--doctor write-after-release|stale-complement] FILE
 //!                             run the static analyzer over the compiled
 //!                             artifact: event-stream lints, program-level
 //!                             init discipline, and resource certification
@@ -431,7 +431,9 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
 
     let mut config = LintConfig::new();
     let mut json = false;
-    let mut doctor: Option<String> = None;
+    // A `--doctor` injection and its error when there is nothing to corrupt.
+    type Injection = fn(&mut plim_compiler::ir::IrProgram) -> Option<plim_compiler::ir::CellId>;
+    let mut doctor: Option<(Injection, &str)> = None;
     let mut compile_argv: Vec<String> = Vec::new();
     let mut iter = argv.iter();
     while let Some(arg) = iter.next() {
@@ -452,14 +454,24 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
             "--deny" => config.deny(lint("--deny", value("--deny")?)?),
             "--allow" => config.allow(lint("--allow", value("--allow")?)?),
             "--doctor" => {
-                let injection = value("--doctor")?;
-                if injection != "write-after-release" {
-                    return Err(format!(
-                        "--doctor: unknown injection `{injection}` (expected write-after-release)"
-                    )
-                    .into());
-                }
-                doctor = Some(injection.clone());
+                use plim_analysis::doctor;
+                doctor = Some(match value("--doctor")?.as_str() {
+                    "write-after-release" => (
+                        doctor::inject_write_after_release as Injection,
+                        "the program has no ops to corrupt",
+                    ),
+                    "stale-complement" => (
+                        doctor::inject_stale_complement,
+                        "the program caches no complement to corrupt",
+                    ),
+                    injection => {
+                        return Err(format!(
+                            "--doctor: unknown injection `{injection}` \
+                             (expected write-after-release or stale-complement)"
+                        )
+                        .into())
+                    }
+                });
             }
             _ => compile_argv.push(arg.clone()),
         }
@@ -474,9 +486,8 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
     let optimized = pipeline::optimize(&input, &spec);
     let mut compilation = plim_compiler::compile_full(&optimized, spec.options);
 
-    if doctor.is_some() {
-        plim_analysis::doctor::inject_write_after_release(&mut compilation.ir)
-            .ok_or_else(|| "--doctor: the program has no ops to corrupt".to_string())?;
+    if let Some((inject, nothing)) = doctor {
+        inject(&mut compilation.ir).ok_or_else(|| format!("--doctor: {nothing}"))?;
     }
 
     let diags = analyze_artifact(&compilation, spec.options.opt);
@@ -994,7 +1005,7 @@ fn main() -> ExitCode {
             eprintln!("       plimc verify [compile options] FILE");
             eprintln!("             (exit 0: proven; 1: disproof/error; 2: too wide for an exhaustive proof)");
             eprintln!("       plimc lint [compile options] [--json] [--deny LINT] [--allow LINT]");
-            eprintln!("                  [--doctor write-after-release] FILE");
+            eprintln!("                  [--doctor write-after-release|stale-complement] FILE");
             eprintln!(
                 "       plimc scenario [compile options] [--patterns N] [--drift P] [--stuck ADDR:LEVEL]"
             );

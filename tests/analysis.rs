@@ -7,6 +7,9 @@
 //! `PA0008` has a hand-doctored stream that trips it (positive) and a
 //! minimal variation that does not (negative).
 
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
 use mig::NodeId;
@@ -412,5 +415,401 @@ fn doctored_write_after_release_fails_the_battery() {
     assert!(
         diags.iter().any(|d| d.lint == Lint::UseAfterRelease),
         "expected PA0002, got {diags:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Stale-complement tracking against a quadratic reference, plus its cost.
+// ---------------------------------------------------------------------------
+
+/// The stale-complement rule in its plainest form, kept as a test oracle:
+/// a map of cached complements, scanned whole on every value-changing
+/// write. Returns every `PA0005` finding as `(event, cell)`.
+fn reference_stale_complements(ir: &IrProgram) -> Vec<(usize, CellId)> {
+    let mut live: HashMap<CellId, bool> = HashMap::new();
+    let mut known_zero: HashMap<CellId, bool> = HashMap::new();
+    // cache cell -> (source, node, stale)
+    let mut cached: HashMap<CellId, (CellId, NodeId, bool)> = HashMap::new();
+    let mut found = Vec::new();
+    for (pos, &event) in ir.events.iter().enumerate() {
+        match event {
+            Event::Request(c) => {
+                live.insert(c, false);
+                known_zero.remove(&c);
+                cached.remove(&c);
+            }
+            Event::Release(c) => {
+                live.insert(c, false);
+            }
+            Event::Op(i) => {
+                let op = &ir.ops[i as usize];
+                for c in op.reads() {
+                    if live.get(&c) == Some(&true) && matches!(cached.get(&c), Some((_, _, true))) {
+                        found.push((pos, c));
+                    }
+                }
+                if op.z.index() >= ir.cells.len() {
+                    continue;
+                }
+                live.insert(op.z, true);
+                if matches!((op.a, op.b), (Value::Const(x), Value::Const(y)) if x == y) {
+                    continue;
+                }
+                match (op.a, op.b, op.node) {
+                    (Value::Const(true), Value::Cell(source), Some(node))
+                        if known_zero.get(&op.z) == Some(&true) =>
+                    {
+                        cached.insert(op.z, (source, node, false));
+                    }
+                    _ => {
+                        cached.remove(&op.z);
+                    }
+                }
+                let reset = (op.a, op.b) == (Value::Const(false), Value::Const(true));
+                known_zero.insert(op.z, reset);
+                if let Some(node) = op.node {
+                    for (cell, entry) in &mut cached {
+                        if *cell != op.z && entry.0 == op.z && entry.1 == node {
+                            entry.2 = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    found
+}
+
+/// The analyzer's `PA0005` findings as `(event, cell)`.
+fn stale_findings(ir: &IrProgram) -> Vec<(usize, CellId)> {
+    analyze_events(ir, &structural())
+        .into_iter()
+        .filter(|d| d.lint == Lint::StaleComplement)
+        .map(|d| {
+            (
+                d.event.expect("PA0005 names its event"),
+                d.cell.expect("and its cell"),
+            )
+        })
+        .collect()
+}
+
+/// Builds event streams op by op.
+struct Stream {
+    ir: IrProgram,
+}
+
+impl Stream {
+    fn new(cells: usize) -> Self {
+        Stream {
+            ir: IrProgram {
+                num_inputs: 2,
+                ops: Vec::new(),
+                cells: (0..cells as u32).map(cell).collect(),
+                events: Vec::new(),
+                outputs: Vec::new(),
+                mig_nodes: 0,
+                allocator: AllocatorStrategy::Fifo,
+            },
+        }
+    }
+
+    fn event(&mut self, event: Event) -> &mut Self {
+        self.ir.events.push(event);
+        self
+    }
+
+    fn op(&mut self, a: Value, b: Value, z: CellId, node: Option<u32>) -> &mut Self {
+        self.ir.events.push(Event::Op(self.ir.ops.len() as u32));
+        self.ir.ops.push(IrOp {
+            a,
+            b,
+            z,
+            rhs: String::new(),
+            node: node.map(|n| NodeId::from_index(n as usize)),
+        });
+        self
+    }
+
+    /// Requests `z`, resets it and computes node `node` into it.
+    fn compute(&mut self, z: CellId, node: u32) -> &mut Self {
+        self.event(Event::Request(z))
+            .op(Value::Const(false), Value::Const(true), z, None)
+            .recompute(z, node)
+    }
+
+    /// A main op writing `z` under `node`'s provenance.
+    fn recompute(&mut self, z: CellId, node: u32) -> &mut Self {
+        self.op(Value::Input(0), Value::Input(1), z, Some(node))
+    }
+
+    /// The materialization idiom: reset `z`, then `z ← ⟨1 s̄ z⟩` for `node`.
+    fn materialize(&mut self, z: CellId, source: CellId, node: u32) -> &mut Self {
+        self.op(Value::Const(false), Value::Const(true), z, Some(node))
+            .op(Value::Const(true), Value::Cell(source), z, Some(node))
+    }
+
+    /// An op reading `c` into `z` under `node`.
+    fn consume(&mut self, c: CellId, z: CellId, node: u32) -> &mut Self {
+        self.op(Value::Cell(c), Value::Input(0), z, Some(node))
+    }
+
+    /// Index of the next event.
+    fn at(&self) -> usize {
+        self.ir.events.len()
+    }
+}
+
+/// Asserts the analyzer and the reference agree on `ir` and returns the
+/// shared findings.
+fn agreed_findings(ir: &IrProgram) -> Vec<(usize, CellId)> {
+    let found = stale_findings(ir);
+    assert_eq!(
+        found,
+        reference_stale_complements(ir),
+        "analyzer vs reference"
+    );
+    found
+}
+
+const C2: CellId = CellId(2);
+const C3: CellId = CellId(3);
+
+#[test]
+fn pa0005_two_caches_of_one_source_both_go_stale() {
+    let mut s = Stream::new(4);
+    s.compute(C0, 3)
+        .event(Event::Request(C1))
+        .event(Event::Request(C2));
+    s.materialize(C1, C0, 3)
+        .materialize(C2, C0, 3)
+        .recompute(C0, 3);
+    s.event(Event::Request(C3));
+    let first = s.at();
+    s.consume(C1, C3, 7);
+    let second = s.at();
+    s.consume(C2, C3, 7);
+    assert_eq!(agreed_findings(&s.ir), vec![(first, C1), (second, C2)]);
+}
+
+#[test]
+fn pa0005_a_cell_caching_its_own_complement_never_goes_stale() {
+    // `⟨1 z̄ z⟩` over a reset cell: the cell caches ¬(its zero), and every
+    // later value-changing write to it replaces the entry.
+    let mut s = Stream::new(2);
+    s.event(Event::Request(C0)).materialize(C0, C0, 3);
+    s.compute(C1, 5)
+        .consume(C0, C1, 5)
+        .recompute(C0, 3)
+        .consume(C0, C1, 5);
+    assert_eq!(agreed_findings(&s.ir), vec![]);
+}
+
+#[test]
+fn pa0005_rematerializing_a_stale_cache_makes_it_fresh_until_the_next_recompute() {
+    let mut s = Stream::new(3);
+    s.compute(C0, 3).event(Event::Request(C1)).compute(C2, 9);
+    s.materialize(C1, C0, 3).recompute(C0, 3);
+    // Stale now; rebuilt before its first read, so that read is clean.
+    s.materialize(C1, C0, 3).consume(C1, C2, 9);
+    // The rebuilt cache is indexed again: the next recompute stales it.
+    s.recompute(C0, 3);
+    let stale_read = s.at();
+    s.consume(C1, C2, 9);
+    assert_eq!(agreed_findings(&s.ir), vec![(stale_read, C1)]);
+}
+
+#[test]
+fn pa0005_request_clears_a_cached_complement() {
+    let mut s = Stream::new(4);
+    s.compute(C0, 3).compute(C3, 9).event(Event::Request(C1));
+    s.materialize(C1, C0, 3).event(Event::Release(C1));
+    // %1 starts a new lifetime holding an unrelated value; recomputing
+    // node 3 into %0 says nothing about it.
+    s.compute(C1, 6).recompute(C0, 3).consume(C1, C3, 9);
+    // The same after %1 re-materializes a different source.
+    s.compute(C2, 4)
+        .event(Event::Release(C1))
+        .event(Event::Request(C1));
+    s.materialize(C1, C2, 4).recompute(C0, 3).consume(C1, C3, 9);
+    assert_eq!(agreed_findings(&s.ir), vec![]);
+}
+
+#[test]
+fn pa0005_recompute_under_a_different_node_is_not_a_recompute() {
+    let mut s = Stream::new(3);
+    s.compute(C0, 3).compute(C2, 9).event(Event::Request(C1));
+    s.materialize(C1, C0, 3);
+    // A forwarding-style retarget: %0 now holds node 4.
+    s.recompute(C0, 4).consume(C1, C2, 9);
+    assert_eq!(agreed_findings(&s.ir), vec![]);
+    // The cache stays indexed: node 3 written into %0 again stales it.
+    s.recompute(C0, 3);
+    let stale_read = s.at();
+    s.consume(C1, C2, 9);
+    assert_eq!(agreed_findings(&s.ir), vec![(stale_read, C1)]);
+}
+
+#[test]
+fn pa0005_unknown_source_cell_is_a_diagnostic_not_a_panic() {
+    let unknown = CellId(99);
+    let mut s = Stream::new(2);
+    s.compute(C1, 9).event(Event::Request(C0));
+    s.materialize(C0, unknown, 3);
+    s.recompute(unknown, 3).consume(C0, C1, 9);
+    let diags = analyze_events(&s.ir, &structural());
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.lint == Lint::UseBeforeInit && d.cell == Some(unknown)),
+        "expected unknown-cell diagnostics, got {diags:?}"
+    );
+    assert_eq!(agreed_findings(&s.ir), vec![]);
+}
+
+/// Decodes one generated step into stream events over `cells` cells and
+/// four nodes, so sources, caches and provenances collide often.
+fn push_step(s: &mut Stream, cells: u32, (kind, x, y, node): (u8, u32, u32, u32)) {
+    let (x, y) = (CellId(x % cells), CellId(y % cells));
+    let node = node % 4;
+    match kind {
+        0..=2 => s.materialize(x, y, node),
+        3 | 4 => s.recompute(x, node),
+        5 | 6 => s.consume(x, y, node),
+        7 => s.event(Event::Request(x)),
+        8 => s.event(Event::Release(x)),
+        // An identity write, which leaves every cached complement alone.
+        9 => s.op(Value::Const(true), Value::Const(true), x, Some(node)),
+        // The materialization shape without the reset: an ordinary op.
+        10 => s.op(Value::Const(true), Value::Cell(y), x, Some(node)),
+        // A reset without provenance, then a bare op without provenance.
+        11 => s.op(Value::Const(false), Value::Const(true), x, None),
+        _ => s.op(Value::Input(0), Value::Cell(y), x, None),
+    };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The indexed analyzer reports exactly the quadratic reference's
+    /// `PA0005` findings, `(event, cell)` pairs included, on streams built
+    /// around the reset-then-`⟨1 s̄ z⟩` idiom.
+    #[test]
+    fn stale_complement_findings_match_the_quadratic_reference(
+        cells in 2u32..7,
+        steps in collection::vec((0u8..13, any::<u32>(), any::<u32>(), any::<u32>()), 1..120),
+    ) {
+        let mut s = Stream::new(cells as usize);
+        for c in 0..cells {
+            s.compute(CellId(c), c % 4);
+        }
+        for &step in &steps {
+            push_step(&mut s, cells, step);
+        }
+        prop_assert_eq!(stale_findings(&s.ir), reference_stale_complements(&s.ir));
+    }
+}
+
+/// Generated streams do exercise the rule: across a fixed set of seeds
+/// the property above sees plenty of `PA0005` findings.
+#[test]
+fn generated_streams_exercise_stale_complements() {
+    let mut rng = TestRng::new(0x5A1E);
+    let mut findings = 0;
+    for _ in 0..64 {
+        let mut s = Stream::new(4);
+        for c in 0..4 {
+            s.compute(CellId(c), c);
+        }
+        for _ in 0..100 {
+            let word = rng.next_u64();
+            let step = (
+                (word % 13) as u8,
+                (word >> 8) as u32,
+                (word >> 24) as u32,
+                (word >> 40) as u32,
+            );
+            push_step(&mut s, 4, step);
+        }
+        findings += agreed_findings(&s.ir).len();
+    }
+    assert!(findings >= 64, "only {findings} PA0005 findings");
+}
+
+/// A complement-heavy stream of about `8 * sources * rounds` events: every
+/// round re-materializes each source's complement into a fresh cell (all
+/// of them stay live), recomputes the source under a foreign node and
+/// under its own, and reads a cache.
+fn complement_heavy_stream(sources: u32, rounds: u32) -> IrProgram {
+    let mut s = Stream::new((sources + sources * rounds + 1) as usize);
+    let sink = CellId(sources);
+    s.compute(sink, 0);
+    for c in 0..sources {
+        s.compute(CellId(c), c + 1);
+    }
+    let mut next = sources + 1;
+    for _ in 0..rounds {
+        for c in 0..sources {
+            let (source, cache) = (CellId(c), CellId(next));
+            next += 1;
+            s.event(Event::Request(cache))
+                .materialize(cache, source, c + 1);
+            s.recompute(source, sources + 1).recompute(source, c + 1);
+            s.consume(cache, sink, 0);
+        }
+    }
+    s.ir
+}
+
+fn time_analysis(ir: &IrProgram) -> Duration {
+    let start = Instant::now();
+    std::hint::black_box(analyze_events(ir, &structural()));
+    start.elapsed()
+}
+
+/// The analyzer is linear in the stream: 4× the events (and 4× the live
+/// caches) must cost well under the 16× a per-op scan of every cell
+/// would. Host noise can only inflate a ratio, so a measurement is retried
+/// up to three times; the quadratic scan measured 18× on every try.
+#[test]
+fn analyzer_time_grows_linearly_with_complement_heavy_streams() {
+    let small = complement_heavy_stream(64, 16);
+    let large = complement_heavy_stream(64, 64);
+    assert_eq!(stale_findings(&large).len(), 64 * 64);
+    let mut ratios = Vec::new();
+    for _ in 0..3 {
+        // Best of 5 each, interleaved so both sizes see the same host load.
+        let (mut t_small, mut t_large) = (Duration::MAX, Duration::MAX);
+        for _ in 0..5 {
+            t_small = t_small.min(time_analysis(&small));
+            t_large = t_large.min(time_analysis(&large));
+        }
+        let ratio = t_large.as_secs_f64() / t_small.as_secs_f64().max(1e-9);
+        if ratio <= 8.0 {
+            return;
+        }
+        ratios.push(format!("{ratio:.1}x ({t_small:?} -> {t_large:?})"));
+    }
+    panic!(
+        "4x the events took {}: the analyzer is superlinear",
+        ratios.join(", ")
+    );
+}
+
+/// The stale-complement injection is caught through the full artifact
+/// battery, on a suite circuit whose lowering reads a cached complement.
+#[test]
+fn doctored_stale_complement_fails_the_battery() {
+    let mig = suite::build("i2c", Scale::Reduced).expect("known circuit");
+    let mut compilation = compile_full(&mig, CompilerOptions::new());
+    assert!(analyze_artifact(&compilation, OptLevel::O0).is_empty());
+    let cell = plim_analysis::doctor::inject_stale_complement(&mut compilation.ir)
+        .expect("i2c reads a cached complement");
+    let diags = analyze_artifact(&compilation, OptLevel::O0);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.lint == Lint::StaleComplement && d.cell == Some(cell)),
+        "expected PA0005, got {diags:?}"
     );
 }

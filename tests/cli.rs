@@ -1049,6 +1049,39 @@ fn lint_subcommand_gates_artifacts_end_to_end() {
         String::from_utf8_lossy(&allowed.stderr)
     );
 
+    // The stale-complement injection needs a cached complement that a
+    // later op reads (ctrl's only feed outputs): i2c has one. Denied and
+    // with the stats cross-check silenced, PA0005 alone fails the run.
+    let i2c = plimc().args(["dump", "i2c", "--reduced"]).output().unwrap();
+    assert!(i2c.status.success());
+    let stale = run_with_stdin(
+        &[
+            "lint",
+            "--doctor",
+            "stale-complement",
+            "--deny",
+            "stale-complement",
+            "--allow",
+            "stats-mismatch",
+            "-",
+        ],
+        &i2c.stdout,
+    );
+    let stdout = String::from_utf8_lossy(&stale.stdout);
+    assert_eq!(stale.status.code(), Some(1), "stdout: {stdout}");
+    assert!(
+        stdout.contains("1 error") && stdout.contains("error[PA0005]"),
+        "{stdout}"
+    );
+    let nothing_to_corrupt =
+        run_with_stdin(&["lint", "--doctor", "stale-complement", "-"], &dump.stdout);
+    let stderr = String::from_utf8_lossy(&nothing_to_corrupt.stderr);
+    assert_eq!(nothing_to_corrupt.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("caches no complement to corrupt"),
+        "{stderr}"
+    );
+
     assert_user_error(
         &["lint", "--deny", "PA9999", "x.mig"],
         "unknown lint `PA9999`",

@@ -199,3 +199,45 @@ fn ir_dump_lists_every_instruction_with_def_use() {
     assert!(dump.starts_with(".ir v1\n"));
     assert!(dump.contains(".output"));
 }
+
+/// A backend that must never be consulted: scoring or emitting through it
+/// fails the test.
+struct Unscored;
+
+impl plim_compiler::Backend for Unscored {
+    fn name(&self) -> &'static str {
+        "unscored"
+    }
+
+    fn description(&self) -> &'static str {
+        "panics when the pass pipeline scores or emits"
+    }
+
+    fn instruction_set(&self) -> &'static [plim_compiler::InstructionInfo] {
+        &[]
+    }
+
+    fn cost(&self, _: &ir::IrProgram) -> plim_compiler::Cost {
+        panic!("the -O0 pipeline scored the stream")
+    }
+
+    fn emit(&self, _: &ir::IrProgram) -> Box<dyn plim_compiler::Artifact> {
+        panic!("the -O0 pipeline emitted the stream")
+    }
+}
+
+/// `-O0` runs no pass, so the pipeline returns at once: the lowered IR is
+/// untouched, no run is reported, and the backend is never asked for a
+/// cost baseline.
+#[test]
+fn o0_pipeline_leaves_the_ir_untouched_and_reports_no_runs() {
+    let mig = suite::build("dec", Scale::Reduced).expect("suite circuit");
+    let optimized = mig::rewrite::rewrite(&mig, 4);
+    let lowered = ir::lower(&optimized, CompilerOptions::new());
+    let mut ir = lowered.clone();
+    let report =
+        ir::passes::PassManager::for_level(OptLevel::O0).run(&mut ir, &optimized, &Unscored);
+    assert!(report.runs.is_empty(), "runs at -O0: {:?}", report.runs);
+    assert_eq!(ir.dump(), lowered.dump());
+    assert_eq!(ir.events, lowered.events);
+}
