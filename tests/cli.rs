@@ -251,11 +251,12 @@ fn opt_levels_compile_end_to_end_and_o0_is_the_default() {
 }
 
 /// `plimc --emit ir` prints the post-optimization IR in its stable text
-/// form; golden files over two suite circuits pin the format.
+/// form; golden files over four suite circuits pin the format and the
+/// `-O2` edits (`voter` and `i2c` are where `forward` removes the most).
 #[test]
 fn emit_ir_matches_the_golden_dumps() {
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
-    for circuit in ["dec", "router"] {
+    for circuit in ["dec", "router", "voter", "i2c"] {
         let dump = plimc()
             .args(["dump", circuit, "--reduced"])
             .output()

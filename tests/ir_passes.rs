@@ -241,3 +241,72 @@ fn o0_pipeline_leaves_the_ir_untouched_and_reports_no_runs() {
     assert_eq!(ir.dump(), lowered.dump());
     assert_eq!(ir.events, lowered.events);
 }
+
+/// Scores a stream by its event count: O(1) to score, and every legal
+/// forwarding candidate deletes events, so each one commits.
+#[cfg(not(debug_assertions))]
+struct EventCount;
+
+#[cfg(not(debug_assertions))]
+impl plim_compiler::Backend for EventCount {
+    fn name(&self) -> &'static str {
+        "event-count"
+    }
+
+    fn description(&self) -> &'static str {
+        "scores a stream by its event count"
+    }
+
+    fn instruction_set(&self) -> &'static [plim_compiler::InstructionInfo] {
+        &[]
+    }
+
+    fn cost(&self, ir: &ir::IrProgram) -> plim_compiler::Cost {
+        plim_compiler::Cost {
+            instructions: ir.events.len(),
+            footprint: 0,
+            wear: 0,
+            units: 0,
+        }
+    }
+
+    fn emit(&self, _: &ir::IrProgram) -> Box<dyn plim_compiler::Artifact> {
+        unreachable!("the forwarding pass never emits")
+    }
+}
+
+/// `Forward`'s bookkeeping per commit is proportional to the edit, not to
+/// the stream: with scoring made free, 4× the nodes (and so about 4× the
+/// commits over a 4× longer stream) costs well under 16× the time. An
+/// engine that rescans and re-indexes the stream after every commit is
+/// quadratic and lands above the bound.
+///
+/// Release builds only: debug builds re-check the whole IR after every
+/// trial, which is O(n) per trial by design.
+#[cfg(not(debug_assertions))]
+#[test]
+fn forward_bookkeeping_is_subquadratic() {
+    use ir::passes::Pass;
+
+    let best_of_5 = |nodes: usize| {
+        let mig = random_logic(&RandomLogicSpec::new(64, 16, nodes, 7));
+        let lowered = ir::lower(&mig, CompilerOptions::new());
+        (0..5)
+            .map(|_| {
+                let mut ir = lowered.clone();
+                let start = std::time::Instant::now();
+                let edits = ir::passes::Forward.run(&mut ir, &EventCount);
+                let elapsed = start.elapsed().as_secs_f64();
+                assert!(edits > 0, "{nodes} nodes: nothing forwarded");
+                elapsed
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let small = best_of_5(2000);
+    let large = best_of_5(8000);
+    let ratio = large / small;
+    assert!(
+        ratio <= 16.0,
+        "Forward at 4n nodes took {ratio:.1}× its time at n ({large:.4}s vs {small:.4}s)"
+    );
+}
