@@ -151,7 +151,7 @@ fn bench_rewrite_engines(circuits: &[&str], scale: Scale, iters: usize) {
 /// The arena-vs-equality-saturation comparison, measured as the pipeline
 /// a user actually runs: rewrite stage plus the -O2 compile of its result
 /// (for `--rewrite egraph` the stage is arena baseline + saturation +
-/// extraction + compiled-cost scoring). Reports compiled `#I` for both
+/// extraction + compiled-cost scoring, which already compiled the winner). Reports compiled `#I` for both
 /// engines and the per-circuit saturation statistics (final e-nodes,
 /// iterations, and which budget axis stopped the run). Functional
 /// equivalence and the never-worse compiled cost are asserted so the
@@ -175,9 +175,10 @@ fn bench_egraph(circuits: &[&str], scale: Scale, iters: usize, effort: usize) {
         let mig = build(name, scale).unwrap();
         let arena = rewrite(&mig, effort);
         let t_arena = best_of(iters, || compile(&rewrite(&mig, effort), options));
+        // `optimize` returns the winner's compilation, so it alone is the
+        // whole e-graph pipeline.
         let t_egraph = best_of(iters, || {
-            let chosen = plim_egraph::optimize(&mig, &rewrite(&mig, effort), effort, options);
-            compile(&chosen, options)
+            plim_egraph::optimize(&mig, &rewrite(&mig, effort), effort, options)
         });
         total_arena += t_arena;
         total_egraph += t_egraph;

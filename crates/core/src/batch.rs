@@ -106,7 +106,7 @@ fn preprocess(mig: &Mig, effort: usize, mode: RewriteMode, options: CompilerOpti
                  plim_egraph::install() before compiling",
             );
             let baseline = rewrite_on_worker_arena(mig, effort);
-            optimize(mig, &baseline, effort, options)
+            optimize(mig, &baseline, effort, options).0
         }
     }
 }

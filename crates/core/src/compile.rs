@@ -64,14 +64,22 @@ pub struct Compilation {
 /// Like [`compile`], but keeps the post-optimization IR and the per-pass
 /// report alongside the program.
 pub fn compile_full(mig: &Mig, options: CompilerOptions) -> Compilation {
-    let mut ir = ir::lower(mig, options);
-    let report = PassManager::for_level(options.opt).run(&mut ir, mig, options.target.backend());
+    let (ir, report) = compile_ir(mig, options);
     let compiled = ir::emit(&ir);
     Compilation {
         compiled,
         ir,
         report,
     }
+}
+
+/// The lower → optimize half of [`compile_full`]: the optimized IR and the
+/// pass report, without emitting the program. A caller that compiles
+/// several graphs only to compare their costs emits just the one it keeps.
+pub fn compile_ir(mig: &Mig, options: CompilerOptions) -> (IrProgram, ir::passes::PassReport) {
+    let mut ir = ir::lower(mig, options);
+    let report = PassManager::for_level(options.opt).run(&mut ir, mig, options.target.backend());
+    (ir, report)
 }
 
 #[cfg(test)]

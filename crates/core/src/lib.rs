@@ -93,7 +93,7 @@ pub mod verify;
 // is reached through its module.
 pub use backend::{Artifact, Backend, Cost, InstructionInfo, Target};
 pub use cache::{CacheKey, CacheStats, LruCache};
-pub use compile::{compile, compile_full, Compilation};
+pub use compile::{compile, compile_full, compile_ir, Compilation};
 pub use lifetime::{LifetimeClass, Lifetimes};
 pub use options::{
     egraph_optimizer, install_egraph_optimizer, AllocatorStrategy, CompilerOptions,

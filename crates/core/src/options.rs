@@ -227,10 +227,18 @@ impl RewriteMode {
 
 /// Signature of the equality-saturation optimizer hook: given the raw
 /// input MIG, the arena-rewritten baseline, the rewrite effort and the
-/// active compile options, return the extraction the caller should
-/// compile (the baseline itself when saturation finds nothing better).
-pub type EgraphOptimizer =
-    fn(raw: &mig::Mig, baseline: &mig::Mig, effort: usize, options: CompilerOptions) -> mig::Mig;
+/// active compile options, return the extraction the caller should use
+/// (the baseline itself when saturation finds nothing better) together
+/// with its compilation under those options. The hook compiles every
+/// candidate to score it, so it hands back the winner's compilation —
+/// equal to [`crate::compile_full`] of the returned graph — and the
+/// caller compiles nothing twice.
+pub type EgraphOptimizer = fn(
+    raw: &mig::Mig,
+    baseline: &mig::Mig,
+    effort: usize,
+    options: CompilerOptions,
+) -> (mig::Mig, crate::Compilation);
 
 static EGRAPH_OPTIMIZER: std::sync::OnceLock<EgraphOptimizer> = std::sync::OnceLock::new();
 

@@ -17,8 +17,10 @@
 //!   trivial-majority simplifications Ω.M (`⟨x x y⟩ = x`, `⟨x x̄ y⟩ = y`)
 //!   are applied at insertion, so no e-class ever holds a reducible node.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Not;
 
 use mig::{Mig, MigNode};
@@ -80,7 +82,7 @@ impl fmt::Debug for ClassSignal {
 /// representatives, polarity-normalized — whenever the node sits in the
 /// hashcons memo. Nodes listed inside an e-class may go stale after merges;
 /// [`EGraph::canonical_nodes`] re-canonicalizes on read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ENode {
     /// The constant-zero leaf.
     Const,
@@ -88,6 +90,32 @@ pub enum ENode {
     Input(u32),
     /// Majority-of-three over e-class signals.
     Maj([ClassSignal; 3]),
+}
+
+impl ENode {
+    /// The node packed into one injective `u128`: the variant tag in bits
+    /// 96.., the operands below it.
+    #[inline]
+    fn packed(self) -> u128 {
+        match self {
+            ENode::Const => 0,
+            ENode::Input(i) => 1 << 96 | u128::from(i),
+            ENode::Maj([a, b, c]) => {
+                2 << 96 | u128::from(c.0) << 64 | u128::from(b.0) << 32 | u128::from(a.0)
+            }
+        }
+    }
+}
+
+/// One `write_u128` of the packed node instead of the derived hash's five
+/// writes (discriminant, slice length, three children): the memo hashes
+/// an e-node on every add and every congruence repair. Equal nodes pack
+/// equally, so this agrees with the derived `Eq`.
+impl Hash for ENode {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.packed());
+    }
 }
 
 /// Result of canonicalizing a majority triple: either the node collapsed
@@ -360,11 +388,16 @@ impl EGraph {
             Canon::Simplified(s) => s,
             Canon::Node(key, flip) => {
                 let node = ENode::Maj(key);
-                if let Some(&found) = self.memo.get(&node) {
-                    return self.canonical_mut(found).complement_if(flip);
+                match self.memo.entry(node) {
+                    Entry::Occupied(entry) => {
+                        let found = *entry.get();
+                        return self.canonical_mut(found).complement_if(flip);
+                    }
+                    Entry::Vacant(entry) => {
+                        entry.insert(ClassSignal::new(self.parent.len(), false));
+                    }
                 }
                 let sig = self.new_class(node);
-                self.memo.insert(node, sig);
                 for child in key {
                     let root = child.class();
                     self.classes[root].parents.push(node);
@@ -438,15 +471,27 @@ impl EGraph {
         let mut kept: Vec<ENode> = Vec::with_capacity(parents.len());
         for node in parents {
             self.work += 1;
-            let Some(old_sig) = self.memo.remove(&node) else {
-                // Already re-canonicalized through another merged child.
-                continue;
-            };
-            let old_sig = self.canonical_mut(old_sig);
             let ENode::Maj(children) = node else {
                 unreachable!("leaves are never parents")
             };
-            match self.canonicalize(children) {
+            let canon = self.canonicalize(children);
+            if canon == Canon::Node(children, false) {
+                // Still canonical (a parent of the surviving class): the
+                // memo entry stays, and memo values are canonicalized on
+                // every read, so only the parent lists need the node.
+                if !self.memo.contains_key(&node) {
+                    // Already re-canonicalized through another merged child.
+                    continue;
+                }
+                self.register_parent(node, children);
+                kept.push(node);
+                continue;
+            }
+            let Some(old_sig) = self.memo.remove(&node) else {
+                continue;
+            };
+            let old_sig = self.canonical_mut(old_sig);
+            match canon {
                 Canon::Simplified(s) => {
                     // The node collapsed under the new equalities: its
                     // class *is* the simplified signal.
@@ -457,14 +502,15 @@ impl EGraph {
                     // Maj(key) = old value of the node, complemented by
                     // the normalization flip.
                     let value = old_sig.complement_if(flip);
-                    if let Some(&existing) = self.memo.get(&canon) {
-                        let existing = self.canonical_mut(existing);
-                        self.union(existing, value);
-                    } else {
-                        self.memo.insert(canon, value);
-                        for child in key {
-                            let (croot, _) = self.find_mut(child.class() as u32);
-                            self.classes[croot as usize].parents.push(canon);
+                    match self.memo.entry(canon) {
+                        Entry::Occupied(entry) => {
+                            let existing = *entry.get();
+                            let existing = self.canonical_mut(existing);
+                            self.union(existing, value);
+                        }
+                        Entry::Vacant(entry) => {
+                            entry.insert(value);
+                            self.register_parent(canon, key);
                         }
                     }
                     kept.push(canon);
@@ -475,13 +521,30 @@ impl EGraph {
         self.classes[new_root as usize].parents.extend(kept);
     }
 
+    /// Lists the memoized `node` among the parents of each child's class.
+    fn register_parent(&mut self, node: ENode, children: [ClassSignal; 3]) {
+        for child in children {
+            let (root, _) = self.find_mut(child.class() as u32);
+            self.classes[root as usize].parents.push(node);
+        }
+    }
+
     /// The e-nodes of class `id` (must be a root), re-canonicalized and
     /// deduplicated, each paired with its parity relative to the class
     /// representative. Stale entries that collapsed into an alias of the
     /// class itself are dropped.
     pub fn canonical_nodes(&self, id: u32) -> Vec<ClassNode> {
+        let mut out = Vec::new();
+        self.extend_canonical_nodes(id, &mut out);
+        out
+    }
+
+    /// Appends [`EGraph::canonical_nodes`]`(id)` to `out` without a
+    /// per-class allocation; entries already in `out` before the call are
+    /// left alone and do not take part in the deduplication.
+    pub(crate) fn extend_canonical_nodes(&self, id: u32, out: &mut Vec<ClassNode>) {
         debug_assert_eq!(self.find(id).0, id, "canonical_nodes needs a root");
-        let mut out: Vec<ClassNode> = Vec::new();
+        let start = out.len();
         for &(node, par) in &self.classes[id as usize].nodes {
             let canon = match node {
                 ENode::Const => ClassNode::Const(par),
@@ -495,11 +558,10 @@ impl EGraph {
                     Canon::Node(key, flip) => ClassNode::Maj(key, par ^ flip),
                 },
             };
-            if !out.contains(&canon) {
+            if !out[start..].contains(&canon) {
                 out.push(canon);
             }
         }
-        out
     }
 
     /// Every value of `s` spelled as a majority triple: for each majority

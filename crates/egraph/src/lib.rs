@@ -14,13 +14,20 @@
 //!    deterministic [`EgraphBudget`] (e-node / iteration / work ceilings,
 //!    no wall-clock anywhere);
 //! 3. greedy bottom-up extraction (cost table memoized per e-class)
-//!    proposes one candidate MIG per [`ExtractObjective`];
-//! 4. a compiling cost function scores every candidate by *actually
-//!    compiling it* — [`plim_compiler::compile_full`] plus the active
-//!    backend's [`plim_compiler::Cost`] — in parallel across the
-//!    `plim-parallel` pool, and keeps the lexicographically cheapest
+//!    proposes one candidate MIG per [`ExtractObjective`]. One
+//!    [`Extractor`] indexes the saturated graph once (canonical node lists
+//!    and a child → parent class index) for all objectives, which are
+//!    extracted and polished in parallel; its cost sweep re-evaluates a
+//!    class only when a child's cost fell;
+//! 4. a compiling cost function scores the arena baseline and every
+//!    distinct candidate by *actually compiling them* — lowering plus the
+//!    `-O` pass pipeline ([`plim_compiler::compile_ir`]), judged by the
+//!    active backend's [`plim_compiler::Cost`] — in one parallel map over
+//!    the `plim-parallel` pool, and keeps the lexicographically cheapest
 //!    (#I, #R, wear) artifact that is admissible (no axis worse than the
-//!    arena baseline's).
+//!    arena baseline's). Only the winner is emitted, and its compilation
+//!    is returned with it ([`optimize_compiled`]), so the caller never
+//!    compiles the chosen graph a second time.
 //!
 //! Because the arena baseline is always in the candidate set (it is the
 //! fallback), [`optimize`] is **never worse than the arena engine** on any
@@ -37,13 +44,15 @@ mod rules;
 
 use std::collections::HashSet;
 
-pub use extract::{extract, ExtractObjective};
+pub use extract::{extract, ExtractObjective, Extractor};
 pub use graph::{Canon, ClassNode, ClassSignal, EGraph, ENode};
 pub use rules::{saturate, EgraphBudget, StopReason};
 
 use mig::Mig;
 use plim_compiler::batch::{BenchRun, Circuit, PAPER_EFFORT};
-use plim_compiler::{compile, compile_full, CompilerOptions, OptLevel, RewriteMode};
+use plim_compiler::ir::passes::PassReport;
+use plim_compiler::ir::{self, IrProgram};
+use plim_compiler::{compile_ir, Compilation, CompilerOptions, OptLevel, RewriteMode};
 use plim_parallel::{par_map, Parallelism};
 
 /// Raw (pre-rewrite) graphs up to this many nodes are also absorbed into
@@ -93,16 +102,31 @@ impl SaturationStats {
     }
 }
 
-/// Lexicographic compiled cost of a candidate under the active backend:
-/// (#I, #R/footprint, wear).
-fn compiled_cost(mig: &Mig, options: CompilerOptions) -> (u64, u64, u64) {
-    let compilation = compile_full(mig, options);
-    let cost = options.target.backend().cost(&compilation.ir);
-    (
-        cost.instructions as u64,
-        u64::from(cost.footprint),
-        cost.wear,
-    )
+/// A graph compiled up to, but not including, emission
+/// ([`plim_compiler::compile_ir`]), which is all the compiling cost
+/// function needs. Only the winner is emitted.
+struct Scored {
+    /// Lexicographic compiled cost under the active backend:
+    /// (#I, #R/footprint, wear).
+    cost: (u64, u64, u64),
+    ir: IrProgram,
+    report: PassReport,
+}
+
+impl Scored {
+    fn new(mig: &Mig, options: CompilerOptions) -> Scored {
+        let (ir, report) = compile_ir(mig, options);
+        let cost = options.target.backend().cost(&ir);
+        Scored {
+            cost: (
+                cost.instructions as u64,
+                u64::from(cost.footprint),
+                cost.wear,
+            ),
+            ir,
+            report,
+        }
+    }
 }
 
 /// Post-extraction cleanup: polarity normalization moved complements
@@ -114,22 +138,14 @@ fn polish(mig: &Mig) -> Mig {
     twice.cleaned()
 }
 
-/// Equality-saturation optimization of `baseline` (the arena-rewritten
-/// graph), returning the chosen MIG and the run's [`SaturationStats`].
-///
-/// `raw` is the pre-rewrite input graph; small raw graphs are absorbed
-/// into the e-graph as an extra structural seed. `effort` scales the
-/// saturation budget (see [`EgraphBudget::for_effort`]); `options` selects
-/// the backend whose compiled [`plim_compiler::Cost`] judges candidates.
-///
-/// Deterministic end to end: same inputs, effort, and options ⇒
-/// byte-identical output graph.
-pub fn optimize_with_stats(
+/// Saturates, extracts and scores; returns the chosen graph with its
+/// scored (not yet emitted) compilation.
+fn optimize_scored(
     raw: &Mig,
     baseline: &Mig,
     effort: usize,
     options: CompilerOptions,
-) -> (Mig, SaturationStats) {
+) -> (Mig, Scored, SaturationStats) {
     let mut g = EGraph::from_mig(baseline);
     if raw.len() <= RAW_ABSORB_LIMIT {
         g.absorb_equivalent(raw);
@@ -137,33 +153,44 @@ pub fn optimize_with_stats(
     let initial_enodes = g.num_enodes();
     let budget = EgraphBudget::for_effort(effort.max(1)).scaled_to(initial_enodes);
     let (iterations, stop) = saturate(&mut g, &budget);
+    let (final_enodes, classes) = (g.num_enodes(), g.num_classes());
 
-    // Candidate generation: one greedy extraction per objective, polished
-    // and deduplicated (identical candidates would be scored twice).
-    let baseline_text = mig::io::write_mig(baseline);
+    // Candidate generation: one greedy extraction per objective over one
+    // shared index, polished, fanned out across the worker pool. The graph
+    // and the index are dropped before scoring.
+    let extracted = {
+        let extractor = Extractor::new(&g);
+        par_map(
+            &ExtractObjective::ALL,
+            Parallelism::Auto,
+            |_, &objective| extractor.extract(objective).map(|mig| polish(&mig)),
+        )
+    };
+    drop(g);
+
+    // Deduplicate in objective order (identical candidates would be scored
+    // twice).
     let mut seen: HashSet<String> = HashSet::new();
-    seen.insert(baseline_text);
-    let mut candidates: Vec<Mig> = Vec::new();
-    for objective in ExtractObjective::ALL {
-        if let Some(extracted) = extract(&g, objective) {
-            let polished = polish(&extracted);
-            if seen.insert(mig::io::write_mig(&polished)) {
-                candidates.push(polished);
-            }
-        }
-    }
+    seen.insert(mig::io::write_mig(baseline));
+    let mut candidates: Vec<Mig> = extracted
+        .into_iter()
+        .flatten()
+        .filter(|polished| seen.insert(mig::io::write_mig(polished)))
+        .collect();
 
-    // Compiling cost function: score every candidate by replaying it
-    // through the full lower → optimize pipeline, fanned out across the
-    // worker pool. The baseline is scored alongside; a candidate wins only
-    // if *no* axis regresses and the lexicographic (#I, #R, wear) triple
+    // Compiling cost function: score the baseline and every candidate by
+    // replaying them through the full lower → optimize pipeline, fanned out
+    // across the worker pool. A candidate wins only if *no* axis regresses
+    // against the baseline and the lexicographic (#I, #R, wear) triple
     // strictly improves.
-    let base_cost = compiled_cost(baseline, options);
-    let scored = par_map(&candidates, Parallelism::Auto, |_, candidate| {
-        compiled_cost(candidate, options)
+    let graphs: Vec<&Mig> = std::iter::once(baseline).chain(&candidates).collect();
+    let mut scored = par_map(&graphs, Parallelism::Auto, |_, mig| {
+        Scored::new(mig, options)
     });
+    let base_cost = scored[0].cost;
     let mut best: Option<(usize, (u64, u64, u64))> = None;
-    for (index, &cost) in scored.iter().enumerate() {
+    for (index, candidate) in scored.iter().enumerate().skip(1) {
+        let cost = candidate.cost;
         let admissible = cost.0 <= base_cost.0 && cost.1 <= base_cost.1 && cost.2 <= base_cost.2;
         if admissible && cost < base_cost && best.is_none_or(|(_, b)| cost < b) {
             best = Some((index, cost));
@@ -172,24 +199,73 @@ pub fn optimize_with_stats(
 
     let stats = SaturationStats {
         initial_enodes,
-        final_enodes: g.num_enodes(),
-        classes: g.num_classes(),
+        final_enodes,
+        classes,
         iterations,
         stop,
         candidates_scored: candidates.len(),
         improved: best.is_some(),
     };
-    let chosen = match best {
-        Some((index, _)) => candidates.swap_remove(index),
-        None => baseline.clone(),
+    let winner = best.map_or(0, |(index, _)| index);
+    let chosen = match winner {
+        0 => baseline.clone(),
+        index => candidates.swap_remove(index - 1),
     };
+    (chosen, scored.swap_remove(winner), stats)
+}
+
+/// Equality-saturation optimization of `baseline` (the arena-rewritten
+/// graph), returning the chosen MIG, its compilation under `options` and
+/// the run's [`SaturationStats`].
+///
+/// `raw` is the pre-rewrite input graph; small raw graphs are absorbed
+/// into the e-graph as an extra structural seed. `effort` scales the
+/// saturation budget (see [`EgraphBudget::for_effort`]); `options` selects
+/// the backend whose compiled [`plim_compiler::Cost`] judges candidates.
+/// The compilation is the one the winner was scored with, so it equals
+/// [`plim_compiler::compile_full`] of the chosen MIG and callers need not
+/// compile it again.
+///
+/// Deterministic end to end: same inputs, effort, and options ⇒
+/// byte-identical output graph.
+pub fn optimize_compiled(
+    raw: &Mig,
+    baseline: &Mig,
+    effort: usize,
+    options: CompilerOptions,
+) -> (Mig, Compilation, SaturationStats) {
+    let (chosen, Scored { ir, report, .. }, stats) =
+        optimize_scored(raw, baseline, effort, options);
+    let compilation = Compilation {
+        compiled: ir::emit(&ir),
+        ir,
+        report,
+    };
+    (chosen, compilation, stats)
+}
+
+/// [`optimize_compiled`] without the compilation: the chosen MIG and the
+/// run's [`SaturationStats`].
+pub fn optimize_with_stats(
+    raw: &Mig,
+    baseline: &Mig,
+    effort: usize,
+    options: CompilerOptions,
+) -> (Mig, SaturationStats) {
+    let (chosen, _, stats) = optimize_scored(raw, baseline, effort, options);
     (chosen, stats)
 }
 
-/// [`optimize_with_stats`] without the stats — the exact signature of the
+/// [`optimize_compiled`] without the stats — the exact signature of the
 /// [`plim_compiler::EgraphOptimizer`] hook.
-pub fn optimize(raw: &Mig, baseline: &Mig, effort: usize, options: CompilerOptions) -> Mig {
-    optimize_with_stats(raw, baseline, effort, options).0
+pub fn optimize(
+    raw: &Mig,
+    baseline: &Mig,
+    effort: usize,
+    options: CompilerOptions,
+) -> (Mig, Compilation) {
+    let (chosen, compilation, _) = optimize_compiled(raw, baseline, effort, options);
+    (chosen, compilation)
 }
 
 /// Registers [`optimize`] as the engine behind
@@ -215,12 +291,9 @@ pub fn annotate_bench(run: &mut BenchRun, circuits: &[Circuit], parallelism: Par
         .rewrite(RewriteMode::Egraph);
     let results = par_map(circuits, parallelism, |_, circuit| {
         let baseline = mig::rewrite::rewrite(&circuit.mig, PAPER_EFFORT);
-        let chosen = optimize(&circuit.mig, &baseline, PAPER_EFFORT, options);
-        let compiled = compile(&chosen, options);
-        (
-            compiled.stats.instructions as u64,
-            u64::from(compiled.stats.rams),
-        )
+        let (_, compilation) = optimize(&circuit.mig, &baseline, PAPER_EFFORT, options);
+        let stats = compilation.compiled.stats;
+        (stats.instructions as u64, u64::from(stats.rams))
     });
     for (record, (instructions, rams)) in run.records.iter_mut().zip(results) {
         record.egraph_instructions = instructions;
@@ -257,8 +330,8 @@ mod tests {
         assert!(mig::equiv::check_equivalence(&raw, &chosen, 64, 3)
             .expect("interfaces match")
             .holds());
-        let base = compiled_cost(&baseline, options);
-        let ours = compiled_cost(&chosen, options);
+        let base = Scored::new(&baseline, options).cost;
+        let ours = Scored::new(&chosen, options).cost;
         assert!(
             ours <= base,
             "egraph result must not regress: {ours:?} vs {base:?}"
@@ -273,8 +346,8 @@ mod tests {
         let raw = fig3b();
         let baseline = mig::rewrite::rewrite(&raw, 2);
         let options = CompilerOptions::new().opt(OptLevel::O2);
-        let one = optimize(&raw, &baseline, 2, options);
-        let two = optimize(&raw, &baseline, 2, options);
+        let (one, _) = optimize(&raw, &baseline, 2, options);
+        let (two, _) = optimize(&raw, &baseline, 2, options);
         assert_eq!(mig::io::write_mig(&one), mig::io::write_mig(&two));
     }
 
@@ -285,9 +358,32 @@ mod tests {
         let hook = plim_compiler::egraph_optimizer().expect("hook registered");
         let raw = fig3b();
         let baseline = mig::rewrite::rewrite(&raw, 2);
-        let out = hook(&raw, &baseline, 2, CompilerOptions::new());
+        let (out, compilation) = hook(&raw, &baseline, 2, CompilerOptions::new());
         assert!(mig::equiv::check_equivalence(&raw, &out, 64, 5)
             .expect("interfaces match")
             .holds());
+        let fresh = plim_compiler::compile_full(&out, CompilerOptions::new());
+        assert_eq!(compilation.ir.dump(), fresh.ir.dump());
+    }
+
+    #[test]
+    fn the_returned_compilation_is_the_chosen_graphs() {
+        let raw = fig3b();
+        let baseline = mig::rewrite::rewrite(&raw, 4);
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let options = CompilerOptions::new().opt(opt);
+            let (chosen, compilation, stats) = optimize_compiled(&raw, &baseline, 4, options);
+            let fresh = plim_compiler::compile_full(&chosen, options);
+            assert_eq!(compilation.ir.dump(), fresh.ir.dump(), "{opt:?}");
+            assert_eq!(
+                compilation.compiled.program.to_string(),
+                fresh.compiled.program.to_string(),
+                "{opt:?}"
+            );
+            assert_eq!(compilation.report.runs, fresh.report.runs, "{opt:?}");
+            let (alone, alone_stats) = optimize_with_stats(&raw, &baseline, 4, options);
+            assert_eq!(mig::io::write_mig(&alone), mig::io::write_mig(&chosen));
+            assert_eq!(alone_stats, stats);
+        }
     }
 }

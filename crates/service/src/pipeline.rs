@@ -123,7 +123,14 @@ impl Default for CompileSpec {
 /// Panics for [`RewriteMode::Egraph`] when the equality-saturation hook
 /// has not been installed (`plim_egraph::install()`).
 pub fn optimize(input: &Mig, spec: &CompileSpec) -> Mig {
-    if spec.effort == 0 {
+    optimize_stage(input, spec).0
+}
+
+/// The optimization stage, plus the compilation of its result when the
+/// engine already made one: the e-graph compiles every candidate to score
+/// it and hands back the winner's.
+fn optimize_stage(input: &Mig, spec: &CompileSpec) -> (Mig, Option<Compilation>) {
+    let optimized = if spec.effort == 0 {
         input.cleaned()
     } else if spec.extended {
         mig::resynth::rewrite_extended(input, spec.effort)
@@ -137,10 +144,12 @@ pub fn optimize(input: &Mig, spec: &CompileSpec) -> Mig {
                      plim_egraph::install() before compiling",
                 );
                 let baseline = mig::rewrite::rewrite(input, spec.effort);
-                optimize(input, &baseline, spec.effort, spec.options)
+                let (chosen, compilation) = optimize(input, &baseline, spec.effort, spec.options);
+                return (chosen, Some(compilation));
             }
         }
-    }
+    };
+    (optimized, None)
 }
 
 /// Everything the compile stage produced: the rewritten graph plus the
@@ -169,8 +178,8 @@ pub struct Artifacts {
 ///
 /// Returns a one-line message when verification fails.
 pub fn execute(input: &Mig, spec: &CompileSpec) -> Result<Artifacts, String> {
-    let optimized = optimize(input, spec);
-    let compilation = compile_full(&optimized, spec.options);
+    let (optimized, compiled) = optimize_stage(input, spec);
+    let compilation = compiled.unwrap_or_else(|| compile_full(&optimized, spec.options));
     if spec.verify {
         verify(&optimized, &compilation.compiled, 4, 0xDAC2016)
             .map_err(|e| format!("verification: {e}"))?;

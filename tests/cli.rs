@@ -278,6 +278,41 @@ fn emit_ir_matches_the_golden_dumps() {
     }
 }
 
+/// `plimc --rewrite egraph -O2` on the two reduced circuits where the
+/// e-graph beats the arena engine (`sqrt` 441→402, `cavlc` 64→57): the
+/// extracted graph (`--emit mig`) and the program (`--emit listing`) are
+/// pinned byte for byte, so a faster saturation, extraction or scoring
+/// cannot change which candidate wins or what it compiles to.
+#[test]
+fn egraph_emits_match_the_golden_files() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    for circuit in ["sqrt", "cavlc"] {
+        let dump = plimc()
+            .args(["dump", circuit, "--reduced"])
+            .output()
+            .unwrap();
+        assert!(dump.status.success());
+        for kind in ["mig", "listing"] {
+            let output = run_with_stdin(
+                &["--rewrite", "egraph", "-O2", "--emit", kind, "-"],
+                &dump.stdout,
+            );
+            assert!(
+                output.status.success(),
+                "{circuit}: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            let expected = std::fs::read_to_string(format!("{golden}/{circuit}.egraph.O2.{kind}"))
+                .expect("golden file");
+            assert_eq!(
+                String::from_utf8_lossy(&output.stdout),
+                expected,
+                "{circuit}: --rewrite egraph --emit {kind} diverged from the golden file"
+            );
+        }
+    }
+}
+
 #[test]
 fn new_schedule_and_allocator_options_compile_end_to_end() {
     for args in [

@@ -13,7 +13,7 @@ use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::verify::verify;
 use plim_compiler::{compile, CompilerOptions, OptLevel};
-use plim_egraph::{optimize, optimize_with_stats, EgraphBudget, StopReason};
+use plim_egraph::{optimize, optimize_with_stats, saturate, EGraph, EgraphBudget, StopReason};
 
 /// The options every compiled-cost comparison here runs under: the full
 /// pass pipeline for the default RM3 target, exactly what the e-graph's
@@ -49,7 +49,7 @@ proptest! {
         let raw = random_logic(&spec);
         let arena = rewrite(&raw, effort);
         let rebuild = rewrite_rebuild(&raw, effort);
-        let chosen = optimize(&raw, &arena, effort, o2());
+        let (chosen, _) = optimize(&raw, &arena, effort, o2());
 
         prop_assert!(check_equivalence(&raw, &chosen, 16, seed).unwrap().holds(),
             "e-graph extraction changed the function");
@@ -113,7 +113,7 @@ fn saturation_budget_determinism_is_byte_exact() {
     let arena = rewrite(&raw, 2);
     let (first, first_stats) = optimize_with_stats(&raw, &arena, 2, o2());
     let (second, second_stats) = optimize_with_stats(&raw, &arena, 2, o2());
-    let third = optimize(&raw, &arena, 2, o2());
+    let (third, _) = optimize(&raw, &arena, 2, o2());
     assert_eq!(
         mig::io::write_mig(&first),
         mig::io::write_mig(&second),
@@ -147,7 +147,68 @@ fn starved_budgets_still_produce_admissible_results() {
     );
     // The full engine under effort 1 (the smallest budget) keeps every
     // guarantee.
-    let chosen = optimize(&raw, &arena, 1, o2());
+    let (chosen, _) = optimize(&raw, &arena, 1, o2());
     assert!(check_equivalence(&raw, &chosen, 8, 7).unwrap().holds());
     assert!(compiled_cost(&chosen) <= compiled_cost(&arena));
+}
+
+/// Saturation end state of every reduced-suite circuit at effort 4, seeded
+/// the way `optimize_with_stats` seeds it (the arena rewrite, plus the raw
+/// graph when it has at most 3 000 nodes) under the effort-4 budget scaled
+/// to the seed: final e-nodes, live classes, iterations, stop reason and
+/// the work counter. Memo hashing and rule matching may get faster, but
+/// none of these may move: the budget stops read them.
+#[test]
+fn saturation_end_states_are_pinned_on_the_reduced_suite() {
+    #[rustfmt::skip]
+    const PINNED: [(&str, usize, usize, usize, StopReason, u64); 18] = [
+        ("adder", 3078, 1159, 2, StopReason::EnodeLimit, 15177),
+        ("bar", 7393, 2825, 2, StopReason::EnodeLimit, 35591),
+        ("div", 10999, 4366, 2, StopReason::EnodeLimit, 81119),
+        ("log2", 7967, 3097, 2, StopReason::EnodeLimit, 48264),
+        ("max", 7719, 3002, 2, StopReason::EnodeLimit, 39761),
+        ("multiplier", 10909, 4356, 2, StopReason::EnodeLimit, 56994),
+        ("sin", 29784, 11873, 2, StopReason::EnodeLimit, 160160),
+        ("sqrt", 8418, 3096, 2, StopReason::EnodeLimit, 129319),
+        ("square", 12834, 5097, 2, StopReason::EnodeLimit, 67796),
+        ("cavlc", 2221, 867, 2, StopReason::EnodeLimit, 12776),
+        ("ctrl", 1777, 580, 4, StopReason::EnodeLimit, 17150),
+        ("dec", 1997, 578, 3, StopReason::EnodeLimit, 15259),
+        ("i2c", 8974, 3519, 3, StopReason::EnodeLimit, 48693),
+        ("int2float", 5428, 2050, 2, StopReason::EnodeLimit, 32649),
+        ("mem_ctrl", 59981, 26198, 2, StopReason::EnodeLimit, 400270),
+        ("priority", 2921, 1057, 2, StopReason::EnodeLimit, 18465),
+        ("router", 2932, 790, 4, StopReason::EnodeLimit, 29565),
+        ("voter", 9615, 3794, 2, StopReason::EnodeLimit, 50764),
+    ];
+    assert_eq!(PINNED.len(), suite::ALL.len());
+    for (name, enodes, classes, iterations, stop, work) in PINNED {
+        let raw = suite::build(name, Scale::Reduced).expect("known benchmark");
+        let arena = rewrite(&raw, 4);
+        let mut g = EGraph::from_mig(&arena);
+        if raw.len() <= 3_000 {
+            g.absorb_equivalent(&raw);
+        }
+        let budget = EgraphBudget::for_effort(4).scaled_to(g.num_enodes());
+        let (ran, stopped) = saturate(&mut g, &budget);
+        assert_eq!(
+            (g.num_enodes(), g.num_classes(), ran, stopped, g.work()),
+            (enodes, classes, iterations, stop, work),
+            "{name}: saturation end state moved"
+        );
+        // The product path seeds and budgets the graph the same way.
+        if ["cavlc", "ctrl", "dec"].contains(&name) {
+            let (_, stats) = optimize_with_stats(&raw, &arena, 4, o2());
+            assert_eq!(
+                (
+                    stats.final_enodes,
+                    stats.classes,
+                    stats.iterations,
+                    stats.stop
+                ),
+                (enodes, classes, iterations, stop),
+                "{name}: optimize_with_stats saturated differently"
+            );
+        }
+    }
 }

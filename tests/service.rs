@@ -290,6 +290,87 @@ fn warm_hits_never_serve_a_different_rewrite_mode() {
     shut_down(&addr, handle);
 }
 
+/// A served `--rewrite egraph -O2` compile is byte-identical to the
+/// offline pipeline's output for every artifact kind that reads the
+/// e-graph's compilation.
+#[test]
+fn served_egraph_o2_output_is_byte_identical_to_offline() {
+    use plim_compiler::{OptLevel, RewriteMode};
+    plim_egraph::install();
+    let (addr, handle) = start_server(1, 1 << 20);
+    let mut spec = CompileSpec::default();
+    spec.options = spec.options.opt(OptLevel::O2).rewrite(RewriteMode::Egraph);
+    for name in ["cavlc", "priority"] {
+        let source = suite_source(name);
+        let mig = pipeline::parse_network(InputFormat::Mig, &source).unwrap();
+        let artifacts = pipeline::execute(&mig, &spec).unwrap();
+        for emit in ["listing", "mig", "ir"] {
+            let request = Request::Compile(CompileRequest {
+                format: InputFormat::Mig,
+                source: source.clone(),
+                spec,
+                emit: emit.to_string(),
+            });
+            let Response::Compile(served) = client::send(&addr, &request).unwrap() else {
+                panic!("{name}: egraph request failed");
+            };
+            assert_eq!(
+                served.output,
+                pipeline::emit(emit, &artifacts).unwrap(),
+                "{name}: served --emit {emit} differs from offline"
+            );
+        }
+    }
+    shut_down(&addr, handle);
+}
+
+/// `pipeline::execute` takes the e-graph's compilation of the chosen graph
+/// instead of compiling it again. That compilation must be exactly what a
+/// fresh `compile_full` of the optimized graph produces: same IR, same
+/// listing, same pass report, on every target and optimizing level.
+#[test]
+fn egraph_artifacts_equal_a_fresh_compilation_of_the_optimized_graph() {
+    use plim_compiler::{compile_full, OptLevel, RewriteMode, Target};
+    plim_backends::install();
+    plim_egraph::install();
+    for name in ["ctrl", "int2float", "priority"] {
+        let source = suite_source(name);
+        let mig = pipeline::parse_network(InputFormat::Mig, &source).unwrap();
+        for target in ["rm3", "ambit", "magic"] {
+            let target = Target::parse(target).expect("registered");
+            for opt in [OptLevel::O1, OptLevel::O2] {
+                let mut spec = CompileSpec::default();
+                spec.options = spec
+                    .options
+                    .opt(opt)
+                    .target(target)
+                    .rewrite(RewriteMode::Egraph);
+                let artifacts = pipeline::execute(&mig, &spec).unwrap();
+                let fresh = pipeline::Artifacts {
+                    compilation: compile_full(&artifacts.optimized, spec.options),
+                    optimized: artifacts.optimized.clone(),
+                    target,
+                };
+                let context = format!("{name} {target} {opt:?}");
+                assert_eq!(
+                    artifacts.compilation.ir.dump(),
+                    fresh.compilation.ir.dump(),
+                    "{context}: IR"
+                );
+                assert_eq!(
+                    pipeline::emit("listing", &artifacts).unwrap(),
+                    pipeline::emit("listing", &fresh).unwrap(),
+                    "{context}: listing"
+                );
+                assert_eq!(
+                    artifacts.compilation.report.runs, fresh.compilation.report.runs,
+                    "{context}: pass report"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn canonicalization_makes_permuted_dumps_share_an_entry() {
     let (addr, handle) = start_server(1, 1 << 20);
