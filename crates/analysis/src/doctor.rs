@@ -77,7 +77,7 @@ pub fn inject_stale_complement(ir: &mut IrProgram) -> Option<CellId> {
         }
     }
     let (pos, producer, cache) = site?;
-    ir.ops.push(ir.ops[producer].clone());
+    ir.ops.push(ir.ops[producer]);
     ir.events
         .insert(pos + 1, Event::Op(ir.ops.len() as u32 - 1));
     Some(cache)

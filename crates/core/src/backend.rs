@@ -140,12 +140,48 @@ pub trait Backend: Sync {
     fn instruction_set(&self) -> &'static [InstructionInfo];
 
     /// Scores the IR under this backend's cost model **without** building
-    /// the artifact — called per trial edit by the pass pipeline, where
-    /// full emission would dominate compile time.
+    /// the artifact — called by the pass pipeline after every editing pass,
+    /// where full emission would dominate compile time.
     fn cost(&self, ir: &IrProgram) -> Cost;
+
+    /// A scorer for trial edits of `ir`, and `ir`'s cost.
+    ///
+    /// The default scores each trial with [`Backend::cost`] on the whole
+    /// edited stream, which is exact for any cost model; a backend whose
+    /// cost is a replay of the stream can resume from what the committed
+    /// stream's replay already knows (see [`Rm3Backend`]).
+    fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
+        (Box::new(FullCost(self)), self.cost(ir))
+    }
 
     /// Emits the target-native artifact.
     fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact>;
+}
+
+/// Scores trial edits against a committed stream, for passes that apply an
+/// edit, score it, and keep or revert it (see [`Backend::scorer`]).
+pub trait TrialScorer {
+    /// Scores the edited stream `ir`, whose events before position `from`
+    /// are those of the committed stream, against the incumbent `bound`:
+    /// returns its cost when that [improves on](Cost::improves_on) `bound`,
+    /// `None` otherwise.
+    fn trial(&mut self, ir: &IrProgram, from: usize, bound: Cost) -> Option<Cost>;
+
+    /// Makes the last trial's stream, which improved on its bound, the
+    /// committed one. A trial that is not committed is assumed reverted.
+    fn commit(&mut self);
+}
+
+/// The default [`TrialScorer`]: the backend's full [`Backend::cost`].
+struct FullCost<'a, B: ?Sized>(&'a B);
+
+impl<B: Backend + ?Sized> TrialScorer for FullCost<'_, B> {
+    fn trial(&mut self, ir: &IrProgram, _from: usize, bound: Cost) -> Option<Cost> {
+        let cost = self.0.cost(ir);
+        cost.improves_on(bound).then_some(cost)
+    }
+
+    fn commit(&mut self) {}
 }
 
 /// The built-in reference backend: the paper's ReRAM RM3 target.
@@ -184,6 +220,14 @@ impl Backend for Rm3Backend {
             wear,
             units: instructions as u64,
         }
+    }
+
+    /// Checkpoints the committed stream's replay, resumes each trial from
+    /// the last checkpoint before the edit, and stops it as soon as the
+    /// footprint or wear passes the incumbent's.
+    fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
+        let (scorer, cost) = crate::ir::Rm3Scorer::new(ir);
+        (Box::new(scorer), cost)
     }
 
     fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {

@@ -229,19 +229,16 @@ fn parse_record(index: usize, item: &Value) -> Result<BenchRecord, String> {
     let circuit = match item.get("circuit") {
         Some(value) => value
             .as_str()
-            .ok_or(format!(
-                "field 'circuit' must be a string (record {})",
-                index + 1
-            ))?
+            .ok_or_else(|| format!("field 'circuit' must be a string (record {})", index + 1))?
             .to_string(),
         None => return Err(format!("missing field 'circuit' (record {})", index + 1)),
     };
     let mut numeric = [None::<f64>; NUMERIC_FIELDS.len()];
     for (key, value) in members {
         if let Some(slot) = NUMERIC_FIELDS.iter().position(|n| n == key) {
-            numeric[slot] = Some(value.as_f64().ok_or(format!(
-                "field '{key}' must be a number (circuit \"{circuit}\")"
-            ))?);
+            numeric[slot] = Some(value.as_f64().ok_or_else(|| {
+                format!("field '{key}' must be a number (circuit \"{circuit}\")")
+            })?);
         }
         // Unknown fields (of any type) are ignored for forward compatibility.
     }
@@ -250,15 +247,15 @@ fn parse_record(index: usize, item: &Value) -> Result<BenchRecord, String> {
             .iter()
             .position(|n| *n == name)
             .expect("known field");
-        numeric[slot].ok_or(format!("missing field '{name}' (circuit \"{circuit}\")"))
+        numeric[slot].ok_or_else(|| format!("missing field '{name}' (circuit \"{circuit}\")"))
     };
     // Checked after the numeric fields so diagnostics keep their
     // long-standing precedence (type errors, then missing counts).
     let boolean = |name: &'static str| -> Result<bool, String> {
         match item.get(name) {
-            Some(value) => value.as_bool().ok_or(format!(
-                "field '{name}' must be a boolean (circuit \"{circuit}\")"
-            )),
+            Some(value) => value
+                .as_bool()
+                .ok_or_else(|| format!("field '{name}' must be a boolean (circuit \"{circuit}\")")),
             None => Err(format!("missing field '{name}' (circuit \"{circuit}\")")),
         }
     };

@@ -26,7 +26,7 @@
 //! value has been materialized in an RRAM, it is remembered for future use.
 
 use mig::{Mig, MigNode, NodeId, Signal};
-use plim::{Instruction, Operand, RamAddr};
+use plim::{Instruction, Operand, RamAddr, Rhs};
 
 use crate::alloc::RramAllocator;
 use crate::candidate::{CandidateQueue, Priorities};
@@ -295,13 +295,13 @@ impl<'a> Translator<'a> {
         }
     }
 
-    /// A short human-readable name of a node for listing comments.
-    fn describe(&self, signal: Signal) -> String {
-        let bar = if signal.is_complemented() { "¬" } else { "" };
+    /// A signal's name in listing comments.
+    fn describe(&self, signal: Signal) -> Rhs {
+        let complemented = signal.is_complemented();
         match self.mig.node(signal.node()) {
-            MigNode::Constant => format!("{}", signal.is_complemented() as u8),
-            MigNode::Input(i) => format!("{bar}i{}", i + 1),
-            MigNode::Majority(_) => format!("{bar}N{}", signal.node().index()),
+            MigNode::Constant => Rhs::Const(complemented),
+            MigNode::Input(i) => Rhs::Input(*i, complemented),
+            MigNode::Majority(_) => Rhs::Node(signal.node().index() as u32, complemented),
         }
     }
 
@@ -310,7 +310,7 @@ impl<'a> Translator<'a> {
     /// keeping them exactly in sync with the lowered stream (and feeding
     /// the wear-budget reuse strategy mid-lowering). `rhs` is the listing
     /// comment's right-hand side, `node` the op's source-MIG provenance.
-    fn push_instruction(&mut self, instruction: Instruction, rhs: String, node: Option<NodeId>) {
+    fn push_instruction(&mut self, instruction: Instruction, rhs: Rhs, node: Option<NodeId>) {
         self.alloc.note_write(instruction.z);
         let op = IrOp {
             a: self.value_of(instruction.a),
@@ -324,7 +324,7 @@ impl<'a> Translator<'a> {
         self.events.push(Event::Op(index));
     }
 
-    fn emit(&mut self, a: Operand, b: Operand, z: RamAddr, rhs: String, node: Option<NodeId>) {
+    fn emit(&mut self, a: Operand, b: Operand, z: RamAddr, rhs: Rhs, node: Option<NodeId>) {
         self.push_instruction(Instruction::new(a, b, z), rhs, node);
     }
 
@@ -366,7 +366,7 @@ impl<'a> Translator<'a> {
         } else {
             Instruction::reset(addr)
         };
-        self.push_instruction(instruction, format!("{}", value as u8), Some(node));
+        self.push_instruction(instruction, Rhs::Const(value), Some(node));
         addr
     }
 
@@ -379,7 +379,7 @@ impl<'a> Translator<'a> {
     fn fresh_complement_of(&mut self, node: NodeId, cache: bool, hint: LifetimeClass) -> RamAddr {
         let addr = self.request(hint);
         let src = self.read_operand(node);
-        self.push_instruction(Instruction::reset(addr), "0".to_string(), Some(node));
+        self.push_instruction(Instruction::reset(addr), Rhs::Const(false), Some(node));
         let name = self.describe(Signal::new(node, true));
         self.emit(Operand::Const(true), src, addr, name, Some(node));
         if cache {
@@ -394,7 +394,7 @@ impl<'a> Translator<'a> {
     fn fresh_copy_of(&mut self, node: NodeId, hint: LifetimeClass) -> RamAddr {
         let addr = self.request(hint);
         let src = self.read_operand(node);
-        self.push_instruction(Instruction::set(addr), "1".to_string(), Some(node));
+        self.push_instruction(Instruction::set(addr), Rhs::Const(true), Some(node));
         let name = self.describe(Signal::new(node, false));
         self.emit(src, Operand::Const(true), addr, name, Some(node));
         addr
@@ -704,7 +704,7 @@ impl<'a> Translator<'a> {
 
     /// Emits the node's main RM3 instruction and records its location.
     fn finish_node(&mut self, id: NodeId, a: Operand, b: Operand, z: RamAddr) {
-        self.emit(a, b, z, format!("N{}", id.index()), Some(id));
+        self.emit(a, b, z, Rhs::Node(id.index() as u32, false), Some(id));
         self.loc[id.index()] = Some(Loc::Ram(z));
     }
 

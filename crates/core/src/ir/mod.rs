@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 
 use mig::NodeId;
-use plim::RamAddr;
+use plim::{RamAddr, Rhs};
 
 use crate::lifetime::LifetimeClass;
 use crate::options::AllocatorStrategy;
@@ -37,7 +37,7 @@ mod lower;
 pub mod passes;
 
 pub use emit::emit;
-pub(crate) use emit::replay_metrics;
+pub(crate) use emit::{replay_metrics, Rm3Scorer};
 pub use lower::lower;
 
 /// A virtual work cell: one allocator request/release lifetime.
@@ -81,7 +81,7 @@ impl Value {
 }
 
 /// One RM3-shaped IR op: `z ← ⟨a b̄ z⟩`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrOp {
     /// First operand (read plain).
     pub a: Value,
@@ -91,9 +91,10 @@ pub struct IrOp {
     /// the op is [masking](IrOp::masking).
     pub z: CellId,
     /// Right-hand side of the listing comment (`N46`, `¬i3`, `1`, …); the
-    /// emitter renders the full `X<addr> ← <rhs>` comment from it, so
-    /// comments stay correct when a pass retargets the destination.
-    pub rhs: String,
+    /// listing renders the full `X<addr> ← <rhs>` comment from it and the
+    /// emitted destination, so comments stay correct when a pass retargets
+    /// the destination.
+    pub rhs: Rhs,
     /// The source-MIG node this op helps compute, when known (main ops
     /// carry their own node, materializations the node they copy or
     /// complement).
@@ -222,7 +223,7 @@ impl IrProgram {
                 Event::Request(c) => {
                     let s = state
                         .get_mut(c.index())
-                        .ok_or(format!("event {pos}: unknown cell %{}", c.0))?;
+                        .ok_or_else(|| format!("event {pos}: unknown cell %{}", c.0))?;
                     if *s != State::Unborn {
                         return Err(format!("event {pos}: %{} requested twice", c.0));
                     }
@@ -231,7 +232,7 @@ impl IrProgram {
                 Event::Release(c) => {
                     let s = state
                         .get_mut(c.index())
-                        .ok_or(format!("event {pos}: unknown cell %{}", c.0))?;
+                        .ok_or_else(|| format!("event {pos}: unknown cell %{}", c.0))?;
                     if !matches!(*s, State::Requested | State::Defined) {
                         return Err(format!("event {pos}: %{} released while not live", c.0));
                     }
@@ -241,7 +242,7 @@ impl IrProgram {
                     let op = self
                         .ops
                         .get(i as usize)
-                        .ok_or(format!("event {pos}: unknown op {i}"))?;
+                        .ok_or_else(|| format!("event {pos}: unknown op {i}"))?;
                     for c in op.reads() {
                         match state.get(c.index()) {
                             Some(State::Defined) => {}
@@ -332,5 +333,72 @@ impl IrProgram {
             let _ = writeln!(out, ".output {name} = {loc}");
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A program over two cells whose stream is `events`, with op 0
+    /// `%0 ← ⟨1 %1̄ %0⟩`, op 1 the reset of `%0`, and an output `f` on `%0`.
+    fn program(events: Vec<Event>) -> IrProgram {
+        let cell = IrCell {
+            pinned: RamAddr(0),
+            hint: LifetimeClass::Short,
+        };
+        let op = |a, b, z| IrOp {
+            a,
+            b,
+            z: CellId(z),
+            rhs: Rhs::Const(false),
+            node: None,
+        };
+        IrProgram {
+            num_inputs: 0,
+            ops: vec![
+                op(Value::Const(true), Value::Cell(CellId(1)), 0),
+                op(Value::Const(false), Value::Const(true), 0),
+            ],
+            cells: vec![cell; 2],
+            events,
+            outputs: vec![("f".to_string(), IrOutput::Cell(CellId(0)))],
+            mig_nodes: 0,
+            allocator: AllocatorStrategy::Fifo,
+        }
+    }
+
+    /// Every violation `check` reports, with its message.
+    #[test]
+    fn check_reports_each_violation() {
+        use Event::{Op, Release, Request};
+        let (c0, c1, c9) = (CellId(0), CellId(1), CellId(9));
+        assert_eq!(program(vec![Request(c0), Op(1)]).check(), Ok(()));
+        for (events, message) in [
+            (vec![Request(c9)], "event 0: unknown cell %9"),
+            (vec![Release(c9)], "event 0: unknown cell %9"),
+            (
+                vec![Request(c0), Request(c0)],
+                "event 1: %0 requested twice",
+            ),
+            (vec![Release(c0)], "event 0: %0 released while not live"),
+            (vec![Op(7)], "event 0: unknown op 7"),
+            (
+                vec![Request(c0), Request(c1), Op(0)],
+                "event 2: op reads %1 which holds no value",
+            ),
+            (vec![Op(1)], "event 0: op writes %0 outside its lifetime"),
+            (
+                vec![Request(c0), Op(1), Release(c0)],
+                "output `f` reads %0 which is not live at program end",
+            ),
+        ] {
+            assert_eq!(program(events).check(), Err(message.to_string()));
+        }
+        let mut unknown = program(vec![Request(c0), Op(1), Op(0)]);
+        unknown.ops[0].b = Value::Cell(c9);
+        assert_eq!(unknown.check(), Err("event 2: unknown cell %9".to_string()));
+        unknown.ops[1].z = c9;
+        assert_eq!(unknown.check(), Err("event 1: unknown cell %9".to_string()));
     }
 }

@@ -17,7 +17,9 @@
 //!   consumers that read a cached complement never touch the value cell.
 //!   It indexes cells by stable event keys once per run and resumes where
 //!   it committed, so its bookkeeping per commit is proportional to the
-//!   edit (see [`Forward`]'s cost section);
+//!   edit, and it scores each trial edit through the backend's
+//!   [`TrialScorer`], which for RM3 replays only from the checkpoint
+//!   before the edit (see [`Forward`]'s cost section);
 //! * [`Peephole`] — same-cell fusion in a local window: an instruction
 //!   whose result is fully determined by resident constants is folded into
 //!   a plain set/reset, and back-to-back re-initializations collapse.
@@ -33,10 +35,10 @@ use std::fmt;
 
 use mig::Mig;
 
-use crate::backend::{Backend, Cost};
+use crate::backend::{Backend, Cost, TrialScorer};
 use crate::options::OptLevel;
 
-use super::{analysis, CellId, Event, IrOutput, IrProgram, Value};
+use super::{analysis, CellId, Event, IrOp, IrOutput, IrProgram, Value};
 
 /// An IR-to-IR rewrite.
 pub trait Pass {
@@ -44,8 +46,9 @@ pub trait Pass {
     fn name(&self) -> &'static str;
     /// Rewrites the program, returning the number of edits applied
     /// (removed or rewritten instructions). Passes that trial edits score
-    /// them with `backend`'s cost model, so the pipeline optimizes for the
-    /// architecture that will actually consume the stream.
+    /// them with the [`TrialScorer`] of `backend`'s [`Backend::scorer`], so
+    /// the pipeline optimizes for the architecture that will actually
+    /// consume the stream.
     fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> usize;
 }
 
@@ -260,12 +263,11 @@ impl PassManager {
 }
 
 /// What a pass may change, saved so a rejected run can be reverted: the
-/// event stream, each op's operand and destination words, and the outputs'
-/// locations. Listing text, provenance and cell metadata are never edited,
-/// so they are not copied.
+/// event stream, the (plain-data) ops, and the outputs' locations. Cell
+/// metadata is never edited, so it is not copied.
 struct Snapshot {
     events: Vec<Event>,
-    ops: Vec<(Value, Value, CellId)>,
+    ops: Vec<IrOp>,
     outputs: Vec<IrOutput>,
 }
 
@@ -273,7 +275,7 @@ impl Snapshot {
     fn take(ir: &IrProgram) -> Self {
         Snapshot {
             events: ir.events.clone(),
-            ops: ir.ops.iter().map(|op| (op.a, op.b, op.z)).collect(),
+            ops: ir.ops.clone(),
             outputs: ir.outputs.iter().map(|(_, output)| *output).collect(),
         }
     }
@@ -281,9 +283,7 @@ impl Snapshot {
     fn restore(self, ir: &mut IrProgram) {
         debug_assert_eq!(ir.ops.len(), self.ops.len(), "passes never add ops");
         ir.events = self.events;
-        for (op, (a, b, z)) in ir.ops.iter_mut().zip(self.ops) {
-            (op.a, op.b, op.z) = (a, b, z);
-        }
+        ir.ops = self.ops;
         for ((_, output), saved) in ir.outputs.iter_mut().zip(self.outputs) {
             *output = saved;
         }
@@ -317,7 +317,7 @@ fn gc_cells(ir: &mut IrProgram) {
 }
 
 /// The constant a masking op writes (`None` for non-masking ops).
-fn masked_const(op: &super::IrOp) -> Option<bool> {
+fn masked_const(op: &IrOp) -> Option<bool> {
     match (op.a, op.b) {
         (Value::Const(x), Value::Const(y)) if x != y => Some(x),
         _ => None,
@@ -545,9 +545,15 @@ impl Pass for Peephole {
 /// rejected — so the commits, and the emitted bytes, are exactly those of a
 /// rescan from the start. Bookkeeping per commit is proportional to the
 /// edit (the touched cells' lists and the rewritten event span), apart
-/// from one memory move of the stream's tail when the edit deletes events;
-/// each trial is still scored by [`Backend::cost`] on the whole edited
-/// stream.
+/// from one memory move of the stream's tail when the edit deletes events.
+///
+/// Trials are scored by the backend's [`TrialScorer`], told the first
+/// position the edit rewrote. The RM3 scorer resumes its allocator replay
+/// from the last checkpoint of the committed stream at or before that
+/// position and abandons it as soon as the footprint or wear passes the
+/// incumbent's, so a rejected trial costs the replay up to where it lost,
+/// not a replay of the whole stream; backends without a scorer of their own
+/// score each trial with [`Backend::cost`].
 #[derive(Debug)]
 pub struct Forward;
 
@@ -874,7 +880,8 @@ struct Chain {
 /// One [`Forward`] run: the index, the quality-gate memo, and the resume
 /// state.
 struct Forwarder<'a> {
-    backend: &'a dyn Backend,
+    /// Scores trials against the committed stream.
+    scorer: Box<dyn TrialScorer + 'a>,
     index: CellIndex,
     /// Candidates (op, claimed cell) turned down by the quality gate or a
     /// blocked move; they stay rejected for the rest of the run.
@@ -896,11 +903,12 @@ struct Forwarder<'a> {
 
 impl<'a> Forwarder<'a> {
     fn new(ir: &IrProgram, backend: &'a dyn Backend, spacing: u64) -> Self {
+        let (scorer, baseline) = backend.scorer(ir);
         Forwarder {
-            backend,
+            scorer,
             index: CellIndex::build(ir, spacing),
             rejected: std::collections::HashSet::new(),
-            baseline: backend.cost(ir),
+            baseline,
             pending: std::collections::BTreeSet::new(),
             changed: vec![false; ir.ops.len()],
             revisits: 0,
@@ -1038,8 +1046,9 @@ impl<'a> Forwarder<'a> {
                     x.0, d.0
                 );
             }
-            let after = self.backend.cost(ir);
-            if after.improves_on(self.baseline) {
+            // Nothing before the span the edit rewrote changed.
+            if let Some(after) = self.scorer.trial(ir, applied.undo.lo, self.baseline) {
+                self.scorer.commit();
                 self.baseline = after;
                 let moved_ops: Vec<u32> = moved.iter().map(|&(_, i)| i).collect();
                 return Some(self.commit(ir, ki, &chain_ops, &moved_ops, applied));
@@ -2024,6 +2033,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The RM3 cost model behind a scorer that checks every verdict of
+    /// [`Rm3Backend`]'s checkpointed scorer against a full replay.
+    struct Audited;
+
+    impl Backend for Audited {
+        fn name(&self) -> &'static str {
+            "audited-rm3"
+        }
+
+        fn description(&self) -> &'static str {
+            "RM3 with every trial verdict checked against a full replay"
+        }
+
+        fn instruction_set(&self) -> &'static [InstructionInfo] {
+            Rm3Backend.instruction_set()
+        }
+
+        fn cost(&self, ir: &IrProgram) -> Cost {
+            Rm3Backend.cost(ir)
+        }
+
+        fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
+            let (inner, cost) = Rm3Backend.scorer(ir);
+            assert_eq!(cost, Rm3Backend.cost(ir), "initial cost");
+            (Box::new(AuditedScorer(inner)), cost)
+        }
+
+        fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
+            Rm3Backend.emit(ir)
+        }
+    }
+
+    struct AuditedScorer(Box<dyn TrialScorer>);
+
+    impl TrialScorer for AuditedScorer {
+        fn trial(&mut self, ir: &IrProgram, from: usize, bound: Cost) -> Option<Cost> {
+            let got = self.0.trial(ir, from, bound);
+            let full = Rm3Backend.cost(ir);
+            assert_eq!(got.is_some(), full.improves_on(bound), "verdict at {from}");
+            if let Some(cost) = got {
+                assert_eq!(cost, full, "cost at {from}");
+            }
+            got
+        }
+
+        fn commit(&mut self) {
+            self.0.commit();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// At every trial, the checkpointed RM3 scorer accepts exactly when
+        /// a full replay improves on the incumbent, and scores the accepted
+        /// stream exactly as the full replay does — on every allocator, on
+        /// lowered streams and on a second round's input, with streams
+        /// long enough to hold several checkpoints.
+        #[test]
+        fn rm3_scorer_matches_full_replays(seed in any::<u64>()) {
+            for nodes in [40, 250, 900] {
+                for alloc in AllocatorStrategy::ALL {
+                    let ir = lowered(nodes, seed, ScheduleOrder::Priority, alloc);
+                    let mut audited = ir.clone();
+                    Forwarder::new(&audited, &Audited, KEY_SPACING).run(&mut audited);
+                    let mut audited = next_round(audited);
+                    Forwarder::new(&audited, &Audited, KEY_SPACING).run(&mut audited);
+                }
+            }
+        }
+    }
+
+    /// Every RM3 trial resumes from the last checkpoint at or before the
+    /// first event its edit changed — never from further back, so a
+    /// rejected trial cannot silently fall back to a replay of the whole
+    /// stream.
+    #[test]
+    fn rm3_scorer_resumes_trials_from_the_checkpoint_before_the_edit() {
+        crate::ir::emit::tests::take_trials();
+        for alloc in AllocatorStrategy::ALL {
+            let mut ir = lowered(900, 1, ScheduleOrder::Priority, alloc);
+            Forward.run(&mut ir, &Rm3Backend);
+        }
+        let trials = crate::ir::emit::tests::take_trials();
+        for t in &trials {
+            assert!(
+                t.resumed <= t.from && t.from < t.resumed + t.spacing,
+                "{t:?}"
+            );
+        }
+        let rejected: Vec<_> = trials.iter().filter(|t| !t.accepted).collect();
+        let resumed_late = rejected.iter().filter(|t| t.resumed > 0).count();
+        assert!(
+            resumed_late * 2 > rejected.len(),
+            "{resumed_late} of {} rejected trials resumed past event 0",
+            rejected.len()
+        );
     }
 
     /// A commit changes the touch lists of its cells, so the earlier ops

@@ -15,6 +15,7 @@
 //!
 //! Only combinational AIGs are supported (no latches).
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::graph::Mig;
@@ -83,11 +84,17 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
     if num_latches != 0 {
         return Err(err(1, "sequential AIGs (latches) are not supported"));
     }
+    // Header counts are claims, not sizes: every declared input, output and
+    // AND takes a line of at least two bytes, so no buffer is reserved
+    // beyond what the document could fill.
+    let lines_left = text.len() / 2 + 1;
 
     let mut mig = Mig::new();
-    // literal → signal, indexed by variable (literal / 2).
-    let mut map: Vec<Option<Signal>> = vec![None; max_var + 1];
-    map[0] = Some(Signal::FALSE);
+    // literal → signal, keyed by variable (literal / 2). Sparse, because
+    // variables need not be consecutive: `M` bounds the indices, not the
+    // definitions.
+    let mut map: HashMap<usize, Signal> = HashMap::new();
+    map.insert(0, Signal::FALSE);
 
     let take_line = |what: &str,
                      lines: &mut std::iter::Enumerate<std::str::Lines<'_>>,
@@ -105,7 +112,7 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
         }
     };
 
-    let mut input_vars = Vec::with_capacity(num_inputs);
+    let mut input_vars = Vec::with_capacity(num_inputs.min(lines_left));
     for k in 0..num_inputs {
         let (line_no, line) = take_line("an input literal", &mut lines, &mut last_line)?;
         let lit: usize = line
@@ -116,16 +123,15 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
             return Err(err(line_no, "input literal must be a fresh even literal"));
         }
         let signal = mig.add_input(format!("i{k}"));
-        if map[lit / 2].is_some() {
+        if map.insert(lit / 2, signal).is_some() {
             return Err(err(line_no, "duplicate variable definition"));
         }
-        map[lit / 2] = Some(signal);
         input_vars.push(lit / 2);
     }
 
     // Each output keeps the line it was declared on, so errors discovered
     // later (an undefined literal) can point at the offending line.
-    let mut output_lits = Vec::with_capacity(num_outputs);
+    let mut output_lits = Vec::with_capacity(num_outputs.min(lines_left));
     for _ in 0..num_outputs {
         let (line_no, line) = take_line("an output literal", &mut lines, &mut last_line)?;
         let lit: usize = line
@@ -138,8 +144,8 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
         output_lits.push((line_no, lit));
     }
 
-    let mut and_defs = Vec::with_capacity(num_ands);
-    let mut and_outputs = vec![false; max_var + 1];
+    let mut and_defs = Vec::with_capacity(num_ands.min(lines_left));
+    let mut and_outputs = HashSet::new();
     for _ in 0..num_ands {
         let (line_no, line) = take_line("an AND definition", &mut lines, &mut last_line)?;
         let lits: Vec<usize> = line
@@ -156,10 +162,9 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
             return Err(err(line_no, "AND operand literal out of range"));
         }
         let var = lits[0] / 2;
-        if map[var].is_some() || and_outputs[var] {
+        if map.contains_key(&var) || !and_outputs.insert(var) {
             return Err(err(line_no, "duplicate variable definition"));
         }
-        and_outputs[var] = true;
         and_defs.push((line_no, lits[0], lits[1], lits[2]));
     }
 
@@ -169,11 +174,11 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
     while !pending.is_empty() {
         let before = pending.len();
         pending.retain(|&(line_no, out, a, b)| {
-            let resolve = |lit: usize| map[lit / 2].map(|s| s.complement_if(lit % 2 == 1));
+            let resolve = |lit: usize| map.get(&(lit / 2)).map(|s| s.complement_if(lit % 2 == 1));
             match (resolve(a), resolve(b)) {
                 (Some(sa), Some(sb)) => {
                     let gate = mig.and(sa, sb);
-                    map[out / 2] = Some(gate);
+                    map.insert(out / 2, gate);
                     let _ = line_no;
                     false
                 }
@@ -233,7 +238,8 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
         }
     }
     for (k, &(line_no, lit)) in output_lits.iter().enumerate() {
-        let signal = map[lit / 2]
+        let signal = map
+            .get(&(lit / 2))
             .ok_or_else(|| err(line_no, "output references an undefined literal"))?
             .complement_if(lit % 2 == 1);
         let mapped = name_map[signal.node().index()]
@@ -244,6 +250,10 @@ pub fn parse_aiger(text: &str) -> Result<Mig, ParseAigerError> {
     }
     Ok(named)
 }
+
+/// The most inputs a binary AIGER header may declare. The format spends no
+/// bytes on inputs, so this limit, not the document's length, bounds them.
+const MAX_BINARY_INPUTS: usize = 1 << 20;
 
 /// Parses a combinational binary AIGER (`aig`) document into an MIG.
 ///
@@ -292,11 +302,19 @@ pub fn parse_binary_aiger(bytes: &[u8]) -> Result<Mig, ParseAigerError> {
     // In the binary format every variable is either an implicit input or
     // an AND output, so M is fully determined; a disagreeing header is
     // corrupt, not merely sloppy.
-    if max_var != num_inputs + num_ands {
+    if num_inputs.checked_add(num_ands) != Some(max_var) {
         return Err(err(1, "header requires M = I + L + A"));
     }
     if max_var >= usize::try_from(u32::MAX / 2).expect("fits usize") {
         return Err(err(1, "header variable count out of range"));
+    }
+    // Inputs are implicit, so no byte of the document bounds their number;
+    // a fixed limit keeps a short header from demanding gigabytes.
+    if num_inputs > MAX_BINARY_INPUTS {
+        return Err(err(
+            1,
+            &format!("header declares more than {MAX_BINARY_INPUTS} inputs"),
+        ));
     }
 
     let mut pos = header_end + 1;
@@ -571,6 +589,26 @@ mod tests {
         assert!(parse_aiger("aag 3 2 x 1 1\n").is_err());
     }
 
+    /// Header counts are claims: a short document declaring billions of
+    /// variables gets a one-line error without reserving room for them, and
+    /// a sparse variable numbering is still accepted.
+    #[test]
+    fn huge_headers_cost_only_what_the_document_defines() {
+        let e = parse_aiger("aag 4000000000 4000000000 0 0 0\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(
+            e.message
+                .contains("unexpected end of file reading an input"),
+            "{e}"
+        );
+        let e = parse_aiger("aag 18446744073709551615 0 0 1 0\n2\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("undefined literal"), "{e}");
+        let sparse = "aag 4000000000 1 0 1 1\n8000000000\n4\n4 8000000000 1\n";
+        let mig = parse_aiger(sparse).unwrap();
+        assert_eq!((mig.num_inputs(), mig.outputs().len()), (1, 1));
+    }
+
     #[test]
     fn rejects_out_of_range_literals() {
         // Input literal beyond the declared maximum variable.
@@ -706,6 +744,15 @@ mod tests {
         let tts = crate::simulate::truth_tables(&mig);
         assert_eq!(tts[0].count_ones(), 2); // constant true over 1 var
         assert_eq!(tts[1].blocks()[0], 0b10); // the input itself
+    }
+
+    #[test]
+    fn binary_headers_cannot_claim_unbounded_inputs() {
+        let e = parse_binary_aiger(b"aig 2000000000 2000000000 0 0 0\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("more than 1048576 inputs"), "{e}");
+        let e = parse_binary_aiger(b"aig 0 18446744073709551615 0 0 1\n").unwrap_err();
+        assert!(e.message.contains("M = I + L + A"), "{e}");
     }
 
     #[test]

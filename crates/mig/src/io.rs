@@ -108,7 +108,9 @@ pub fn write_mig(mig: &Mig) -> String {
 /// signals, or duplicate definitions.
 pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
     let mut mig = Mig::new();
-    let mut names: HashMap<String, Signal> = HashMap::new();
+    // Keyed by slices of `text`: no line allocates. The default hasher stays,
+    // since the text may come from an untrusted client.
+    let mut names: HashMap<&str, Signal> = HashMap::new();
 
     let err = |line: usize, message: &str| ParseMigError {
         line,
@@ -116,7 +118,7 @@ pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
     };
 
     let resolve = |token: &str,
-                   names: &HashMap<String, Signal>,
+                   names: &HashMap<&str, Signal>,
                    line: usize|
      -> Result<Signal, ParseMigError> {
         let (compl, name) = match token.strip_prefix('!') {
@@ -146,7 +148,7 @@ pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
                     return Err(err(line_no, &format!("duplicate input `{name}`")));
                 }
                 let s = mig.add_input(name);
-                names.insert(name.to_string(), s);
+                names.insert(name, s);
             }
         } else if let Some(rest) = line.strip_prefix("output") {
             let mut parts = rest.splitn(2, '=');
@@ -173,15 +175,17 @@ pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
                 .strip_prefix("maj(")
                 .and_then(|s| s.strip_suffix(')'))
                 .ok_or_else(|| err(line_no, "expected `maj(a, b, c)`"))?;
-            let tokens: Vec<&str> = inner.split(',').map(str::trim).collect();
-            if tokens.len() != 3 {
+            let mut tokens = inner.split(',').map(str::trim);
+            let (Some(a), Some(b), Some(c), None) =
+                (tokens.next(), tokens.next(), tokens.next(), tokens.next())
+            else {
                 return Err(err(line_no, "maj takes exactly three operands"));
-            }
-            let a = resolve(tokens[0], &names, line_no)?;
-            let b = resolve(tokens[1], &names, line_no)?;
-            let c = resolve(tokens[2], &names, line_no)?;
+            };
+            let a = resolve(a, &names, line_no)?;
+            let b = resolve(b, &names, line_no)?;
+            let c = resolve(c, &names, line_no)?;
             let signal = mig.maj(a, b, c);
-            names.insert(name.to_string(), signal);
+            names.insert(name, signal);
         } else {
             return Err(err(line_no, "unrecognized line"));
         }
@@ -257,6 +261,38 @@ mod tests {
     fn rejects_incomplete_output() {
         assert!(parse_mig("inputs a\noutput f").is_err());
         assert!(parse_mig("inputs a\noutput = a").is_err());
+    }
+
+    /// Every diagnostic, with the line it points at.
+    #[test]
+    fn every_error_keeps_its_message_and_line() {
+        for (text, line, message) in [
+            (
+                "inputs a\nn1 = maj(a, bogus, 0)",
+                2,
+                "undefined signal `bogus`",
+            ),
+            ("inputs a\n\noutput f = !x", 3, "undefined signal `x`"),
+            ("inputs a b a", 1, "duplicate input `a`"),
+            ("inputs a\noutput = a", 2, "missing output name"),
+            ("inputs a\noutput f", 2, "missing `=` in output"),
+            ("inputs a\na = maj(a, a, 0)", 2, "duplicate definition `a`"),
+            ("inputs a\nn1 = and(a, a, a)", 2, "expected `maj(a, b, c)`"),
+            (
+                "inputs a\nn1 = maj(a, a)",
+                2,
+                "maj takes exactly three operands",
+            ),
+            (
+                "inputs a\nn1 = maj(a, a, a, a)",
+                2,
+                "maj takes exactly three operands",
+            ),
+            ("# header\ngarbage", 2, "unrecognized line"),
+        ] {
+            let e = parse_mig(text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (line, message), "{text:?}");
+        }
     }
 
     #[test]

@@ -123,6 +123,44 @@ impl fmt::Display for Instruction {
     }
 }
 
+/// The value an instruction computes, as its listing comment names it: the
+/// right-hand side of `X<addr> ← rhs`.
+///
+/// Plain data, so compilers can carry it per instruction without a heap
+/// string; [`fmt::Display`] renders the listing text (`0`, `1`, `i3`, `¬i3`,
+/// `N46`, `¬N46`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rhs {
+    /// A constant 0 or 1.
+    Const(bool),
+    /// Primary input `index` (0-based; listed 1-based), complemented when
+    /// the flag is set.
+    Input(u32, bool),
+    /// Logic node `index` (listed as is), complemented when the flag is set.
+    Node(u32, bool),
+}
+
+impl fmt::Display for Rhs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bar = |complemented: bool| if complemented { "¬" } else { "" };
+        match *self {
+            Rhs::Const(v) => write!(f, "{}", v as u8),
+            Rhs::Input(i, c) => write!(f, "{}i{}", bar(c), i + 1),
+            Rhs::Node(n, c) => write!(f, "{}N{n}", bar(c)),
+        }
+    }
+}
+
+/// An instruction's listing comment.
+#[derive(Debug, Clone)]
+enum Comment {
+    None,
+    /// Free text from [`Program::push_commented`].
+    Text(Box<str>),
+    /// `X<z+1> ← rhs`, where `z` is the instruction's destination.
+    Assign(Rhs),
+}
+
 /// Where a program's primary-output value resides after execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutputLoc {
@@ -147,7 +185,7 @@ pub enum OutputLoc {
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     instructions: Vec<Instruction>,
-    comments: Vec<String>,
+    comments: Vec<Comment>,
     num_inputs: usize,
     num_rams: u32,
     outputs: Vec<(String, OutputLoc)>,
@@ -164,11 +202,28 @@ impl Program {
 
     /// Appends an instruction with an empty comment.
     pub fn push(&mut self, instruction: Instruction) {
-        self.push_commented(instruction, String::new());
+        self.push_with(instruction, Comment::None);
     }
 
-    /// Appends an instruction with a listing comment (e.g. `X1 ← N3`).
+    /// Appends an instruction with a free-text listing comment (e.g.
+    /// `X1 ← N3`); an empty comment is no comment.
     pub fn push_commented(&mut self, instruction: Instruction, comment: impl Into<String>) {
+        let comment: String = comment.into();
+        let comment = if comment.is_empty() {
+            Comment::None
+        } else {
+            Comment::Text(comment.into_boxed_str())
+        };
+        self.push_with(instruction, comment);
+    }
+
+    /// Appends an instruction commented `X<z> ← rhs`, where `X<z>` is its
+    /// destination; the text is rendered only when the listing is.
+    pub fn push_assignment(&mut self, instruction: Instruction, rhs: Rhs) {
+        self.push_with(instruction, Comment::Assign(rhs));
+    }
+
+    fn push_with(&mut self, instruction: Instruction, comment: Comment) {
         if instruction.z.0 >= self.num_rams {
             self.num_rams = instruction.z.0 + 1;
         }
@@ -179,7 +234,7 @@ impl Program {
             self.num_rams = self.num_rams.max(addr.0 + 1);
         }
         self.instructions.push(instruction);
-        self.comments.push(comment.into());
+        self.comments.push(comment);
     }
 
     /// The instruction sequence.
@@ -188,9 +243,20 @@ impl Program {
         &self.instructions
     }
 
-    /// The listing comment of instruction `index` (may be empty).
-    pub fn comment(&self, index: usize) -> &str {
-        &self.comments[index]
+    /// The listing comment of instruction `index` (empty when it has none).
+    pub fn comment(&self, index: usize) -> String {
+        let mut text = String::new();
+        let _ = self.write_comment(&mut text, index);
+        text
+    }
+
+    /// Writes the listing comment of instruction `index`.
+    fn write_comment(&self, out: &mut impl fmt::Write, index: usize) -> fmt::Result {
+        match &self.comments[index] {
+            Comment::None => Ok(()),
+            Comment::Text(text) => out.write_str(text),
+            Comment::Assign(rhs) => write!(out, "X{} ← {rhs}", self.instructions[index].z.0 + 1),
+        }
     }
 
     /// Number of instructions (`#I` in the paper).
@@ -237,15 +303,22 @@ impl fmt::Display for Program {
     /// 02: i3, 0, @X1     X1 ← i3
     /// ```
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write as _;
         let width = self.instructions.len().to_string().len().max(2);
+        // The instruction column of commented lines is padded, so it is
+        // rendered first, into one buffer reused across lines.
+        let mut column = String::new();
         for (index, instruction) in self.instructions.iter().enumerate() {
-            let comment = &self.comments[index];
-            if comment.is_empty() {
-                writeln!(f, "{:0width$}: {}", index + 1, instruction)?;
-            } else {
-                let text = instruction.to_string();
-                writeln!(f, "{:0width$}: {:<18} {}", index + 1, text, comment)?;
+            let line = index + 1;
+            if matches!(self.comments[index], Comment::None) {
+                writeln!(f, "{line:0width$}: {instruction}")?;
+                continue;
             }
+            column.clear();
+            write!(column, "{instruction}")?;
+            write!(f, "{line:0width$}: {column:<18} ")?;
+            self.write_comment(f, index)?;
+            writeln!(f)?;
         }
         Ok(())
     }
@@ -295,6 +368,49 @@ mod tests {
         assert!(text.contains("01: 0, 1, @X1"));
         assert!(text.contains("02: i3, 0, @X1"));
         assert!(text.contains("X1 ← i3"));
+    }
+
+    /// Every `Rhs` form renders exactly as the compiler's listing comments
+    /// were formatted before they became plain data.
+    #[test]
+    fn rhs_renders_like_the_listing_comments() {
+        // The old `format!`s, over the same fields as the `Rhs`.
+        let old = |rhs: Rhs| match rhs {
+            Rhs::Const(v) => format!("{}", v as u8),
+            Rhs::Input(i, c) => format!("{}i{}", if c { "¬" } else { "" }, i + 1),
+            Rhs::Node(n, c) => format!("{}N{}", if c { "¬" } else { "" }, n),
+        };
+        for (rhs, text) in [
+            (Rhs::Const(false), "0"),
+            (Rhs::Const(true), "1"),
+            (Rhs::Input(0, false), "i1"),
+            (Rhs::Input(2, true), "¬i3"),
+            (Rhs::Node(46, false), "N46"),
+            (Rhs::Node(7, true), "¬N7"),
+        ] {
+            assert_eq!(rhs.to_string(), text);
+            assert_eq!(rhs.to_string(), old(rhs));
+        }
+    }
+
+    #[test]
+    fn assignment_comments_render_from_the_destination() {
+        let mut p = Program::new(3);
+        p.push_assignment(Instruction::reset(RamAddr(11)), Rhs::Const(false));
+        p.push_assignment(
+            Instruction::new(Operand::Const(true), Operand::Input(2), RamAddr(11)),
+            Rhs::Input(2, true),
+        );
+        p.push(Instruction::set(RamAddr(0)));
+        p.push_commented(Instruction::set(RamAddr(1)), "");
+        let mut text = String::new();
+        text.push_str(&format!("01: {:<18} {}\n", "0, 1, @X12", "X12 ← 0"));
+        text.push_str(&format!("02: {:<18} {}\n", "1, i3, @X12", "X12 ← ¬i3"));
+        text.push_str("03: 1, 0, @X1\n04: 1, 0, @X2\n");
+        assert_eq!(p.to_string(), text);
+        assert_eq!(p.comment(1), "X12 ← ¬i3");
+        assert_eq!(p.comment(2), "");
+        assert_eq!(p.num_rams(), 12);
     }
 
     #[test]

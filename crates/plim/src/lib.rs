@@ -34,5 +34,5 @@ pub mod wide;
 
 pub use endurance::EnduranceStats;
 pub use error::MachineError;
-pub use isa::{Instruction, Operand, OutputLoc, Program, RamAddr};
+pub use isa::{Instruction, Operand, OutputLoc, Program, RamAddr, Rhs};
 pub use machine::Machine;

@@ -553,7 +553,7 @@ impl Response {
                 let field = |name: &str| {
                     value
                         .get(name)
-                        .ok_or(format!("compile response is missing field '{name}'"))
+                        .ok_or_else(|| format!("compile response is missing field '{name}'"))
                 };
                 Ok(Response::Compile(CompileResponse {
                     cached: field("cached")?
@@ -585,10 +585,9 @@ impl Response {
                     .iter()
                     .map(|shard| {
                         let number = |name: &str| {
-                            shard
-                                .get(name)
-                                .and_then(Value::as_u64)
-                                .ok_or(format!("stats shard is missing numeric field '{name}'"))
+                            shard.get(name).and_then(Value::as_u64).ok_or_else(|| {
+                                format!("stats shard is missing numeric field '{name}'")
+                            })
                         };
                         Ok(ShardStats {
                             queue_depth: number("queue_depth")? as usize,
@@ -613,7 +612,7 @@ impl Response {
                             .map(|name| {
                                 name.as_str()
                                     .map(str::to_string)
-                                    .ok_or("stats targets must be strings".to_string())
+                                    .ok_or_else(|| "stats targets must be strings".to_string())
                             })
                             .collect::<Result<Vec<String>, String>>()
                     })
@@ -626,7 +625,7 @@ impl Response {
                         store
                             .get(name)
                             .and_then(Value::as_u64)
-                            .ok_or(format!("stats store is missing numeric field '{name}'"))
+                            .ok_or_else(|| format!("stats store is missing numeric field '{name}'"))
                     };
                     Ok::<StoreCounters, String>(StoreCounters {
                         hits: number("hits")?,

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use mig::NodeId;
-use plim::RamAddr;
+use plim::{RamAddr, Rhs};
 use plim_analysis::{analyze_artifact, analyze_events, certify, cross_check, AnalysisConfig, Lint};
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
@@ -142,7 +142,7 @@ fn reset(z: CellId) -> IrOp {
         a: Value::Const(false),
         b: Value::Const(true),
         z,
-        rhs: "0".to_string(),
+        rhs: Rhs::Const(false),
         node: None,
     }
 }
@@ -152,7 +152,7 @@ fn main_op(z: CellId, node: u32) -> IrOp {
         a: Value::Input(0),
         b: Value::Input(1),
         z,
-        rhs: format!("N{node}"),
+        rhs: Rhs::Node(node, false),
         node: Some(NodeId::from_index(node as usize)),
     }
 }
@@ -291,14 +291,14 @@ fn complement_program() -> IrProgram {
         a: Value::Const(true),
         b: Value::Cell(C0),
         z: C1,
-        rhs: "¬N3".to_string(),
+        rhs: Rhs::Node(3, true),
         node: Some(NodeId::from_index(3)),
     };
     let consume = IrOp {
         a: Value::Cell(C1),
         b: Value::Input(0),
         z: C0,
-        rhs: "N4".to_string(),
+        rhs: Rhs::Node(4, false),
         node: Some(NodeId::from_index(4)),
     };
     IrProgram {
@@ -525,7 +525,7 @@ impl Stream {
             a,
             b,
             z,
-            rhs: String::new(),
+            rhs: Rhs::Const(false),
             node: node.map(|n| NodeId::from_index(n as usize)),
         });
         self

@@ -1282,3 +1282,40 @@ fn aiger_parse_errors_carry_line_numbers_through_the_cli() {
         "EOF diagnostic must name the last line read: {stderr}"
     );
 }
+
+/// Header counts that claim billions of variables in a few bytes get the
+/// one-line diagnostic, in both AIGER formats, instead of an allocation
+/// failure that aborts the process.
+#[test]
+fn huge_aiger_headers_are_one_line_errors_not_aborts() {
+    let output = run_with_stdin(
+        &["--format", "aag", "-"],
+        b"aag 4000000000 4000000000 0 0 0\n",
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("line 1: unexpected end of file"),
+        "{stderr}"
+    );
+
+    for (header, expected) in [
+        (
+            &b"aig 2000000000 2000000000 0 0 0\n"[..],
+            "more than 1048576 inputs",
+        ),
+        (b"aig 2000000000 0 0 0 2000000000\n", "AND section"),
+    ] {
+        let output = run_with_stdin(&["-"], header);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.starts_with("plimc: ")
+                && stderr.contains("binary AIGER")
+                && stderr.contains(expected),
+            "{stderr}"
+        );
+    }
+}

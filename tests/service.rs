@@ -615,6 +615,32 @@ fn same_bytes_under_another_format_do_not_hit_the_text_index() {
 }
 
 #[test]
+fn a_huge_aiger_header_is_an_error_response_and_the_daemon_lives_on() {
+    let (addr, handle) = start_server(1, 1 << 20);
+    // 33 bytes that once made the parser reserve tens of gigabytes, and
+    // abort the daemon with every connection it held.
+    let mut request = compile_request("aag 4000000000 4000000000 0 0 0\n");
+    let Request::Compile(compile) = &mut request else {
+        unreachable!()
+    };
+    compile.format = InputFormat::Aag;
+    match client::send(&addr, &request).unwrap() {
+        Response::Error(error) => {
+            assert!(
+                error
+                    .message
+                    .starts_with("aiger: line 1: unexpected end of file"),
+                "{}",
+                error.message
+            );
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert_eq!(stats(&addr).shards.len(), 1);
+    shut_down(&addr, handle);
+}
+
+#[test]
 fn pipelined_requests_are_answered_in_request_order() {
     let (addr, handle) = start_server(2, 1 << 20);
     // A big circuit first, then tiny ones: the small compiles finish
