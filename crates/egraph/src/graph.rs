@@ -23,6 +23,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Not;
 
+use mig::hash::KeyedState;
 use mig::{Mig, MigNode};
 
 /// A reference to an e-class with an optional complement attribute — the
@@ -109,8 +110,9 @@ impl ENode {
 
 /// One `write_u128` of the packed node instead of the derived hash's five
 /// writes (discriminant, slice length, three children): the memo hashes
-/// an e-node on every add and every congruence repair. Equal nodes pack
-/// equally, so this agrees with the derived `Eq`.
+/// an e-node on every add and every congruence repair, and its
+/// [`KeyedState`] turns the one word into one folded multiply. Equal nodes
+/// pack equally, so this agrees with the derived `Eq`.
 impl Hash for ENode {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -150,7 +152,12 @@ struct EClass {
     /// merges; reads go through [`EGraph::canonical_nodes`].
     nodes: Vec<(ENode, bool)>,
     /// Memoized `Maj` keys that reference this class as a child — the
-    /// congruence-repair worklist fodder.
+    /// congruence-repair worklist fodder. Invariant: every memoized `Maj`
+    /// node is listed under the root of each of its children. `add` lists
+    /// it there, `union` carries the lists along, and `repair` puts every
+    /// node it keeps back under the repaired root. Lists may hold
+    /// duplicates and stale (no longer memoized) nodes; `repair`
+    /// deduplicates and skips them.
     parents: Vec<ENode>,
 }
 
@@ -162,7 +169,11 @@ pub struct EGraph {
     /// Complement of this id's representative relative to its parent's.
     parity: Vec<bool>,
     classes: Vec<EClass>,
-    memo: HashMap<ENode, ClassSignal>,
+    /// Hashcons from canonical e-nodes to the class they were added to
+    /// (canonicalized on every read). Keyed by one packed word, so it uses
+    /// the one-multiply [`KeyedState`] rather than SipHash; the table is
+    /// randomly keyed either way, and nothing reads its iteration order.
+    memo: HashMap<ENode, ClassSignal, KeyedState>,
     /// Root ids whose parents need congruence repair.
     dirty: Vec<u32>,
     /// Primary input names, in the order of the source MIG.
@@ -185,7 +196,7 @@ impl EGraph {
             parent: Vec::new(),
             parity: Vec::new(),
             classes: Vec::new(),
-            memo: HashMap::new(),
+            memo: HashMap::default(),
             dirty: Vec::new(),
             input_names: (0..mig.num_inputs())
                 .map(|i| mig.input_name(i).to_string())
@@ -478,12 +489,13 @@ impl EGraph {
             if canon == Canon::Node(children, false) {
                 // Still canonical (a parent of the surviving class): the
                 // memo entry stays, and memo values are canonicalized on
-                // every read, so only the parent lists need the node.
+                // every read. The node is still listed under its other
+                // children's roots (the parent-list invariant), so only
+                // this root's list, taken above, needs it back.
                 if !self.memo.contains_key(&node) {
                     // Already re-canonicalized through another merged child.
                     continue;
                 }
-                self.register_parent(node, children);
                 kept.push(node);
                 continue;
             }
@@ -527,6 +539,31 @@ impl EGraph {
             let (root, _) = self.find_mut(child.class() as u32);
             self.classes[root as usize].parents.push(node);
         }
+    }
+
+    /// Memoized `Maj` nodes missing from the parent list of one of their
+    /// children's roots, as `(node, root)` pairs. Empty while the
+    /// parent-list invariant that `repair` relies on holds.
+    #[cfg(test)]
+    fn uncovered_parents(&self) -> Vec<(ENode, u32)> {
+        let listed: std::collections::HashSet<(ENode, u32)> = self
+            .classes
+            .iter()
+            .enumerate()
+            .flat_map(|(id, class)| class.parents.iter().map(move |&node| (node, id as u32)))
+            .collect();
+        let mut missing = Vec::new();
+        for &node in self.memo.keys() {
+            if let ENode::Maj(children) = node {
+                for child in children {
+                    let (root, _) = self.find(child.class() as u32);
+                    if !listed.contains(&(node, root)) {
+                        missing.push((node, root));
+                    }
+                }
+            }
+        }
+        missing
     }
 
     /// The e-nodes of class `id` (must be a root), re-canonicalized and
@@ -722,6 +759,30 @@ mod tests {
         assert!(g.outputs()[0].1.is_complemented());
         // const + 2 inputs + 1 majority
         assert_eq!(g.num_enodes(), 4);
+    }
+
+    /// `repair` puts a still-canonical parent back only under the repaired
+    /// root, which is enough only if every memoized node stays listed
+    /// under each of its children's roots. Checked at every stage of the
+    /// product's seeding and saturation, on every reduced-suite circuit.
+    #[test]
+    fn every_memoized_node_is_listed_under_its_childrens_roots() {
+        use crate::rules::{saturate, EgraphBudget};
+        use plim_benchmarks::suite::{self, Scale};
+
+        for &name in suite::ALL.iter() {
+            let raw = suite::build(name, Scale::Reduced).expect("known benchmark");
+            let arena = mig::rewrite::rewrite(&raw, 4);
+            let mut g = EGraph::from_mig(&arena);
+            assert_eq!(g.uncovered_parents(), [], "{name}: after from_mig");
+            if raw.len() <= 3_000 {
+                g.absorb_equivalent(&raw);
+                assert_eq!(g.uncovered_parents(), [], "{name}: after absorb");
+            }
+            let budget = EgraphBudget::for_effort(4).scaled_to(g.num_enodes());
+            saturate(&mut g, &budget);
+            assert_eq!(g.uncovered_parents(), [], "{name}: after saturate");
+        }
     }
 
     #[test]

@@ -42,8 +42,6 @@ mod extract;
 mod graph;
 mod rules;
 
-use std::collections::HashSet;
-
 pub use extract::{extract, ExtractObjective, Extractor};
 pub use graph::{Canon, ClassNode, ClassSignal, EGraph, ENode};
 pub use rules::{saturate, EgraphBudget, StopReason};
@@ -169,14 +167,16 @@ fn optimize_scored(
     drop(g);
 
     // Deduplicate in objective order (identical candidates would be scored
-    // twice).
-    let mut seen: HashSet<String> = HashSet::new();
-    seen.insert(mig::io::write_mig(baseline));
-    let mut candidates: Vec<Mig> = extracted
-        .into_iter()
-        .flatten()
-        .filter(|polished| seen.insert(mig::io::write_mig(polished)))
-        .collect();
+    // twice), comparing structures exactly as their `write_mig` text would.
+    let mut candidates: Vec<Mig> = Vec::new();
+    for polished in extracted.into_iter().flatten() {
+        if !std::iter::once(baseline)
+            .chain(&candidates)
+            .any(|seen| mig::io::same_text(seen, &polished))
+        {
+            candidates.push(polished);
+        }
+    }
 
     // Compiling cost function: score the baseline and every candidate by
     // replaying them through the full lower → optimize pipeline, fanned out
@@ -304,7 +304,121 @@ pub fn annotate_bench(run: &mut BenchRun, circuits: &[Circuit], parallelism: Par
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mig::Signal;
+    use mig::io::{same_text, write_mig};
+    use mig::{MigNode, Signal};
+    use plim_benchmarks::random::{random_logic, RandomLogicSpec};
+    use proptest::prelude::*;
+
+    /// One change to a graph, applied by [`edited`].
+    #[derive(Clone, Copy, Debug)]
+    enum Edit {
+        /// Renames input `.0`; `.1` picks the new name (fresh, another
+        /// input's, or one that prints like a majority node).
+        InputName(usize, u64),
+        /// Renames output `.0`.
+        OutputName(usize),
+        /// Flips the complement bit of child `.1` of the `.0`-th majority
+        /// node, or of output `.0 - #majority` past the last node.
+        Complement(usize, usize),
+        /// Points child `.1` of the `.0`-th majority node at the node
+        /// just before it.
+        Child(usize, usize),
+    }
+
+    /// A copy of `mig` rebuilt node by node with `edit` applied.
+    fn edited(mig: &Mig, edit: Edit) -> Mig {
+        let mut out = Mig::new();
+        let mut map: Vec<Signal> = Vec::with_capacity(mig.len());
+        let mut majority = 0;
+        for id in mig.node_ids() {
+            let signal = match *mig.node(id) {
+                MigNode::Constant => Signal::FALSE,
+                MigNode::Input(i) => {
+                    let i = i as usize;
+                    let name = match edit {
+                        Edit::InputName(at, pick) if at == i => match pick % 3 {
+                            0 => format!("{}_", mig.input_name(i)),
+                            1 => mig.input_name((i + 1) % mig.num_inputs()).to_string(),
+                            _ => format!("n{}", mig.len() - 1),
+                        },
+                        _ => mig.input_name(i).to_string(),
+                    };
+                    out.add_input(name)
+                }
+                MigNode::Majority(children) => {
+                    let mut cs =
+                        children.map(|c| map[c.node().index()].complement_if(c.is_complemented()));
+                    match edit {
+                        Edit::Complement(at, k) if at == majority => cs[k] = !cs[k],
+                        Edit::Child(at, k) if at == majority => cs[k] = map[id.index() - 1],
+                        _ => {}
+                    }
+                    majority += 1;
+                    out.maj(cs[0], cs[1], cs[2])
+                }
+            };
+            map.push(signal);
+        }
+        for (index, (name, s)) in mig.outputs().iter().enumerate() {
+            let mut signal = map[s.node().index()].complement_if(s.is_complemented());
+            let mut name = name.clone();
+            match edit {
+                Edit::OutputName(at) if at == index => name.push('_'),
+                Edit::Complement(at, _) if at == majority + index => signal = !signal,
+                _ => {}
+            }
+            out.add_output(name, signal);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Candidate deduplication's structural test agrees with comparing
+        /// `write_mig` text: on random graphs, their polished extractions,
+        /// and copies that differ in one name, complement bit or child.
+        #[test]
+        fn candidate_equality_is_text_equality(
+            seed: u64,
+            inputs in 2usize..6,
+            outputs in 1usize..4,
+            nodes in 4usize..40,
+            pick: u64,
+        ) {
+            let raw = random_logic(&RandomLogicSpec::new(inputs, outputs, nodes, seed));
+            let baseline = mig::rewrite::rewrite(&raw, 1);
+            let mut g = EGraph::from_mig(&baseline);
+            let budget = EgraphBudget::for_effort(1).scaled_to(g.num_enodes());
+            saturate(&mut g, &budget);
+            let extractor = Extractor::new(&g);
+            let mut graphs = vec![raw.clone(), baseline];
+            graphs.extend(
+                ExtractObjective::ALL
+                    .iter()
+                    .filter_map(|&objective| extractor.extract(objective))
+                    .map(|mig| polish(&mig)),
+            );
+            let at = (pick % 1024) as usize;
+            let k = (pick >> 10) as usize % 3;
+            for mig in graphs.clone() {
+                let nodes = mig.num_majority_nodes().max(1);
+                graphs.extend([
+                    mig.clone(),
+                    edited(&mig, Edit::InputName(at % mig.num_inputs(), pick >> 12)),
+                    edited(&mig, Edit::OutputName(at % mig.num_outputs())),
+                    edited(&mig, Edit::Complement(at % (nodes + mig.num_outputs()), k)),
+                    edited(&mig, Edit::Child(at % nodes, k)),
+                ]);
+            }
+            let texts: Vec<String> = graphs.iter().map(write_mig).collect();
+            for (a, text_a) in graphs.iter().zip(&texts) {
+                for (b, text_b) in graphs.iter().zip(&texts) {
+                    prop_assert_eq!(same_text(a, b), text_a == text_b);
+                }
+            }
+        }
+    }
 
     fn fig3b() -> Mig {
         let mut mig = Mig::new();

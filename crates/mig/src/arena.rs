@@ -53,11 +53,11 @@
 //! assert!(arena.peak_arena_len() >= rewritten.len());
 //! ```
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use crate::algebra::{find_shared_pair, invert_triple, trivial_triple};
 use crate::graph::Mig;
+use crate::hash::Strash;
 use crate::node::MigNode;
 use crate::rewrite::RewriteStats;
 use crate::signal::{NodeId, Signal};
@@ -111,7 +111,7 @@ pub struct RewriteArena {
     dead_at: Vec<u32>,
     /// DFS visitation epoch per node (avoids clearing a visited set).
     mark: Vec<u32>,
-    strash: HashMap<[Signal; 3], NodeId>,
+    strash: Strash,
     inputs: Vec<NodeId>,
     input_names: Vec<String>,
     outputs: Vec<(String, Signal)>,
@@ -144,7 +144,7 @@ impl RewriteArena {
             refcount: Vec::new(),
             dead_at: Vec::new(),
             mark: Vec::new(),
-            strash: HashMap::new(),
+            strash: Strash::default(),
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
@@ -422,7 +422,7 @@ impl RewriteArena {
         if y.node() == z.node() {
             return x;
         }
-        if let Some(&id) = self.strash.get(&triple) {
+        if let Some(id) = self.strash.get(triple) {
             return Signal::new(id, false);
         }
         let id = self.push_node(MigNode::Majority(triple));
@@ -441,7 +441,7 @@ impl RewriteArena {
         if triple[0].node() == triple[1].node() || triple[1].node() == triple[2].node() {
             return None;
         }
-        self.strash.get(&triple).map(|&id| Signal::new(id, false))
+        self.strash.get(triple).map(|id| Signal::new(id, false))
     }
 
     /// Rewrites the child triple of live node `n` in place, incrementally
@@ -474,7 +474,7 @@ impl RewriteArena {
             self.replace(n, signal);
             return Some(signal);
         }
-        if let Some(&existing) = self.strash.get(&resolved) {
+        if let Some(existing) = self.strash.get(resolved) {
             debug_assert_ne!(existing, n, "node registered under a stale key");
             let signal = Signal::new(existing, false);
             self.replace(n, signal);
@@ -486,7 +486,7 @@ impl RewriteArena {
         for child in resolved {
             self.refcount[child.node().index()] += 1;
         }
-        self.strash.remove(&old);
+        self.strash.remove(old);
         self.nodes[idx] = MigNode::Majority(resolved);
         self.strash.insert(resolved, n);
         for child in old {
@@ -511,7 +511,7 @@ impl RewriteArena {
         self.refcount[target.node().index()] += refs;
         self.dead_at[idx] = self.generation;
         self.live_majority -= 1;
-        self.strash.remove(&children);
+        self.strash.remove(children);
         self.forward[idx] = target;
         for child in children {
             self.release_edge(child);
@@ -545,7 +545,7 @@ impl RewriteArena {
             };
             self.dead_at[idx] = self.generation;
             self.live_majority -= 1;
-            self.strash.remove(&children);
+            self.strash.remove(children);
             for child in children {
                 let resolved = self.resolve(child);
                 let child_idx = resolved.node().index();

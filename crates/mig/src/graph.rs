@@ -1,8 +1,8 @@
 //! The Majority-Inverter Graph.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::Strash;
 use crate::node::MigNode;
 use crate::signal::{NodeId, Signal};
 
@@ -44,7 +44,7 @@ pub struct Mig {
     inputs: Vec<NodeId>,
     input_names: Vec<String>,
     outputs: Vec<(String, Signal)>,
-    strash: HashMap<[Signal; 3], NodeId>,
+    strash: Strash,
 }
 
 impl Mig {
@@ -55,7 +55,7 @@ impl Mig {
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: Strash::default(),
         }
     }
 
@@ -68,7 +68,7 @@ impl Mig {
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::with_capacity(nodes),
+            strash: Strash::with_capacity(nodes),
         }
     }
 
@@ -123,7 +123,7 @@ impl Mig {
             return x;
         }
 
-        if let Some(&id) = self.strash.get(&children) {
+        if let Some(id) = self.strash.get(children) {
             return Signal::new(id, false);
         }
         let id = NodeId::from_index(self.nodes.len());
@@ -143,7 +143,7 @@ impl Mig {
         if x.node() == y.node() || y.node() == z.node() {
             return None;
         }
-        self.strash.get(&children).map(|&id| Signal::new(id, false))
+        self.strash.get(children).map(|id| Signal::new(id, false))
     }
 
     /// `a ∧ b`, built as `⟨0 a b⟩`.

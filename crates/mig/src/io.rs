@@ -100,6 +100,66 @@ pub fn write_mig(mig: &Mig) -> String {
     out
 }
 
+/// Whether [`write_mig`] renders `a` and `b` to the same text, decided on
+/// the structure without rendering either: the same input names, the same
+/// node list (majority nodes at the same indices), the same children and
+/// the same outputs. Children and outputs compare the way they print:
+/// constants and majority nodes by signal, inputs by complement and name,
+/// so two inputs that share a name print alike.
+///
+/// The structure pins the text only while every name prints as one
+/// unambiguous token. If a name contains whitespace, `!`, `,` or `=`, or
+/// reads `0`, `1` or `n` followed by digits (the spellings of constants
+/// and majority nodes), both graphs are rendered and their text compared.
+pub fn same_text(a: &Mig, b: &Mig) -> bool {
+    if !(plain_names(a) && plain_names(b)) {
+        return write_mig(a) == write_mig(b);
+    }
+    if a.len() != b.len()
+        || a.num_inputs() != b.num_inputs()
+        || a.num_outputs() != b.num_outputs()
+        || (0..a.num_inputs()).any(|i| a.input_name(i) != b.input_name(i))
+    {
+        return false;
+    }
+    let same_signal = |x: Signal, y: Signal| match (a.node(x.node()), b.node(y.node())) {
+        (MigNode::Input(i), MigNode::Input(j)) => {
+            x.is_complemented() == y.is_complemented()
+                && a.input_name(*i as usize) == b.input_name(*j as usize)
+        }
+        (MigNode::Input(_), _) | (_, MigNode::Input(_)) => false,
+        // Constants sit at index 0 of both graphs and majority nodes print
+        // as `n<index>`, so equal signals print alike and unequal ones not.
+        _ => x == y,
+    };
+    a.node_ids().all(|id| match (a.node(id), b.node(id)) {
+        (MigNode::Majority(x), MigNode::Majority(y)) => {
+            x.iter().zip(y).all(|(&x, &y)| same_signal(x, y))
+        }
+        (MigNode::Majority(_), _) | (_, MigNode::Majority(_)) => false,
+        _ => true,
+    }) && a
+        .outputs()
+        .iter()
+        .zip(b.outputs())
+        .all(|((m, x), (n, y))| m == n && same_signal(*x, *y))
+}
+
+/// Whether every input and output name of `mig` prints as a token no
+/// other name, constant or majority node prints as, and splits no line.
+fn plain_names(mig: &Mig) -> bool {
+    let plain = |name: &str| {
+        !(name == "0"
+            || name == "1"
+            || name.contains(|c: char| c.is_whitespace() || matches!(c, '!' | ',' | '='))
+            || name
+                .strip_prefix('n')
+                .is_some_and(|digits| digits.bytes().all(|b| b.is_ascii_digit())))
+    };
+    (0..mig.num_inputs()).all(|i| plain(mig.input_name(i)))
+        && mig.outputs().iter().all(|(name, _)| plain(name))
+}
+
 /// Parses the MIG text format produced by [`write_mig`].
 ///
 /// # Errors
@@ -108,8 +168,9 @@ pub fn write_mig(mig: &Mig) -> String {
 /// signals, or duplicate definitions.
 pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
     let mut mig = Mig::new();
-    // Keyed by slices of `text`: no line allocates. The default hasher stays,
-    // since the text may come from an untrusted client.
+    // Keyed by slices of `text`: no line allocates. String keys keep the
+    // default SipHash (the text may come from an untrusted client); the
+    // one-word `hash::KeyedState` is only for the fixed-width strash keys.
     let mut names: HashMap<&str, Signal> = HashMap::new();
 
     let err = |line: usize, message: &str| ParseMigError {
@@ -293,6 +354,52 @@ mod tests {
             let e = parse_mig(text).unwrap_err();
             assert_eq!((e.line, e.message.as_str()), (line, message), "{text:?}");
         }
+    }
+
+    #[test]
+    fn same_text_agrees_with_the_rendered_text() {
+        let one = sample();
+        assert!(same_text(&one, &one.clone()));
+        let mut other = sample();
+        other.set_output(1, !other.outputs()[1].1);
+        assert!(!same_text(&one, &other));
+        assert_ne!(write_mig(&one), write_mig(&other));
+
+        // Two inputs of one name print alike, so these texts are equal.
+        let shared = |pick: usize| {
+            let mut mig = Mig::new();
+            let inputs = [mig.add_input("a"), mig.add_input("a")];
+            let b = mig.add_input("b");
+            let n = mig.and(inputs[pick], b);
+            mig.add_output("f", n);
+            mig
+        };
+        let (x, y) = (shared(0), shared(1));
+        assert_eq!(write_mig(&x), write_mig(&y));
+        assert!(same_text(&x, &y));
+    }
+
+    #[test]
+    fn same_text_falls_back_to_the_text_for_ambiguous_names() {
+        // An input named `n3` prints like majority node 3: node 4 reads
+        // `maj(1, a, n3)` in both graphs, over different children.
+        let build = |input_child: bool| {
+            let mut mig = Mig::new();
+            let a = mig.add_input("a");
+            let n = mig.add_input("n3");
+            let m3 = mig.maj(Signal::FALSE, a, n);
+            let m4 = mig.maj(Signal::TRUE, a, if input_child { n } else { m3 });
+            mig.add_output("f", m4);
+            mig
+        };
+        let (x, y) = (build(true), build(false));
+        assert_eq!(write_mig(&x), write_mig(&y));
+        assert!(same_text(&x, &y));
+        let mut renamed = build(true);
+        renamed.add_output("1", Signal::TRUE);
+        let mut plain = build(true);
+        plain.add_output("g", Signal::TRUE);
+        assert!(!same_text(&renamed, &plain));
     }
 
     #[test]

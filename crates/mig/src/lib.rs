@@ -23,6 +23,8 @@
 //! * [`analysis`] — structural statistics (complement profile, depth);
 //! * [`canon`] — canonical structural hashing (order-independent,
 //!   Ω.I-normalized), the content-address of the compile-service cache;
+//! * [`hash`] — the keyed one-multiply hasher behind the structural-hash
+//!   tables (and the e-graph memo);
 //! * [`io`] / [`dot`] — a textual interchange format and Graphviz export.
 //!
 //! ## Quick example
@@ -52,6 +54,7 @@ pub mod cut;
 pub mod dot;
 pub mod equiv;
 mod graph;
+pub mod hash;
 pub mod io;
 mod node;
 pub mod resynth;

@@ -313,6 +313,40 @@ fn egraph_emits_match_the_golden_files() {
     }
 }
 
+/// The hash-consing tables (strash, e-graph memo) draw a fresh random key
+/// in every process, so their iteration order differs from run to run.
+/// Two separate `plimc` processes must still print the golden listing
+/// byte for byte: no output may depend on table order.
+#[test]
+fn egraph_listing_is_identical_across_processes() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    for circuit in ["cavlc", "sqrt"] {
+        let dump = plimc()
+            .args(["dump", circuit, "--reduced"])
+            .output()
+            .unwrap();
+        assert!(dump.status.success());
+        let expected = std::fs::read_to_string(format!("{golden}/{circuit}.egraph.O2.listing"))
+            .expect("golden file");
+        for run in 0..2 {
+            let output = run_with_stdin(
+                &["--rewrite", "egraph", "-O2", "--emit", "listing", "-"],
+                &dump.stdout,
+            );
+            assert!(
+                output.status.success(),
+                "{circuit}: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&output.stdout),
+                expected,
+                "{circuit}: process {run} diverged from the golden listing"
+            );
+        }
+    }
+}
+
 #[test]
 fn new_schedule_and_allocator_options_compile_end_to_end() {
     for args in [

@@ -212,3 +212,31 @@ fn saturation_end_states_are_pinned_on_the_reduced_suite() {
         }
     }
 }
+
+/// Distinct candidates scored per reduced-suite circuit at effort 2, and
+/// whether one beat the arena baseline. Deduplication compares candidate
+/// structures (`mig::io::same_text`); these counts are what comparing
+/// their `write_mig` text gave, so the cheaper test must reproduce them.
+#[test]
+fn candidates_scored_are_pinned_on_the_reduced_suite() {
+    #[rustfmt::skip]
+    const PINNED: [(&str, usize, bool); 18] = [
+        ("adder", 3, false), ("bar", 2, false), ("div", 3, false),
+        ("log2", 3, false), ("max", 3, false), ("multiplier", 3, false),
+        ("sin", 1, false), ("sqrt", 3, true), ("square", 3, false),
+        ("cavlc", 3, true), ("ctrl", 2, true), ("dec", 2, false),
+        ("i2c", 3, false), ("int2float", 3, true), ("mem_ctrl", 3, false),
+        ("priority", 3, true), ("router", 0, false), ("voter", 3, false),
+    ];
+    assert_eq!(PINNED.len(), suite::ALL.len());
+    for (name, candidates, improved) in PINNED {
+        let raw = suite::build(name, Scale::Reduced).expect("known benchmark");
+        let arena = rewrite(&raw, 2);
+        let (_, stats) = optimize_with_stats(&raw, &arena, 2, o2());
+        assert_eq!(
+            (stats.candidates_scored, stats.improved),
+            (candidates, improved),
+            "{name}: candidate deduplication moved"
+        );
+    }
+}
