@@ -31,9 +31,7 @@
 //! `cargo bench -p plim-bench --bench pipeline [-- --full] [-- --iters N]`.
 //! `cargo bench -p plim-bench --bench pipeline -- --smoke` runs everything
 //! in a reduced one-iteration configuration (the CI smoke step), so the
-//! harness itself cannot rot. `-- --json PATH` additionally writes the
-//! `BENCH.json` bench-gate artifact (`plim_compiler::benchfile`) for the
-//! suite that was benchmarked.
+//! harness itself cannot rot.
 
 use std::time::{Duration, Instant};
 
@@ -41,7 +39,7 @@ use mig::arena::RewriteArena;
 use mig::rewrite::{rewrite, rewrite_rebuild};
 use plim_bench::{measure, measure_suite, suite_circuits, Parallelism};
 use plim_benchmarks::suite::{build, Scale};
-use plim_compiler::{batch, benchfile, compile, CompilerOptions};
+use plim_compiler::{compile, CompilerOptions};
 
 const CIRCUITS: [&str; 4] = ["adder", "bar", "voter", "i2c"];
 const SMOKE_CIRCUITS: [&str; 2] = ["ctrl", "voter"];
@@ -251,54 +249,10 @@ fn bench_suite(scale: Scale, effort: usize, iters: usize) {
     println!();
 }
 
-/// Writes the bench-gate artifact for the given scale (one extended batch
-/// run: the Table 1 jobs plus the lookahead/wear probe columns).
-fn emit_bench_json(path: &str, scale: Scale) {
-    let circuits = suite_circuits(scale);
-    let mut run = batch::bench_suite(&circuits, 4, Parallelism::Auto);
-    // The fidelity columns are required fields of BENCH.json; measure them
-    // from the run's own artifacts exactly as `plimc bench` does.
-    if let Err(error) = plim_scenario::annotate_bench(
-        &mut run,
-        &circuits,
-        &plim_scenario::FidelityConfig::default(),
-    ) {
-        eprintln!("pipeline: fidelity annotation: {error}");
-        std::process::exit(1);
-    }
-    // The equality-saturation columns, exactly as `plimc bench` fills them.
-    plim_egraph::annotate_bench(&mut run, &circuits, Parallelism::Auto);
-    let verified = run
-        .records
-        .iter()
-        .filter(|record| record.verified_exhaustive)
-        .count();
-    println!(
-        "fidelity: {verified}/{} circuits verified exhaustively",
-        run.records.len()
-    );
-    let document = benchfile::to_json(&run.records);
-    if let Err(error) = std::fs::write(path, document) {
-        eprintln!("pipeline: writing {path}: {error}");
-        std::process::exit(1);
-    }
-    println!("bench records written to {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("pipeline: --json requires a path");
-                std::process::exit(1);
-            }
-        });
     let iters = args
         .iter()
         .position(|a| a == "--iters")
@@ -326,7 +280,4 @@ fn main() {
     bench_rewrite_engines(engine_circuits, scale, iters);
     bench_egraph(engine_circuits, scale, iters, 4);
     bench_suite(scale, 4, iters);
-    if let Some(path) = json {
-        emit_bench_json(&path, scale);
-    }
 }

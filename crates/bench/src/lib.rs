@@ -15,11 +15,9 @@
 //! suite-loading glue.
 
 pub use plim_compiler::batch::{
-    bench_suite, format_row, measure, measure_suite, run_batch, table_header, totals, BatchReport,
-    BenchRun, Circuit, JobResult, JobSpec, MeasuredRow, Point, RewriteEffort, RewritePass,
-    SuiteRun, PAPER_EFFORT,
+    format_row, measure, measure_suite, run_batch, table_header, totals, BatchReport, Circuit,
+    JobResult, JobSpec, MeasuredRow, Point, RewriteEffort, RewritePass, SuiteRun, PAPER_EFFORT,
 };
-pub use plim_compiler::benchfile::{self, BenchRecord};
 pub use plim_parallel::Parallelism;
 
 use plim_benchmarks::suite::{self, Scale};

@@ -628,28 +628,11 @@ pub fn bench_suite(circuits: &[Circuit], effort: usize, parallelism: Parallelism
             o2_max_writes: jobs[6].compiled.stats.max_cell_writes,
             rewrite_ms,
             compile_ms,
-            // The per-target axis is measured by the backend registry
-            // (`plim-backends::annotate_bench`), which lives above this
-            // crate; until annotated, a record carries the "skipped"
-            // sentinel 0 in every per-target column.
-            ambit_ops: 0,
-            ambit_cost: 0,
-            magic_ops: 0,
-            magic_cost: 0,
-            // The equality-saturation axis is measured by
-            // `plim-egraph::annotate_bench`, which lives above this crate
-            // (it compiles candidates through us); sentinel 0 = skipped.
-            egraph_instructions: 0,
-            egraph_rams: 0,
-            // The fidelity axis is measured by the scenario engine
-            // (`plim-scenario::annotate_bench`), which lives above this
-            // crate; until annotated, a record claims no exhaustive proof.
-            verified_exhaustive: false,
-            fault_error_rate: 0.0,
-            lifetime_invocations: 0,
             // Every artifact the batch produced must come back clean from
             // the static analyzer for the circuit to claim the column.
             lint_clean: jobs.iter().all(|job| job.lint_clean),
+            // The crates above this one fill in the annotated columns.
+            ..BenchRecord::default()
         });
     }
     BenchRun {

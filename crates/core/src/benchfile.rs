@@ -1,204 +1,271 @@
 //! The `BENCH.json` artifact and the bench-regression gate.
 //!
 //! Every quality and speed number the compiler cares about becomes a
-//! machine-checked artifact: `plimc bench --json` (and the `pipeline` bench
-//! harness) emit one [`BenchRecord`] per suite circuit, CI diffs the fresh
-//! run against the committed `benchmarks/baseline.json` with [`gate`], and
-//! the job fails when `#I` or `#R` regress or the pipeline slows down past
+//! machine-checked artifact: `plimc bench --json` emits one [`BenchRecord`]
+//! per suite circuit, CI diffs the fresh run against the committed
+//! `benchmarks/baseline.json` with [`gate`], and the job fails when a
+//! deterministic quality column regresses or the pipeline slows down past
 //! the tolerance. The JSON reader/writer is hand-rolled for exactly this
 //! flat schema so the workspace stays dependency-free and offline.
 //!
-//! A record carries, per circuit:
+//! One `columns!` row in this file declares each column: its name, what it
+//! measures, its kind and its gate [`Rule`]. The rows emit the
+//! [`BenchRecord`] fields and the [`COLUMNS`] table that [`to_json`],
+//! [`from_json`] and [`gate`] loop over, so adding a column is one row plus
+//! the code that measures it. A few rules relate
+//! two columns of the current run itself (a higher `-O` level may never
+//! cost more than `-O0`; the e-graph may never lose to `-O2`); they are the
+//! `INVARIANTS` table, checked whether or not a baseline exists.
 //!
-//! * `instructions` / `rams` / `max_writes` — `#I`, `#R` and the
-//!   endurance-limiting cell's write count of the **default** compiler
-//!   (priority scheduling, smart translation, FIFO allocation, `-O0`) on
-//!   the rewritten MIG; deterministic, diffed exactly;
-//! * `lookahead_rams` / `wear_max_writes` — the same circuit under the
-//!   lookahead scheduler and under the wear-budget allocator, recording
-//!   what the lifetime-driven extensions buy;
-//! * `o1_instructions` / `o1_rams` and `o2_instructions` / `o2_rams` /
-//!   `o2_max_writes` — the default compiler with the IR pass pipeline at
-//!   `-O1` and `-O2`. [`gate`] enforces that a higher level never costs
-//!   instructions, cells, or endurance relative to `-O0` — on the current
-//!   run itself, baseline or not;
-//! * `ambit_ops` / `ambit_cost` and `magic_ops` / `magic_cost` — the
-//!   **per-target axis**: instruction count and cost-model units of the
-//!   default compiler's IR re-emitted through the `ambit` (bulk-bitwise
-//!   DRAM majority) and `magic` (memristive NOR) backends. Filled in by
-//!   the backend registry (`plim-backends::annotate_bench`), `0` when
-//!   annotation was skipped; [`gate`] fails hard when an annotated column
-//!   regresses against an annotated baseline and notes
-//!   annotation-coverage changes;
-//! * `egraph_instructions` / `egraph_rams` — the **equality-saturation
-//!   axis**: `#I` and `#R` of the circuit re-optimized through the
-//!   `plim-egraph` engine and compiled at `-O2`. Filled in by
-//!   `plim-egraph::annotate_bench`, `0` when annotation was skipped;
-//!   [`gate`] applies the same annotated-pairs rule as the per-target
-//!   columns **and** checks, on the current run alone, that an annotated
-//!   `egraph_instructions` never exceeds `o2_instructions` — the e-graph
-//!   extractor falls back to the arena result, so being worse is a bug;
-//! * `rewrite_ms` / `compile_ms` — wall-clock of the rewrite pass and of
-//!   the circuit's compile jobs; gated only in aggregate, with a generous
-//!   tolerance, because timings are machine-dependent;
-//! * `verified_exhaustive` / `fault_error_rate` / `lifetime_invocations`
-//!   — the **fidelity axis**, filled in by the scenario engine
-//!   (`plim-scenario`): whether the circuit's compiled programs were
-//!   proven equal to the source MIG over the *entire* input space at every
-//!   opt level, the measured output-error rate under the reference
-//!   drifted-write fault model, and the simulated invocations until the
-//!   first cell exceeds its endurance budget. [`gate`] fails hard when
-//!   `verified_exhaustive` regresses from `true` to `false`; the two
-//!   measured columns are reported as notes;
-//! * `lint_clean` — the **static-analysis axis**: whether every artifact
-//!   behind the record came back from the `plim-analysis` lint engine
-//!   with zero diagnostics and exactly matching statically re-derived
-//!   resources. Like the proof column, [`gate`] fails hard on a
-//!   `true → false` flip and notes the opposite direction.
+//! Columns measured above this crate (the per-target, equality-saturation
+//! and fidelity axes) are filled in by `plim-backends`, `plim-egraph` and
+//! `plim-scenario`; a record they skipped keeps the field's default, and
+//! for the [`Rule::Annotated`] columns that `0` means "not measured".
 //!
 //! Parsing is built on the shared [`crate::json`] layer, so syntax errors
 //! carry byte positions and schema errors name the missing or mistyped
 //! field and the record it belongs to — `plimc bench-diff` surfaces them
 //! verbatim as one-line diagnostics.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::json::Value;
 
-/// One circuit's row of a `BENCH.json` artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Benchmark name.
-    pub circuit: String,
-    /// `#I` of the default compiler on the rewritten MIG.
-    pub instructions: u64,
+/// How [`gate`] compares one column of a baseline record with the same
+/// circuit's current record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// A count that must not grow: an increase is a regression, a decrease
+    /// an improvement note, both reported under the label.
+    Hard(&'static str),
+    /// Like `Hard`, but only where both runs measured the column: `0` means
+    /// the annotation was skipped, so a change to or from `0` is a coverage
+    /// note.
+    Annotated,
+    /// A verdict that must not be lost: `true → false` is a regression, and
+    /// `false → true` gives the note.
+    Proof(&'static str),
+    /// Any change is a note, so intentional trade-offs need no baseline
+    /// refresh.
+    Note,
+    /// Wall-clock, gated only in aggregate: the sum over every `Time`
+    /// column of the circuits in both runs may not grow beyond the
+    /// tolerance.
+    Time,
+}
+
+/// One column's value; the variant is the column's kind.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+enum Cell {
+    /// A count, compared exactly.
+    Count(u64),
+    /// Milliseconds of wall-clock, printed to the microsecond.
+    Ms(f64),
+    /// A measured rate, printed to six places and compared within
+    /// `f64::EPSILON`.
+    Rate(f64),
+    /// A yes/no verdict.
+    Flag(bool),
+}
+
+impl Cell {
+    /// Reads a JSON value as a cell of the same kind as `self`.
+    fn read(self, value: &Value) -> Option<Cell> {
+        Some(match self {
+            Cell::Count(_) => Cell::Count(value.as_f64()? as u64),
+            Cell::Ms(_) => Cell::Ms(value.as_f64()?),
+            Cell::Rate(_) => Cell::Rate(value.as_f64()?),
+            Cell::Flag(_) => Cell::Flag(value.as_bool()?),
+        })
+    }
+
+    /// The JSON type a cell of this kind is written as.
+    fn json_type(self) -> &'static str {
+        match self {
+            Cell::Flag(_) => "boolean",
+            _ => "number",
+        }
+    }
+
+    fn differs(self, other: Cell) -> bool {
+        match (self, other) {
+            (Cell::Rate(a), Cell::Rate(b)) => (a - b).abs() > f64::EPSILON,
+            _ => self != other,
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Count(v) => write!(f, "{v}"),
+            Cell::Ms(v) => write!(f, "{v:.3}"),
+            Cell::Rate(v) => write!(f, "{v:.6}"),
+            Cell::Flag(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// One `BENCH.json` column after `circuit`.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// The JSON key, equal to the [`BenchRecord`] field name.
+    pub name: &'static str,
+    /// How [`gate`] compares the column against the baseline.
+    pub rule: Rule,
+    get: fn(&BenchRecord) -> Cell,
+    set: fn(&mut BenchRecord, Cell),
+}
+
+/// The field type behind each cell kind.
+macro_rules! kind_type {
+    (Count) => {
+        u64
+    };
+    (Ms) => {
+        f64
+    };
+    (Rate) => {
+        f64
+    };
+    (Flag) => {
+        bool
+    };
+}
+
+/// Emits [`BenchRecord`] and [`COLUMNS`] from one row per column:
+/// `doc; name: Kind, Rule;`.
+macro_rules! columns {
+    ($($(#[doc = $doc:literal])+ $field:ident: $kind:ident, $rule:ident $(($arg:literal))?;)+) => {
+        /// One circuit's row of a `BENCH.json` artifact: the circuit's name,
+        /// then one field per [`COLUMNS`] row. `Default` is the record
+        /// before any measurement, with every annotated column skipped.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct BenchRecord {
+            /// Benchmark name.
+            pub circuit: String,
+            $($(#[doc = $doc])+ pub $field: kind_type!($kind),)+
+        }
+
+        /// Every column after `circuit`, in file order.
+        pub const COLUMNS: &[Column] = &[$(Column {
+            name: stringify!($field),
+            rule: Rule::$rule$(($arg))?,
+            get: |r| Cell::$kind(r.$field),
+            set: |r, cell| {
+                if let Cell::$kind(value) = cell {
+                    r.$field = value;
+                }
+            },
+        },)+];
+    };
+}
+
+columns! {
+    /// `#I` of the default compiler (priority scheduling, smart
+    /// translation, FIFO allocation, `-O0`) on the rewritten MIG.
+    instructions: Count, Hard("#I");
     /// `#R` of the default compiler on the rewritten MIG.
-    pub rams: u64,
+    rams: Count, Hard("#R");
     /// Highest per-cell write count under the default compiler.
-    pub max_writes: u64,
+    max_writes: Count, Note;
     /// `#R` under lookahead scheduling (lifetime-driven extension).
-    pub lookahead_rams: u64,
+    lookahead_rams: Count, Note;
     /// Highest per-cell write count under the wear-budget allocator.
-    pub wear_max_writes: u64,
+    wear_max_writes: Count, Note;
     /// `#I` of the default compiler at `-O1`.
-    pub o1_instructions: u64,
+    o1_instructions: Count, Note;
     /// `#R` of the default compiler at `-O1`.
-    pub o1_rams: u64,
+    o1_rams: Count, Note;
     /// `#I` of the default compiler at `-O2`.
-    pub o2_instructions: u64,
+    o2_instructions: Count, Hard("-O2 #I");
     /// `#R` of the default compiler at `-O2`.
-    pub o2_rams: u64,
+    o2_rams: Count, Note;
     /// Highest per-cell write count of the default compiler at `-O2`.
-    pub o2_max_writes: u64,
+    o2_max_writes: Count, Note;
     /// Instructions of the default compiler's IR emitted through the
-    /// `ambit` backend (0 when per-target annotation was skipped).
-    pub ambit_ops: u64,
+    /// `ambit` (bulk-bitwise DRAM majority) backend.
+    ambit_ops: Count, Annotated;
     /// Cost-model units of the `ambit` emission (row activations).
-    pub ambit_cost: u64,
+    ambit_cost: Count, Annotated;
     /// Instructions of the default compiler's IR emitted through the
-    /// `magic` backend (0 when per-target annotation was skipped).
-    pub magic_ops: u64,
+    /// `magic` (memristive NOR) backend.
+    magic_ops: Count, Annotated;
     /// Cost-model units of the `magic` emission (NOR pulses).
-    pub magic_cost: u64,
+    magic_cost: Count, Annotated;
     /// `#I` of the equality-saturation engine's extraction compiled at
-    /// `-O2` (0 when annotation was skipped).
-    pub egraph_instructions: u64,
+    /// `-O2`.
+    egraph_instructions: Count, Annotated;
     /// `#R` of the equality-saturation engine's extraction compiled at
-    /// `-O2` (0 when annotation was skipped).
-    pub egraph_rams: u64,
+    /// `-O2`.
+    egraph_rams: Count, Annotated;
     /// Wall-clock of the circuit's rewrite pass, in milliseconds.
-    pub rewrite_ms: f64,
+    rewrite_ms: Ms, Time;
     /// Wall-clock of the circuit's compile jobs, in milliseconds.
-    pub compile_ms: f64,
+    compile_ms: Ms, Time;
     /// Whether every opt level's compiled program was proven equal to the
     /// source MIG over the full input space (`false` for circuits beyond
     /// the exhaustive bound, or when annotation was skipped).
-    pub verified_exhaustive: bool,
+    verified_exhaustive: Flag, Proof("now verified exhaustively");
     /// Measured output-error rate (erroneous patterns / patterns) under
     /// the reference drifted-write fault model.
-    pub fault_error_rate: f64,
+    fault_error_rate: Rate, Note;
     /// Simulated invocations until the first cell exceeds the reference
     /// endurance budget (0 when annotation was skipped).
-    pub lifetime_invocations: u64,
+    lifetime_invocations: Count, Note;
     /// Whether the static analyzer reported zero diagnostics on every
     /// artifact behind this record, with statically re-derived resources
     /// matching the recorded stats exactly.
-    pub lint_clean: bool,
+    lint_clean: Flag, Proof("now lint-clean");
+}
+
+/// The rules every current record must satisfy on its own, baseline or not,
+/// so they hold even right after a baseline refresh: `(high, low, wording)`
+/// says column `high` may not exceed column `low`, and a `None` wording
+/// reports "`high` exceeds `low`". A higher `-O` level may never cost
+/// instructions, cells or endurance relative to `-O0`, and the e-graph
+/// extractor falls back to the arena result, so an e-graph worse than `-O2`
+/// is a bug (a skipped `0` never exceeds anything).
+#[rustfmt::skip]
+const INVARIANTS: [(&str, &str, Option<&str>); 5] = [
+    ("egraph_instructions", "o2_instructions", None),
+    ("o1_instructions", "instructions", Some("-O1 produces more instructions than -O0")),
+    ("o2_instructions", "instructions", Some("-O2 produces more instructions than -O0")),
+    ("o2_rams", "rams", Some("-O2 uses more RRAMs than -O0")),
+    ("o2_max_writes", "max_writes", Some("-O2 wears cells harder than -O0")),
+];
+
+/// The value of the column called `name` in `record`.
+fn value(record: &BenchRecord, name: &str) -> Cell {
+    let column = COLUMNS
+        .iter()
+        .find(|column| column.name == name)
+        .expect("declared column");
+    (column.get)(record)
 }
 
 /// Serializes records as a stable, human-reviewable JSON document.
 pub fn to_json(records: &[BenchRecord]) -> String {
     let mut out = String::from("[\n");
-    for (index, r) in records.iter().enumerate() {
-        let comma = if index + 1 == records.len() { "" } else { "," };
-        writeln!(
-            out,
-            "  {{\"circuit\": {}, \"instructions\": {}, \"rams\": {}, \"max_writes\": {}, \
-             \"lookahead_rams\": {}, \"wear_max_writes\": {}, \"o1_instructions\": {}, \
-             \"o1_rams\": {}, \"o2_instructions\": {}, \"o2_rams\": {}, \"o2_max_writes\": {}, \
-             \"ambit_ops\": {}, \"ambit_cost\": {}, \"magic_ops\": {}, \"magic_cost\": {}, \
-             \"egraph_instructions\": {}, \"egraph_rams\": {}, \
-             \"rewrite_ms\": {:.3}, \"compile_ms\": {:.3}, \"verified_exhaustive\": {}, \
-             \"fault_error_rate\": {:.6}, \"lifetime_invocations\": {}, \
-             \"lint_clean\": {}}}{comma}",
-            // The shared JSON writer (full escaping, including control
-            // characters) keeps the round-trip with `from_json` — which
-            // parses through the same layer — airtight.
-            Value::string(r.circuit.clone()).to_json(),
-            r.instructions,
-            r.rams,
-            r.max_writes,
-            r.lookahead_rams,
-            r.wear_max_writes,
-            r.o1_instructions,
-            r.o1_rams,
-            r.o2_instructions,
-            r.o2_rams,
-            r.o2_max_writes,
-            r.ambit_ops,
-            r.ambit_cost,
-            r.magic_ops,
-            r.magic_cost,
-            r.egraph_instructions,
-            r.egraph_rams,
-            r.rewrite_ms,
-            r.compile_ms,
-            r.verified_exhaustive,
-            r.fault_error_rate,
-            r.lifetime_invocations,
-            r.lint_clean,
-        )
-        .expect("writing to a String cannot fail");
+    for (index, record) in records.iter().enumerate() {
+        // The shared JSON writer (full escaping, including control
+        // characters) keeps the round-trip with `from_json` — which parses
+        // through the same layer — airtight.
+        out.push_str("  {\"circuit\": ");
+        out.push_str(&Value::string(record.circuit.clone()).to_json());
+        for column in COLUMNS {
+            write!(out, ", \"{}\": {}", column.name, (column.get)(record))
+                .expect("writing to a String cannot fail");
+        }
+        out.push_str(if index + 1 == records.len() {
+            "}\n"
+        } else {
+            "},\n"
+        });
     }
     out.push_str("]\n");
     out
 }
-
-/// The twenty required numeric fields of a record, in schema order
-/// (`circuit` and the booleans `verified_exhaustive` / `lint_clean` are
-/// handled apart).
-const NUMERIC_FIELDS: [&str; 20] = [
-    "instructions",
-    "rams",
-    "max_writes",
-    "lookahead_rams",
-    "wear_max_writes",
-    "o1_instructions",
-    "o1_rams",
-    "o2_instructions",
-    "o2_rams",
-    "o2_max_writes",
-    "ambit_ops",
-    "ambit_cost",
-    "magic_ops",
-    "magic_cost",
-    "egraph_instructions",
-    "egraph_rams",
-    "rewrite_ms",
-    "compile_ms",
-    "fault_error_rate",
-    "lifetime_invocations",
-];
 
 /// Parses a `BENCH.json` document produced by [`to_json`] (or edited by
 /// hand: unknown keys are ignored, field order is free).
@@ -207,8 +274,8 @@ const NUMERIC_FIELDS: [&str; 20] = [
 ///
 /// Returns a one-line description of the first problem: syntax errors with
 /// their byte position (truncated input, duplicate keys, trailing
-/// garbage — via [`crate::json`]), a `missing field '<name>'` for an
-/// absent required field, or a type mismatch for a non-numeric count.
+/// garbage — via [`crate::json`]), a type mismatch for a mistyped column,
+/// or else a `missing field '<name>'` for an absent one.
 pub fn from_json(text: &str) -> Result<Vec<BenchRecord>, String> {
     let document = Value::parse(text).map_err(|e| e.to_string())?;
     let Some(items) = document.as_array() else {
@@ -222,9 +289,9 @@ pub fn from_json(text: &str) -> Result<Vec<BenchRecord>, String> {
 }
 
 fn parse_record(index: usize, item: &Value) -> Result<BenchRecord, String> {
-    let Some(members) = item.as_object() else {
+    if item.as_object().is_none() {
         return Err(format!("record {}: expected an object", index + 1));
-    };
+    }
     // `circuit` first: every later diagnostic names the record by it.
     let circuit = match item.get("circuit") {
         Some(value) => value
@@ -233,57 +300,36 @@ fn parse_record(index: usize, item: &Value) -> Result<BenchRecord, String> {
             .to_string(),
         None => return Err(format!("missing field 'circuit' (record {})", index + 1)),
     };
-    let mut numeric = [None::<f64>; NUMERIC_FIELDS.len()];
-    for (key, value) in members {
-        if let Some(slot) = NUMERIC_FIELDS.iter().position(|n| n == key) {
-            numeric[slot] = Some(value.as_f64().ok_or_else(|| {
-                format!("field '{key}' must be a number (circuit \"{circuit}\")")
-            })?);
-        }
-        // Unknown fields (of any type) are ignored for forward compatibility.
-    }
-    let get = |name: &str| -> Result<f64, String> {
-        let slot = NUMERIC_FIELDS
-            .iter()
-            .position(|n| *n == name)
-            .expect("known field");
-        numeric[slot].ok_or_else(|| format!("missing field '{name}' (circuit \"{circuit}\")"))
-    };
-    // Checked after the numeric fields so diagnostics keep their
-    // long-standing precedence (type errors, then missing counts).
-    let boolean = |name: &'static str| -> Result<bool, String> {
-        match item.get(name) {
-            Some(value) => value
-                .as_bool()
-                .ok_or_else(|| format!("field '{name}' must be a boolean (circuit \"{circuit}\")")),
-            None => Err(format!("missing field '{name}' (circuit \"{circuit}\")")),
-        }
-    };
-    Ok(BenchRecord {
-        instructions: get("instructions")? as u64,
-        rams: get("rams")? as u64,
-        max_writes: get("max_writes")? as u64,
-        lookahead_rams: get("lookahead_rams")? as u64,
-        wear_max_writes: get("wear_max_writes")? as u64,
-        o1_instructions: get("o1_instructions")? as u64,
-        o1_rams: get("o1_rams")? as u64,
-        o2_instructions: get("o2_instructions")? as u64,
-        o2_rams: get("o2_rams")? as u64,
-        o2_max_writes: get("o2_max_writes")? as u64,
-        ambit_ops: get("ambit_ops")? as u64,
-        ambit_cost: get("ambit_cost")? as u64,
-        magic_ops: get("magic_ops")? as u64,
-        magic_cost: get("magic_cost")? as u64,
-        egraph_instructions: get("egraph_instructions")? as u64,
-        egraph_rams: get("egraph_rams")? as u64,
-        rewrite_ms: get("rewrite_ms")?,
-        compile_ms: get("compile_ms")?,
-        fault_error_rate: get("fault_error_rate")?,
-        lifetime_invocations: get("lifetime_invocations")? as u64,
-        verified_exhaustive: boolean("verified_exhaustive")?,
-        lint_clean: boolean("lint_clean")?,
+    let mut record = BenchRecord {
         circuit,
-    })
+        ..BenchRecord::default()
+    };
+    // Type errors take precedence over missing columns.
+    let mut missing = None;
+    for column in COLUMNS {
+        let Some(value) = item.get(column.name) else {
+            missing = missing.or(Some(column.name));
+            continue;
+        };
+        // The default value carries the column's kind.
+        let kind = (column.get)(&record);
+        let cell = kind.read(value).ok_or_else(|| {
+            format!(
+                "field '{}' must be a {} (circuit \"{}\")",
+                column.name,
+                kind.json_type(),
+                record.circuit
+            )
+        })?;
+        (column.set)(&mut record, cell);
+    }
+    match missing {
+        Some(name) => Err(format!(
+            "missing field '{name}' (circuit \"{}\")",
+            record.circuit
+        )),
+        None => Ok(record),
+    }
 }
 
 /// Outcome of diffing a fresh run against the committed baseline.
@@ -292,9 +338,9 @@ pub struct GateReport {
     /// Human-readable per-circuit notes (improvements, informational
     /// changes, the timing summary).
     pub notes: Vec<String>,
-    /// Hard failures: `#I`/`#R` regressions, missing circuits, or a
-    /// wall-clock slowdown beyond the tolerance. Empty means the gate is
-    /// green.
+    /// Hard failures: regressed columns, broken current-run invariants,
+    /// missing circuits, or a wall-clock slowdown beyond the tolerance.
+    /// Empty means the gate is green.
     pub regressions: Vec<String>,
 }
 
@@ -303,81 +349,56 @@ impl GateReport {
     pub fn passed(&self) -> bool {
         self.regressions.is_empty()
     }
+
+    /// Gates a count that must not grow, reported under `label`.
+    fn compare(&mut self, circuit: &str, label: &str, old: Cell, new: Cell) {
+        if new > old {
+            self.regressions
+                .push(format!("{circuit}: {label} regressed {old} → {new}"));
+        } else if new < old {
+            self.notes
+                .push(format!("{circuit}: {label} improved {old} → {new}"));
+        }
+    }
 }
 
 /// Diffs `current` against `baseline`.
 ///
-/// Deterministic program-quality metrics gate hard: any increase of
-/// `instructions`, `rams` or `o2_instructions` (on the default compiler)
-/// for a baseline circuit, or a circuit disappearing from the run, is a
-/// regression. Independently of the baseline, every *current* record must
-/// satisfy opt-level monotonicity — a higher `-O` may never produce more
-/// instructions than `-O0`, nor cost cells or endurance at `-O2` — so a
-/// pass regression fails CI even right after a baseline refresh.
-/// The per-target columns (`ambit_ops`/`ambit_cost`,
-/// `magic_ops`/`magic_cost`) and the equality-saturation columns
-/// (`egraph_instructions`/`egraph_rams`) gate hard whenever baseline
-/// **and** current run annotated them (both nonzero); a `0` on either side
-/// means annotation was skipped there, and the coverage change is a note.
-/// Additionally, every annotated *current* record must satisfy
-/// `egraph_instructions <= o2_instructions` — the extractor falls back to
-/// the arena result, so being worse is a bug even after a baseline
-/// refresh.
-/// Wall-clock gates softly: only the **total** `rewrite_ms + compile_ms`
-/// over circuits present in both runs is compared, and only a slowdown
-/// beyond `time_tolerance` (e.g. `0.25` for +25 %) fails. The endurance
-/// and extension columns (`max_writes`, `lookahead_rams`,
-/// `wear_max_writes`, the remaining `o1`/`o2` columns) are reported as
-/// notes so intentional trade-offs do not need a baseline refresh
-/// ceremony.
-///
-/// The fidelity axis gates asymmetrically: a circuit whose
-/// `verified_exhaustive` flips from `true` to `false` is a regression (a
-/// formerly proven circuit lost its proof), the opposite flip is a note,
-/// and changes of the measured `fault_error_rate` /
-/// `lifetime_invocations` columns are notes (they move with the fault
-/// model, not with compiler correctness). The static-analysis column
-/// `lint_clean` gates the same way: a formerly clean circuit growing a
-/// diagnostic is a regression, a circuit coming clean is a note.
+/// Every current record must first satisfy the current-run invariants (see
+/// the module doc). Then each baseline circuit missing from the current run
+/// is a regression, and each column of a circuit in both runs is compared
+/// by its [`Rule`]. Wall-clock gates softly: only the total of the
+/// [`Rule::Time`] columns over circuits present in both runs is compared,
+/// and only a slowdown beyond `time_tolerance` (e.g. `0.25` for +25 %)
+/// fails.
 pub fn gate(baseline: &[BenchRecord], current: &[BenchRecord], time_tolerance: f64) -> GateReport {
     let mut report = GateReport::default();
-    let mut base_time = 0.0f64;
-    let mut curr_time = 0.0f64;
     for c in current {
-        // The e-graph extractor falls back to the arena result whenever no
-        // candidate wins, so an annotated record where it ends up *worse*
-        // than plain `-O2` is a bug regardless of what the baseline says.
-        if c.egraph_instructions != 0 && c.egraph_instructions > c.o2_instructions {
-            report.regressions.push(format!(
-                "{}: egraph_instructions exceeds o2_instructions ({} > {})",
-                c.circuit, c.egraph_instructions, c.o2_instructions
-            ));
-        }
-        for (rule, high, low) in [
-            (
-                "-O1 produces more instructions than -O0",
-                c.o1_instructions,
-                c.instructions,
-            ),
-            (
-                "-O2 produces more instructions than -O0",
-                c.o2_instructions,
-                c.instructions,
-            ),
-            ("-O2 uses more RRAMs than -O0", c.o2_rams, c.rams),
-            (
-                "-O2 wears cells harder than -O0",
-                c.o2_max_writes,
-                c.max_writes,
-            ),
-        ] {
+        for (high_name, low_name, wording) in INVARIANTS {
+            let (high, low) = (value(c, high_name), value(c, low_name));
             if high > low {
-                report
-                    .regressions
-                    .push(format!("{}: {rule} ({low} → {high})", c.circuit));
+                report.regressions.push(match wording {
+                    Some(rule) => format!("{}: {rule} ({low} → {high})", c.circuit),
+                    None => format!(
+                        "{}: {high_name} exceeds {low_name} ({high} > {low})",
+                        c.circuit
+                    ),
+                });
             }
         }
     }
+    let time = |record: &BenchRecord| -> f64 {
+        COLUMNS
+            .iter()
+            .filter(|column| column.rule == Rule::Time)
+            .map(|column| match (column.get)(record) {
+                Cell::Ms(ms) => ms,
+                other => unreachable!("a time column holds {other:?}"),
+            })
+            .sum()
+    };
+    let mut base_time = 0.0f64;
+    let mut curr_time = 0.0f64;
     for b in baseline {
         let Some(c) = current.iter().find(|c| c.circuit == b.circuit) else {
             report
@@ -385,98 +406,35 @@ pub fn gate(baseline: &[BenchRecord], current: &[BenchRecord], time_tolerance: f
                 .push(format!("{}: missing from the current run", b.circuit));
             continue;
         };
-        base_time += b.rewrite_ms + b.compile_ms;
-        curr_time += c.rewrite_ms + c.compile_ms;
-        for (metric, old, new) in [
-            ("#I", b.instructions, c.instructions),
-            ("#R", b.rams, c.rams),
-            ("-O2 #I", b.o2_instructions, c.o2_instructions),
-        ] {
-            if new > old {
-                report
-                    .regressions
-                    .push(format!("{}: {metric} regressed {old} → {new}", b.circuit));
-            } else if new < old {
-                report
-                    .notes
-                    .push(format!("{}: {metric} improved {old} → {new}", b.circuit));
-            }
-        }
-        // Per-target columns gate hard, but only where both runs actually
-        // annotated them: `0` means "annotation skipped", and comparing a
-        // measured value against a skip would turn coverage changes into
-        // phantom regressions.
-        for (metric, old, new) in [
-            ("ambit_ops", b.ambit_ops, c.ambit_ops),
-            ("ambit_cost", b.ambit_cost, c.ambit_cost),
-            ("magic_ops", b.magic_ops, c.magic_ops),
-            ("magic_cost", b.magic_cost, c.magic_cost),
-            (
-                "egraph_instructions",
-                b.egraph_instructions,
-                c.egraph_instructions,
-            ),
-            ("egraph_rams", b.egraph_rams, c.egraph_rams),
-        ] {
-            if old == 0 || new == 0 {
-                if old != new {
-                    report.notes.push(format!(
-                        "{}: {metric} annotation coverage changed {old} → {new}",
-                        b.circuit
-                    ));
+        base_time += time(b);
+        curr_time += time(c);
+        for column in COLUMNS {
+            let (old, new) = ((column.get)(b), (column.get)(c));
+            let (circuit, name) = (&b.circuit, column.name);
+            let skipped = Cell::Count(0);
+            match column.rule {
+                Rule::Hard(label) => report.compare(circuit, label, old, new),
+                Rule::Annotated if old == skipped || new == skipped => {
+                    if old != new {
+                        report.notes.push(format!(
+                            "{circuit}: {name} annotation coverage changed {old} → {new}"
+                        ));
+                    }
                 }
-            } else if new > old {
-                report
-                    .regressions
-                    .push(format!("{}: {metric} regressed {old} → {new}", b.circuit));
-            } else if new < old {
-                report
+                Rule::Annotated => report.compare(circuit, name, old, new),
+                Rule::Proof(gained) => match (old, new) {
+                    (Cell::Flag(true), Cell::Flag(false)) => report
+                        .regressions
+                        .push(format!("{circuit}: {name} regressed {old} → {new}")),
+                    (Cell::Flag(false), Cell::Flag(true)) => {
+                        report.notes.push(format!("{circuit}: {gained}"));
+                    }
+                    _ => {}
+                },
+                Rule::Note if old.differs(new) => report
                     .notes
-                    .push(format!("{}: {metric} improved {old} → {new}", b.circuit));
-            }
-        }
-        match (b.verified_exhaustive, c.verified_exhaustive) {
-            (true, false) => report.regressions.push(format!(
-                "{}: verified_exhaustive regressed true → false",
-                b.circuit
-            )),
-            (false, true) => report
-                .notes
-                .push(format!("{}: now verified exhaustively", b.circuit)),
-            _ => {}
-        }
-        match (b.lint_clean, c.lint_clean) {
-            (true, false) => report
-                .regressions
-                .push(format!("{}: lint_clean regressed true → false", b.circuit)),
-            (false, true) => report.notes.push(format!("{}: now lint-clean", b.circuit)),
-            _ => {}
-        }
-        if (b.fault_error_rate - c.fault_error_rate).abs() > f64::EPSILON {
-            report.notes.push(format!(
-                "{}: fault_error_rate changed {:.6} → {:.6}",
-                b.circuit, b.fault_error_rate, c.fault_error_rate
-            ));
-        }
-        if b.lifetime_invocations != c.lifetime_invocations {
-            report.notes.push(format!(
-                "{}: lifetime_invocations changed {} → {}",
-                b.circuit, b.lifetime_invocations, c.lifetime_invocations
-            ));
-        }
-        for (metric, old, new) in [
-            ("max_writes", b.max_writes, c.max_writes),
-            ("lookahead_rams", b.lookahead_rams, c.lookahead_rams),
-            ("wear_max_writes", b.wear_max_writes, c.wear_max_writes),
-            ("o1_instructions", b.o1_instructions, c.o1_instructions),
-            ("o1_rams", b.o1_rams, c.o1_rams),
-            ("o2_rams", b.o2_rams, c.o2_rams),
-            ("o2_max_writes", b.o2_max_writes, c.o2_max_writes),
-        ] {
-            if new != old {
-                report
-                    .notes
-                    .push(format!("{}: {metric} changed {old} → {new}", b.circuit));
+                    .push(format!("{circuit}: {name} changed {old} → {new}")),
+                Rule::Note | Rule::Time => {}
             }
         }
     }
@@ -508,6 +466,165 @@ pub fn gate(baseline: &[BenchRecord], current: &[BenchRecord], time_tolerance: f
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const BASELINE: &str = include_str!("../../../benchmarks/baseline.json");
+    const BASELINE_FULL: &str = include_str!("../../../benchmarks/baseline-full.json");
+
+    fn column(name: &str) -> &'static Column {
+        COLUMNS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    /// `records` with `column` rewritten by `edit` in every record.
+    fn doctored(
+        records: &[BenchRecord],
+        column: &Column,
+        edit: impl Fn(Cell) -> Cell,
+    ) -> Vec<BenchRecord> {
+        let mut records = records.to_vec();
+        for record in &mut records {
+            (column.set)(record, edit((column.get)(record)));
+        }
+        records
+    }
+
+    #[test]
+    fn every_gated_column_and_invariant_fires_on_the_committed_baseline() {
+        let baseline = from_json(BASELINE).unwrap();
+        let clean = gate(&baseline, &baseline, 0.25);
+        assert!(clean.passed(), "{:?}", clean.regressions);
+        for column in COLUMNS {
+            let name = column.name;
+            match column.rule {
+                Rule::Hard(_) | Rule::Annotated | Rule::Proof(_) => {
+                    let worse = doctored(&baseline, column, |cell| match cell {
+                        Cell::Count(v) => Cell::Count(v + 1),
+                        Cell::Flag(_) => Cell::Flag(false),
+                        other => panic!("{name}: no worse {other:?}"),
+                    });
+                    let (label, better) = match column.rule {
+                        Rule::Hard(label) => (label, format!(": {label} improved")),
+                        Rule::Proof(gained) => (name, format!(": {gained}")),
+                        _ => (name, format!(": {name} improved")),
+                    };
+                    let report = gate(&baseline, &worse, 0.25);
+                    assert!(
+                        report
+                            .regressions
+                            .iter()
+                            .any(|r| r.contains(&format!(": {label} regressed"))),
+                        "{name}: {:?}",
+                        report.regressions
+                    );
+                    // The opposite direction passes with a note.
+                    let report = gate(&worse, &baseline, 0.25);
+                    assert!(report.passed(), "{name}: {:?}", report.regressions);
+                    assert!(
+                        report.notes.iter().any(|n| n.contains(&better)),
+                        "{name}: {:?}",
+                        report.notes
+                    );
+                }
+                Rule::Note => {
+                    // Doctor the baseline side: current-run invariants
+                    // stay out of it.
+                    let moved = doctored(&baseline, column, |cell| match cell {
+                        Cell::Count(v) => Cell::Count(v + 1),
+                        Cell::Rate(v) => Cell::Rate(v + 0.5),
+                        other => panic!("{name}: no move for {other:?}"),
+                    });
+                    let report = gate(&moved, &baseline, 0.25);
+                    assert!(report.passed(), "{name}: {:?}", report.regressions);
+                    assert!(
+                        report
+                            .notes
+                            .iter()
+                            .any(|n| n.contains(&format!(": {name} changed"))),
+                        "{name}: {:?}",
+                        report.notes
+                    );
+                }
+                Rule::Time => {}
+            }
+            if column.rule == Rule::Annotated {
+                // A skip on either side is a coverage note and nothing else.
+                let skipped = doctored(&baseline, column, |_| Cell::Count(0));
+                for (old, new) in [(&baseline, &skipped), (&skipped, &baseline)] {
+                    let report = gate(old, new, 0.25);
+                    assert!(report.passed(), "{name}: {:?}", report.regressions);
+                    let mentions: Vec<_> =
+                        report.notes.iter().filter(|n| n.contains(name)).collect();
+                    assert!(!mentions.is_empty(), "{name}: {:?}", report.notes);
+                    assert!(
+                        mentions
+                            .iter()
+                            .all(|n| n.contains("annotation coverage changed")),
+                        "{name}: {mentions:?}"
+                    );
+                }
+            }
+        }
+        // Each invariant fires alone on a file diffed against itself.
+        for (high, low, wording) in INVARIANTS {
+            let mut broken = baseline.clone();
+            for record in &mut broken {
+                let Cell::Count(v) = value(record, low) else {
+                    panic!("{low} is not a count")
+                };
+                (column(high).set)(record, Cell::Count(v + 1));
+            }
+            let report = gate(&broken, &broken, 0.25);
+            let wording = wording.map_or_else(|| format!("{high} exceeds {low}"), str::to_string);
+            assert_eq!(
+                report.regressions.len(),
+                broken.len(),
+                "{:?}",
+                report.regressions
+            );
+            assert!(
+                report.regressions.iter().all(|r| r.contains(&wording)),
+                "{wording}: {:?}",
+                report.regressions
+            );
+        }
+    }
+
+    #[test]
+    fn committed_baselines_pin_the_file_format() {
+        for text in [BASELINE, BASELINE_FULL] {
+            assert_eq!(to_json(&from_json(text).unwrap()), text);
+        }
+        let first = &from_json(BASELINE).unwrap()[..1];
+        let text = to_json(first);
+        for column in COLUMNS {
+            let cell = (column.get)(&first[0]);
+            let key = format!(", \"{}\": {cell}", column.name);
+            assert_eq!(text.matches(&key).count(), 1, "{key}");
+            let err = from_json(&text.replace(&key, "")).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "missing field '{}' (circuit \"{}\")",
+                    column.name, first[0].circuit
+                )
+            );
+            let wrong = if matches!(cell, Cell::Flag(_)) {
+                "1"
+            } else {
+                "true"
+            };
+            let err = from_json(&text.replace(&key, &format!(", \"{}\": {wrong}", column.name)))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "field '{}' must be a {} (circuit \"{}\")",
+                    column.name,
+                    cell.json_type(),
+                    first[0].circuit
+                )
+            );
+        }
+    }
 
     fn record(circuit: &str, instructions: u64, rams: u64) -> BenchRecord {
         BenchRecord {
