@@ -6,8 +6,11 @@
 //!   by the core lint engine ([`analyze_events`], re-exported here), one
 //!   linear dataflow pass tracking per-cell abstract state;
 //! * the **emitted program** ([`plim_compiler::Rm3Program`]) —
-//!   analyzed by [`analyze_program`], which replays the physical
-//!   instruction sequence against an initialization map;
+//!   analyzed by [`analyze_program`], which reports every finding of the
+//!   program's own uninitialized-read walk
+//!   ([`Rm3Program::uninitialized_reads`], whose first finding the
+//!   verifier's init-discipline check reports) and every output left in a
+//!   never-written cell;
 //!
 //! plus **resource certification** ([`certify`] / [`cross_check`]): the
 //! event stream is replayed through a fresh allocator — independently of
@@ -26,11 +29,11 @@
 //! injecting a write-after-release) so CI can prove the analyzer actually
 //! rejects bad artifacts rather than vacuously passing good ones.
 
-use plim::{Operand, OutputLoc, RamAddr};
+use plim::{OutputLoc, RamAddr};
 use plim_compiler::alloc::RramAllocator;
 use plim_compiler::ir::{Event, IrProgram, Value};
 use plim_compiler::json::Value as Json;
-use plim_compiler::{Compilation, OptLevel, Rm3Program};
+use plim_compiler::{Compilation, OptLevel, Rm3Program, UninitializedRead};
 
 pub use plim_compiler::ir::analysis::{
     analyze_events, introduces, lint_counts, AnalysisConfig, Diagnostic, Lint, Severity, LINT_COUNT,
@@ -149,65 +152,51 @@ pub fn cross_check(certificate: &Certificate, compiled: &Rm3Program) -> Vec<Diag
     diags
 }
 
-/// Analyzes the emitted physical program: a linear pass over the
-/// instruction sequence tracking which cells have been written, reporting
-/// every read of an uninitialized cell as `PA0001` — operand reads,
-/// non-masking destination reads (the old value of `Z` participates in the
-/// majority unless both `A` and `B` are differing constants), and outputs
-/// resident in never-written cells.
+/// Analyzes the emitted physical program, reporting every read of an
+/// uninitialized cell as `PA0001`: operand reads, non-masking destination
+/// reads (the old value of `Z` participates in the majority unless both
+/// `A` and `B` are differing constants), and outputs resident in
+/// never-written cells.
 ///
-/// This is the reporting generalization of
-/// [`verify::check_init_discipline`](plim_compiler::verify::check_init_discipline):
-/// it collects *all* findings instead of stopping at the first. In the
-/// resulting diagnostics, `event` holds the 0-based instruction index
-/// (`pc`), not an event-stream position.
+/// The instruction findings are [`Rm3Program::uninitialized_reads`], the
+/// walk whose first finding
+/// [`verify::check_init_discipline`](plim_compiler::verify::check_init_discipline)
+/// reports; an output is uninitialized when no instruction writes its
+/// cell. In the resulting diagnostics, `event` holds the 0-based
+/// instruction index (`pc`), not an event-stream position.
 pub fn analyze_program(compiled: &Rm3Program) -> Vec<Diagnostic> {
-    let program = &compiled.program;
-    let mut diags = Vec::new();
-    let mut written = vec![false; program.num_rams() as usize];
-    let mut uninit = |pc: Option<usize>, message: String| {
-        diags.push(Diagnostic {
-            lint: Lint::UseBeforeInit,
-            event: pc,
-            cell: None,
-            node: None,
-            message,
-        });
+    let uninit = |event, message| Diagnostic {
+        lint: Lint::UseBeforeInit,
+        event,
+        cell: None,
+        node: None,
+        message,
     };
-    for (pc, instruction) in program.instructions().iter().enumerate() {
-        let masking = matches!(
-            (instruction.a, instruction.b),
-            (Operand::Const(x), Operand::Const(y)) if x != y
-        );
-        for operand in [instruction.a, instruction.b] {
-            if let Operand::Ram(a) = operand {
-                if !written[a.index()] {
-                    uninit(
-                        Some(pc),
-                        format!("pc {}: instruction reads {a} before any write", pc + 1),
-                    );
-                }
-            }
-        }
-        if !masking && !written[instruction.z.index()] {
-            uninit(
+    let mut diags: Vec<Diagnostic> = compiled
+        .uninitialized_reads()
+        .into_iter()
+        .map(|read| match read {
+            UninitializedRead::Operand(pc, addr) => uninit(
+                Some(pc),
+                format!("pc {}: instruction reads {addr} before any write", pc + 1),
+            ),
+            UninitializedRead::Destination(pc, addr) => uninit(
                 Some(pc),
                 format!(
-                    "pc {}: non-masking write observes uninitialized destination {}",
-                    pc + 1,
-                    instruction.z
+                    "pc {}: non-masking write observes uninitialized destination {addr}",
+                    pc + 1
                 ),
-            );
-        }
-        written[instruction.z.index()] = true;
-    }
-    for (name, loc) in program.outputs() {
-        if let OutputLoc::Ram(a) = loc {
-            if !written.get(a.index()).copied().unwrap_or(false) {
-                uninit(
+            ),
+        })
+        .collect();
+    let writes = compiled.static_write_counts();
+    for (name, loc) in compiled.program.outputs() {
+        if let OutputLoc::Ram(addr) = *loc {
+            if writes.get(addr.index()).copied().unwrap_or(0) == 0 {
+                diags.push(uninit(
                     None,
-                    format!("output `{name}` reads never-written cell {a}"),
-                );
+                    format!("output `{name}` reads never-written cell {addr}"),
+                ));
             }
         }
     }

@@ -28,12 +28,12 @@
 
 use std::fmt::Write as _;
 
+use plim_compiler::backend::{poison, LaneWord, W256};
 use plim_compiler::ir::{Event, IrProgram, Value};
+use plim_compiler::verify::VerifyError;
 use plim_compiler::{Artifact, Backend, Cost, InstructionInfo};
 
-use crate::rows::{
-    assign_rows, lower_outputs, poisoned_rows, read_outputs, render_outputs, OutLoc,
-};
+use crate::rows::{assign_rows, check_inputs, lower_outputs, read_outputs, render_outputs, OutLoc};
 
 /// Where a row operation reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,27 +248,21 @@ impl Artifact for AmbitArtifact {
         )
     }
 
-    fn output_names(&self) -> Vec<String> {
-        self.outputs.iter().map(|(name, _)| name.clone()).collect()
+    fn num_outputs(&self) -> usize {
+        self.outputs.len()
     }
 
-    fn run_wide(&self, inputs: &[u64]) -> Result<Vec<u64>, String> {
-        if inputs.len() != self.num_inputs {
-            return Err(format!(
-                "expected {} input words, got {}",
-                self.num_inputs,
-                inputs.len()
-            ));
-        }
-        let mut rows = poisoned_rows(self.rows);
-        let read = |s: Src, rows: &[u64]| match s {
+    fn run_wide(&self, inputs: &[W256]) -> Result<Vec<W256>, VerifyError> {
+        check_inputs(self.num_inputs, inputs)?;
+        let mut rows: Vec<W256> = (0..self.rows).map(poison).collect();
+        let read = |s: Src, rows: &[W256]| match s {
             Src::Input(i) => inputs[i as usize],
             Src::Row(r) => rows[r as usize],
         };
         for op in &self.ops {
             match *op {
-                Op::Set(r) => rows[r as usize] = u64::MAX,
-                Op::Reset(r) => rows[r as usize] = 0,
+                Op::Set(r) => rows[r as usize] = W256::ones(),
+                Op::Reset(r) => rows[r as usize] = W256::zero(),
                 Op::Copy(s, d) => rows[d as usize] = read(s, &rows),
                 Op::Not(s, d) => rows[d as usize] = !read(s, &rows),
                 Op::Tra(a, b, c) => {
@@ -287,7 +281,7 @@ impl Artifact for AmbitArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plim_compiler::verify::verify_exhaustive_artifact;
+    use plim_compiler::verify::verify_exhaustive;
     use plim_compiler::{compile_full, CompilerOptions, OptLevel};
 
     fn fig3b() -> mig::Mig {
@@ -311,7 +305,7 @@ mod tests {
         for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
             let compilation = compile_full(&mig, CompilerOptions::new().opt(opt));
             let artifact = AmbitBackend.emit(&compilation.ir);
-            verify_exhaustive_artifact(&mig, artifact.as_ref()).unwrap();
+            verify_exhaustive(&mig, artifact.as_ref()).unwrap();
         }
     }
 
@@ -337,7 +331,7 @@ mod tests {
         assert!(listing.starts_with(".ambit v1\n"), "{listing}");
         assert!(listing.contains("tra r"), "{listing}");
         assert!(listing.contains(".output f = "), "{listing}");
-        assert_eq!(artifact.output_names(), ["f"]);
+        assert_eq!(artifact.num_outputs(), 1);
         assert_eq!(artifact.target(), "ambit");
     }
 
@@ -346,7 +340,7 @@ mod tests {
         let mig = fig3b();
         let compilation = compile_full(&mig, CompilerOptions::new());
         let artifact = AmbitBackend.emit(&compilation.ir);
-        assert!(artifact.run_wide(&[0, 0]).is_err());
+        assert!(artifact.run_wide(&[W256::zero(); 2]).is_err());
     }
 
     #[test]
@@ -361,6 +355,6 @@ mod tests {
         mig.add_output("f", f);
         let compilation = compile_full(&mig, CompilerOptions::new());
         let artifact = AmbitBackend.emit(&compilation.ir);
-        verify_exhaustive_artifact(&mig, artifact.as_ref()).unwrap();
+        verify_exhaustive(&mig, artifact.as_ref()).unwrap();
     }
 }

@@ -16,9 +16,12 @@
 //!   initialization. The cost model counts pulses.
 //!
 //! Both backends reuse the compiler's allocator replay for deterministic
-//! row/cell placement, execute their artifacts 64 input patterns at a time,
-//! and are therefore provable against the source MIG with
-//! [`plim_compiler::verify::verify_exhaustive_artifact`].
+//! row/cell placement and execute their artifacts 256 input patterns at a
+//! time from the same poisoned memory image as the RM3 program
+//! ([`plim_compiler::backend::poison`]), so the one verifier
+//! ([`plim_compiler::verify::verify_exhaustive`] and its sampled sibling
+//! [`plim_compiler::verify::verify_artifact`]) proves them against the
+//! source MIG exactly as it proves RM3.
 //!
 //! Call [`install`] once (idempotent) to make the targets resolvable by
 //! name through [`plim_compiler::Target`]; `plimc`, `plimd`, and the bench

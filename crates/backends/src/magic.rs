@@ -31,12 +31,12 @@
 
 use std::fmt::Write as _;
 
+use plim_compiler::backend::{poison, LaneWord, W256};
 use plim_compiler::ir::{Event, IrProgram, Value};
+use plim_compiler::verify::VerifyError;
 use plim_compiler::{Artifact, Backend, Cost, InstructionInfo};
 
-use crate::rows::{
-    assign_rows, lower_outputs, poisoned_rows, read_outputs, render_outputs, OutLoc,
-};
+use crate::rows::{assign_rows, check_inputs, lower_outputs, read_outputs, render_outputs, OutLoc};
 
 /// What a NOR input reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,36 +226,26 @@ impl Artifact for MagicArtifact {
         )
     }
 
-    fn output_names(&self) -> Vec<String> {
-        self.outputs.iter().map(|(name, _)| name.clone()).collect()
+    fn num_outputs(&self) -> usize {
+        self.outputs.len()
     }
 
-    fn run_wide(&self, inputs: &[u64]) -> Result<Vec<u64>, String> {
-        if inputs.len() != self.num_inputs {
-            return Err(format!(
-                "expected {} input words, got {}",
-                self.num_inputs,
-                inputs.len()
-            ));
-        }
-        let mut cells = poisoned_rows(self.cells);
-        let read = |s: &Src, cells: &[u64]| match *s {
-            Src::Const(v) => {
-                if v {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
+    fn run_wide(&self, inputs: &[W256]) -> Result<Vec<W256>, VerifyError> {
+        check_inputs(self.num_inputs, inputs)?;
+        let mut cells: Vec<W256> = (0..self.cells).map(poison).collect();
+        let read = |s: &Src, cells: &[W256]| match *s {
+            Src::Const(v) => W256::splat(v),
             Src::Input(i) => inputs[i as usize],
             Src::Cell(r) => cells[r as usize],
         };
         for op in &self.ops {
             match op {
-                Op::Set(d) => cells[*d as usize] = u64::MAX,
-                Op::Reset(d) => cells[*d as usize] = 0,
+                Op::Set(d) => cells[*d as usize] = W256::ones(),
+                Op::Reset(d) => cells[*d as usize] = W256::zero(),
                 Op::Nor(srcs, d) => {
-                    let or = srcs.iter().fold(0u64, |acc, s| acc | read(s, &cells));
+                    let or = srcs
+                        .iter()
+                        .fold(W256::zero(), |acc, s| acc | read(s, &cells));
                     cells[*d as usize] = !or;
                 }
             }
@@ -267,7 +257,7 @@ impl Artifact for MagicArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plim_compiler::verify::verify_exhaustive_artifact;
+    use plim_compiler::verify::verify_exhaustive;
     use plim_compiler::{compile_full, CompilerOptions, OptLevel};
 
     fn xor5() -> mig::Mig {
@@ -288,7 +278,7 @@ mod tests {
         for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
             let compilation = compile_full(&mig, CompilerOptions::new().opt(opt));
             let artifact = MagicBackend.emit(&compilation.ir);
-            verify_exhaustive_artifact(&mig, artifact.as_ref()).unwrap();
+            verify_exhaustive(&mig, artifact.as_ref()).unwrap();
         }
     }
 
@@ -314,6 +304,6 @@ mod tests {
         let mig = xor5();
         let compilation = compile_full(&mig, CompilerOptions::new());
         let artifact = MagicBackend.emit(&compilation.ir);
-        assert!(artifact.run_wide(&[0]).is_err());
+        assert!(artifact.run_wide(&[W256::zero()]).is_err());
     }
 }

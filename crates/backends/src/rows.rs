@@ -7,7 +7,9 @@
 //! the work region.
 
 use plim_compiler::alloc::RramAllocator;
+use plim_compiler::backend::{LaneWord, W256};
 use plim_compiler::ir::{Event, IrProgram};
+use plim_compiler::verify::VerifyError;
 
 /// Physical placement of an IR program's virtual cells.
 pub(crate) struct Rows {
@@ -85,9 +87,13 @@ pub(crate) fn lower_outputs(ir: &IrProgram, rows: &Rows) -> Vec<(String, OutLoc)
         .collect()
 }
 
-/// Reads the declared outputs from the final row state, one 64-lane word
+/// Reads the declared outputs from the final row state, one 256-lane word
 /// per output.
-pub(crate) fn read_outputs(outputs: &[(String, OutLoc)], rows: &[u64], inputs: &[u64]) -> Vec<u64> {
+pub(crate) fn read_outputs(
+    outputs: &[(String, OutLoc)],
+    rows: &[W256],
+    inputs: &[W256],
+) -> Vec<W256> {
     outputs
         .iter()
         .map(|(_, loc)| match *loc {
@@ -95,32 +101,22 @@ pub(crate) fn read_outputs(outputs: &[(String, OutLoc)], rows: &[u64], inputs: &
             OutLoc::Input {
                 index,
                 complemented,
-            } => {
-                let word = inputs[index as usize];
-                if complemented {
-                    !word
-                } else {
-                    word
-                }
-            }
-            OutLoc::Const(v) => {
-                if v {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
+            } => inputs[index as usize] ^ W256::splat(complemented),
+            OutLoc::Const(v) => W256::splat(v),
         })
         .collect()
 }
 
-/// A poisoned row image: every row pre-filled with a nonzero pattern so a
-/// read of a never-written row cannot masquerade as a correct zero (the
-/// same discipline the RM3 verifier uses).
-pub(crate) fn poisoned_rows(count: u32) -> Vec<u64> {
-    (0..count)
-        .map(|r| 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(r))
-        .collect()
+/// Rejects an input vector whose length is not the artifact's input count.
+pub(crate) fn check_inputs(expected: usize, inputs: &[W256]) -> Result<(), VerifyError> {
+    if inputs.len() == expected {
+        Ok(())
+    } else {
+        Err(VerifyError::Backend(format!(
+            "expected {expected} input words, got {}",
+            inputs.len()
+        )))
+    }
 }
 
 /// Renders an output directory block (`.output f = r5` / `!i3` / `1`).

@@ -18,8 +18,15 @@
 use std::fmt;
 use std::sync::RwLock;
 
+use plim::wide::WideMachine;
+/// The lane word and poison image of [`Artifact::run_wide`], re-exported
+/// for backend crates.
+pub use plim::wide::{poison, LaneWord, W256};
+
 use crate::ir::IrProgram;
 use crate::program::Rm3Program;
+use crate::report::CostReport;
+use crate::verify::VerifyError;
 
 /// The cost of a program under a backend's model.
 ///
@@ -88,12 +95,14 @@ pub struct InstructionInfo {
     pub summary: &'static str,
 }
 
-/// A target-native compiled program: what a [`Backend`] emits.
+/// A target-native compiled program: what a [`Backend`] emits. The RM3
+/// target's artifact is the [`Rm3Program`] itself.
 ///
 /// Besides rendering (listing/stats), an artifact must *execute*
-/// bit-parallel — 64 input patterns per step, one lane per bit — so
-/// [`crate::verify::verify_exhaustive_artifact`] can prove it equivalent to
-/// the source MIG without knowing anything about the target's semantics.
+/// bit-parallel — 256 input patterns per run, one [`W256`] lane per
+/// pattern — and may declare static checks of its own, so
+/// [`crate::verify`] can prove any target equivalent to the source MIG
+/// without knowing anything about its semantics.
 pub trait Artifact {
     /// Name of the target that produced this artifact.
     fn target(&self) -> &'static str;
@@ -110,18 +119,31 @@ pub trait Artifact {
     /// Human-readable stats block (the `--emit stats` form).
     fn stats_text(&self) -> String;
 
-    /// Declared primary-output names, in order.
-    fn output_names(&self) -> Vec<String>;
+    /// Number of primary outputs the artifact declares.
+    fn num_outputs(&self) -> usize;
 
-    /// Executes the artifact on 64 input patterns at once: `inputs[i]`
-    /// carries input `i`'s value for lanes 0–63; the result carries one
-    /// word per declared output.
+    /// Checks the artifact statically, before any run. The default accepts
+    /// every artifact.
     ///
     /// # Errors
     ///
-    /// Returns a one-line message when the artifact is malformed (reads an
-    /// out-of-range row, wrong input count).
-    fn run_wide(&self, inputs: &[u64]) -> Result<Vec<u64>, String>;
+    /// Returns the first violation of the target's own discipline (for
+    /// RM3, [`VerifyError::UninitializedRead`]).
+    fn static_check(&self) -> Result<(), VerifyError> {
+        Ok(())
+    }
+
+    /// Executes the artifact on 256 input patterns at once from a freshly
+    /// [poisoned](plim::wide::poison) memory: `inputs[i]` carries input
+    /// `i`'s value for lanes 0–255; the result carries one word per
+    /// declared output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VerifyError::Machine`] or [`VerifyError::Backend`] when
+    /// the artifact is malformed (reads an out-of-range row, wrong input
+    /// count).
+    fn run_wide(&self, inputs: &[W256]) -> Result<Vec<W256>, VerifyError>;
 }
 
 /// An emission backend: lowers the optimized IR event stream onto one
@@ -231,68 +253,46 @@ impl Backend for Rm3Backend {
     }
 
     fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
-        Box::new(Rm3Artifact {
-            compiled: crate::ir::emit(ir),
-        })
+        Box::new(crate::ir::emit(ir))
     }
 }
 
-/// The RM3 backend's artifact: the classic [`Rm3Program`] behind the
-/// [`Artifact`] interface.
-#[derive(Debug, Clone)]
-pub struct Rm3Artifact {
-    /// The wrapped physical program.
-    pub compiled: Rm3Program,
-}
-
-impl Artifact for Rm3Artifact {
+impl Artifact for Rm3Program {
     fn target(&self) -> &'static str {
         "rm3"
     }
 
     fn num_inputs(&self) -> usize {
-        self.compiled.program.num_inputs()
+        self.program.num_inputs()
     }
 
     fn cost(&self) -> Cost {
         Cost {
-            instructions: self.compiled.stats.instructions,
-            footprint: self.compiled.stats.rams,
-            wear: self.compiled.stats.max_cell_writes,
-            units: self.compiled.stats.instructions as u64,
+            instructions: self.stats.instructions,
+            footprint: self.stats.rams,
+            wear: self.stats.max_cell_writes,
+            units: self.stats.instructions as u64,
         }
     }
 
     fn listing(&self) -> String {
-        self.compiled.program.to_string()
+        self.program.to_string()
     }
 
     fn stats_text(&self) -> String {
-        format!("{}\n", self.compiled.stats)
+        format!("{}\n", CostReport::analyze(self))
     }
 
-    fn output_names(&self) -> Vec<String> {
-        self.compiled
-            .program
-            .outputs()
-            .iter()
-            .map(|(name, _)| name.clone())
-            .collect()
+    fn num_outputs(&self) -> usize {
+        self.program.outputs().len()
     }
 
-    fn run_wide(&self, inputs: &[u64]) -> Result<Vec<u64>, String> {
-        use plim::wide::WideMachine;
-        use plim::RamAddr;
-        let mut machine = WideMachine::<u64>::new();
-        // Poison the work array so a read of a never-written cell cannot
-        // masquerade as a correct zero (same discipline as `verify`).
-        machine.ensure_cells(self.compiled.program.num_rams() as usize);
-        for addr in 0..self.compiled.program.num_rams() {
-            machine.write_cell(RamAddr(addr), 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(addr));
-        }
-        machine
-            .run(&self.compiled.program, inputs)
-            .map_err(|e| e.to_string())
+    fn static_check(&self) -> Result<(), VerifyError> {
+        crate::verify::check_init_discipline(self)
+    }
+
+    fn run_wide(&self, inputs: &[W256]) -> Result<Vec<W256>, VerifyError> {
+        Ok(WideMachine::poisoned(self.program.num_rams()).run(&self.program, inputs)?)
     }
 }
 
@@ -505,7 +505,7 @@ mod tests {
         assert_eq!(artifact.cost(), cost);
         assert_eq!(artifact.target(), "rm3");
         assert_eq!(artifact.num_inputs(), 3);
-        assert_eq!(artifact.output_names(), ["f", "g"]);
+        assert_eq!(artifact.num_outputs(), 2);
     }
 
     #[test]
@@ -517,9 +517,16 @@ mod tests {
         mig.add_output("f", f);
         let compilation = crate::compile_full(&mig, CompilerOptions::new());
         let artifact = Rm3Backend.emit(&compilation.ir);
-        let got = artifact.run_wide(&[0b1100, 0b1010]).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0] & 0b1111, 0b1000);
-        assert!(artifact.run_wide(&[0]).is_err(), "input count mismatch");
+        let got = artifact
+            .run_wide(&[W256([0b1100, 0, 0, 1]), W256([0b1010, 0, 1, 1])])
+            .unwrap();
+        assert_eq!(got, [W256([0b1000, 0, 0, 1])]);
+        assert!(
+            matches!(
+                artifact.run_wide(&[W256::default()]),
+                Err(VerifyError::Machine(_))
+            ),
+            "input count mismatch"
+        );
     }
 }

@@ -99,5 +99,5 @@ pub use options::{
     egraph_optimizer, install_egraph_optimizer, AllocatorStrategy, CompilerOptions,
     EgraphOptimizer, OperandSelection, OptLevel, RewriteMode, ScheduleOrder,
 };
-pub use program::{Rm3Program, Rm3Stats};
+pub use program::{Rm3Program, Rm3Stats, UninitializedRead};
 pub use store::{ArtifactStore, StoreCounters, StoreLookup, StoredArtifact};

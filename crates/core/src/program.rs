@@ -3,7 +3,7 @@
 use std::fmt;
 
 use plim::endurance::EnduranceStats;
-use plim::{Operand, Program};
+use plim::{Operand, Program, RamAddr};
 
 /// Cost metrics of a compiled PLiM program (the paper's Table 1 columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,6 +33,18 @@ impl fmt::Display for Rm3Stats {
     }
 }
 
+/// A read of a work cell that no earlier instruction wrote, found by
+/// [`Rm3Program::uninitialized_reads`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UninitializedRead {
+    /// `Operand(pc, addr)`: instruction `pc` (0-based) reads operand cell
+    /// `addr`.
+    Operand(usize, RamAddr),
+    /// `Destination(pc, addr)`: instruction `pc` is not masking, so its
+    /// result depends on the old value of its destination `addr`.
+    Destination(usize, RamAddr),
+}
+
 /// A compiled PLiM program together with its cost metrics.
 #[derive(Debug, Clone)]
 pub struct Rm3Program {
@@ -57,6 +69,37 @@ impl Rm3Program {
     /// Endurance statistics of one execution, derived statically.
     pub fn static_endurance(&self) -> EnduranceStats {
         EnduranceStats::from_counts(&self.static_write_counts())
+    }
+
+    /// Every instruction's read of a never-written work cell, in program
+    /// order.
+    ///
+    /// An instruction masks its destination (result independent of the
+    /// old value) exactly when its constant operands satisfy `A = ¬B̄`,
+    /// i.e. the pairs `(0, 1)` and `(1, 0)`: the reset/set idioms and
+    /// constant loads. Any other instruction reads its destination.
+    pub fn uninitialized_reads(&self) -> Vec<UninitializedRead> {
+        let mut found = Vec::new();
+        let mut written = vec![false; self.program.num_rams() as usize];
+        for (pc, instruction) in self.program.instructions().iter().enumerate() {
+            for operand in [instruction.a, instruction.b] {
+                if let Operand::Ram(addr) = operand {
+                    if !written[addr.index()] {
+                        found.push(UninitializedRead::Operand(pc, addr));
+                    }
+                }
+            }
+            let masking = matches!(
+                (instruction.a, instruction.b),
+                (Operand::Const(a), Operand::Const(b)) if a != b
+            );
+            let addr = instruction.z;
+            if !masking && !written[addr.index()] {
+                found.push(UninitializedRead::Destination(pc, addr));
+            }
+            written[addr.index()] = true;
+        }
+        found
     }
 
     /// Number of instructions whose operands are both constants (array

@@ -23,7 +23,7 @@
 //!
 //! The module ships two implementations of the same pass schedule:
 //!
-//! * the **in-place engine** ([`rewrite`], [`rewrite_inplace`],
+//! * the **in-place engine** ([`rewrite`], [`rewrite_with_stats`],
 //!   [`crate::arena::RewriteArena`]) mutates one arena across all passes
 //!   and cycles, re-strashing only the nodes a rewrite touches, and
 //!   compacts the graph exactly once at the end of the run. This is the
@@ -93,20 +93,11 @@ pub fn rewrite(mig: &Mig, effort: usize) -> Mig {
 }
 
 /// Like [`rewrite`], also returning pass statistics.
+///
+/// Allocates a fresh [`RewriteArena`] per call; callers that rewrite many
+/// circuits should keep one arena and call [`RewriteArena::rewrite`] to
+/// reuse its buffers.
 pub fn rewrite_with_stats(mig: &Mig, effort: usize) -> (Mig, RewriteStats) {
-    rewrite_inplace_with_stats(mig, effort)
-}
-
-/// Explicit entry point for the in-place arena engine (what [`rewrite`]
-/// delegates to). Allocates a fresh [`RewriteArena`] per call; drivers that
-/// rewrite many circuits should keep one arena and call
-/// [`RewriteArena::rewrite`] to reuse its buffers.
-pub fn rewrite_inplace(mig: &Mig, effort: usize) -> Mig {
-    rewrite_inplace_with_stats(mig, effort).0
-}
-
-/// Like [`rewrite_inplace`], also returning pass statistics.
-pub fn rewrite_inplace_with_stats(mig: &Mig, effort: usize) -> (Mig, RewriteStats) {
     RewriteArena::new().rewrite_with_stats(mig, effort)
 }
 

@@ -160,6 +160,14 @@ impl LaneWord for W256 {
     }
 }
 
+/// The word a verification run preloads into never-written cell `cell`:
+/// nonzero and different per cell, so a read of a cell the program never
+/// wrote cannot masquerade as a correct zero. Every target's executor
+/// starts from this image.
+pub fn poison<W: LaneWord>(cell: u32) -> W {
+    W::from_blocks(|_| 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(cell))
+}
+
 /// Intercepts every value about to be written to a work cell.
 ///
 /// The hook sees the *post-majority* value and returns what is actually
@@ -217,6 +225,17 @@ impl<W: LaneWord> WideMachine<W> {
         WideMachine {
             cells: Vec::new(),
             write_counts: Vec::new(),
+            inputs: Vec::new(),
+            cycles: 0,
+        }
+    }
+
+    /// Creates a machine whose `count` work cells hold the [`poison`]
+    /// image (write counters start at zero).
+    pub fn poisoned(count: u32) -> Self {
+        WideMachine {
+            cells: (0..count).map(poison).collect(),
+            write_counts: vec![0; count as usize],
             inputs: Vec::new(),
             cycles: 0,
         }

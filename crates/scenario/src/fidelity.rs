@@ -12,10 +12,8 @@
 use mig::Mig;
 use plim::MachineError;
 use plim_compiler::batch::{BenchRun, Circuit};
-use plim_compiler::verify::{
-    verify_exhaustive, verify_exhaustive_artifact, VerifyError, EXHAUSTIVE_WIDE_LIMIT,
-};
-use plim_compiler::{Compilation, Rm3Program, Target};
+use plim_compiler::verify::{verify_exhaustive, EXHAUSTIVE_WIDE_LIMIT};
+use plim_compiler::Rm3Program;
 use plim_parallel::Parallelism;
 
 use crate::fault::{fault_sweep, FaultModel, FaultScenario};
@@ -107,31 +105,6 @@ pub fn fidelity_for(
         fault_error_rate: fault.error_rate(),
         lifetime_invocations: lifetime.invocations,
     })
-}
-
-/// Dispatches the exhaustive equivalence proof to the executor matching
-/// `target`: the RM3 program runs on the bit-parallel PLiM machine
-/// ([`verify_exhaustive`]), every other target's artifact runs through its
-/// backend's own executor ([`verify_exhaustive_artifact`]). This is the
-/// scenario layer's verification-executor dispatch — `plimc verify
-/// --target …` calls it, and so can any harness holding a [`Compilation`].
-///
-/// # Errors
-///
-/// The dispatched checker's error: [`VerifyError::TooManyInputs`] beyond
-/// the exhaustive bound, [`VerifyError::Mismatch`] with a counterexample,
-/// or an executor rejection.
-pub fn verify_exhaustive_for_target(
-    target: Target,
-    mig: &Mig,
-    compilation: &Compilation,
-) -> Result<(), VerifyError> {
-    if target == Target::RM3 {
-        verify_exhaustive(mig, &compilation.compiled)
-    } else {
-        let artifact = target.backend().emit(&compilation.ir);
-        verify_exhaustive_artifact(mig, artifact.as_ref())
-    }
 }
 
 /// Fills the fidelity columns of every record of a [`BenchRun`] from the
@@ -237,25 +210,6 @@ mod tests {
             assert_eq!(record.verified_exhaustive, record.circuit != "router");
             assert!(record.fault_error_rate >= 0.0);
             assert!(record.lifetime_invocations > 0, "{}", record.circuit);
-        }
-    }
-
-    #[test]
-    fn target_dispatch_chooses_the_right_executor() {
-        plim_backends::install();
-        let ambit = Target::parse("ambit").expect("registered");
-        let mig = xor_chain(6);
-        let compilation = plim_compiler::compile_full(&mig, CompilerOptions::new());
-        verify_exhaustive_for_target(Target::RM3, &mig, &compilation).unwrap();
-        verify_exhaustive_for_target(ambit, &mig, &compilation).unwrap();
-        // The dispatch forwards the executor's refusal unchanged.
-        let wide = xor_chain(EXHAUSTIVE_WIDE_LIMIT + 1);
-        let compilation = plim_compiler::compile_full(&wide, CompilerOptions::new());
-        for target in [Target::RM3, ambit] {
-            assert!(matches!(
-                verify_exhaustive_for_target(target, &wide, &compilation),
-                Err(VerifyError::TooManyInputs { .. })
-            ));
         }
     }
 

@@ -6,9 +6,10 @@
 //! bit-parallel [`plim::wide`] executor through three scenario engines:
 //!
 //! * **Exhaustive equivalence** — [`verify::verify_exhaustive`] proves a
-//!   compiled program equal to its source MIG over the full input space
-//!   for circuits of up to 20 inputs (2²⁰ patterns in 4096 runs of the
-//!   256-wide machine);
+//!   compiled artifact of any target equal to its source MIG over the
+//!   full input space for circuits of up to 20 inputs (2²⁰ patterns in
+//!   4096 runs of the 256-wide executor); callers pass the RM3 program or
+//!   a backend's artifact, so this crate has no per-target dispatch;
 //! * **Monte-Carlo fault injection** ([`fault`]) — stuck-at cells and
 //!   probabilistically drifted writes, injected through the executor's
 //!   [`plim::wide::WriteHook`], with a seeded RNG whose per-block streams
@@ -31,8 +32,6 @@ pub mod lifetime;
 pub mod random;
 
 pub use fault::{fault_sweep, sweep_strategies, FaultModel, FaultReport, FaultScenario};
-pub use fidelity::{
-    annotate_bench, fidelity_for, verify_exhaustive_for_target, Fidelity, FidelityConfig,
-};
+pub use fidelity::{annotate_bench, fidelity_for, Fidelity, FidelityConfig};
 pub use lifetime::{compare_strategies, simulate_lifetime, LifetimeReport, LifetimeScenario};
 pub use random::BiasedBits;

@@ -345,9 +345,9 @@ fn run(argv: &[String]) -> Result<(), String> {
 /// The `plimc verify` subcommand: compiles the input and proves the
 /// program equal to the **raw** source network over the full input space
 /// (so the proof covers rewriting and compilation end to end). The proof
-/// executor follows `--target` through the scenario layer's dispatch: the
-/// RM3 program runs on the bit-parallel PLiM machine, a non-RM3 artifact
-/// through its backend's own executor.
+/// runs the `--target` artifact through its own executor: the RM3 program
+/// on the bit-parallel PLiM machine, any other target's artifact on its
+/// backend's.
 ///
 /// Exit codes: 0 the proof holds, 1 a counterexample or any other error,
 /// 2 the circuit exceeds the exhaustive-proof width limit — a refusal the
@@ -366,33 +366,33 @@ fn run_verify(argv: &[String]) -> Result<(), Failure> {
     let spec = args.spec();
     let target = spec.options.target;
     let optimized = pipeline::optimize(&input, &spec);
-    let compilation = plim_compiler::compile_full(&optimized, spec.options);
-    plim_scenario::verify_exhaustive_for_target(target, &input, &compilation).map_err(|e| {
-        Failure {
-            code: match e {
-                plim_compiler::verify::VerifyError::TooManyInputs { .. } => 2,
-                _ => 1,
-            },
-            message: format!("verification: {e}"),
-        }
+    let artifacts = pipeline::Artifacts {
+        compilation: plim_compiler::compile_full(&optimized, spec.options),
+        optimized,
+        target,
+    };
+    let cost = pipeline::with_artifact(&artifacts, |artifact| {
+        plim_compiler::verify::verify_exhaustive(&input, artifact).map(|()| artifact.cost())
+    })
+    .map_err(|e| Failure {
+        code: match e {
+            plim_compiler::verify::VerifyError::TooManyInputs { .. } => 2,
+            _ => 1,
+        },
+        message: format!("verification: {e}"),
     })?;
-    let inputs = input.num_inputs();
+    let (outputs, inputs) = (input.num_outputs(), input.num_inputs());
     if target == Target::RM3 {
         println!(
-            "verified: all {} outputs equal over all 2^{inputs} input patterns \
+            "verified: all {outputs} outputs equal over all 2^{inputs} input patterns \
              ({} instructions, {} RAMs)",
-            input.num_outputs(),
-            compilation.compiled.stats.instructions,
-            compilation.compiled.stats.rams,
+            cost.instructions, cost.footprint,
         );
     } else {
-        let cost = target.backend().cost(&compilation.ir);
         println!(
-            "verified [{target}]: all {} outputs equal over all 2^{inputs} input patterns \
+            "verified [{target}]: all {outputs} outputs equal over all 2^{inputs} input patterns \
              ({} {target} ops, {} cells)",
-            input.num_outputs(),
-            cost.instructions,
-            cost.footprint,
+            cost.instructions, cost.footprint,
         );
     }
     Ok(())

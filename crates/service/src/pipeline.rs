@@ -6,9 +6,8 @@
 //! offline for the same input and options.
 
 use mig::Mig;
-use plim_compiler::report::CostReport;
 use plim_compiler::verify::{verify, verify_artifact};
-use plim_compiler::{compile_full, Compilation, CompilerOptions, RewriteMode, Target};
+use plim_compiler::{compile_full, Artifact, Compilation, CompilerOptions, RewriteMode, Target};
 
 /// Input format of a compile request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -199,49 +198,40 @@ pub fn execute(input: &Mig, spec: &CompileSpec) -> Result<Artifacts, String> {
 /// The artifact kinds `--emit` understands, for diagnostics and docs.
 pub const EMIT_KINDS: [&str; 6] = ["listing", "asm", "stats", "dot", "mig", "ir"];
 
+/// Runs `f` on the target's artifact: the compiled RM3 program itself,
+/// or the target backend's emission of the post-optimization IR.
+pub fn with_artifact<R>(artifacts: &Artifacts, f: impl FnOnce(&dyn Artifact) -> R) -> R {
+    let compilation = &artifacts.compilation;
+    if artifacts.target == Target::RM3 {
+        f(&compilation.compiled)
+    } else {
+        f(artifacts.target.backend().emit(&compilation.ir).as_ref())
+    }
+}
+
 /// Renders the requested artifact. The returned string is printed with
 /// `print!` by every consumer (it already ends in a newline), so daemon
 /// and offline output agree byte-for-byte.
 ///
+/// `listing` and `stats` are rendered by the target's [`Artifact`]; `asm`
+/// is RM3 assembly; the graph- and IR-level kinds are target-neutral.
+///
 /// # Errors
 ///
-/// Returns a one-line message for unknown artifact kinds.
+/// Returns a one-line message for unknown artifact kinds, and for `asm`
+/// on a non-RM3 target.
 pub fn emit(kind: &str, artifacts: &Artifacts) -> Result<String, String> {
-    let compiled = &artifacts.compilation.compiled;
-    // Target-specific artifact kinds route through the active backend;
-    // the graph- and IR-level kinds below are target-neutral. The RM3 arms
-    // stay exactly as they were before the backend trait existed, so the
-    // default target's output is byte-identical to the pre-trait pipeline.
-    if artifacts.target != Target::RM3 {
-        match kind {
-            "listing" => {
-                return Ok(artifacts
-                    .target
-                    .backend()
-                    .emit(&artifacts.compilation.ir)
-                    .listing())
-            }
-            "stats" => {
-                return Ok(artifacts
-                    .target
-                    .backend()
-                    .emit(&artifacts.compilation.ir)
-                    .stats_text())
-            }
-            "asm" => {
-                return Err(format!(
-                    "--emit asm renders RM3 assembly; target `{}` prints its native \
-                     form via --emit listing",
-                    artifacts.target
-                ))
-            }
-            _ => {}
-        }
-    }
     match kind {
-        "listing" => Ok(compiled.program.to_string()),
-        "asm" => Ok(plim::asm::write_asm(&compiled.program)),
-        "stats" => Ok(format!("{}\n", CostReport::analyze(compiled))),
+        "listing" => Ok(with_artifact(artifacts, |artifact| artifact.listing())),
+        "stats" => Ok(with_artifact(artifacts, |artifact| artifact.stats_text())),
+        "asm" if artifacts.target != Target::RM3 => Err(format!(
+            "--emit asm renders RM3 assembly; target `{}` prints its native \
+             form via --emit listing",
+            artifacts.target
+        )),
+        "asm" => Ok(plim::asm::write_asm(
+            &artifacts.compilation.compiled.program,
+        )),
         "dot" => Ok(mig::dot::to_dot(&artifacts.optimized)),
         "mig" => Ok(mig::io::write_mig(&artifacts.optimized)),
         "ir" => Ok(artifacts.compilation.ir.dump()),

@@ -813,3 +813,49 @@ fn doctored_stale_complement_fails_the_battery() {
         "expected PA0005, got {diags:?}"
     );
 }
+
+/// The physical-program analysis reports every uninitialized read, each
+/// with its own message, where `check_init_discipline` stops at the first.
+#[test]
+fn pa0001_program_analysis_reports_every_uninitialized_read() {
+    use plim::{Instruction, Operand, OutputLoc, Program};
+    let mut program = Program::new(1);
+    // X2 ← ⟨X1 i1' X2⟩: reads @X1 before any write, and X2's old value.
+    program.push(Instruction::new(
+        Operand::Ram(RamAddr(0)),
+        Operand::Input(0),
+        RamAddr(1),
+    ));
+    program.push(Instruction::reset(RamAddr(0)));
+    program.add_output("f", OutputLoc::Ram(RamAddr(1)));
+    program.add_output("g", OutputLoc::Ram(RamAddr(2)));
+    let compiled = plim_compiler::Rm3Program {
+        program,
+        stats: plim_compiler::Rm3Stats::default(),
+    };
+    let found: Vec<(Option<usize>, String)> = plim_analysis::analyze_program(&compiled)
+        .into_iter()
+        .map(|d| {
+            assert_eq!(d.lint, Lint::UseBeforeInit);
+            (d.event, d.message)
+        })
+        .collect();
+    assert_eq!(
+        found,
+        [
+            (
+                Some(0),
+                "pc 1: instruction reads @X1 before any write".to_string()
+            ),
+            (
+                Some(0),
+                "pc 1: non-masking write observes uninitialized destination @X2".to_string()
+            ),
+            (None, "output `g` reads never-written cell @X3".to_string()),
+        ]
+    );
+    assert_eq!(
+        plim_compiler::verify::check_init_discipline(&compiled),
+        Err(plim_compiler::verify::VerifyError::UninitializedRead { pc: 0 })
+    );
+}

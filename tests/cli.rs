@@ -800,6 +800,65 @@ fn loadtest_and_store_round_trip_through_the_binaries() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// `plimc verify` over the small-circuit matrix: every target and opt
+/// level, and the e-graph rewrite, prove `ctrl`, `dec` and `int2float` at
+/// exit 0 with exactly the report line each one printed before the
+/// verifier became one artifact-generic checker.
+#[test]
+fn verify_subcommand_matrix_reports_are_unchanged() {
+    const MATRIX: [(&str, &str, &str); 27] = [
+        ("ctrl", "-O0", "verified: all 26 outputs equal over all 2^7 input patterns (62 instructions, 24 RAMs)"),
+        ("ctrl", "-O1", "verified: all 26 outputs equal over all 2^7 input patterns (62 instructions, 24 RAMs)"),
+        ("ctrl", "-O2", "verified: all 26 outputs equal over all 2^7 input patterns (62 instructions, 24 RAMs)"),
+        ("ctrl", "--target ambit -O0", "verified [ambit]: all 26 outputs equal over all 2^7 input patterns (206 ambit ops, 27 cells)"),
+        ("ctrl", "--target ambit -O2", "verified [ambit]: all 26 outputs equal over all 2^7 input patterns (206 ambit ops, 27 cells)"),
+        ("ctrl", "--target magic -O0", "verified [magic]: all 26 outputs equal over all 2^7 input patterns (530 magic ops, 30 cells)"),
+        ("ctrl", "--target magic -O2", "verified [magic]: all 26 outputs equal over all 2^7 input patterns (530 magic ops, 30 cells)"),
+        ("ctrl", "--rewrite egraph -O0", "verified: all 26 outputs equal over all 2^7 input patterns (60 instructions, 24 RAMs)"),
+        ("ctrl", "--rewrite egraph -O2", "verified: all 26 outputs equal over all 2^7 input patterns (60 instructions, 24 RAMs)"),
+        ("dec", "-O0", "verified: all 16 outputs equal over all 2^4 input patterns (52 instructions, 17 RAMs)"),
+        ("dec", "-O1", "verified: all 16 outputs equal over all 2^4 input patterns (52 instructions, 17 RAMs)"),
+        ("dec", "-O2", "verified: all 16 outputs equal over all 2^4 input patterns (48 instructions, 17 RAMs)"),
+        ("dec", "--target ambit -O0", "verified [ambit]: all 16 outputs equal over all 2^4 input patterns (184 ambit ops, 20 cells)"),
+        ("dec", "--target ambit -O2", "verified [ambit]: all 16 outputs equal over all 2^4 input patterns (172 ambit ops, 20 cells)"),
+        ("dec", "--target magic -O0", "verified [magic]: all 16 outputs equal over all 2^4 input patterns (481 magic ops, 23 cells)"),
+        ("dec", "--target magic -O2", "verified [magic]: all 16 outputs equal over all 2^4 input patterns (451 magic ops, 23 cells)"),
+        ("dec", "--rewrite egraph -O0", "verified: all 16 outputs equal over all 2^4 input patterns (51 instructions, 17 RAMs)"),
+        ("dec", "--rewrite egraph -O2", "verified: all 16 outputs equal over all 2^4 input patterns (48 instructions, 17 RAMs)"),
+        ("int2float", "-O0", "verified: all 7 outputs equal over all 2^11 input patterns (207 instructions, 21 RAMs)"),
+        ("int2float", "-O1", "verified: all 7 outputs equal over all 2^11 input patterns (207 instructions, 21 RAMs)"),
+        ("int2float", "-O2", "verified: all 7 outputs equal over all 2^11 input patterns (207 instructions, 21 RAMs)"),
+        ("int2float", "--target ambit -O0", "verified [ambit]: all 7 outputs equal over all 2^11 input patterns (847 ambit ops, 24 cells)"),
+        ("int2float", "--target ambit -O2", "verified [ambit]: all 7 outputs equal over all 2^11 input patterns (847 ambit ops, 24 cells)"),
+        ("int2float", "--target magic -O0", "verified [magic]: all 7 outputs equal over all 2^11 input patterns (2287 magic ops, 27 cells)"),
+        ("int2float", "--target magic -O2", "verified [magic]: all 7 outputs equal over all 2^11 input patterns (2287 magic ops, 27 cells)"),
+        ("int2float", "--rewrite egraph -O0", "verified: all 7 outputs equal over all 2^11 input patterns (207 instructions, 21 RAMs)"),
+        ("int2float", "--rewrite egraph -O2", "verified: all 7 outputs equal over all 2^11 input patterns (203 instructions, 21 RAMs)"),
+    ];
+    let mut dumps = std::collections::HashMap::new();
+    for (circuit, flags, report) in MATRIX {
+        let dump = dumps.entry(circuit).or_insert_with(|| {
+            let dump = plimc()
+                .args(["dump", circuit, "--reduced"])
+                .output()
+                .unwrap();
+            assert!(dump.status.success());
+            dump.stdout
+        });
+        let mut args = vec!["verify"];
+        args.extend(flags.split(' '));
+        args.push("-");
+        let output = run_with_stdin(&args, dump);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{circuit} {flags}: {stderr}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stdout),
+            format!("{report}\n"),
+            "{circuit} {flags}"
+        );
+    }
+}
+
 /// `plimc verify` proves a suite circuit end to end and reports the proof
 /// size; circuits beyond the exhaustive-input limit are a user error.
 #[test]

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use mig::arena::RewriteArena;
 use mig::equiv::check_equivalence;
-use mig::rewrite::{rewrite, rewrite_inplace_with_stats, rewrite_rebuild_with_stats};
+use mig::rewrite::{rewrite, rewrite_rebuild_with_stats, rewrite_with_stats};
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::batch::{format_row, measure, measure_suite, Circuit};
@@ -31,7 +31,7 @@ proptest! {
     ) {
         let spec = RandomLogicSpec::new(inputs, outputs, nodes, seed);
         let mig = random_logic(&spec);
-        let (inplace, istats) = rewrite_inplace_with_stats(&mig, effort);
+        let (inplace, istats) = rewrite_with_stats(&mig, effort);
         let (rebuild, rstats) = rewrite_rebuild_with_stats(&mig, effort);
 
         prop_assert!(check_equivalence(&mig, &inplace, 16, seed).unwrap().holds(),
@@ -97,7 +97,7 @@ proptest! {
 fn inplace_no_worse_than_rebuild_on_the_suite() {
     for &name in suite::ALL.iter() {
         let mig = suite::build(name, Scale::Reduced).unwrap();
-        let (inplace, istats) = rewrite_inplace_with_stats(&mig, 4);
+        let (inplace, istats) = rewrite_with_stats(&mig, 4);
         let (rebuild, _) = rewrite_rebuild_with_stats(&mig, 4);
         assert!(
             check_equivalence(&mig, &inplace, 32, 0xDAC)
