@@ -34,8 +34,6 @@ mod rows;
 pub use ambit::AmbitBackend;
 pub use magic::MagicBackend;
 
-use plim_compiler::Backend;
-
 /// The registered `ambit` backend instance.
 pub static AMBIT: AmbitBackend = AmbitBackend;
 
@@ -50,28 +48,6 @@ pub static MAGIC: MagicBackend = MagicBackend;
 pub fn install() {
     plim_compiler::backend::register(&AMBIT);
     plim_compiler::backend::register(&MAGIC);
-}
-
-/// Fills the per-target columns (`ambit_ops`/`ambit_cost`,
-/// `magic_ops`/`magic_cost`) of every record of a bench run, re-costing
-/// the default compiler's post-optimization IR (job 2 of each circuit's
-/// job group) under each alternative backend — no recompilation.
-pub fn annotate_bench(run: &mut plim_compiler::batch::BenchRun) {
-    install();
-    if run.records.is_empty() {
-        return;
-    }
-    let stride = run.report.jobs.len() / run.records.len();
-    let report = &run.report;
-    for (index, record) in run.records.iter_mut().enumerate() {
-        let ir = &report.jobs[index * stride + 2].ir;
-        let ambit = AMBIT.cost(ir);
-        record.ambit_ops = ambit.instructions as u64;
-        record.ambit_cost = ambit.units;
-        let magic = MAGIC.cost(ir);
-        record.magic_ops = magic.instructions as u64;
-        record.magic_cost = magic.units;
-    }
 }
 
 #[cfg(test)]

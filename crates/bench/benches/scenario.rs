@@ -19,10 +19,11 @@ use std::time::{Duration, Instant};
 use mig::simulate::XorShift64;
 use plim::wide::{LaneWord, WideMachine, W256};
 use plim::{Machine, Program};
-use plim_bench::{circuits_named, Parallelism};
+use plim_bench::circuits_named;
 use plim_benchmarks::suite::Scale;
 use plim_compiler::verify::{verify_exhaustive, EXHAUSTIVE_WIDE_LIMIT};
 use plim_compiler::{compile, CompilerOptions};
+use plim_parallel::Parallelism;
 use plim_scenario::{fault_sweep, simulate_lifetime, FaultModel, FaultScenario, LifetimeScenario};
 
 /// The speedup floor the 64-wide machine must clear on the aggregate.

@@ -17,14 +17,15 @@
 //! study 4 share a single memoized rewrite pass per circuit.
 //!
 //! Run with `cargo run --release -p plim-bench --bin ablation [--reduced]
-//! [--jobs N] [--serial]`.
+//! [--jobs N]` (`--jobs 1` runs serially).
 
-use plim_bench::{
-    circuits_named, run_batch, BatchReport, Circuit, JobSpec, Parallelism, RewriteEffort,
-    PAPER_EFFORT,
-};
+use plim_bench::circuits_named;
 use plim_benchmarks::suite::Scale;
+use plim_compiler::batch::{
+    run_batch, BatchReport, Circuit, JobResult, JobSpec, RewriteEffort, PAPER_EFFORT,
+};
 use plim_compiler::{AllocatorStrategy, CompilerOptions, OperandSelection, ScheduleOrder};
+use plim_parallel::Parallelism;
 
 /// Benchmarks used for the ablations (a representative, fast subset).
 const CIRCUITS: [&str; 6] = ["adder", "bar", "max", "voter", "i2c", "priority"];
@@ -48,11 +49,7 @@ fn main() {
                 std::process::exit(1);
             })
     });
-    let parallelism = if args.iter().any(|a| a == "--serial") {
-        Parallelism::Serial
-    } else {
-        Parallelism::from_jobs(jobs)
-    };
+    let parallelism = Parallelism::from_jobs(jobs);
 
     let circuits = circuits_named(&CIRCUITS, scale);
     let paper = RewriteEffort::Effort(PAPER_EFFORT);
@@ -109,7 +106,7 @@ fn main() {
     println!("batch: {}", report.summary());
 }
 
-fn candidate_selection_ablation(circuits: &[Circuit], jobs: &[plim_bench::JobResult]) {
+fn candidate_selection_ablation(circuits: &[Circuit], jobs: &[JobResult]) {
     println!("═══ Ablation 1: candidate selection (scheduling) — #R on rewritten MIGs ═══");
     println!(
         "{:<11} {:>10} {:>10} {:>9}",
@@ -128,7 +125,7 @@ fn candidate_selection_ablation(circuits: &[Circuit], jobs: &[plim_bench::JobRes
     println!();
 }
 
-fn operand_selection_ablation(circuits: &[Circuit], jobs: &[plim_bench::JobResult]) {
+fn operand_selection_ablation(circuits: &[Circuit], jobs: &[JobResult]) {
     println!("═══ Ablation 2: operand selection (translation) — #I on rewritten MIGs ═══");
     println!(
         "{:<11} {:>12} {:>10} {:>9}",
@@ -147,7 +144,7 @@ fn operand_selection_ablation(circuits: &[Circuit], jobs: &[plim_bench::JobResul
     println!();
 }
 
-fn schedule_allocation_sweep(circuits: &[Circuit], jobs: &[plim_bench::JobResult]) {
+fn schedule_allocation_sweep(circuits: &[Circuit], jobs: &[JobResult]) {
     println!("═══ Ablation 3: scheduling × allocation — #I / #R / max writes per cell ═══");
     print!("{:<11} {:<10}", "Benchmark", "schedule");
     for strategy in AllocatorStrategy::ALL {
@@ -176,7 +173,7 @@ fn schedule_allocation_sweep(circuits: &[Circuit], jobs: &[plim_bench::JobResult
     println!();
 }
 
-fn effort_sweep(circuits: &[Circuit], jobs: &[plim_bench::JobResult], report: &BatchReport) {
+fn effort_sweep(circuits: &[Circuit], jobs: &[JobResult], report: &BatchReport) {
     println!("═══ Ablation 4: rewrite effort sweep — #N / #I after k cycles ═══");
     print!("{:<11}", "Benchmark");
     for effort in EFFORTS {

@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn full_interfaces_match_paper() {
         // Only the cheap-to-build full-scale benchmarks; the arithmetic
-        // giants are covered by the table1 harness.
+        // giants are covered by `plimc bench`.
         for name in ["adder", "bar", "dec", "priority", "int2float", "voter"] {
             let mig = build(name, Scale::Full).unwrap();
             let row = paper_row(name).unwrap();

@@ -18,7 +18,7 @@
 //!
 //! The module also hosts the Table 1 measurement vocabulary ([`Point`],
 //! [`MeasuredRow`], [`measure`], [`measure_suite`]) used by the `plim-bench`
-//! harnesses and the `plimc bench` subcommand.
+//! harnesses and the `plimc bench` driver.
 //!
 //! ```
 //! use plim_compiler::batch::{run_batch, Circuit, JobSpec, RewriteEffort};
@@ -51,11 +51,9 @@ use mig::rewrite::rewrite;
 use mig::Mig;
 use plim_parallel::{par_map, Parallelism};
 
-use crate::benchfile::BenchRecord;
 use crate::ir::analysis::{analyze_events, AnalysisConfig};
 use crate::{
-    compile, compile_full, AllocatorStrategy, Compilation, CompilerOptions, OptLevel, RewriteMode,
-    Rm3Program, ScheduleOrder,
+    compile, compile_full, Compilation, CompilerOptions, OptLevel, RewriteMode, Rm3Program,
 };
 
 /// Rewrite effort used throughout the evaluation (the paper fixes 4).
@@ -171,8 +169,9 @@ pub struct JobResult {
     /// The compiled program with its cost metrics.
     pub compiled: Rm3Program,
     /// The post-optimization IR the program was emitted from. Kept so
-    /// downstream consumers (per-target bench annotation, alternative
-    /// backends) can re-emit the same compilation without recompiling.
+    /// downstream consumers (the bench driver's per-target columns,
+    /// alternative backends) can re-emit the same compilation without
+    /// recompiling.
     pub ir: crate::ir::IrProgram,
     /// Wall-clock time of the compile call (excluding any shared rewrite).
     pub compile_time: Duration,
@@ -454,13 +453,13 @@ fn measure_specs(circuit: usize, effort: usize) -> [JobSpec; 3] {
 pub struct SuiteRun {
     /// One row per circuit, in circuit order.
     pub rows: Vec<MeasuredRow>,
-    /// The batch that produced the rows (three jobs per circuit).
+    /// The batch that produced the rows.
     pub report: BatchReport,
 }
 
 impl SuiteRun {
-    /// Wall-clock work attributable to one row: its rewrite pass plus its
-    /// three compile jobs.
+    /// Wall-clock work attributable to one row: its rewrite passes plus its
+    /// compile jobs.
     pub fn row_time(&self, circuit: usize) -> Duration {
         let rewrite: Duration = self
             .report
@@ -507,139 +506,6 @@ pub fn measure_suite(circuits: &[Circuit], effort: usize, parallelism: Paralleli
         })
         .collect();
     SuiteRun { rows, report }
-}
-
-/// The seven job specs behind one `BENCH.json` row, in order: the three
-/// Table 1 jobs of [`measure_specs`], then the lookahead-scheduling probe,
-/// the wear-budget-allocator probe, and the `-O1`/`-O2` pass-pipeline
-/// probes on the same rewritten graph (all six rewritten jobs share one
-/// memoized rewrite pass).
-fn bench_specs(circuit: usize, effort: usize) -> [JobSpec; 7] {
-    let [a, b, c] = measure_specs(circuit, effort);
-    let rewritten = RewriteEffort::Effort(effort);
-    [
-        a,
-        b,
-        c,
-        JobSpec::new(
-            circuit,
-            rewritten,
-            CompilerOptions::new().schedule(ScheduleOrder::Lookahead),
-        ),
-        JobSpec::new(
-            circuit,
-            rewritten,
-            CompilerOptions::new().allocator(AllocatorStrategy::WearLeveled),
-        ),
-        JobSpec::new(circuit, rewritten, CompilerOptions::new().opt(OptLevel::O1)),
-        JobSpec::new(circuit, rewritten, CompilerOptions::new().opt(OptLevel::O2)),
-    ]
-}
-
-/// A suite measurement extended with the `BENCH.json` rows: Table 1 rows,
-/// one [`BenchRecord`] per circuit, and the underlying batch report.
-#[derive(Debug, Clone)]
-pub struct BenchRun {
-    /// One Table 1 row per circuit, in circuit order.
-    pub rows: Vec<MeasuredRow>,
-    /// One bench-gate record per circuit, in circuit order.
-    pub records: Vec<BenchRecord>,
-    /// The batch that produced the rows (seven jobs per circuit).
-    pub report: BatchReport,
-}
-
-impl BenchRun {
-    /// The seven compile jobs behind circuit `index`'s record, in spec
-    /// order: naive raw, naive rewritten, smart default (`-O0`),
-    /// lookahead, wear-leveled, `-O1`, `-O2`. This is the hook the
-    /// scenario engine uses to annotate records with fidelity columns
-    /// without recompiling.
-    pub fn circuit_jobs(&self, index: usize) -> &[JobResult] {
-        &self.report.jobs[index * 7..index * 7 + 7]
-    }
-
-    /// Wall-clock work attributable to one circuit: its rewrite pass plus
-    /// its seven compile jobs.
-    pub fn row_time(&self, circuit: usize) -> Duration {
-        let rewrite: Duration = self
-            .report
-            .rewrites
-            .iter()
-            .filter(|pass| pass.circuit == circuit)
-            .map(|pass| pass.time)
-            .sum();
-        let compile: Duration = self
-            .report
-            .jobs
-            .iter()
-            .filter(|job| job.spec.circuit == circuit)
-            .map(|job| job.compile_time)
-            .sum();
-        rewrite + compile
-    }
-}
-
-/// Measures every circuit for the bench-regression gate: the exact Table 1
-/// workload of [`measure_suite`] plus, per circuit, one lookahead-scheduled
-/// and one wear-budget-allocated compilation, and the `-O1`/`-O2`
-/// pass-pipeline sweeps, all of the same rewritten graph. Row contents are
-/// identical to [`measure_suite`]'s; the extra jobs feed the
-/// `lookahead_rams`, `wear_max_writes` and `o1_*`/`o2_*` columns of the
-/// records.
-pub fn bench_suite(circuits: &[Circuit], effort: usize, parallelism: Parallelism) -> BenchRun {
-    let specs: Vec<JobSpec> = (0..circuits.len())
-        .flat_map(|circuit| bench_specs(circuit, effort))
-        .collect();
-    let report = run_batch(circuits, &specs, parallelism);
-    let mut rows = Vec::with_capacity(circuits.len());
-    let mut records = Vec::with_capacity(circuits.len());
-    for (index, circuit) in circuits.iter().enumerate() {
-        let jobs = &report.jobs[index * 7..index * 7 + 7];
-        rows.push(MeasuredRow {
-            name: circuit.name.clone(),
-            pi: circuit.mig.num_inputs(),
-            po: circuit.mig.num_outputs(),
-            naive: Point::from(&jobs[0].compiled),
-            rewritten: Point::from(&jobs[1].compiled),
-            compiled: Point::from(&jobs[2].compiled),
-        });
-        let smart = &jobs[2].compiled;
-        let rewrite_ms = report
-            .rewrites
-            .iter()
-            .filter(|pass| pass.circuit == index)
-            .map(|pass| pass.time.as_secs_f64() * 1e3)
-            .sum();
-        let compile_ms = jobs
-            .iter()
-            .map(|job| job.compile_time.as_secs_f64() * 1e3)
-            .sum();
-        records.push(BenchRecord {
-            circuit: circuit.name.clone(),
-            instructions: smart.stats.instructions as u64,
-            rams: u64::from(smart.stats.rams),
-            max_writes: smart.stats.max_cell_writes,
-            lookahead_rams: u64::from(jobs[3].compiled.stats.rams),
-            wear_max_writes: jobs[4].compiled.stats.max_cell_writes,
-            o1_instructions: jobs[5].compiled.stats.instructions as u64,
-            o1_rams: u64::from(jobs[5].compiled.stats.rams),
-            o2_instructions: jobs[6].compiled.stats.instructions as u64,
-            o2_rams: u64::from(jobs[6].compiled.stats.rams),
-            o2_max_writes: jobs[6].compiled.stats.max_cell_writes,
-            rewrite_ms,
-            compile_ms,
-            // Every artifact the batch produced must come back clean from
-            // the static analyzer for the circuit to claim the column.
-            lint_clean: jobs.iter().all(|job| job.lint_clean),
-            // The crates above this one fill in the annotated columns.
-            ..BenchRecord::default()
-        });
-    }
-    BenchRun {
-        rows,
-        records,
-        report,
-    }
 }
 
 /// Accumulates the Σ row over measured rows.
@@ -819,32 +685,29 @@ mod tests {
         assert_eq!(report.rewrite_cache_hits, 0);
     }
 
+    /// The Table 1 suite the bench reports: every row equals a serial
+    /// [`measure`], and the job records behind it are consistent with it
+    /// (three jobs per circuit in row order, one shared rewrite pass each).
     #[test]
     fn bench_suite_rows_match_measure_and_records_are_consistent() {
         let circuits = [circuit("ctrl"), circuit("router")];
-        let run = bench_suite(&circuits, 2, Parallelism::Auto);
+        let run = measure_suite(&circuits, 2, Parallelism::Auto);
         assert_eq!(run.rows.len(), 2);
-        assert_eq!(run.records.len(), 2);
-        for (c, (row, record)) in circuits.iter().zip(run.rows.iter().zip(&run.records)) {
+        assert_eq!(run.report.jobs.len(), 6);
+        assert_eq!(run.report.rewrites.len(), 2);
+        for (index, (c, row)) in circuits.iter().zip(&run.rows).enumerate() {
             let serial = measure(&c.name, &c.mig, 2);
             assert_eq!(format_row(&serial), format_row(row), "{}", c.name);
-            assert_eq!(record.circuit, c.name);
-            assert_eq!(record.instructions, row.compiled.instructions as u64);
-            assert_eq!(record.rams, row.compiled.rams as u64);
-            assert!(record.max_writes > 0);
-            assert!(record.lookahead_rams > 0);
-            assert!(record.wear_max_writes > 0);
-            // Opt-level monotonicity: exactly what the bench gate enforces.
-            assert!(record.o1_instructions <= record.instructions);
-            assert!(record.o2_instructions <= record.instructions);
-            assert!(record.o2_rams <= record.rams);
-            assert!(record.o2_max_writes <= record.max_writes);
-            assert!(record.rewrite_ms >= 0.0 && record.compile_ms > 0.0);
+            let jobs = &run.report.jobs[index * 3..index * 3 + 3];
+            assert!(jobs.iter().all(|job| job.spec.circuit == index));
+            assert!(jobs.iter().all(|job| job.lint_clean), "{}", c.name);
+            assert_eq!(Point::from(&jobs[0].compiled), row.naive);
+            assert_eq!(Point::from(&jobs[1].compiled), row.rewritten);
+            assert_eq!(Point::from(&jobs[2].compiled), row.compiled);
+            assert_eq!(run.report.rewrites[index].circuit, index);
+            assert_eq!(run.report.rewrites[index].nodes, row.rewritten.nodes);
+            assert!(run.row_time(index) > Duration::ZERO);
         }
-        assert!(run.row_time(0) > Duration::ZERO);
-        // Seven jobs per circuit, one shared rewrite pass each.
-        assert_eq!(run.report.jobs.len(), 14);
-        assert_eq!(run.report.rewrites.len(), 2);
     }
 
     #[test]

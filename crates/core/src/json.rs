@@ -2,8 +2,8 @@
 //!
 //! The workspace builds offline, so instead of depending on `serde_json`
 //! this module hand-rolls the small JSON subset the compiler actually
-//! speaks: the `BENCH.json` bench-gate artifact ([`crate::benchfile`]) and
-//! the newline-delimited wire protocol of the `plimd` compile service.
+//! speaks: the `BENCH.json` bench-gate artifact and the newline-delimited
+//! wire protocol of the `plimd` compile service (both in `plim-service`).
 //!
 //! [`Value::parse`] produces a [`Value`] tree and rejects, with byte-accurate
 //! positions, exactly the malformed documents a hand-edited artifact or a

@@ -36,12 +36,10 @@
 //!   program). `-O0` is byte-identical to the paper reproduction; `-O2`
 //!   harvests instruction-level slack no scheduler can see.
 //!
-//! Program quality and speed are tracked as machine-checked artifacts: the
-//! [`benchfile`] module defines the `BENCH.json` schema and the regression
-//! gate that CI diffs against `benchmarks/baseline.json`; both it and the
-//! `plimd` compile-service wire protocol are built on the shared [`json`]
-//! layer, and [`cache`] provides the service's content-addressed,
-//! byte-budgeted result store.
+//! The `BENCH.json` artifact and the `plimd` compile-service wire protocol
+//! (both in `plim-service`) are built on the shared [`json`] layer, and
+//! [`cache`] provides the service's content-addressed, byte-budgeted result
+//! store.
 //!
 //! Pair it with [`mig::rewrite`] (the paper's Algorithm 1) to optimize the
 //! graph before compilation, and with [`batch`] to compile whole benchmark
@@ -73,7 +71,6 @@
 pub mod alloc;
 pub mod backend;
 pub mod batch;
-pub mod benchfile;
 pub mod cache;
 pub mod candidate;
 mod compile;

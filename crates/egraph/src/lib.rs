@@ -47,10 +47,9 @@ pub use graph::{Canon, ClassNode, ClassSignal, EGraph, ENode};
 pub use rules::{saturate, EgraphBudget, StopReason};
 
 use mig::Mig;
-use plim_compiler::batch::{BenchRun, Circuit, PAPER_EFFORT};
 use plim_compiler::ir::passes::PassReport;
 use plim_compiler::ir::{self, IrProgram};
-use plim_compiler::{compile_ir, Compilation, CompilerOptions, OptLevel, RewriteMode};
+use plim_compiler::{compile_ir, Compilation, CompilerOptions};
 use plim_parallel::{par_map, Parallelism};
 
 /// Raw (pre-rewrite) graphs up to this many nodes are also absorbed into
@@ -276,37 +275,13 @@ pub fn install() {
     plim_compiler::install_egraph_optimizer(optimize);
 }
 
-/// Fills the `egraph_instructions` / `egraph_rams` columns of every record
-/// of a bench run: each circuit is re-optimized through the e-graph at the
-/// paper's rewrite effort and compiled at `-O2` for the default RM3
-/// target, fanned out across `parallelism`. `circuits` must be the same
-/// slice the run was produced from (mismatches leave the records on their
-/// "skipped" sentinel 0).
-pub fn annotate_bench(run: &mut BenchRun, circuits: &[Circuit], parallelism: Parallelism) {
-    if run.records.is_empty() || circuits.len() != run.records.len() {
-        return;
-    }
-    let options = CompilerOptions::new()
-        .opt(OptLevel::O2)
-        .rewrite(RewriteMode::Egraph);
-    let results = par_map(circuits, parallelism, |_, circuit| {
-        let baseline = mig::rewrite::rewrite(&circuit.mig, PAPER_EFFORT);
-        let (_, compilation) = optimize(&circuit.mig, &baseline, PAPER_EFFORT, options);
-        let stats = compilation.compiled.stats;
-        (stats.instructions as u64, u64::from(stats.rams))
-    });
-    for (record, (instructions, rams)) in run.records.iter_mut().zip(results) {
-        record.egraph_instructions = instructions;
-        record.egraph_rams = rams;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mig::io::{same_text, write_mig};
     use mig::{MigNode, Signal};
     use plim_benchmarks::random::{random_logic, RandomLogicSpec};
+    use plim_compiler::OptLevel;
     use proptest::prelude::*;
 
     /// One change to a graph, applied by [`edited`].

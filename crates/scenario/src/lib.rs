@@ -32,6 +32,6 @@ pub mod lifetime;
 pub mod random;
 
 pub use fault::{fault_sweep, sweep_strategies, FaultModel, FaultReport, FaultScenario};
-pub use fidelity::{annotate_bench, fidelity_for, Fidelity, FidelityConfig};
+pub use fidelity::{fidelity_for, Fidelity, FidelityConfig};
 pub use lifetime::{compare_strategies, simulate_lifetime, LifetimeReport, LifetimeScenario};
 pub use random::BiasedBits;

@@ -11,25 +11,23 @@
 //! One `columns!` row in this file declares each column: its name, what it
 //! measures, its kind and its gate [`Rule`]. The rows emit the
 //! [`BenchRecord`] fields and the [`COLUMNS`] table that [`to_json`],
-//! [`from_json`] and [`gate`] loop over, so adding a column is one row plus
-//! the code that measures it. A few rules relate
+//! [`from_json`] and [`gate`] loop over, so adding a column is one row here
+//! plus the line in [`crate::bench`] that measures it. A few rules relate
 //! two columns of the current run itself (a higher `-O` level may never
 //! cost more than `-O0`; the e-graph may never lose to `-O2`); they are the
 //! `INVARIANTS` table, checked whether or not a baseline exists.
 //!
-//! Columns measured above this crate (the per-target, equality-saturation
-//! and fidelity axes) are filled in by `plim-backends`, `plim-egraph` and
-//! `plim-scenario`; a record they skipped keeps the field's default, and
-//! for the [`Rule::Annotated`] columns that `0` means "not measured".
+//! A record that skipped a [`Rule::Annotated`] column keeps the field's
+//! default, and that `0` means "not measured".
 //!
-//! Parsing is built on the shared [`crate::json`] layer, so syntax errors
-//! carry byte positions and schema errors name the missing or mistyped
-//! field and the record it belongs to — `plimc bench-diff` surfaces them
-//! verbatim as one-line diagnostics.
+//! Parsing is built on the shared [`plim_compiler::json`] layer, so syntax
+//! errors carry byte positions and schema errors name the missing or
+//! mistyped field and the record it belongs to — `plimc bench-diff`
+//! surfaces them verbatim as one-line diagnostics.
 
 use std::fmt::{self, Write as _};
 
-use crate::json::Value;
+use plim_compiler::json::Value;
 
 /// How [`gate`] compares one column of a baseline record with the same
 /// circuit's current record.
@@ -274,7 +272,7 @@ pub fn to_json(records: &[BenchRecord]) -> String {
 ///
 /// Returns a one-line description of the first problem: syntax errors with
 /// their byte position (truncated input, duplicate keys, trailing
-/// garbage — via [`crate::json`]), a type mismatch for a mistyped column,
+/// garbage — via [`plim_compiler::json`]), a type mismatch for a mistyped column,
 /// or else a `missing field '<name>'` for an absent one.
 pub fn from_json(text: &str) -> Result<Vec<BenchRecord>, String> {
     let document = Value::parse(text).map_err(|e| e.to_string())?;

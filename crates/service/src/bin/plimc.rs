@@ -102,8 +102,8 @@
 //!
 //!   --reduced            build the small test-scale circuits (fast)
 //!   --effort N           rewrite effort (default 4)
-//!   --jobs N             cap worker threads (default: all cores)
-//!   --serial             compile on one thread
+//!   --jobs N             cap worker threads (default: all cores; 1 runs
+//!                        serially)
 //!   --json PATH          write the BENCH.json bench-gate artifact
 //!
 //! plimc bench-diff BASELINE CURRENT [--time-tolerance PCT | --no-time-gate]
@@ -809,16 +809,18 @@ fn run_dump(_argv: &[String]) -> Result<(), String> {
     Err("`plimc dump` requires the `suite` feature (enabled by default)".to_string())
 }
 
-/// The `plimc bench` subcommand: regenerates Table 1 through the parallel
-/// batch-compilation pipeline, optionally emitting the `BENCH.json`
+/// The `plimc bench` subcommand: regenerates Table 1 through the
+/// [`plim_service::bench`] driver, optionally emitting the `BENCH.json`
 /// bench-gate artifact.
 #[cfg(feature = "suite")]
 fn run_bench(args: &[String]) -> Result<(), String> {
-    use plim_compiler::batch::{self, Circuit};
+    use plim_benchmarks::suite::{self, Scale};
+    use plim_compiler::batch::{format_row, table_header, totals, Circuit, PAPER_EFFORT};
     use plim_parallel::Parallelism;
+    use plim_service::{bench, benchfile};
 
     let mut reduced = false;
-    let mut effort = 4usize;
+    let mut effort = PAPER_EFFORT;
     let mut parallelism = Parallelism::Auto;
     let mut json: Option<String> = None;
     let mut iter = args.iter();
@@ -829,7 +831,6 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--reduced" => reduced = true,
-            "--serial" => parallelism = Parallelism::Serial,
             "--effort" => {
                 effort = value("--effort")?
                     .parse()
@@ -847,7 +848,6 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         }
     }
 
-    use plim_benchmarks::suite::{self, Scale};
     let scale = if reduced { Scale::Reduced } else { Scale::Full };
     let circuits: Vec<Circuit> = suite::ALL
         .iter()
@@ -858,34 +858,25 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         "Table 1 via batch pipeline (scale: {}, rewrite effort: {effort})",
         if reduced { "reduced" } else { "full" }
     );
-    println!("{}", batch::table_header());
-    let mut run = batch::bench_suite(&circuits, effort, parallelism);
-    // Fidelity columns are required fields of BENCH.json, measured from the
-    // run's own compiled artifacts: the exhaustive equivalence proof at
-    // -O0/-O1/-O2 (against the raw source MIG), the drift fault sweep, and
-    // the ideal-device lifetime.
-    plim_scenario::annotate_bench(
-        &mut run,
-        &circuits,
-        &plim_scenario::FidelityConfig {
-            parallelism,
-            ..plim_scenario::FidelityConfig::default()
-        },
-    )
-    .map_err(|e| format!("fidelity annotation: {e}"))?;
-    // Per-target cost columns (ambit/magic ops and units), filled from the
-    // run's own compiled IR by the backends crate.
-    plim_backends::annotate_bench(&mut run);
-    // Equality-saturation columns: the compiled cost of the e-graph
-    // extraction at -O2, next to the arena result the gate compares it to.
-    plim_egraph::annotate_bench(&mut run, &circuits, parallelism);
-    for (index, row) in run.rows.iter().enumerate() {
-        println!("{}   [{:.1?}]", batch::format_row(row), run.row_time(index));
+    println!("{}", table_header());
+    let run = bench::run(&circuits, effort, parallelism).map_err(|e| format!("fidelity: {e}"))?;
+    let suite = &run.suite;
+    for (index, row) in suite.rows.iter().enumerate() {
+        println!("{}   [{:.1?}]", format_row(row), suite.row_time(index));
     }
     println!("{}", "-".repeat(132));
-    println!("{}", batch::format_row(&batch::totals(&run.rows)));
+    let sum = totals(&suite.rows);
+    println!("{}", format_row(&sum));
     println!();
-    println!("batch: {}", run.report.summary());
+    println!("Paper Σ reference: rewriting #I −20.09% #R −14.83%; rewriting+compilation #I −19.95% #R −61.40%");
+    println!(
+        "Measured Σ:        rewriting #I {:+.2}% #R {:+.2}%; rewriting+compilation #I {:+.2}% #R {:+.2}%",
+        -sum.rewrite_instr_impr(),
+        -sum.rewrite_ram_impr(),
+        -sum.compiled_instr_impr(),
+        -sum.compiled_ram_impr(),
+    );
+    println!("batch: {}", suite.report.summary());
     let verified = run
         .records
         .iter()
@@ -896,7 +887,7 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         run.records.len()
     );
     if let Some(path) = json {
-        let document = plim_compiler::benchfile::to_json(&run.records);
+        let document = benchfile::to_json(&run.records);
         std::fs::write(&path, document).map_err(|e| format!("writing {path}: {e}"))?;
         println!("bench records written to {path}");
     }
@@ -912,7 +903,7 @@ fn run_bench(_args: &[String]) -> Result<(), String> {
 /// nonzero when the current run regresses `#I`/`#R`, loses a circuit, or
 /// slows down beyond the tolerance.
 fn run_bench_diff(args: &[String]) -> Result<(), String> {
-    use plim_compiler::benchfile;
+    use plim_service::benchfile;
 
     let mut files: Vec<&String> = Vec::new();
     let mut tolerance = 25.0f64;
@@ -1027,9 +1018,7 @@ fn main() -> ExitCode {
             );
             eprintln!("       plimc targets");
             eprintln!("       plimc dump CIRCUIT [--reduced]");
-            eprintln!(
-                "       plimc bench [--reduced] [--effort N] [--jobs N] [--serial] [--json PATH]"
-            );
+            eprintln!("       plimc bench [--reduced] [--effort N] [--jobs N] [--json PATH]");
             eprintln!("       plimc bench-diff BASELINE CURRENT [--time-tolerance PCT]");
             ExitCode::SUCCESS
         }

@@ -45,6 +45,10 @@
 //!
 //! ## Modules
 //!
+//! * [`bench`](mod@bench) — the `plimc bench` driver: one batch run that measures
+//!   the Table 1 rows and every `BENCH.json` column;
+//! * [`benchfile`] — the `BENCH.json` column table, reader/writer and the
+//!   `plimc bench-diff` regression gate;
 //! * [`pipeline`] — parse / optimize / compile / verify / emit, shared by
 //!   `plimc` offline mode and the daemon;
 //! * [`protocol`] — the versioned wire protocol (requests, responses,
@@ -76,6 +80,8 @@
 //! ← {"ok":true,"op":"shutdown"}
 //! ```
 
+pub mod bench;
+pub mod benchfile;
 pub mod client;
 pub mod loadtest;
 pub mod pipeline;

@@ -10,11 +10,11 @@
 //! interface differs from the MIG's are refused with an error.
 
 use mig::{Mig, NodeId, Signal};
-use plim_backends::{annotate_bench, install, AMBIT, MAGIC};
+use plim_backends::{install, AMBIT, MAGIC};
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::backend::W256;
-use plim_compiler::batch::{bench_suite, Circuit};
+use plim_compiler::batch::Circuit;
 use plim_compiler::verify::{
     verify, verify_artifact, verify_exhaustive, VerifyError, EXHAUSTIVE_WIDE_LIMIT,
 };
@@ -88,23 +88,22 @@ fn targets_thread_through_compiler_options() {
     verify_exhaustive(&mig, artifact.as_ref()).unwrap();
 }
 
-/// `annotate_bench` fills every per-target column from the already-compiled
-/// IR, consistently with costing the backend directly.
+/// The bench driver fills every per-target column from the `-O0`
+/// compilation of the rewritten MIG, consistently with costing the
+/// backend directly.
 #[test]
 fn bench_annotation_fills_per_target_columns() {
     let circuits = [
         Circuit::new("ctrl", suite::build("ctrl", Scale::Reduced).unwrap()),
         Circuit::new("router", suite::build("router", Scale::Reduced).unwrap()),
     ];
-    let mut run = bench_suite(&circuits, 2, Parallelism::Auto);
-    for record in &run.records {
-        assert_eq!(record.ambit_ops, 0, "columns start as the skip sentinel");
-    }
-    annotate_bench(&mut run);
-    for (index, record) in run.records.iter().enumerate() {
-        let ir = &run.circuit_jobs(index)[2].ir;
-        let ambit = AMBIT.cost(ir);
-        let magic = MAGIC.cost(ir);
+    let bench = plim_service::bench::run(&circuits, 2, Parallelism::Auto).unwrap();
+    assert_eq!(bench.records.len(), circuits.len());
+    for (circuit, record) in circuits.iter().zip(&bench.records) {
+        let rewritten = mig::rewrite::rewrite(&circuit.mig, 2);
+        let ir = compile_full(&rewritten, CompilerOptions::new()).ir;
+        let ambit = AMBIT.cost(&ir);
+        let magic = MAGIC.cost(&ir);
         assert_eq!(record.ambit_ops, ambit.instructions as u64);
         assert_eq!(record.ambit_cost, ambit.units);
         assert_eq!(record.magic_ops, magic.instructions as u64);

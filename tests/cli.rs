@@ -6,6 +6,8 @@
 use std::io::Write as _;
 use std::process::{Command, Output, Stdio};
 
+use plim_service::benchfile::{self, BenchRecord};
+
 fn plimc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_plimc"))
 }
@@ -512,6 +514,86 @@ fn bench_diff_names_the_missing_field_in_one_line() {
     for path in [&incomplete, &complete] {
         std::fs::remove_file(path).ok();
     }
+}
+
+/// Parses a `BENCH.json` document with the wall-clock columns, the only
+/// ones that vary from run to run, zeroed.
+fn timeless(text: &str) -> Vec<BenchRecord> {
+    let mut records = benchfile::from_json(text).unwrap();
+    for record in &mut records {
+        record.rewrite_ms = 0.0;
+        record.compile_ms = 0.0;
+    }
+    records
+}
+
+/// The records of `plimc bench --reduced` run with `extra` arguments.
+fn reduced_bench(extra: &[&str]) -> Vec<BenchRecord> {
+    let name = format!(
+        "plimc_cli_bench{}_{}.json",
+        extra.concat(),
+        std::process::id()
+    );
+    let path = std::env::temp_dir().join(name);
+    let output = plimc()
+        .args(["bench", "--reduced", "--json", path.to_str().unwrap()])
+        .args(extra)
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "{extra:?}: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    timeless(&text)
+}
+
+#[test]
+fn fresh_reduced_bench_equals_the_committed_baseline() {
+    let baseline = timeless(include_str!("../benchmarks/baseline.json"));
+    let fresh = reduced_bench(&[]);
+    assert_eq!(benchfile::to_json(&fresh), benchfile::to_json(&baseline));
+}
+
+/// The e-graph columns are measured at the run's `--effort`, like every
+/// other column: reduced mem_ctrl's must equal what `plimc --rewrite
+/// egraph -O2` reports at the same effort (4875 instructions at effort 1,
+/// where a paper-effort measurement gives 4857).
+#[test]
+fn bench_egraph_columns_follow_the_effort() {
+    let records = reduced_bench(&["--effort", "1"]);
+    let record = records.iter().find(|r| r.circuit == "mem_ctrl").unwrap();
+    let dump = plimc()
+        .args(["dump", "mem_ctrl", "--reduced"])
+        .output()
+        .unwrap();
+    let output = run_with_stdin(
+        &[
+            "--rewrite",
+            "egraph",
+            "-O2",
+            "--effort",
+            "1",
+            "--emit",
+            "stats",
+            "-",
+        ],
+        &dump.stdout,
+    );
+    assert!(output.status.success(), "{output:?}");
+    let stats = String::from_utf8(output.stdout).unwrap();
+    let stat = |label: &str| -> u64 {
+        let line = stats.lines().find_map(|line| line.strip_prefix(label));
+        let value = line.and_then(|rest| rest.split_whitespace().next());
+        value
+            .unwrap_or_else(|| panic!("{label}: {stats}"))
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(record.egraph_instructions, stat("instructions: "));
+    assert_eq!(record.egraph_rams, stat("work RRAMs: "));
 }
 
 #[test]
