@@ -100,6 +100,55 @@ impl FreePool {
         }
     }
 
+    /// Calls `pair` on the addresses of `self` and `other` position by
+    /// position, while it returns `true`; `false` when the pools differ in
+    /// shape or do not serve cells by position (`fresh` never serves one,
+    /// `wear` serves by write count).
+    fn pair(&self, other: &FreePool, mut pair: impl FnMut(RamAddr, RamAddr) -> bool) -> bool {
+        fn zip<'a>(
+            mine: impl ExactSizeIterator<Item = &'a RamAddr>,
+            theirs: impl ExactSizeIterator<Item = &'a RamAddr>,
+            pair: &mut impl FnMut(RamAddr, RamAddr) -> bool,
+        ) -> bool {
+            mine.len() == theirs.len() && mine.zip(theirs).all(|(&a, &b)| pair(a, b))
+        }
+        match (self, other) {
+            (FreePool::Fifo(mine), FreePool::Fifo(theirs)) => {
+                zip(mine.iter(), theirs.iter(), &mut pair)
+            }
+            (FreePool::Lifo(mine), FreePool::Lifo(theirs)) => {
+                zip(mine.iter(), theirs.iter(), &mut pair)
+            }
+            (
+                FreePool::Binned { short, long },
+                FreePool::Binned {
+                    short: their_short,
+                    long: their_long,
+                },
+            ) => {
+                zip(short.iter(), their_short.iter(), &mut pair)
+                    && zip(long.iter(), their_long.iter(), &mut pair)
+            }
+            _ => false,
+        }
+    }
+
+    /// This pool with every address `a` renamed to `image(a)`.
+    fn renamed(&self, image: impl Fn(RamAddr) -> RamAddr) -> FreePool {
+        let vec = |pool: &Vec<RamAddr>| pool.iter().map(|&a| image(a)).collect();
+        let deque = |pool: &VecDeque<RamAddr>| pool.iter().map(|&a| image(a)).collect();
+        match self {
+            FreePool::Fifo(pool) => FreePool::Fifo(deque(pool)),
+            FreePool::Lifo(pool) => FreePool::Lifo(vec(pool)),
+            FreePool::Fresh(pool) => FreePool::Fresh(vec(pool)),
+            FreePool::WearLeveled(pool) => FreePool::WearLeveled(vec(pool)),
+            FreePool::Binned { short, long } => FreePool::Binned {
+                short: deque(short),
+                long: deque(long),
+            },
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             FreePool::Fifo(pool) => pool.len(),
@@ -227,6 +276,159 @@ impl RramAllocator {
     /// strategy this counts parked, never-reused cells).
     pub fn num_free(&self) -> usize {
         self.pool.len()
+    }
+
+    /// Whether the pool serves cells by their position in it — every
+    /// strategy but wear leveling, which serves by write count — so that a
+    /// [`Renaming`] can be read off two pools.
+    pub(crate) fn serves_by_position(&self) -> bool {
+        !matches!(self.pool, FreePool::WearLeveled(_))
+    }
+
+    /// The renaming of `other`'s addresses under which this allocator, from
+    /// now on, serves the same requests and releases as `other` does, or
+    /// `None` when there is none.
+    ///
+    /// `live` fills in, for each of `other`'s live cells, the address this
+    /// allocator holds the same value in (it returns `false` when some
+    /// value is not live here). The free pools are then read off position
+    /// by position. They must agree in shape and order, the renaming must
+    /// be one-to-one, and where the pool reads lifetime classes, the live
+    /// cells' classes must agree. A pool that never serves a cell again
+    /// (`fresh`) is not compared, and its cells stay unmapped. Both
+    /// allocators then hand out the same number of fresh cells, so
+    /// addresses past `other`'s fresh counter shift by the difference of
+    /// the two counters.
+    pub(crate) fn renaming(
+        &self,
+        other: &RramAllocator,
+        live: impl FnOnce(&mut [u32]) -> bool,
+    ) -> Option<Renaming> {
+        let parks = matches!(self.pool, FreePool::Fresh(_));
+        if self.live_count != other.live_count
+            || !parks
+                && (self.next_fresh != other.next_fresh || self.pool.len() != other.pool.len())
+        {
+            return None;
+        }
+        let mut below = vec![UNSET; other.live.len()];
+        if !live(&mut below) {
+            return None;
+        }
+        let paired = parks
+            || self.pool.pair(&other.pool, |mine, theirs| {
+                let slot = &mut below[theirs.index()];
+                *slot == UNSET && {
+                    *slot = mine.0;
+                    true
+                }
+            });
+        let binned = matches!(self.pool, FreePool::Binned { .. });
+        let mut seen = vec![false; self.live.len()];
+        let valid = paired
+            && below.iter().enumerate().all(|(b, &a)| {
+                if a == UNSET {
+                    return parks && !other.live[b];
+                }
+                !std::mem::replace(&mut seen[a as usize], true)
+                    && (!binned || !other.live[b] || self.class[a as usize] == other.class[b])
+            });
+        valid.then_some(Renaming {
+            below,
+            fresh: self.next_fresh,
+        })
+    }
+
+    /// This allocator — at or past `base`, where the allocator `cut` was
+    /// `base` under `renaming` — as `cut` reaches the same point: addresses
+    /// renamed, the cells `cut` had parked unchanged, and the writes this
+    /// allocator recorded since `base` added to `cut`'s counts.
+    pub(crate) fn adopted(
+        &self,
+        base: &RramAllocator,
+        cut: &RramAllocator,
+        renaming: &Renaming,
+    ) -> Self {
+        let n = renaming
+            .image(self.live.len())
+            .expect("addresses past the fresh counter are renamed");
+        let mut live = cut.live.clone();
+        let mut class = cut.class.clone();
+        let mut writes = cut.writes.clone();
+        live.resize(n, false);
+        class.resize(n, LifetimeClass::Short);
+        writes.resize(n, 0);
+        for b in 0..self.live.len() {
+            if let Some(a) = renaming.image(b) {
+                live[a] = self.live[b];
+                class[a] = self.class[b];
+                writes[a] = self.writes[b] - base.writes.get(b).copied().unwrap_or(0)
+                    + cut.writes.get(a).copied().unwrap_or(0);
+            }
+        }
+        let image = |a: RamAddr| {
+            RamAddr(renaming.image(a.index()).expect("a pooled cell is renamed") as u32)
+        };
+        let pool = match (&self.pool, &base.pool, &cut.pool) {
+            // Parked cells stay parked: keep the cut's, then park what
+            // this allocator parked since `base`.
+            (FreePool::Fresh(pool), FreePool::Fresh(parked), FreePool::Fresh(cut_parked)) => {
+                let later = pool[parked.len()..].iter().map(|&a| image(a));
+                FreePool::Fresh(cut_parked.iter().copied().chain(later).collect())
+            }
+            _ => self.pool.renamed(image),
+        };
+        RramAllocator {
+            pool,
+            next_fresh: n as u32,
+            live,
+            live_count: self.live_count,
+            class,
+            writes,
+        }
+    }
+}
+
+/// An address no [`Renaming`] maps.
+const UNSET: u32 = u32::MAX;
+
+/// A renaming of one allocator's cell addresses onto another's, under which
+/// both serve the same requests and releases alike (see
+/// [`RramAllocator::renaming`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Renaming {
+    /// The image of each address below the renamed allocator's fresh
+    /// counter; [`UNSET`] for a parked cell no request is served again.
+    below: Vec<u32>,
+    /// The image's fresh counter, the image of the renamed one's.
+    fresh: u32,
+}
+
+impl Renaming {
+    /// The image of address `b`, `None` for a parked cell.
+    pub(crate) fn image(&self, b: usize) -> Option<usize> {
+        match self.below.get(b) {
+            Some(&a) => (a != UNSET).then_some(a as usize),
+            None => Some(b - self.below.len() + self.fresh as usize),
+        }
+    }
+
+    /// This renaming after `first`, as one renaming of the addresses of an
+    /// allocator with `len` cells that `first` renames.
+    pub(crate) fn after(&self, first: &Renaming, len: usize) -> Renaming {
+        let image = |b: usize| first.image(b).and_then(|a| self.image(a));
+        let fresh = image(len).expect("addresses past the fresh counter are renamed");
+        Renaming {
+            below: (0..len)
+                .map(|b| image(b).map_or(UNSET, |a| a as u32))
+                .collect(),
+            fresh: fresh as u32,
+        }
+    }
+
+    /// The image's fresh counter minus the renamed allocator's.
+    pub(crate) fn shift(&self) -> i64 {
+        i64::from(self.fresh) - self.below.len() as i64
     }
 }
 

@@ -23,7 +23,7 @@ use plim::wide::WideMachine;
 /// for backend crates.
 pub use plim::wide::{poison, LaneWord, W256};
 
-use crate::ir::IrProgram;
+use crate::ir::{CellId, IrProgram};
 use crate::program::Rm3Program;
 use crate::report::CostReport;
 use crate::verify::VerifyError;
@@ -173,7 +173,11 @@ pub trait Backend: Sync {
     /// cost is a replay of the stream can resume from what the committed
     /// stream's replay already knows (see [`Rm3Backend`]).
     fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
-        (Box::new(FullCost(self)), self.cost(ir))
+        let scorer = FullCost {
+            backend: self,
+            counts: TrialCounts::default(),
+        };
+        (Box::new(scorer), self.cost(ir))
     }
 
     /// Emits the target-native artifact.
@@ -183,27 +187,78 @@ pub trait Backend: Sync {
 /// Scores trial edits against a committed stream, for passes that apply an
 /// edit, score it, and keep or revert it (see [`Backend::scorer`]).
 pub trait TrialScorer {
-    /// Scores the edited stream `ir`, whose events before position `from`
-    /// are those of the committed stream, against the incumbent `bound`:
+    /// Scores the edited stream `ir`, which differs from the committed
+    /// stream only where `edit` says, against the incumbent `bound`:
     /// returns its cost when that [improves on](Cost::improves_on) `bound`,
     /// `None` otherwise.
-    fn trial(&mut self, ir: &IrProgram, from: usize, bound: Cost) -> Option<Cost>;
+    fn trial(&mut self, ir: &IrProgram, edit: &TrialEdit, bound: Cost) -> Option<Cost>;
 
     /// Makes the last trial's stream, which improved on its bound, the
     /// committed one. A trial that is not committed is assumed reverted.
     fn commit(&mut self);
+
+    /// What the trials so far cost.
+    fn counts(&self) -> TrialCounts;
+}
+
+/// Where a trial edit changed the committed stream.
+///
+/// Events before `from` are the committed stream's. From committed
+/// position `until` on, the edited stream repeats the committed one
+/// `shift` positions later, except that the committed stream's cell
+/// `merged.0` is the edited stream's `merged.1` there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrialEdit {
+    /// The first position the edit changed.
+    pub from: usize,
+    /// The committed position past the last event the edit changed.
+    pub until: usize,
+    /// The edited stream's length minus the committed stream's.
+    pub shift: isize,
+    /// The committed cell the edit merged away, and the cell it became.
+    pub merged: (CellId, CellId),
+}
+
+/// What a [`TrialScorer`]'s trials cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrialCounts {
+    /// Trials scored.
+    pub trials: usize,
+    /// Events replayed to score them (the whole stream, per trial, for a
+    /// scorer without checkpoints).
+    pub replayed: u64,
+    /// Trials finished early because their replay reconverged with the
+    /// committed one.
+    pub cuts: usize,
+}
+
+impl std::ops::AddAssign for TrialCounts {
+    fn add_assign(&mut self, other: TrialCounts) {
+        self.trials += other.trials;
+        self.replayed += other.replayed;
+        self.cuts += other.cuts;
+    }
 }
 
 /// The default [`TrialScorer`]: the backend's full [`Backend::cost`].
-struct FullCost<'a, B: ?Sized>(&'a B);
+struct FullCost<'a, B: ?Sized> {
+    backend: &'a B,
+    counts: TrialCounts,
+}
 
 impl<B: Backend + ?Sized> TrialScorer for FullCost<'_, B> {
-    fn trial(&mut self, ir: &IrProgram, _from: usize, bound: Cost) -> Option<Cost> {
-        let cost = self.0.cost(ir);
+    fn trial(&mut self, ir: &IrProgram, _edit: &TrialEdit, bound: Cost) -> Option<Cost> {
+        self.counts.trials += 1;
+        self.counts.replayed += ir.events.len() as u64;
+        let cost = self.backend.cost(ir);
         cost.improves_on(bound).then_some(cost)
     }
 
     fn commit(&mut self) {}
+
+    fn counts(&self) -> TrialCounts {
+        self.counts
+    }
 }
 
 /// The built-in reference backend: the paper's ReRAM RM3 target.

@@ -19,7 +19,8 @@
 //!   it committed, so its bookkeeping per commit is proportional to the
 //!   edit, and it scores each trial edit through the backend's
 //!   [`TrialScorer`], which for RM3 replays only from the checkpoint
-//!   before the edit (see [`Forward`]'s cost section);
+//!   before the edit to where the replay reconverges with the committed
+//!   one (see [`Forward`]'s cost section);
 //! * [`Peephole`] — same-cell fusion in a local window: an instruction
 //!   whose result is fully determined by resident constants is folded into
 //!   a plain set/reset, and back-to-back re-initializations collapse.
@@ -35,7 +36,7 @@ use std::fmt;
 
 use mig::Mig;
 
-use crate::backend::{Backend, Cost, TrialScorer};
+use crate::backend::{Backend, Cost, TrialCounts, TrialEdit, TrialScorer};
 use crate::options::OptLevel;
 
 use super::{analysis, CellId, Event, IrOp, IrOutput, IrProgram, Value};
@@ -45,11 +46,31 @@ pub trait Pass {
     /// Stable name, reported in [`PassRun`] records and bench output.
     fn name(&self) -> &'static str;
     /// Rewrites the program, returning the number of edits applied
-    /// (removed or rewritten instructions). Passes that trial edits score
-    /// them with the [`TrialScorer`] of `backend`'s [`Backend::scorer`], so
-    /// the pipeline optimizes for the architecture that will actually
-    /// consume the stream.
-    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> usize;
+    /// (removed or rewritten instructions) and what scoring trial edits
+    /// cost. Passes that trial edits score them with the [`TrialScorer`] of
+    /// `backend`'s [`Backend::scorer`], so the pipeline optimizes for the
+    /// architecture that will actually consume the stream.
+    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> PassOutcome;
+}
+
+/// What one [`Pass::run`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassOutcome {
+    /// Edits (removals + rewrites) applied.
+    pub edits: usize,
+    /// What scoring the pass's trial edits cost (zero for a pass that
+    /// trials none).
+    pub scoring: TrialCounts,
+}
+
+impl From<usize> for PassOutcome {
+    /// The outcome of a pass that applied `edits` without trials.
+    fn from(edits: usize) -> Self {
+        PassOutcome {
+            edits,
+            scoring: TrialCounts::default(),
+        }
+    }
 }
 
 /// One pass execution's accounting.
@@ -63,6 +84,10 @@ pub struct PassRun {
     pub instructions_after: usize,
     /// Edits (removals + rewrites) the pass applied.
     pub edits: usize,
+    /// The trials the pass scored, the events their scoring replayed, and
+    /// the trials finished early by reconvergence — deterministic, like
+    /// every other field.
+    pub scoring: TrialCounts,
 }
 
 impl PassRun {
@@ -89,11 +114,24 @@ impl PassReport {
     pub fn total_removed(&self) -> usize {
         self.runs.iter().map(PassRun::removed).sum()
     }
+
+    /// What scoring trial edits cost across all runs.
+    pub fn scoring(&self) -> TrialCounts {
+        let mut total = TrialCounts::default();
+        for run in &self.runs {
+            total += run.scoring;
+        }
+        total
+    }
 }
 
 impl fmt::Display for PassReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut effective: Vec<&PassRun> = self.runs.iter().filter(|r| r.edits > 0).collect();
+        let mut effective: Vec<&PassRun> = self
+            .runs
+            .iter()
+            .filter(|r| r.edits > 0 || r.scoring.trials > 0)
+            .collect();
         if effective.is_empty() {
             return write!(f, "no pass fired");
         }
@@ -104,16 +142,23 @@ impl fmt::Display for PassReport {
             let pass = effective[index].pass;
             let mut removed = 0;
             let mut edits = 0;
+            let mut scoring = TrialCounts::default();
             while index < effective.len() && effective[index].pass == pass {
                 removed += effective[index].removed();
                 edits += effective[index].edits;
+                scoring += effective[index].scoring;
                 index += 1;
             }
             if !first {
                 write!(f, ", ")?;
             }
             first = false;
-            write!(f, "{pass}: -{removed} #I ({edits} edits)")?;
+            write!(f, "{pass}: -{removed} #I ({edits} edits")?;
+            if scoring.trials > 0 {
+                let share = 100.0 * scoring.cuts as f64 / scoring.trials as f64;
+                write!(f, "; {} trials, {share:.0}% cut", scoring.trials)?;
+            }
+            write!(f, ")")?;
         }
         Ok(())
     }
@@ -206,7 +251,7 @@ impl PassManager {
             for pass in &self.passes {
                 let instructions_before = ir.num_instructions();
                 let snapshot = Snapshot::take(ir);
-                let mut edits = pass.run(ir, backend);
+                let PassOutcome { mut edits, scoring } = pass.run(ir, backend);
                 if edits > 0 {
                     let after = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
                     if analysis::introduces(&baseline, &after) {
@@ -216,6 +261,7 @@ impl PassManager {
                             instructions_before,
                             instructions_after: instructions_before,
                             edits: 0,
+                            scoring,
                         });
                         continue;
                     }
@@ -251,6 +297,7 @@ impl PassManager {
                     instructions_before,
                     instructions_after: ir.num_instructions(),
                     edits,
+                    scoring,
                 });
                 round_edits += edits;
             }
@@ -339,7 +386,7 @@ impl Pass for DeadWrite {
         "dead-write"
     }
 
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> usize {
+    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> PassOutcome {
         let mut needed = vec![false; ir.cells.len()];
         for (_, output) in &ir.outputs {
             if let IrOutput::Cell(c) = output {
@@ -372,7 +419,7 @@ impl Pass for DeadWrite {
             });
             gc_cells(ir);
         }
-        edits
+        edits.into()
     }
 }
 
@@ -469,8 +516,8 @@ impl Pass for RedundantInit {
         "redundant-init"
     }
 
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> usize {
-        const_flow(ir, |_op, _result, resident| resident)
+    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> PassOutcome {
+        const_flow(ir, |_op, _result, resident| resident).into()
     }
 }
 
@@ -490,7 +537,7 @@ impl Pass for Peephole {
         "peephole"
     }
 
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> usize {
+    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> PassOutcome {
         let mut edits = 0;
         const_flow(ir, |op, result, resident| {
             if resident {
@@ -505,7 +552,7 @@ impl Pass for Peephole {
             }
             false
         });
-        edits
+        edits.into()
     }
 }
 
@@ -547,13 +594,18 @@ impl Pass for Peephole {
 /// edit (the touched cells' lists and the rewritten event span), apart
 /// from one memory move of the stream's tail when the edit deletes events.
 ///
-/// Trials are scored by the backend's [`TrialScorer`], told the first
-/// position the edit rewrote. The RM3 scorer resumes its allocator replay
-/// from the last checkpoint of the committed stream at or before that
-/// position and abandons it as soon as the footprint or wear passes the
-/// incumbent's, so a rejected trial costs the replay up to where it lost,
-/// not a replay of the whole stream; backends without a scorer of their own
-/// score each trial with [`Backend::cost`].
+/// Trials are scored by the backend's [`TrialScorer`], told where the edit
+/// changed the stream ([`TrialEdit`], from the undo log: the rewritten
+/// span, the release it removed past the span, and the merged cells). The
+/// RM3 scorer resumes its allocator replay from the last checkpoint of the
+/// committed stream at or before the first changed event, abandons it as
+/// soon as the footprint or wear passes the incumbent's, and stops it at
+/// the first committed checkpoint past the change where the replay has
+/// reconverged with the committed one up to a renaming of addresses — the
+/// final cost then follows from the committed replay's in O(footprint).
+/// A trial costs the replay from its checkpoint to where it lost or
+/// reconverged, not a replay of the stream's tail; backends without a
+/// scorer of their own score each trial with [`Backend::cost`].
 #[derive(Debug)]
 pub struct Forward;
 
@@ -562,8 +614,13 @@ impl Pass for Forward {
         "forward"
     }
 
-    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> usize {
-        Forwarder::new(ir, backend, KEY_SPACING).run(ir)
+    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> PassOutcome {
+        let mut forwarder = Forwarder::new(ir, backend, KEY_SPACING);
+        let edits = forwarder.run(ir);
+        PassOutcome {
+            edits,
+            scoring: forwarder.scorer.counts(),
+        }
     }
 }
 
@@ -1046,8 +1103,7 @@ impl<'a> Forwarder<'a> {
                     x.0, d.0
                 );
             }
-            // Nothing before the span the edit rewrote changed.
-            if let Some(after) = self.scorer.trial(ir, applied.undo.lo, self.baseline) {
+            if let Some(after) = self.scorer.trial(ir, &applied.undo.edit(d), self.baseline) {
                 self.scorer.commit();
                 self.baseline = after;
                 let moved_ops: Vec<u32> = moved.iter().map(|&(_, i)| i).collect();
@@ -1195,6 +1251,21 @@ struct ForwardUndo {
 }
 
 impl ForwardUndo {
+    /// Where the edit changed the stream, with `d` the claimed cell. Past
+    /// the rewritten span the stream only shifts, apart from the removed
+    /// release; the replaced one is the old destination's release, which
+    /// the merge renames onto `d`, like every later use of it.
+    fn edit(&self, d: CellId) -> TrialEdit {
+        let old_len = self.events.len();
+        let removed = usize::from(self.removed.is_some());
+        TrialEdit {
+            from: self.lo,
+            until: self.removed.map_or(self.lo + old_len, |(p, _)| p + 1),
+            shift: self.len as isize - old_len as isize - removed as isize,
+            merged: (self.x, d),
+        }
+    }
+
     fn revert(self, ir: &mut IrProgram) {
         ir.events.splice(self.lo..self.lo + self.len, self.events);
         if let Some((p, event)) = self.removed {
@@ -2070,12 +2141,16 @@ mod tests {
     struct AuditedScorer(Box<dyn TrialScorer>);
 
     impl TrialScorer for AuditedScorer {
-        fn trial(&mut self, ir: &IrProgram, from: usize, bound: Cost) -> Option<Cost> {
-            let got = self.0.trial(ir, from, bound);
+        fn trial(&mut self, ir: &IrProgram, edit: &TrialEdit, bound: Cost) -> Option<Cost> {
+            let got = self.0.trial(ir, edit, bound);
             let full = Rm3Backend.cost(ir);
-            assert_eq!(got.is_some(), full.improves_on(bound), "verdict at {from}");
+            assert_eq!(
+                got.is_some(),
+                full.improves_on(bound),
+                "verdict at {edit:?}"
+            );
             if let Some(cost) = got {
-                assert_eq!(cost, full, "cost at {from}");
+                assert_eq!(cost, full, "cost at {edit:?}");
             }
             got
         }
@@ -2083,6 +2158,30 @@ mod tests {
         fn commit(&mut self) {
             self.0.commit();
         }
+
+        fn counts(&self) -> TrialCounts {
+            self.0.counts()
+        }
+    }
+
+    /// The trials that resume from a checkpoint the last commit adopted
+    /// past its cut, where that commit and the one before both cut
+    /// their trials short.
+    fn resumed_past_two_cuts(trials: &[crate::ir::emit::tests::TrialRecord]) -> usize {
+        let mut cuts: Vec<usize> = Vec::new();
+        let mut count = 0;
+        for t in trials {
+            if cuts.len() >= 2 && cuts.last().is_some_and(|&at| t.resumed >= at) {
+                count += 1;
+            }
+            if t.accepted {
+                match t.reconverged_at {
+                    Some(at) => cuts.push(at),
+                    None => cuts.clear(),
+                }
+            }
+        }
+        count
     }
 
     proptest! {
@@ -2092,18 +2191,36 @@ mod tests {
         /// a full replay improves on the incumbent, and scores the accepted
         /// stream exactly as the full replay does — on every allocator, on
         /// lowered streams and on a second round's input, with streams
-        /// long enough to hold several checkpoints.
+        /// long enough to hold several checkpoints. The trials it finishes
+        /// by reconvergence are among them: every allocator whose pool
+        /// serves cells by position has some, wear leveling none, and some
+        /// trial resumes from a checkpoint the last commit adopted past its
+        /// cut, after two or more consecutive commits that cut.
         #[test]
         fn rm3_scorer_matches_full_replays(seed in any::<u64>()) {
-            for nodes in [40, 250, 900] {
-                for alloc in AllocatorStrategy::ALL {
+            let mut resumed_past_cuts = 0;
+            for alloc in AllocatorStrategy::ALL {
+                crate::ir::emit::tests::take_trials();
+                for nodes in [40, 250, 900] {
                     let ir = lowered(nodes, seed, ScheduleOrder::Priority, alloc);
                     let mut audited = ir.clone();
                     Forwarder::new(&audited, &Audited, KEY_SPACING).run(&mut audited);
                     let mut audited = next_round(audited);
                     Forwarder::new(&audited, &Audited, KEY_SPACING).run(&mut audited);
                 }
+                let trials = crate::ir::emit::tests::take_trials();
+                let cuts = trials.iter().filter(|t| t.reconverged_at.is_some()).count();
+                resumed_past_cuts += resumed_past_two_cuts(&trials);
+                if alloc == AllocatorStrategy::WearLeveled {
+                    prop_assert_eq!(cuts, 0);
+                } else {
+                    prop_assert!(cuts > 0, "{alloc:?}: no trial reconverged");
+                }
             }
+            prop_assert!(
+                resumed_past_cuts > 0,
+                "no trial resumed past two consecutive cut commits"
+            );
         }
     }
 
@@ -2131,6 +2248,44 @@ mod tests {
             resumed_late * 2 > rejected.len(),
             "{resumed_late} of {} rejected trials resumed past event 0",
             rejected.len()
+        );
+    }
+
+    /// On seeded control logic — the kind `compile-o2` times — most forward
+    /// trials reconverge with the committed replay a few events past their
+    /// edit, and finishing them there cuts the events the RM3 scorer
+    /// replays to a fraction of a full replay of each trial's tail.
+    ///
+    /// At `-O2` on this input, the scorer that replayed every trial to its
+    /// end (checkpoints every max(256, 4 × footprint) events) replayed
+    /// 15,976,312 events over 3,591 trials.
+    ///
+    /// Release builds only, like the Forward scaling test: debug builds
+    /// verify the program after every pass and take minutes here.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn rm3_scorer_cuts_replay_on_control_logic() {
+        const FULL_REPLAYS: u64 = 15_976_312;
+        let mig = random_logic(&RandomLogicSpec::new(1024, 128, 5500, 1));
+        crate::ir::emit::tests::take_trials();
+        let options = CompilerOptions::new().opt(crate::OptLevel::O2);
+        let (_, report) = crate::compile_ir(&mig, options);
+        let scoring = report.scoring();
+        assert_eq!(scoring.trials, 3591, "the trials are the full replays'");
+        assert!(
+            scoring.replayed * 100 <= FULL_REPLAYS * 35,
+            "replayed {} of {FULL_REPLAYS} events",
+            scoring.replayed
+        );
+        let trials = crate::ir::emit::tests::take_trials();
+        let accepted = trials.iter().filter(|t| t.accepted).count();
+        let cut = trials
+            .iter()
+            .filter(|t| t.accepted && t.reconverged_at.is_some())
+            .count();
+        assert!(
+            cut * 10 >= accepted * 9,
+            "{cut} of {accepted} accepted trials cut"
         );
     }
 

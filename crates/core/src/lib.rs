@@ -88,7 +88,9 @@ pub mod verify;
 // compile entry points and their result types, the analyses they share,
 // and the caching layers the `plimd` service builds on. Everything else
 // is reached through its module.
-pub use backend::{Artifact, Backend, Cost, InstructionInfo, Target, TrialScorer};
+pub use backend::{
+    Artifact, Backend, Cost, InstructionInfo, Target, TrialCounts, TrialEdit, TrialScorer,
+};
 pub use cache::{CacheKey, CacheStats, LruCache};
 pub use compile::{compile, compile_full, compile_ir, Compilation};
 pub use lifetime::{LifetimeClass, Lifetimes};

@@ -295,7 +295,7 @@ fn forward_bookkeeping_is_subquadratic() {
             .map(|_| {
                 let mut ir = lowered.clone();
                 let start = std::time::Instant::now();
-                let edits = ir::passes::Forward.run(&mut ir, &EventCount);
+                let edits = ir::passes::Forward.run(&mut ir, &EventCount).edits;
                 let elapsed = start.elapsed().as_secs_f64();
                 assert!(edits > 0, "{nodes} nodes: nothing forwarded");
                 elapsed
