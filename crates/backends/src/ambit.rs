@@ -28,12 +28,15 @@
 
 use std::fmt::Write as _;
 
-use plim_compiler::backend::{poison, LaneWord, W256};
+use plim_compiler::backend::{poison, text, LaneWord, W256};
 use plim_compiler::ir::{Event, IrProgram, Value};
 use plim_compiler::verify::VerifyError;
 use plim_compiler::{Artifact, Backend, Cost, InstructionInfo};
 
-use crate::rows::{assign_rows, check_inputs, lower_outputs, read_outputs, render_outputs, OutLoc};
+use crate::rows::{
+    assign_rows, check_inputs, lower_outputs, push_input, push_row, read_outputs, render_outputs,
+    OutLoc,
+};
 
 /// Where a row operation reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +139,10 @@ pub struct AmbitArtifact {
     cost: Cost,
 }
 
+/// Bytes a listing line takes past its line number, as sized up front
+/// (`copy r1234 r5678`).
+const LINE_BYTES: usize = 17;
+
 /// Lowers the IR event stream onto the Ambit substrate.
 fn lower(ir: &IrProgram) -> AmbitArtifact {
     let rows = assign_rows(ir);
@@ -219,23 +226,42 @@ impl Artifact for AmbitArtifact {
     }
 
     fn listing(&self) -> String {
-        let mut out = String::from(".ambit v1\n");
-        let _ = writeln!(out, ".inputs {}", self.num_inputs);
+        let width = text::line_number_width(self.ops.len());
+        let mut out = String::with_capacity(64 + self.ops.len() * (width + LINE_BYTES));
+        let _ = writeln!(out, ".ambit v1\n.inputs {}", self.num_inputs);
         let _ = writeln!(out, ".rows {} (3 scratch)", self.rows);
-        let width = self.ops.len().to_string().len().max(2);
-        let src = |s: Src| match s {
-            Src::Input(i) => format!("i{}", i + 1),
-            Src::Row(r) => format!("r{r}"),
+        let transfer = |out: &mut String, mnemonic: &str, s: Src, d: u32| {
+            out.push_str(mnemonic);
+            match s {
+                Src::Input(i) => push_input(out, i),
+                Src::Row(r) => push_row(out, r),
+            }
+            out.push(' ');
+            push_row(out, d);
         };
         for (index, op) in self.ops.iter().enumerate() {
-            let text = match *op {
-                Op::Set(r) => format!("set r{r}"),
-                Op::Reset(r) => format!("reset r{r}"),
-                Op::Copy(s, d) => format!("copy {} r{d}", src(s)),
-                Op::Not(s, d) => format!("not {} r{d}", src(s)),
-                Op::Tra(a, b, c) => format!("tra r{a} r{b} r{c}"),
-            };
-            let _ = writeln!(out, "{:0width$}: {text}", index + 1);
+            text::push_line_number(&mut out, index + 1, width);
+            match *op {
+                Op::Set(r) => {
+                    out.push_str("set ");
+                    push_row(&mut out, r);
+                }
+                Op::Reset(r) => {
+                    out.push_str("reset ");
+                    push_row(&mut out, r);
+                }
+                Op::Copy(s, d) => transfer(&mut out, "copy ", s, d),
+                Op::Not(s, d) => transfer(&mut out, "not ", s, d),
+                Op::Tra(a, b, c) => {
+                    out.push_str("tra ");
+                    push_row(&mut out, a);
+                    out.push(' ');
+                    push_row(&mut out, b);
+                    out.push(' ');
+                    push_row(&mut out, c);
+                }
+            }
+            out.push('\n');
         }
         render_outputs(&mut out, &self.outputs);
         out
@@ -281,8 +307,85 @@ impl Artifact for AmbitArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::draw::{below, index, outputs};
+    use crate::rows::format_outputs;
     use plim_compiler::verify::verify_exhaustive;
     use plim_compiler::{compile_full, CompilerOptions, OptLevel};
+    use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
+
+    /// The `format!` renderer the listing replaced, kept as its oracle.
+    fn format_listing(artifact: &AmbitArtifact) -> String {
+        let mut out = String::from(".ambit v1\n");
+        let _ = writeln!(out, ".inputs {}", artifact.num_inputs);
+        let _ = writeln!(out, ".rows {} (3 scratch)", artifact.rows);
+        let width = artifact.ops.len().to_string().len().max(2);
+        let src = |s: Src| match s {
+            Src::Input(i) => format!("i{}", i + 1),
+            Src::Row(r) => format!("r{r}"),
+        };
+        for (index, op) in artifact.ops.iter().enumerate() {
+            let text = match *op {
+                Op::Set(r) => format!("set r{r}"),
+                Op::Reset(r) => format!("reset r{r}"),
+                Op::Copy(s, d) => format!("copy {} r{d}", src(s)),
+                Op::Not(s, d) => format!("not {} r{d}", src(s)),
+                Op::Tra(a, b, c) => format!("tra r{a} r{b} r{c}"),
+            };
+            let _ = writeln!(out, "{:0width$}: {text}", index + 1);
+        }
+        format_outputs(&mut out, &artifact.outputs);
+        out
+    }
+
+    /// An artifact of `len` random ops of every form over every `Src`
+    /// form, and outputs of every `OutLoc` form. It need not run.
+    fn arbitrary_artifact(rng: &mut TestRng, len: usize) -> AmbitArtifact {
+        let src = |rng: &mut TestRng| {
+            if below(rng, 2) == 0 {
+                Src::Input(index(rng))
+            } else {
+                Src::Row(index(rng))
+            }
+        };
+        let ops = (0..len)
+            .map(|_| match below(rng, 5) {
+                0 => Op::Set(index(rng)),
+                1 => Op::Reset(index(rng)),
+                2 => Op::Copy(src(rng), index(rng)),
+                3 => Op::Not(src(rng), index(rng)),
+                _ => Op::Tra(index(rng), index(rng), index(rng)),
+            })
+            .collect();
+        AmbitArtifact {
+            num_inputs: below(rng, 40) as usize,
+            rows: index(rng),
+            ops,
+            outputs: outputs(rng),
+            cost: Cost::default(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The listing writer renders random artifacts byte for byte like
+        /// the `format!` renderer it replaced.
+        #[test]
+        fn listing_matches_the_format_oracle(seed in any::<u64>(), len in 0usize..240) {
+            let artifact = arbitrary_artifact(&mut TestRng::new(seed), len);
+            prop_assert_eq!(artifact.listing(), format_listing(&artifact));
+        }
+    }
+
+    /// On both sides of each step of the line-number width.
+    #[test]
+    fn listing_matches_the_oracle_across_line_number_widths() {
+        let mut rng = TestRng::for_test("ambit_widths");
+        for len in [99, 100, 99_999, 100_000] {
+            let artifact = arbitrary_artifact(&mut rng, len);
+            assert_eq!(artifact.listing(), format_listing(&artifact), "{len} ops");
+        }
+    }
 
     fn fig3b() -> mig::Mig {
         let mut mig = mig::Mig::new();

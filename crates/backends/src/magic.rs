@@ -31,12 +31,15 @@
 
 use std::fmt::Write as _;
 
-use plim_compiler::backend::{poison, LaneWord, W256};
+use plim_compiler::backend::{poison, text, LaneWord, W256};
 use plim_compiler::ir::{Event, IrProgram, Value};
 use plim_compiler::verify::VerifyError;
 use plim_compiler::{Artifact, Backend, Cost, InstructionInfo};
 
-use crate::rows::{assign_rows, check_inputs, lower_outputs, read_outputs, render_outputs, OutLoc};
+use crate::rows::{
+    assign_rows, check_inputs, lower_outputs, push_input, push_row, read_outputs, render_outputs,
+    OutLoc,
+};
 
 /// What a NOR input reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +118,10 @@ pub struct MagicArtifact {
     outputs: Vec<(String, OutLoc)>,
     cost: Cost,
 }
+
+/// Bytes a listing line takes past its line number, as sized up front
+/// (`nor r1234 r5678 r9012`, `set r12`).
+const LINE_BYTES: usize = 16;
 
 /// Lowers the IR event stream onto the NOR crossbar.
 fn lower(ir: &IrProgram) -> MagicArtifact {
@@ -195,25 +202,33 @@ impl Artifact for MagicArtifact {
     }
 
     fn listing(&self) -> String {
-        let mut out = String::from(".magic v1\n");
-        let _ = writeln!(out, ".inputs {}", self.num_inputs);
+        let width = text::line_number_width(self.ops.len());
+        let mut out = String::with_capacity(64 + self.ops.len() * (width + LINE_BYTES));
+        let _ = writeln!(out, ".magic v1\n.inputs {}", self.num_inputs);
         let _ = writeln!(out, ".cells {} (6 scratch)", self.cells);
-        let width = self.ops.len().to_string().len().max(2);
-        let src = |s: &Src| match *s {
-            Src::Const(v) => format!("{}", u8::from(v)),
-            Src::Input(i) => format!("i{}", i + 1),
-            Src::Cell(r) => format!("r{r}"),
-        };
         for (index, op) in self.ops.iter().enumerate() {
-            let text = match op {
-                Op::Set(d) => format!("set r{d}"),
-                Op::Reset(d) => format!("reset r{d}"),
-                Op::Nor(srcs, d) => {
-                    let args: Vec<String> = srcs.iter().map(src).collect();
-                    format!("nor {} r{d}", args.join(" "))
+            text::push_line_number(&mut out, index + 1, width);
+            match op {
+                Op::Set(_) => out.push_str("set "),
+                Op::Reset(_) => out.push_str("reset "),
+                Op::Nor(srcs, _) => {
+                    out.push_str("nor ");
+                    for (k, s) in srcs.iter().enumerate() {
+                        if k > 0 {
+                            out.push(' ');
+                        }
+                        match *s {
+                            Src::Const(v) => out.push(if v { '1' } else { '0' }),
+                            Src::Input(i) => push_input(&mut out, i),
+                            Src::Cell(r) => push_row(&mut out, r),
+                        }
+                    }
+                    out.push(' ');
                 }
-            };
-            let _ = writeln!(out, "{:0width$}: {text}", index + 1);
+            }
+            let (Op::Set(d) | Op::Reset(d) | Op::Nor(_, d)) = op;
+            push_row(&mut out, *d);
+            out.push('\n');
         }
         render_outputs(&mut out, &self.outputs);
         out
@@ -257,8 +272,87 @@ impl Artifact for MagicArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::draw::{below, index, outputs};
+    use crate::rows::format_outputs;
     use plim_compiler::verify::verify_exhaustive;
     use plim_compiler::{compile_full, CompilerOptions, OptLevel};
+    use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
+
+    /// The `format!` renderer the listing replaced, kept as its oracle.
+    fn format_listing(artifact: &MagicArtifact) -> String {
+        let mut out = String::from(".magic v1\n");
+        let _ = writeln!(out, ".inputs {}", artifact.num_inputs);
+        let _ = writeln!(out, ".cells {} (6 scratch)", artifact.cells);
+        let width = artifact.ops.len().to_string().len().max(2);
+        let src = |s: &Src| match *s {
+            Src::Const(v) => format!("{}", u8::from(v)),
+            Src::Input(i) => format!("i{}", i + 1),
+            Src::Cell(r) => format!("r{r}"),
+        };
+        for (index, op) in artifact.ops.iter().enumerate() {
+            let text = match op {
+                Op::Set(d) => format!("set r{d}"),
+                Op::Reset(d) => format!("reset r{d}"),
+                Op::Nor(srcs, d) => {
+                    let args: Vec<String> = srcs.iter().map(src).collect();
+                    format!("nor {} r{d}", args.join(" "))
+                }
+            };
+            let _ = writeln!(out, "{:0width$}: {text}", index + 1);
+        }
+        format_outputs(&mut out, &artifact.outputs);
+        out
+    }
+
+    /// An artifact of `len` random ops of every form, NORs of zero to
+    /// three inputs over every `Src` form, and outputs of every `OutLoc`
+    /// form. It need not run.
+    fn arbitrary_artifact(rng: &mut TestRng, len: usize) -> MagicArtifact {
+        let src = |rng: &mut TestRng| match below(rng, 3) {
+            0 => Src::Const(below(rng, 2) == 1),
+            1 => Src::Input(index(rng)),
+            _ => Src::Cell(index(rng)),
+        };
+        let ops = (0..len)
+            .map(|_| match below(rng, 3) {
+                0 => Op::Set(index(rng)),
+                1 => Op::Reset(index(rng)),
+                _ => {
+                    let srcs = (0..below(rng, 4)).map(|_| src(rng)).collect();
+                    Op::Nor(srcs, index(rng))
+                }
+            })
+            .collect();
+        MagicArtifact {
+            num_inputs: below(rng, 40) as usize,
+            cells: index(rng),
+            ops,
+            outputs: outputs(rng),
+            cost: Cost::default(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The listing writer renders random artifacts byte for byte like
+        /// the `format!` renderer it replaced.
+        #[test]
+        fn listing_matches_the_format_oracle(seed in any::<u64>(), len in 0usize..240) {
+            let artifact = arbitrary_artifact(&mut TestRng::new(seed), len);
+            prop_assert_eq!(artifact.listing(), format_listing(&artifact));
+        }
+    }
+
+    /// On both sides of each step of the line-number width.
+    #[test]
+    fn listing_matches_the_oracle_across_line_number_widths() {
+        let mut rng = TestRng::for_test("magic_widths");
+        for len in [99, 100, 99_999, 100_000] {
+            let artifact = arbitrary_artifact(&mut rng, len);
+            assert_eq!(artifact.listing(), format_listing(&artifact), "{len} ops");
+        }
+    }
 
     fn xor5() -> mig::Mig {
         let mut mig = mig::Mig::new();

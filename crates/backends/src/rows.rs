@@ -7,7 +7,7 @@
 //! the work region.
 
 use plim_compiler::alloc::RramAllocator;
-use plim_compiler::backend::{LaneWord, W256};
+use plim_compiler::backend::{text, LaneWord, W256};
 use plim_compiler::ir::{Event, IrProgram};
 use plim_compiler::verify::VerifyError;
 
@@ -119,8 +119,45 @@ pub(crate) fn check_inputs(expected: usize, inputs: &[W256]) -> Result<(), Verif
     }
 }
 
+/// Appends row `r` as the listings name it (`r5`).
+pub(crate) fn push_row(out: &mut String, r: u32) {
+    out.push('r');
+    text::push_uint(out, u64::from(r));
+}
+
+/// Appends primary input `index` as the listings name it (`i3`, 1-based).
+pub(crate) fn push_input(out: &mut String, index: u32) {
+    out.push('i');
+    text::push_uint(out, u64::from(index) + 1);
+}
+
 /// Renders an output directory block (`.output f = r5` / `!i3` / `1`).
 pub(crate) fn render_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
+    for (name, loc) in outputs {
+        out.push_str(".output ");
+        out.push_str(name);
+        out.push_str(" = ");
+        match *loc {
+            OutLoc::Row(r) => push_row(out, r),
+            OutLoc::Input {
+                index,
+                complemented,
+            } => {
+                if complemented {
+                    out.push('!');
+                }
+                push_input(out, index);
+            }
+            OutLoc::Const(v) => out.push(if v { '1' } else { '0' }),
+        }
+        out.push('\n');
+    }
+}
+
+/// The `format!` renderer [`render_outputs`] replaced, kept as the oracle
+/// of the listings' tests.
+#[cfg(test)]
+pub(crate) fn format_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
     use std::fmt::Write as _;
     for (name, loc) in outputs {
         let text = match *loc {
@@ -132,5 +169,40 @@ pub(crate) fn render_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
             OutLoc::Const(v) => format!("{}", u8::from(v)),
         };
         let _ = writeln!(out, ".output {name} = {text}");
+    }
+}
+
+/// Random draws for the listings' oracle tests.
+#[cfg(test)]
+pub(crate) mod draw {
+    use super::OutLoc;
+    use proptest::TestRng;
+
+    /// A draw below `n`.
+    pub(crate) fn below(rng: &mut TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    /// A row or input index: small mostly, seven digits now and then.
+    pub(crate) fn index(rng: &mut TestRng) -> u32 {
+        let bound = if below(rng, 8) == 0 { 10_000_000 } else { 120 };
+        below(rng, bound) as u32
+    }
+
+    /// Up to five outputs of every `OutLoc` form.
+    pub(crate) fn outputs(rng: &mut TestRng) -> Vec<(String, OutLoc)> {
+        (0..below(rng, 6))
+            .map(|k| {
+                let loc = match below(rng, 3) {
+                    0 => OutLoc::Const(below(rng, 2) == 1),
+                    1 => OutLoc::Input {
+                        index: index(rng),
+                        complemented: below(rng, 2) == 1,
+                    },
+                    _ => OutLoc::Row(index(rng)),
+                };
+                (format!("f{k}"), loc)
+            })
+            .collect()
     }
 }

@@ -18,6 +18,9 @@
 use std::fmt;
 use std::sync::RwLock;
 
+/// The text writer every [`Artifact::listing`] goes through, re-exported
+/// for backend crates.
+pub use plim::text;
 use plim::wide::WideMachine;
 /// The lane word and poison image of [`Artifact::run_wide`], re-exported
 /// for backend crates.
@@ -331,7 +334,7 @@ impl Artifact for Rm3Program {
     }
 
     fn listing(&self) -> String {
-        self.program.to_string()
+        self.program.listing()
     }
 
     fn stats_text(&self) -> String {

@@ -23,10 +23,8 @@
 //! touches the value cell itself — and the pass pipeline harvests exactly
 //! that slack.
 
-use std::fmt::Write as _;
-
 use mig::NodeId;
-use plim::{RamAddr, Rhs};
+use plim::{text, RamAddr, Rhs};
 
 use crate::lifetime::LifetimeClass;
 use crate::options::AllocatorStrategy;
@@ -297,15 +295,25 @@ impl IrProgram {
     /// .output f = %0
     /// ```
     pub fn dump(&self) -> String {
-        let mut out = String::from(".ir v1\n");
-        let _ = writeln!(out, ".inputs {}", self.num_inputs);
-        let _ = writeln!(out, ".cells {}", self.cells.len());
         let total = self.num_instructions();
-        let width = total.to_string().len().max(2);
-        let value = |v: &Value| match v {
-            Value::Const(x) => format!("{}", *x as u8),
-            Value::Input(i) => format!("i{}", i + 1),
-            Value::Cell(c) => format!("%{}", c.0),
+        let width = text::line_number_width(total);
+        let mut out = String::with_capacity(64 + total * (width + DUMP_LINE_BYTES));
+        out.push_str(".ir v1\n.inputs ");
+        text::push_uint(&mut out, self.num_inputs as u64);
+        out.push_str("\n.cells ");
+        text::push_uint(&mut out, self.cells.len() as u64);
+        out.push('\n');
+        let cell = |out: &mut String, c: CellId| {
+            out.push('%');
+            text::push_uint(out, u64::from(c.0));
+        };
+        let value = |out: &mut String, v: Value| match v {
+            Value::Const(x) => out.push(if x { '1' } else { '0' }),
+            Value::Input(i) => {
+                out.push('i');
+                text::push_uint(out, u64::from(i) + 1);
+            }
+            Value::Cell(c) => cell(out, c),
         };
         let mut index = 0usize;
         for &event in &self.events {
@@ -313,32 +321,60 @@ impl IrProgram {
                 continue;
             };
             index += 1;
-            let text = format!("rm3({}, {}, %{})", value(&op.a), value(&op.b), op.z.0);
-            let mut defuse = format!("def %{}", op.z.0);
-            let uses: Vec<String> = op.reads().map(|c| format!("%{}", c.0)).collect();
-            if !uses.is_empty() {
-                let _ = write!(defuse, " use {}", uses.join(" "));
+            text::push_line_number(&mut out, index, width);
+            let column = out.len();
+            out.push_str("rm3(");
+            value(&mut out, op.a);
+            out.push_str(", ");
+            value(&mut out, op.b);
+            out.push_str(", ");
+            cell(&mut out, op.z);
+            out.push(')');
+            text::pad_column(&mut out, column, 26);
+            out.push(' ');
+            let column = out.len();
+            out.push_str("def ");
+            cell(&mut out, op.z);
+            for (k, c) in op.reads().enumerate() {
+                out.push_str(if k == 0 { " use " } else { " " });
+                cell(&mut out, c);
             }
-            let _ = writeln!(out, "{index:0width$}: {text:<26} {defuse:<24} ; {}", op.rhs);
+            text::pad_column(&mut out, column, 24);
+            out.push_str(" ; ");
+            op.rhs.push_to(&mut out);
+            out.push('\n');
         }
         for (name, output) in &self.outputs {
-            let loc = match output {
-                IrOutput::Cell(c) => format!("%{}", c.0),
+            out.push_str(".output ");
+            out.push_str(name);
+            out.push_str(" = ");
+            match *output {
+                IrOutput::Cell(c) => cell(&mut out, c),
                 IrOutput::Input {
                     index,
                     complemented,
-                } => format!("{}i{}", if *complemented { "!" } else { "" }, index + 1),
-                IrOutput::Const(v) => format!("{}", *v as u8),
-            };
-            let _ = writeln!(out, ".output {name} = {loc}");
+                } => {
+                    if complemented {
+                        out.push('!');
+                    }
+                    value(&mut out, Value::Input(index));
+                }
+                IrOutput::Const(v) => value(&mut out, Value::Const(v)),
+            }
+            out.push('\n');
         }
         out
     }
 }
 
+/// Bytes a `--emit ir` instruction line takes past its line number, as
+/// sized up front: the two padded columns and a comment such as `¬N3456`.
+const DUMP_LINE_BYTES: usize = 64;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
 
     /// A program over two cells whose stream is `events`, with op 0
     /// `%0 ← ⟨1 %1̄ %0⟩`, op 1 the reset of `%0`, and an output `f` on `%0`.
@@ -400,5 +436,134 @@ mod tests {
         assert_eq!(unknown.check(), Err("event 2: unknown cell %9".to_string()));
         unknown.ops[1].z = c9;
         assert_eq!(unknown.check(), Err("event 1: unknown cell %9".to_string()));
+    }
+
+    /// The `format!` renderer [`IrProgram::dump`] replaced, kept as its
+    /// oracle.
+    fn format_dump(ir: &IrProgram) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from(".ir v1\n");
+        let _ = writeln!(out, ".inputs {}", ir.num_inputs);
+        let _ = writeln!(out, ".cells {}", ir.cells.len());
+        let total = ir.num_instructions();
+        let width = total.to_string().len().max(2);
+        let value = |v: &Value| match v {
+            Value::Const(x) => format!("{}", *x as u8),
+            Value::Input(i) => format!("i{}", i + 1),
+            Value::Cell(c) => format!("%{}", c.0),
+        };
+        let mut index = 0usize;
+        for &event in &ir.events {
+            let Some(op) = ir.op_of(event) else {
+                continue;
+            };
+            index += 1;
+            let text = format!("rm3({}, {}, %{})", value(&op.a), value(&op.b), op.z.0);
+            let mut defuse = format!("def %{}", op.z.0);
+            let uses: Vec<String> = op.reads().map(|c| format!("%{}", c.0)).collect();
+            if !uses.is_empty() {
+                let _ = write!(defuse, " use {}", uses.join(" "));
+            }
+            let _ = writeln!(out, "{index:0width$}: {text:<26} {defuse:<24} ; {}", op.rhs);
+        }
+        for (name, output) in &ir.outputs {
+            let loc = match output {
+                IrOutput::Cell(c) => format!("%{}", c.0),
+                IrOutput::Input {
+                    index,
+                    complemented,
+                } => format!("{}i{}", if *complemented { "!" } else { "" }, index + 1),
+                IrOutput::Const(v) => format!("{}", *v as u8),
+            };
+            let _ = writeln!(out, ".output {name} = {loc}");
+        }
+        out
+    }
+
+    /// A draw below `n`.
+    fn below(rng: &mut TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    /// A cell, input or node index: small mostly, seven digits now and then.
+    fn index(rng: &mut TestRng) -> u32 {
+        let bound = if below(rng, 8) == 0 { 10_000_000 } else { 120 };
+        below(rng, bound) as u32
+    }
+
+    fn value(rng: &mut TestRng) -> Value {
+        match below(rng, 3) {
+            0 => Value::Const(below(rng, 2) == 1),
+            1 => Value::Input(index(rng)),
+            _ => Value::Cell(CellId(index(rng))),
+        }
+    }
+
+    /// A random program of `len` ops with request and release events
+    /// between them, over every `Value`, `Rhs` and `IrOutput` form, masking
+    /// and non-masking ops, and cell numbers large enough that some columns
+    /// pass their padded width. It need not pass [`IrProgram::check`].
+    fn arbitrary_ir(rng: &mut TestRng, len: usize) -> IrProgram {
+        let mut ir = program(Vec::new());
+        ir.num_inputs = below(rng, 40) as usize;
+        ir.cells = vec![ir.cells[0]; below(rng, 200) as usize];
+        ir.ops.clear();
+        ir.outputs.clear();
+        for op in 0..len as u32 {
+            let (a, b, z) = (value(rng), value(rng), CellId(index(rng)));
+            let complemented = below(rng, 2) == 1;
+            let rhs = match below(rng, 3) {
+                0 => Rhs::Const(complemented),
+                1 => Rhs::Input(index(rng), complemented),
+                _ => Rhs::Node(index(rng), complemented),
+            };
+            ir.ops.push(IrOp {
+                a,
+                b,
+                z,
+                rhs,
+                node: None,
+            });
+            match below(rng, 3) {
+                0 => ir.events.push(Event::Request(z)),
+                1 => ir.events.push(Event::Release(z)),
+                _ => {}
+            }
+            ir.events.push(Event::Op(op));
+        }
+        for k in 0..below(rng, 6) {
+            let output = match below(rng, 3) {
+                0 => IrOutput::Const(below(rng, 2) == 1),
+                1 => IrOutput::Input {
+                    index: index(rng),
+                    complemented: below(rng, 2) == 1,
+                },
+                _ => IrOutput::Cell(CellId(index(rng))),
+            };
+            ir.outputs.push((format!("f{k}"), output));
+        }
+        ir
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `dump` renders random programs byte for byte like the
+        /// `format!` renderer it replaced.
+        #[test]
+        fn dump_matches_the_format_oracle(seed in any::<u64>(), len in 0usize..240) {
+            let ir = arbitrary_ir(&mut TestRng::new(seed), len);
+            prop_assert_eq!(ir.dump(), format_dump(&ir));
+        }
+    }
+
+    /// On both sides of each step of the line-number width.
+    #[test]
+    fn dump_matches_the_oracle_across_line_number_widths() {
+        let mut rng = TestRng::for_test("dump_widths");
+        for len in [99, 100, 99_999, 100_000] {
+            let ir = arbitrary_ir(&mut rng, len);
+            assert_eq!(ir.dump(), format_dump(&ir), "{len} ops");
+        }
     }
 }

@@ -56,49 +56,63 @@ impl std::error::Error for ParseMigError {}
 /// assert_eq!(reparsed.num_majority_nodes(), 1);
 /// ```
 pub fn write_mig(mig: &Mig) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(64 + mig.len() * NODE_LINE_BYTES);
     let _ = writeln!(out, "# MIG v1: {} nodes", mig.num_majority_nodes());
     if mig.num_inputs() > 0 {
-        let _ = write!(out, "inputs");
+        out.push_str("inputs");
         for i in 0..mig.num_inputs() {
-            let _ = write!(out, " {}", mig.input_name(i));
+            out.push(' ');
+            out.push_str(mig.input_name(i));
         }
-        let _ = writeln!(out);
+        out.push('\n');
     }
 
-    let name_of = |s: Signal, mig: &Mig| -> String {
-        let base = match mig.node(s.node()) {
-            MigNode::Constant => "0".to_string(),
-            MigNode::Input(pi) => mig.input_name(*pi as usize).to_string(),
-            MigNode::Majority(_) => format!("n{}", s.node().index()),
+    // Constants print as `0`, inputs by name and majority nodes as
+    // `n<index>`, with a `!` when complemented; a complemented `0` (the
+    // constant, or an input so named) prints as `1`.
+    let push_signal = |out: &mut String, s: Signal| {
+        let name = match mig.node(s.node()) {
+            MigNode::Constant => Some("0"),
+            MigNode::Input(pi) => Some(mig.input_name(*pi as usize)),
+            MigNode::Majority(_) => None,
         };
         if s.is_complemented() {
-            if base == "0" {
-                "1".to_string()
-            } else {
-                format!("!{base}")
+            if name == Some("0") {
+                out.push('1');
+                return;
             }
-        } else {
-            base
+            out.push('!');
+        }
+        match name {
+            Some(name) => out.push_str(name),
+            None => {
+                let _ = write!(out, "n{}", s.node().index());
+            }
         }
     };
 
     for id in mig.majority_ids() {
         let children = mig.node(id).children().expect("majority node");
-        let _ = writeln!(
-            out,
-            "n{} = maj({}, {}, {})",
-            id.index(),
-            name_of(children[0], mig),
-            name_of(children[1], mig),
-            name_of(children[2], mig),
-        );
+        let _ = write!(out, "n{} = maj(", id.index());
+        push_signal(&mut out, children[0]);
+        out.push_str(", ");
+        push_signal(&mut out, children[1]);
+        out.push_str(", ");
+        push_signal(&mut out, children[2]);
+        out.push_str(")\n");
     }
     for (name, signal) in mig.outputs() {
-        let _ = writeln!(out, "output {} = {}", name, name_of(*signal, mig));
+        out.push_str("output ");
+        out.push_str(name);
+        out.push_str(" = ");
+        push_signal(&mut out, *signal);
+        out.push('\n');
     }
     out
 }
+
+/// Bytes a node line takes, as sized up front (`n1234 = maj(!n1, n22, !n333)`).
+const NODE_LINE_BYTES: usize = 36;
 
 /// Whether [`write_mig`] renders `a` and `b` to the same text, decided on
 /// the structure without rendering either: the same input names, the same
@@ -203,7 +217,7 @@ pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
             continue;
         }
 
-        if let Some(rest) = line.strip_prefix("inputs") {
+        if let Some(rest) = keyword(line, "inputs") {
             for name in rest.split_whitespace() {
                 if names.contains_key(name) {
                     return Err(err(line_no, &format!("duplicate input `{name}`")));
@@ -211,7 +225,7 @@ pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
                 let s = mig.add_input(name);
                 names.insert(name, s);
             }
-        } else if let Some(rest) = line.strip_prefix("output") {
+        } else if let Some(rest) = keyword(line, "output") {
             let mut parts = rest.splitn(2, '=');
             let name = parts
                 .next()
@@ -254,10 +268,127 @@ pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
     Ok(mig)
 }
 
+/// The rest of `line` after a leading `keyword`, if the keyword is a whole
+/// token there: followed by whitespace or the end of the line, so that
+/// `inputsx = …` and `output_q = …` define nodes.
+fn keyword<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
+    let rest = line.strip_prefix(keyword)?;
+    (rest.is_empty() || rest.starts_with(char::is_whitespace)).then_some(rest)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::equiv::check_equivalence;
+    use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
+
+    /// The `format!` renderer [`write_mig`] replaced, kept as its oracle.
+    fn format_mig(mig: &Mig) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "# MIG v1: {} nodes", mig.num_majority_nodes());
+        if mig.num_inputs() > 0 {
+            let _ = write!(out, "inputs");
+            for i in 0..mig.num_inputs() {
+                let _ = write!(out, " {}", mig.input_name(i));
+            }
+            let _ = writeln!(out);
+        }
+        let name_of = |s: Signal, mig: &Mig| -> String {
+            let base = match mig.node(s.node()) {
+                MigNode::Constant => "0".to_string(),
+                MigNode::Input(pi) => mig.input_name(*pi as usize).to_string(),
+                MigNode::Majority(_) => format!("n{}", s.node().index()),
+            };
+            if s.is_complemented() {
+                if base == "0" {
+                    "1".to_string()
+                } else {
+                    format!("!{base}")
+                }
+            } else {
+                base
+            }
+        };
+        for id in mig.majority_ids() {
+            let children = mig.node(id).children().expect("majority node");
+            let _ = writeln!(
+                out,
+                "n{} = maj({}, {}, {})",
+                id.index(),
+                name_of(children[0], mig),
+                name_of(children[1], mig),
+                name_of(children[2], mig),
+            );
+        }
+        for (name, signal) in mig.outputs() {
+            let _ = writeln!(out, "output {} = {}", name, name_of(*signal, mig));
+        }
+        out
+    }
+
+    /// A random graph of up to `nodes` majority nodes over inputs whose
+    /// names include the constants' spellings and a majority node's, with
+    /// complemented and plain outputs on every kind of signal.
+    fn arbitrary_mig(rng: &mut TestRng, nodes: usize) -> Mig {
+        const NAMES: [&str; 6] = ["a", "0", "1", "n3", "b c", "x_1"];
+        let mut below = |n: u64| (rng.next_u64() % n) as usize;
+        let mut mig = Mig::new();
+        let mut signals = vec![Signal::FALSE];
+        for k in 0..1 + below(6) {
+            let name = if below(2) == 0 {
+                NAMES[below(NAMES.len() as u64)].to_string()
+            } else {
+                format!("i{k}")
+            };
+            signals.push(mig.add_input(name));
+        }
+        for _ in 0..nodes {
+            let mut pick = || signals[below(signals.len() as u64)].complement_if(below(2) == 1);
+            let (a, b, c) = (pick(), pick(), pick());
+            signals.push(mig.maj(a, b, c));
+        }
+        for k in 0..below(5) {
+            let signal = signals[below(signals.len() as u64)].complement_if(below(2) == 1);
+            mig.add_output(format!("f{k}"), signal);
+        }
+        mig
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `write_mig` renders random graphs byte for byte like the
+        /// `format!` renderer it replaced.
+        #[test]
+        fn write_mig_matches_the_format_oracle(seed in any::<u64>(), nodes in 0usize..200) {
+            let mig = arbitrary_mig(&mut TestRng::new(seed), nodes);
+            prop_assert_eq!(write_mig(&mig), format_mig(&mig));
+        }
+    }
+
+    /// A line is a keyword line only when `inputs` or `output` is a whole
+    /// token; a name that merely starts with one defines a node.
+    #[test]
+    fn a_name_starting_with_inputs_defines_a_node() {
+        let mig = parse_mig("inputs a b c\ninputsx = maj(a, b, c)\noutput f = inputsx\n").unwrap();
+        assert_eq!((mig.num_inputs(), mig.num_majority_nodes()), (3, 1));
+        assert_eq!(mig.outputs()[0].0, "f");
+    }
+
+    #[test]
+    fn a_name_starting_with_output_defines_a_node() {
+        let mig =
+            parse_mig("inputs a b c\noutput_q = maj(a, b, c)\noutput q = output_q\n").unwrap();
+        assert_eq!((mig.num_inputs(), mig.num_majority_nodes()), (3, 1));
+        assert_eq!(mig.outputs()[0].0, "q");
+    }
+
+    #[test]
+    fn an_outputs_line_is_an_error() {
+        let e = parse_mig("inputs a b c\nn1 = maj(a, b, c)\noutputs f = n1\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (3, "expected `maj(a, b, c)`"));
+        assert_eq!(e.to_string().lines().count(), 1);
+    }
 
     fn sample() -> Mig {
         let mut mig = Mig::new();

@@ -21,6 +21,7 @@
 use std::fmt;
 
 use crate::isa::{Instruction, Operand, OutputLoc, Program, RamAddr};
+use crate::text;
 
 /// Error produced while parsing PLiM assembly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,26 +42,42 @@ impl std::error::Error for ParseAsmError {}
 
 /// Serializes a program as PLiM assembly (parseable by [`parse_asm`]).
 pub fn write_asm(program: &Program) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, ".inputs {}", program.num_inputs());
-    let width = program.len().to_string().len().max(2);
+    let width = text::line_number_width(program.len());
+    let mut out = String::with_capacity(program.len() * (width + ASM_LINE_BYTES));
+    out.push_str(".inputs ");
+    text::push_uint(&mut out, program.num_inputs() as u64);
+    out.push('\n');
     for (index, instruction) in program.instructions().iter().enumerate() {
-        let _ = writeln!(out, "{:0width$}: {}", index + 1, instruction);
+        text::push_line_number(&mut out, index + 1, width);
+        instruction.push_to(&mut out);
+        out.push('\n');
     }
     for (name, loc) in program.outputs() {
-        let target = match loc {
-            OutputLoc::Ram(addr) => format!("{addr}"),
-            OutputLoc::Const(v) => format!("{}", *v as u8),
+        out.push_str(".output ");
+        out.push_str(name);
+        out.push_str(" = ");
+        match *loc {
+            OutputLoc::Ram(addr) => addr.push_to(&mut out),
+            OutputLoc::Const(v) => out.push(if v { '1' } else { '0' }),
             OutputLoc::Input {
                 index,
                 complemented,
-            } => format!("{}i{}", if *complemented { "!" } else { "" }, index + 1),
-        };
-        let _ = writeln!(out, ".output {name} = {target}");
+            } => {
+                if complemented {
+                    out.push('!');
+                }
+                out.push('i');
+                text::push_uint(&mut out, u64::from(index) + 1);
+            }
+        }
+        out.push('\n');
     }
     out
 }
+
+/// Bytes an instruction line takes past its line number, as sized up
+/// front (`i12, @X345, @X67`).
+const ASM_LINE_BYTES: usize = 18;
 
 fn parse_operand(token: &str, line: usize) -> Result<Operand, ParseAsmError> {
     let err = |message: String| ParseAsmError { line, message };
@@ -205,7 +222,54 @@ pub fn parse_asm(text: &str) -> Result<Program, ParseAsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::tests::arbitrary_program;
     use crate::machine::Machine;
+    use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
+
+    /// The `format!` renderer [`write_asm`] replaced, kept as its oracle.
+    fn format_asm(program: &Program) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(out, ".inputs {}", program.num_inputs());
+        let width = program.len().to_string().len().max(2);
+        for (index, instruction) in program.instructions().iter().enumerate() {
+            let _ = writeln!(out, "{:0width$}: {}", index + 1, instruction);
+        }
+        for (name, loc) in program.outputs() {
+            let target = match loc {
+                OutputLoc::Ram(addr) => format!("{addr}"),
+                OutputLoc::Const(v) => format!("{}", *v as u8),
+                OutputLoc::Input {
+                    index,
+                    complemented,
+                } => format!("{}i{}", if *complemented { "!" } else { "" }, index + 1),
+            };
+            let _ = writeln!(out, ".output {name} = {target}");
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `write_asm` renders random programs byte for byte like the
+        /// `format!` renderer it replaced.
+        #[test]
+        fn write_asm_matches_the_format_oracle(seed in any::<u64>(), len in 0usize..240) {
+            let p = arbitrary_program(&mut TestRng::new(seed), len);
+            prop_assert_eq!(write_asm(&p), format_asm(&p));
+        }
+    }
+
+    /// On both sides of each step of the line-number width.
+    #[test]
+    fn write_asm_matches_the_oracle_across_line_number_widths() {
+        let mut rng = TestRng::for_test("asm_widths");
+        for len in [99, 100, 99_999, 100_000] {
+            let p = arbitrary_program(&mut rng, len);
+            assert_eq!(write_asm(&p), format_asm(&p), "{len} instructions");
+        }
+    }
 
     #[test]
     fn roundtrip_preserves_everything() {

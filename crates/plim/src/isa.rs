@@ -16,6 +16,8 @@
 
 use std::fmt;
 
+use crate::text::{self, push_uint};
+
 /// Address of a work RRAM cell inside the PLiM memory array.
 ///
 /// Displayed as `@X1`, `@X2`, … matching the paper's program listings
@@ -28,6 +30,13 @@ impl RamAddr {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Appends the listing form `@X<index + 1>` to `out`.
+    #[inline]
+    pub(crate) fn push_to(self, out: &mut String) {
+        out.push_str("@X");
+        push_uint(out, u64::from(self.0) + 1);
     }
 }
 
@@ -54,6 +63,19 @@ impl Operand {
     #[inline]
     pub fn is_const(self) -> bool {
         matches!(self, Operand::Const(_))
+    }
+
+    /// Appends the listing form (`0`, `1`, `i3`, `@X1`) to `out`.
+    #[inline]
+    pub(crate) fn push_to(self, out: &mut String) {
+        match self {
+            Operand::Const(v) => out.push(if v { '1' } else { '0' }),
+            Operand::Input(i) => {
+                out.push('i');
+                push_uint(out, u64::from(i) + 1);
+            }
+            Operand::Ram(addr) => addr.push_to(out),
+        }
     }
 }
 
@@ -115,6 +137,16 @@ impl Instruction {
     pub fn set(z: RamAddr) -> Self {
         Instruction::new(Operand::Const(true), Operand::Const(false), z)
     }
+
+    /// Appends the listing form `A, B, @Xk` to `out`.
+    #[inline]
+    pub(crate) fn push_to(self, out: &mut String) {
+        self.a.push_to(out);
+        out.push_str(", ");
+        self.b.push_to(out);
+        out.push_str(", ");
+        self.z.push_to(out);
+    }
 }
 
 impl fmt::Display for Instruction {
@@ -140,6 +172,30 @@ pub enum Rhs {
     Node(u32, bool),
 }
 
+impl Rhs {
+    /// Appends the listing text (as [`fmt::Display`] renders it) to `out`.
+    pub fn push_to(self, out: &mut String) {
+        let bar = |out: &mut String, complemented: bool| {
+            if complemented {
+                out.push('¬');
+            }
+        };
+        match self {
+            Rhs::Const(v) => out.push(if v { '1' } else { '0' }),
+            Rhs::Input(i, c) => {
+                bar(out, c);
+                out.push('i');
+                push_uint(out, u64::from(i) + 1);
+            }
+            Rhs::Node(n, c) => {
+                bar(out, c);
+                out.push('N');
+                push_uint(out, u64::from(n));
+            }
+        }
+    }
+}
+
 impl fmt::Display for Rhs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let bar = |complemented: bool| if complemented { "¬" } else { "" };
@@ -149,16 +205,6 @@ impl fmt::Display for Rhs {
             Rhs::Node(n, c) => write!(f, "{}N{n}", bar(c)),
         }
     }
-}
-
-/// An instruction's listing comment.
-#[derive(Debug, Clone)]
-enum Comment {
-    None,
-    /// Free text from [`Program::push_commented`].
-    Text(Box<str>),
-    /// `X<z+1> ← rhs`, where `z` is the instruction's destination.
-    Assign(Rhs),
 }
 
 /// Where a program's primary-output value resides after execution.
@@ -185,7 +231,9 @@ pub enum OutputLoc {
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     instructions: Vec<Instruction>,
-    comments: Vec<Comment>,
+    /// Per instruction, the right-hand side of its listing comment
+    /// `X<z+1> ← rhs`, where `z` is the instruction's destination.
+    comments: Vec<Option<Rhs>>,
     num_inputs: usize,
     num_rams: u32,
     outputs: Vec<(String, OutputLoc)>,
@@ -202,28 +250,16 @@ impl Program {
 
     /// Appends an instruction with an empty comment.
     pub fn push(&mut self, instruction: Instruction) {
-        self.push_with(instruction, Comment::None);
-    }
-
-    /// Appends an instruction with a free-text listing comment (e.g.
-    /// `X1 ← N3`); an empty comment is no comment.
-    pub fn push_commented(&mut self, instruction: Instruction, comment: impl Into<String>) {
-        let comment: String = comment.into();
-        let comment = if comment.is_empty() {
-            Comment::None
-        } else {
-            Comment::Text(comment.into_boxed_str())
-        };
-        self.push_with(instruction, comment);
+        self.push_with(instruction, None);
     }
 
     /// Appends an instruction commented `X<z> ← rhs`, where `X<z>` is its
     /// destination; the text is rendered only when the listing is.
     pub fn push_assignment(&mut self, instruction: Instruction, rhs: Rhs) {
-        self.push_with(instruction, Comment::Assign(rhs));
+        self.push_with(instruction, Some(rhs));
     }
 
-    fn push_with(&mut self, instruction: Instruction, comment: Comment) {
+    fn push_with(&mut self, instruction: Instruction, comment: Option<Rhs>) {
         if instruction.z.0 >= self.num_rams {
             self.num_rams = instruction.z.0 + 1;
         }
@@ -241,22 +277,6 @@ impl Program {
     #[inline]
     pub fn instructions(&self) -> &[Instruction] {
         &self.instructions
-    }
-
-    /// The listing comment of instruction `index` (empty when it has none).
-    pub fn comment(&self, index: usize) -> String {
-        let mut text = String::new();
-        let _ = self.write_comment(&mut text, index);
-        text
-    }
-
-    /// Writes the listing comment of instruction `index`.
-    fn write_comment(&self, out: &mut impl fmt::Write, index: usize) -> fmt::Result {
-        match &self.comments[index] {
-            Comment::None => Ok(()),
-            Comment::Text(text) => out.write_str(text),
-            Comment::Assign(rhs) => write!(out, "X{} ← {rhs}", self.instructions[index].z.0 + 1),
-        }
     }
 
     /// Number of instructions (`#I` in the paper).
@@ -293,40 +313,52 @@ impl Program {
     pub fn outputs(&self) -> &[(String, OutputLoc)] {
         &self.outputs
     }
-}
 
-impl fmt::Display for Program {
-    /// Formats the program as a paper-style listing:
+    /// The paper-style listing, one line per instruction; a commented line
+    /// pads its instruction column to 18 bytes:
     ///
     /// ```text
-    /// 01: 0, 1, @X1      X1 ← 0
-    /// 02: i3, 0, @X1     X1 ← i3
+    /// 01: 0, 1, @X1          X1 ← 0
+    /// 02: i3, 0, @X1         X1 ← i3
+    /// 03: 1, 0, @X2
     /// ```
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use fmt::Write as _;
-        let width = self.instructions.len().to_string().len().max(2);
-        // The instruction column of commented lines is padded, so it is
-        // rendered first, into one buffer reused across lines.
-        let mut column = String::new();
-        for (index, instruction) in self.instructions.iter().enumerate() {
-            let line = index + 1;
-            if matches!(self.comments[index], Comment::None) {
-                writeln!(f, "{line:0width$}: {instruction}")?;
-                continue;
+    pub fn listing(&self) -> String {
+        let width = text::line_number_width(self.len());
+        let mut out = String::with_capacity(self.len() * (width + LISTING_LINE_BYTES));
+        for (index, (instruction, comment)) in
+            self.instructions.iter().zip(&self.comments).enumerate()
+        {
+            text::push_line_number(&mut out, index + 1, width);
+            let column = out.len();
+            instruction.push_to(&mut out);
+            if let Some(rhs) = comment {
+                text::pad_column(&mut out, column, 18);
+                out.push_str(" X");
+                push_uint(&mut out, u64::from(instruction.z.0) + 1);
+                out.push_str(" ← ");
+                rhs.push_to(&mut out);
             }
-            column.clear();
-            write!(column, "{instruction}")?;
-            write!(f, "{line:0width$}: {column:<18} ")?;
-            self.write_comment(f, index)?;
-            writeln!(f)?;
+            out.push('\n');
         }
-        Ok(())
+        out
+    }
+}
+
+/// Bytes a listing line takes past its line number, as sized up front: the
+/// padded instruction column and a comment such as `X12 ← ¬N3456`.
+const LISTING_LINE_BYTES: usize = 36;
+
+impl fmt::Display for Program {
+    /// Formats the program as its [listing](Program::listing).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.listing())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
 
     #[test]
     fn operand_display_matches_paper() {
@@ -359,10 +391,10 @@ mod tests {
     #[test]
     fn listing_format() {
         let mut p = Program::new(3);
-        p.push_commented(Instruction::reset(RamAddr(0)), "X1 ← 0");
-        p.push_commented(
+        p.push_assignment(Instruction::reset(RamAddr(0)), Rhs::Const(false));
+        p.push_assignment(
             Instruction::new(Operand::Input(2), Operand::Const(false), RamAddr(0)),
-            "X1 ← i3",
+            Rhs::Input(2, false),
         );
         let text = p.to_string();
         assert!(text.contains("01: 0, 1, @X1"));
@@ -390,6 +422,9 @@ mod tests {
         ] {
             assert_eq!(rhs.to_string(), text);
             assert_eq!(rhs.to_string(), old(rhs));
+            let mut pushed = String::new();
+            rhs.push_to(&mut pushed);
+            assert_eq!(pushed, text);
         }
     }
 
@@ -402,15 +437,23 @@ mod tests {
             Rhs::Input(2, true),
         );
         p.push(Instruction::set(RamAddr(0)));
-        p.push_commented(Instruction::set(RamAddr(1)), "");
+        p.push_assignment(
+            Instruction::new(
+                Operand::Ram(RamAddr(99_999)),
+                Operand::Ram(RamAddr(99_999)),
+                RamAddr(99_999),
+            ),
+            Rhs::Node(4_567, true),
+        );
         let mut text = String::new();
         text.push_str(&format!("01: {:<18} {}\n", "0, 1, @X12", "X12 ← 0"));
         text.push_str(&format!("02: {:<18} {}\n", "1, i3, @X12", "X12 ← ¬i3"));
-        text.push_str("03: 1, 0, @X1\n04: 1, 0, @X2\n");
+        text.push_str("03: 1, 0, @X1\n");
+        // A column past 18 bytes is not padded: one space, then the comment.
+        text.push_str("04: @X100000, @X100000, @X100000 X100000 ← ¬N4567\n");
         assert_eq!(p.to_string(), text);
-        assert_eq!(p.comment(1), "X12 ← ¬i3");
-        assert_eq!(p.comment(2), "");
-        assert_eq!(p.num_rams(), 12);
+        assert_eq!(p.listing(), text);
+        assert_eq!(p.num_rams(), 100_000);
     }
 
     #[test]
@@ -434,5 +477,103 @@ mod tests {
             },
         );
         assert_eq!(p.outputs().len(), 3);
+    }
+
+    /// The `format!` renderer [`Program::listing`] replaced, kept as its
+    /// oracle.
+    pub(crate) fn format_listing(p: &Program) -> String {
+        use fmt::Write as _;
+        let width = p.len().to_string().len().max(2);
+        let mut out = String::new();
+        for (index, (instruction, comment)) in p.instructions.iter().zip(&p.comments).enumerate() {
+            let line = index + 1;
+            let _ = match comment {
+                None => writeln!(out, "{line:0width$}: {instruction}"),
+                Some(rhs) => writeln!(
+                    out,
+                    "{line:0width$}: {:<18} X{} ← {rhs}",
+                    instruction.to_string(),
+                    instruction.z.0 + 1
+                ),
+            };
+        }
+        out
+    }
+
+    /// A draw below `n`.
+    fn below(rng: &mut TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    /// A cell, input or node index: small mostly, seven digits now and then.
+    fn index(rng: &mut TestRng) -> u32 {
+        let bound = if below(rng, 8) == 0 { 10_000_000 } else { 120 };
+        below(rng, bound) as u32
+    }
+
+    fn operand(rng: &mut TestRng) -> Operand {
+        match below(rng, 3) {
+            0 => Operand::Const(below(rng, 2) == 1),
+            1 => Operand::Input(index(rng)),
+            _ => Operand::Ram(RamAddr(index(rng))),
+        }
+    }
+
+    /// A random program of `len` instructions over every operand form,
+    /// with and without comments of every `Rhs` form, outputs of every
+    /// `OutputLoc` form, and addresses large enough that some instruction
+    /// columns pass 18 bytes.
+    pub(crate) fn arbitrary_program(rng: &mut TestRng, len: usize) -> Program {
+        let mut p = Program::new(below(rng, 50) as usize);
+        for _ in 0..len {
+            let instruction = Instruction::new(operand(rng), operand(rng), RamAddr(index(rng)));
+            let complemented = below(rng, 2) == 1;
+            match below(rng, 4) {
+                0 => p.push(instruction),
+                1 => p.push_assignment(instruction, Rhs::Const(complemented)),
+                2 => p.push_assignment(instruction, Rhs::Input(index(rng), complemented)),
+                _ => p.push_assignment(instruction, Rhs::Node(index(rng), complemented)),
+            }
+        }
+        for k in 0..below(rng, 6) {
+            let loc = match below(rng, 3) {
+                0 => OutputLoc::Const(below(rng, 2) == 1),
+                1 => OutputLoc::Input {
+                    index: index(rng),
+                    complemented: below(rng, 2) == 1,
+                },
+                _ => OutputLoc::Ram(RamAddr(index(rng))),
+            };
+            p.add_output(format!("f{k}"), loc);
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The listing writer renders random programs byte for byte like
+        /// the `format!` renderer it replaced.
+        #[test]
+        fn listing_matches_the_format_oracle(seed in any::<u64>(), len in 0usize..240) {
+            let p = arbitrary_program(&mut TestRng::new(seed), len);
+            prop_assert_eq!(p.listing(), format_listing(&p));
+        }
+    }
+
+    /// On both sides of each step of the line-number width.
+    #[test]
+    fn listing_matches_the_oracle_across_line_number_widths() {
+        let mut rng = TestRng::for_test("listing_widths");
+        for len in [99, 100, 99_999, 100_000] {
+            let p = arbitrary_program(&mut rng, len);
+            let listing = p.listing();
+            assert_eq!(listing, format_listing(&p), "{len} instructions");
+            let width = len.to_string().len().max(2);
+            assert_eq!(
+                listing.lines().last().map(|l| l.find(':')),
+                Some(Some(width))
+            );
+        }
     }
 }

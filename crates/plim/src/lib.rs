@@ -30,6 +30,7 @@ pub mod endurance;
 mod error;
 mod isa;
 mod machine;
+pub mod text;
 pub mod wide;
 
 pub use endurance::EnduranceStats;

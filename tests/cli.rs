@@ -315,6 +315,40 @@ fn egraph_emits_match_the_golden_files() {
     }
 }
 
+/// `plimc --target ambit|magic -O2 --emit listing` on two reduced circuits
+/// is pinned byte for byte, so the backends' listing writers cannot move a
+/// byte of the Ambit or MAGIC text.
+#[test]
+fn backend_listings_match_the_golden_files() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    for circuit in ["dec", "int2float"] {
+        let dump = plimc()
+            .args(["dump", circuit, "--reduced"])
+            .output()
+            .unwrap();
+        assert!(dump.status.success());
+        for target in ["ambit", "magic"] {
+            let output = run_with_stdin(
+                &["--target", target, "-O2", "--emit", "listing", "-"],
+                &dump.stdout,
+            );
+            assert!(
+                output.status.success(),
+                "{circuit}: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            let expected =
+                std::fs::read_to_string(format!("{golden}/{circuit}.{target}.O2.listing"))
+                    .expect("golden file");
+            assert_eq!(
+                String::from_utf8_lossy(&output.stdout),
+                expected,
+                "{circuit}: --target {target} --emit listing diverged from the golden file"
+            );
+        }
+    }
+}
+
 /// The hash-consing tables (strash, e-graph memo) draw a fresh random key
 /// in every process, so their iteration order differs from run to run.
 /// Two separate `plimc` processes must still print the golden listing
