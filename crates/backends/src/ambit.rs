@@ -21,22 +21,20 @@
 //! `⟨a b̄ x⟩ = a` when `a = ¬b`.
 //!
 //! Work rows come from the compiler's allocator replay
-//! ([`crate::rows::assign_rows`]), so placement honors the IR's lifetime
+//! ([`plim_compiler::ir::place`]), so placement honors the IR's lifetime
 //! discipline; `T0`–`T2` live directly above the work region. The cost
 //! model counts **row activations**: 1 per `set`/`reset`, 2 per copy
-//! (activate source, activate destination), 3 per TRA.
+//! (activate source, activate destination), 3 per TRA. [`AMBIT_COST`]
+//! prices a whole op so, and the replay scores streams with it.
 
 use std::fmt::Write as _;
 
-use plim_compiler::backend::{poison, text, LaneWord, W256};
-use plim_compiler::ir::{Event, IrProgram, Value};
+use plim_compiler::backend::{poison, text, LaneWord, Operand, OutputLoc, RamAddr, W256};
+use plim_compiler::ir::{self, IrOp, IrProgram};
 use plim_compiler::verify::VerifyError;
-use plim_compiler::{Artifact, Backend, Cost, InstructionInfo};
+use plim_compiler::{Artifact, Backend, Cost, CostTable, InstructionInfo, OpCost, WorkRegion};
 
-use crate::rows::{
-    assign_rows, check_inputs, lower_outputs, push_input, push_row, read_outputs, render_outputs,
-    OutLoc,
-};
+use crate::rows::{check_inputs, push_input, push_row, read_outputs, render_outputs};
 
 /// Where a row operation reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,16 +60,24 @@ enum Op {
     Tra(u32, u32, u32),
 }
 
-impl Op {
-    /// Row activations this instruction costs.
-    fn activations(self) -> u64 {
-        match self {
-            Op::Set(_) | Op::Reset(_) => 1,
-            Op::Copy(..) | Op::Not(..) => 2,
-            Op::Tra(..) => 3,
-        }
-    }
-}
+/// Ambit's cost table, from its lowering of one IR op: a masking op is one
+/// `set`/`reset` of the destination; any other is five row ops — two
+/// transfers into `T0`/`T1` (a constant one a single-activation
+/// `set`/`reset`), the copy of the destination into `T2`, the TRA, and the
+/// copy back — for 2 + 2 + 2 + 3 + 2 activations, writing each scratch row
+/// twice and the destination once.
+const AMBIT_COST: CostTable = CostTable {
+    masking: OpCost::ONE,
+    other: OpCost {
+        instructions: 5,
+        units: 11,
+        const_discount: 1,
+        writes: 1,
+    },
+    scratch_rows: 3,
+    scratch_writes: 2,
+    work_region: WorkRegion::Requested,
+};
 
 /// The Ambit backend's instruction set.
 const AMBIT_ISA: [InstructionInfo; 5] = [
@@ -119,8 +125,8 @@ impl Backend for AmbitBackend {
         &AMBIT_ISA
     }
 
-    fn cost(&self, ir: &IrProgram) -> Cost {
-        lower(ir).cost
+    fn cost_table(&self) -> CostTable {
+        AMBIT_COST
     }
 
     fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
@@ -132,10 +138,8 @@ impl Backend for AmbitBackend {
 #[derive(Debug, Clone)]
 pub struct AmbitArtifact {
     num_inputs: usize,
-    /// Total rows: work region plus the `T0`–`T2` scratch group.
-    rows: u32,
     ops: Vec<Op>,
-    outputs: Vec<(String, OutLoc)>,
+    outputs: Vec<(String, OutputLoc)>,
     cost: Cost,
 }
 
@@ -145,70 +149,45 @@ const LINE_BYTES: usize = 17;
 
 /// Lowers the IR event stream onto the Ambit substrate.
 fn lower(ir: &IrProgram) -> AmbitArtifact {
-    let rows = assign_rows(ir);
-    let (t0, t1, t2) = (rows.work_rows, rows.work_rows + 1, rows.work_rows + 2);
+    // The scratch group sits above the work region, which a first replay
+    // sizes.
+    let work_rows = ir::place(ir, AMBIT_COST, &mut ()).work_rows;
+    let [t0, t1, t2] = [0, 1, 2].map(|k| work_rows + k);
     let mut ops = Vec::new();
-    let mut uses_scratch = false;
-    let src = |value: Value, rows: &crate::rows::Rows| match value {
-        Value::Input(i) => Src::Input(i),
-        Value::Cell(c) => Src::Row(rows.cell_row[c.index()]),
-        Value::Const(_) => unreachable!("constants are lowered to set/reset"),
+    let src = |operand: Operand| match operand {
+        Operand::Input(i) => Src::Input(i),
+        Operand::Ram(r) => Src::Row(r.0),
+        Operand::Const(_) => unreachable!("constants are lowered to set/reset"),
     };
-    for &event in &ir.events {
-        let Event::Op(index) = event else { continue };
-        let op = &ir.ops[index as usize];
-        let z = rows.cell_row[op.z.index()];
+    let mut sink = |op: &IrOp, z: RamAddr, a: Operand, b: Operand| {
+        let z = z.0;
         if op.masking() {
             // ⟨a b̄ x⟩ = a when a = ¬b: a single row initialization.
-            let Value::Const(v) = op.a else {
+            let Operand::Const(v) = a else {
                 unreachable!("masking ops have constant operands")
             };
             ops.push(if v { Op::Set(z) } else { Op::Reset(z) });
-            continue;
+            return;
         }
-        uses_scratch = true;
-        match op.a {
-            Value::Const(v) => ops.push(if v { Op::Set(t0) } else { Op::Reset(t0) }),
-            other => ops.push(Op::Copy(src(other, &rows), t0)),
+        match a {
+            Operand::Const(v) => ops.push(if v { Op::Set(t0) } else { Op::Reset(t0) }),
+            other => ops.push(Op::Copy(src(other), t0)),
         }
-        match op.b {
+        match b {
             // B is inverted intrinsically by RM3; `set` for false keeps it so.
-            Value::Const(v) => ops.push(if v { Op::Reset(t1) } else { Op::Set(t1) }),
-            other => ops.push(Op::Not(src(other, &rows), t1)),
+            Operand::Const(v) => ops.push(if v { Op::Reset(t1) } else { Op::Set(t1) }),
+            other => ops.push(Op::Not(src(other), t1)),
         }
         ops.push(Op::Copy(Src::Row(z), t2));
         ops.push(Op::Tra(t0, t1, t2));
         ops.push(Op::Copy(Src::Row(t0), z));
-    }
-    let total_rows = rows.work_rows + if uses_scratch { 3 } else { 0 };
-
-    // Wear: writes per row, scratch included (every copy/set/tra writes its
-    // destination; a TRA writes all three group rows).
-    let mut writes = vec![0u64; total_rows as usize];
-    for op in &ops {
-        match *op {
-            Op::Set(r) | Op::Reset(r) | Op::Copy(_, r) | Op::Not(_, r) => {
-                writes[r as usize] += 1;
-            }
-            Op::Tra(a, b, c) => {
-                writes[a as usize] += 1;
-                writes[b as usize] += 1;
-                writes[c as usize] += 1;
-            }
-        }
-    }
-    let cost = Cost {
-        instructions: ops.len(),
-        footprint: total_rows,
-        wear: writes.iter().copied().max().unwrap_or(0),
-        units: ops.iter().map(|op| op.activations()).sum(),
     };
+    let placement = ir::place(ir, AMBIT_COST, &mut sink);
     AmbitArtifact {
         num_inputs: ir.num_inputs,
-        rows: total_rows,
-        outputs: lower_outputs(ir, &rows),
         ops,
-        cost,
+        outputs: placement.outputs,
+        cost: placement.cost,
     }
 }
 
@@ -229,7 +208,7 @@ impl Artifact for AmbitArtifact {
         let width = text::line_number_width(self.ops.len());
         let mut out = String::with_capacity(64 + self.ops.len() * (width + LINE_BYTES));
         let _ = writeln!(out, ".ambit v1\n.inputs {}", self.num_inputs);
-        let _ = writeln!(out, ".rows {} (3 scratch)", self.rows);
+        let _ = writeln!(out, ".rows {} (3 scratch)", self.cost.footprint);
         let transfer = |out: &mut String, mnemonic: &str, s: Src, d: u32| {
             out.push_str(mnemonic);
             match s {
@@ -280,7 +259,7 @@ impl Artifact for AmbitArtifact {
 
     fn run_wide(&self, inputs: &[W256]) -> Result<Vec<W256>, VerifyError> {
         check_inputs(self.num_inputs, inputs)?;
-        let mut rows: Vec<W256> = (0..self.rows).map(poison).collect();
+        let mut rows: Vec<W256> = (0..self.cost.footprint).map(poison).collect();
         let read = |s: Src, rows: &[W256]| match s {
             Src::Input(i) => inputs[i as usize],
             Src::Row(r) => rows[r as usize],
@@ -308,7 +287,7 @@ impl Artifact for AmbitArtifact {
 mod tests {
     use super::*;
     use crate::rows::draw::{below, index, outputs};
-    use crate::rows::format_outputs;
+    use crate::rows::{format_outputs, oracle};
     use plim_compiler::verify::verify_exhaustive;
     use plim_compiler::{compile_full, CompilerOptions, OptLevel};
     use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
@@ -317,7 +296,7 @@ mod tests {
     fn format_listing(artifact: &AmbitArtifact) -> String {
         let mut out = String::from(".ambit v1\n");
         let _ = writeln!(out, ".inputs {}", artifact.num_inputs);
-        let _ = writeln!(out, ".rows {} (3 scratch)", artifact.rows);
+        let _ = writeln!(out, ".rows {} (3 scratch)", artifact.cost.footprint);
         let width = artifact.ops.len().to_string().len().max(2);
         let src = |s: Src| match s {
             Src::Input(i) => format!("i{}", i + 1),
@@ -338,7 +317,7 @@ mod tests {
     }
 
     /// An artifact of `len` random ops of every form over every `Src`
-    /// form, and outputs of every `OutLoc` form. It need not run.
+    /// form, and outputs of every `OutputLoc` form. It need not run.
     fn arbitrary_artifact(rng: &mut TestRng, len: usize) -> AmbitArtifact {
         let src = |rng: &mut TestRng| {
             if below(rng, 2) == 0 {
@@ -358,10 +337,12 @@ mod tests {
             .collect();
         AmbitArtifact {
             num_inputs: below(rng, 40) as usize,
-            rows: index(rng),
             ops,
             outputs: outputs(rng),
-            cost: Cost::default(),
+            cost: Cost {
+                footprint: index(rng),
+                ..Cost::default()
+            },
         }
     }
 
@@ -384,6 +365,57 @@ mod tests {
         for len in [99, 100, 99_999, 100_000] {
             let artifact = arbitrary_artifact(&mut rng, len);
             assert_eq!(artifact.listing(), format_listing(&artifact), "{len} ops");
+        }
+    }
+
+    /// The cost the lowering counted from its op list before the replay
+    /// priced ops, kept as the oracle of the cost table: writes per row
+    /// (a TRA writes its three rows), activations per op, and the work
+    /// region plus the scratch group once a TRA runs.
+    fn recount(artifact: &AmbitArtifact, ir: &IrProgram) -> Cost {
+        let scratch = artifact.ops.iter().any(|op| matches!(op, Op::Tra(..)));
+        let footprint = oracle::work_rows(ir) + if scratch { 3 } else { 0 };
+        let mut writes = vec![0u64; footprint as usize];
+        let mut units = 0;
+        for op in &artifact.ops {
+            units += match *op {
+                Op::Set(r) | Op::Reset(r) => {
+                    writes[r as usize] += 1;
+                    1
+                }
+                Op::Copy(_, r) | Op::Not(_, r) => {
+                    writes[r as usize] += 1;
+                    2
+                }
+                Op::Tra(a, b, c) => {
+                    for r in [a, b, c] {
+                        writes[r as usize] += 1;
+                    }
+                    3
+                }
+            };
+        }
+        Cost {
+            instructions: artifact.ops.len(),
+            footprint,
+            wear: writes.iter().copied().max().unwrap_or(0),
+            units,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The replay prices every stream — random logic under every
+        /// allocator, at `-O0` and `-O2`, and a stream with a requested
+        /// cell no op touches — as a recount of the emitted op list does.
+        #[test]
+        fn cost_matches_a_recount_of_the_emitted_ops(seed in any::<u64>()) {
+            for ir in oracle::streams(seed, &AmbitBackend) {
+                let artifact = lower(&ir);
+                prop_assert_eq!(AmbitBackend.cost(&ir), recount(&artifact, &ir));
+                prop_assert_eq!(artifact.cost, recount(&artifact, &ir));
+            }
         }
     }
 

@@ -15,9 +15,11 @@
 //!   six scratch memristors, each preceded by the mandatory output-device
 //!   initialization. The cost model counts pulses.
 //!
-//! Both backends reuse the compiler's allocator replay for deterministic
-//! row/cell placement and execute their artifacts 256 input patterns at a
-//! time from the same poisoned memory image as the RM3 program
+//! Each backend is a [`plim_compiler::CostTable`] and a lowering of the
+//! ops the compiler's one allocator replay ([`plim_compiler::ir::place`])
+//! places, so costing, `-O2` trial scoring and `--alloc wear` work as for
+//! RM3. Both execute their artifacts 256 input patterns at a time from the
+//! same poisoned memory image as the RM3 program
 //! ([`plim_compiler::backend::poison`]), so the one verifier
 //! ([`plim_compiler::verify::verify_exhaustive`] and its sampled sibling
 //! [`plim_compiler::verify::verify_artifact`]) proves them against the

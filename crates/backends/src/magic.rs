@@ -20,9 +20,10 @@
 //! Every NOR is preceded by the mandatory `set` of its output device, so a
 //! non-masking op costs 14 pulses; masking ops (the reset/set idioms)
 //! collapse to a single initialization of the destination. Cell placement
-//! reuses the compiler's allocator replay; the six scratch devices live
-//! above the work region. The cost model counts **pulses** (every
-//! instruction is one).
+//! reuses the compiler's allocator replay ([`plim_compiler::ir::place`]);
+//! the six scratch devices live above the work region. The cost model
+//! counts **pulses** (every instruction is one); [`MAGIC_COST`] prices a
+//! whole op so, and the replay scores streams with it.
 //!
 //! This is deliberately a sketch: constants ride along as NOR inputs
 //! instead of being strapped to reference devices, and device variability
@@ -31,26 +32,12 @@
 
 use std::fmt::Write as _;
 
-use plim_compiler::backend::{poison, text, LaneWord, W256};
-use plim_compiler::ir::{Event, IrProgram, Value};
+use plim_compiler::backend::{poison, text, LaneWord, Operand, OutputLoc, RamAddr, W256};
+use plim_compiler::ir::{self, IrOp, IrProgram};
 use plim_compiler::verify::VerifyError;
-use plim_compiler::{Artifact, Backend, Cost, InstructionInfo};
+use plim_compiler::{Artifact, Backend, Cost, CostTable, InstructionInfo, OpCost, WorkRegion};
 
-use crate::rows::{
-    assign_rows, check_inputs, lower_outputs, push_input, push_row, read_outputs, render_outputs,
-    OutLoc,
-};
-
-/// What a NOR input reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Src {
-    /// A constant reference level.
-    Const(bool),
-    /// A primary input device.
-    Input(u32),
-    /// A work or scratch device.
-    Cell(u32),
-}
+use crate::rows::{check_inputs, push_input, push_row, read_outputs, render_outputs};
 
 /// One MAGIC instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +47,25 @@ enum Op {
     /// Initialize a device to logic 0.
     Reset(u32),
     /// `dst ← ¬(src₁ ∨ …)`; the device must have been `set` first.
-    Nor(Vec<Src>, u32),
+    Nor(Vec<Operand>, u32),
 }
+
+/// MAGIC's cost table, from its lowering of one IR op: a masking op is one
+/// initialization of the destination; any other is seven NORs, each with
+/// its `set`, for 14 pulses, writing each scratch device twice and the
+/// destination twice.
+const MAGIC_COST: CostTable = CostTable {
+    masking: OpCost::ONE,
+    other: OpCost {
+        instructions: 14,
+        units: 14,
+        const_discount: 0,
+        writes: 2,
+    },
+    scratch_rows: 6,
+    scratch_writes: 2,
+    work_region: WorkRegion::Requested,
+};
 
 /// The MAGIC backend's instruction set.
 const MAGIC_ISA: [InstructionInfo; 3] = [
@@ -99,8 +103,8 @@ impl Backend for MagicBackend {
         &MAGIC_ISA
     }
 
-    fn cost(&self, ir: &IrProgram) -> Cost {
-        lower(ir).cost
+    fn cost_table(&self) -> CostTable {
+        MAGIC_COST
     }
 
     fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
@@ -112,10 +116,8 @@ impl Backend for MagicBackend {
 #[derive(Debug, Clone)]
 pub struct MagicArtifact {
     num_inputs: usize,
-    /// Total devices: work region plus the six scratch devices.
-    cells: u32,
     ops: Vec<Op>,
-    outputs: Vec<(String, OutLoc)>,
+    outputs: Vec<(String, OutputLoc)>,
     cost: Cost,
 }
 
@@ -125,66 +127,38 @@ const LINE_BYTES: usize = 16;
 
 /// Lowers the IR event stream onto the NOR crossbar.
 fn lower(ir: &IrProgram) -> MagicArtifact {
-    let rows = assign_rows(ir);
-    // Scratch devices, in decomposition order.
-    let [x1, x2, w1, w2, w3, o] = [0, 1, 2, 3, 4, 5].map(|k| rows.work_rows + k);
+    // Scratch devices, in decomposition order, above the work region, which
+    // a first replay sizes.
+    let work_rows = ir::place(ir, MAGIC_COST, &mut ()).work_rows;
+    let [x1, x2, w1, w2, w3, o] = [0, 1, 2, 3, 4, 5].map(|k| RamAddr(work_rows + k));
     let mut ops = Vec::new();
-    let mut uses_scratch = false;
-    let src = |value: Value, rows: &crate::rows::Rows| match value {
-        Value::Const(v) => Src::Const(v),
-        Value::Input(i) => Src::Input(i),
-        Value::Cell(c) => Src::Cell(rows.cell_row[c.index()]),
-    };
-    for &event in &ir.events {
-        let Event::Op(index) = event else { continue };
-        let op = &ir.ops[index as usize];
-        let z = rows.cell_row[op.z.index()];
+    let mut sink = |op: &IrOp, z: RamAddr, a: Operand, b: Operand| {
         if op.masking() {
-            let Value::Const(v) = op.a else {
+            let Operand::Const(v) = a else {
                 unreachable!("masking ops have constant operands")
             };
-            ops.push(if v { Op::Set(z) } else { Op::Reset(z) });
-            continue;
+            ops.push(if v { Op::Set(z.0) } else { Op::Reset(z.0) });
+            return;
         }
-        uses_scratch = true;
-        let a = src(op.a, &rows);
-        let b = src(op.b, &rows);
-        let nor = |dst: u32, srcs: Vec<Src>, ops: &mut Vec<Op>| {
-            ops.push(Op::Set(dst));
-            ops.push(Op::Nor(srcs, dst));
+        let mut nor = |dst: RamAddr, srcs: Vec<Operand>| {
+            ops.push(Op::Set(dst.0));
+            ops.push(Op::Nor(srcs, dst.0));
         };
-        nor(x1, vec![a], &mut ops);
-        nor(x2, vec![Src::Cell(z)], &mut ops);
-        nor(w1, vec![Src::Cell(x1), b], &mut ops);
-        nor(w2, vec![Src::Cell(x1), Src::Cell(x2)], &mut ops);
-        nor(w3, vec![b, Src::Cell(x2)], &mut ops);
-        nor(
-            o,
-            vec![Src::Cell(w1), Src::Cell(w2), Src::Cell(w3)],
-            &mut ops,
-        );
-        nor(z, vec![Src::Cell(o)], &mut ops);
-    }
-    let total_cells = rows.work_rows + if uses_scratch { 6 } else { 0 };
-
-    let mut writes = vec![0u64; total_cells as usize];
-    for op in &ops {
-        let (Op::Set(d) | Op::Reset(d) | Op::Nor(_, d)) = op;
-        writes[*d as usize] += 1;
-    }
-    let cost = Cost {
-        instructions: ops.len(),
-        footprint: total_cells,
-        wear: writes.iter().copied().max().unwrap_or(0),
-        // Every instruction is a single pulse.
-        units: ops.len() as u64,
+        let cell = Operand::Ram;
+        nor(x1, vec![a]);
+        nor(x2, vec![cell(z)]);
+        nor(w1, vec![cell(x1), b]);
+        nor(w2, vec![cell(x1), cell(x2)]);
+        nor(w3, vec![b, cell(x2)]);
+        nor(o, vec![cell(w1), cell(w2), cell(w3)]);
+        nor(z, vec![cell(o)]);
     };
+    let placement = ir::place(ir, MAGIC_COST, &mut sink);
     MagicArtifact {
         num_inputs: ir.num_inputs,
-        cells: total_cells,
-        outputs: lower_outputs(ir, &rows),
         ops,
-        cost,
+        outputs: placement.outputs,
+        cost: placement.cost,
     }
 }
 
@@ -205,7 +179,7 @@ impl Artifact for MagicArtifact {
         let width = text::line_number_width(self.ops.len());
         let mut out = String::with_capacity(64 + self.ops.len() * (width + LINE_BYTES));
         let _ = writeln!(out, ".magic v1\n.inputs {}", self.num_inputs);
-        let _ = writeln!(out, ".cells {} (6 scratch)", self.cells);
+        let _ = writeln!(out, ".cells {} (6 scratch)", self.cost.footprint);
         for (index, op) in self.ops.iter().enumerate() {
             text::push_line_number(&mut out, index + 1, width);
             match op {
@@ -218,9 +192,9 @@ impl Artifact for MagicArtifact {
                             out.push(' ');
                         }
                         match *s {
-                            Src::Const(v) => out.push(if v { '1' } else { '0' }),
-                            Src::Input(i) => push_input(&mut out, i),
-                            Src::Cell(r) => push_row(&mut out, r),
+                            Operand::Const(v) => out.push(if v { '1' } else { '0' }),
+                            Operand::Input(i) => push_input(&mut out, i),
+                            Operand::Ram(r) => push_row(&mut out, r.0),
                         }
                     }
                     out.push(' ');
@@ -247,11 +221,11 @@ impl Artifact for MagicArtifact {
 
     fn run_wide(&self, inputs: &[W256]) -> Result<Vec<W256>, VerifyError> {
         check_inputs(self.num_inputs, inputs)?;
-        let mut cells: Vec<W256> = (0..self.cells).map(poison).collect();
-        let read = |s: &Src, cells: &[W256]| match *s {
-            Src::Const(v) => W256::splat(v),
-            Src::Input(i) => inputs[i as usize],
-            Src::Cell(r) => cells[r as usize],
+        let mut cells: Vec<W256> = (0..self.cost.footprint).map(poison).collect();
+        let read = |s: &Operand, cells: &[W256]| match *s {
+            Operand::Const(v) => W256::splat(v),
+            Operand::Input(i) => inputs[i as usize],
+            Operand::Ram(r) => cells[r.index()],
         };
         for op in &self.ops {
             match op {
@@ -273,7 +247,7 @@ impl Artifact for MagicArtifact {
 mod tests {
     use super::*;
     use crate::rows::draw::{below, index, outputs};
-    use crate::rows::format_outputs;
+    use crate::rows::{format_outputs, oracle};
     use plim_compiler::verify::verify_exhaustive;
     use plim_compiler::{compile_full, CompilerOptions, OptLevel};
     use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
@@ -282,12 +256,12 @@ mod tests {
     fn format_listing(artifact: &MagicArtifact) -> String {
         let mut out = String::from(".magic v1\n");
         let _ = writeln!(out, ".inputs {}", artifact.num_inputs);
-        let _ = writeln!(out, ".cells {} (6 scratch)", artifact.cells);
+        let _ = writeln!(out, ".cells {} (6 scratch)", artifact.cost.footprint);
         let width = artifact.ops.len().to_string().len().max(2);
-        let src = |s: &Src| match *s {
-            Src::Const(v) => format!("{}", u8::from(v)),
-            Src::Input(i) => format!("i{}", i + 1),
-            Src::Cell(r) => format!("r{r}"),
+        let src = |s: &Operand| match *s {
+            Operand::Const(v) => format!("{}", u8::from(v)),
+            Operand::Input(i) => format!("i{}", i + 1),
+            Operand::Ram(r) => format!("r{}", r.0),
         };
         for (index, op) in artifact.ops.iter().enumerate() {
             let text = match op {
@@ -305,13 +279,13 @@ mod tests {
     }
 
     /// An artifact of `len` random ops of every form, NORs of zero to
-    /// three inputs over every `Src` form, and outputs of every `OutLoc`
-    /// form. It need not run.
+    /// three inputs over every `Operand` form, and outputs of every
+    /// `OutputLoc` form. It need not run.
     fn arbitrary_artifact(rng: &mut TestRng, len: usize) -> MagicArtifact {
         let src = |rng: &mut TestRng| match below(rng, 3) {
-            0 => Src::Const(below(rng, 2) == 1),
-            1 => Src::Input(index(rng)),
-            _ => Src::Cell(index(rng)),
+            0 => Operand::Const(below(rng, 2) == 1),
+            1 => Operand::Input(index(rng)),
+            _ => Operand::Ram(RamAddr(index(rng))),
         };
         let ops = (0..len)
             .map(|_| match below(rng, 3) {
@@ -325,10 +299,12 @@ mod tests {
             .collect();
         MagicArtifact {
             num_inputs: below(rng, 40) as usize,
-            cells: index(rng),
             ops,
             outputs: outputs(rng),
-            cost: Cost::default(),
+            cost: Cost {
+                footprint: index(rng),
+                ..Cost::default()
+            },
         }
     }
 
@@ -354,6 +330,42 @@ mod tests {
         }
     }
 
+    /// The cost the lowering counted from its op list before the replay
+    /// priced ops, kept as the oracle of the cost table: one write of its
+    /// device and one pulse per op, and the work region plus the six
+    /// scratch devices once a NOR runs.
+    fn recount(artifact: &MagicArtifact, ir: &IrProgram) -> Cost {
+        let scratch = artifact.ops.iter().any(|op| matches!(op, Op::Nor(..)));
+        let footprint = oracle::work_rows(ir) + if scratch { 6 } else { 0 };
+        let mut writes = vec![0u64; footprint as usize];
+        for op in &artifact.ops {
+            let (Op::Set(d) | Op::Reset(d) | Op::Nor(_, d)) = op;
+            writes[*d as usize] += 1;
+        }
+        Cost {
+            instructions: artifact.ops.len(),
+            footprint,
+            wear: writes.iter().copied().max().unwrap_or(0),
+            units: artifact.ops.len() as u64,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The replay prices every stream — random logic under every
+        /// allocator, at `-O0` and `-O2`, and a stream with a requested
+        /// cell no op touches — as a recount of the emitted op list does.
+        #[test]
+        fn cost_matches_a_recount_of_the_emitted_ops(seed in any::<u64>()) {
+            for ir in oracle::streams(seed, &MagicBackend) {
+                let artifact = lower(&ir);
+                prop_assert_eq!(MagicBackend.cost(&ir), recount(&artifact, &ir));
+                prop_assert_eq!(artifact.cost, recount(&artifact, &ir));
+            }
+        }
+    }
+
     fn xor5() -> mig::Mig {
         let mut mig = mig::Mig::new();
         let xs = mig.add_inputs("x", 5);
@@ -374,6 +386,54 @@ mod tests {
             let artifact = MagicBackend.emit(&compilation.ir);
             verify_exhaustive(&mig, artifact.as_ref()).unwrap();
         }
+    }
+
+    /// Under `wear` the allocator levels MAGIC's own writes. `%0`'s
+    /// non-masking op writes its row twice and `%1`'s reset writes its row
+    /// once, so when both are free again `%2` takes `%1`'s row, where RM3,
+    /// which writes each once, breaks the tie to `%0`'s.
+    #[test]
+    fn wear_leveling_counts_the_writes_magic_makes() {
+        use plim::Rhs;
+        use plim_compiler::ir::{CellId, Event, IrCell, IrOutput, Value};
+        use plim_compiler::{AllocatorStrategy, LifetimeClass};
+        let cell = IrCell {
+            pinned: RamAddr(0),
+            hint: LifetimeClass::Short,
+        };
+        let op = |a, z| IrOp {
+            a,
+            b: Value::Const(true),
+            z: CellId(z),
+            rhs: Rhs::Const(false),
+            node: None,
+        };
+        let [c0, c1, c2] = [0, 1, 2].map(CellId);
+        let ir = IrProgram {
+            num_inputs: 1,
+            ops: vec![
+                op(Value::Input(0), 0),
+                op(Value::Const(false), 1),
+                op(Value::Const(false), 2),
+            ],
+            cells: vec![cell; 3],
+            events: vec![
+                Event::Request(c0),
+                Event::Request(c1),
+                Event::Op(0),
+                Event::Op(1),
+                Event::Release(c0),
+                Event::Release(c1),
+                Event::Request(c2),
+                Event::Op(2),
+            ],
+            outputs: vec![("f".to_string(), IrOutput::Cell(c2))],
+            mig_nodes: 1,
+            allocator: AllocatorStrategy::WearLeveled,
+        };
+        let rm3 = plim_compiler::ir::emit(&ir);
+        assert_eq!(rm3.program.instructions()[2].z, RamAddr(0));
+        assert_eq!(lower(&ir).ops.last(), Some(&Op::Reset(1)));
     }
 
     #[test]

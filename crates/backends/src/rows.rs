@@ -1,108 +1,30 @@
-//! Deterministic row placement shared by the alternative backends.
+//! Row helpers shared by the alternative backends.
 //!
-//! Both targets keep the compiler's allocation discipline: the IR event
-//! stream is replayed through a fresh [`RramAllocator`] of the program's
-//! strategy, so a virtual cell occupies the same physical row the RM3
-//! emitter would have chosen. Backends add their own scratch rows above
-//! the work region.
+//! Both targets keep the compiler's allocation discipline: their lowerings
+//! take each op's rows from the one allocator replay
+//! ([`plim_compiler::ir::place`]), so a virtual cell occupies the physical
+//! row the RM3 emitter would choose under the same writes. Backends add
+//! their own scratch rows above the work region.
 
-use plim_compiler::alloc::RramAllocator;
-use plim_compiler::backend::{text, LaneWord, W256};
-use plim_compiler::ir::{Event, IrProgram};
+use plim_compiler::backend::{text, LaneWord, OutputLoc, W256};
 use plim_compiler::verify::VerifyError;
-
-/// Physical placement of an IR program's virtual cells.
-pub(crate) struct Rows {
-    /// Row of each virtual cell, indexed by `CellId`. A cell's row is
-    /// stable across its whole lifetime; slots of never-requested cells
-    /// are unused.
-    pub cell_row: Vec<u32>,
-    /// Rows of the work region (scratch rows live above this).
-    pub work_rows: u32,
-}
-
-/// Replays the event stream's request/release sequence, assigning every
-/// virtual cell its physical row.
-pub(crate) fn assign_rows(ir: &IrProgram) -> Rows {
-    let mut alloc = RramAllocator::new(ir.allocator);
-    let mut cell_row = vec![0u32; ir.cells.len()];
-    let mut live = vec![None; ir.cells.len()];
-    let mut work_rows = 0u32;
-    for &event in &ir.events {
-        match event {
-            Event::Request(c) => {
-                let addr = alloc.request_with_hint(ir.cells[c.index()].hint);
-                cell_row[c.index()] = addr.0;
-                live[c.index()] = Some(addr);
-                work_rows = work_rows.max(addr.0 + 1);
-            }
-            Event::Release(c) => {
-                let addr = live[c.index()].take().expect("release before request");
-                alloc.release(addr);
-            }
-            Event::Op(_) => {}
-        }
-    }
-    Rows {
-        cell_row,
-        work_rows,
-    }
-}
-
-/// Where a primary output lives at program end, in physical-row terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OutLoc {
-    /// In a work row.
-    Row(u32),
-    /// Equal to a primary input (possibly complemented).
-    Input {
-        /// Input index.
-        index: u32,
-        /// Whether the output is the input's complement.
-        complemented: bool,
-    },
-    /// A constant.
-    Const(bool),
-}
-
-/// Maps the IR's virtual-cell outputs onto physical rows.
-pub(crate) fn lower_outputs(ir: &IrProgram, rows: &Rows) -> Vec<(String, OutLoc)> {
-    use plim_compiler::ir::IrOutput;
-    ir.outputs
-        .iter()
-        .map(|(name, output)| {
-            let loc = match *output {
-                IrOutput::Cell(c) => OutLoc::Row(rows.cell_row[c.index()]),
-                IrOutput::Input {
-                    index,
-                    complemented,
-                } => OutLoc::Input {
-                    index,
-                    complemented,
-                },
-                IrOutput::Const(v) => OutLoc::Const(v),
-            };
-            (name.clone(), loc)
-        })
-        .collect()
-}
 
 /// Reads the declared outputs from the final row state, one 256-lane word
 /// per output.
 pub(crate) fn read_outputs(
-    outputs: &[(String, OutLoc)],
+    outputs: &[(String, OutputLoc)],
     rows: &[W256],
     inputs: &[W256],
 ) -> Vec<W256> {
     outputs
         .iter()
         .map(|(_, loc)| match *loc {
-            OutLoc::Row(r) => rows[r as usize],
-            OutLoc::Input {
+            OutputLoc::Ram(r) => rows[r.index()],
+            OutputLoc::Input {
                 index,
                 complemented,
             } => inputs[index as usize] ^ W256::splat(complemented),
-            OutLoc::Const(v) => W256::splat(v),
+            OutputLoc::Const(v) => W256::splat(v),
         })
         .collect()
 }
@@ -132,14 +54,14 @@ pub(crate) fn push_input(out: &mut String, index: u32) {
 }
 
 /// Renders an output directory block (`.output f = r5` / `!i3` / `1`).
-pub(crate) fn render_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
+pub(crate) fn render_outputs(out: &mut String, outputs: &[(String, OutputLoc)]) {
     for (name, loc) in outputs {
         out.push_str(".output ");
         out.push_str(name);
         out.push_str(" = ");
         match *loc {
-            OutLoc::Row(r) => push_row(out, r),
-            OutLoc::Input {
+            OutputLoc::Ram(r) => push_row(out, r.0),
+            OutputLoc::Input {
                 index,
                 complemented,
             } => {
@@ -148,7 +70,7 @@ pub(crate) fn render_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
                 }
                 push_input(out, index);
             }
-            OutLoc::Const(v) => out.push(if v { '1' } else { '0' }),
+            OutputLoc::Const(v) => out.push(if v { '1' } else { '0' }),
         }
         out.push('\n');
     }
@@ -157,16 +79,16 @@ pub(crate) fn render_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
 /// The `format!` renderer [`render_outputs`] replaced, kept as the oracle
 /// of the listings' tests.
 #[cfg(test)]
-pub(crate) fn format_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
+pub(crate) fn format_outputs(out: &mut String, outputs: &[(String, OutputLoc)]) {
     use std::fmt::Write as _;
     for (name, loc) in outputs {
         let text = match *loc {
-            OutLoc::Row(r) => format!("r{r}"),
-            OutLoc::Input {
+            OutputLoc::Ram(r) => format!("r{}", r.0),
+            OutputLoc::Input {
                 index,
                 complemented,
             } => format!("{}i{}", if complemented { "!" } else { "" }, index + 1),
-            OutLoc::Const(v) => format!("{}", u8::from(v)),
+            OutputLoc::Const(v) => format!("{}", u8::from(v)),
         };
         let _ = writeln!(out, ".output {name} = {text}");
     }
@@ -175,7 +97,7 @@ pub(crate) fn format_outputs(out: &mut String, outputs: &[(String, OutLoc)]) {
 /// Random draws for the listings' oracle tests.
 #[cfg(test)]
 pub(crate) mod draw {
-    use super::OutLoc;
+    use plim::{OutputLoc, RamAddr};
     use proptest::TestRng;
 
     /// A draw below `n`.
@@ -189,20 +111,108 @@ pub(crate) mod draw {
         below(rng, bound) as u32
     }
 
-    /// Up to five outputs of every `OutLoc` form.
-    pub(crate) fn outputs(rng: &mut TestRng) -> Vec<(String, OutLoc)> {
+    /// Up to five outputs of every `OutputLoc` form.
+    pub(crate) fn outputs(rng: &mut TestRng) -> Vec<(String, OutputLoc)> {
         (0..below(rng, 6))
             .map(|k| {
                 let loc = match below(rng, 3) {
-                    0 => OutLoc::Const(below(rng, 2) == 1),
-                    1 => OutLoc::Input {
+                    0 => OutputLoc::Const(below(rng, 2) == 1),
+                    1 => OutputLoc::Input {
                         index: index(rng),
                         complemented: below(rng, 2) == 1,
                     },
-                    _ => OutLoc::Row(index(rng)),
+                    _ => OutputLoc::Ram(RamAddr(index(rng))),
                 };
                 (format!("f{k}"), loc)
             })
             .collect()
+    }
+}
+
+/// Streams and a replay-free work region for the cost oracles of the
+/// lowerings' tests.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use plim::{RamAddr, Rhs};
+    use plim_benchmarks::random::{random_logic, RandomLogicSpec};
+    use plim_compiler::ir::passes::PassManager;
+    use plim_compiler::ir::{self, CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
+    use plim_compiler::{AllocatorStrategy, Backend, CompilerOptions, LifetimeClass, OptLevel};
+
+    /// The rows of the work region, derived without an allocator: a pool
+    /// that reuses cells hands out a fresh one only when every cell it has
+    /// is live, so its high-water mark is the peak live count; `fresh`
+    /// hands out one per request.
+    pub(crate) fn work_rows(ir: &IrProgram) -> u32 {
+        let (mut live, mut peak, mut requests) = (0u32, 0, 0);
+        for event in &ir.events {
+            match event {
+                Event::Request(_) => {
+                    live += 1;
+                    requests += 1;
+                    peak = peak.max(live);
+                }
+                Event::Release(_) => live -= 1,
+                Event::Op(_) => {}
+            }
+        }
+        if ir.allocator == AllocatorStrategy::Fresh {
+            requests
+        } else {
+            peak
+        }
+    }
+
+    /// Random logic of `seed` lowered under every allocator, at `-O0` and
+    /// at `-O2` scored by `backend`, and a stream that requests a cell no
+    /// op touches, above the one it computes in.
+    pub(crate) fn streams(seed: u64, backend: &dyn Backend) -> Vec<IrProgram> {
+        let spec =
+            RandomLogicSpec::new(3 + (seed % 6) as usize, 1 + (seed % 3) as usize, 120, seed);
+        let mig = random_logic(&spec);
+        let mut streams = vec![untouched_cell()];
+        for alloc in AllocatorStrategy::ALL {
+            for opt in [OptLevel::O0, OptLevel::O2] {
+                let mut ir = ir::lower(&mig, CompilerOptions::new().allocator(alloc));
+                PassManager::for_level(opt).run(&mut ir, &mig, backend);
+                streams.push(ir);
+            }
+        }
+        streams
+    }
+
+    /// `%0 ← 0; %0 ← ⟨i1 0 %0⟩`, with `%1` requested above `%0` and
+    /// released untouched.
+    fn untouched_cell() -> IrProgram {
+        let cell = IrCell {
+            pinned: RamAddr(0),
+            hint: LifetimeClass::Short,
+        };
+        let op = |a, rhs| IrOp {
+            a,
+            b: Value::Const(true),
+            z: CellId(0),
+            rhs,
+            node: None,
+        };
+        let (c0, c1) = (CellId(0), CellId(1));
+        IrProgram {
+            num_inputs: 1,
+            ops: vec![
+                op(Value::Const(false), Rhs::Const(false)),
+                op(Value::Input(0), Rhs::Input(0, false)),
+            ],
+            cells: vec![cell; 2],
+            events: vec![
+                Event::Request(c0),
+                Event::Request(c1),
+                Event::Op(0),
+                Event::Op(1),
+                Event::Release(c1),
+            ],
+            outputs: vec![("f".to_string(), IrOutput::Cell(c0))],
+            mig_nodes: 1,
+            allocator: AllocatorStrategy::Fifo,
+        }
     }
 }

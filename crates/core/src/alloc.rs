@@ -10,10 +10,10 @@
 //! segregate cells by the expected lifetime of the value they receive.
 //!
 //! The allocator also keeps **per-cell write counters**: the translator
-//! reports every instruction's destination through [`RramAllocator::note_write`],
-//! so the counters agree exactly with the program's static endurance profile
-//! ([`crate::Rm3Program::static_write_counts`]) and the wear-budget
-//! strategy can consult them while the program is still being built.
+//! and the emission replay report each op's destination writes through
+//! [`RramAllocator::note_writes`] as the target makes them, so the counters
+//! are the emitted program's endurance profile and the wear-budget strategy
+//! levels the target's own writes while the program is still being built.
 
 use std::collections::VecDeque;
 
@@ -244,11 +244,16 @@ impl RramAllocator {
         self.pool.push(addr, self.class[addr.index()]);
     }
 
-    /// Records one write to a cell (every RM3 instruction writes its
-    /// destination). The counters feed the wear-budget strategy and the
-    /// endurance report.
+    /// Records one write to a cell. The counters feed the wear-budget
+    /// strategy and the endurance report.
     pub fn note_write(&mut self, addr: RamAddr) {
-        self.writes[addr.index()] += 1;
+        self.note_writes(addr, 1);
+    }
+
+    /// Records `count` writes to a cell: what one op of the target writes
+    /// to its destination (one for RM3 and Ambit, up to two for MAGIC).
+    pub fn note_writes(&mut self, addr: RamAddr, count: u64) {
+        self.writes[addr.index()] += count;
     }
 
     /// Per-cell write counts recorded so far, indexed by cell.

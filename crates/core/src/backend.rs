@@ -3,9 +3,9 @@
 //! PR 5 split translation into lower → optimize → emit, leaving emission as
 //! the only target-specific phase. This module opens that seam: a
 //! [`Backend`] consumes the optimized [`IrProgram`] event stream and
-//! produces a target-native [`Artifact`], scores trial edits for the pass
-//! pipeline through its own [`Cost`] model, and executes its artifact
-//! bit-parallel so exhaustive equivalence proofs work on every target.
+//! produces a target-native [`Artifact`], prices ops for the pass pipeline
+//! with its [`CostTable`], and executes its artifact bit-parallel so
+//! exhaustive equivalence proofs work on every target.
 //!
 //! The built-in [`Rm3Backend`] is the paper's ReRAM target and delegates to
 //! [`crate::ir::emit`] unchanged, so `-O0` RM3 output stays byte-identical
@@ -25,6 +25,9 @@ use plim::wide::WideMachine;
 /// The lane word and poison image of [`Artifact::run_wide`], re-exported
 /// for backend crates.
 pub use plim::wide::{poison, LaneWord, W256};
+/// The placed operands and output locations of [`crate::ir::place`],
+/// re-exported for backend crates.
+pub use plim::{Operand, OutputLoc, RamAddr};
 
 use crate::ir::{CellId, IrProgram};
 use crate::program::Rm3Program;
@@ -84,6 +87,68 @@ impl fmt::Display for Cost {
             self.instructions, self.footprint, self.wear, self.units
         )
     }
+}
+
+/// A target's cost model as plain data, which the one allocator replay
+/// ([`crate::ir::place`]) prices each op with. Of a replayed stream,
+/// `instructions` and `units` are the sums over its ops; `footprint` is the
+/// work region, plus the scratch rows once a non-masking op runs; `wear` is
+/// the larger of the work rows' highest write count and the scratch rows'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CostTable {
+    /// The cost of a masking op (a reset/set idiom: differing constants).
+    pub masking: OpCost,
+    /// The cost of every other op.
+    pub other: OpCost,
+    /// Scratch rows the target needs once the stream has a non-masking op.
+    pub scratch_rows: u32,
+    /// Writes each non-masking op makes to every scratch row.
+    pub scratch_writes: u64,
+    /// What the work region spans.
+    pub work_region: WorkRegion,
+}
+
+/// What one IR op costs a target (see [`CostTable`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpCost {
+    /// Native instructions.
+    pub instructions: usize,
+    /// [`Cost::units`] when neither operand is a constant.
+    pub units: u64,
+    /// Units a constant operand saves.
+    pub const_discount: u64,
+    /// Writes to the destination row.
+    pub writes: u64,
+}
+
+/// The work region a [`CostTable`] counts in the footprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkRegion {
+    /// Up to the highest address an op touches (RM3's `#R`).
+    Touched,
+    /// Up to the highest address the allocator hands out.
+    Requested,
+}
+
+impl CostTable {
+    /// RM3: one instruction and one destination write per op, no scratch.
+    pub const RM3: CostTable = CostTable {
+        masking: OpCost::ONE,
+        other: OpCost::ONE,
+        scratch_rows: 0,
+        scratch_writes: 0,
+        work_region: WorkRegion::Touched,
+    };
+}
+
+impl OpCost {
+    /// One instruction of one unit writing its destination once.
+    pub const ONE: OpCost = OpCost {
+        instructions: 1,
+        units: 1,
+        const_discount: 0,
+        writes: 1,
+    };
 }
 
 /// One instruction of a backend's native instruction set, with its unit
@@ -164,23 +229,23 @@ pub trait Backend: Sync {
     /// The target's native instruction set with per-instruction costs.
     fn instruction_set(&self) -> &'static [InstructionInfo];
 
-    /// Scores the IR under this backend's cost model **without** building
+    /// The target's cost model: what each IR op costs it, as plain data.
+    fn cost_table(&self) -> CostTable;
+
+    /// Scores the IR under [`Backend::cost_table`] **without** building
     /// the artifact — called by the pass pipeline after every editing pass,
     /// where full emission would dominate compile time.
-    fn cost(&self, ir: &IrProgram) -> Cost;
+    fn cost(&self, ir: &IrProgram) -> Cost {
+        crate::ir::place(ir, self.cost_table(), &mut ()).cost
+    }
 
-    /// A scorer for trial edits of `ir`, and `ir`'s cost.
-    ///
-    /// The default scores each trial with [`Backend::cost`] on the whole
-    /// edited stream, which is exact for any cost model; a backend whose
-    /// cost is a replay of the stream can resume from what the committed
-    /// stream's replay already knows (see [`Rm3Backend`]).
+    /// A scorer for trial edits of `ir`, and `ir`'s cost: the checkpointed
+    /// replay of [`Backend::cost`], which resumes each trial from the last
+    /// checkpoint before its edit and stops it as soon as the footprint or
+    /// wear passes the incumbent's.
     fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
-        let scorer = FullCost {
-            backend: self,
-            counts: TrialCounts::default(),
-        };
-        (Box::new(scorer), self.cost(ir))
+        let (scorer, cost) = crate::ir::Scorer::new(ir, self.cost_table());
+        (Box::new(scorer), cost)
     }
 
     /// Emits the target-native artifact.
@@ -227,8 +292,7 @@ pub struct TrialEdit {
 pub struct TrialCounts {
     /// Trials scored.
     pub trials: usize,
-    /// Events replayed to score them (the whole stream, per trial, for a
-    /// scorer without checkpoints).
+    /// Events replayed to score them.
     pub replayed: u64,
     /// Trials finished early because their replay reconverged with the
     /// committed one.
@@ -240,27 +304,6 @@ impl std::ops::AddAssign for TrialCounts {
         self.trials += other.trials;
         self.replayed += other.replayed;
         self.cuts += other.cuts;
-    }
-}
-
-/// The default [`TrialScorer`]: the backend's full [`Backend::cost`].
-struct FullCost<'a, B: ?Sized> {
-    backend: &'a B,
-    counts: TrialCounts,
-}
-
-impl<B: Backend + ?Sized> TrialScorer for FullCost<'_, B> {
-    fn trial(&mut self, ir: &IrProgram, _edit: &TrialEdit, bound: Cost) -> Option<Cost> {
-        self.counts.trials += 1;
-        self.counts.replayed += ir.events.len() as u64;
-        let cost = self.backend.cost(ir);
-        cost.improves_on(bound).then_some(cost)
-    }
-
-    fn commit(&mut self) {}
-
-    fn counts(&self) -> TrialCounts {
-        self.counts
     }
 }
 
@@ -292,22 +335,8 @@ impl Backend for Rm3Backend {
         &RM3_ISA
     }
 
-    fn cost(&self, ir: &IrProgram) -> Cost {
-        let (instructions, footprint, wear) = crate::ir::replay_metrics(ir);
-        Cost {
-            instructions,
-            footprint,
-            wear,
-            units: instructions as u64,
-        }
-    }
-
-    /// Checkpoints the committed stream's replay, resumes each trial from
-    /// the last checkpoint before the edit, and stops it as soon as the
-    /// footprint or wear passes the incumbent's.
-    fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
-        let (scorer, cost) = crate::ir::Rm3Scorer::new(ir);
-        (Box::new(scorer), cost)
+    fn cost_table(&self) -> CostTable {
+        CostTable::RM3
     }
 
     fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
@@ -472,8 +501,8 @@ mod tests {
         fn instruction_set(&self) -> &'static [InstructionInfo] {
             &[]
         }
-        fn cost(&self, _ir: &IrProgram) -> Cost {
-            Cost::default()
+        fn cost_table(&self) -> CostTable {
+            CostTable::RM3
         }
         fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
             Rm3Backend.emit(ir)

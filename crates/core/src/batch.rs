@@ -53,7 +53,7 @@ use plim_parallel::{par_map, Parallelism};
 
 use crate::ir::analysis::{analyze_events, AnalysisConfig};
 use crate::{
-    compile, compile_full, Compilation, CompilerOptions, OptLevel, RewriteMode, Rm3Program,
+    compile, compile_full, Backend, Compilation, CompilerOptions, OptLevel, RewriteMode, Rm3Program,
 };
 
 /// Rewrite effort used throughout the evaluation (the paper fixes 4).
@@ -190,10 +190,10 @@ fn job_lint_clean(compilation: &Compilation, opt: OptLevel) -> bool {
         return false;
     }
     let stats = &compilation.compiled.stats;
-    let (instructions, rams, max_writes) = crate::ir::replay_metrics(&compilation.ir);
-    instructions == stats.instructions
-        && rams == stats.rams
-        && max_writes == stats.max_cell_writes
+    let cost = crate::backend::Rm3Backend.cost(&compilation.ir);
+    cost.instructions == stats.instructions
+        && cost.footprint == stats.rams
+        && cost.wear == stats.max_cell_writes
         && crate::verify::check_init_discipline(&compilation.compiled).is_ok()
 }
 

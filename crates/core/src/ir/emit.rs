@@ -1,13 +1,16 @@
-//! Emission: IR → physical [`plim::Program`].
+//! Emission and scoring: the one allocator replay of the IR event stream.
 //!
-//! The emitter replays the IR's event stream through a fresh
-//! [`RramAllocator`] of the program's strategy: a [`Event::Request`]
-//! assigns the virtual cell a physical address, a [`Event::Release`]
-//! returns it to the free pool, and every [`Event::Op`] becomes one RM3
-//! instruction whose destination write is recorded on the allocator's
-//! per-cell counters — the same funnel the lowering used, so
-//! `max_cell_writes` stays exactly equal to the program's static endurance
-//! profile no matter what the passes did to the stream.
+//! The replay walks the stream through a fresh [`RramAllocator`] of the
+//! program's strategy: an [`Event::Request`] assigns the virtual cell a
+//! physical address, an [`Event::Release`] returns it to the free pool, and
+//! every [`Event::Op`] is priced with the target's [`CostTable`], its
+//! destination writes counted on the allocator's per-cell counters as the
+//! target makes them (so `--alloc wear` levels the target's own writes),
+//! and handed with its placed addresses to an [`OpSink`]. Every target
+//! places and scores through it: [`emit`] and the other targets' lowerings
+//! sink the ops into programs ([`place`]), while [`crate::Backend::cost`]
+//! and the [`Scorer`] of the pass pipeline's trial edits sink them into
+//! `()`.
 //!
 //! On an unedited stream the replay performs the identical
 //! request/release/write sequence the lowering performed, so `-O0` output
@@ -16,13 +19,11 @@
 //! side, a plain [`plim::Rhs`], and the program renders the `X<addr> ←`
 //! prefix from the replayed destination only when a listing is printed.
 //!
-//! The same replay, without building the program, is the RM3 cost model:
-//! one loop serves [`replay_metrics`] and the [`Rm3Scorer`] the pass
-//! pipeline scores trial edits with. The scorer checkpoints the replay of
-//! the committed stream — allocator, owner per physical address and running
-//! metrics, every max(256, footprint) events — so a trial resumes from the
-//! last checkpoint before the first event its edit changed, and stops as
-//! soon as its footprint or wear passes the incumbent's.
+//! The scorer checkpoints the replay of the committed stream — allocator,
+//! owner per physical address and running metrics, every max(256,
+//! footprint) events — so a trial resumes from the last checkpoint before
+//! the first event its edit changed, and stops as soon as its footprint or
+//! wear, which only grow, passes the incumbent's.
 //!
 //! Past the edit, the edited stream repeats the committed one, and a few
 //! events later the trial's replay is usually the committed replay again
@@ -39,24 +40,73 @@ use std::collections::HashMap;
 use plim::{Instruction, Operand, OutputLoc, Program, RamAddr};
 
 use crate::alloc::{Renaming, RramAllocator};
-use crate::backend::{Cost, TrialCounts, TrialEdit, TrialScorer};
+use crate::backend::{Cost, CostTable, TrialCounts, TrialEdit, TrialScorer, WorkRegion};
 use crate::program::{Rm3Program, Rm3Stats};
 
-use super::{CellId, Event, IrOutput, IrProgram, Value};
+use super::{CellId, Event, IrOp, IrOutput, IrProgram, Value};
 
-/// Replays only the allocator, returning `(#I, #R, max-cell-writes)`
-/// without building the program (no listing) — the RM3 cost model the pass
-/// pipeline scores streams with.
-pub(crate) fn replay_metrics(ir: &IrProgram) -> (usize, u32, u64) {
-    let mut replay = Replay::new(ir);
-    let all = 0..ir.events.len();
-    let replayed = replay.run(ir, &mut CellTable::new(ir), all, UNBOUNDED, None);
-    debug_assert_eq!(
-        replayed,
-        ir.events.len(),
-        "an unbounded replay runs to the end"
-    );
-    (replay.instructions, replay.rams, replay.wear)
+/// What a replay hands the ops it places to: emission builds the target's
+/// program from them; scoring passes `()`, which ignores them.
+pub trait OpSink {
+    /// Op `op` writes `z` and reads `a` and `b`, at the addresses the
+    /// replay placed them.
+    fn op(&mut self, op: &IrOp, z: RamAddr, a: Operand, b: Operand);
+
+    /// The replay handed out a cell, leaving `live` cells live.
+    fn request(&mut self, _live: usize) {}
+}
+
+impl OpSink for () {
+    fn op(&mut self, _: &IrOp, _: RamAddr, _: Operand, _: Operand) {}
+}
+
+impl<F: FnMut(&IrOp, RamAddr, Operand, Operand)> OpSink for F {
+    fn op(&mut self, op: &IrOp, z: RamAddr, a: Operand, b: Operand) {
+        self(op, z, a, b);
+    }
+}
+
+/// Where the replay placed a stream (see [`place`]).
+#[derive(Debug)]
+pub struct Placement {
+    /// The stream's cost under the table it was placed with.
+    pub cost: Cost,
+    /// The rows of the work region; a target's scratch rows go above it.
+    pub work_rows: u32,
+    /// Where each primary output lives at program end.
+    pub outputs: Vec<(String, OutputLoc)>,
+}
+
+/// Replays `ir` under `table`, handing `sink` every op with its placed
+/// addresses, in stream order.
+///
+/// # Panics
+///
+/// Panics if the stream is malformed (see [`IrProgram::check`]).
+pub fn place(ir: &IrProgram, table: CostTable, sink: &mut impl OpSink) -> Placement {
+    let mut state = Replay::new(ir, table);
+    let mut cells = CellTable::new(ir);
+    state.run(ir, &mut cells, 0..ir.events.len(), UNBOUNDED, None, sink);
+    let output = |output: &IrOutput| match *output {
+        IrOutput::Cell(c) => OutputLoc::Ram(cells.get(c).expect("output cell released")),
+        IrOutput::Input {
+            index,
+            complemented,
+        } => OutputLoc::Input {
+            index,
+            complemented,
+        },
+        IrOutput::Const(v) => OutputLoc::Const(v),
+    };
+    Placement {
+        cost: state.cost(),
+        work_rows: state.metrics.rams,
+        outputs: ir
+            .outputs
+            .iter()
+            .map(|(name, loc)| (name.clone(), output(loc)))
+            .collect(),
+    }
 }
 
 /// A bound no replay passes.
@@ -75,12 +125,35 @@ const UNBOUNDED: Cost = Cost {
 /// addresses live in a [`CellTable`] beside it.
 #[derive(Debug, Clone)]
 struct Replay {
+    table: CostTable,
     alloc: RramAllocator,
     /// The virtual cell live at each physical address.
     owner: Vec<Option<CellId>>,
+    metrics: Metrics,
+}
+
+/// A replay's running metrics, which its [`CostTable`] makes a [`Cost`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Metrics {
     instructions: usize,
+    units: u64,
+    /// Non-masking ops; each writes every scratch row.
+    general: usize,
+    /// The work region.
     rams: u32,
+    /// The highest write count of a work row.
     wear: u64,
+}
+
+impl Metrics {
+    fn cost(self, table: &CostTable) -> Cost {
+        Cost {
+            instructions: self.instructions,
+            footprint: self.rams + table.scratch_rows * u32::from(self.general > 0),
+            wear: self.wear.max(table.scratch_writes * self.general as u64),
+            units: self.units,
+        }
+    }
 }
 
 /// A replay state before the event at the position it is stored with.
@@ -94,28 +167,23 @@ struct Recorder<'a> {
 }
 
 impl Replay {
-    fn new(ir: &IrProgram) -> Self {
+    fn new(ir: &IrProgram, table: CostTable) -> Self {
         Replay {
+            table,
             alloc: RramAllocator::new(ir.allocator),
             owner: Vec::new(),
-            instructions: 0,
-            rams: 0,
-            wear: 0,
+            metrics: Metrics::default(),
         }
     }
 
     fn cost(&self) -> Cost {
-        Cost {
-            instructions: self.instructions,
-            footprint: self.rams,
-            wear: self.wear,
-            units: self.instructions as u64,
-        }
+        self.metrics.cost(&self.table)
     }
 
     /// Whether the footprint and the wear are still within `bound`'s.
     fn within(&self, bound: Cost) -> bool {
-        self.rams <= bound.footprint && self.wear <= bound.wear
+        let cost = self.cost();
+        cost.footprint <= bound.footprint && cost.wear <= bound.wear
     }
 
     /// Events between checkpoints: at least the footprint, so the
@@ -125,8 +193,8 @@ impl Replay {
     }
 
     /// Replays `ir.events[range]` on top of this state, with `cells`
-    /// holding the address of every cell live at its start, and records a
-    /// checkpoint (when given a recorder) every
+    /// holding the address of every cell live at its start, hands each op
+    /// to `sink`, and records a checkpoint (when given a recorder) every
     /// [`Replay::checkpoint_spacing`] events. Stops as soon as the replay is
     /// no longer [within](Replay::within) `bound`, abandoning the range
     /// midway. Returns the number of events replayed.
@@ -142,6 +210,7 @@ impl Replay {
         range: std::ops::Range<usize>,
         bound: Cost,
         mut record: Option<&mut Recorder>,
+        sink: &mut impl OpSink,
     ) -> usize {
         let (from, to) = (range.start, range.end);
         let mut next_checkpoint = record.as_ref().map_or(usize::MAX, |r| r.next);
@@ -160,6 +229,10 @@ impl Replay {
                     }
                     self.owner[a.index()] = Some(c);
                     cells.set(c, a);
+                    if self.table.work_region == WorkRegion::Requested {
+                        self.metrics.rams = self.metrics.rams.max(a.0 + 1);
+                    }
+                    sink.request(self.alloc.num_live());
                 }
                 Event::Release(c) => {
                     let a = cells.take(c).expect("release before request");
@@ -169,16 +242,34 @@ impl Replay {
                 Event::Op(i) => {
                     let op = &ir.ops[i as usize];
                     let z = cells.get(op.z).expect("write outside cell lifetime");
-                    self.instructions += 1;
-                    self.alloc.note_write(z);
-                    self.wear = self.wear.max(self.alloc.write_counts()[z.index()]);
-                    self.rams = self.rams.max(z.0 + 1);
-                    for value in [op.a, op.b] {
-                        if let Value::Cell(c) = value {
-                            let a = cells.get(c).expect("read outside cell lifetime");
-                            self.rams = self.rams.max(a.0 + 1);
+                    let masking = op.masking();
+                    let price = if masking {
+                        &self.table.masking
+                    } else {
+                        &self.table.other
+                    };
+                    let m = &mut self.metrics;
+                    m.instructions += price.instructions;
+                    m.units += price.units;
+                    m.general += usize::from(!masking);
+                    m.rams = m.rams.max(z.0 + 1);
+                    let mut place = |value: Value| match value {
+                        Value::Const(v) => {
+                            m.units -= price.const_discount;
+                            Operand::Const(v)
                         }
-                    }
+                        Value::Input(i) => Operand::Input(i),
+                        Value::Cell(c) => {
+                            let a = cells.get(c).expect("read outside cell lifetime");
+                            m.rams = m.rams.max(a.0 + 1);
+                            Operand::Ram(a)
+                        }
+                    };
+                    let (a, b) = (place(op.a), place(op.b));
+                    self.alloc.note_writes(z, price.writes);
+                    let writes = self.alloc.write_counts()[z.index()];
+                    self.metrics.wear = self.metrics.wear.max(writes);
+                    sink.op(op, z, a, b);
                     if !self.within(bound) {
                         return pos + 1 - from;
                     }
@@ -205,7 +296,7 @@ impl Replay {
         committed: &Replay,
         merged: (CellId, CellId),
     ) -> Option<Renaming> {
-        if self.rams != self.alloc.num_allocated() {
+        if self.metrics.rams != self.alloc.num_allocated() {
             return None;
         }
         self.alloc.renaming(&committed.alloc, |below| {
@@ -229,7 +320,7 @@ impl Replay {
     /// allocated: every renamed address below its fresh counter is within
     /// it, and past it the committed replay's footprint only shifts. Two
     /// adoptions in a row are one, from any state at or past the second
-    /// one's `base` as the first reads it (see [`Rm3Scorer::commit`]).
+    /// one's `base` as the first reads it (see [`Scorer::commit`]).
     fn adopted(
         &self,
         base: &Replay,
@@ -244,20 +335,25 @@ impl Replay {
                 owner[a] = c.map(&cell);
             }
         }
-        let cost = self.adopted_cost(base, cut, renaming);
         Replay {
+            table: self.table,
             alloc,
             owner,
-            instructions: cost.instructions,
-            rams: cost.footprint,
-            wear: cost.wear,
+            metrics: self.adopted_metrics(base, cut, renaming),
         }
     }
 
     /// The cost of [`Replay::adopted`]'s result, without building it.
     fn adopted_cost(&self, base: &Replay, cut: &Replay, renaming: &Renaming) -> Cost {
+        self.adopted_metrics(base, cut, renaming).cost(&self.table)
+    }
+
+    /// The metrics of [`Replay::adopted`]'s result: the sums and the work
+    /// region shifted past `cut`'s, and the wear of the renamed counters.
+    fn adopted_metrics(&self, base: &Replay, cut: &Replay, renaming: &Renaming) -> Metrics {
         let (writes, base_writes) = (self.alloc.write_counts(), base.alloc.write_counts());
         let cut_writes = cut.alloc.write_counts();
+        let (mine, base, cut) = (self.metrics, base.metrics, cut.metrics);
         // Every cell `cut` holds either is renamed from one of this
         // replay's, and has gained writes since `base`, or was parked there.
         let wear = writes
@@ -269,13 +365,13 @@ impl Replay {
                 Some(gained + cut_writes.get(a).copied().unwrap_or(0))
             })
             .fold(cut.wear, u64::max);
-        let rams = (i64::from(self.rams) + renaming.shift()).max(i64::from(cut.rams));
-        let instructions = self.instructions - base.instructions + cut.instructions;
-        Cost {
-            instructions,
-            footprint: u32::try_from(rams).expect("a footprint fits its address width"),
+        let rams = (i64::from(mine.rams) + renaming.shift()).max(i64::from(cut.rams));
+        Metrics {
+            instructions: mine.instructions - base.instructions + cut.instructions,
+            units: mine.units - base.units + cut.units,
+            general: mine.general - base.general + cut.general,
+            rams: u32::try_from(rams).expect("a footprint fits its address width"),
             wear,
-            units: instructions as u64,
         }
     }
 }
@@ -327,12 +423,13 @@ impl CellTable {
     }
 }
 
-/// The RM3 backend's [`TrialScorer`]: checkpoints the replay of the
-/// committed stream and resumes each trial from the last checkpoint at or
-/// before the first event the edit changed, abandoning it as soon as the
-/// footprint or wear passes the incumbent's, and finishing it early once it
-/// has reconverged with the committed replay.
-pub(crate) struct Rm3Scorer {
+/// Every backend's [`TrialScorer`]: checkpoints the replay of the
+/// committed stream under the backend's [`CostTable`] and resumes each
+/// trial from the last checkpoint at or before the first event the edit
+/// changed, abandoning it as soon as the footprint or wear passes the
+/// incumbent's, and finishing it early once it has reconverged with the
+/// committed replay.
+pub(crate) struct Scorer {
     committed: Checkpoints,
     /// The committed stream's replay at its end.
     end: Replay,
@@ -488,10 +585,10 @@ impl Adoption {
     }
 }
 
-impl Rm3Scorer {
-    /// The scorer of `ir`, and `ir`'s cost.
-    pub(crate) fn new(ir: &IrProgram) -> (Self, Cost) {
-        let mut end = Replay::new(ir);
+impl Scorer {
+    /// The scorer of `ir` under `table`, and `ir`'s cost.
+    pub(crate) fn new(ir: &IrProgram, table: CostTable) -> (Self, Cost) {
+        let mut end = Replay::new(ir, table);
         let mut list = vec![(0, end.clone())];
         let mut cells = CellTable::new(ir);
         let mut recorder = Recorder {
@@ -499,9 +596,9 @@ impl Rm3Scorer {
             next: end.checkpoint_spacing(),
         };
         let all = 0..ir.events.len();
-        end.run(ir, &mut cells, all, UNBOUNDED, Some(&mut recorder));
+        end.run(ir, &mut cells, all, UNBOUNDED, Some(&mut recorder), &mut ());
         let cost = end.cost();
-        let scorer = Rm3Scorer {
+        let scorer = Scorer {
             committed: Checkpoints {
                 list,
                 lazy: None,
@@ -519,7 +616,7 @@ impl Rm3Scorer {
     }
 }
 
-impl TrialScorer for Rm3Scorer {
+impl TrialScorer for Scorer {
     /// Replays the trial from the checkpoint before `edit.from`. At every
     /// committed checkpoint past `edit.until` (shifted by `edit.shift`) it
     /// tests whether the trial replay is the committed one under a renaming
@@ -549,7 +646,8 @@ impl TrialScorer for Rm3Scorer {
         let reconverged = loop {
             let at = self.committed.position(next);
             let stop = at.map_or(ir.events.len(), |p| shifted(p, edit.shift));
-            replayed += state.run(ir, &mut self.cells, pos..stop, bound, Some(&mut recorder));
+            let record = Some(&mut recorder);
+            replayed += state.run(ir, &mut self.cells, pos..stop, bound, record, &mut ());
             if at.is_none() || !state.within(bound) {
                 break None;
             }
@@ -681,70 +779,39 @@ impl TrialScorer for Rm3Scorer {
     }
 }
 
-/// Replays the IR into an executable program with its cost metrics.
+/// Replays the IR into an executable RM3 program with its cost metrics.
 ///
 /// # Panics
 ///
-/// Panics if the event stream is malformed (an op touching a cell outside
-/// its request/release span); run [`IrProgram::check`] first when in doubt
-/// — the pass pipeline does so after every pass.
+/// Panics if the stream is malformed (see [`place`]).
 pub fn emit(ir: &IrProgram) -> Rm3Program {
-    let mut alloc = RramAllocator::new(ir.allocator);
-    let mut addr: Vec<Option<RamAddr>> = vec![None; ir.cells.len()];
-    let mut program = Program::new(ir.num_inputs);
-    let mut peak_live = 0usize;
-
-    let operand = |value: Value, addr: &[Option<RamAddr>]| match value {
-        Value::Const(v) => Operand::Const(v),
-        Value::Input(i) => Operand::Input(i),
-        Value::Cell(c) => Operand::Ram(addr[c.index()].expect("read outside cell lifetime")),
-    };
-
-    for &event in &ir.events {
-        match event {
-            Event::Request(c) => {
-                let a = alloc.request_with_hint(ir.cells[c.index()].hint);
-                addr[c.index()] = Some(a);
-                peak_live = peak_live.max(alloc.num_live());
-            }
-            Event::Release(c) => {
-                let a = addr[c.index()].take().expect("release before request");
-                alloc.release(a);
-            }
-            Event::Op(i) => {
-                let op = &ir.ops[i as usize];
-                let z = addr[op.z.index()].expect("write outside cell lifetime");
-                let instruction = Instruction::new(operand(op.a, &addr), operand(op.b, &addr), z);
-                alloc.note_write(z);
-                program.push_assignment(instruction, op.rhs);
-            }
+    /// The program, and the peak number of live cells.
+    struct Emitter(Program, usize);
+    impl OpSink for Emitter {
+        fn op(&mut self, op: &IrOp, z: RamAddr, a: Operand, b: Operand) {
+            self.0.push_assignment(Instruction::new(a, b, z), op.rhs);
+        }
+        fn request(&mut self, live: usize) {
+            self.1 = self.1.max(live);
         }
     }
-
-    for (name, output) in &ir.outputs {
-        let loc = match *output {
-            IrOutput::Cell(c) => {
-                OutputLoc::Ram(addr[c.index()].expect("output cell released before program end"))
-            }
-            IrOutput::Input {
-                index,
-                complemented,
-            } => OutputLoc::Input {
-                index,
-                complemented,
-            },
-            IrOutput::Const(v) => OutputLoc::Const(v),
-        };
-        program.add_output(name.clone(), loc);
+    let mut emitter = Emitter(Program::new(ir.num_inputs), 0);
+    let Placement { cost, outputs, .. } = place(ir, CostTable::RM3, &mut emitter);
+    let Emitter(mut program, peak_live) = emitter;
+    for (name, loc) in outputs {
+        program.add_output(name, loc);
     }
-
     let stats = Rm3Stats {
-        instructions: program.len(),
-        rams: program.num_rams(),
+        instructions: cost.instructions,
+        rams: cost.footprint,
         mig_nodes: ir.mig_nodes,
         peak_live,
-        max_cell_writes: alloc.max_writes(),
+        max_cell_writes: cost.wear,
     };
+    debug_assert_eq!(
+        (stats.instructions, stats.rams),
+        (program.len(), program.num_rams())
+    );
     Rm3Program { program, stats }
 }
 
@@ -754,12 +821,12 @@ pub(crate) mod tests {
 
     use plim::{RamAddr, Rhs};
 
-    use super::{replay_metrics, Rm3Scorer};
-    use crate::backend::{TrialEdit, TrialScorer};
+    use super::{place, Scorer};
+    use crate::backend::{CostTable, TrialEdit, TrialScorer};
     use crate::ir::{CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
     use crate::{AllocatorStrategy, LifetimeClass};
 
-    /// One [`super::Rm3Scorer`] trial.
+    /// One [`super::Scorer`] trial.
     #[derive(Debug, Clone, Copy)]
     pub(crate) struct TrialRecord {
         /// The position of the checkpoint the replay resumed from.
@@ -786,7 +853,7 @@ pub(crate) mod tests {
         TRIALS.with(|log| log.borrow_mut().push(record));
     }
 
-    /// The trials this thread's RM3 scorers ran since the last call.
+    /// The trials this thread's scorers ran since the last call.
     pub(crate) fn take_trials() -> Vec<TrialRecord> {
         TRIALS.with(|log| std::mem::take(&mut *log.borrow_mut()))
     }
@@ -830,7 +897,7 @@ pub(crate) mod tests {
         let committed = program(head.into_iter().chain(tail).collect());
         let mut trial = committed.clone();
         trial.events.remove(3);
-        let (mut scorer, cost) = Rm3Scorer::new(&committed);
+        let (mut scorer, cost) = Scorer::new(&committed, CostTable::RM3);
         assert_eq!(cost.footprint, 2);
         let edit = TrialEdit {
             from: 3,
@@ -839,11 +906,7 @@ pub(crate) mod tests {
             merged: (c1, c1),
         };
         let got = scorer.trial(&trial, &edit, cost).expect("one write fewer");
-        let (instructions, footprint, wear) = replay_metrics(&trial);
-        assert_eq!(
-            (got.instructions, got.footprint, got.wear),
-            (instructions, footprint, wear)
-        );
+        assert_eq!(got, place(&trial, CostTable::RM3, &mut ()).cost);
         assert_eq!(got.footprint, 1);
         assert_eq!(
             take_trials().last().expect("one trial").reconverged_at,

@@ -34,8 +34,8 @@ mod emit;
 mod lower;
 pub mod passes;
 
-pub use emit::emit;
-pub(crate) use emit::{replay_metrics, Rm3Scorer};
+pub(crate) use emit::Scorer;
+pub use emit::{emit, place, OpSink, Placement};
 pub use lower::lower;
 
 /// A virtual work cell: one allocator request/release lifetime.

@@ -1469,7 +1469,7 @@ mod tests {
     use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 
     use super::*;
-    use crate::backend::{Artifact, InstructionInfo, Rm3Backend};
+    use crate::backend::{Artifact, CostTable, InstructionInfo, OpCost, Rm3Backend, WorkRegion};
     use crate::{AllocatorStrategy, CompilerOptions, ScheduleOrder};
 
     /// The restart-from-0 forwarding engine the incremental one replaced,
@@ -2015,6 +2015,10 @@ mod tests {
             &[]
         }
 
+        fn cost_table(&self) -> CostTable {
+            unreachable!("the model is no cost table")
+        }
+
         fn cost(&self, ir: &IrProgram) -> Cost {
             Cost {
                 instructions: ir.events.len(),
@@ -2024,8 +2028,26 @@ mod tests {
             }
         }
 
+        fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
+            (Box::new(EventCount), self.cost(ir))
+        }
+
         fn emit(&self, _: &IrProgram) -> Box<dyn Artifact> {
             unreachable!("the forwarding pass never emits")
+        }
+    }
+
+    /// Scores each trial in full, which is O(1) under this model.
+    impl TrialScorer for EventCount {
+        fn trial(&mut self, ir: &IrProgram, _: &TrialEdit, bound: Cost) -> Option<Cost> {
+            let cost = Backend::cost(self, ir);
+            cost.improves_on(bound).then_some(cost)
+        }
+
+        fn commit(&mut self) {}
+
+        fn counts(&self) -> TrialCounts {
+            TrialCounts::default()
         }
     }
 
@@ -2106,31 +2128,61 @@ mod tests {
         }
     }
 
-    /// The RM3 cost model behind a scorer that checks every verdict of
-    /// [`Rm3Backend`]'s checkpointed scorer against a full replay.
-    struct Audited;
+    /// The cost tables of the three targets: RM3's, and those of the
+    /// `plim-backends` Ambit and MAGIC lowerings.
+    const TABLES: [CostTable; 3] = [
+        CostTable::RM3,
+        CostTable {
+            masking: OpCost::ONE,
+            other: OpCost {
+                instructions: 5,
+                units: 11,
+                const_discount: 1,
+                writes: 1,
+            },
+            scratch_rows: 3,
+            scratch_writes: 2,
+            work_region: WorkRegion::Requested,
+        },
+        CostTable {
+            masking: OpCost::ONE,
+            other: OpCost {
+                instructions: 14,
+                units: 14,
+                const_discount: 0,
+                writes: 2,
+            },
+            scratch_rows: 6,
+            scratch_writes: 2,
+            work_region: WorkRegion::Requested,
+        },
+    ];
+
+    /// A cost table behind a scorer that checks every verdict of the
+    /// checkpointed scorer against a full replay.
+    struct Audited(CostTable);
 
     impl Backend for Audited {
         fn name(&self) -> &'static str {
-            "audited-rm3"
+            "audited"
         }
 
         fn description(&self) -> &'static str {
-            "RM3 with every trial verdict checked against a full replay"
+            "every trial verdict checked against a full replay"
         }
 
         fn instruction_set(&self) -> &'static [InstructionInfo] {
             Rm3Backend.instruction_set()
         }
 
-        fn cost(&self, ir: &IrProgram) -> Cost {
-            Rm3Backend.cost(ir)
+        fn cost_table(&self) -> CostTable {
+            self.0
         }
 
         fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
-            let (inner, cost) = Rm3Backend.scorer(ir);
-            assert_eq!(cost, Rm3Backend.cost(ir), "initial cost");
-            (Box::new(AuditedScorer(inner)), cost)
+            let (inner, cost) = crate::ir::Scorer::new(ir, self.0);
+            assert_eq!(cost, self.cost(ir), "initial cost");
+            (Box::new(AuditedScorer(Box::new(inner), self.0)), cost)
         }
 
         fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
@@ -2138,12 +2190,12 @@ mod tests {
         }
     }
 
-    struct AuditedScorer(Box<dyn TrialScorer>);
+    struct AuditedScorer(Box<dyn TrialScorer>, CostTable);
 
     impl TrialScorer for AuditedScorer {
         fn trial(&mut self, ir: &IrProgram, edit: &TrialEdit, bound: Cost) -> Option<Cost> {
             let got = self.0.trial(ir, edit, bound);
-            let full = Rm3Backend.cost(ir);
+            let full = crate::ir::place(ir, self.1, &mut ()).cost;
             assert_eq!(
                 got.is_some(),
                 full.improves_on(bound),
@@ -2187,49 +2239,57 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// At every trial, the checkpointed RM3 scorer accepts exactly when
-        /// a full replay improves on the incumbent, and scores the accepted
-        /// stream exactly as the full replay does — on every allocator, on
-        /// lowered streams and on a second round's input, with streams
-        /// long enough to hold several checkpoints. The trials it finishes
-        /// by reconvergence are among them: every allocator whose pool
-        /// serves cells by position has some, wear leveling none, and some
+        /// At every trial, the checkpointed scorer accepts exactly when a
+        /// full replay improves on the incumbent, and scores the accepted
+        /// stream exactly as the full replay does — under each target's
+        /// cost table, on every allocator, on lowered streams and on a
+        /// second round's input, with streams long enough to hold several
+        /// checkpoints. The trials it finishes by reconvergence are among
+        /// them: under every table, every allocator whose pool serves cells
+        /// by position has some, and wear leveling none. Under RM3's, some
         /// trial resumes from a checkpoint the last commit adopted past its
-        /// cut, after two or more consecutive commits that cut.
+        /// cut, after two or more consecutive commits that cut; that path
+        /// does not read the table, and the other tables' streams reach it
+        /// too seldom to require it.
         #[test]
-        fn rm3_scorer_matches_full_replays(seed in any::<u64>()) {
-            let mut resumed_past_cuts = 0;
-            for alloc in AllocatorStrategy::ALL {
-                crate::ir::emit::tests::take_trials();
-                for nodes in [40, 250, 900] {
-                    let ir = lowered(nodes, seed, ScheduleOrder::Priority, alloc);
-                    let mut audited = ir.clone();
-                    Forwarder::new(&audited, &Audited, KEY_SPACING).run(&mut audited);
-                    let mut audited = next_round(audited);
-                    Forwarder::new(&audited, &Audited, KEY_SPACING).run(&mut audited);
+        fn scorer_matches_full_replays(seed in any::<u64>()) {
+            for table in TABLES {
+                let mut resumed_past_cuts = 0;
+                for alloc in AllocatorStrategy::ALL {
+                    crate::ir::emit::tests::take_trials();
+                    for nodes in [40, 250, 900] {
+                        let ir = lowered(nodes, seed, ScheduleOrder::Priority, alloc);
+                        let mut audited = ir.clone();
+                        let backend = Audited(table);
+                        Forwarder::new(&audited, &backend, KEY_SPACING).run(&mut audited);
+                        let mut audited = next_round(audited);
+                        Forwarder::new(&audited, &backend, KEY_SPACING).run(&mut audited);
+                    }
+                    let trials = crate::ir::emit::tests::take_trials();
+                    let cuts = trials.iter().filter(|t| t.reconverged_at.is_some()).count();
+                    resumed_past_cuts += resumed_past_two_cuts(&trials);
+                    if alloc == AllocatorStrategy::WearLeveled {
+                        prop_assert_eq!(cuts, 0);
+                    } else {
+                        prop_assert!(cuts > 0, "{table:?}, {alloc:?}: no trial reconverged");
+                    }
                 }
-                let trials = crate::ir::emit::tests::take_trials();
-                let cuts = trials.iter().filter(|t| t.reconverged_at.is_some()).count();
-                resumed_past_cuts += resumed_past_two_cuts(&trials);
-                if alloc == AllocatorStrategy::WearLeveled {
-                    prop_assert_eq!(cuts, 0);
-                } else {
-                    prop_assert!(cuts > 0, "{alloc:?}: no trial reconverged");
+                if table == CostTable::RM3 {
+                    prop_assert!(
+                        resumed_past_cuts > 0,
+                        "no trial resumed past two consecutive cut commits"
+                    );
                 }
             }
-            prop_assert!(
-                resumed_past_cuts > 0,
-                "no trial resumed past two consecutive cut commits"
-            );
         }
     }
 
-    /// Every RM3 trial resumes from the last checkpoint at or before the
+    /// Every trial resumes from the last checkpoint at or before the
     /// first event its edit changed — never from further back, so a
     /// rejected trial cannot silently fall back to a replay of the whole
     /// stream.
     #[test]
-    fn rm3_scorer_resumes_trials_from_the_checkpoint_before_the_edit() {
+    fn scorer_resumes_trials_from_the_checkpoint_before_the_edit() {
         crate::ir::emit::tests::take_trials();
         for alloc in AllocatorStrategy::ALL {
             let mut ir = lowered(900, 1, ScheduleOrder::Priority, alloc);
@@ -2264,7 +2324,7 @@ mod tests {
     /// verify the program after every pass and take minutes here.
     #[cfg(not(debug_assertions))]
     #[test]
-    fn rm3_scorer_cuts_replay_on_control_logic() {
+    fn scorer_cuts_replay_on_control_logic() {
         const FULL_REPLAYS: u64 = 15_976_312;
         let mig = random_logic(&RandomLogicSpec::new(1024, 128, 5500, 1));
         crate::ir::emit::tests::take_trials();

@@ -89,7 +89,8 @@ pub mod verify;
 // and the caching layers the `plimd` service builds on. Everything else
 // is reached through its module.
 pub use backend::{
-    Artifact, Backend, Cost, InstructionInfo, Target, TrialCounts, TrialEdit, TrialScorer,
+    Artifact, Backend, Cost, CostTable, InstructionInfo, OpCost, Target, TrialCounts, TrialEdit,
+    TrialScorer, WorkRegion,
 };
 pub use cache::{CacheKey, CacheStats, LruCache};
 pub use compile::{compile, compile_full, compile_ir, Compilation};

@@ -129,7 +129,7 @@ pub fn parse_asm(text: &str) -> Result<Program, ParseAsmError> {
             continue;
         }
 
-        if let Some(rest) = line.strip_prefix(".inputs") {
+        if let Some(rest) = keyword(line, ".inputs") {
             let n = rest
                 .trim()
                 .parse()
@@ -144,7 +144,7 @@ pub fn parse_asm(text: &str) -> Result<Program, ParseAsmError> {
                 fresh.add_output(name, loc);
             }
             program = fresh;
-        } else if let Some(rest) = line.strip_prefix(".output") {
+        } else if let Some(rest) = keyword(line, ".output") {
             let mut parts = rest.splitn(2, '=');
             let name = parts
                 .next()
@@ -174,6 +174,9 @@ pub fn parse_asm(text: &str) -> Result<Program, ParseAsmError> {
                 }
             };
             program.add_output(name, loc);
+        } else if line.starts_with('.') {
+            let directive = line.split_whitespace().next().unwrap_or(line);
+            return Err(err(line_no, &format!("unknown directive `{directive}`")));
         } else {
             // Instruction line, with an optional `NN:` prefix.
             let body = match line.split_once(':') {
@@ -217,6 +220,13 @@ pub fn parse_asm(text: &str) -> Result<Program, ParseAsmError> {
         program = fresh;
     }
     Ok(program)
+}
+
+/// The rest of `line` after a leading `keyword`, if the keyword is a whole
+/// token there: followed by whitespace or the end of the line.
+fn keyword<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
+    let rest = line.strip_prefix(keyword)?;
+    (rest.is_empty() || rest.starts_with(char::is_whitespace)).then_some(rest)
 }
 
 #[cfg(test)]
@@ -357,6 +367,26 @@ mod tests {
         assert!(parse_asm(".output f = !@X1\n").is_err());
         assert!(parse_asm(".inputs many\n").is_err());
         assert!(parse_asm("i0, 1, @X1\n").is_err());
+    }
+
+    /// `.outputs` is no `.output` directive followed by a name `s f`.
+    #[test]
+    fn an_outputs_line_is_an_unknown_directive() {
+        let e = parse_asm("0, 1, @X1\n.outputs f = @X1\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "unknown directive `.outputs`")
+        );
+    }
+
+    /// `.inputsx` is no `.inputs` directive with a bad count.
+    #[test]
+    fn an_inputsx_line_is_an_unknown_directive() {
+        let e = parse_asm(".inputsx 2\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (1, "unknown directive `.inputsx`")
+        );
     }
 
     #[test]

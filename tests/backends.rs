@@ -15,10 +15,14 @@ use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::backend::W256;
 use plim_compiler::batch::Circuit;
+use plim_compiler::ir::{Event, IrProgram};
 use plim_compiler::verify::{
     verify, verify_artifact, verify_exhaustive, VerifyError, EXHAUSTIVE_WIDE_LIMIT,
 };
-use plim_compiler::{compile_full, Artifact, Backend, CompilerOptions, Cost, OptLevel, Target};
+use plim_compiler::{
+    compile_full, compile_ir, AllocatorStrategy, Artifact, Backend, CompilerOptions, Cost,
+    OptLevel, Target,
+};
 use plim_parallel::Parallelism;
 
 /// Ambit compiles the full suite — raw and rewritten, `-O0` and `-O2` —
@@ -383,5 +387,96 @@ fn sampled_mutant_counterexamples_do_not_move() {
             let got = mutant_verdict(&base, &mutant, |a| verify_artifact(&base, a, rounds, seed));
             assert_eq!(got, want, "{kind} mutant, {rounds} rounds, seed {seed}");
         }
+    }
+}
+
+/// The destination row of each op of `ir`, in stream order, read off an
+/// Ambit or MAGIC listing: a masking op is one line, any other `per_op`
+/// lines, and the last token of an op's last line is its destination.
+fn destination_rows(listing: &str, ir: &IrProgram, per_op: usize) -> Vec<u32> {
+    let mut lines = listing
+        .lines()
+        .filter(|line| line.starts_with(|c: char| c.is_ascii_digit()));
+    let mut rows = Vec::new();
+    for event in &ir.events {
+        let Event::Op(i) = *event else { continue };
+        let count = if ir.ops[i as usize].masking() {
+            1
+        } else {
+            per_op
+        };
+        let last = lines.nth(count - 1).expect("a line per op");
+        let row = last.rsplit(' ').next().and_then(|r| r.strip_prefix('r'));
+        rows.push(row.and_then(|r| r.parse().ok()).expect("a row operand"));
+    }
+    assert_eq!(lines.next(), None, "lines past the last op");
+    rows
+}
+
+/// Every target places cells with the one allocator replay, counting its
+/// own writes. Ambit writes each destination once, as RM3 does, so its
+/// destination rows are the RM3 program's under every allocator, `wear`
+/// included. MAGIC writes a non-masking op's destination twice, so only
+/// the allocators that do not read the counters place it as RM3 does;
+/// under `wear` its `maxw` is its own writes' maximum.
+#[test]
+fn alternative_targets_place_destinations_as_the_rm3_replay_does() {
+    for name in ["voter", "dec", "int2float"] {
+        let mig = suite::build(name, Scale::Reduced).expect("suite circuit");
+        for alloc in AllocatorStrategy::ALL {
+            for opt in [OptLevel::O0, OptLevel::O2] {
+                let ir = compile_full(&mig, CompilerOptions::new().allocator(alloc).opt(opt)).ir;
+                let rm3: Vec<u32> = plim_compiler::ir::emit(&ir)
+                    .program
+                    .instructions()
+                    .iter()
+                    .map(|instruction| instruction.z.0)
+                    .collect();
+                let case = format!("{name} {alloc:?} {opt:?}");
+                let ambit = AMBIT.emit(&ir).listing();
+                assert_eq!(destination_rows(&ambit, &ir, 5), rm3, "ambit, {case}");
+                let magic = MAGIC.emit(&ir);
+                let listing = magic.listing();
+                if alloc == AllocatorStrategy::WearLeveled {
+                    let mut writes = std::collections::HashMap::<&str, u64>::new();
+                    for line in listing
+                        .lines()
+                        .filter(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+                    {
+                        *writes.entry(line.rsplit(' ').next().unwrap()).or_default() += 1;
+                    }
+                    let maxw = writes.values().copied().max().unwrap_or(0);
+                    assert_eq!(magic.cost().wear, maxw, "magic, {case}");
+                } else {
+                    assert_eq!(destination_rows(&listing, &ir, 14), rm3, "magic, {case}");
+                }
+            }
+        }
+    }
+}
+
+/// Scoring an `-O2` trial costs every target about what it costs RM3: on
+/// reduced mem_ctrl, Ambit and MAGIC replay at most twice RM3's mean
+/// events per trial (about 1,180 against 1,156). A scorer that replays the
+/// whole stream per trial replays about 9,000, nearly 8× RM3's.
+#[test]
+fn o2_trials_replay_about_as_many_events_on_every_target() {
+    install();
+    let mig = suite::build("mem_ctrl", Scale::Reduced).expect("suite circuit");
+    let mean = |target: &str| {
+        let options = CompilerOptions::new()
+            .opt(OptLevel::O2)
+            .target(Target::parse(target).unwrap());
+        let scoring = compile_ir(&mig, options).1.scoring();
+        assert!(scoring.trials > 0, "{target}: no trials");
+        scoring.replayed as f64 / scoring.trials as f64
+    };
+    let rm3 = mean("rm3");
+    for target in ["ambit", "magic"] {
+        let events = mean(target);
+        assert!(
+            events <= 2.0 * rm3,
+            "{target} replays {events:.0} events per trial, rm3 {rm3:.0}"
+        );
     }
 }

@@ -217,6 +217,10 @@ impl plim_compiler::Backend for Unscored {
         &[]
     }
 
+    fn cost_table(&self) -> plim_compiler::CostTable {
+        panic!("the -O0 pipeline priced the stream")
+    }
+
     fn cost(&self, _: &ir::IrProgram) -> plim_compiler::Cost {
         panic!("the -O0 pipeline scored the stream")
     }
@@ -261,6 +265,10 @@ impl plim_compiler::Backend for EventCount {
         &[]
     }
 
+    fn cost_table(&self) -> plim_compiler::CostTable {
+        unreachable!("the model is no cost table")
+    }
+
     fn cost(&self, ir: &ir::IrProgram) -> plim_compiler::Cost {
         plim_compiler::Cost {
             instructions: ir.events.len(),
@@ -270,8 +278,38 @@ impl plim_compiler::Backend for EventCount {
         }
     }
 
+    fn scorer(
+        &self,
+        ir: &ir::IrProgram,
+    ) -> (
+        Box<dyn plim_compiler::TrialScorer + '_>,
+        plim_compiler::Cost,
+    ) {
+        (Box::new(EventCount), self.cost(ir))
+    }
+
     fn emit(&self, _: &ir::IrProgram) -> Box<dyn plim_compiler::Artifact> {
         unreachable!("the forwarding pass never emits")
+    }
+}
+
+/// Scores each trial in full, which is O(1) under this model.
+#[cfg(not(debug_assertions))]
+impl plim_compiler::TrialScorer for EventCount {
+    fn trial(
+        &mut self,
+        ir: &ir::IrProgram,
+        _: &plim_compiler::TrialEdit,
+        bound: plim_compiler::Cost,
+    ) -> Option<plim_compiler::Cost> {
+        let cost = plim_compiler::Backend::cost(self, ir);
+        cost.improves_on(bound).then_some(cost)
+    }
+
+    fn commit(&mut self) {}
+
+    fn counts(&self) -> plim_compiler::TrialCounts {
+        plim_compiler::TrialCounts::default()
     }
 }
 
