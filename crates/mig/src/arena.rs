@@ -23,9 +23,26 @@
 //!   releasing their whole dangling cone immediately.
 //! * **Iterator-safe traversal** — passes walk a topological order of the
 //!   live cone that is snapshotted per pass (and the order buffer is
-//!   reused), so nodes appended mid-pass never invalidate the walk;
-//!   [`RewriteArena::live_majority_ids`] exposes the same traversal for
-//!   inspection.
+//!   reused), so nodes appended mid-pass never invalidate the walk.
+//!   [`RewriteArena::live_majority_ids`] enumerates the live majority slots
+//!   by index for inspection; it is not that order.
+//! * **A change counter** — one counter goes up on every structural
+//!   change: a node created by `maj`, a child triple rewritten by
+//!   `set_children`, a `replace`, a node killed by `collect`, and `load`.
+//!   Every reference-count change happens inside one of these. A sweep is
+//!   a deterministic function of the resolved graph (path compression in
+//!   `resolve` does not change what it resolves to), so work done at an
+//!   unchanged counter value can be reused exactly:
+//!   * the topological order is recomputed only when the counter moved
+//!     since it was last computed (sweeps and [`RewriteArena::compact`]);
+//!   * each pass kind remembers the counter value at a sweep of it that
+//!     changed nothing, and a later sweep of that kind at the same value
+//!     bumps the generation and returns that sweep's count (almost always
+//!     0) without walking the graph.
+//!
+//!   On a graph that converges in the first cycle of Algorithm 1, the later
+//!   cycles therefore cost almost nothing. [`RewriteArena::profile`] counts
+//!   the sweeps run and skipped and the orders computed and reused.
 //!
 //! The arena itself is reusable: [`RewriteArena::rewrite_with_stats`] clears
 //! and refills the node table, hash map, and scratch buffers in place, so a
@@ -53,8 +70,6 @@
 //! assert!(arena.peak_arena_len() >= rewritten.len());
 //! ```
 
-use std::time::{Duration, Instant};
-
 use crate::algebra::{find_shared_pair, invert_triple, trivial_triple};
 use crate::graph::Mig;
 use crate::hash::Strash;
@@ -65,20 +80,33 @@ use crate::signal::{NodeId, Signal};
 /// Sentinel in the `dead_at` table: the node is alive.
 const LIVE: u32 = u32::MAX;
 
-/// Wall-clock and arena-size profile of one in-place rewrite run, used by
-/// the pipeline bench to compare the engines pass by pass.
-#[derive(Debug, Clone, Default)]
+/// Sweeps of one Ω pass kind in a rewrite run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepCount {
+    /// Sweeps that walked the topological order.
+    pub run: usize,
+    /// Sweeps answered without a walk: a sweep of the same kind had already
+    /// run on the unchanged graph and changed nothing.
+    pub skipped: usize,
+}
+
+/// Deterministic work counters of the most recent rewrite run (everything
+/// since the last [`RewriteArena::load`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RewriteProfile {
-    /// Time spent importing the live cone into the arena.
-    pub load: Duration,
-    /// Total time of the Ω.M/Ω.D distributivity passes.
-    pub distributivity: Duration,
-    /// Total time of the Ω.A associativity passes.
-    pub associativity: Duration,
-    /// Total time of the Ω.I inverter-redistribution passes.
-    pub inverter: Duration,
-    /// Time of the single end-of-rewrite compaction.
-    pub compact: Duration,
+    /// Ω.M/Ω.D distributivity sweeps.
+    pub distributivity: SweepCount,
+    /// Ω.A associativity sweeps.
+    pub associativity: SweepCount,
+    /// Ω.I inverter-redistribution sweeps.
+    pub inverter: SweepCount,
+    /// Topological orders computed by a depth-first walk of the live cone.
+    pub orders_computed: usize,
+    /// Topological orders reused because the graph had not changed since
+    /// the order was computed.
+    pub orders_reused: usize,
+    /// Nodes the sweeps that ran visited (the sum of their order lengths).
+    pub nodes_visited: usize,
     /// Largest node-arena length observed during the run (live + dead
     /// slots). The rebuild engine's equivalent is the sum of every
     /// intermediate graph it allocates.
@@ -86,10 +114,30 @@ pub struct RewriteProfile {
 }
 
 impl RewriteProfile {
-    /// Total time across all rewriting passes (excluding load/compact).
-    pub fn pass_total(&self) -> Duration {
-        self.distributivity + self.associativity + self.inverter
+    /// Sweeps of every pass kind together.
+    pub fn sweeps(&self) -> SweepCount {
+        let all = [self.distributivity, self.associativity, self.inverter];
+        SweepCount {
+            run: all.iter().map(|c| c.run).sum(),
+            skipped: all.iter().map(|c| c.skipped).sum(),
+        }
     }
+
+    fn sweep_count(&mut self, pass: Pass) -> &mut SweepCount {
+        match pass {
+            Pass::Distributivity => &mut self.distributivity,
+            Pass::Associativity => &mut self.associativity,
+            Pass::Inverter => &mut self.inverter,
+        }
+    }
+}
+
+/// The three Ω pass kinds a sweep can run.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Distributivity,
+    Associativity,
+    Inverter,
 }
 
 /// A mutable rewriting workspace for one MIG.
@@ -117,6 +165,16 @@ pub struct RewriteArena {
     outputs: Vec<(String, Signal)>,
     /// Bumped once per pass; stamps dead nodes.
     generation: u32,
+    /// Bumped on every structural change (see the module documentation).
+    changes: u64,
+    /// The `changes` value `order` was computed at.
+    order_at: Option<u64>,
+    /// Per [`Pass`], the `changes` value at its last sweep that changed
+    /// nothing, with the count that sweep returned.
+    unchanged: [Option<(u64, usize)>; 3],
+    /// Test-only reference mode: recompute every order, run every sweep.
+    #[cfg(test)]
+    reference: bool,
     epoch: u32,
     live_majority: usize,
     peak_len: usize,
@@ -149,6 +207,11 @@ impl RewriteArena {
             input_names: Vec::new(),
             outputs: Vec::new(),
             generation: 0,
+            changes: 0,
+            order_at: None,
+            unchanged: [None; 3],
+            #[cfg(test)]
+            reference: false,
             epoch: 0,
             live_majority: 0,
             peak_len: 0,
@@ -170,10 +233,7 @@ impl RewriteArena {
 
     /// Like [`RewriteArena::rewrite`], also returning pass statistics.
     pub fn rewrite_with_stats(&mut self, mig: &Mig, effort: usize) -> (Mig, RewriteStats) {
-        self.profile = RewriteProfile::default();
-        let clock = Instant::now();
         self.load(mig);
-        self.profile.load = clock.elapsed();
 
         let mut stats = RewriteStats {
             nodes_before: mig.num_majority_nodes(),
@@ -183,24 +243,13 @@ impl RewriteArena {
             let size_at_cycle_start = self.live_majority;
 
             // Ω.M ; Ω.D(R→L)
-            let clock = Instant::now();
             let dist_a = self.pass_distributivity();
-            self.profile.distributivity += clock.elapsed();
-
             // Ω.A ; Ω.C  (commutativity is implicit in canonical sorting)
-            let clock = Instant::now();
             let assoc = self.pass_associativity();
-            self.profile.associativity += clock.elapsed();
-
             // Ω.M ; Ω.D(R→L)
-            let clock = Instant::now();
             let dist_b = self.pass_distributivity();
-            self.profile.distributivity += clock.elapsed();
-
             // Ω.I(R→L)(1–3) followed by a final Ω.I(R→L) sweep.
-            let clock = Instant::now();
             let flips = self.pass_inverter() + self.pass_inverter();
-            self.profile.inverter += clock.elapsed();
 
             stats.distributivity_applied += dist_a + dist_b;
             stats.associativity_applied += assoc;
@@ -216,15 +265,13 @@ impl RewriteArena {
             }
         }
 
-        let clock = Instant::now();
         let result = self.compact();
-        self.profile.compact = clock.elapsed();
         self.profile.peak_arena_nodes = self.peak_len;
         stats.nodes_after = result.num_majority_nodes();
         (result, stats)
     }
 
-    /// The wall-clock/arena-size profile of the most recent rewrite run.
+    /// The work counters of the most recent rewrite run.
     pub fn profile(&self) -> &RewriteProfile {
         &self.profile
     }
@@ -294,8 +341,10 @@ impl RewriteArena {
         self.input_names.clear();
         self.outputs.clear();
         self.generation = 0;
+        self.changes += 1;
         self.epoch = 0;
         self.live_majority = 0;
+        self.profile = RewriteProfile::default();
 
         self.push_node(MigNode::Constant);
         for k in 0..mig.num_inputs() {
@@ -426,6 +475,7 @@ impl RewriteArena {
             return Signal::new(id, false);
         }
         let id = self.push_node(MigNode::Majority(triple));
+        self.changes += 1;
         self.strash.insert(triple, id);
         for child in triple {
             self.refcount[child.node().index()] += 1;
@@ -481,6 +531,7 @@ impl RewriteArena {
             return Some(signal);
         }
 
+        self.changes += 1;
         // Add the new edges before dropping the old ones so a child shared
         // between the two triples never transits through refcount zero.
         for child in resolved {
@@ -506,6 +557,7 @@ impl RewriteArena {
         let MigNode::Majority(children) = self.nodes[idx] else {
             unreachable!("only majority nodes are replaced");
         };
+        self.changes += 1;
         let refs = self.refcount[idx];
         self.refcount[idx] = 0;
         self.refcount[target.node().index()] += refs;
@@ -543,6 +595,7 @@ impl RewriteArena {
             let MigNode::Majority(children) = self.nodes[idx] else {
                 continue;
             };
+            self.changes += 1;
             self.dead_at[idx] = self.generation;
             self.live_majority -= 1;
             self.strash.remove(children);
@@ -594,8 +647,15 @@ impl RewriteArena {
 
     /// Fills `self.order` with a topological order (children first) of the
     /// live majority cone reachable from the outputs, resolving output
-    /// signals on the way.
+    /// signals on the way. Keeps the order already there when the graph has
+    /// not changed since it was computed: the walk would find the same one.
     fn compute_topo_order(&mut self) {
+        if self.shortcuts() && self.order_at == Some(self.changes) {
+            self.profile.orders_reused += 1;
+            return;
+        }
+        self.profile.orders_computed += 1;
+        self.order_at = Some(self.changes);
         self.epoch += 1;
         self.order.clear();
         for k in 0..self.outputs.len() {
@@ -637,14 +697,48 @@ impl RewriteArena {
     // Rewriting passes (in-place twins of the rebuild passes)
     // -----------------------------------------------------------------
 
-    /// In-place right-to-left distributivity pass:
-    /// `⟨⟨x y u⟩ ⟨x y v⟩ z⟩ → ⟨x y ⟨u v z⟩⟩` wherever two single-fanout
-    /// majority children share two signals. Returns the number of
-    /// applications.
-    pub fn pass_distributivity(&mut self) -> usize {
+    /// Whether to reuse work done on an unchanged graph: always, outside
+    /// the tests' reference arena.
+    #[cfg(not(test))]
+    fn shortcuts(&self) -> bool {
+        true
+    }
+
+    /// `false` in the reference arena, which recomputes every order and
+    /// runs every sweep.
+    #[cfg(test)]
+    fn shortcuts(&self) -> bool {
+        !self.reference
+    }
+
+    /// One sweep of `pass`: bumps the generation, then applies `step` to
+    /// every node of the topological order that is still live after
+    /// normalization, passing its children. `step` returns whether it
+    /// applied a rewrite; the sweep returns how many it applied.
+    ///
+    /// A sweep that changes nothing records the change counter and its
+    /// count, and a later sweep of the same kind at that counter value
+    /// returns the same count without a walk: it would visit the same nodes
+    /// in the same state and find the same matches. The count is almost
+    /// always 0; Ω.A can count a reshape that rebuilds the node's own
+    /// triple, which changes nothing.
+    fn sweep(
+        &mut self,
+        pass: Pass,
+        mut step: impl FnMut(&mut Self, NodeId, [Signal; 3]) -> bool,
+    ) -> usize {
         self.generation += 1;
+        if let Some((at, applied)) = self.unchanged[pass as usize] {
+            if self.shortcuts() && at == self.changes {
+                self.profile.sweep_count(pass).skipped += 1;
+                return applied;
+            }
+        }
+        self.profile.sweep_count(pass).run += 1;
+        let changes_before = self.changes;
         self.compute_topo_order();
         let order = std::mem::take(&mut self.order);
+        self.profile.nodes_visited += order.len();
         let mut applied = 0;
         for &n in &order {
             if !self.normalize(n) {
@@ -653,20 +747,33 @@ impl RewriteArena {
             let MigNode::Majority(children) = self.nodes[n.index()] else {
                 continue;
             };
-            'pairs: for i in 0..3 {
+            applied += usize::from(step(self, n, children));
+        }
+        self.order = order;
+        if self.changes == changes_before {
+            self.unchanged[pass as usize] = Some((changes_before, applied));
+        }
+        applied
+    }
+
+    /// In-place right-to-left distributivity pass:
+    /// `⟨⟨x y u⟩ ⟨x y v⟩ z⟩ → ⟨x y ⟨u v z⟩⟩` wherever two single-fanout
+    /// majority children share two signals. Returns the number of
+    /// applications.
+    pub fn pass_distributivity(&mut self) -> usize {
+        self.sweep(Pass::Distributivity, |arena, n, children| {
+            for i in 0..3 {
                 for j in (i + 1)..3 {
                     let (ci, cj, z) = (children[i], children[j], children[3 - i - j]);
-                    if let Some(shared) = self.match_distributivity(ci, cj) {
-                        let inner = self.maj(shared.0, shared.1, z);
-                        self.set_children(n, [shared.2[0], shared.2[1], inner]);
-                        applied += 1;
-                        break 'pairs;
+                    if let Some(shared) = arena.match_distributivity(ci, cj) {
+                        let inner = arena.maj(shared.0, shared.1, z);
+                        arena.set_children(n, [shared.2[0], shared.2[1], inner]);
+                        return true;
                     }
                 }
             }
-        }
-        self.order = order;
-        applied
+            false
+        })
     }
 
     /// Checks the distributivity pattern on two children, returning
@@ -702,24 +809,13 @@ impl RewriteArena {
     /// new inner triple already exists (sharing gain) or simplifies
     /// trivially. Returns the number of applications.
     pub fn pass_associativity(&mut self) -> usize {
-        self.generation += 1;
-        self.compute_topo_order();
-        let order = std::mem::take(&mut self.order);
-        let mut applied = 0;
-        for &n in &order {
-            if !self.normalize(n) {
-                continue;
-            }
-            let MigNode::Majority(children) = self.nodes[n.index()] else {
-                continue;
+        self.sweep(Pass::Associativity, |arena, n, children| {
+            let Some((outer_a, outer_b, inner)) = arena.try_associativity(&children) else {
+                return false;
             };
-            if let Some((outer_a, outer_b, inner)) = self.try_associativity(&children) {
-                self.set_children(n, [outer_a, outer_b, inner]);
-                applied += 1;
-            }
-        }
-        self.order = order;
-        applied
+            arena.set_children(n, [outer_a, outer_b, inner]);
+            true
+        })
     }
 
     /// The two indices of a triple other than `excluded`, in ascending
@@ -773,30 +869,19 @@ impl RewriteArena {
     /// topological order, a flip cascades through all of its transitive
     /// parents within the same sweep. Returns the number of flipped nodes.
     pub fn pass_inverter(&mut self) -> usize {
-        self.generation += 1;
-        self.compute_topo_order();
-        let order = std::mem::take(&mut self.order);
-        let mut flips = 0;
-        for &n in &order {
-            if !self.normalize(n) {
-                continue;
-            }
-            let MigNode::Majority(children) = self.nodes[n.index()] else {
-                continue;
-            };
+        self.sweep(Pass::Inverter, |arena, n, children| {
             let real_complemented = children
                 .iter()
                 .filter(|c| c.is_complemented() && !c.is_constant())
                 .count();
-            if real_complemented >= 2 {
-                let flipped = self.maj(!children[0], !children[1], !children[2]);
-                debug_assert_ne!(flipped.node(), n, "flip resolved to the node itself");
-                self.replace(n, !flipped);
-                flips += 1;
+            if real_complemented < 2 {
+                return false;
             }
-        }
-        self.order = order;
-        flips
+            let flipped = arena.maj(!children[0], !children[1], !children[2]);
+            debug_assert_ne!(flipped.node(), n, "flip resolved to the node itself");
+            arena.replace(n, !flipped);
+            true
+        })
     }
 }
 
@@ -804,7 +889,21 @@ impl RewriteArena {
 mod tests {
     use super::*;
     use crate::equiv::check_equivalence;
+    use crate::io::write_mig;
     use crate::rewrite::{rewrite_rebuild, rewrite_rebuild_with_stats};
+    use crate::simulate::XorShift64;
+    use proptest::prelude::*;
+
+    impl RewriteArena {
+        /// The reference arena: recomputes every topological order and runs
+        /// every sweep, so it shows what the shortcuts must reproduce.
+        fn reference() -> Self {
+            RewriteArena {
+                reference: true,
+                ..RewriteArena::new()
+            }
+        }
+    }
 
     fn assert_equivalent(a: &Mig, b: &Mig) {
         assert!(
@@ -1041,5 +1140,191 @@ mod tests {
         // Matches rebuild on the result.
         let rebuild = rewrite_rebuild(&mig, 4);
         assert!(out.num_majority_nodes() <= rebuild.num_majority_nodes());
+    }
+
+    /// Rewriting a converged result again walks it once: the first sweep
+    /// of each kind comes up empty, so the order is computed once and
+    /// reused, and every later sweep of a kind that already came up empty
+    /// is skipped.
+    #[test]
+    fn a_converged_graph_is_walked_once() {
+        let mut arena = RewriteArena::new();
+        let (converged, stats) = arena.rewrite_with_stats(&adder(4), 8);
+        assert!(
+            stats.cycles < 8,
+            "the adder converges before the effort runs out"
+        );
+
+        let (again, stats) = arena.rewrite_with_stats(&converged, 8);
+        assert_eq!(write_mig(&again), write_mig(&converged));
+        assert_eq!(stats.cycles, 1);
+        let profile = arena.profile();
+        let once_then_skipped = SweepCount { run: 1, skipped: 1 };
+        assert_eq!(profile.distributivity, once_then_skipped);
+        assert_eq!(profile.associativity, SweepCount { run: 1, skipped: 0 });
+        assert_eq!(profile.inverter, once_then_skipped);
+        // Ω.D computes the order; Ω.A, Ω.I and the compaction reuse it.
+        assert_eq!((profile.orders_computed, profile.orders_reused), (1, 3));
+        assert_eq!(profile.nodes_visited, 3 * converged.num_majority_nodes());
+        assert_eq!(
+            arena.generation(),
+            5,
+            "a skipped sweep still bumps the generation"
+        );
+    }
+
+    /// A sweep that applies a rewrite changes the graph, so the next sweep
+    /// walks a fresh order. Here the flip creates no node (its twin is
+    /// already there), so only the replacement itself moves the counter.
+    #[test]
+    fn a_rewrite_forces_a_fresh_order() {
+        let mut mig = Mig::new();
+        let xs = mig.add_inputs("x", 3);
+        let n = mig.maj(!xs[0], !xs[1], xs[2]);
+        let twin = mig.maj(xs[0], xs[1], !xs[2]);
+        mig.add_output("f", n);
+        mig.add_output("g", twin);
+        let mut arena = RewriteArena::new();
+        arena.load(&mig);
+        let len = arena.len();
+        assert_eq!(arena.pass_inverter(), 1);
+        assert_eq!(arena.len(), len, "the flip reused its twin");
+        assert_eq!(arena.pass_distributivity(), 0);
+        let profile = arena.profile();
+        assert_eq!((profile.orders_computed, profile.orders_reused), (2, 0));
+    }
+
+    /// An Ω.A sweep can count a reshape that rebuilds the node's own triple
+    /// (`⟨x u ⟨x u y⟩⟩`, whose new inner node is the old one): it changes
+    /// nothing, so every later Ω.A sweep is skipped with the same count, and
+    /// the statistics match the reference arena's.
+    #[test]
+    fn a_sweep_that_changes_nothing_is_replayed_with_its_count() {
+        let mut mig = Mig::new();
+        let [x, u, y] = mig.add_inputs("x", 3)[..] else {
+            unreachable!()
+        };
+        let g = mig.maj(x, u, y);
+        let f = mig.maj(x, u, g);
+        mig.add_output("f", f);
+        let mut arena = RewriteArena::new();
+        let (out, stats) = arena.rewrite_with_stats(&mig, 4);
+        let (reference_out, reference_stats) =
+            RewriteArena::reference().rewrite_with_stats(&mig, 4);
+        assert_eq!(write_mig(&out), write_mig(&reference_out));
+        assert_eq!(stats, reference_stats);
+        assert_eq!((stats.cycles, stats.associativity_applied), (4, 4));
+        assert_eq!(
+            arena.profile().associativity,
+            SweepCount { run: 1, skipped: 3 }
+        );
+        assert_eq!(arena.profile().orders_computed, 1);
+    }
+
+    /// A sweep whose only change is `normalize` re-strashing a node with a
+    /// forwarded child also changed the graph: the next sweep of the same
+    /// kind runs on a fresh order instead of being skipped, and only the
+    /// sweep after that one is skipped.
+    #[test]
+    fn a_restrash_in_normalize_forces_a_fresh_order() {
+        let mut mig = Mig::new();
+        let [a, b, c, d] = mig.add_inputs("x", 4)[..] else {
+            unreachable!()
+        };
+        let m = mig.maj(a, b, c);
+        let p = mig.maj(m, d, a);
+        mig.add_output("f", p);
+        let mut arena = RewriteArena::new();
+        arena.load(&mig);
+        // Forward `m` to `b` behind the sweeps' back (the arena numbers the
+        // constant and the inputs as `mig` does): `p` keeps a stale child
+        // until a sweep normalizes it to `⟨a b d⟩`.
+        let m = NodeId::from_index(5);
+        arena.replace(m, b);
+        assert_eq!(arena.pass_associativity(), 0);
+        assert_eq!(arena.pass_associativity(), 0);
+        assert_eq!(arena.pass_associativity(), 0);
+        let profile = arena.profile();
+        assert_eq!(profile.associativity, SweepCount { run: 2, skipped: 1 });
+        assert_eq!((profile.orders_computed, profile.orders_reused), (2, 0));
+        assert_eq!(arena.live_majority_count(), 1);
+    }
+
+    /// A seeded random MIG that gives every pass work: random majority
+    /// nodes over recent signals with random complements, plus planted
+    /// distributivity (`⟨⟨x y u⟩ ⟨x y v⟩ z⟩`) and associativity
+    /// (`⟨x u ⟨y u z⟩⟩`, sometimes with `⟨y u x⟩` already present) motifs.
+    fn random_mig(seed: u64, inputs: usize, steps: usize) -> Mig {
+        let mut rng = XorShift64::new(seed);
+        let mut below = |n: usize| (rng.next_word() % n as u64) as usize;
+        let mut mig = Mig::new();
+        let mut pool = mig.add_inputs("x", inputs);
+        pool.push(Signal::TRUE);
+        for _ in 0..steps {
+            let mut picks = [Signal::FALSE; 5];
+            for pick in &mut picks {
+                let k = if below(4) == 0 {
+                    below(pool.len())
+                } else {
+                    pool.len() - 1 - below(pool.len().min(12))
+                };
+                *pick = pool[k].complement_if(below(2) == 0);
+            }
+            let [x, y, u, v, z] = picks;
+            let node = match below(4) {
+                0 => {
+                    let left = mig.maj(x, y, u);
+                    let right = mig.maj(x, y, v);
+                    mig.maj(left, right, z)
+                }
+                1 => {
+                    if below(2) == 0 {
+                        pool.push(mig.maj(y, u, x));
+                    }
+                    let inner = mig.maj(y, u, z);
+                    mig.maj(x, u, inner)
+                }
+                _ => mig.maj(x, y, u),
+            };
+            pool.push(node);
+        }
+        for k in 0..below(6) {
+            let signal = pool[pool.len() - 1 - below(pool.len().min(24))];
+            mig.add_output(format!("f{k}"), signal.complement_if(below(2) == 0));
+        }
+        mig.add_output("top", pool[pool.len() - 1]);
+        mig
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The shortcuts are exact: on seeded random graphs, with one arena
+        /// of each kind reused across two graphs, the arena that reuses
+        /// orders and skips idle sweeps matches the reference that does
+        /// neither in its output text, its statistics and the generation
+        /// every slot died in.
+        #[test]
+        fn shortcuts_match_the_reference(seed in any::<u64>(), size in 1usize..150, effort in 1usize..6) {
+            let steps = if cfg!(debug_assertions) { size } else { 20 * size };
+            let mut fast = RewriteArena::new();
+            let mut slow = RewriteArena::reference();
+            for round in 0..2u64 {
+                let mig = random_mig(seed ^ round, 3 + (seed + round) as usize % 10, steps);
+                let (fast_out, fast_stats) = fast.rewrite_with_stats(&mig, effort);
+                let (slow_out, slow_stats) = slow.rewrite_with_stats(&mig, effort);
+                prop_assert_eq!(write_mig(&fast_out), write_mig(&slow_out));
+                prop_assert_eq!(fast_stats, slow_stats);
+                prop_assert_eq!(fast.generation(), slow.generation());
+                prop_assert_eq!(fast.len(), slow.len());
+                for idx in 0..fast.len() {
+                    let id = NodeId::from_index(idx);
+                    prop_assert_eq!(fast.died_in_generation(id), slow.died_in_generation(id));
+                }
+                let (fast_sweeps, slow_sweeps) = (fast.profile().sweeps(), slow.profile().sweeps());
+                prop_assert_eq!(fast_sweeps.run + fast_sweeps.skipped, slow_sweeps.run);
+                prop_assert_eq!(slow_sweeps.skipped, 0);
+            }
+        }
     }
 }

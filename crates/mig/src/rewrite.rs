@@ -33,8 +33,7 @@
 //!   [`pass_associativity`], [`pass_inverter_reduce`]) reconstructs the
 //!   graph on every pass. It is retained as the simple reference
 //!   implementation the in-place engine is differential-tested against
-//!   (`tests/rewrite_differential.rs`) and benchmarked against
-//!   (`cargo bench -p plim-bench`).
+//!   (`tests/rewrite_differential.rs`).
 //!
 //! Both engines apply only Ω-axiom instances, so their results are
 //! functionally equivalent to the input; the in-place engine additionally
