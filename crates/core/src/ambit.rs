@@ -21,7 +21,7 @@
 //! `⟨a b̄ x⟩ = a` when `a = ¬b`.
 //!
 //! Work rows come from the compiler's allocator replay
-//! ([`plim_compiler::ir::place`]), so placement honors the IR's lifetime
+//! ([`crate::ir::place`]), so placement honors the IR's lifetime
 //! discipline; `T0`–`T2` live directly above the work region. The cost
 //! model counts **row activations**: 1 per `set`/`reset`, 2 per copy
 //! (activate source, activate destination), 3 per TRA. [`AMBIT_COST`]
@@ -29,12 +29,14 @@
 
 use std::fmt::Write as _;
 
-use plim_compiler::backend::{poison, text, LaneWord, Operand, OutputLoc, RamAddr, W256};
-use plim_compiler::ir::{self, IrOp, IrProgram};
-use plim_compiler::verify::VerifyError;
-use plim_compiler::{Artifact, Backend, Cost, CostTable, InstructionInfo, OpCost, WorkRegion};
+use plim::text;
+use plim::wide::{poison, LaneWord, W256};
+use plim::{Operand, OutputLoc, RamAddr};
 
+use crate::backend::{Artifact, Backend, Cost, CostTable, InstructionInfo, OpCost, WorkRegion};
+use crate::ir::{self, IrOp, IrProgram};
 use crate::rows::{check_inputs, push_input, push_row, read_outputs, render_outputs};
+use crate::verify::VerifyError;
 
 /// Where a row operation reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,8 +290,8 @@ mod tests {
     use super::*;
     use crate::rows::draw::{below, index, outputs};
     use crate::rows::{format_outputs, oracle};
-    use plim_compiler::verify::verify_exhaustive;
-    use plim_compiler::{compile_full, CompilerOptions, OptLevel};
+    use crate::verify::verify_exhaustive;
+    use crate::{compile_full, CompilerOptions, OptLevel};
     use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
 
     /// The `format!` renderer the listing replaced, kept as its oracle.

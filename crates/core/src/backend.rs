@@ -1,38 +1,46 @@
-//! Pluggable emission backends: one IR, many in-memory targets.
+//! Emission backends: one IR, three in-memory targets.
 //!
-//! PR 5 split translation into lower → optimize → emit, leaving emission as
-//! the only target-specific phase. This module opens that seam: a
-//! [`Backend`] consumes the optimized [`IrProgram`] event stream and
+//! Emission is the only target-specific phase of lower → optimize → emit.
+//! A [`Backend`] consumes the optimized [`IrProgram`] event stream and
 //! produces a target-native [`Artifact`], prices ops for the pass pipeline
 //! with its [`CostTable`], and executes its artifact bit-parallel so
 //! exhaustive equivalence proofs work on every target.
 //!
-//! The built-in [`Rm3Backend`] is the paper's ReRAM target and delegates to
-//! [`crate::ir::emit`] unchanged, so `-O0` RM3 output stays byte-identical
-//! to the pre-trait compiler (the goldens in `tests/golden/` pin this).
-//! Additional targets — the Ambit-style bulk-bitwise and MAGIC NOR-style
-//! backends live in the `plim-backends` crate — announce themselves through
-//! [`register`]; [`Target`] names resolve against that registry, which is
-//! also what `plimc targets` and the service's stats advertisement list.
+//! The targets are a fixed table, [`backends`]:
+//!
+//! * [`Rm3Backend`] (`rm3`) — the paper's ReRAM target; it delegates to
+//!   [`crate::ir::emit`] unchanged, so `-O0` RM3 output stays
+//!   byte-identical to the pre-trait compiler (the goldens in
+//!   `tests/golden/` pin this);
+//! * [`AmbitBackend`] (`ambit`) — an Ambit-style bulk-bitwise DRAM target:
+//!   each IR majority step becomes RowClone copies into a triple-row group,
+//!   one triple-row activation and a copy back, priced in row activations;
+//! * [`MagicBackend`] (`magic`) — a MAGIC-style memristive NOR sketch: each
+//!   majority step is seven NOR pulses over six scratch memristors, each
+//!   preceded by its output device's `set`, priced in pulses.
+//!
+//! Ambit and MAGIC take their rows from the one allocator replay
+//! ([`crate::ir::place`]), so costing, `-O2` trial scoring and `--alloc
+//! wear` work as for RM3, and the one verifier ([`crate::verify`]) proves
+//! their artifacts against the source MIG exactly as it proves RM3.
+//! [`Target`] names resolve against the table, which is also what
+//! `plimc targets` and the service's stats advertisement list. Adding a
+//! target is one module of this crate (the lowerings are the private
+//! `ambit` and `magic` modules, sharing `rows`) plus one row of the table.
 
 use std::fmt;
-use std::sync::RwLock;
 
-/// The text writer every [`Artifact::listing`] goes through, re-exported
-/// for backend crates.
-pub use plim::text;
 use plim::wide::WideMachine;
-/// The lane word and poison image of [`Artifact::run_wide`], re-exported
-/// for backend crates.
-pub use plim::wide::{poison, LaneWord, W256};
-/// The placed operands and output locations of [`crate::ir::place`],
-/// re-exported for backend crates.
-pub use plim::{Operand, OutputLoc, RamAddr};
+/// The lane word of [`Artifact::run_wide`].
+pub use plim::wide::W256;
 
 use crate::ir::{CellId, IrProgram};
 use crate::program::Rm3Program;
 use crate::report::CostReport;
 use crate::verify::VerifyError;
+
+pub use crate::ambit::AmbitBackend;
+pub use crate::magic::MagicBackend;
 
 /// The cost of a program under a backend's model.
 ///
@@ -218,9 +226,9 @@ pub trait Artifact {
 /// in-memory computing architecture.
 ///
 /// Implementations must be stateless (`Sync`, shared as `&'static`): one
-/// registered instance serves every compile on every thread.
+/// instance in [`backends`] serves every compile on every thread.
 pub trait Backend: Sync {
-    /// The registry/CLI name (`rm3`, `ambit`, `magic`).
+    /// The CLI/spec name (`rm3`, `ambit`, `magic`).
     fn name(&self) -> &'static str;
 
     /// One-line description shown by `plimc targets`.
@@ -383,91 +391,66 @@ impl Artifact for Rm3Program {
     }
 }
 
-/// The one registered RM3 backend instance.
-static RM3_BACKEND: Rm3Backend = Rm3Backend;
+/// Every target, in `plimc targets` order: RM3 first.
+static BACKENDS: [&dyn Backend; 3] = [&Rm3Backend, &AmbitBackend, &MagicBackend];
 
-/// Backends registered beyond the built-in RM3 one.
-static EXTRA: RwLock<Vec<&'static dyn Backend>> = RwLock::new(Vec::new());
-
-/// Registers a backend with the global target registry.
-///
-/// Registration is idempotent per name: a second backend under an existing
-/// name is ignored, so library users and test binaries can call their
-/// `install()` hooks freely. The RM3 backend is always registered.
-pub fn register(backend: &'static dyn Backend) {
-    let mut extra = EXTRA.write().expect("backend registry poisoned");
-    if backend.name() == RM3_BACKEND.name() || extra.iter().any(|b| b.name() == backend.name()) {
-        return;
-    }
-    extra.push(backend);
+/// Every backend, RM3 first.
+#[must_use]
+pub fn backends() -> &'static [&'static dyn Backend] {
+    &BACKENDS
 }
 
-/// Every registered backend, RM3 first, then registration order.
-pub fn backends() -> Vec<&'static dyn Backend> {
-    let mut all: Vec<&'static dyn Backend> = vec![&RM3_BACKEND];
-    all.extend(
-        EXTRA
-            .read()
-            .expect("backend registry poisoned")
-            .iter()
-            .copied(),
-    );
-    all
-}
-
-/// A compilation target: a name resolved against the backend registry.
+/// A compilation target: one row of [`backends`].
 ///
-/// `Copy`-cheap (it carries only the backend's static name) so it can live
-/// inside [`crate::CompilerOptions`]; the default is [`Target::RM3`], which
-/// keeps every existing call site compiling the paper's architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Target(&'static str);
+/// `Copy`-cheap (it carries the row's index) so it can live inside
+/// [`crate::CompilerOptions`]; the default is [`Target::RM3`], which keeps
+/// every existing call site compiling the paper's architecture.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Target(usize);
 
 impl Target {
-    /// The built-in RM3 target (always registered).
-    pub const RM3: Target = Target("rm3");
+    /// The RM3 target, the paper's architecture.
+    pub const RM3: Target = Target(0);
 
-    /// The registry/CLI/spec name of the target.
+    /// The CLI/spec name of the target.
     #[must_use]
     pub fn name(self) -> &'static str {
-        self.0
+        self.backend().name()
     }
 
     /// The backend behind this target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend was never registered — impossible for targets
-    /// obtained through [`Target::parse`] or [`Target::all`].
     #[must_use]
     pub fn backend(self) -> &'static dyn Backend {
-        backends()
-            .into_iter()
-            .find(|b| b.name() == self.0)
-            .expect("target backend not registered")
+        BACKENDS[self.0]
     }
 
-    /// Every registered target, in registry order (RM3 first).
+    /// Every target, in table order (RM3 first).
     #[must_use]
     pub fn all() -> Vec<Target> {
-        backends().into_iter().map(|b| Target(b.name())).collect()
+        (0..BACKENDS.len()).map(Target).collect()
     }
 
-    /// Parses a registry name.
+    /// Parses a target name.
     ///
     /// # Errors
     ///
-    /// Returns a one-line message listing the registered target names when
-    /// `name` is not one of them (the `--schedule`/`--alloc` convention).
+    /// Returns a one-line message listing the target names when `name` is
+    /// not one of them (the `--schedule`/`--alloc` convention).
     pub fn parse(name: &str) -> Result<Self, String> {
-        let all = backends();
-        all.iter()
-            .find(|b| b.name() == name)
-            .map(|b| Target(b.name()))
+        BACKENDS
+            .iter()
+            .position(|b| b.name() == name)
+            .map(Target)
             .ok_or_else(|| {
-                let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
+                let names: Vec<&str> = BACKENDS.iter().map(|b| b.name()).collect();
                 format!("unknown target `{name}` (expected {})", names.join("|"))
             })
+    }
+}
+
+impl fmt::Debug for Target {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Target").field(&self.name()).finish()
     }
 }
 
@@ -479,7 +462,7 @@ impl Default for Target {
 
 impl fmt::Display for Target {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.0)
+        f.write_str(self.name())
     }
 }
 
@@ -488,33 +471,13 @@ mod tests {
     use super::*;
     use crate::options::CompilerOptions;
 
-    /// A do-nothing backend for registry tests.
-    struct Dummy;
-
-    impl Backend for Dummy {
-        fn name(&self) -> &'static str {
-            "dummy"
-        }
-        fn description(&self) -> &'static str {
-            "test backend"
-        }
-        fn instruction_set(&self) -> &'static [InstructionInfo] {
-            &[]
-        }
-        fn cost_table(&self) -> CostTable {
-            CostTable::RM3
-        }
-        fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
-            Rm3Backend.emit(ir)
-        }
-    }
-
     #[test]
     fn rm3_is_always_registered_and_is_the_default() {
         assert_eq!(Target::default(), Target::RM3);
         assert_eq!(Target::parse("rm3"), Ok(Target::RM3));
         assert_eq!(Target::RM3.backend().name(), "rm3");
-        assert!(Target::all().contains(&Target::RM3));
+        assert_eq!(Target::all()[0], Target::RM3);
+        assert_eq!(format!("{:?}", Target::RM3), "Target(\"rm3\")");
     }
 
     #[test]
@@ -522,18 +485,6 @@ mod tests {
         let err = Target::parse("tpu").unwrap_err();
         assert!(err.contains("unknown target `tpu`"), "{err}");
         assert!(err.contains("rm3"), "{err}");
-    }
-
-    #[test]
-    fn registration_is_idempotent_per_name() {
-        static DUMMY: Dummy = Dummy;
-        let before = backends().len();
-        register(&DUMMY);
-        let after_first = backends().len();
-        register(&DUMMY);
-        assert_eq!(backends().len(), after_first);
-        assert!(after_first >= before);
-        assert_eq!(Target::parse("dummy").unwrap().name(), "dummy");
     }
 
     #[test]

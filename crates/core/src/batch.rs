@@ -16,6 +16,11 @@
 //! * **Timing** — every rewrite pass and every compile job reports its own
 //!   wall-clock time, and the report carries the end-to-end elapsed time.
 //!
+//! Jobs rewrite with the arena or the rebuild engine. An e-graph rewrite
+//! scores candidates by compiling them under the job's own options, so it
+//! is not a shared pass; `plim-service`'s pipeline runs it, and
+//! [`run_batch`] rejects such a job.
+//!
 //! The module also hosts the Table 1 measurement vocabulary ([`Point`],
 //! [`MeasuredRow`], [`measure`], [`measure_suite`]) used by the `plim-bench`
 //! harnesses and the `plimc bench` driver.
@@ -71,41 +76,16 @@ fn rewrite_on_worker_arena(mig: &Mig, effort: usize) -> Mig {
     ARENA.with(|arena| arena.borrow_mut().rewrite(mig, effort))
 }
 
-/// One distinct preprocessing pass of a batch. Arena and rebuild passes
-/// depend only on `(circuit, effort, mode)`; an equality-saturation pass
-/// additionally depends on the full options spec, because the compiling
-/// cost function judges candidates under those options (a different
-/// backend or opt level can pick a different winner).
-type RewriteKey = (usize, usize, RewriteMode, String);
-
-fn rewrite_key(spec: &JobSpec, effort: usize) -> RewriteKey {
-    let mode = spec.options.rewrite;
-    let scope = match mode {
-        RewriteMode::Egraph => spec.options.spec(),
-        _ => String::new(),
-    };
-    (spec.circuit, effort, mode, scope)
-}
+/// One distinct preprocessing pass of a batch: `(circuit, effort, mode)`.
+type RewriteKey = (usize, usize, RewriteMode);
 
 /// Runs one preprocessing pass: the engine selected by the spec's
-/// [`RewriteMode`].
-///
-/// # Panics
-///
-/// Panics for [`RewriteMode::Egraph`] when no optimizer hook was installed
-/// (call `plim_egraph::install()` at startup).
-fn preprocess(mig: &Mig, effort: usize, mode: RewriteMode, options: CompilerOptions) -> Mig {
+/// [`RewriteMode`]. [`run_batch`] has rejected [`RewriteMode::Egraph`].
+fn preprocess(mig: &Mig, effort: usize, mode: RewriteMode) -> Mig {
     match mode {
         RewriteMode::Arena => rewrite_on_worker_arena(mig, effort),
         RewriteMode::Rebuild => mig::rewrite::rewrite_rebuild(mig, effort),
-        RewriteMode::Egraph => {
-            let optimize = crate::egraph_optimizer().expect(
-                "RewriteMode::Egraph needs the equality-saturation hook: call \
-                 plim_egraph::install() before compiling",
-            );
-            let baseline = rewrite_on_worker_arena(mig, effort);
-            optimize(mig, &baseline, effort, options).0
-        }
+        RewriteMode::Egraph => unreachable!("run_batch rejects e-graph specs"),
     }
 }
 
@@ -258,15 +238,16 @@ impl BatchReport {
 ///
 /// The run has two parallel stages with no barrier inside each stage:
 /// first the distinct rewrite passes — keyed by `(circuit, effort,
-/// rewrite mode)`, plus the full options spec for equality-saturation jobs
-/// — deduplicated in first-use order, then every compile job against
-/// either the raw circuit or its memoized rewrite. Results come back in
-/// spec order.
+/// rewrite mode)` — deduplicated in first-use order, then every compile
+/// job against either the raw circuit or its memoized rewrite. Results
+/// come back in spec order.
 ///
 /// # Panics
 ///
 /// Panics if a spec's `circuit` index is out of range, or if a spec asks
-/// for [`RewriteMode::Egraph`] and no optimizer hook is installed.
+/// for [`RewriteMode::Egraph`]: the e-graph scores its candidates by
+/// compiling them under the spec's options, so it is no shared rewrite
+/// pass, and it lives in a crate built on this one.
 pub fn run_batch(circuits: &[Circuit], specs: &[JobSpec], parallelism: Parallelism) -> BatchReport {
     let start = Instant::now();
     for spec in specs {
@@ -276,35 +257,40 @@ pub fn run_batch(circuits: &[Circuit], specs: &[JobSpec], parallelism: Paralleli
             spec.circuit,
             circuits.len()
         );
+        assert!(
+            spec.options.rewrite != RewriteMode::Egraph,
+            "run_batch runs no e-graph rewrite (job spec `{}`)",
+            spec.options.spec()
+        );
     }
+    let rewrite_key = |spec: &JobSpec, effort| (spec.circuit, effort, spec.options.rewrite);
 
     // Distinct rewrite keys in first-use order, so pass numbering (and the
-    // report) is stable across runs. Each key carries a representative
-    // options value for the engines (equality saturation) that need it.
-    let mut keys: Vec<(RewriteKey, CompilerOptions)> = Vec::new();
+    // report) is stable across runs.
+    let mut keys: Vec<RewriteKey> = Vec::new();
     let mut rewrite_cache_hits = 0;
     for spec in specs {
         if let RewriteEffort::Effort(effort) = spec.effort {
             let key = rewrite_key(spec, effort);
-            if keys.iter().any(|(k, _)| *k == key) {
+            if keys.contains(&key) {
                 rewrite_cache_hits += 1;
             } else {
-                keys.push((key, spec.options));
+                keys.push(key);
             }
         }
     }
 
     let workers = parallelism.worker_count(specs.len().max(keys.len()));
-    let rewritten: Vec<(Mig, Duration)> = par_map(&keys, parallelism, |_, (key, options)| {
-        let (circuit, effort, mode, _) = key;
-        let clock = Instant::now();
-        let mig = preprocess(&circuits[*circuit].mig, *effort, *mode, *options);
-        (mig, clock.elapsed())
-    });
-    let memo: HashMap<&RewriteKey, &Mig> = keys
+    let rewritten: Vec<(Mig, Duration)> =
+        par_map(&keys, parallelism, |_, &(circuit, effort, mode)| {
+            let clock = Instant::now();
+            let mig = preprocess(&circuits[circuit].mig, effort, mode);
+            (mig, clock.elapsed())
+        });
+    let memo: HashMap<RewriteKey, &Mig> = keys
         .iter()
         .zip(&rewritten)
-        .map(|((key, _), (mig, _))| (key, mig))
+        .map(|(&key, (mig, _))| (key, mig))
         .collect();
 
     let jobs = par_map(specs, parallelism, |_, spec| {
@@ -328,7 +314,7 @@ pub fn run_batch(circuits: &[Circuit], specs: &[JobSpec], parallelism: Paralleli
     let rewrites = keys
         .iter()
         .zip(&rewritten)
-        .map(|((key, _), (mig, time))| RewritePass {
+        .map(|(key, (mig, time))| RewritePass {
             circuit: key.0,
             effort: key.1,
             nodes: mig.num_majority_nodes(),

@@ -1469,7 +1469,7 @@ mod tests {
     use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 
     use super::*;
-    use crate::backend::{Artifact, CostTable, InstructionInfo, OpCost, Rm3Backend, WorkRegion};
+    use crate::backend::{Artifact, CostTable, InstructionInfo, Rm3Backend};
     use crate::{AllocatorStrategy, CompilerOptions, ScheduleOrder};
 
     /// The restart-from-0 forwarding engine the incremental one replaced,
@@ -2128,36 +2128,6 @@ mod tests {
         }
     }
 
-    /// The cost tables of the three targets: RM3's, and those of the
-    /// `plim-backends` Ambit and MAGIC lowerings.
-    const TABLES: [CostTable; 3] = [
-        CostTable::RM3,
-        CostTable {
-            masking: OpCost::ONE,
-            other: OpCost {
-                instructions: 5,
-                units: 11,
-                const_discount: 1,
-                writes: 1,
-            },
-            scratch_rows: 3,
-            scratch_writes: 2,
-            work_region: WorkRegion::Requested,
-        },
-        CostTable {
-            masking: OpCost::ONE,
-            other: OpCost {
-                instructions: 14,
-                units: 14,
-                const_discount: 0,
-                writes: 2,
-            },
-            scratch_rows: 6,
-            scratch_writes: 2,
-            work_region: WorkRegion::Requested,
-        },
-    ];
-
     /// A cost table behind a scorer that checks every verdict of the
     /// checkpointed scorer against a full replay.
     struct Audited(CostTable);
@@ -2253,7 +2223,7 @@ mod tests {
         /// too seldom to require it.
         #[test]
         fn scorer_matches_full_replays(seed in any::<u64>()) {
-            for table in TABLES {
+            for table in crate::backend::backends().iter().map(|b| b.cost_table()) {
                 let mut resumed_past_cuts = 0;
                 for alloc in AllocatorStrategy::ALL {
                     crate::ir::emit::tests::take_trials();

@@ -69,6 +69,7 @@
 //! ```
 
 pub mod alloc;
+mod ambit;
 pub mod backend;
 pub mod batch;
 pub mod cache;
@@ -78,9 +79,11 @@ pub mod constrained;
 pub mod ir;
 pub mod json;
 pub mod lifetime;
+mod magic;
 mod options;
 mod program;
 pub mod report;
+mod rows;
 pub mod store;
 pub mod verify;
 
@@ -96,8 +99,7 @@ pub use cache::{CacheKey, CacheStats, LruCache};
 pub use compile::{compile, compile_full, compile_ir, Compilation};
 pub use lifetime::{LifetimeClass, Lifetimes};
 pub use options::{
-    egraph_optimizer, install_egraph_optimizer, AllocatorStrategy, CompilerOptions,
-    EgraphOptimizer, OperandSelection, OptLevel, RewriteMode, ScheduleOrder,
+    AllocatorStrategy, CompilerOptions, OperandSelection, OptLevel, RewriteMode, ScheduleOrder,
 };
 pub use program::{Rm3Program, Rm3Stats, UninitializedRead};
 pub use store::{ArtifactStore, StoreCounters, StoreLookup, StoredArtifact};

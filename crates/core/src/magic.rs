@@ -20,7 +20,7 @@
 //! Every NOR is preceded by the mandatory `set` of its output device, so a
 //! non-masking op costs 14 pulses; masking ops (the reset/set idioms)
 //! collapse to a single initialization of the destination. Cell placement
-//! reuses the compiler's allocator replay ([`plim_compiler::ir::place`]);
+//! reuses the compiler's allocator replay ([`crate::ir::place`]);
 //! the six scratch devices live above the work region. The cost model
 //! counts **pulses** (every instruction is one); [`MAGIC_COST`] prices a
 //! whole op so, and the replay scores streams with it.
@@ -32,12 +32,14 @@
 
 use std::fmt::Write as _;
 
-use plim_compiler::backend::{poison, text, LaneWord, Operand, OutputLoc, RamAddr, W256};
-use plim_compiler::ir::{self, IrOp, IrProgram};
-use plim_compiler::verify::VerifyError;
-use plim_compiler::{Artifact, Backend, Cost, CostTable, InstructionInfo, OpCost, WorkRegion};
+use plim::text;
+use plim::wide::{poison, LaneWord, W256};
+use plim::{Operand, OutputLoc, RamAddr};
 
+use crate::backend::{Artifact, Backend, Cost, CostTable, InstructionInfo, OpCost, WorkRegion};
+use crate::ir::{self, IrOp, IrProgram};
 use crate::rows::{check_inputs, push_input, push_row, read_outputs, render_outputs};
+use crate::verify::VerifyError;
 
 /// One MAGIC instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,8 +250,8 @@ mod tests {
     use super::*;
     use crate::rows::draw::{below, index, outputs};
     use crate::rows::{format_outputs, oracle};
-    use plim_compiler::verify::verify_exhaustive;
-    use plim_compiler::{compile_full, CompilerOptions, OptLevel};
+    use crate::verify::verify_exhaustive;
+    use crate::{compile_full, CompilerOptions, OptLevel};
     use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
 
     /// The `format!` renderer the listing replaced, kept as its oracle.
@@ -394,9 +396,9 @@ mod tests {
     /// which writes each once, breaks the tie to `%0`'s.
     #[test]
     fn wear_leveling_counts_the_writes_magic_makes() {
+        use crate::ir::{CellId, Event, IrCell, IrOutput, Value};
+        use crate::{AllocatorStrategy, LifetimeClass};
         use plim::Rhs;
-        use plim_compiler::ir::{CellId, Event, IrCell, IrOutput, Value};
-        use plim_compiler::{AllocatorStrategy, LifetimeClass};
         let cell = IrCell {
             pinned: RamAddr(0),
             hint: LifetimeClass::Short,
@@ -431,7 +433,7 @@ mod tests {
             mig_nodes: 1,
             allocator: AllocatorStrategy::WearLeveled,
         };
-        let rm3 = plim_compiler::ir::emit(&ir);
+        let rm3 = crate::ir::emit(&ir);
         assert_eq!(rm3.program.instructions()[2].z, RamAddr(0));
         assert_eq!(lower(&ir).ops.last(), Some(&Op::Reset(1)));
     }

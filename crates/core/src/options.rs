@@ -1,4 +1,7 @@
-//! Compiler configuration.
+//! Compiler configuration: plain `Copy` data. The options name a target
+//! ([`Target`], one row of the fixed [`crate::backend::backends`] table)
+//! and a rewrite engine ([`RewriteMode`]); nothing here is filled in at
+//! run time.
 
 use crate::backend::Target;
 
@@ -188,9 +191,9 @@ pub enum RewriteMode {
     /// `plim-egraph` e-graph, which saturates the axiom set under a
     /// deterministic budget and extracts the candidate with the cheapest
     /// *compiled* cost under the active backend. Never worse than `Arena`
-    /// by construction (the arena result is always a candidate). Requires
-    /// [`install_egraph_optimizer`] to have been called (done by
-    /// `plim_egraph::install()`).
+    /// by construction (the arena result is always a candidate). This crate
+    /// cannot run it (`plim-egraph` compiles through this crate): the
+    /// `plim-service` pipeline does.
     Egraph,
 }
 
@@ -223,41 +226,6 @@ impl RewriteMode {
             .find(|m| m.name() == name)
             .ok_or_else(|| format!("unknown rewrite mode `{name}` (expected arena|rebuild|egraph)"))
     }
-}
-
-/// Signature of the equality-saturation optimizer hook: given the raw
-/// input MIG, the arena-rewritten baseline, the rewrite effort and the
-/// active compile options, return the extraction the caller should use
-/// (the baseline itself when saturation finds nothing better) together
-/// with its compilation under those options. The hook compiles every
-/// candidate to score it, so it hands back the winner's compilation —
-/// equal to [`crate::compile_full`] of the returned graph — and the
-/// caller compiles nothing twice.
-pub type EgraphOptimizer = fn(
-    raw: &mig::Mig,
-    baseline: &mig::Mig,
-    effort: usize,
-    options: CompilerOptions,
-) -> (mig::Mig, crate::Compilation);
-
-static EGRAPH_OPTIMIZER: std::sync::OnceLock<EgraphOptimizer> = std::sync::OnceLock::new();
-
-/// Registers the equality-saturation optimizer behind
-/// [`RewriteMode::Egraph`].
-///
-/// `plim-compiler` cannot depend on `plim-egraph` (the e-graph crate
-/// scores candidates by compiling them through this crate), so the
-/// optimizer is injected at startup — `plim_egraph::install()` calls this,
-/// mirroring the `plim_backends::install()` registry idiom. Idempotent:
-/// the first registration wins and later calls are no-ops.
-pub fn install_egraph_optimizer(optimizer: EgraphOptimizer) {
-    let _ = EGRAPH_OPTIMIZER.set(optimizer);
-}
-
-/// The registered equality-saturation optimizer, if any.
-#[must_use]
-pub fn egraph_optimizer() -> Option<EgraphOptimizer> {
-    EGRAPH_OPTIMIZER.get().copied()
 }
 
 /// How RM3 operands and the destination are chosen for each node.
@@ -325,9 +293,8 @@ pub struct CompilerOptions {
     pub allocator: AllocatorStrategy,
     /// IR pass-pipeline level run between lowering and emission.
     pub opt: OptLevel,
-    /// Emission target: which registered [`crate::backend::Backend`]
-    /// consumes the optimized IR (and scores the pass pipeline's trial
-    /// edits). Defaults to [`Target::RM3`], the paper's architecture.
+    /// Emission target: which [`crate::backend::Backend`] consumes the
+    /// optimized IR (and scores the pass pipeline's trial edits). Defaults to [`Target::RM3`], the paper's architecture.
     pub target: Target,
     /// MIG rewrite engine run ahead of translation. Defaults to
     /// [`RewriteMode::Arena`], Algorithm 1's greedy in-place engine.

@@ -2,12 +2,15 @@
 //!
 //! Both targets keep the compiler's allocation discipline: their lowerings
 //! take each op's rows from the one allocator replay
-//! ([`plim_compiler::ir::place`]), so a virtual cell occupies the physical
+//! ([`crate::ir::place`]), so a virtual cell occupies the physical
 //! row the RM3 emitter would choose under the same writes. Backends add
 //! their own scratch rows above the work region.
 
-use plim_compiler::backend::{text, LaneWord, OutputLoc, W256};
-use plim_compiler::verify::VerifyError;
+use plim::text;
+use plim::wide::{LaneWord, W256};
+use plim::OutputLoc;
+
+use crate::verify::VerifyError;
 
 /// Reads the declared outputs from the final row state, one 256-lane word
 /// per output.
@@ -133,11 +136,11 @@ pub(crate) mod draw {
 /// lowerings' tests.
 #[cfg(test)]
 pub(crate) mod oracle {
+    use crate::ir::passes::PassManager;
+    use crate::ir::{self, CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
+    use crate::{AllocatorStrategy, Backend, CompilerOptions, LifetimeClass, OptLevel};
     use plim::{RamAddr, Rhs};
     use plim_benchmarks::random::{random_logic, RandomLogicSpec};
-    use plim_compiler::ir::passes::PassManager;
-    use plim_compiler::ir::{self, CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
-    use plim_compiler::{AllocatorStrategy, Backend, CompilerOptions, LifetimeClass, OptLevel};
 
     /// The rows of the work region, derived without an allocator: a pool
     /// that reuses cells hands out a fresh one only when every cell it has

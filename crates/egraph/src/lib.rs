@@ -30,13 +30,13 @@
 //!    compiles the chosen graph a second time.
 //!
 //! Because the arena baseline is always in the candidate set (it is the
-//! fallback), [`optimize`] is **never worse than the arena engine** on any
-//! cost axis, by construction.
+//! fallback), [`optimize_compiled`] is **never worse than the arena
+//! engine** on any cost axis, by construction.
 //!
-//! The engine is wired into the toolchain as the third
-//! [`plim_compiler::RewriteMode`]: call [`install`] once at startup
-//! (mirroring `plim_backends::install()`) and `--rewrite egraph` works
-//! everywhere — `plimc`, `plimd`, the batch driver, and the benches.
+//! The engine is the third [`plim_compiler::RewriteMode`]. This crate
+//! compiles through `plim-compiler`, so the compiler cannot call it; the
+//! `plim-service` pipeline calls [`optimize_compiled`] directly, which is
+//! what `--rewrite egraph` runs in `plimc` and `plimd`.
 
 mod extract;
 mod graph;
@@ -255,25 +255,10 @@ pub fn optimize_with_stats(
     (chosen, stats)
 }
 
-/// [`optimize_compiled`] without the stats — the exact signature of the
-/// [`plim_compiler::EgraphOptimizer`] hook.
-pub fn optimize(
-    raw: &Mig,
-    baseline: &Mig,
-    effort: usize,
-    options: CompilerOptions,
-) -> (Mig, Compilation) {
-    let (chosen, compilation, _) = optimize_compiled(raw, baseline, effort, options);
-    (chosen, compilation)
-}
-
-/// Registers [`optimize`] as the engine behind
-/// [`plim_compiler::RewriteMode::Egraph`]. Idempotent; `plimc`, `plimd`
-/// and the bench harnesses call it at startup, mirroring
-/// `plim_backends::install()`.
-pub fn install() {
-    plim_compiler::install_egraph_optimizer(optimize);
-}
+/// Does nothing: the `plim-service` pipeline calls
+/// [`optimize_compiled`] directly. Kept only because the `perfbench/`
+/// benchmark package still calls it; a change to the benchmark deletes it.
+pub fn install() {}
 
 #[cfg(test)]
 mod tests {
@@ -435,24 +420,9 @@ mod tests {
         let raw = fig3b();
         let baseline = mig::rewrite::rewrite(&raw, 2);
         let options = CompilerOptions::new().opt(OptLevel::O2);
-        let (one, _) = optimize(&raw, &baseline, 2, options);
-        let (two, _) = optimize(&raw, &baseline, 2, options);
+        let (one, ..) = optimize_compiled(&raw, &baseline, 2, options);
+        let (two, ..) = optimize_compiled(&raw, &baseline, 2, options);
         assert_eq!(mig::io::write_mig(&one), mig::io::write_mig(&two));
-    }
-
-    #[test]
-    fn install_registers_the_hook() {
-        install();
-        install(); // idempotent
-        let hook = plim_compiler::egraph_optimizer().expect("hook registered");
-        let raw = fig3b();
-        let baseline = mig::rewrite::rewrite(&raw, 2);
-        let (out, compilation) = hook(&raw, &baseline, 2, CompilerOptions::new());
-        assert!(mig::equiv::check_equivalence(&raw, &out, 64, 5)
-            .expect("interfaces match")
-            .holds());
-        let fresh = plim_compiler::compile_full(&out, CompilerOptions::new());
-        assert_eq!(compilation.ir.dump(), fresh.ir.dump());
     }
 
     #[test]

@@ -192,9 +192,8 @@ pub fn rewrite_extended(mig: &Mig, effort: usize) -> Mig {
     rewrite_extended_with_stats(mig, effort).0
 }
 
-/// Like [`rewrite_extended`], also returning statistics (resynthesis
-/// applications are added to `distributivity_applied`… no: reported in the
-/// second tuple element).
+/// Like [`rewrite_extended`], also returning the rewrite statistics and
+/// the number of majority-resynthesis applications.
 pub fn rewrite_extended_with_stats(mig: &Mig, effort: usize) -> (Mig, RewriteStats, usize) {
     let mut current = mig.cleaned();
     let mut total_stats = RewriteStats {

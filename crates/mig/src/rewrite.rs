@@ -187,12 +187,6 @@ fn copy_outputs(old: &Mig, new: &mut Mig, remap: &Remap) {
     }
 }
 
-/// Plain rebuild pass: applies Ω.M (node-creation simplification), structural
-/// hashing, and dead-node elimination. Equivalent to [`Mig::cleaned`].
-pub fn pass_majority(mig: &Mig) -> Mig {
-    mig.cleaned()
-}
-
 /// Right-to-left distributivity pass:
 /// `⟨⟨x y u⟩ ⟨x y v⟩ z⟩ → ⟨x y ⟨u v z⟩⟩`.
 ///
@@ -300,16 +294,18 @@ pub fn pass_associativity(mig: &Mig) -> (Mig, usize) {
             continue;
         };
 
+        let mut own = children.map(|c| remap.get(c));
         let mapped = match try_associativity(mig, &fanout, &mut new, &remap, children) {
-            Some((outer_a, outer_b, inner)) => {
-                applied += 1;
-                new.maj(outer_a, outer_b, inner)
+            Some(reshaped) => {
+                // A reshape that gives the node its own triple back
+                // (`⟨x u ⟨x u y⟩⟩`) changes nothing and does not count.
+                let mut sorted = reshaped;
+                sorted.sort_unstable();
+                own.sort_unstable();
+                applied += usize::from(sorted != own);
+                new.maj(reshaped[0], reshaped[1], reshaped[2])
             }
-            None => new.maj(
-                remap.get(children[0]),
-                remap.get(children[1]),
-                remap.get(children[2]),
-            ),
+            None => new.maj(own[0], own[1], own[2]),
         };
         remap.set(id, mapped);
     }
@@ -319,7 +315,7 @@ pub fn pass_associativity(mig: &Mig) -> (Mig, usize) {
 }
 
 /// Attempts an associativity swap on the given node children. Returns the
-/// new-graph signals `(outer_a, outer_b, inner)` such that the node becomes
+/// new-graph signals `[outer_a, outer_b, inner]` such that the node becomes
 /// `⟨outer_a outer_b inner⟩`.
 fn try_associativity(
     mig: &Mig,
@@ -327,7 +323,7 @@ fn try_associativity(
     new: &mut Mig,
     remap: &Remap,
     children: &[Signal; 3],
-) -> Option<(Signal, Signal, Signal)> {
+) -> Option<[Signal; 3]> {
     for g_pos in 0..3 {
         let g = children[g_pos];
         // Only restructure through a plain edge to a single-fanout child, so
@@ -364,7 +360,7 @@ fn try_associativity(
                 let (mo, mu, mx) = (remap.get(other), remap.get(u), remap.get(x));
                 if trivial_triple(mo, mu, mx) || new.find_maj(mo, mu, mx).is_some() {
                     let inner_sig = new.maj(mo, mu, mx);
-                    return Some((remap.get(swap), mu, inner_sig));
+                    return Some([remap.get(swap), mu, inner_sig]);
                 }
             }
         }

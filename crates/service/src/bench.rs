@@ -7,9 +7,9 @@
 //!
 //! * the Table 1 rows and the probe columns, from the compiled programs;
 //! * the per-target columns, by costing the `-O0` job's IR under
-//!   [`AMBIT`] and [`MAGIC`] (no recompilation);
-//! * the e-graph columns, by running [`plim_egraph::optimize`] at `-O2`
-//!   and the run's rewrite effort;
+//!   [`AmbitBackend`] and [`MagicBackend`] (no recompilation);
+//! * the e-graph columns, by running [`plim_egraph::optimize_compiled`] at
+//!   `-O2` and the run's rewrite effort;
 //! * the fidelity columns, through [`fidelity_for`] on the `-O0`, `-O1`
 //!   and `-O2` programs.
 //!
@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use plim::MachineError;
-use plim_backends::{AMBIT, MAGIC};
+use plim_compiler::backend::{AmbitBackend, MagicBackend};
 use plim_compiler::batch::{
     run_batch, Circuit, JobSpec, MeasuredRow, Point, RewriteEffort, SuiteRun,
 };
@@ -95,8 +95,8 @@ pub fn run(
         .rewrite(RewriteMode::Egraph);
     let egraph = par_map(circuits, parallelism, |_, circuit| {
         let baseline = mig::rewrite::rewrite(&circuit.mig, effort);
-        let (_, compilation) =
-            plim_egraph::optimize(&circuit.mig, &baseline, effort, egraph_options);
+        let (_, compilation, _) =
+            plim_egraph::optimize_compiled(&circuit.mig, &baseline, effort, egraph_options);
         compilation.compiled.stats
     });
     let fidelity = FidelityConfig {
@@ -119,8 +119,8 @@ pub fn run(
             rewritten: Point::from(&rewritten.compiled),
             compiled: Point::from(&smart.compiled),
         });
-        let ambit = AMBIT.cost(&smart.ir);
-        let magic = MAGIC.cost(&smart.ir);
+        let ambit = AmbitBackend.cost(&smart.ir);
+        let magic = MagicBackend.cost(&smart.ir);
         let proof = fidelity_for(
             &circuit.mig,
             &smart.compiled,
@@ -172,6 +172,7 @@ mod tests {
     use super::*;
     use mig::rewrite::rewrite;
     use plim_benchmarks::suite::{build, Scale};
+    use plim_compiler::backend::{AmbitBackend, MagicBackend};
     use plim_compiler::batch::{format_row, measure};
     use plim_compiler::{compile, compile_full};
 
@@ -227,7 +228,7 @@ mod tests {
             assert!(record.compile_ms > 0.0, "{name}");
 
             let ir = compile_full(&rewritten, CompilerOptions::new()).ir;
-            let (ambit, magic) = (AMBIT.cost(&ir), MAGIC.cost(&ir));
+            let (ambit, magic) = (AmbitBackend.cost(&ir), MagicBackend.cost(&ir));
             assert_eq!(record.ambit_ops, ambit.instructions as u64, "{name}");
             assert_eq!(record.ambit_cost, ambit.units, "{name}");
             assert_eq!(record.magic_ops, magic.instructions as u64, "{name}");
@@ -236,7 +237,7 @@ mod tests {
             let options = CompilerOptions::new()
                 .opt(OptLevel::O2)
                 .rewrite(RewriteMode::Egraph);
-            let egraph = plim_egraph::optimize(mig, &rewritten, effort, options)
+            let egraph = plim_egraph::optimize_compiled(mig, &rewritten, effort, options)
                 .1
                 .compiled
                 .stats;

@@ -92,7 +92,7 @@
 //!                             latency percentiles; exits 1 on any error,
 //!                             mismatch, or missing response
 //!
-//! plimc targets               list the registered emission backends with
+//! plimc targets               list the built-in emission backends with
 //!                             their native instruction sets and costs
 //!
 //! plimc dump CIRCUIT [--reduced]
@@ -398,7 +398,7 @@ fn run_verify(argv: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The `plimc targets` subcommand: lists every registered emission backend
+/// The `plimc targets` subcommand: lists every emission backend
 /// with its native instruction set and per-instruction costs — the offline
 /// twin of the wire protocol's `targets` advertisement in `stats`.
 fn run_targets(argv: &[String]) -> Result<(), String> {
@@ -710,8 +710,7 @@ fn run_request(argv: &[String]) -> Result<(), String> {
 
 /// The circuits `plimc loadtest` drives: small, dependency-free MIG texts
 /// with distinct shapes, so concurrent traffic exercises several cache
-/// keys at once. Embedded rather than pulled from the benchmark suite so
-/// the subcommand works without the `suite` feature.
+/// keys at once.
 const LOADTEST_CIRCUITS: [(&str, &str); 3] = [
     ("maj3", "inputs a b c\nn = maj(a, b, c)\noutput f = n\n"),
     (
@@ -779,7 +778,6 @@ fn run_loadtest(argv: &[String]) -> Result<(), String> {
 
 /// The `plimc dump` subcommand: prints a benchmark-suite circuit as MIG
 /// text, for feeding the service (and the CI smoke job) real inputs.
-#[cfg(feature = "suite")]
 fn run_dump(argv: &[String]) -> Result<(), String> {
     use plim_benchmarks::suite::{self, Scale};
 
@@ -804,15 +802,9 @@ fn run_dump(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(not(feature = "suite"))]
-fn run_dump(_argv: &[String]) -> Result<(), String> {
-    Err("`plimc dump` requires the `suite` feature (enabled by default)".to_string())
-}
-
 /// The `plimc bench` subcommand: regenerates Table 1 through the
 /// [`plim_service::bench`] driver, optionally emitting the `BENCH.json`
 /// bench-gate artifact.
-#[cfg(feature = "suite")]
 fn run_bench(args: &[String]) -> Result<(), String> {
     use plim_benchmarks::suite::{self, Scale};
     use plim_compiler::batch::{format_row, table_header, totals, Circuit, PAPER_EFFORT};
@@ -894,11 +886,6 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(not(feature = "suite"))]
-fn run_bench(_args: &[String]) -> Result<(), String> {
-    Err("`plimc bench` requires the `suite` feature (enabled by default)".to_string())
-}
-
 /// The `plimc bench-diff` subcommand: the bench-regression gate. Exits
 /// nonzero when the current run regresses `#I`/`#R`, loses a circuit, or
 /// slows down beyond the tolerance.
@@ -962,11 +949,6 @@ fn run_bench_diff(args: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    // Register the non-RM3 emission backends before any `--target` or
-    // `+target` spec is parsed against the registry, and the
-    // equality-saturation hook before any `--rewrite egraph` job runs.
-    plim_backends::install();
-    plim_egraph::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result: Result<(), Failure> = match args.first().map(String::as_str) {
         Some("bench") => run_bench(&args[1..]).map_err(Failure::from),

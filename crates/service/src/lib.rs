@@ -50,7 +50,10 @@
 //! * [`benchfile`] — the `BENCH.json` column table, reader/writer and the
 //!   `plimc bench-diff` regression gate;
 //! * [`pipeline`] — parse / optimize / compile / verify / emit, shared by
-//!   `plimc` offline mode and the daemon;
+//!   `plimc` offline mode and the daemon; it calls the e-graph
+//!   (`plim_egraph::optimize_compiled`) directly, and every target is
+//!   built into `plim-compiler`, so no binary or test sets anything up
+//!   before compiling;
 //! * [`protocol`] — the versioned wire protocol (requests, responses,
 //!   error codes, stats), built on [`plim_compiler::json`];
 //! * [`poller`] — the safe edge-triggered readiness facade over

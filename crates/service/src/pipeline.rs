@@ -114,13 +114,9 @@ impl Default for CompileSpec {
 ///
 /// The rewrite engine is selected by `spec.options.rewrite`: `arena` is
 /// the in-place depth-bounded rewriter, `rebuild` reconstructs through
-/// the hash-consing builder, and `egraph` saturates an e-graph and keeps
-/// the extraction only when its *compiled* cost beats the arena result.
-///
-/// # Panics
-///
-/// Panics for [`RewriteMode::Egraph`] when the equality-saturation hook
-/// has not been installed (`plim_egraph::install()`).
+/// the hash-consing builder, and `egraph` saturates an e-graph
+/// ([`plim_egraph::optimize_compiled`]) and keeps the extraction only when
+/// its *compiled* cost beats the arena result.
 pub fn optimize(input: &Mig, spec: &CompileSpec) -> Mig {
     optimize_stage(input, spec).0
 }
@@ -138,12 +134,9 @@ fn optimize_stage(input: &Mig, spec: &CompileSpec) -> (Mig, Option<Compilation>)
             RewriteMode::Arena => mig::rewrite::rewrite(input, spec.effort),
             RewriteMode::Rebuild => mig::rewrite::rewrite_rebuild(input, spec.effort),
             RewriteMode::Egraph => {
-                let optimize = plim_compiler::egraph_optimizer().expect(
-                    "RewriteMode::Egraph needs the equality-saturation hook: call \
-                     plim_egraph::install() before compiling",
-                );
                 let baseline = mig::rewrite::rewrite(input, spec.effort);
-                let (chosen, compilation) = optimize(input, &baseline, spec.effort, spec.options);
+                let (chosen, compilation, _) =
+                    plim_egraph::optimize_compiled(input, &baseline, spec.effort, spec.options);
                 return (chosen, Some(compilation));
             }
         }
@@ -277,12 +270,11 @@ mod tests {
 
     #[test]
     fn emit_dispatches_non_rm3_targets_through_their_backend() {
-        plim_backends::install();
         let input = parse_network(InputFormat::Mig, AND_MIG).unwrap();
         let mut spec = CompileSpec::default();
         spec.options = spec
             .options
-            .target(Target::parse("ambit").expect("registered"));
+            .target(Target::parse("ambit").expect("built-in target"));
         let artifacts = execute(&input, &spec).unwrap();
         let listing = emit("listing", &artifacts).unwrap();
         assert!(listing.starts_with(".ambit v1\n"), "{listing}");

@@ -48,8 +48,8 @@
 //!
 //! Responses carry `"ok":true` plus op-specific fields, or `"ok":false`
 //! with the version-dependent `error` shape above. A `stats` response
-//! advertises the daemon's registered emission targets in a `targets`
-//! array (registry order, `rm3` first) and — when the daemon runs with
+//! advertises the emission targets in a `targets` array (the order of
+//! `plim_compiler::backend::backends`, `rm3` first) and — when the daemon runs with
 //! `--store` — the persistent store's counters in a `store` object.
 
 use plim_compiler::cache::{fnv128, CacheKey, CacheStats};
@@ -381,7 +381,7 @@ pub struct ShardStats {
 pub struct ServiceStats {
     /// Per-shard breakdown, in shard order.
     pub shards: Vec<ShardStats>,
-    /// Registered emission-target names, registry order (`rm3` first).
+    /// Emission-target names, in table order (`rm3` first).
     pub targets: Vec<String>,
     /// Persistent-store counters; `None` when the daemon runs without
     /// `--store` (and in responses from older daemons).
@@ -946,12 +946,11 @@ mod tests {
         variants.push(("allocator", allocator));
         // The target reaches the fingerprint through the 5-part options
         // spec, so a warm cache entry can never serve a different target.
-        plim_backends::install();
         let mut target = base.clone();
         target.spec.options = target
             .spec
             .options
-            .target(plim_compiler::Target::parse("ambit").expect("registered"));
+            .target(plim_compiler::Target::parse("ambit").expect("built-in target"));
         variants.push(("target", target));
         // The rewrite engine reaches the fingerprint through the 6-part
         // options spec, so a warm `arena` artifact can never satisfy an

@@ -49,6 +49,11 @@
 //! compiling — so a restarted daemon answers repeat requests warm. Store
 //! files are self-verifying; a corrupt or truncated file is logged,
 //! counted, and treated as a miss, never served.
+//!
+//! The daemon needs no start-up wiring: every target is a row of
+//! `plim_compiler::backend::backends` and the e-graph is a plain call in
+//! [`pipeline`], so any `+target` or `+egraph` spec compiles from the
+//! first request on.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::AtomicBool;
@@ -166,11 +171,6 @@ impl Server {
     /// Returns a one-line message when the address cannot be bound or the
     /// store directory cannot be created.
     pub fn bind(config: &ServerConfig) -> Result<Server, String> {
-        // Populate the target registry before the first request can name a
-        // `+target` spec suffix, and the equality-saturation hook before
-        // the first `+egraph` spec compiles.
-        plim_backends::install();
-        plim_egraph::install();
         // Best-effort: the reactor holds one fd per connection, so a
         // default 1024-fd soft limit caps concurrency long before memory
         // does. Failure is not fatal — the daemon just accepts fewer.

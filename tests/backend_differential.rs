@@ -9,7 +9,6 @@
 //! checks the trait emission against the direct compiler on every
 //! combination.
 
-use plim_backends::install;
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::{
     compile_full, AllocatorStrategy, CompilerOptions, OperandSelection, OptLevel, ScheduleOrder,
@@ -36,10 +35,9 @@ fn rm3_through_the_trait_matches_the_pre_refactor_goldens() {
 }
 
 /// Trait emission equals direct compilation at every schedule × allocator
-/// × `-O` level — same listing, same stats, registered backends present.
+/// × `-O` level — same listing, same stats.
 #[test]
 fn rm3_trait_emission_equals_direct_compilation_on_the_full_matrix() {
-    install(); // extra registered backends must not disturb the RM3 path
     for circuit in ["ctrl", "dec", "router"] {
         let mig = suite::build(circuit, Scale::Reduced).expect("suite circuit");
         let optimized = mig::rewrite::rewrite(&mig, 2);
@@ -77,8 +75,7 @@ fn rm3_trait_emission_equals_direct_compilation_on_the_full_matrix() {
 /// model, so divergence there is a feature, not a bug.)
 #[test]
 fn target_choice_does_not_perturb_lowering() {
-    install();
-    let ambit = Target::parse("ambit").expect("registered");
+    let ambit = Target::parse("ambit").expect("built-in target");
     let mig = suite::build("int2float", Scale::Reduced).expect("suite circuit");
     let rm3 = compile_full(&mig, CompilerOptions::new());
     let other = compile_full(&mig, CompilerOptions::new().target(ambit));

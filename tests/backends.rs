@@ -10,10 +10,9 @@
 //! interface differs from the MIG's are refused with an error.
 
 use mig::{Mig, NodeId, Signal};
-use plim_backends::{install, AMBIT, MAGIC};
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
-use plim_compiler::backend::W256;
+use plim_compiler::backend::{AmbitBackend, MagicBackend, W256};
 use plim_compiler::batch::Circuit;
 use plim_compiler::ir::{Event, IrProgram};
 use plim_compiler::verify::{
@@ -37,7 +36,7 @@ fn ambit_compiles_the_whole_suite_with_exhaustive_proofs() {
         for mig in [&raw, &rewritten] {
             for opt in [OptLevel::O0, OptLevel::O2] {
                 let compilation = compile_full(mig, CompilerOptions::new().opt(opt));
-                let artifact = AMBIT.emit(&compilation.ir);
+                let artifact = AmbitBackend.emit(&compilation.ir);
                 assert!(
                     artifact.cost().instructions >= compilation.compiled.stats.instructions,
                     "{name}: row ops cannot undercut RM3 ops"
@@ -66,18 +65,17 @@ fn magic_proves_out_on_the_provable_suite() {
         }
         let optimized = mig::rewrite::rewrite(&mig, 4);
         let compilation = compile_full(&optimized, CompilerOptions::new().opt(OptLevel::O2));
-        let artifact = MAGIC.emit(&compilation.ir);
+        let artifact = MagicBackend.emit(&compilation.ir);
         verify_exhaustive(&optimized, artifact.as_ref()).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
 /// Targets thread through `CompilerOptions`: the 6-part spec round-trips
-/// for the registered backends and compilation under a non-RM3 target
+/// for the built-in backends and compilation under a non-RM3 target
 /// still produces the reference RM3 program (the target chooses the
 /// emission, not the middle end's semantics).
 #[test]
 fn targets_thread_through_compiler_options() {
-    install();
     let options = CompilerOptions::new()
         .opt(OptLevel::O2)
         .target(Target::parse("ambit").unwrap());
@@ -106,8 +104,8 @@ fn bench_annotation_fills_per_target_columns() {
     for (circuit, record) in circuits.iter().zip(&bench.records) {
         let rewritten = mig::rewrite::rewrite(&circuit.mig, 2);
         let ir = compile_full(&rewritten, CompilerOptions::new()).ir;
-        let ambit = AMBIT.cost(&ir);
-        let magic = MAGIC.cost(&ir);
+        let ambit = AmbitBackend.cost(&ir);
+        let magic = MagicBackend.cost(&ir);
         assert_eq!(record.ambit_ops, ambit.instructions as u64);
         assert_eq!(record.ambit_cost, ambit.units);
         assert_eq!(record.magic_ops, magic.instructions as u64);
@@ -121,12 +119,11 @@ fn bench_annotation_fills_per_target_columns() {
     }
 }
 
-/// The registry advertisement: every registered backend exposes a
+/// The targets' advertisement: every backend exposes a
 /// non-empty instruction set with priced instructions, and parse errors
 /// list all of them.
 #[test]
 fn registry_advertises_instruction_sets_and_names() {
-    install();
     for target in Target::all() {
         let backend = target.backend();
         assert!(!backend.description().is_empty());
@@ -221,7 +218,7 @@ fn interface_mismatches_are_errors_on_every_entry_point() {
         assert_eq!(verify_exhaustive(&mig, &dropped), Err(missing.clone()));
         for (extra, outputs) in [(false, 1), (true, 3)] {
             let reshaped = Reshaped {
-                inner: AMBIT.emit(&compilation.ir),
+                inner: AmbitBackend.emit(&compilation.ir),
                 extra,
             };
             let expected = Err(VerifyError::Interface {
@@ -315,7 +312,10 @@ fn mutant_verdict(
     check: impl Fn(&dyn Artifact) -> Result<(), VerifyError>,
 ) -> String {
     let compilation = compile_full(mutant, CompilerOptions::new());
-    let (ambit, magic) = (AMBIT.emit(&compilation.ir), MAGIC.emit(&compilation.ir));
+    let (ambit, magic) = (
+        AmbitBackend.emit(&compilation.ir),
+        MagicBackend.emit(&compilation.ir),
+    );
     let verdicts = [&compilation.compiled as &dyn Artifact, &*ambit, &*magic].map(|artifact| {
         match check(artifact) {
             Ok(()) => "ok".to_string(),
@@ -433,9 +433,9 @@ fn alternative_targets_place_destinations_as_the_rm3_replay_does() {
                     .map(|instruction| instruction.z.0)
                     .collect();
                 let case = format!("{name} {alloc:?} {opt:?}");
-                let ambit = AMBIT.emit(&ir).listing();
+                let ambit = AmbitBackend.emit(&ir).listing();
                 assert_eq!(destination_rows(&ambit, &ir, 5), rm3, "ambit, {case}");
-                let magic = MAGIC.emit(&ir);
+                let magic = MagicBackend.emit(&ir);
                 let listing = magic.listing();
                 if alloc == AllocatorStrategy::WearLeveled {
                     let mut writes = std::collections::HashMap::<&str, u64>::new();
@@ -461,7 +461,6 @@ fn alternative_targets_place_destinations_as_the_rm3_replay_does() {
 /// whole stream per trial replays about 9,000, nearly 8× RM3's.
 #[test]
 fn o2_trials_replay_about_as_many_events_on_every_target() {
-    install();
     let mig = suite::build("mem_ctrl", Scale::Reduced).expect("suite circuit");
     let mean = |target: &str| {
         let options = CompilerOptions::new()

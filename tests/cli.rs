@@ -161,7 +161,7 @@ fn ascii_aiger_still_compiles_end_to_end() {
 #[test]
 fn every_rewrite_engine_compiles_and_verifies_end_to_end() {
     // All three engines must produce a verifying artifact for the same
-    // input; `egraph` exercises the hook installed in main().
+    // input; `egraph` runs the e-graph through the service pipeline.
     for engine in ["arena", "rebuild", "egraph"] {
         let output = run_with_stdin(
             &[
@@ -195,7 +195,7 @@ fn user_errors_exit_one_with_a_one_line_diagnostic() {
     assert_user_error(&["-O7", "-"], "unknown opt level `o7`");
     assert_user_error(&["-Ofast", "-"], "unknown opt level `ofast`");
     // The --schedule/--alloc convention: the target diagnostic lists every
-    // registered backend name.
+    // backend name.
     let stderr = assert_user_error(&["--target", "gpu", "-"], "unknown target `gpu`");
     for name in ["rm3", "ambit", "magic"] {
         assert!(stderr.contains(name), "valid names missing: {stderr}");
@@ -1026,7 +1026,7 @@ fn verify_subcommand_proves_small_circuits_and_rejects_large_ones() {
     );
 }
 
-/// `plimc targets` lists every registered backend with its instruction
+/// `plimc targets` lists every backend with its instruction
 /// set, and takes no arguments.
 #[test]
 fn targets_subcommand_lists_registered_backends() {

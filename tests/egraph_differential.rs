@@ -13,7 +13,9 @@ use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::verify::verify;
 use plim_compiler::{compile, CompilerOptions, OptLevel};
-use plim_egraph::{optimize, optimize_with_stats, saturate, EGraph, EgraphBudget, StopReason};
+use plim_egraph::{
+    optimize_compiled, optimize_with_stats, saturate, EGraph, EgraphBudget, StopReason,
+};
 
 /// The options every compiled-cost comparison here runs under: the full
 /// pass pipeline for the default RM3 target, exactly what the e-graph's
@@ -49,7 +51,7 @@ proptest! {
         let raw = random_logic(&spec);
         let arena = rewrite(&raw, effort);
         let rebuild = rewrite_rebuild(&raw, effort);
-        let (chosen, _) = optimize(&raw, &arena, effort, o2());
+        let (chosen, ..) = optimize_compiled(&raw, &arena, effort, o2());
 
         prop_assert!(check_equivalence(&raw, &chosen, 16, seed).unwrap().holds(),
             "e-graph extraction changed the function");
@@ -113,7 +115,7 @@ fn saturation_budget_determinism_is_byte_exact() {
     let arena = rewrite(&raw, 2);
     let (first, first_stats) = optimize_with_stats(&raw, &arena, 2, o2());
     let (second, second_stats) = optimize_with_stats(&raw, &arena, 2, o2());
-    let (third, _) = optimize(&raw, &arena, 2, o2());
+    let (third, ..) = optimize_compiled(&raw, &arena, 2, o2());
     assert_eq!(
         mig::io::write_mig(&first),
         mig::io::write_mig(&second),
@@ -147,7 +149,7 @@ fn starved_budgets_still_produce_admissible_results() {
     );
     // The full engine under effort 1 (the smallest budget) keeps every
     // guarantee.
-    let (chosen, _) = optimize(&raw, &arena, 1, o2());
+    let (chosen, ..) = optimize_compiled(&raw, &arena, 1, o2());
     assert!(check_equivalence(&raw, &chosen, 8, 7).unwrap().holds());
     assert!(compiled_cost(&chosen) <= compiled_cost(&arena));
 }

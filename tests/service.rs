@@ -157,7 +157,6 @@ fn warm_hits_never_serve_a_different_opt_level() {
 #[test]
 fn warm_hits_never_serve_a_different_target() {
     use plim_compiler::Target;
-    plim_backends::install();
     // Regression for the backend redesign: the target is part of the
     // options spec, so it must reach the cache key. A warm `ambit` request
     // after an RM3 compile of the same circuit must never be served the
@@ -175,7 +174,7 @@ fn warm_hits_never_serve_a_different_target() {
             emit: "listing".to_string(),
         })
     };
-    let ambit = Target::parse("ambit").expect("registered");
+    let ambit = Target::parse("ambit").expect("built-in target");
 
     let Response::Compile(cold_rm3) = client::send(&addr, &request_for(Target::RM3)).unwrap()
     else {
@@ -267,7 +266,6 @@ fn warm_hits_never_serve_a_different_rewrite_mode() {
         spec.options = spec.options.rewrite(mode);
         offline_listing_with(&source, &spec)
     };
-    plim_egraph::install();
     assert_eq!(cold_arena.output, offline_for(RewriteMode::Arena));
     assert_eq!(cold_egraph.output, offline_for(RewriteMode::Egraph));
 
@@ -296,7 +294,6 @@ fn warm_hits_never_serve_a_different_rewrite_mode() {
 #[test]
 fn served_egraph_o2_output_is_byte_identical_to_offline() {
     use plim_compiler::{OptLevel, RewriteMode};
-    plim_egraph::install();
     let (addr, handle) = start_server(1, 1 << 20);
     let mut spec = CompileSpec::default();
     spec.options = spec.options.opt(OptLevel::O2).rewrite(RewriteMode::Egraph);
@@ -331,13 +328,11 @@ fn served_egraph_o2_output_is_byte_identical_to_offline() {
 #[test]
 fn egraph_artifacts_equal_a_fresh_compilation_of_the_optimized_graph() {
     use plim_compiler::{compile_full, OptLevel, RewriteMode, Target};
-    plim_backends::install();
-    plim_egraph::install();
     for name in ["ctrl", "int2float", "priority"] {
         let source = suite_source(name);
         let mig = pipeline::parse_network(InputFormat::Mig, &source).unwrap();
         for target in ["rm3", "ambit", "magic"] {
-            let target = Target::parse(target).expect("registered");
+            let target = Target::parse(target).expect("built-in target");
             for opt in [OptLevel::O1, OptLevel::O2] {
                 let mut spec = CompileSpec::default();
                 spec.options = spec
@@ -782,8 +777,8 @@ fn idle_connections_are_reaped_but_active_ones_survive() {
 fn stats_report_one_shard_per_worker() {
     let (addr, handle) = start_server(3, 1 << 20);
     let snapshot = stats(&addr);
-    // Binding the server registers the extra backends, so the stats
-    // response advertises every target a `+target` spec may name.
+    // The stats response advertises every target a `+target` spec may
+    // name.
     assert_eq!(snapshot.targets, ["rm3", "ambit", "magic"]);
     assert_eq!(snapshot.shards.len(), 3);
     for shard in &snapshot.shards {
