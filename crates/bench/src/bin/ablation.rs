@@ -186,7 +186,8 @@ fn effort_sweep(circuits: &[Circuit], jobs: &[JobResult], report: &BatchReport) 
             .iter()
             .find(|pass| pass.circuit == circuit && pass.effort == effort)
             .expect("sweep jobs rewrite every (circuit, effort)")
-            .nodes
+            .mig
+            .num_majority_nodes()
     };
     for (c, row) in jobs.chunks(EFFORTS.len()).enumerate() {
         print!("{:<11}", circuits[c].name);

@@ -37,7 +37,8 @@ enum FreePool {
     Lifo(Vec<RamAddr>),
     /// Released cells are parked and never served again.
     Fresh(Vec<RamAddr>),
-    /// Served least-written-first, consulting the write counters.
+    /// Served least-written-first by the write counters at request time,
+    /// blind to the writes the new value will take.
     WearLeveled(Vec<RamAddr>),
     /// Two FIFO bins keyed by the lifetime class a cell last held.
     Binned {

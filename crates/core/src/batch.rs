@@ -178,14 +178,14 @@ fn job_lint_clean(compilation: &Compilation, opt: OptLevel) -> bool {
 }
 
 /// One distinct rewrite pass executed by a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RewritePass {
     /// Index into the batch's circuit slice.
     pub circuit: usize,
     /// Rewrite effort of the pass.
     pub effort: usize,
-    /// Majority nodes of the rewritten graph.
-    pub nodes: usize,
+    /// The rewritten graph the pass's jobs compiled.
+    pub mig: Mig,
     /// Wall-clock time of the pass.
     pub time: Duration,
 }
@@ -313,12 +313,12 @@ pub fn run_batch(circuits: &[Circuit], specs: &[JobSpec], parallelism: Paralleli
 
     let rewrites = keys
         .iter()
-        .zip(&rewritten)
+        .zip(rewritten)
         .map(|(key, (mig, time))| RewritePass {
             circuit: key.0,
             effort: key.1,
-            nodes: mig.num_majority_nodes(),
-            time: *time,
+            mig,
+            time,
         })
         .collect();
 
@@ -652,10 +652,8 @@ mod tests {
         }
         assert_eq!(serial.rewrites.len(), parallel.rewrites.len());
         for (s, p) in serial.rewrites.iter().zip(&parallel.rewrites) {
-            assert_eq!(
-                (s.circuit, s.effort, s.nodes),
-                (p.circuit, p.effort, p.nodes)
-            );
+            assert_eq!((s.circuit, s.effort), (p.circuit, p.effort));
+            assert_eq!(mig::io::write_mig(&s.mig), mig::io::write_mig(&p.mig));
         }
     }
 
@@ -691,7 +689,10 @@ mod tests {
             assert_eq!(Point::from(&jobs[1].compiled), row.rewritten);
             assert_eq!(Point::from(&jobs[2].compiled), row.compiled);
             assert_eq!(run.report.rewrites[index].circuit, index);
-            assert_eq!(run.report.rewrites[index].nodes, row.rewritten.nodes);
+            assert_eq!(
+                run.report.rewrites[index].mig.num_majority_nodes(),
+                row.rewritten.nodes
+            );
             assert!(run.row_time(index) > Duration::ZERO);
         }
     }

@@ -75,7 +75,6 @@ pub mod batch;
 pub mod cache;
 pub mod candidate;
 mod compile;
-pub mod constrained;
 pub mod ir;
 pub mod json;
 pub mod lifetime;

@@ -19,10 +19,8 @@
 //! many worker threads execute the blocks.
 
 use mig::simulate::XorShift64;
-use mig::Mig;
 use plim::wide::{LaneWord, WideMachine, WriteHook, W256};
 use plim::{MachineError, Program, RamAddr};
-use plim_compiler::{compile, AllocatorStrategy, CompilerOptions};
 use plim_parallel::{par_map, Parallelism};
 
 use crate::random::BiasedBits;
@@ -217,28 +215,6 @@ pub fn fault_sweep(
         report.erroneous_bits += wrong_bits;
     }
     Ok(report)
-}
-
-/// Compiles `mig` once per [`AllocatorStrategy`] (on top of `base`
-/// options) and fault-sweeps each program under the same scenario,
-/// measuring how allocation policy shapes fault sensitivity.
-///
-/// # Errors
-///
-/// Propagates the first [`MachineError`] (compiled programs never
-/// trigger one).
-pub fn sweep_strategies(
-    mig: &Mig,
-    base: CompilerOptions,
-    scenario: &FaultScenario,
-) -> Result<Vec<(AllocatorStrategy, FaultReport)>, MachineError> {
-    AllocatorStrategy::ALL
-        .into_iter()
-        .map(|strategy| {
-            let compiled = compile(mig, base.allocator(strategy));
-            fault_sweep(&compiled.program, scenario).map(|report| (strategy, report))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -16,9 +16,12 @@
 //!   make every report reproducible bit-for-bit regardless of thread
 //!   count;
 //! * **Device-lifetime simulation** ([`lifetime`]) — wear accumulation
-//!   over millions of invocations against each `FreePool` allocation
-//!   strategy, reporting the invocation at which the first cell exceeds
-//!   its endurance budget.
+//!   over millions of invocations of one program, reporting the
+//!   invocation at which the first cell exceeds its endurance budget.
+//!
+//! Every engine takes an already-compiled program; this crate compiles
+//! nothing. `plimc scenario` compiles one RM3 program per allocation
+//! strategy and hands each to [`fault_sweep`] and [`simulate_lifetime`].
 //!
 //! [`fidelity`] packages the three engines into the `BENCH.json` fidelity
 //! columns (`verified_exhaustive`, `fault_error_rate`,
@@ -31,7 +34,7 @@ pub mod fidelity;
 pub mod lifetime;
 pub mod random;
 
-pub use fault::{fault_sweep, sweep_strategies, FaultModel, FaultReport, FaultScenario};
+pub use fault::{fault_sweep, FaultModel, FaultReport, FaultScenario};
 pub use fidelity::{fidelity_for, Fidelity, FidelityConfig};
-pub use lifetime::{compare_strategies, simulate_lifetime, LifetimeReport, LifetimeScenario};
+pub use lifetime::{simulate_lifetime, LifetimeReport, LifetimeScenario};
 pub use random::BiasedBits;

@@ -19,10 +19,7 @@
 //!   substreams, and the dying invocation is resolved to the exact lane.
 
 use mig::simulate::XorShift64;
-use mig::Mig;
 use plim::{Program, RamAddr};
-use plim_compiler::{compile, AllocatorStrategy, CompilerOptions};
-use plim_parallel::{par_map, Parallelism};
 
 use crate::random::BiasedBits;
 
@@ -188,22 +185,6 @@ fn lane_mask64(lanes: u64) -> u64 {
     } else {
         (1u64 << lanes) - 1
     }
-}
-
-/// Compiles `mig` once per [`AllocatorStrategy`] (on top of `base`
-/// options) and simulates each program's lifetime under the same
-/// scenario, measuring how allocation policy shapes device longevity.
-pub fn compare_strategies(
-    mig: &Mig,
-    base: CompilerOptions,
-    scenario: &LifetimeScenario,
-    parallelism: Parallelism,
-) -> Vec<(AllocatorStrategy, LifetimeReport)> {
-    let strategies: Vec<AllocatorStrategy> = AllocatorStrategy::ALL.to_vec();
-    par_map(&strategies, parallelism, |_, &strategy| {
-        let compiled = compile(mig, base.allocator(strategy));
-        (strategy, simulate_lifetime(&compiled.program, scenario))
-    })
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! * the per-target columns, by costing the `-O0` job's IR under
 //!   [`AmbitBackend`] and [`MagicBackend`] (no recompilation);
 //! * the e-graph columns, by running [`plim_egraph::optimize_compiled`] at
-//!   `-O2` and the run's rewrite effort;
+//!   `-O2` and the run's rewrite effort, with the circuit's batch rewrite
+//!   pass as the arena baseline;
 //! * the fidelity columns, through [`fidelity_for`] on the `-O0`, `-O1`
 //!   and `-O2` programs.
 //!
@@ -93,10 +94,13 @@ pub fn run(
     let egraph_options = CompilerOptions::new()
         .opt(OptLevel::O2)
         .rewrite(RewriteMode::Egraph);
-    let egraph = par_map(circuits, parallelism, |_, circuit| {
-        let baseline = mig::rewrite::rewrite(&circuit.mig, effort);
+    // The six rewritten jobs of a circuit share one rewrite pass, so the
+    // passes come one per circuit, in circuit order. Each is the circuit's
+    // e-graph arena baseline.
+    let egraph = par_map(circuits, parallelism, |index, circuit| {
+        let baseline = &report.rewrites[index].mig;
         let (_, compilation, _) =
-            plim_egraph::optimize_compiled(&circuit.mig, &baseline, effort, egraph_options);
+            plim_egraph::optimize_compiled(&circuit.mig, baseline, effort, egraph_options);
         compilation.compiled.stats
     });
     let fidelity = FidelityConfig {
@@ -146,12 +150,7 @@ pub fn run(
             magic_cost: magic.units,
             egraph_instructions: egraph.instructions as u64,
             egraph_rams: u64::from(egraph.rams),
-            rewrite_ms: report
-                .rewrites
-                .iter()
-                .filter(|pass| pass.circuit == index)
-                .map(|pass| ms(pass.time))
-                .sum(),
+            rewrite_ms: ms(report.rewrites[index].time),
             compile_ms: jobs.iter().map(|job| ms(job.compile_time)).sum(),
             verified_exhaustive: proof.verified_exhaustive,
             fault_error_rate: proof.fault_error_rate,

@@ -4,7 +4,10 @@
 //! the PLiM architecture, compiles it to RM3 instructions, verifies the
 //! program against simulation, and emits the requested artifact. The same
 //! pipeline is available as a long-running daemon via `plimc serve` (alias:
-//! the `plimd` binary) and `plimc request`.
+//! the `plimd` binary) and `plimc request`. Every subcommand that compiles
+//! (the plain compile, `--limit`, `verify`, `lint`) takes its artifact from
+//! [`pipeline::execute`], once per attempt; `scenario` rewrites through
+//! [`pipeline::optimize`] and compiles one program per allocator.
 //!
 //! ```text
 //! plimc [OPTIONS] FILE        (FILE of `-` reads stdin)
@@ -29,7 +32,11 @@
 //!                        print their native listing/stats; at -O1+ the
 //!                        pass pipeline optimizes under the target's own
 //!                        cost model
-//!   --limit R            fail unless the program fits R work RRAMs
+//!   --limit R            fail unless the --target artifact's footprint
+//!                        (RM3 work RRAMs, Ambit rows, MAGIC cells) fits
+//!                        R; if the compile as asked does not fit, retry
+//!                        with index scheduling, then child-order operands.
+//!                        Every other option holds for every attempt
 //!   --emit asm|listing|stats|dot|mig|ir
 //!                        artifact to print (default: listing); `ir` dumps
 //!                        the post-optimization IR with def/use annotations
@@ -63,7 +70,9 @@
 //!                [--stuck ADDR:LEVEL] [--seed N] [--endurance N]
 //!                [--noise P] [--max-invocations N] FILE
 //!                             fault-injection and device-lifetime sweep
-//!                             across all allocation strategies
+//!                             of the RM3 program across all allocation
+//!                             strategies (so no --alloc, and no --target
+//!                             but rm3)
 //!
 //! plimc serve [--addr HOST:PORT] [--threads N] [--cache-bytes N]
 //!             [--store DIR] [--idle-timeout SECS] [--max-pipeline N] [--quiet]
@@ -316,24 +325,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     let spec = args.spec();
 
     let artifacts = match args.limit {
-        Some(limit) => {
-            let optimized = pipeline::optimize(&input, &spec);
-            let compilation = plim_compiler::constrained::compile_with_ram_limit_at(
-                &optimized,
-                limit,
-                spec.options.opt,
-            )
-            .map_err(|e| e.to_string())?;
-            if args.verify {
-                plim_compiler::verify::verify(&optimized, &compilation.compiled, 4, 0xDAC2016)
-                    .map_err(|e| format!("verification: {e}"))?;
-            }
-            pipeline::Artifacts {
-                optimized,
-                compilation,
-                target: spec.options.target,
-            }
-        }
+        Some(limit) => pipeline::execute_within(&input, &spec, limit)?,
         None => pipeline::execute(&input, &spec)?,
     };
 
@@ -363,14 +355,15 @@ fn run_verify(argv: &[String]) -> Result<(), Failure> {
         );
     }
     let input = read_input(&args)?;
-    let spec = args.spec();
-    let target = spec.options.target;
-    let optimized = pipeline::optimize(&input, &spec);
-    let artifacts = pipeline::Artifacts {
-        compilation: plim_compiler::compile_full(&optimized, spec.options),
-        optimized,
-        target,
-    };
+    // The exhaustive proof below is stronger than the pipeline's sampled check.
+    let artifacts = pipeline::execute(
+        &input,
+        &CompileSpec {
+            verify: false,
+            ..args.spec()
+        },
+    )?;
+    let target = artifacts.target;
     let cost = pipeline::with_artifact(&artifacts, |artifact| {
         plim_compiler::verify::verify_exhaustive(&input, artifact).map(|()| artifact.cost())
     })
@@ -482,15 +475,20 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
         return Err("--limit is not supported by lint".to_string().into());
     }
     let input = read_input(&args)?;
-    let spec = args.spec();
-    let optimized = pipeline::optimize(&input, &spec);
-    let mut compilation = plim_compiler::compile_full(&optimized, spec.options);
+    // The analyzer is this subcommand's check; the pipeline's sampled
+    // simulation stays off.
+    let spec = CompileSpec {
+        verify: false,
+        ..args.spec()
+    };
+    let mut artifacts = pipeline::execute(&input, &spec)?;
+    let compilation = &mut artifacts.compilation;
 
     if let Some((inject, nothing)) = doctor {
         inject(&mut compilation.ir).ok_or_else(|| format!("--doctor: {nothing}"))?;
     }
 
-    let diags = analyze_artifact(&compilation, spec.options.opt);
+    let diags = analyze_artifact(compilation, spec.options.opt);
     let report = Report::new(&args.file, diags, &config);
     if json {
         println!("{}", report.to_json().to_json());
@@ -508,10 +506,13 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
 
 /// The `plimc scenario` subcommand: Monte-Carlo fault injection and
 /// device-lifetime simulation of the compiled program, swept across every
-/// work-RRAM allocation strategy. All numbers are a pure function of the
-/// seed (reports are thread-count invariant).
+/// work-RRAM allocation strategy. The input is rewritten once, and each
+/// strategy's RM3 program is compiled once and fed to both engines. All
+/// numbers are a pure function of the seed (reports are thread-count
+/// invariant).
 fn run_scenario(argv: &[String]) -> Result<(), String> {
-    use plim_scenario::{FaultScenario, LifetimeScenario};
+    use plim_parallel::{par_map, Parallelism};
+    use plim_scenario::{fault_sweep, simulate_lifetime, FaultScenario, LifetimeScenario};
 
     let mut fault = FaultScenario::default();
     let mut lifetime = LifetimeScenario::default();
@@ -570,18 +571,17 @@ fn run_scenario(argv: &[String]) -> Result<(), String> {
     if args.limit.is_some() {
         return Err("--limit is not supported by scenario".to_string());
     }
+    if let Some(target) = args.target.filter(|&target| target != Target::RM3) {
+        return Err(format!(
+            "--target {target} is not supported by scenario; it models the RM3 machine"
+        ));
+    }
+    if args.alloc.is_some() {
+        return Err("--alloc is not supported by scenario; it sweeps every allocator".to_string());
+    }
     let input = read_input(&args)?;
     let spec = args.spec();
     let optimized = pipeline::optimize(&input, &spec);
-
-    let faults = plim_scenario::sweep_strategies(&optimized, spec.options, &fault)
-        .map_err(|e| format!("fault sweep: {e}"))?;
-    let lifetimes = plim_scenario::compare_strategies(
-        &optimized,
-        spec.options,
-        &lifetime,
-        plim_parallel::Parallelism::Auto,
-    );
 
     let stuck = if fault.model.stuck.is_empty() {
         "none".to_string()
@@ -606,7 +606,20 @@ fn run_scenario(argv: &[String]) -> Result<(), String> {
         "{:<8} {:>12} {:>12} {:>14} {:>10}",
         "alloc", "error-rate", "bit-errors", "lifetime", "first-dead"
     );
-    for ((strategy, report), (_, life)) in faults.iter().zip(&lifetimes) {
+    let programs: Vec<plim::Program> = AllocatorStrategy::ALL
+        .iter()
+        .map(|&strategy| {
+            plim_compiler::compile(&optimized, spec.options.allocator(strategy)).program
+        })
+        .collect();
+    // A lifetime simulation runs serially, so the five run side by side; a
+    // fault sweep spreads its own pattern blocks across the workers.
+    let lifetimes = par_map(&programs, Parallelism::Auto, |_, program| {
+        simulate_lifetime(program, &lifetime)
+    });
+    for ((strategy, program), life) in AllocatorStrategy::ALL.iter().zip(&programs).zip(&lifetimes)
+    {
+        let report = fault_sweep(program, &fault).map_err(|e| format!("fault sweep: {e}"))?;
         println!(
             "{:<8} {:>12.6} {:>12.6} {:>14} {:>10}",
             strategy.name(),
@@ -948,6 +961,30 @@ fn run_bench_diff(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The `--help` text.
+const USAGE: &str = "\
+usage: plimc [--format mig|aag] [--effort N] [--extended] [--naive]
+             [--schedule index|priority|lookahead] [--alloc fifo|lifo|fresh|wear|binned]
+             [-O0|-O1|-O2] [--target rm3|ambit|magic] [--rewrite arena|rebuild|egraph]
+             [--limit R] [--emit asm|listing|stats|dot|mig|ir] [--no-verify] FILE
+       (binary AIGER .aig is parsed natively; no aigtoaig conversion needed)
+       plimc verify [compile options] FILE
+             (exit 0: proven; 1: disproof/error; 2: too wide for an exhaustive proof)
+       plimc lint [compile options] [--json] [--deny LINT] [--allow LINT]
+                  [--doctor write-after-release|stale-complement] FILE
+       plimc scenario [compile options] [--patterns N] [--drift P] [--stuck ADDR:LEVEL]
+                      [--seed N] [--endurance N] [--noise P] [--max-invocations N] FILE
+       plimc serve [--addr HOST:PORT] [--threads N] [--cache-bytes N] [--store DIR]
+                   [--idle-timeout SECS] [--max-pipeline N] [--quiet]
+       plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N] [compile options] FILE
+       plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N] --stats | --shutdown
+       plimc loadtest [--addr HOST:PORT] [--connections N] [--pipeline N] [--requests N]
+       plimc targets
+       plimc dump CIRCUIT [--reduced]
+       plimc bench [--reduced] [--effort N] [--jobs N] [--json PATH]
+       plimc bench-diff BASELINE CURRENT [--time-tolerance PCT]
+";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result: Result<(), Failure> = match args.first().map(String::as_str) {
@@ -966,42 +1003,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(failure) if failure.message == "help" => {
-            eprintln!("usage: plimc [--format mig|aag] [--effort N] [--extended] [--naive]");
-            eprintln!("             [--schedule index|priority|lookahead] [--alloc fifo|lifo|fresh|wear|binned]");
-            eprintln!("             [-O0|-O1|-O2] [--target rm3|ambit|magic] [--rewrite arena|rebuild|egraph]");
-            eprintln!(
-                "             [--limit R] [--emit asm|listing|stats|dot|mig|ir] [--no-verify] FILE"
-            );
-            eprintln!(
-                "       (binary AIGER .aig is parsed natively; no aigtoaig conversion needed)"
-            );
-            eprintln!("       plimc verify [compile options] FILE");
-            eprintln!("             (exit 0: proven; 1: disproof/error; 2: too wide for an exhaustive proof)");
-            eprintln!("       plimc lint [compile options] [--json] [--deny LINT] [--allow LINT]");
-            eprintln!("                  [--doctor write-after-release|stale-complement] FILE");
-            eprintln!(
-                "       plimc scenario [compile options] [--patterns N] [--drift P] [--stuck ADDR:LEVEL]"
-            );
-            eprintln!(
-                "                      [--seed N] [--endurance N] [--noise P] [--max-invocations N] FILE"
-            );
-            eprintln!(
-                "       plimc serve [--addr HOST:PORT] [--threads N] [--cache-bytes N] [--store DIR]"
-            );
-            eprintln!("                   [--idle-timeout SECS] [--max-pipeline N] [--quiet]");
-            eprintln!(
-                "       plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N] [compile options] FILE"
-            );
-            eprintln!(
-                "       plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N] --stats | --shutdown"
-            );
-            eprintln!(
-                "       plimc loadtest [--addr HOST:PORT] [--connections N] [--pipeline N] [--requests N]"
-            );
-            eprintln!("       plimc targets");
-            eprintln!("       plimc dump CIRCUIT [--reduced]");
-            eprintln!("       plimc bench [--reduced] [--effort N] [--jobs N] [--json PATH]");
-            eprintln!("       plimc bench-diff BASELINE CURRENT [--time-tolerance PCT]");
+            eprint!("{USAGE}");
             ExitCode::SUCCESS
         }
         Err(failure) => {

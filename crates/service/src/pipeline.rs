@@ -3,11 +3,17 @@
 //! Both consumers run the same five stages — sniff, parse, optimize,
 //! compile (+ verify), emit — through the functions here, so an artifact
 //! served from the daemon is byte-identical to what `plimc` prints
-//! offline for the same input and options.
+//! offline for the same input and options. [`execute`] is the one compile
+//! entry point: every `plimc` subcommand that compiles (the plain compile,
+//! `--limit` through [`execute_within`], `verify` and `lint`) and every
+//! daemon request takes its [`Artifacts`] from it.
 
 use mig::Mig;
 use plim_compiler::verify::{verify, verify_artifact};
-use plim_compiler::{compile_full, Artifact, Compilation, CompilerOptions, RewriteMode, Target};
+use plim_compiler::{
+    compile_full, Artifact, Compilation, CompilerOptions, OperandSelection, RewriteMode,
+    ScheduleOrder, Target,
+};
 
 /// Input format of a compile request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -188,6 +194,61 @@ pub fn execute(input: &Mig, spec: &CompileSpec) -> Result<Artifacts, String> {
     })
 }
 
+/// Compiles `input` within a footprint budget: [`execute`] under `spec`,
+/// then with index scheduling, then with child-order operands as well
+/// (an attempt equal to an earlier one is skipped), returning the first
+/// whose target artifact has [`Cost::footprint`] ≤ `limit` — work RRAMs
+/// on RM3, rows on Ambit, cells on MAGIC. Every other option of `spec`
+/// holds for every attempt.
+///
+/// # Errors
+///
+/// Returns a one-line message naming the smallest footprint found when no
+/// attempt fits, or the first failed verification.
+///
+/// # Examples
+///
+/// ```
+/// use plim_service::pipeline::{execute_within, parse_network, CompileSpec, InputFormat};
+///
+/// let and = parse_network(InputFormat::Mig, "inputs a b\nn = maj(0, a, b)\noutput f = n\n")?;
+/// let artifacts = execute_within(&and, &CompileSpec::default(), 2)?;
+/// assert!(artifacts.compilation.compiled.stats.rams <= 2);
+/// assert!(execute_within(&and, &CompileSpec::default(), 0).is_err());
+/// # Ok::<(), String>(())
+/// ```
+///
+/// [`Cost::footprint`]: plim_compiler::Cost::footprint
+pub fn execute_within(input: &Mig, spec: &CompileSpec, limit: u32) -> Result<Artifacts, String> {
+    let index = spec.options.schedule(ScheduleOrder::Index);
+    let attempts = [
+        spec.options,
+        index,
+        index.operands(OperandSelection::ChildOrder),
+    ];
+    let mut best = u32::MAX;
+    for (tried, &options) in attempts.iter().enumerate() {
+        if attempts[..tried].contains(&options) {
+            continue;
+        }
+        let artifacts = execute(input, &CompileSpec { options, ..*spec })?;
+        let footprint = with_artifact(&artifacts, |artifact| artifact.cost().footprint);
+        if footprint <= limit {
+            return Ok(artifacts);
+        }
+        best = best.min(footprint);
+    }
+    let target = spec.options.target;
+    let unit = if target == Target::RM3 {
+        "work RRAMs".to_string()
+    } else {
+        format!("{target} cells")
+    };
+    Err(format!(
+        "no schedule fits {limit} {unit}; best found uses {best}"
+    ))
+}
+
 /// The artifact kinds `--emit` understands, for diagnostics and docs.
 pub const EMIT_KINDS: [&str; 6] = ["listing", "asm", "stats", "dot", "mig", "ir"];
 
@@ -288,6 +349,58 @@ mod tests {
                 let rm3 = execute(&input, &CompileSpec::default()).unwrap();
                 emit(kind, &rm3).unwrap()
             });
+        }
+    }
+
+    /// A six-input parity chain: enough live values that one work RRAM
+    /// cannot hold it.
+    fn sample() -> Mig {
+        let mut mig = Mig::new();
+        let xs = mig.add_inputs("x", 6);
+        let mut acc = xs[0];
+        for &x in &xs[1..] {
+            let or = mig.or(acc, x);
+            let and = mig.and(acc, x);
+            acc = mig.and(or, !and);
+        }
+        mig.add_output("f", acc);
+        mig
+    }
+
+    fn rams(artifacts: &Artifacts) -> u32 {
+        artifacts.compilation.compiled.stats.rams
+    }
+
+    #[test]
+    fn generous_budget_succeeds() {
+        let mig = sample();
+        let spec = CompileSpec::default();
+        let unconstrained = rams(&execute(&mig, &spec).unwrap());
+        let fitted = execute_within(&mig, &spec, unconstrained).unwrap();
+        assert!(rams(&fitted) <= unconstrained);
+        verify(&mig, &fitted.compilation.compiled, 4, 0).unwrap();
+    }
+
+    #[test]
+    fn impossible_budget_reports_best_effort() {
+        let err = execute_within(&sample(), &CompileSpec::default(), 1).unwrap_err();
+        let best: u32 = err
+            .strip_prefix("no schedule fits 1 work RRAMs; best found uses ")
+            .and_then(|best| best.parse().ok())
+            .unwrap_or_else(|| panic!("{err}"));
+        assert!(best > 1, "{err}");
+    }
+
+    #[test]
+    fn returned_program_is_functional() {
+        let mig = sample();
+        let spec = CompileSpec::default();
+        let unconstrained = rams(&execute(&mig, &spec).unwrap());
+        // A slightly tight budget may force a different configuration; the
+        // result must still be correct.
+        for limit in [unconstrained, unconstrained + 5] {
+            let fitted = execute_within(&mig, &spec, limit).unwrap();
+            verify(&mig, &fitted.compilation.compiled, 4, 1).unwrap();
         }
     }
 

@@ -403,6 +403,129 @@ fn new_schedule_and_allocator_options_compile_end_to_end() {
     }
 }
 
+/// A reduced-suite circuit as MIG text.
+fn reduced(circuit: &str) -> Vec<u8> {
+    let dump = plimc()
+        .args(["dump", circuit, "--reduced"])
+        .output()
+        .unwrap();
+    assert!(dump.status.success(), "dump {circuit}");
+    dump.stdout
+}
+
+/// Runs a compile that must succeed and returns its stdout.
+fn compiled(args: &[&str], mig: &[u8]) -> String {
+    let output = run_with_stdin(args, mig);
+    assert!(
+        output.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).unwrap()
+}
+
+/// The target's footprint in `--emit stats`: RM3's work RRAMs, Ambit's
+/// rows, MAGIC's cells.
+fn footprint(stats: &str) -> u32 {
+    stats
+        .lines()
+        .find_map(|line| line.strip_prefix("work RRAMs: "))
+        .or_else(|| {
+            stats.split_whitespace().find_map(|field| {
+                field
+                    .strip_prefix("rows=")
+                    .or_else(|| field.strip_prefix("cells="))
+            })
+        })
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no footprint in {stats}"))
+}
+
+/// Runs a compile that must fail with a one-line `plimc: …` diagnostic
+/// and returns that line.
+fn rejected(args: &[&str], mig: &[u8]) -> String {
+    let output = run_with_stdin(args, mig);
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with("plimc: "), "{args:?}: {stderr}");
+    stderr.trim_end().to_string()
+}
+
+/// `--limit` bounds the `--target` artifact's own footprint: Ambit rows
+/// and MAGIC cells, not the RM3 program's work RRAMs. On reduced voter
+/// the plain `-O2` compile needs 41 rows and 44 cells; index scheduling
+/// fits 37 and 40.
+#[test]
+fn limit_bounds_the_targets_own_footprint() {
+    let voter = reduced("voter");
+    for (target, limit, fitted) in [("ambit", "38", 37), ("magic", "40", 40)] {
+        let args = ["--target", target, "-O2", "--limit", limit];
+        let stats = compiled(&[&args[..], &["--emit", "stats", "-"]].concat(), &voter);
+        assert_eq!(footprint(&stats), fitted, "{target}: {stats}");
+    }
+    for (target, limit, best) in [("ambit", "36", 37), ("magic", "39", 40)] {
+        let line = rejected(&["--target", target, "-O2", "--limit", limit, "-"], &voter);
+        assert_eq!(
+            line,
+            format!("plimc: no schedule fits {limit} {target} cells; best found uses {best}")
+        );
+    }
+    assert_eq!(
+        rejected(&["-O2", "--limit", "33", "-"], &voter),
+        "plimc: no schedule fits 33 work RRAMs; best found uses 34"
+    );
+}
+
+/// `--limit` keeps every other compile option: a `--naive` compile that
+/// fits prints the `--naive` listing.
+#[test]
+fn limit_keeps_the_naive_schedule() {
+    let voter = reduced("voter");
+    assert_eq!(
+        compiled(&["--naive", "--limit", "100", "-"], &voter),
+        compiled(&["--naive", "-"], &voter)
+    );
+}
+
+/// A budget equal to the plain compile's own footprint changes nothing, on
+/// every target and level; a budget of zero fits nothing.
+#[test]
+fn limit_at_the_plain_footprint_prints_the_plain_listing() {
+    for circuit in ["ctrl", "dec", "int2float", "voter"] {
+        let mig = reduced(circuit);
+        for target in ["rm3", "ambit", "magic"] {
+            for level in ["-O0", "-O2"] {
+                let plain = ["--target", target, level];
+                let stats = compiled(&[&plain[..], &["--emit", "stats", "-"]].concat(), &mig);
+                let limit = footprint(&stats).to_string();
+                assert_eq!(
+                    compiled(&[&plain[..], &["--limit", &limit, "-"]].concat(), &mig),
+                    compiled(&[&plain[..], &["-"]].concat(), &mig),
+                    "{circuit} {target} {level} --limit {limit}"
+                );
+                rejected(&[&plain[..], &["--limit", "0", "-"]].concat(), &mig);
+            }
+        }
+    }
+}
+
+/// `plimc scenario` models the RM3 machine and sweeps every allocator, so
+/// a `--target` other than rm3 and any `--alloc` are errors, not no-ops.
+#[test]
+fn scenario_rejects_the_flags_it_would_ignore() {
+    assert_user_error(
+        &["scenario", "--target", "ambit", "x.mig"],
+        "--target ambit is not supported by scenario",
+    );
+    assert_user_error(
+        &["scenario", "--alloc", "wear", "x.mig"],
+        "--alloc is not supported by scenario",
+    );
+    let output = run_with_stdin(&["scenario", "--target", "rm3", "-"], AND_MIG);
+    assert!(output.status.success());
+}
+
 /// A BENCH.json document with one record, parameterized on `#I` (the
 /// optimized columns track it so the opt-monotonicity rule stays green).
 fn bench_json(instructions: u64) -> String {

@@ -17,11 +17,9 @@ use plim::OutputLoc;
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::verify::{verify_exhaustive, VerifyError, EXHAUSTIVE_WIDE_LIMIT};
-use plim_compiler::{compile, CompilerOptions, OptLevel};
+use plim_compiler::{compile, AllocatorStrategy, CompilerOptions, OptLevel};
 use plim_parallel::Parallelism;
-use plim_scenario::{
-    compare_strategies, fault_sweep, simulate_lifetime, FaultModel, FaultScenario, LifetimeScenario,
-};
+use plim_scenario::{fault_sweep, simulate_lifetime, FaultModel, FaultScenario, LifetimeScenario};
 
 /// Every ≤20-input circuit of the reduced Table 1 suite: the exhaustive
 /// acceptance set. The suite must contain a meaningful number of them —
@@ -173,7 +171,13 @@ fn wear_aware_allocation_does_not_shorten_device_lifetime() {
         cell_endurance: 1_000_000,
         ..LifetimeScenario::default()
     };
-    let results = compare_strategies(&mig, CompilerOptions::new(), &scenario, Parallelism::Auto);
+    let results: Vec<_> = AllocatorStrategy::ALL
+        .into_iter()
+        .map(|strategy| {
+            let compiled = compile(&mig, CompilerOptions::new().allocator(strategy));
+            (strategy, simulate_lifetime(&compiled.program, &scenario))
+        })
+        .collect();
     assert_eq!(results.len(), 5, "one report per allocation strategy");
     let lifetime_of = |name: &str| {
         results

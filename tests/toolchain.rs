@@ -1,5 +1,5 @@
 //! Toolchain integration: the format converters, the architectural cost
-//! model and the constrained driver, chained the way `plimc` chains them.
+//! model and the RRAM-budget search, chained the way `plimc` chains them.
 
 use mig::aiger::{parse_aiger, write_aiger};
 use mig::equiv::check_equivalence;
@@ -10,9 +10,9 @@ use plim::controller::{Controller, CostModel};
 use plim::Machine;
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{build, Scale};
-use plim_compiler::constrained::compile_with_ram_limit;
 use plim_compiler::report::CostReport;
 use plim_compiler::{compile, verify::verify, CompilerOptions};
+use plim_service::pipeline::{execute, execute_within, CompileSpec};
 use proptest::prelude::*;
 
 #[test]
@@ -63,14 +63,17 @@ fn controller_report_matches_static_analysis() {
 
 #[test]
 fn constrained_compilation_on_suite_circuits() {
+    let spec = CompileSpec::default();
     for name in ["adder", "priority", "router"] {
-        let mig = rewrite(&build(name, Scale::Reduced).unwrap(), 4);
-        let unconstrained = compile(&mig, CompilerOptions::new());
-        let fitted = compile_with_ram_limit(&mig, unconstrained.stats.rams)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mig = build(name, Scale::Reduced).unwrap();
+        let unconstrained = execute(&mig, &spec).unwrap().compilation.compiled;
+        let fitted = execute_within(&mig, &spec, unconstrained.stats.rams)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .compilation
+            .compiled;
         assert!(fitted.stats.rams <= unconstrained.stats.rams);
         verify(&mig, &fitted, 4, 3).unwrap();
-        assert!(compile_with_ram_limit(&mig, 0).is_err(), "{name}");
+        assert!(execute_within(&mig, &spec, 0).is_err(), "{name}");
     }
 }
 
