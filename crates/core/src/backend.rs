@@ -46,10 +46,10 @@ pub use crate::magic::MagicBackend;
 ///
 /// The pass pipeline's quality gates compare these triples exactly the way
 /// they compared the hard-coded `(#I, #R, max-writes)` metrics before the
-/// trait existed: [`Cost::worse_than`] reverts a pass, [`Cost::improves_on`]
-/// commits a forwarding edit. For the RM3 backend the fields are exactly the
-/// historical metrics, which keeps every gating decision — and therefore
-/// every emitted byte — unchanged.
+/// trait existed: [`Cost::worse_than`] reverts a `redundant-init` run,
+/// [`Cost::improves_on`] commits a forwarding edit. For the RM3 backend the
+/// fields are exactly the historical metrics, which keeps every gating
+/// decision — and therefore every emitted byte — unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Cost {
     /// Native instruction count (`#I` for RM3, row operations for Ambit,
@@ -241,8 +241,10 @@ pub trait Backend: Sync {
     fn cost_table(&self) -> CostTable;
 
     /// Scores the IR under [`Backend::cost_table`] **without** building
-    /// the artifact — called by the pass pipeline after every editing pass,
-    /// where full emission would dominate compile time.
+    /// the artifact — the pass pipeline's gate after an editing
+    /// `redundant-init` run, where full emission would dominate compile
+    /// time. Forwarding prices its trials through [`Backend::scorer`]
+    /// instead, and the pipeline takes its cost from there.
     fn cost(&self, ir: &IrProgram) -> Cost {
         crate::ir::place(ir, self.cost_table(), &mut ()).cost
     }

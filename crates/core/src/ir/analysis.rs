@@ -224,15 +224,18 @@ pub struct AnalysisConfig {
     /// i.e. anything up to `-O1`; `-O2` forwarding merges lifetimes and
     /// re-derives addresses at emission.
     pub pinned_faithful: bool,
-    /// Report writes no later read observes (`PA0006`). Only meaningful
-    /// for artifacts a dead-write pass has already swept (`-O1+`).
+    /// Report writes no later read observes (`PA0006`). Set for `-O1+`
+    /// artifacts: no pass removes dead writes, so the promise rests on
+    /// lowering (which writes a cell only for a value some op or output
+    /// reads) and on forwarding (which renames every reader onto the cell
+    /// it claims), and this lint is what checks it.
     pub expect_optimized: bool,
 }
 
 impl AnalysisConfig {
     /// Only the always-on structural lints — what the pass-pipeline
-    /// translation-validation hook runs, since `PA0004`/`PA0006` are
-    /// transiently violated mid-pipeline by design.
+    /// translation-validation hook runs: forwarding invalidates the pinned
+    /// addresses `PA0004` reads, and `PA0006` judges finished artifacts.
     pub fn structural() -> Self {
         AnalysisConfig {
             pinned_faithful: false,
@@ -241,7 +244,9 @@ impl AnalysisConfig {
     }
 
     /// The full check set appropriate for a finished artifact compiled at
-    /// `opt`.
+    /// `opt`. From `-O1` on it includes `PA0006`: `plimc lint`, the batch
+    /// driver's `lint_clean` and the pass pipeline's own tests hold every
+    /// optimized stream to having no dead write.
     pub fn for_level(opt: OptLevel) -> Self {
         AnalysisConfig {
             pinned_faithful: opt != OptLevel::O2,
@@ -543,8 +548,10 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
     diags
 }
 
-/// The backward liveness sweep of the `dead-write` pass, reporting instead
-/// of removing: every op it would delete becomes a `PA0006` finding.
+/// A backward liveness sweep over virtual cells: every write no later
+/// instruction (as an operand or as a non-masking destination's old value)
+/// and no output observes before the cell is re-initialized becomes a
+/// `PA0006` finding.
 fn dead_writes(ir: &IrProgram, diags: &mut Vec<Diagnostic>) {
     let mut needed = vec![false; ir.cells.len()];
     for (_, output) in &ir.outputs {

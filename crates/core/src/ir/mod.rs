@@ -6,8 +6,8 @@
 //! ops over **virtual cells** ([`CellId`]), each spanning one allocator
 //! request/release lifetime, together with the full allocation event stream
 //! and the source-MIG provenance of every op. [`passes::PassManager`] then
-//! rewrites the stream (dead-write elimination, redundant-initialization
-//! removal, in-place-overwrite forwarding, peepholes) under the
+//! rewrites the stream (in-place-overwrite forwarding and
+//! redundant-initialization removal) under the
 //! [`crate::OptLevel`] selected in [`crate::CompilerOptions`], and [`emit`]
 //! replays the event stream through a fresh [`crate::alloc::RramAllocator`]
 //! to rebuild the physical program — including the exact per-cell write

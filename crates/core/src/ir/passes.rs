@@ -1,13 +1,11 @@
 //! The optimizing pass pipeline run between lowering and emission.
 //!
-//! Passes rewrite the IR event stream under the [`OptLevel`] chosen in
+//! Two passes rewrite the IR event stream under the [`OptLevel`] chosen in
 //! [`crate::CompilerOptions`]:
 //!
-//! * [`DeadWrite`] — removes writes whose value no later instruction (and
-//!   no output) observes;
-//! * [`RedundantInit`] — removes initializations that re-materialize a
+//! * [`redundant_init`] — removes initializations that re-materialize a
 //!   constant already resident in the cell, and identity writes;
-//! * [`Forward`] — in-place-overwrite forwarding: when a node's destination
+//! * [`forward`] — in-place-overwrite forwarding: when a node's destination
 //!   value was materialized into a fresh cell (a constant load or a copy)
 //!   even though a cell holding one of the instruction's inputs dies
 //!   *physically* unread afterwards, the materialization is deleted and the
@@ -18,21 +16,27 @@
 //!   It indexes cells by stable event keys once per run and resumes where
 //!   it committed, so its bookkeeping per commit is proportional to the
 //!   edit, and it scores each trial edit through the backend's
-//!   [`TrialScorer`], which for RM3 replays only from the checkpoint
-//!   before the edit to where the replay reconverges with the committed
-//!   one (see [`Forward`]'s cost section);
-//! * [`Peephole`] — same-cell fusion in a local window: an instruction
-//!   whose result is fully determined by resident constants is folded into
-//!   a plain set/reset, and back-to-back re-initializations collapse.
+//!   [`TrialScorer`], which replays only from the checkpoint before the
+//!   edit to where the replay reconverges with the committed one (see
+//!   [`forward`]'s cost section).
 //!
-//! `-O0` runs nothing, `-O1` one round of the linear hygiene passes,
-//! `-O2` adds forwarding and iterates the whole sequence to a fixpoint.
-//! After every pass that edited the stream the [`PassManager`] re-checks
-//! the IR structurally and — in debug/test builds — replays it through the
-//! machine-simulator equivalence check against the source MIG, so a broken
-//! pass fails loudly at the pass boundary, not in some downstream consumer.
-
-use std::fmt;
+//! `-O0` runs nothing, `-O1` one `redundant-init` run, and `-O2` runs
+//! `forward` then `redundant-init`, round after round, to a fixpoint. A pass
+//! is a plain function the [`PassManager`] calls; after every run that
+//! edited the stream the manager lint-checks the IR, re-checks it
+//! structurally, gates it on cost, and — in debug/test builds — replays it
+//! through the machine-simulator equivalence check against the source MIG,
+//! so a broken pass fails loudly at the pass boundary, not in some
+//! downstream consumer.
+//!
+//! No pass removes dead writes or folds ops whose result resident constants
+//! fix, because no stream the product makes has either. `Mig::maj` applies
+//! Ω.M, so no node has two constant children, and lowering puts a constant
+//! into a cell only as a destination initialization. Lowering writes a cell
+//! only for a value some op or output reads, and [`forward`] renames every
+//! reader onto the cell it claims. The analyzer's `PA0006` lint checks
+//! for dead writes on every `-O1+` artifact it is pointed at, and a seeded
+//! test in this module checks for both on lowered and optimized streams.
 
 use mig::Mig;
 
@@ -40,38 +44,6 @@ use crate::backend::{Backend, Cost, TrialCounts, TrialEdit, TrialScorer};
 use crate::options::OptLevel;
 
 use super::{analysis, CellId, Event, IrOp, IrOutput, IrProgram, Value};
-
-/// An IR-to-IR rewrite.
-pub trait Pass {
-    /// Stable name, reported in [`PassRun`] records and bench output.
-    fn name(&self) -> &'static str;
-    /// Rewrites the program, returning the number of edits applied
-    /// (removed or rewritten instructions) and what scoring trial edits
-    /// cost. Passes that trial edits score them with the [`TrialScorer`] of
-    /// `backend`'s [`Backend::scorer`], so the pipeline optimizes for the
-    /// architecture that will actually consume the stream.
-    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> PassOutcome;
-}
-
-/// What one [`Pass::run`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassOutcome {
-    /// Edits (removals + rewrites) applied.
-    pub edits: usize,
-    /// What scoring the pass's trial edits cost (zero for a pass that
-    /// trials none).
-    pub scoring: TrialCounts,
-}
-
-impl From<usize> for PassOutcome {
-    /// The outcome of a pass that applied `edits` without trials.
-    fn from(edits: usize) -> Self {
-        PassOutcome {
-            edits,
-            scoring: TrialCounts::default(),
-        }
-    }
-}
 
 /// One pass execution's accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,100 +97,42 @@ impl PassReport {
     }
 }
 
-impl fmt::Display for PassReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut effective: Vec<&PassRun> = self
-            .runs
-            .iter()
-            .filter(|r| r.edits > 0 || r.scoring.trials > 0)
-            .collect();
-        if effective.is_empty() {
-            return write!(f, "no pass fired");
-        }
-        effective.sort_by_key(|r| r.pass);
-        let mut first = true;
-        let mut index = 0;
-        while index < effective.len() {
-            let pass = effective[index].pass;
-            let mut removed = 0;
-            let mut edits = 0;
-            let mut scoring = TrialCounts::default();
-            while index < effective.len() && effective[index].pass == pass {
-                removed += effective[index].removed();
-                edits += effective[index].edits;
-                scoring += effective[index].scoring;
-                index += 1;
-            }
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{pass}: -{removed} #I ({edits} edits")?;
-            if scoring.trials > 0 {
-                let share = 100.0 * scoring.cuts as f64 / scoring.trials as f64;
-                write!(f, "; {} trials, {share:.0}% cut", scoring.trials)?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
-    }
-}
-
-/// Maximum pipeline rounds at `-O2`; each round must shrink the stream to
+/// Maximum pipeline rounds at `-O2`; each round must edit the stream to
 /// continue, so this is a backstop, not a tuning knob.
 const MAX_ROUNDS: usize = 8;
 
 /// Runs the pipeline an [`OptLevel`] selects, verifying after every pass.
 #[derive(Debug)]
 pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
+    /// Whether each round opens with [`forward`] (`-O2`).
+    forward: bool,
+    /// Rounds at most; `0` runs nothing.
     rounds: usize,
-}
-
-impl fmt::Debug for dyn Pass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Pass({})", self.name())
-    }
 }
 
 impl PassManager {
     /// The pipeline of an optimization level.
-    ///
-    /// Within a round, rewrites run before removals and [`DeadWrite`] runs
-    /// last, so the feeder initializations a [`Peephole`] fold orphans are
-    /// swept in the same round — the `init + op → init` fusion completes
-    /// even in `-O1`'s single round.
     pub fn for_level(opt: OptLevel) -> Self {
-        let (passes, rounds): (Vec<Box<dyn Pass>>, usize) = match opt {
-            OptLevel::O0 => (Vec::new(), 0),
-            OptLevel::O1 => (
-                vec![
-                    Box::new(Peephole),
-                    Box::new(RedundantInit),
-                    Box::new(DeadWrite),
-                ],
-                1,
-            ),
-            OptLevel::O2 => (
-                vec![
-                    Box::new(Forward),
-                    Box::new(Peephole),
-                    Box::new(RedundantInit),
-                    Box::new(DeadWrite),
-                ],
-                MAX_ROUNDS,
-            ),
+        let (forward, rounds) = match opt {
+            OptLevel::O0 => (false, 0),
+            OptLevel::O1 => (false, 1),
+            OptLevel::O2 => (true, MAX_ROUNDS),
         };
-        PassManager { passes, rounds }
+        PassManager { forward, rounds }
     }
 
     /// Runs the pipeline to completion (one round at `-O1`, fixpoint at
     /// `-O2`), returning the per-pass accounting.
     ///
-    /// Trial edits are scored under `backend`'s cost model; for the RM3
-    /// backend that model is exactly the historical `(#I, #R, max-writes)`
-    /// allocator replay, so every gating decision — and every emitted byte
-    /// — is unchanged from the pre-trait pipeline.
+    /// Trial edits are scored under `backend`'s cost model, and so are the
+    /// quality gates: [`forward`] commits only trials that
+    /// [improve on](Cost::improves_on) the incumbent, and a
+    /// [`redundant_init`] run that leaves the stream
+    /// [worse than](Cost::worse_than) the incumbent is reverted. At `-O2`
+    /// every round opens with `forward`, whose scorer prices the stream it
+    /// is given and ends at the price of the stream it returns, so the
+    /// manager takes its incumbent from there instead of replaying the
+    /// stream; debug builds check that price against a full replay.
     ///
     /// After every pass that edited the stream, the IR is structurally
     /// re-checked, and in debug/test builds the emitted program is verified
@@ -230,82 +144,121 @@ impl PassManager {
     /// a program that is not equivalent to the source MIG — both are
     /// compiler bugs that must not reach emitted artifacts.
     pub fn run(&self, ir: &mut IrProgram, mig: &Mig, backend: &dyn Backend) -> PassReport {
-        let mut report = PassReport::default();
         // `-O0`: nothing would read the cost or lint baselines below.
-        if self.passes.is_empty() || self.rounds == 0 {
-            return report;
+        if self.rounds == 0 {
+            return PassReport::default();
         }
-        // The current stream's cost, threaded across pass runs: each
-        // editing pass pays exactly one scoring (for its after-state), and
-        // no-op runs pay none.
-        let mut current = backend.cost(ir);
-        // Translation validation: the analyzer's structural lint counts at
-        // pipeline entry. A pass run that raises any count is reverted
-        // wholesale, exactly like a quality-gate rejection — the analyzer
-        // is the arbiter, the `check` panic below only a backstop for
-        // streams so broken the analyzer itself missed them.
         let structural = analysis::AnalysisConfig::structural();
-        let baseline = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
+        let mut guard = Guard {
+            mig,
+            lints: analysis::lint_counts(&analysis::analyze_events(ir, &structural)),
+            report: PassReport::default(),
+        };
+        // The incumbent `redundant-init`'s gate compares against. At `-O2`
+        // each round's `forward` sets it before that gate reads it.
+        let mut current = (!self.forward).then(|| backend.cost(ir));
         for _ in 0..self.rounds {
             let mut round_edits = 0;
-            for pass in &self.passes {
-                let instructions_before = ir.num_instructions();
-                let snapshot = Snapshot::take(ir);
-                let PassOutcome { mut edits, scoring } = pass.run(ir, backend);
-                if edits > 0 {
-                    let after = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
-                    if analysis::introduces(&baseline, &after) {
-                        snapshot.restore(ir);
-                        report.runs.push(PassRun {
-                            pass: pass.name(),
-                            instructions_before,
-                            instructions_after: instructions_before,
-                            edits: 0,
-                            scoring,
-                        });
-                        continue;
-                    }
-                    if let Err(error) = ir.check() {
-                        panic!("pass `{}` produced invalid IR: {error}", pass.name());
-                    }
-                    // Quality guard: a pass may only trade instructions
-                    // down, never footprint or endurance up. Allocator
-                    // replay makes footprint/wear global properties of the
-                    // stream, so an edit that shifts reuse the wrong way is
-                    // reverted wholesale rather than shipped.
-                    let after_cost = backend.cost(ir);
-                    if after_cost.worse_than(current) {
-                        snapshot.restore(ir);
-                        edits = 0;
-                    } else {
-                        current = after_cost;
-                        #[cfg(debug_assertions)]
-                        if let Err(error) =
-                            crate::verify::verify(mig, &super::emit(ir), 1, 0xDAC2016)
-                        {
-                            panic!(
-                                "pass `{}` broke machine-simulator equivalence: {error}",
-                                pass.name()
-                            );
-                        }
-                    }
-                }
-                #[cfg(not(debug_assertions))]
-                let _ = mig;
-                report.runs.push(PassRun {
-                    pass: pass.name(),
-                    instructions_before,
-                    instructions_after: ir.num_instructions(),
-                    edits,
-                    scoring,
-                });
+            if self.forward {
+                let before = Snapshot::take(ir);
+                let run = forward(ir, backend);
+                // Forward's commit rule is its gate: every commit improves
+                // on the incumbent.
+                let edits = guard.settle(ir, before, "forward", run.edits, run.scoring, |_| true);
+                // A reverted run leaves the stream `forward` was given.
+                let incumbent = if edits > 0 { run.cost } else { run.entry };
+                debug_assert_eq!(incumbent, backend.cost(ir), "forward's scorer mispriced");
+                current = Some(incumbent);
                 round_edits += edits;
             }
+            let incumbent = current.as_mut().expect("priced at entry or by forward");
+            let before = Snapshot::take(ir);
+            let edits = redundant_init(ir);
+            // A pass may only trade instructions down, never footprint or
+            // endurance up. Allocator replay makes footprint and wear
+            // global properties of the stream, so an edit that shifts reuse
+            // the wrong way is reverted wholesale rather than shipped.
+            round_edits += guard.settle(
+                ir,
+                before,
+                "redundant-init",
+                edits,
+                TrialCounts::default(),
+                |ir| {
+                    let after = backend.cost(ir);
+                    let keep = !after.worse_than(*incumbent);
+                    if keep {
+                        *incumbent = after;
+                    }
+                    keep
+                },
+            );
             if round_edits == 0 {
                 break;
             }
         }
-        report
+        guard.report
+    }
+}
+
+/// The checks every pass run goes through, and the runs so far.
+struct Guard<'a> {
+    /// The source graph, for the debug equivalence check.
+    mig: &'a Mig,
+    /// The analyzer's structural lint counts at pipeline entry.
+    lints: [usize; analysis::LINT_COUNT],
+    report: PassReport,
+}
+
+impl Guard<'_> {
+    /// Checks a pass run that took `ir` from `before` with `edits` edits
+    /// and records it; returns the edits kept.
+    ///
+    /// Translation validation: a run that raises any structural lint count
+    /// over the pipeline's entry is reverted wholesale, exactly like one
+    /// `keep` turns down. The analyzer is the arbiter; the
+    /// [`IrProgram::check`] panic is only a backstop for streams so broken
+    /// the analyzer itself missed them.
+    fn settle(
+        &mut self,
+        ir: &mut IrProgram,
+        before: Snapshot,
+        pass: &'static str,
+        mut edits: usize,
+        scoring: TrialCounts,
+        keep: impl FnOnce(&IrProgram) -> bool,
+    ) -> usize {
+        let instructions_before = before.instructions;
+        if edits > 0 {
+            let structural = analysis::AnalysisConfig::structural();
+            let after = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
+            let valid = !analysis::introduces(&self.lints, &after);
+            if valid {
+                if let Err(error) = ir.check() {
+                    panic!("pass `{pass}` produced invalid IR: {error}");
+                }
+            }
+            if !(valid && keep(ir)) {
+                before.restore(ir);
+                edits = 0;
+            } else {
+                #[cfg(debug_assertions)]
+                if let Err(error) = crate::verify::verify(self.mig, &super::emit(ir), 1, 0xDAC2016)
+                {
+                    panic!("pass `{pass}` broke machine-simulator equivalence: {error}");
+                }
+            }
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = self.mig;
+        self.report.runs.push(PassRun {
+            pass,
+            instructions_before,
+            instructions_after: ir.num_instructions(),
+            edits,
+            scoring,
+        });
+        edits
     }
 }
 
@@ -316,11 +269,14 @@ struct Snapshot {
     events: Vec<Event>,
     ops: Vec<IrOp>,
     outputs: Vec<IrOutput>,
+    /// `#I` of the saved stream.
+    instructions: usize,
 }
 
 impl Snapshot {
     fn take(ir: &IrProgram) -> Self {
         Snapshot {
+            instructions: ir.num_instructions(),
             events: ir.events.clone(),
             ops: ir.ops.clone(),
             outputs: ir.outputs.iter().map(|(_, output)| *output).collect(),
@@ -371,75 +327,19 @@ fn masked_const(op: &IrOp) -> Option<bool> {
     }
 }
 
-/// Dead-write elimination: one backward liveness sweep over virtual cells.
-///
-/// A write is dead when no later instruction reads the cell — as an
-/// operand or as a non-masking destination's old value — before the cell
-/// is re-initialized or the program ends, and the cell is not a primary
-/// output. Removing a write in the backward sweep also un-marks its own
-/// reads, so whole feeder chains fall in a single run.
-#[derive(Debug)]
-pub struct DeadWrite;
-
-impl Pass for DeadWrite {
-    fn name(&self) -> &'static str {
-        "dead-write"
-    }
-
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> PassOutcome {
-        let mut needed = vec![false; ir.cells.len()];
-        for (_, output) in &ir.outputs {
-            if let IrOutput::Cell(c) = output {
-                needed[c.index()] = true;
-            }
-        }
-        let mut keep = vec![true; ir.events.len()];
-        let mut edits = 0;
-        for pos in (0..ir.events.len()).rev() {
-            let Some(op) = ir.op_of(ir.events[pos]) else {
-                continue;
-            };
-            if !needed[op.z.index()] {
-                keep[pos] = false;
-                edits += 1;
-                continue;
-            }
-            needed[op.z.index()] = !op.masking();
-            for value in [op.a, op.b] {
-                if let Value::Cell(c) = value {
-                    needed[c.index()] = true;
-                }
-            }
-        }
-        if edits > 0 {
-            let mut index = 0;
-            ir.events.retain(|_| {
-                index += 1;
-                keep[index - 1]
-            });
-            gc_cells(ir);
-        }
-        edits.into()
-    }
-}
-
-/// Forward known-constant dataflow shared by [`RedundantInit`] and
-/// [`Peephole`]: calls `action` for every op event with the op's known
-/// result (if determined) and whether the cell already holds exactly that
-/// value. `action` returns `true` to *remove* the op event.
+/// Known-constant dataflow along the stream: calls `action` for every op event with
+/// the op's known result (if determined) and whether the cell already holds
+/// exactly that value. `action` returns `true` to *remove* the op event.
 fn const_flow(
     ir: &mut IrProgram,
-    mut action: impl FnMut(&mut super::IrOp, Option<bool>, bool) -> bool,
+    mut action: impl FnMut(&IrOp, Option<bool>, bool) -> bool,
 ) -> usize {
     let mut known: Vec<Option<bool>> = vec![None; ir.cells.len()];
     let mut defined = vec![false; ir.cells.len()];
     let mut keep = vec![true; ir.events.len()];
     let mut edits = 0;
-    // Indexed loop: the body mutates `ir.ops` through the same borrow the
-    // events live under, so an iterator over `ir.events` cannot be held.
-    #[allow(clippy::needless_range_loop)]
-    for pos in 0..ir.events.len() {
-        match ir.events[pos] {
+    for (pos, &event) in ir.events.iter().enumerate() {
+        match event {
             Event::Request(c) => {
                 known[c.index()] = None;
                 defined[c.index()] = false;
@@ -451,7 +351,7 @@ fn const_flow(
                     Value::Input(_) => None,
                     Value::Cell(c) => known[c.index()],
                 };
-                let op = &mut ir.ops[i as usize];
+                let op = &ir.ops[i as usize];
                 let z = op.z.index();
                 let result = if let Some(v) = masked_const(op) {
                     Some(v)
@@ -502,61 +402,33 @@ fn const_flow(
     edits
 }
 
-/// Redundant-initialization removal.
+/// Redundant-initialization removal (`redundant-init`): returns the number
+/// of ops removed.
 ///
 /// Tracks which constant each cell provably holds and removes ops that
 /// re-materialize exactly that value — a reset of a cell already holding 0,
 /// a constant-foldable RM3 whose result equals the resident value, or an
 /// identity `⟨x x̄ z⟩` write.
-#[derive(Debug)]
-pub struct RedundantInit;
-
-impl Pass for RedundantInit {
-    fn name(&self) -> &'static str {
-        "redundant-init"
-    }
-
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> PassOutcome {
-        const_flow(ir, |_op, _result, resident| resident).into()
-    }
+pub fn redundant_init(ir: &mut IrProgram) -> usize {
+    const_flow(ir, |_op, _result, resident| resident)
 }
 
-/// Same-cell peephole fusion.
-///
-/// Folds a non-masking op whose result is fully determined by resident
-/// constants into the plain set/reset idiom. That removes its reads — in
-/// particular the destination's old value — which typically leaves the
-/// feeding initialization dead for the next [`DeadWrite`] run: the
-/// classic `init + op` → `init` fusion of adjacent same-cell ops, done via
-/// dataflow so intervening unrelated instructions don't hide the pair.
-#[derive(Debug)]
-pub struct Peephole;
-
-impl Pass for Peephole {
-    fn name(&self) -> &'static str {
-        "peephole"
-    }
-
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> PassOutcome {
-        let mut edits = 0;
-        const_flow(ir, |op, result, resident| {
-            if resident {
-                return false; // RedundantInit's case; don't double-handle
-            }
-            if let Some(v) = result {
-                if !op.masking() {
-                    op.a = Value::Const(v);
-                    op.b = Value::Const(!v);
-                    edits += 1;
-                }
-            }
-            false
-        });
-        edits.into()
-    }
+/// What one [`forward`] run did, and the stream's cost before and after it
+/// as the run's scorer priced them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Forwarded {
+    /// Edits committed.
+    pub edits: usize,
+    /// What scoring the run's trial edits cost.
+    pub scoring: TrialCounts,
+    /// The cost of the stream the run was given.
+    pub entry: Cost,
+    /// The cost of the stream it returns: the last committed trial's, or
+    /// `entry` when none committed.
+    pub cost: Cost,
 }
 
-/// In-place-overwrite forwarding (the `-O2` workhorse).
+/// In-place-overwrite forwarding (`forward`, the `-O2` workhorse).
 ///
 /// Pattern: a node's main RM3 reads a destination value that lowering
 /// materialized into a fresh cell — `init c` (1 op) or `set; copy s`
@@ -576,6 +448,10 @@ impl Pass for Peephole {
 /// ordered against them through a shared cell) move with it as a block in
 /// original relative order, so the forwarding sees through the tight
 /// producer-consumer packing the scheduler emits.
+///
+/// Scoring is `backend`'s: each trial edit commits only if it
+/// [improves on](Cost::improves_on) the incumbent — strictly fewer
+/// instructions, no more footprint or wear.
 ///
 /// # Cost
 ///
@@ -597,30 +473,23 @@ impl Pass for Peephole {
 /// Trials are scored by the backend's [`TrialScorer`], told where the edit
 /// changed the stream ([`TrialEdit`], from the undo log: the rewritten
 /// span, the release it removed past the span, and the merged cells). The
-/// RM3 scorer resumes its allocator replay from the last checkpoint of the
+/// scorer resumes its allocator replay from the last checkpoint of the
 /// committed stream at or before the first changed event, abandons it as
 /// soon as the footprint or wear passes the incumbent's, and stops it at
 /// the first committed checkpoint past the change where the replay has
 /// reconverged with the committed one up to a renaming of addresses — the
 /// final cost then follows from the committed replay's in O(footprint).
 /// A trial costs the replay from its checkpoint to where it lost or
-/// reconverged, not a replay of the stream's tail; backends without a
-/// scorer of their own score each trial with [`Backend::cost`].
-#[derive(Debug)]
-pub struct Forward;
-
-impl Pass for Forward {
-    fn name(&self) -> &'static str {
-        "forward"
-    }
-
-    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> PassOutcome {
-        let mut forwarder = Forwarder::new(ir, backend, KEY_SPACING);
-        let edits = forwarder.run(ir);
-        PassOutcome {
-            edits,
-            scoring: forwarder.scorer.counts(),
-        }
+/// reconverged, not a replay of the stream's tail.
+pub fn forward(ir: &mut IrProgram, backend: &dyn Backend) -> Forwarded {
+    let mut forwarder = Forwarder::new(ir, backend, KEY_SPACING);
+    let entry = forwarder.baseline;
+    let edits = forwarder.run(ir);
+    Forwarded {
+        edits,
+        scoring: forwarder.scorer.counts(),
+        entry,
+        cost: forwarder.baseline,
     }
 }
 
@@ -647,7 +516,7 @@ enum Touch {
 type Entry = (u64, u32, Touch);
 
 /// Event keys plus a per-cell touch index, kept in step with the stream
-/// across a whole [`Forward`] run.
+/// across a whole [`forward`] run.
 struct CellIndex {
     /// Per cell, its touches in stream (key) order.
     touches: Vec<Vec<Entry>>,
@@ -821,9 +690,9 @@ impl CellIndex {
     /// an output, the key of its last such read (`key` when there is none);
     /// otherwise `None`.
     ///
-    /// Any later write disqualifies the cell — including a *masking* one:
-    /// lowering never re-initializes a virtual cell mid-lifetime, but a
-    /// Peephole fold can turn an interior op into a set/reset, and claiming
+    /// Any later write disqualifies the cell — including a *masking* one.
+    /// Neither lowering nor a pass re-initializes a virtual cell
+    /// mid-lifetime, but this is a legality rule, not a shortcut: claiming
     /// such a cell would let the rename put reads of the forwarded value
     /// behind that re-initialization.
     fn unused_slot_last_read(&self, cell: CellId, key: u64) -> Option<u64> {
@@ -934,7 +803,7 @@ struct Chain {
     value: Value,
 }
 
-/// One [`Forward`] run: the index, the quality-gate memo, and the resume
+/// One [`forward`] run: the index, the quality-gate memo, and the resume
 /// state.
 struct Forwarder<'a> {
     /// Scores trials against the committed stream.
@@ -1470,7 +1339,7 @@ mod tests {
 
     use super::*;
     use crate::backend::{Artifact, CostTable, InstructionInfo, Rm3Backend};
-    use crate::{AllocatorStrategy, CompilerOptions, ScheduleOrder};
+    use crate::{AllocatorStrategy, CompilerOptions, OperandSelection, ScheduleOrder};
 
     /// The restart-from-0 forwarding engine the incremental one replaced,
     /// kept as the differential oracle: every commit rebuilds the index and
@@ -1480,7 +1349,7 @@ mod tests {
         use crate::backend::{Backend, Cost};
         use crate::ir::{CellId, Event, IrOutput, IrProgram, Value};
 
-        /// The old `Forward::run`.
+        /// The old `forward`.
         pub(super) fn forward(ir: &mut IrProgram, backend: &dyn Backend) -> usize {
             let mut edits = 0;
             let mut rejected: std::collections::HashSet<(u32, u32)> =
@@ -1544,9 +1413,9 @@ mod tests {
             /// an output, the position of its last such read (`pos` when there is
             /// none); otherwise `None`.
             ///
-            /// Any later write disqualifies the cell — including a *masking* one:
-            /// lowering never re-initializes a virtual cell mid-lifetime, but a
-            /// Peephole fold can turn an interior op into a set/reset, and claiming
+            /// Any later write disqualifies the cell — including a *masking* one.
+            /// Neither lowering nor a pass re-initializes a virtual cell
+            /// mid-lifetime, but this is a legality rule, not a shortcut: claiming
             /// such a cell would let the rename put reads of the forwarded value
             /// behind that re-initialization.
             fn unused_slot_last_read(&self, cell: CellId, pos: usize) -> Option<usize> {
@@ -2096,13 +1965,10 @@ mod tests {
         )
     }
 
-    /// One `-O2` round after forwarding: the input a later round's
-    /// forwarding sees (Peephole folds leave masking re-initializations
-    /// mid-lifetime, which lowering never emits).
+    /// The rest of an `-O2` round after forwarding, one `redundant-init`
+    /// run: the input a later round's forwarding sees.
     fn next_round(mut ir: IrProgram) -> IrProgram {
-        for pass in [&Peephole as &dyn Pass, &RedundantInit, &DeadWrite] {
-            pass.run(&mut ir, &Rm3Backend);
-        }
+        redundant_init(&mut ir);
         ir
     }
 
@@ -2263,7 +2129,7 @@ mod tests {
         crate::ir::emit::tests::take_trials();
         for alloc in AllocatorStrategy::ALL {
             let mut ir = lowered(900, 1, ScheduleOrder::Priority, alloc);
-            Forward.run(&mut ir, &Rm3Backend);
+            forward(&mut ir, &Rm3Backend);
         }
         let trials = crate::ir::emit::tests::take_trials();
         for t in &trials {
@@ -2362,5 +2228,117 @@ mod tests {
             outcome.renumbers, 0,
             "wide gaps never run out on a small stream"
         );
+    }
+
+    /// The `PA0006` findings the analyzer reports on an `-O2` artifact.
+    fn dead_writes(ir: &IrProgram) -> usize {
+        let config = analysis::AnalysisConfig::for_level(OptLevel::O2);
+        let diags = analysis::analyze_events(ir, &config);
+        diags
+            .iter()
+            .filter(|d| d.lint == analysis::Lint::DeadWrite)
+            .count()
+    }
+
+    /// The non-masking ops of `ir` whose result the constants resident in
+    /// their cells fix, found by the known-constant dataflow.
+    fn foldable_ops(ir: &IrProgram) -> usize {
+        let mut found = 0;
+        const_flow(&mut ir.clone(), |op, result, resident| {
+            if !resident && result.is_some() && !op.masking() {
+                found += 1;
+            }
+            false
+        });
+        found
+    }
+
+    /// The guard below finds each pattern it looks for: `%1 ← 1; %0 ← 0;
+    /// %1 ← ⟨%0 1̄ %1⟩` computes 0 from known constants over a cell holding
+    /// 1, and once no output reads `%1`, its writes are dead.
+    #[test]
+    fn the_guard_finds_a_foldable_op_and_dead_writes() {
+        use crate::ir::IrCell;
+        let (c0, c1) = (CellId(0), CellId(1));
+        let op = |a, b, z| IrOp {
+            a,
+            b,
+            z,
+            rhs: plim::Rhs::Const(false),
+            node: None,
+        };
+        let cell = IrCell {
+            pinned: plim::RamAddr(0),
+            hint: crate::LifetimeClass::Short,
+        };
+        let mut ir = IrProgram {
+            num_inputs: 0,
+            ops: vec![
+                op(Value::Const(true), Value::Const(false), c1),
+                op(Value::Const(false), Value::Const(true), c0),
+                op(Value::Cell(c0), Value::Const(true), c1),
+            ],
+            cells: vec![cell; 2],
+            events: vec![
+                Event::Request(c1),
+                Event::Op(0),
+                Event::Request(c0),
+                Event::Op(1),
+                Event::Op(2),
+                Event::Release(c0),
+            ],
+            outputs: vec![("f".to_string(), IrOutput::Cell(c1))],
+            mig_nodes: 0,
+            allocator: AllocatorStrategy::Fifo,
+        };
+        assert_eq!((foldable_ops(&ir), dead_writes(&ir)), (1, 0));
+        ir.outputs[0].1 = IrOutput::Const(false);
+        assert_eq!(dead_writes(&ir), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// No pass removes dead writes or folds ops whose result resident
+        /// constants fix, because neither lowering nor the `-O2` pipeline
+        /// makes one: on every schedule × allocator × operand policy, the
+        /// lowered stream and its `-O2` result under each target carry no
+        /// `PA0006` finding and no such op. A change that brings either
+        /// pattern back fails here instead of shipping a longer stream.
+        /// Release builds draw larger graphs.
+        #[test]
+        fn streams_have_no_dead_write_or_foldable_op(seed in any::<u64>()) {
+            let sizes: &[usize] = if cfg!(debug_assertions) {
+                &[16, 80, 250]
+            } else {
+                &[60, 300, 1000]
+            };
+            for &nodes in sizes {
+                let inputs = 3 + (seed % 6) as usize;
+                let outputs = 1 + (seed / 7 % 5) as usize;
+                let mig = random_logic(&RandomLogicSpec::new(inputs, outputs, nodes, seed));
+                for schedule in ScheduleOrder::ALL {
+                    for alloc in AllocatorStrategy::ALL {
+                        for operands in OperandSelection::ALL {
+                            let options = CompilerOptions::new()
+                                .schedule(schedule)
+                                .allocator(alloc)
+                                .operands(operands);
+                            let lowered = crate::ir::lower(&mig, options);
+                            let at = format!("{nodes} nodes, {}", options.spec());
+                            prop_assert_eq!(dead_writes(&lowered), 0, "lowered, {}", at);
+                            prop_assert_eq!(foldable_ops(&lowered), 0, "lowered, {}", at);
+                            for &backend in crate::backend::backends() {
+                                let mut ir = lowered.clone();
+                                PassManager::for_level(OptLevel::O2).run(&mut ir, &mig, backend);
+                                let at = format!("{at}, -O2 on {}", backend.name());
+                                prop_assert_eq!(dead_writes(&ir), 0, "{}", at);
+                                prop_assert_eq!(foldable_ops(&ir), 0, "{}", at);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -30,9 +30,8 @@
 //!   or lifetime-binned placement;
 //! * **the IR pass pipeline** ([`ir`]): translation runs as three phases —
 //!   lower (scheduling + node translation into an explicit IR over virtual
-//!   cells), optimize (dead-write elimination, redundant-initialization
-//!   removal, in-place-overwrite forwarding, peepholes, selected by
-//!   [`OptLevel`]), and emit (event-stream replay back to a physical
+//!   cells), optimize (in-place-overwrite forwarding and
+//!   redundant-initialization removal, selected by [`OptLevel`]), and emit (event-stream replay back to a physical
 //!   program). `-O0` is byte-identical to the paper reproduction; `-O2`
 //!   harvests instruction-level slack no scheduler can see.
 //!

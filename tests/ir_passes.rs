@@ -246,6 +246,80 @@ fn o0_pipeline_leaves_the_ir_untouched_and_reports_no_runs() {
     assert_eq!(ir.events, lowered.events);
 }
 
+/// RM3's cost model, counting the [`plim_compiler::Backend::cost`] replays
+/// the pipeline asks for.
+#[cfg(not(debug_assertions))]
+#[derive(Default)]
+struct CountedRm3(std::sync::atomic::AtomicUsize);
+
+#[cfg(not(debug_assertions))]
+impl plim_compiler::Backend for CountedRm3 {
+    fn name(&self) -> &'static str {
+        "counted-rm3"
+    }
+
+    fn description(&self) -> &'static str {
+        "RM3, counting full cost replays"
+    }
+
+    fn instruction_set(&self) -> &'static [plim_compiler::InstructionInfo] {
+        plim_compiler::backend::Rm3Backend.instruction_set()
+    }
+
+    fn cost_table(&self) -> plim_compiler::CostTable {
+        plim_compiler::CostTable::RM3
+    }
+
+    fn cost(&self, ir: &ir::IrProgram) -> plim_compiler::Cost {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ir::place(ir, self.cost_table(), &mut ()).cost
+    }
+
+    fn emit(&self, ir: &ir::IrProgram) -> Box<dyn plim_compiler::Artifact> {
+        plim_compiler::backend::Rm3Backend.emit(ir)
+    }
+}
+
+/// `-O2` takes its costs from `forward`'s scorer: the pipeline replays
+/// the stream neither at entry nor after a `forward` run, only after each
+/// `redundant-init` run that edits (none of these is reverted). `-O1` has
+/// no `forward` run, so it also prices the entry stream once. The output
+/// is the plain RM3 compile's either way.
+///
+/// Release builds only: debug builds replay the stream after every
+/// `forward` run to check the scorer's price, which is the count a
+/// manager replaying at entry and after each editing run would make too.
+#[cfg(not(debug_assertions))]
+#[test]
+fn forward_prices_the_o2_pipeline_without_a_cost_replay() {
+    for name in ["ctrl", "dec", "int2float", "voter"] {
+        let mig = suite::build(name, Scale::Reduced).expect("suite circuit");
+        let optimized = mig::rewrite::rewrite(&mig, 4);
+        for (opt, entry) in [(OptLevel::O1, 1), (OptLevel::O2, 0)] {
+            let backend = CountedRm3::default();
+            let mut ir = ir::lower(&optimized, CompilerOptions::new());
+            let report = ir::passes::PassManager::for_level(opt).run(&mut ir, &optimized, &backend);
+            let gated = report
+                .runs
+                .iter()
+                .filter(|r| r.pass == "redundant-init" && r.edits > 0)
+                .count();
+            assert_eq!(
+                backend.0.into_inner(),
+                entry + gated,
+                "{name} {opt:?}: cost replays"
+            );
+            assert_eq!(
+                ir::emit(&ir).program.to_string(),
+                compile(&optimized, CompilerOptions::new().opt(opt))
+                    .program
+                    .to_string(),
+                "{name} {opt:?}"
+            );
+        }
+    }
+}
+
 /// Scores a stream by its event count: O(1) to score, and every legal
 /// forwarding candidate deletes events, so each one commits.
 #[cfg(not(debug_assertions))]
@@ -324,8 +398,6 @@ impl plim_compiler::TrialScorer for EventCount {
 #[cfg(not(debug_assertions))]
 #[test]
 fn forward_bookkeeping_is_subquadratic() {
-    use ir::passes::Pass;
-
     let best_of_5 = |nodes: usize| {
         let mig = random_logic(&RandomLogicSpec::new(64, 16, nodes, 7));
         let lowered = ir::lower(&mig, CompilerOptions::new());
@@ -333,7 +405,7 @@ fn forward_bookkeeping_is_subquadratic() {
             .map(|_| {
                 let mut ir = lowered.clone();
                 let start = std::time::Instant::now();
-                let edits = ir::passes::Forward.run(&mut ir, &EventCount).edits;
+                let edits = ir::passes::forward(&mut ir, &EventCount).edits;
                 let elapsed = start.elapsed().as_secs_f64();
                 assert!(edits > 0, "{nodes} nodes: nothing forwarded");
                 elapsed
