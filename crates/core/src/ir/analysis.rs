@@ -83,7 +83,7 @@ pub enum Lint {
     /// complement may no longer match.
     StaleComplement,
     /// `PA0006` — a write no later read observes survived an optimized
-    /// (`-O1+`) artifact; only checked when
+    /// (`-O2`) artifact; only checked when
     /// [`AnalysisConfig::expect_optimized`] is set.
     DeadWrite,
     /// `PA0007` — a release of a cell whose lifetime never began.
@@ -221,10 +221,10 @@ impl fmt::Display for Diagnostic {
 pub struct AnalysisConfig {
     /// Check cross-cell pinned-address aliasing (`PA0004`). Sound for
     /// streams whose lowering-pinned addresses are still meaningful —
-    /// i.e. anything up to `-O1`; `-O2` forwarding merges lifetimes and
-    /// re-derives addresses at emission.
+    /// i.e. `-O0`; `-O2` forwarding merges lifetimes and re-derives
+    /// addresses at emission.
     pub pinned_faithful: bool,
-    /// Report writes no later read observes (`PA0006`). Set for `-O1+`
+    /// Report writes no later read observes (`PA0006`). Set for `-O2`
     /// artifacts: no pass removes dead writes, so the promise rests on
     /// lowering (which writes a cell only for a value some op or output
     /// reads) and on forwarding (which renames every reader onto the cell
@@ -244,13 +244,16 @@ impl AnalysisConfig {
     }
 
     /// The full check set appropriate for a finished artifact compiled at
-    /// `opt`. From `-O1` on it includes `PA0006`: `plimc lint`, the batch
-    /// driver's `lint_clean` and the pass pipeline's own tests hold every
-    /// optimized stream to having no dead write.
+    /// `opt`. At `-O0` it checks pinned aliasing (`PA0004`), and at `-O2`
+    /// dead writes (`PA0006`): `plimc lint`, the batch driver's
+    /// `lint_clean` and the pass pipeline's own tests hold every optimized
+    /// stream to having no dead write. The pass pipeline's tests also hold
+    /// every lowered (`-O0`) stream to none.
     pub fn for_level(opt: OptLevel) -> Self {
+        let optimized = opt == OptLevel::O2;
         AnalysisConfig {
-            pinned_faithful: opt != OptLevel::O2,
-            expect_optimized: opt >= OptLevel::O1,
+            pinned_faithful: !optimized,
+            expect_optimized: optimized,
         }
     }
 }

@@ -20,23 +20,26 @@
 //!   edit to where the replay reconverges with the committed one (see
 //!   [`forward`]'s cost section).
 //!
-//! `-O0` runs nothing, `-O1` one `redundant-init` run, and `-O2` runs
-//! `forward` then `redundant-init`, round after round, to a fixpoint. A pass
-//! is a plain function the [`PassManager`] calls; after every run that
-//! edited the stream the manager lint-checks the IR, re-checks it
-//! structurally, gates it on cost, and — in debug/test builds — replays it
-//! through the machine-simulator equivalence check against the source MIG,
-//! so a broken pass fails loudly at the pass boundary, not in some
-//! downstream consumer.
+//! `-O0` runs nothing, and `-O2` runs `forward` then `redundant-init`,
+//! round after round, to a fixpoint. A pass is a plain function the
+//! [`PassManager`] calls; after every run that edited the stream the
+//! manager lint-checks the IR, re-checks it structurally, gates it on cost,
+//! and — in debug/test builds — replays it through the machine-simulator
+//! equivalence check against the source MIG, so a broken pass fails loudly
+//! at the pass boundary, not in some downstream consumer.
 //!
 //! No pass removes dead writes or folds ops whose result resident constants
 //! fix, because no stream the product makes has either. `Mig::maj` applies
 //! Ω.M, so no node has two constant children, and lowering puts a constant
 //! into a cell only as a destination initialization. Lowering writes a cell
 //! only for a value some op or output reads, and [`forward`] renames every
-//! reader onto the cell it claims. The analyzer's `PA0006` lint checks
-//! for dead writes on every `-O1+` artifact it is pointed at, and a seeded
-//! test in this module checks for both on lowered and optimized streams.
+//! reader onto the cell it claims. Nor does lowering emit an
+//! initialization [`redundant_init`] removes: each virtual cell is
+//! initialized once per lifetime, so the pass only finds work after
+//! [`forward`] has run, which is why no level runs it alone. The analyzer's
+//! `PA0006` lint checks for dead writes on every `-O2` artifact it is
+//! pointed at, and seeded and suite tests in this module check lowered
+//! and optimized streams for all three patterns.
 
 use mig::Mig;
 
@@ -97,42 +100,37 @@ impl PassReport {
     }
 }
 
-/// Maximum pipeline rounds at `-O2`; each round must edit the stream to
-/// continue, so this is a backstop, not a tuning knob.
+/// Maximum pipeline rounds; each round must edit the stream to continue,
+/// so this is a backstop, not a tuning knob.
 const MAX_ROUNDS: usize = 8;
 
 /// Runs the pipeline an [`OptLevel`] selects, verifying after every pass.
 #[derive(Debug)]
 pub struct PassManager {
-    /// Whether each round opens with [`forward`] (`-O2`).
-    forward: bool,
-    /// Rounds at most; `0` runs nothing.
-    rounds: usize,
+    /// Whether the `-O2` pipeline runs; `-O0` runs nothing.
+    optimize: bool,
 }
 
 impl PassManager {
     /// The pipeline of an optimization level.
     pub fn for_level(opt: OptLevel) -> Self {
-        let (forward, rounds) = match opt {
-            OptLevel::O0 => (false, 0),
-            OptLevel::O1 => (false, 1),
-            OptLevel::O2 => (true, MAX_ROUNDS),
-        };
-        PassManager { forward, rounds }
+        PassManager {
+            optimize: opt == OptLevel::O2,
+        }
     }
 
-    /// Runs the pipeline to completion (one round at `-O1`, fixpoint at
-    /// `-O2`), returning the per-pass accounting.
+    /// Runs the pipeline to its fixpoint, returning the per-pass
+    /// accounting.
     ///
     /// Trial edits are scored under `backend`'s cost model, and so are the
     /// quality gates: [`forward`] commits only trials that
     /// [improve on](Cost::improves_on) the incumbent, and a
     /// [`redundant_init`] run that leaves the stream
-    /// [worse than](Cost::worse_than) the incumbent is reverted. At `-O2`
-    /// every round opens with `forward`, whose scorer prices the stream it
-    /// is given and ends at the price of the stream it returns, so the
-    /// manager takes its incumbent from there instead of replaying the
-    /// stream; debug builds check that price against a full replay.
+    /// [worse than](Cost::worse_than) the incumbent is reverted. Every
+    /// round opens with `forward`, whose scorer prices the stream it is
+    /// given and ends at the price of the stream it returns, so the manager
+    /// takes its incumbent from there instead of replaying the stream;
+    /// debug builds check that price against a full replay.
     ///
     /// After every pass that edited the stream, the IR is structurally
     /// re-checked, and in debug/test builds the emitted program is verified
@@ -144,8 +142,8 @@ impl PassManager {
     /// a program that is not equivalent to the source MIG — both are
     /// compiler bugs that must not reach emitted artifacts.
     pub fn run(&self, ir: &mut IrProgram, mig: &Mig, backend: &dyn Backend) -> PassReport {
-        // `-O0`: nothing would read the cost or lint baselines below.
-        if self.rounds == 0 {
+        // `-O0`: nothing would read the lint baseline below.
+        if !self.optimize {
             return PassReport::default();
         }
         let structural = analysis::AnalysisConfig::structural();
@@ -154,46 +152,30 @@ impl PassManager {
             lints: analysis::lint_counts(&analysis::analyze_events(ir, &structural)),
             report: PassReport::default(),
         };
-        // The incumbent `redundant-init`'s gate compares against. At `-O2`
-        // each round's `forward` sets it before that gate reads it.
-        let mut current = (!self.forward).then(|| backend.cost(ir));
-        for _ in 0..self.rounds {
-            let mut round_edits = 0;
-            if self.forward {
-                let before = Snapshot::take(ir);
-                let run = forward(ir, backend);
-                // Forward's commit rule is its gate: every commit improves
-                // on the incumbent.
-                let edits = guard.settle(ir, before, "forward", run.edits, run.scoring, |_| true);
-                // A reverted run leaves the stream `forward` was given.
-                let incumbent = if edits > 0 { run.cost } else { run.entry };
-                debug_assert_eq!(incumbent, backend.cost(ir), "forward's scorer mispriced");
-                current = Some(incumbent);
-                round_edits += edits;
-            }
-            let incumbent = current.as_mut().expect("priced at entry or by forward");
+        for _ in 0..MAX_ROUNDS {
+            let before = Snapshot::take(ir);
+            let run = forward(ir, backend);
+            // Forward's commit rule is its gate: every commit improves on
+            // the incumbent.
+            let forwarded = guard.settle(ir, before, "forward", run.edits, run.scoring, |_| true);
+            // A reverted run leaves the stream `forward` was given.
+            let incumbent = if forwarded > 0 { run.cost } else { run.entry };
+            debug_assert_eq!(incumbent, backend.cost(ir), "forward's scorer mispriced");
             let before = Snapshot::take(ir);
             let edits = redundant_init(ir);
             // A pass may only trade instructions down, never footprint or
             // endurance up. Allocator replay makes footprint and wear
             // global properties of the stream, so an edit that shifts reuse
             // the wrong way is reverted wholesale rather than shipped.
-            round_edits += guard.settle(
+            let removed = guard.settle(
                 ir,
                 before,
                 "redundant-init",
                 edits,
                 TrialCounts::default(),
-                |ir| {
-                    let after = backend.cost(ir);
-                    let keep = !after.worse_than(*incumbent);
-                    if keep {
-                        *incumbent = after;
-                    }
-                    keep
-                },
+                |ir| !backend.cost(ir).worse_than(incumbent),
             );
-            if round_edits == 0 {
+            if forwarded + removed == 0 {
                 break;
             }
         }
@@ -2296,6 +2278,15 @@ mod tests {
         assert_eq!(dead_writes(&ir), 3);
     }
 
+    /// Checks a lowered stream three ways: no `PA0006` finding, no
+    /// foldable op, and a [`redundant_init`] run removes nothing, so no
+    /// level need run that pass before [`forward`] has.
+    fn assert_lowered_stream_is_clean(lowered: &IrProgram, at: &str) {
+        assert_eq!(dead_writes(lowered), 0, "lowered, {at}");
+        assert_eq!(foldable_ops(lowered), 0, "lowered, {at}");
+        assert_eq!(redundant_init(&mut lowered.clone()), 0, "lowered, {at}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -2303,9 +2294,10 @@ mod tests {
         /// constants fix, because neither lowering nor the `-O2` pipeline
         /// makes one: on every schedule × allocator × operand policy, the
         /// lowered stream and its `-O2` result under each target carry no
-        /// `PA0006` finding and no such op. A change that brings either
-        /// pattern back fails here instead of shipping a longer stream.
-        /// Release builds draw larger graphs.
+        /// `PA0006` finding and no such op, and `redundant-init` finds
+        /// nothing to remove in the lowered stream. A change that brings
+        /// any of these back fails here instead of shipping a longer
+        /// stream. Release builds draw larger graphs.
         #[test]
         fn streams_have_no_dead_write_or_foldable_op(seed in any::<u64>()) {
             let sizes: &[usize] = if cfg!(debug_assertions) {
@@ -2326,8 +2318,7 @@ mod tests {
                                 .operands(operands);
                             let lowered = crate::ir::lower(&mig, options);
                             let at = format!("{nodes} nodes, {}", options.spec());
-                            prop_assert_eq!(dead_writes(&lowered), 0, "lowered, {}", at);
-                            prop_assert_eq!(foldable_ops(&lowered), 0, "lowered, {}", at);
+                            assert_lowered_stream_is_clean(&lowered, &at);
                             for &backend in crate::backend::backends() {
                                 let mut ir = lowered.clone();
                                 PassManager::for_level(OptLevel::O2).run(&mut ir, &mig, backend);
@@ -2336,6 +2327,38 @@ mod tests {
                                 prop_assert_eq!(foldable_ops(&ir), 0, "{}", at);
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same check on the benchmark suite as `plimc` compiles it (the
+    /// default rewrite), on every schedule × allocator × operand policy:
+    /// the reduced suite in debug builds, the full suite in release.
+    #[test]
+    fn suite_streams_have_no_dead_write_or_foldable_op() {
+        use plim_benchmarks::suite::{self, Scale};
+        let scale = if cfg!(debug_assertions) {
+            Scale::Reduced
+        } else {
+            Scale::Full
+        };
+        for name in suite::ALL {
+            let mig = suite::build(name, scale).expect("suite circuit");
+            let rewritten = mig::rewrite::rewrite(&mig, 4);
+            for schedule in ScheduleOrder::ALL {
+                for alloc in AllocatorStrategy::ALL {
+                    for operands in OperandSelection::ALL {
+                        let options = CompilerOptions::new()
+                            .schedule(schedule)
+                            .allocator(alloc)
+                            .operands(operands);
+                        let lowered = crate::ir::lower(&rewritten, options);
+                        assert_lowered_stream_is_clean(
+                            &lowered,
+                            &format!("{name}, {}", options.spec()),
+                        );
                     }
                 }
             }

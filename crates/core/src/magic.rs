@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn emits_equivalent_programs_at_every_opt_level() {
         let mig = xor5();
-        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        for opt in OptLevel::ALL {
             let compilation = compile_full(&mig, CompilerOptions::new().opt(opt));
             let artifact = MagicBackend.emit(&compilation.ir);
             verify_exhaustive(&mig, artifact.as_ref()).unwrap();

@@ -124,11 +124,10 @@ impl ScheduleOrder {
     }
 }
 
-/// How hard the post-lowering IR pass pipeline works on the instruction
-/// stream (the `-O` levels of `plimc`).
+/// Whether the post-lowering IR pass pipeline runs (the `-O` levels of
+/// `plimc`).
 ///
-/// Levels select which [`crate::ir::passes`] run between lowering and
-/// emission. [`OptLevel::O0`] runs none: the emitted program is
+/// [`OptLevel::O0`] runs no [`crate::ir::passes`]: the emitted program is
 /// byte-identical to the historical single-step translator, which is why it
 /// is the default — reproducing the paper stays the baseline contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -136,12 +135,6 @@ pub enum OptLevel {
     /// No IR passes; byte-identical to the pre-IR translator output.
     #[default]
     O0,
-    /// One linear redundant-initialization removal run. Never reorders
-    /// instructions. Lowering emits no initialization it can remove, so on
-    /// the benchmark suite and on seeded random logic `-O1` emits what
-    /// `-O0` does; the level stays because request specs and cache keys
-    /// name it.
-    O1,
     /// In-place-overwrite forwarding (which may move an instruction later
     /// to claim a dying cell) followed by redundant-initialization removal,
     /// iterated to a fixpoint.
@@ -150,13 +143,12 @@ pub enum OptLevel {
 
 impl OptLevel {
     /// Every level, in ascending-aggressiveness order.
-    pub const ALL: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+    pub const ALL: [OptLevel; 2] = [OptLevel::O0, OptLevel::O2];
 
-    /// The wire/command-line name of the level (`o0`, `o1`, `o2`).
+    /// The wire/command-line name of the level (`o0`, `o2`).
     pub fn name(self) -> &'static str {
         match self {
             OptLevel::O0 => "o0",
-            OptLevel::O1 => "o1",
             OptLevel::O2 => "o2",
         }
     }
@@ -171,7 +163,7 @@ impl OptLevel {
         OptLevel::ALL
             .into_iter()
             .find(|level| level.name() == name)
-            .ok_or_else(|| format!("unknown opt level `{name}` (expected o0|o1|o2)"))
+            .ok_or_else(|| format!("unknown opt level `{name}` (expected o0|o2)"))
     }
 }
 
@@ -549,7 +541,9 @@ mod tests {
         assert_eq!(six.rewrite, RewriteMode::Egraph);
         assert_ne!(six.spec(), five.spec());
         let err = CompilerOptions::parse_spec("priority+smart+fifo+o7").unwrap_err();
-        assert!(err.contains("o7") && err.contains("o0|o1|o2"), "{err}");
+        assert!(err.contains("o7") && err.contains("o0|o2"), "{err}");
+        let err = CompilerOptions::parse_spec("priority+smart+fifo+o1+rm3+arena").unwrap_err();
+        assert_eq!(err, "unknown opt level `o1` (expected o0|o2)");
         let err = CompilerOptions::parse_spec("priority+smart+fifo+o0+gpu").unwrap_err();
         assert!(err.contains("gpu") && err.contains("rm3"), "{err}");
         let err = CompilerOptions::parse_spec("priority+smart+fifo+o0+rm3+loop").unwrap_err();
@@ -561,7 +555,7 @@ mod tests {
         for level in OptLevel::ALL {
             assert_eq!(OptLevel::parse(level.name()), Ok(level));
         }
-        assert!(OptLevel::O0 < OptLevel::O1 && OptLevel::O1 < OptLevel::O2);
+        assert!(OptLevel::O0 < OptLevel::O2);
         assert!(OptLevel::parse("3").is_err());
     }
 

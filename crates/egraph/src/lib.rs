@@ -429,7 +429,7 @@ mod tests {
     fn the_returned_compilation_is_the_chosen_graphs() {
         let raw = fig3b();
         let baseline = mig::rewrite::rewrite(&raw, 4);
-        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        for opt in OptLevel::ALL {
             let options = CompilerOptions::new().opt(opt);
             let (chosen, compilation, stats) = optimize_compiled(&raw, &baseline, 4, options);
             let fresh = plim_compiler::compile_full(&chosen, options);

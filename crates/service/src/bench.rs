@@ -1,7 +1,7 @@
 //! The bench driver: one run over a circuit suite that measures the
 //! Table 1 rows and every `BENCH.json` column.
 //!
-//! [`run`] builds the job matrix (seven compile jobs per circuit, laid out
+//! [`run`] builds the job matrix (six compile jobs per circuit, laid out
 //! once in `circuit_jobs`), executes it with [`run_batch`], and fills each
 //! circuit's [`BenchRecord`] from that circuit's own jobs:
 //!
@@ -11,8 +11,8 @@
 //! * the e-graph columns, by running [`plim_egraph::optimize_compiled`] at
 //!   `-O2` and the run's rewrite effort, with the circuit's batch rewrite
 //!   pass as the arena baseline;
-//! * the fidelity columns, through [`fidelity_for`] on the `-O0`, `-O1`
-//!   and `-O2` programs.
+//! * the fidelity columns, through [`fidelity_for`] on the `-O0` and `-O2`
+//!   programs.
 //!
 //! The column table and the gate live next door in [`crate::benchfile`];
 //! adding a column is one row there and one line here.
@@ -44,12 +44,12 @@ pub struct Bench {
 }
 
 /// Compile jobs per circuit.
-const JOBS: usize = 7;
+const JOBS: usize = 6;
 
 /// The jobs behind one circuit's record, in batch order: the three
 /// Table 1 jobs (naive on the raw MIG, naive and smart on the rewritten
-/// MIG), then the lookahead-scheduling, wear-budget-allocator, `-O1` and
-/// `-O2` probes. The six rewritten jobs share one memoized rewrite pass.
+/// MIG), then the lookahead-scheduling, wear-budget-allocator and `-O2`
+/// probes. The five rewritten jobs share one memoized rewrite pass.
 fn circuit_jobs(circuit: usize, effort: usize) -> [JobSpec; JOBS] {
     let rewritten = RewriteEffort::Effort(effort);
     let smart = CompilerOptions::new();
@@ -63,7 +63,6 @@ fn circuit_jobs(circuit: usize, effort: usize) -> [JobSpec; JOBS] {
             rewritten,
             smart.allocator(AllocatorStrategy::WearLeveled),
         ),
-        JobSpec::new(circuit, rewritten, smart.opt(OptLevel::O1)),
         JobSpec::new(circuit, rewritten, smart.opt(OptLevel::O2)),
     ]
 }
@@ -76,7 +75,7 @@ fn ms(time: Duration) -> f64 {
 /// e-graph runs and the fault sweeps across `parallelism`.
 ///
 /// `rewrite_ms` and `compile_ms` time the circuit's rewrite pass and its
-/// seven batch jobs; the e-graph and fidelity measurements are not timed.
+/// six batch jobs; the e-graph and fidelity measurements are not timed.
 ///
 /// # Errors
 ///
@@ -94,7 +93,7 @@ pub fn run(
     let egraph_options = CompilerOptions::new()
         .opt(OptLevel::O2)
         .rewrite(RewriteMode::Egraph);
-    // The six rewritten jobs of a circuit share one rewrite pass, so the
+    // The five rewritten jobs of a circuit share one rewrite pass, so the
     // passes come one per circuit, in circuit order. Each is the circuit's
     // e-graph arena baseline.
     let egraph = par_map(circuits, parallelism, |index, circuit| {
@@ -112,7 +111,7 @@ pub fn run(
     let mut records = Vec::with_capacity(circuits.len());
     let per_circuit = report.jobs.chunks_exact(JOBS).zip(&egraph);
     for (index, (circuit, (jobs, egraph))) in circuits.iter().zip(per_circuit).enumerate() {
-        let [naive, rewritten, smart, lookahead, wear, o1, o2] = jobs else {
+        let [naive, rewritten, smart, lookahead, wear, o2] = jobs else {
             unreachable!("chunks_exact yields {JOBS} jobs")
         };
         rows.push(MeasuredRow {
@@ -125,12 +124,7 @@ pub fn run(
         });
         let ambit = AmbitBackend.cost(&smart.ir);
         let magic = MagicBackend.cost(&smart.ir);
-        let proof = fidelity_for(
-            &circuit.mig,
-            &smart.compiled,
-            &[&o1.compiled, &o2.compiled],
-            &fidelity,
-        )?;
+        let proof = fidelity_for(&circuit.mig, &smart.compiled, &[&o2.compiled], &fidelity)?;
         let stats = smart.compiled.stats;
         records.push(BenchRecord {
             circuit: circuit.name.clone(),
@@ -139,8 +133,6 @@ pub fn run(
             max_writes: stats.max_cell_writes,
             lookahead_rams: u64::from(lookahead.compiled.stats.rams),
             wear_max_writes: wear.compiled.stats.max_cell_writes,
-            o1_instructions: o1.compiled.stats.instructions as u64,
-            o1_rams: u64::from(o1.compiled.stats.rams),
             o2_instructions: o2.compiled.stats.instructions as u64,
             o2_rams: u64::from(o2.compiled.stats.rams),
             o2_max_writes: o2.compiled.stats.max_cell_writes,
@@ -188,7 +180,7 @@ mod tests {
             .collect();
         let bench = run(&circuits, effort, Parallelism::Auto).unwrap();
         let report = &bench.suite.report;
-        // Seven jobs per circuit, one shared rewrite pass each.
+        // Six jobs per circuit, one shared rewrite pass each.
         assert_eq!(report.jobs.len(), JOBS * circuits.len());
         assert_eq!(report.rewrites.len(), circuits.len());
         assert_eq!(bench.records.len(), circuits.len());
@@ -202,24 +194,21 @@ mod tests {
 
             let rewritten = rewrite(mig, effort);
             let compiled = |options| compile(&rewritten, options);
-            let (smart, o1, o2) = (
+            let (smart, o2) = (
                 compiled(CompilerOptions::new()),
-                compiled(CompilerOptions::new().opt(OptLevel::O1)),
                 compiled(CompilerOptions::new().opt(OptLevel::O2)),
             );
             let lookahead = compiled(CompilerOptions::new().schedule(ScheduleOrder::Lookahead));
             let wear = compiled(CompilerOptions::new().allocator(AllocatorStrategy::WearLeveled));
-            let fidelity = fidelity_for(mig, &smart, &[&o1, &o2], &FidelityConfig::default());
+            let fidelity = fidelity_for(mig, &smart, &[&o2], &FidelityConfig::default());
             let fidelity = fidelity.unwrap();
-            let (smart, o1, o2) = (smart.stats, o1.stats, o2.stats);
+            let (smart, o2) = (smart.stats, o2.stats);
             let (lookahead, wear) = (lookahead.stats, wear.stats);
             assert_eq!(record.instructions, smart.instructions as u64, "{name}");
             assert_eq!(record.rams, u64::from(smart.rams), "{name}");
             assert_eq!(record.max_writes, smart.max_cell_writes, "{name}");
             assert_eq!(record.lookahead_rams, u64::from(lookahead.rams), "{name}");
             assert_eq!(record.wear_max_writes, wear.max_cell_writes, "{name}");
-            assert_eq!(record.o1_instructions, o1.instructions as u64, "{name}");
-            assert_eq!(record.o1_rams, u64::from(o1.rams), "{name}");
             assert_eq!(record.o2_instructions, o2.instructions as u64, "{name}");
             assert_eq!(record.o2_rams, u64::from(o2.rams), "{name}");
             assert_eq!(record.o2_max_writes, o2.max_cell_writes, "{name}");

@@ -13,8 +13,8 @@
 //! [`BenchRecord`] fields and the [`COLUMNS`] table that [`to_json`],
 //! [`from_json`] and [`gate`] loop over, so adding a column is one row here
 //! plus the line in [`crate::bench`] that measures it. A few rules relate
-//! two columns of the current run itself (a higher `-O` level may never
-//! cost more than `-O0`; the e-graph may never lose to `-O2`); they are the
+//! two columns of the current run itself (`-O2` may never cost more than
+//! `-O0`; the e-graph may never lose to `-O2`); they are the
 //! `INVARIANTS` table, checked whether or not a baseline exists.
 //!
 //! A record that skipped a [`Rule::Annotated`] column keeps the field's
@@ -171,10 +171,6 @@ columns! {
     lookahead_rams: Count, Note;
     /// Highest per-cell write count under the wear-budget allocator.
     wear_max_writes: Count, Note;
-    /// `#I` of the default compiler at `-O1`.
-    o1_instructions: Count, Note;
-    /// `#R` of the default compiler at `-O1`.
-    o1_rams: Count, Note;
     /// `#I` of the default compiler at `-O2`.
     o2_instructions: Count, Hard("-O2 #I");
     /// `#R` of the default compiler at `-O2`.
@@ -220,14 +216,13 @@ columns! {
 /// The rules every current record must satisfy on its own, baseline or not,
 /// so they hold even right after a baseline refresh: `(high, low, wording)`
 /// says column `high` may not exceed column `low`, and a `None` wording
-/// reports "`high` exceeds `low`". A higher `-O` level may never cost
-/// instructions, cells or endurance relative to `-O0`, and the e-graph
+/// reports "`high` exceeds `low`". `-O2` may never cost instructions,
+/// cells or endurance relative to `-O0`, and the e-graph
 /// extractor falls back to the arena result, so an e-graph worse than `-O2`
 /// is a bug (a skipped `0` never exceeds anything).
 #[rustfmt::skip]
-const INVARIANTS: [(&str, &str, Option<&str>); 5] = [
+const INVARIANTS: [(&str, &str, Option<&str>); 4] = [
     ("egraph_instructions", "o2_instructions", None),
-    ("o1_instructions", "instructions", Some("-O1 produces more instructions than -O0")),
     ("o2_instructions", "instructions", Some("-O2 produces more instructions than -O0")),
     ("o2_rams", "rams", Some("-O2 uses more RRAMs than -O0")),
     ("o2_max_writes", "max_writes", Some("-O2 wears cells harder than -O0")),
@@ -632,8 +627,6 @@ mod tests {
             max_writes: 9,
             lookahead_rams: rams,
             wear_max_writes: 5,
-            o1_instructions: instructions,
-            o1_rams: rams,
             o2_instructions: instructions.saturating_sub(2),
             o2_rams: rams,
             o2_max_writes: 9,
@@ -672,7 +665,6 @@ mod tests {
         let text = r#"[{"rams": 3, "note": "hi", "circuit": "x", "instructions": 9,
             "max_writes": 1, "lookahead_rams": 3, "wear_max_writes": 1,
             "o2_instructions": 8, "o2_rams": 3, "o2_max_writes": 1,
-            "o1_instructions": 9, "o1_rams": 3,
             "ambit_ops": 45, "ambit_cost": 99, "magic_ops": 63, "magic_cost": 63,
             "egraph_instructions": 7, "egraph_rams": 3,
             "verified_exhaustive": false, "fault_error_rate": 0.25,

@@ -25,11 +25,11 @@
 //!                        node scheduling order (default: priority)
 //!   --alloc fifo|lifo|fresh|wear|binned
 //!                        work-RRAM allocation strategy (default: fifo)
-//!   -O0|-O1|-O2          IR pass-pipeline level (default: -O0, which is
+//!   -O0|-O2              IR pass-pipeline level (default: -O0, which is
 //!                        byte-identical to the paper reproduction)
 //!   --target rm3|ambit|magic
 //!                        emission backend (default: rm3). Non-RM3 targets
-//!                        print their native listing/stats; at -O1+ the
+//!                        print their native listing/stats; at -O2 the
 //!                        pass pipeline optimizes under the target's own
 //!                        cost model
 //!   --limit R            fail unless the --target artifact's footprint
@@ -965,7 +965,7 @@ fn run_bench_diff(args: &[String]) -> Result<(), String> {
 const USAGE: &str = "\
 usage: plimc [--format mig|aag] [--effort N] [--extended] [--naive]
              [--schedule index|priority|lookahead] [--alloc fifo|lifo|fresh|wear|binned]
-             [-O0|-O1|-O2] [--target rm3|ambit|magic] [--rewrite arena|rebuild|egraph]
+             [-O0|-O2] [--target rm3|ambit|magic] [--rewrite arena|rebuild|egraph]
              [--limit R] [--emit asm|listing|stats|dot|mig|ir] [--no-verify] FILE
        (binary AIGER .aig is parsed natively; no aigtoaig conversion needed)
        plimc verify [compile options] FILE

@@ -176,7 +176,15 @@ pub struct Artifacts {
 ///
 /// Returns a one-line message when verification fails.
 pub fn execute(input: &Mig, spec: &CompileSpec) -> Result<Artifacts, String> {
-    let (optimized, compiled) = optimize_stage(input, spec);
+    finish(optimize_stage(input, spec), spec)
+}
+
+/// The compile and verify stages of [`execute`], given the optimize
+/// stage's output: compiles the graph unless the stage already did.
+fn finish(
+    (optimized, compiled): (Mig, Option<Compilation>),
+    spec: &CompileSpec,
+) -> Result<Artifacts, String> {
     let compilation = compiled.unwrap_or_else(|| compile_full(&optimized, spec.options));
     if spec.verify {
         verify(&optimized, &compilation.compiled, 4, 0xDAC2016)
@@ -200,6 +208,10 @@ pub fn execute(input: &Mig, spec: &CompileSpec) -> Result<Artifacts, String> {
 /// whose target artifact has [`Cost::footprint`] ≤ `limit` — work RRAMs
 /// on RM3, rows on Ambit, cells on MAGIC. Every other option of `spec`
 /// holds for every attempt.
+///
+/// Only the compile options change between attempts, so the graph is
+/// rewritten once and each attempt compiles it, except under the e-graph,
+/// whose choice of graph depends on the attempt's compiled cost.
 ///
 /// # Errors
 ///
@@ -227,16 +239,23 @@ pub fn execute_within(input: &Mig, spec: &CompileSpec, limit: u32) -> Result<Art
         index.operands(OperandSelection::ChildOrder),
     ];
     let mut best = u32::MAX;
+    let mut stage = optimize_stage(input, spec);
+    let reoptimize = stage.1.is_some();
     for (tried, &options) in attempts.iter().enumerate() {
         if attempts[..tried].contains(&options) {
             continue;
         }
-        let artifacts = execute(input, &CompileSpec { options, ..*spec })?;
+        let spec = CompileSpec { options, ..*spec };
+        if tried > 0 && reoptimize {
+            stage = optimize_stage(input, &spec);
+        }
+        let artifacts = finish(stage, &spec)?;
         let footprint = with_artifact(&artifacts, |artifact| artifact.cost().footprint);
         if footprint <= limit {
             return Ok(artifacts);
         }
         best = best.min(footprint);
+        stage = (artifacts.optimized, None);
     }
     let target = spec.options.target;
     let unit = if target == Target::RM3 {

@@ -37,9 +37,9 @@
 //!
 //! Only `source` is required for `compile`; every other field has the
 //! offline `plimc` default. The `options` spec carries every compiler
-//! option including the `-O` level and the emission target (older three-
-//! and four-part specs without them are accepted and mean `o0` / `rm3`);
-//! because the cache key is derived from this exact spelling, two requests
+//! option including the `-O` level (`o0` or `o2`; any other level is a
+//! `bad_request`) and the emission target (older three- and four-part
+//! specs without them are accepted and mean `o0` / `rm3`); because the cache key is derived from this exact spelling, two requests
 //! differing only in `-O` — or only in target — can never share a cache
 //! entry. The protocol version is deliberately *not* part of the cache
 //! key: v1 and v2 spellings of the same request share one artifact.
@@ -291,8 +291,10 @@ impl Request {
         Decoded {
             version,
             body: Request::from_value(&value).map_err(|message| {
+                // "unknown op `…`" only: "unknown opt level" is a bad
+                // options spec.
                 let code = if value.get("op").and_then(Value::as_str).is_some()
-                    && message.starts_with("unknown op")
+                    && message.starts_with("unknown op `")
                 {
                     ErrorCode::UnknownOp
                 } else {
@@ -732,7 +734,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_diagnosed_with_codes() {
-        let cases: [(&str, ErrorCode, &str); 6] = [
+        let cases: [(&str, ErrorCode, &str); 7] = [
             ("not json", ErrorCode::BadRequest, "bad request JSON"),
             ("{}", ErrorCode::BadRequest, "'op'"),
             (r#"{"op":"frobnicate"}"#, ErrorCode::UnknownOp, "unknown op"),
@@ -746,6 +748,11 @@ mod tests {
                 r#"{"op":"compile","source":"x","options":"bogus"}"#,
                 ErrorCode::BadRequest,
                 "",
+            ),
+            (
+                r#"{"op":"compile","source":"x","options":"priority+smart+fifo+o7"}"#,
+                ErrorCode::BadRequest,
+                "unknown opt level `o7` (expected o0|o2)",
             ),
         ];
         for (line, code, fragment) in cases {
@@ -974,17 +981,24 @@ mod tests {
                 "field `{field}` does not reach the cache fingerprint"
             );
         }
-        // And the three -O levels are pairwise distinct.
-        let levels: Vec<u64> = OptLevel::ALL
-            .iter()
-            .map(|&level| {
-                let mut request = base.clone();
-                request.spec.options = request.spec.options.opt(level);
-                request.fingerprint()
-            })
-            .collect();
-        assert_ne!(levels[0], levels[1]);
-        assert_ne!(levels[1], levels[2]);
-        assert_ne!(levels[0], levels[2]);
+    }
+
+    /// The cache keys of the two surviving `-O` levels must not move when
+    /// the set of levels changes, so a `--store` directory written earlier
+    /// keeps hitting: the default request and an `-O2 --target ambit
+    /// --rewrite egraph` one, pinned to the values they have always had.
+    #[test]
+    fn surviving_fingerprints_do_not_move() {
+        use plim_compiler::{OptLevel, RewriteMode, Target};
+        let default = CompileRequest::default();
+        assert_eq!(default.fingerprint(), 0xa784_65ed_5a38_60e0);
+        let mut optimized = CompileRequest::default();
+        optimized.spec.options = optimized
+            .spec
+            .options
+            .opt(OptLevel::O2)
+            .target(Target::parse("ambit").expect("built-in target"))
+            .rewrite(RewriteMode::Egraph);
+        assert_eq!(optimized.fingerprint(), 0xe4dc_4e57_8d06_8de1);
     }
 }

@@ -28,7 +28,7 @@ const SCHEDULES: [ScheduleOrder; 3] = [
     ScheduleOrder::Lookahead,
 ];
 const ALLOCATORS: [AllocatorStrategy; 5] = AllocatorStrategy::ALL;
-const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+const LEVELS: [OptLevel; 2] = OptLevel::ALL;
 
 /// Asserts the full battery comes back clean and the certificate agrees
 /// with the recorded stats on its own (not just through
@@ -97,7 +97,7 @@ fn spec_strategy() -> impl Strategy<Value = RandomLogicSpec> {
 }
 
 fn options_strategy() -> impl Strategy<Value = CompilerOptions> {
-    (0usize..3, 0usize..5, 0usize..3).prop_map(|(schedule, alloc, opt)| {
+    (0usize..3, 0usize..5, 0usize..LEVELS.len()).prop_map(|(schedule, alloc, opt)| {
         CompilerOptions::new()
             .schedule(SCHEDULES[schedule])
             .allocator(ALLOCATORS[alloc])
@@ -189,7 +189,6 @@ fn base_program_is_clean_under_every_config() {
     for config in [
         structural(),
         AnalysisConfig::for_level(OptLevel::O0),
-        AnalysisConfig::for_level(OptLevel::O1),
         AnalysisConfig::for_level(OptLevel::O2),
     ] {
         assert_eq!(lints_of(&ir, &config), vec![], "config {config:?}");
@@ -340,7 +339,7 @@ fn pa0006_dead_write_fires_in_optimized_streams() {
     let mut ir = base_program();
     // Nothing reads %0 once the output moves off it.
     ir.outputs = vec![("f".to_string(), IrOutput::Const(false))];
-    let config = AnalysisConfig::for_level(OptLevel::O1);
+    let config = AnalysisConfig::for_level(OptLevel::O2);
     assert!(config.expect_optimized);
     let lints = lints_of(&ir, &config);
     assert_eq!(lints, vec![Lint::DeadWrite, Lint::DeadWrite]);

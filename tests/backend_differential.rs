@@ -43,7 +43,7 @@ fn rm3_trait_emission_equals_direct_compilation_on_the_full_matrix() {
         let optimized = mig::rewrite::rewrite(&mig, 2);
         for schedule in ScheduleOrder::ALL {
             for allocator in AllocatorStrategy::ALL {
-                for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+                for opt in OptLevel::ALL {
                     let options = CompilerOptions::new()
                         .schedule(schedule)
                         .operands(OperandSelection::Smart)
@@ -71,7 +71,7 @@ fn rm3_trait_emission_equals_direct_compilation_on_the_full_matrix() {
 /// At `-O0` no pass consults the cost model, so the target cannot perturb
 /// lowering: an `ambit`-targeted compilation carries the exact IR — and
 /// therefore the exact RM3 reference program — of the default one. (At
-/// `-O1`+ the pipeline deliberately scores edits with the active backend's
+/// `-O2` the pipeline deliberately scores edits with the active backend's
 /// model, so divergence there is a feature, not a bug.)
 #[test]
 fn target_choice_does_not_perturb_lowering() {

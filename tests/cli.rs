@@ -194,6 +194,13 @@ fn user_errors_exit_one_with_a_one_line_diagnostic() {
     assert_user_error(&["--schedule", "random", "-"], "unknown schedule `random`");
     assert_user_error(&["-O7", "-"], "unknown opt level `o7`");
     assert_user_error(&["-Ofast", "-"], "unknown opt level `ofast`");
+    for args in [
+        &["-O1", "-"][..],
+        &["verify", "-O1", "-"],
+        &["lint", "-O1", "-"],
+    ] {
+        assert_user_error(args, "unknown opt level `o1` (expected o0|o2)");
+    }
     // The --schedule/--alloc convention: the target diagnostic lists every
     // backend name.
     let stderr = assert_user_error(&["--target", "gpu", "-"], "unknown target `gpu`");
@@ -236,7 +243,7 @@ fn unknown_emit_exits_one_after_compilation() {
 fn opt_levels_compile_end_to_end_and_o0_is_the_default() {
     let baseline = run_with_stdin(&["--emit", "listing", "-"], AND_MIG);
     assert!(baseline.status.success());
-    for level in ["-O0", "-O1", "-O2"] {
+    for level in ["-O0", "-O2"] {
         let output = run_with_stdin(&[level, "--emit", "listing", "-"], AND_MIG);
         assert!(
             output.status.success(),
@@ -532,7 +539,6 @@ fn bench_json(instructions: u64) -> String {
     format!(
         "[{{\"circuit\": \"adder\", \"instructions\": {instructions}, \"rams\": 11, \
          \"max_writes\": 22, \"lookahead_rams\": 11, \"wear_max_writes\": 22, \
-         \"o1_instructions\": {instructions}, \"o1_rams\": 11, \
          \"o2_instructions\": {instructions}, \"o2_rams\": 11, \"o2_max_writes\": 22, \
          \"ambit_ops\": 490, \"ambit_cost\": 1078, \"magic_ops\": 686, \"magic_cost\": 686, \
          \"egraph_instructions\": {instructions}, \"egraph_rams\": 11, \
@@ -1045,9 +1051,8 @@ fn loadtest_and_store_round_trip_through_the_binaries() {
 /// verifier became one artifact-generic checker.
 #[test]
 fn verify_subcommand_matrix_reports_are_unchanged() {
-    const MATRIX: [(&str, &str, &str); 27] = [
+    const MATRIX: [(&str, &str, &str); 24] = [
         ("ctrl", "-O0", "verified: all 26 outputs equal over all 2^7 input patterns (62 instructions, 24 RAMs)"),
-        ("ctrl", "-O1", "verified: all 26 outputs equal over all 2^7 input patterns (62 instructions, 24 RAMs)"),
         ("ctrl", "-O2", "verified: all 26 outputs equal over all 2^7 input patterns (62 instructions, 24 RAMs)"),
         ("ctrl", "--target ambit -O0", "verified [ambit]: all 26 outputs equal over all 2^7 input patterns (206 ambit ops, 27 cells)"),
         ("ctrl", "--target ambit -O2", "verified [ambit]: all 26 outputs equal over all 2^7 input patterns (206 ambit ops, 27 cells)"),
@@ -1056,7 +1061,6 @@ fn verify_subcommand_matrix_reports_are_unchanged() {
         ("ctrl", "--rewrite egraph -O0", "verified: all 26 outputs equal over all 2^7 input patterns (60 instructions, 24 RAMs)"),
         ("ctrl", "--rewrite egraph -O2", "verified: all 26 outputs equal over all 2^7 input patterns (60 instructions, 24 RAMs)"),
         ("dec", "-O0", "verified: all 16 outputs equal over all 2^4 input patterns (52 instructions, 17 RAMs)"),
-        ("dec", "-O1", "verified: all 16 outputs equal over all 2^4 input patterns (52 instructions, 17 RAMs)"),
         ("dec", "-O2", "verified: all 16 outputs equal over all 2^4 input patterns (48 instructions, 17 RAMs)"),
         ("dec", "--target ambit -O0", "verified [ambit]: all 16 outputs equal over all 2^4 input patterns (184 ambit ops, 20 cells)"),
         ("dec", "--target ambit -O2", "verified [ambit]: all 16 outputs equal over all 2^4 input patterns (172 ambit ops, 20 cells)"),
@@ -1065,7 +1069,6 @@ fn verify_subcommand_matrix_reports_are_unchanged() {
         ("dec", "--rewrite egraph -O0", "verified: all 16 outputs equal over all 2^4 input patterns (51 instructions, 17 RAMs)"),
         ("dec", "--rewrite egraph -O2", "verified: all 16 outputs equal over all 2^4 input patterns (48 instructions, 17 RAMs)"),
         ("int2float", "-O0", "verified: all 7 outputs equal over all 2^11 input patterns (207 instructions, 21 RAMs)"),
-        ("int2float", "-O1", "verified: all 7 outputs equal over all 2^11 input patterns (207 instructions, 21 RAMs)"),
         ("int2float", "-O2", "verified: all 7 outputs equal over all 2^11 input patterns (207 instructions, 21 RAMs)"),
         ("int2float", "--target ambit -O0", "verified [ambit]: all 7 outputs equal over all 2^11 input patterns (847 ambit ops, 24 cells)"),
         ("int2float", "--target ambit -O2", "verified [ambit]: all 7 outputs equal over all 2^11 input patterns (847 ambit ops, 24 cells)"),
@@ -1220,7 +1223,7 @@ fn lint_subcommand_gates_artifacts_end_to_end() {
     assert!(dump.status.success());
 
     // Clean at every opt level, in both output formats.
-    for level in ["-O0", "-O1", "-O2"] {
+    for level in ["-O0", "-O2"] {
         let output = run_with_stdin(&["lint", level, "-"], &dump.stdout);
         assert!(
             output.status.success(),

@@ -282,9 +282,8 @@ impl plim_compiler::Backend for CountedRm3 {
 
 /// `-O2` takes its costs from `forward`'s scorer: the pipeline replays
 /// the stream neither at entry nor after a `forward` run, only after each
-/// `redundant-init` run that edits (none of these is reverted). `-O1` has
-/// no `forward` run, so it also prices the entry stream once. The output
-/// is the plain RM3 compile's either way.
+/// `redundant-init` run that edits (none of these is reverted). The output
+/// is the plain RM3 compile's.
 ///
 /// Release builds only: debug builds replay the stream after every
 /// `forward` run to check the scorer's price, which is the count a
@@ -295,28 +294,23 @@ fn forward_prices_the_o2_pipeline_without_a_cost_replay() {
     for name in ["ctrl", "dec", "int2float", "voter"] {
         let mig = suite::build(name, Scale::Reduced).expect("suite circuit");
         let optimized = mig::rewrite::rewrite(&mig, 4);
-        for (opt, entry) in [(OptLevel::O1, 1), (OptLevel::O2, 0)] {
-            let backend = CountedRm3::default();
-            let mut ir = ir::lower(&optimized, CompilerOptions::new());
-            let report = ir::passes::PassManager::for_level(opt).run(&mut ir, &optimized, &backend);
-            let gated = report
-                .runs
-                .iter()
-                .filter(|r| r.pass == "redundant-init" && r.edits > 0)
-                .count();
-            assert_eq!(
-                backend.0.into_inner(),
-                entry + gated,
-                "{name} {opt:?}: cost replays"
-            );
-            assert_eq!(
-                ir::emit(&ir).program.to_string(),
-                compile(&optimized, CompilerOptions::new().opt(opt))
-                    .program
-                    .to_string(),
-                "{name} {opt:?}"
-            );
-        }
+        let backend = CountedRm3::default();
+        let mut ir = ir::lower(&optimized, CompilerOptions::new());
+        let report =
+            ir::passes::PassManager::for_level(OptLevel::O2).run(&mut ir, &optimized, &backend);
+        let gated = report
+            .runs
+            .iter()
+            .filter(|r| r.pass == "redundant-init" && r.edits > 0)
+            .count();
+        assert_eq!(backend.0.into_inner(), gated, "{name}: cost replays");
+        assert_eq!(
+            ir::emit(&ir).program.to_string(),
+            compile(&optimized, CompilerOptions::new().opt(OptLevel::O2))
+                .program
+                .to_string(),
+            "{name}"
+        );
     }
 }
 

@@ -324,7 +324,7 @@ fn served_egraph_o2_output_is_byte_identical_to_offline() {
 /// `pipeline::execute` takes the e-graph's compilation of the chosen graph
 /// instead of compiling it again. That compilation must be exactly what a
 /// fresh `compile_full` of the optimized graph produces: same IR, same
-/// listing, same pass report, on every target and optimizing level.
+/// listing, same pass report, on every target and `-O` level.
 #[test]
 fn egraph_artifacts_equal_a_fresh_compilation_of_the_optimized_graph() {
     use plim_compiler::{compile_full, OptLevel, RewriteMode, Target};
@@ -333,7 +333,7 @@ fn egraph_artifacts_equal_a_fresh_compilation_of_the_optimized_graph() {
         let mig = pipeline::parse_network(InputFormat::Mig, &source).unwrap();
         for target in ["rm3", "ambit", "magic"] {
             let target = Target::parse(target).expect("built-in target");
-            for opt in [OptLevel::O1, OptLevel::O2] {
+            for opt in OptLevel::ALL {
                 let mut spec = CompileSpec::default();
                 spec.options = spec
                     .options
@@ -740,6 +740,31 @@ fn v2_requests_get_structured_error_objects() {
         response.contains(r#""error":{"code":"unsupported_version""#),
         "{response}"
     );
+    // A spec naming `o1` (the levels are `o0` and `o2`), in every spelling
+    // that carries a level, is a bad request, and the worker then serves a
+    // normal one.
+    let source = "inputs a b\\nn = maj(0, a, b)\\noutput f = n\\n";
+    for spec in [
+        "priority+smart+fifo+o1",
+        "priority+smart+fifo+o1+rm3",
+        "priority+smart+fifo+o1+rm3+arena",
+    ] {
+        let response = roundtrip(&format!(
+            r#"{{"v":2,"op":"compile","source":"{source}","options":"{spec}"}}"#
+        ));
+        assert!(
+            response.contains(
+                r#""error":{"code":"bad_request","message":"unknown opt level `o1` (expected o0|o2)"}"#
+            ),
+            "{spec}: {response}"
+        );
+    }
+    let and = "inputs a b\nn = maj(0, a, b)\noutput f = n\n";
+    let response = roundtrip(&compile_request(and).to_json());
+    let Response::Compile(served) = Response::from_json(&response).unwrap() else {
+        panic!("the request after the rejected ones failed: {response}");
+    };
+    assert_eq!(served.output, offline_listing(and));
     // Versionless (v1) requests keep the flat error-string shape forever.
     let response = roundtrip(r#"{"op":"frobnicate"}"#);
     assert!(response.contains(r#""error":"unknown op"#), "{response}");
