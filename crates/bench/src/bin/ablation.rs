@@ -1,7 +1,9 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation studies for the compiler's design choices (§4.2 of the paper
+//! and this repository's policy axes, README's "Scheduling and allocation
+//! policies"):
 //!
-//! 1. **Candidate selection** (§4.2.1): priority-queue vs index-order
-//!    scheduling, on rewritten MIGs — isolates the `#R` contribution of the
+//! 1. **Candidate selection** (§4.2.1): `priority` (the post-order walk)
+//!    vs index-order scheduling, on rewritten MIGs — isolates the `#R` contribution of the
 //!    scheduler.
 //! 2. **Operand selection** (§4.2.2): smart case analysis vs fixed
 //!    child-order slots — isolates the `#I` contribution of translation.

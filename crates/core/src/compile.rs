@@ -12,8 +12,9 @@ use crate::program::Rm3Program;
 /// Compiles an MIG into a PLiM program.
 ///
 /// With the default options this is the paper's proposed compiler:
-/// candidates are scheduled through the priority queue of §4.2.1 and each
-/// node is translated with the smart operand selection of §4.2.2, reusing
+/// nodes are scheduled in the lifetime analysis' depth-first post-order —
+/// the order §4.2.1's candidate queue pops, see [`crate::ir::lower()`] — and
+/// each node is translated with the smart operand selection of §4.2.2, reusing
 /// RRAMs through a FIFO free list. [`CompilerOptions::naive`] reproduces the
 /// Table 1 baseline instead. Compilation runs in three phases — lowering to
 /// the [`crate::ir`], the [`crate::OptLevel`]-selected pass pipeline, and

@@ -25,11 +25,13 @@
 //! cases a–d), including the *complement cache*: once a child's inverted
 //! value has been materialized in an RRAM, it is remembered for future use.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mig::{Mig, MigNode, NodeId, Signal};
 use plim::{Instruction, Operand, RamAddr, Rhs};
 
 use crate::alloc::RramAllocator;
-use crate::candidate::{CandidateQueue, Priorities};
 use crate::lifetime::{LifetimeClass, Lifetimes};
 use crate::options::{CompilerOptions, OperandSelection, ScheduleOrder};
 
@@ -37,7 +39,7 @@ use super::{CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
 
 /// How many heap-best candidates the lookahead schedule examines per step.
 /// Small enough to keep scheduling near-linear, large enough to let the
-/// net-release score overrule a stale or myopic heap key.
+/// net-release score overrule the static heap key.
 const LOOKAHEAD_WINDOW: usize = 8;
 
 /// Lowers an MIG into the PLiM IR under the given options (the
@@ -45,171 +47,132 @@ const LOOKAHEAD_WINDOW: usize = 8;
 /// *after* lowering).
 ///
 /// Dangling nodes (unreachable from every primary output) are not
-/// translated.
+/// translated: a node is reachable exactly when [`Lifetimes`] gave it a
+/// post-order position.
+///
+/// The default [`ScheduleOrder::Priority`] is Algorithm 2's candidate
+/// selection (§4.2.1) realized as a walk over the majority nodes in
+/// [`Lifetimes::order`]. That walk is exactly what a candidate heap keyed
+/// by (dynamic releasing-children count, post-order position, parent
+/// level, enqueue recency, node index) with a lazy refresh of the count
+/// would pop:
+///
+/// * post-order positions are unique, so the components after it never
+///   break a tie;
+/// * let `k` be the next majority node in post-order; all its children
+///   come earlier, so `k` is ready. Any other ready candidate `m` with a
+///   static releasing count above 0 has a majority child `c` referenced
+///   only by `m`, so the search emitted `c` inside `m`'s open frame. Every
+///   node that frame emits after `c` precedes one of `m`'s children, which
+///   are all done, so `m` is the next node the frame emits: `m = k`;
+/// * so every other ready candidate has a stored count of 0 and a later
+///   position. It never reaches the top ahead of `k`, and the refresh,
+///   which only touches the popped top, never raises it.
+///
+/// This holds for any child visiting order in [`Lifetimes::compute`].
 pub fn lower(mig: &Mig, options: CompilerOptions) -> IrProgram {
-    let reachable = reachable_majority(mig);
     let lifetimes = Lifetimes::compute(mig);
     let mut translator = Translator::new(mig, options, &lifetimes);
-    let mut translated = 0usize;
-
     match options.schedule {
         ScheduleOrder::Index => {
             for id in mig.majority_ids() {
-                if reachable[id.index()] {
+                if lifetimes.postorder(id) != u32::MAX {
                     translator.translate_node(id);
-                    translated += 1;
                 }
             }
         }
         ScheduleOrder::Priority => {
-            translated = run_priority_schedule(mig, &lifetimes, &reachable, &mut translator);
-        }
-        ScheduleOrder::Lookahead => {
-            translated = run_lookahead_schedule(mig, &lifetimes, &reachable, &mut translator);
-        }
-    }
-
-    let mut ir = translator.finalize();
-    ir.mig_nodes = translated;
-    ir
-}
-
-/// Seeds the candidate queue and the pending-children counters with every
-/// reachable majority node whose children are all computed.
-fn seed_candidates(
-    mig: &Mig,
-    priorities: &Priorities,
-    reachable: &[bool],
-    queue: &mut CandidateQueue,
-) -> Vec<u32> {
-    let mut uncomputed_children = vec![0u32; mig.len()];
-    for id in mig.node_ids() {
-        if !reachable[id.index()] {
-            continue;
-        }
-        if let MigNode::Majority(children) = mig.node(id) {
-            let pending = children
-                .iter()
-                .filter(|c| mig.node(c.node()).is_majority())
-                .count() as u32;
-            uncomputed_children[id.index()] = pending;
-            if pending == 0 {
-                queue.enqueue(priorities.candidate(id));
+            for &id in lifetimes.order() {
+                if mig.node(id).is_majority() {
+                    translator.translate_node(id);
+                }
             }
         }
+        ScheduleOrder::Lookahead => run_lookahead_schedule(mig, &lifetimes, &mut translator),
     }
-    uncomputed_children
+    translator.finalize()
 }
 
-/// Algorithm 2: maintain a priority queue of candidates (nodes whose
-/// children are all computed); repeatedly pop the best candidate, translate
-/// it, and enqueue parents that become computable.
-fn run_priority_schedule(
-    mig: &Mig,
-    lifetimes: &Lifetimes,
-    reachable: &[bool],
-    translator: &mut Translator<'_>,
-) -> usize {
-    let priorities = Priorities::from_lifetimes(mig, lifetimes);
-    let fanouts = mig.fanouts();
-    let mut queue = CandidateQueue::new();
-    let mut uncomputed_children = seed_candidates(mig, &priorities, reachable, &mut queue);
-
-    let mut translated = 0usize;
-    while let Some(mut candidate) = queue.pop() {
-        // Lazy dynamic-priority update: the releasing-children count grows
-        // as parents are computed, so a stale entry may understate its
-        // priority. Refresh and requeue instead of translating.
-        let current = translator.releasing_now(candidate.id);
-        if current > candidate.releasing_children {
-            candidate.releasing_children = current;
-            queue.requeue(candidate);
-            continue;
-        }
-        translator.translate_node(candidate.id);
-        translated += 1;
-        for &parent in &fanouts[candidate.id.index()] {
-            if !reachable[parent.index()] {
-                continue;
-            }
-            let pending = &mut uncomputed_children[parent.index()];
-            debug_assert!(*pending > 0, "parent counted twice");
-            *pending -= 1;
-            if *pending == 0 {
-                queue.enqueue(priorities.candidate(parent));
-            }
-        }
-    }
-    translated
-}
-
-/// The lifetime-driven lookahead schedule: like the priority schedule, but
-/// each step examines a window of heap-best candidates and picks the one
-/// with the best *net* RRAM effect right now — cells actually freed by
+/// The lifetime-driven lookahead schedule: a heap of ready candidates keyed
+/// by (static releasing-children count, earliest post-order position); each
+/// step examines a window of heap-best candidates and picks the one with
+/// the best *net* RRAM effect right now — cells actually freed by
 /// translating it (value cells and cached complements of dying children),
 /// minus a cell when no child can be overwritten in place — breaking ties
-/// toward the candidate that unlocks the biggest release one step later.
-fn run_lookahead_schedule(
-    mig: &Mig,
-    lifetimes: &Lifetimes,
-    reachable: &[bool],
-    translator: &mut Translator<'_>,
-) -> usize {
-    let priorities = Priorities::from_lifetimes(mig, lifetimes);
+/// toward the candidate that unlocks the biggest release one step later,
+/// then toward the heap order.
+fn run_lookahead_schedule(mig: &Mig, lifetimes: &Lifetimes, translator: &mut Translator<'_>) {
+    let fanout = mig.fanout_counts();
     let fanouts = mig.fanouts();
-    let mut queue = CandidateQueue::new();
-    let mut uncomputed_children = seed_candidates(mig, &priorities, reachable, &mut queue);
+    let is_majority = |n: NodeId| mig.node(n).is_majority();
+    // Releasing children (§4.2.1): majority children with single fanout.
+    let releasing: Vec<u32> = mig
+        .node_ids()
+        .map(|id| match mig.node(id) {
+            MigNode::Majority(children) => children
+                .iter()
+                .filter(|c| is_majority(c.node()) && fanout[c.node().index()] == 1)
+                .count() as u32,
+            _ => 0,
+        })
+        .collect();
+    let key = |id: NodeId| (releasing[id.index()], Reverse(lifetimes.postorder(id)));
 
-    let mut translated = 0usize;
+    let mut heap = BinaryHeap::new();
+    let mut uncomputed_children = vec![0u32; mig.len()];
+    for &id in lifetimes.order() {
+        if let MigNode::Majority(children) = mig.node(id) {
+            let pending = children.iter().filter(|c| is_majority(c.node())).count() as u32;
+            uncomputed_children[id.index()] = pending;
+            if pending == 0 {
+                heap.push(key(id));
+            }
+        }
+    }
+
+    let mut drawn = Vec::with_capacity(LOOKAHEAD_WINDOW);
     loop {
-        let popped = queue.pop_scored(LOOKAHEAD_WINDOW, |candidate| {
-            let freed = translator.released_cells_now(candidate.id);
-            let allocates = i64::from(!translator.has_in_place_destination(candidate.id));
+        drawn.extend(std::iter::from_fn(|| heap.pop()).take(LOOKAHEAD_WINDOW));
+        let mut best: Option<(i64, usize)> = None;
+        for (index, &(_, Reverse(position))) in drawn.iter().enumerate() {
+            let id = lifetimes.order()[position as usize];
+            let freed = translator.released_cells_now(id);
+            let allocates = i64::from(!translator.has_in_place_destination(id));
             // One step later: the best static release among parents this
             // translation would make computable.
-            let unlocked = fanouts[candidate.id.index()]
+            let unlocked = fanouts[id.index()]
                 .iter()
-                .filter(|p| reachable[p.index()] && uncomputed_children[p.index()] == 1)
-                .map(|p| i64::from(priorities.releasing(*p)))
+                .filter(|p| uncomputed_children[p.index()] == 1)
+                .map(|p| i64::from(releasing[p.index()]))
                 .max()
                 .unwrap_or(0);
             // The immediate net effect dominates; the unlocked release only
-            // breaks ties (it is at most 3).
-            8 * (freed - allocates) + unlocked
-        });
-        let Some(candidate) = popped else {
+            // breaks ties (it is at most 3). Strictly-greater keeps the heap
+            // order as the last tiebreak: `drawn` is best-first.
+            let score = 8 * (freed - allocates) + unlocked;
+            if best.is_none_or(|(top, _)| score > top) {
+                best = Some((score, index));
+            }
+        }
+        let Some((_, index)) = best else {
             break;
         };
-        translator.translate_node(candidate.id);
-        translated += 1;
-        for &parent in &fanouts[candidate.id.index()] {
-            if !reachable[parent.index()] {
+        let (_, Reverse(position)) = drawn.swap_remove(index);
+        heap.extend(drawn.drain(..));
+        let id = lifetimes.order()[position as usize];
+        translator.translate_node(id);
+        for &parent in &fanouts[id.index()] {
+            if lifetimes.postorder(parent) == u32::MAX {
                 continue;
             }
             let pending = &mut uncomputed_children[parent.index()];
             debug_assert!(*pending > 0, "parent counted twice");
             *pending -= 1;
             if *pending == 0 {
-                queue.enqueue(priorities.candidate(parent));
+                heap.push(key(parent));
             }
         }
     }
-    translated
-}
-
-fn reachable_majority(mig: &Mig) -> Vec<bool> {
-    let mut reachable = vec![false; mig.len()];
-    let mut stack: Vec<NodeId> = mig.outputs().iter().map(|(_, s)| s.node()).collect();
-    while let Some(id) = stack.pop() {
-        if reachable[id.index()] {
-            continue;
-        }
-        reachable[id.index()] = true;
-        if let MigNode::Majority(children) = mig.node(id) {
-            stack.extend(children.iter().map(|c| c.node()));
-        }
-    }
-    reachable
 }
 
 /// Where a node's value currently resides during translation.
@@ -225,13 +188,13 @@ enum Loc {
 
 /// Incremental translation state shared by the naive and smart lowerings.
 #[derive(Debug)]
-pub(crate) struct Translator<'a> {
+struct Translator<'a> {
     mig: &'a Mig,
     opts: CompilerOptions,
     /// Lifetime analysis shared with the scheduler; supplies the
     /// allocation hints of the lifetime-aware strategies.
     lifetimes: &'a Lifetimes,
-    pub(crate) alloc: RramAllocator,
+    alloc: RramAllocator,
     /// Current location of each node's value (indexed by node).
     loc: Vec<Option<Loc>>,
     /// RRAM holding the *complement* of each node's value, if materialized.
@@ -244,10 +207,12 @@ pub(crate) struct Translator<'a> {
     events: Vec<Event>,
     /// The live virtual cell behind each physical address.
     current: Vec<Option<CellId>>,
+    /// Majority nodes translated so far (`#N`).
+    translated: usize,
 }
 
 impl<'a> Translator<'a> {
-    pub(crate) fn new(mig: &'a Mig, opts: CompilerOptions, lifetimes: &'a Lifetimes) -> Self {
+    fn new(mig: &'a Mig, opts: CompilerOptions, lifetimes: &'a Lifetimes) -> Self {
         let mut loc = vec![None; mig.len()];
         loc[NodeId::CONSTANT.index()] = Some(Loc::Const);
         for (index, &id) in mig.inputs().iter().enumerate() {
@@ -265,6 +230,7 @@ impl<'a> Translator<'a> {
             cells: Vec::new(),
             events: Vec::new(),
             current: Vec::new(),
+            translated: 0,
         }
     }
 
@@ -417,28 +383,13 @@ impl<'a> Translator<'a> {
         self.remaining_of(s) == 1 && matches!(self.loc[s.node().index()], Some(Loc::Ram(_)))
     }
 
-    /// Number of this node's children whose RRAM becomes releasable right
-    /// after translating it: majority children with exactly one remaining
-    /// reference. This is the *dynamic* version of the paper's
-    /// releasing-children count — remaining fanout decreases as parents are
-    /// computed, so the count can only grow over time.
-    pub(crate) fn releasing_now(&self, id: NodeId) -> u32 {
-        let Some(children) = self.mig.node(id).children() else {
-            return 0;
-        };
-        children
-            .iter()
-            .filter(|c| self.mig.node(c.node()).is_majority() && self.remaining_of(**c) == 1)
-            .count() as u32
-    }
-
     /// Number of RRAM cells that would actually return to the free pool if
     /// this node were translated next: for every distinct child whose
     /// remaining references are all consumed by this node, its value cell
-    /// (if held in work RRAM) plus its cached complement cell. Unlike
-    /// [`Translator::releasing_now`] this counts *cells*, not children, so
-    /// it is the quantity the lookahead scheduler optimizes.
-    pub(crate) fn released_cells_now(&self, id: NodeId) -> i64 {
+    /// (if held in work RRAM) plus its cached complement cell. It counts
+    /// *cells*, not children, so it is the quantity the lookahead scheduler
+    /// optimizes.
+    fn released_cells_now(&self, id: NodeId) -> i64 {
         let Some(children) = self.mig.node(id).children() else {
             return 0;
         };
@@ -466,7 +417,7 @@ impl<'a> Translator<'a> {
     /// cells as the destination `Z` (no new allocation), mirroring the
     /// destination cases (a) and (b) of the smart selection. When `false`,
     /// translating the node costs at least one fresh-or-reused cell.
-    pub(crate) fn has_in_place_destination(&self, id: NodeId) -> bool {
+    fn has_in_place_destination(&self, id: NodeId) -> bool {
         let Some(children) = self.mig.node(id).children() else {
             return false;
         };
@@ -483,7 +434,7 @@ impl<'a> Translator<'a> {
     /// # Panics
     ///
     /// Panics if `id` is not a majority node or a child is uncomputed.
-    pub(crate) fn translate_node(&mut self, id: NodeId) {
+    fn translate_node(&mut self, id: NodeId) {
         let children = *self
             .mig
             .node(id)
@@ -496,6 +447,7 @@ impl<'a> Translator<'a> {
         for child in children {
             self.consume_reference(child.node());
         }
+        self.translated += 1;
     }
 
     /// Decrements a node's pending reference count and releases its RRAMs
@@ -711,7 +663,7 @@ impl<'a> Translator<'a> {
     /// Resolves primary outputs, materializing complemented internal results
     /// so that every output is readable from the array, and finishes the
     /// IR program.
-    pub(crate) fn finalize(mut self) -> IrProgram {
+    fn finalize(mut self) -> IrProgram {
         let outputs: Vec<(String, Signal)> = self
             .mig
             .outputs()
@@ -751,8 +703,408 @@ impl<'a> Translator<'a> {
             cells: self.cells,
             events: self.events,
             outputs: ir_outputs,
-            mig_nodes: 0, // set by `lower`
+            mig_nodes: self.translated,
             allocator: self.opts.allocator,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use mig::rewrite::rewrite;
+    use plim_benchmarks::random::{random_arithmetic, random_logic, RandomLogicSpec};
+
+    use super::*;
+    use crate::AllocatorStrategy;
+
+    /// The candidate heaps the post-order walk and the inline lookahead
+    /// heap replaced, kept as the differential reference: Algorithm 2's
+    /// priority queue keyed by (releasing-children count, post-order
+    /// position, parent level, enqueue recency, node index) with a lazy
+    /// refresh of the count from live reference counts, and the lookahead
+    /// window over the same five-part key with static counts.
+    mod reference {
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        use mig::{Mig, MigNode, NodeId};
+
+        use super::super::{Translator, LOOKAHEAD_WINDOW};
+        use crate::ir::IrProgram;
+        use crate::lifetime::Lifetimes;
+        use crate::options::{CompilerOptions, ScheduleOrder};
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Candidate {
+            postorder: u32,
+            releasing_children: u32,
+            max_parent_level: u32,
+            seq: u64,
+            id: NodeId,
+        }
+
+        impl Ord for Candidate {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // BinaryHeap is a max-heap: invert the ascending components.
+                self.releasing_children
+                    .cmp(&other.releasing_children)
+                    .then_with(|| other.postorder.cmp(&self.postorder))
+                    .then_with(|| other.max_parent_level.cmp(&self.max_parent_level))
+                    .then_with(|| self.seq.cmp(&other.seq))
+                    .then_with(|| other.id.cmp(&self.id))
+            }
+        }
+
+        impl PartialOrd for Candidate {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        struct Priorities {
+            postorder: Vec<u32>,
+            releasing: Vec<u32>,
+            max_parent_level: Vec<u32>,
+        }
+
+        impl Priorities {
+            fn new(mig: &Mig, lifetimes: &Lifetimes) -> Self {
+                let fanout = mig.fanout_counts();
+                let levels = mig.levels();
+                let mut releasing = vec![0u32; mig.len()];
+                let mut max_parent_level = vec![u32::MAX; mig.len()];
+                for id in mig.node_ids() {
+                    if let MigNode::Majority(children) = mig.node(id) {
+                        let mut count = 0;
+                        for child in children {
+                            let n = child.node();
+                            if mig.node(n).is_majority() && fanout[n.index()] == 1 {
+                                count += 1;
+                            }
+                            let entry = &mut max_parent_level[n.index()];
+                            let level = levels[id.index()];
+                            if *entry == u32::MAX || level > *entry {
+                                *entry = level;
+                            }
+                        }
+                        releasing[id.index()] = count;
+                    }
+                }
+                let postorder = mig.node_ids().map(|id| lifetimes.postorder(id)).collect();
+                Priorities {
+                    postorder,
+                    releasing,
+                    max_parent_level,
+                }
+            }
+
+            fn candidate(&self, id: NodeId) -> Candidate {
+                Candidate {
+                    postorder: self.postorder[id.index()],
+                    releasing_children: self.releasing[id.index()],
+                    max_parent_level: self.max_parent_level[id.index()],
+                    seq: 0,
+                    id,
+                }
+            }
+        }
+
+        #[derive(Default)]
+        struct Queue {
+            heap: BinaryHeap<Candidate>,
+            next_seq: u64,
+        }
+
+        impl Queue {
+            fn enqueue(&mut self, mut candidate: Candidate) {
+                candidate.seq = self.next_seq;
+                self.next_seq += 1;
+                self.heap.push(candidate);
+            }
+
+            fn pop_scored(
+                &mut self,
+                window: usize,
+                mut score: impl FnMut(&Candidate) -> i64,
+            ) -> Option<Candidate> {
+                let mut drawn: Vec<Candidate> = Vec::new();
+                while drawn.len() < window {
+                    match self.heap.pop() {
+                        Some(candidate) => drawn.push(candidate),
+                        None => break,
+                    }
+                }
+                if drawn.is_empty() {
+                    return None;
+                }
+                let mut best = 0;
+                let mut best_score = score(&drawn[0]);
+                for (index, candidate) in drawn.iter().enumerate().skip(1) {
+                    let s = score(candidate);
+                    if s > best_score {
+                        best = index;
+                        best_score = s;
+                    }
+                }
+                let winner = drawn.swap_remove(best);
+                self.heap.extend(drawn);
+                Some(winner)
+            }
+        }
+
+        /// The dynamic releasing-children count: majority children with
+        /// exactly one remaining reference.
+        fn releasing_now(translator: &Translator<'_>, id: NodeId) -> u32 {
+            let mig = translator.mig;
+            let children = mig.node(id).children().expect("a majority node");
+            children
+                .iter()
+                .filter(|c| mig.node(c.node()).is_majority() && translator.remaining_of(**c) == 1)
+                .count() as u32
+        }
+
+        fn seed_candidates(
+            mig: &Mig,
+            priorities: &Priorities,
+            reachable: &[bool],
+            queue: &mut Queue,
+        ) -> Vec<u32> {
+            let mut uncomputed_children = vec![0u32; mig.len()];
+            for id in mig.node_ids() {
+                if !reachable[id.index()] {
+                    continue;
+                }
+                if let MigNode::Majority(children) = mig.node(id) {
+                    let pending = children
+                        .iter()
+                        .filter(|c| mig.node(c.node()).is_majority())
+                        .count() as u32;
+                    uncomputed_children[id.index()] = pending;
+                    if pending == 0 {
+                        queue.enqueue(priorities.candidate(id));
+                    }
+                }
+            }
+            uncomputed_children
+        }
+
+        /// Marks `id` computed, enqueueing parents that become ready.
+        fn computed(
+            id: NodeId,
+            fanouts: &[Vec<NodeId>],
+            reachable: &[bool],
+            priorities: &Priorities,
+            uncomputed_children: &mut [u32],
+            queue: &mut Queue,
+        ) {
+            for &parent in &fanouts[id.index()] {
+                if !reachable[parent.index()] {
+                    continue;
+                }
+                let pending = &mut uncomputed_children[parent.index()];
+                *pending -= 1;
+                if *pending == 0 {
+                    queue.enqueue(priorities.candidate(parent));
+                }
+            }
+        }
+
+        pub(super) fn lower(mig: &Mig, options: CompilerOptions) -> IrProgram {
+            let reachable = mig.reachable_mask();
+            let lifetimes = Lifetimes::compute(mig);
+            let mut translator = Translator::new(mig, options, &lifetimes);
+            let priorities = Priorities::new(mig, &lifetimes);
+            let fanouts = mig.fanouts();
+            let mut queue = Queue::default();
+            let mut uncomputed = seed_candidates(mig, &priorities, &reachable, &mut queue);
+
+            match options.schedule {
+                ScheduleOrder::Index => {
+                    for id in mig.majority_ids() {
+                        if reachable[id.index()] {
+                            translator.translate_node(id);
+                        }
+                    }
+                }
+                ScheduleOrder::Priority => {
+                    while let Some(mut candidate) = queue.heap.pop() {
+                        let current = releasing_now(&translator, candidate.id);
+                        if current > candidate.releasing_children {
+                            candidate.releasing_children = current;
+                            queue.heap.push(candidate);
+                            continue;
+                        }
+                        translator.translate_node(candidate.id);
+                        computed(
+                            candidate.id,
+                            &fanouts,
+                            &reachable,
+                            &priorities,
+                            &mut uncomputed,
+                            &mut queue,
+                        );
+                    }
+                }
+                ScheduleOrder::Lookahead => loop {
+                    let popped = queue.pop_scored(LOOKAHEAD_WINDOW, |candidate| {
+                        let freed = translator.released_cells_now(candidate.id);
+                        let allocates =
+                            i64::from(!translator.has_in_place_destination(candidate.id));
+                        let unlocked = fanouts[candidate.id.index()]
+                            .iter()
+                            .filter(|p| reachable[p.index()] && uncomputed[p.index()] == 1)
+                            .map(|p| i64::from(priorities.releasing[p.index()]))
+                            .max()
+                            .unwrap_or(0);
+                        8 * (freed - allocates) + unlocked
+                    });
+                    let Some(candidate) = popped else {
+                        break;
+                    };
+                    translator.translate_node(candidate.id);
+                    computed(
+                        candidate.id,
+                        &fanouts,
+                        &reachable,
+                        &priorities,
+                        &mut uncomputed,
+                        &mut queue,
+                    );
+                },
+            }
+
+            translator.finalize()
+        }
+    }
+
+    /// The first index at which two sequences differ, if any.
+    fn first_difference<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
+        (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))
+    }
+
+    /// Lowers `mig` under every schedule × operand policy × `fifo`/`binned`
+    /// and checks the whole program against the reference heaps.
+    fn assert_matches_the_reference(mig: &Mig, at: &str) {
+        for schedule in ScheduleOrder::ALL {
+            for operands in OperandSelection::ALL {
+                for alloc in [AllocatorStrategy::Fifo, AllocatorStrategy::LifetimeBinned] {
+                    let options = CompilerOptions::new()
+                        .schedule(schedule)
+                        .operands(operands)
+                        .allocator(alloc);
+                    let want = reference::lower(mig, options);
+                    let got = lower(mig, options);
+                    let at = format!("{at}, {}", options.spec());
+                    if let Some(i) = first_difference(&got.events, &want.events) {
+                        panic!("events differ from {i} on, {at}");
+                    }
+                    if let Some(i) = first_difference(&got.ops, &want.ops) {
+                        panic!("op {i} differs, {at}");
+                    }
+                    assert_eq!(got.cells, want.cells, "cells, {at}");
+                    assert_eq!(got.outputs, want.outputs, "outputs, {at}");
+                    assert_eq!(got.mig_nodes, want.mig_nodes, "#N, {at}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The post-order walk and the inline lookahead heap lower exactly
+        /// what the candidate heaps lowered, on seeded control logic and
+        /// arithmetic, raw and rewritten. Release builds draw larger
+        /// graphs.
+        #[test]
+        fn schedules_match_the_candidate_heaps_on_random_graphs(seed in any::<u64>()) {
+            let sizes: &[usize] = if cfg!(debug_assertions) {
+                &[12, 60, 200]
+            } else {
+                &[60, 600, 3000]
+            };
+            for &nodes in sizes {
+                let inputs = 3 + (seed % 6) as usize;
+                let outputs = 1 + (seed / 7 % 5) as usize;
+                let mig = random_logic(&RandomLogicSpec::new(inputs, outputs, nodes, seed));
+                let at = format!("random_logic {nodes} nodes, seed {seed}");
+                assert_matches_the_reference(&mig, &at);
+                assert_matches_the_reference(&rewrite(&mig, 2), &format!("{at}, rewritten"));
+            }
+            let inputs = 4 + (seed % 13) as usize;
+            let mig = random_arithmetic(inputs, seed);
+            let at = format!("random_arithmetic {inputs} inputs, seed {seed}");
+            assert_matches_the_reference(&mig, &at);
+            assert_matches_the_reference(&rewrite(&mig, 2), &format!("{at}, rewritten"));
+        }
+    }
+
+    /// Hand-built graphs at the edges of the exactness argument in
+    /// [`lower`]'s documentation.
+    #[test]
+    fn schedules_match_the_candidate_heaps_on_hand_built_edges() {
+        // A fanout-1 child that is also a primary output: `x` has one
+        // majority parent, but the output reference keeps it from
+        // releasing, so `top`'s static releasing count is 0.
+        let mut mig = Mig::new();
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| mig.add_input(format!("x{i}")));
+        let x = mig.and(a, b);
+        let y = mig.or(c, d);
+        let top = mig.maj(x, y, !a);
+        mig.add_output("top", top);
+        mig.add_output("x", x);
+        assert_eq!(mig.fanout_counts()[x.node().index()], 2);
+        assert_matches_the_reference(&mig, "fanout-1 child that is an output");
+
+        // A node that reads one child twice. `Mig::maj` folds a repeated
+        // child (Ω.M), so the second read goes through a sibling: `m`
+        // reads `c` directly and through `d`, and `c` releases only once
+        // both are translated.
+        let mut mig = Mig::new();
+        let [a, b, e, f] = [0, 1, 2, 3].map(|i| mig.add_input(format!("x{i}")));
+        let c = mig.and(a, b);
+        let d = mig.maj(c, e, f);
+        let m = mig.maj(c, !d, e);
+        mig.add_output("m", m);
+        assert_matches_the_reference(&mig, "child read directly and through a sibling");
+
+        // A node that becomes dynamically releasing before its search frame
+        // opens: `p` consumes one of `c`'s two references early, so `m`'s
+        // live releasing count is 1 while its static count is 0, and `m`
+        // stays ready while the search walks `top`'s deeper operand first.
+        let mut mig = Mig::new();
+        let xs: Vec<_> = (0..6).map(|i| mig.add_input(format!("x{i}"))).collect();
+        let c = mig.and(xs[0], xs[1]);
+        let p = mig.maj(c, xs[2], xs[3]);
+        let m = mig.maj(c, xs[4], !xs[5]);
+        let mut deep = mig.or(xs[2], xs[4]);
+        for x in &xs[1..5] {
+            deep = mig.maj(deep, *x, !xs[0]);
+        }
+        let top = mig.maj(m, deep, xs[3]);
+        mig.add_output("p", p);
+        mig.add_output("top", top);
+        let lifetimes = Lifetimes::compute(&mig);
+        let position = |s: Signal| lifetimes.postorder(s.node());
+        assert!(position(p) < position(deep) && position(deep) < position(m));
+        assert_matches_the_reference(&mig, "dynamically releasing before its frame");
+
+        // Dangling nodes: `dead` hangs off the reachable `c` (keeping it
+        // from ever releasing) and `deader` off `dead`; neither is
+        // translated.
+        let mut mig = Mig::new();
+        let [a, b, e] = [0, 1, 2].map(|i| mig.add_input(format!("x{i}")));
+        let c = mig.and(a, b);
+        let dead = mig.or(c, e);
+        let deader = mig.maj(dead, a, !e);
+        let f = mig.maj(c, !a, e);
+        mig.add_output("f", f);
+        let lifetimes = Lifetimes::compute(&mig);
+        assert_eq!(lifetimes.postorder(dead.node()), u32::MAX);
+        assert_eq!(lifetimes.postorder(deader.node()), u32::MAX);
+        assert_matches_the_reference(&mig, "dangling nodes");
+        assert_eq!(lower(&mig, CompilerOptions::new()).mig_nodes, 2);
     }
 }

@@ -16,10 +16,12 @@
 //! * **lifetime analysis** ([`lifetime`]): one up-front pass computes every
 //!   node's reference schedule position, last-use point, and lifetime
 //!   class; the scheduler and the allocator both consume it;
-//! * **candidate selection** ([`candidate`]): a priority queue schedules
-//!   computable nodes so RRAMs are released early and allocated late;
-//!   [`ScheduleOrder::Lookahead`] adds a windowed lookahead that weighs the
-//!   cells a candidate frees now against those it must newly allocate;
+//! * **candidate selection** ([`ir::lower`]): the default schedule
+//!   translates nodes in the lifetime analysis' depth-first post-order,
+//!   which is what a priority queue releasing RRAMs early and allocating
+//!   them late pops; [`ScheduleOrder::Lookahead`] keeps a heap of computable
+//!   nodes and weighs the cells a candidate frees now against those it must
+//!   newly allocate;
 //! * **smart node translation** ([`compile`]): a case analysis picks which
 //!   child feeds the natively-inverted operand `B`, which child's RRAM is
 //!   overwritten as destination `Z`, and how operand `A` is read, caching
@@ -72,7 +74,6 @@ mod ambit;
 pub mod backend;
 pub mod batch;
 pub mod cache;
-pub mod candidate;
 mod compile;
 pub mod ir;
 pub mod json;

@@ -14,9 +14,9 @@
 //! * the **lifetime span** `last_use − def`, and a coarse [`LifetimeClass`]
 //!   splitting nodes at the mean span.
 //!
-//! [`crate::candidate::Priorities`] derives its scheduling key from the
-//! same post-order, so the analysis is shared rather than recomputed, and
-//! the default priority schedule is bit-for-bit unchanged by this layer.
+//! The post-order itself is the default [`crate::ScheduleOrder::Priority`]
+//! schedule: [`Lifetimes::order`] keeps the sequence the depth-first search
+//! emits, and `ir::lower` translates its majority nodes in that order.
 
 use mig::{Mig, MigNode, NodeId};
 
@@ -35,6 +35,7 @@ pub enum LifetimeClass {
 #[derive(Debug, Clone)]
 pub struct Lifetimes {
     postorder: Vec<u32>,
+    order: Vec<NodeId>,
     last_use: Vec<u32>,
     span_threshold: u32,
 }
@@ -48,7 +49,7 @@ impl Lifetimes {
         // operands are then computed right before their consumer instead
         // of staying live across a deep sibling subtree.
         let mut postorder = vec![u32::MAX; mig.len()];
-        let mut next = 0u32;
+        let mut order: Vec<NodeId> = Vec::with_capacity(mig.len());
         let mut stack: Vec<(NodeId, bool)> = mig
             .outputs()
             .iter()
@@ -60,8 +61,8 @@ impl Lifetimes {
                 continue;
             }
             if expanded {
-                postorder[id.index()] = next;
-                next += 1;
+                postorder[id.index()] = order.len() as u32;
+                order.push(id);
                 continue;
             }
             if let MigNode::Majority(children) = mig.node(id) {
@@ -75,8 +76,8 @@ impl Lifetimes {
                     }
                 }
             } else {
-                postorder[id.index()] = next;
-                next += 1;
+                postorder[id.index()] = order.len() as u32;
+                order.push(id);
             }
         }
 
@@ -117,6 +118,7 @@ impl Lifetimes {
 
         Lifetimes {
             postorder,
+            order,
             last_use,
             span_threshold,
         }
@@ -126,6 +128,12 @@ impl Lifetimes {
     /// schedule; `u32::MAX` for nodes unreachable from every output.
     pub fn postorder(&self, id: NodeId) -> u32 {
         self.postorder[id.index()]
+    }
+
+    /// Every node reachable from an output, in post-order: `order()[p]` is
+    /// the node at position `p`.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
     }
 
     /// The reference-schedule position of the node's last consumer;
@@ -189,6 +197,10 @@ mod tests {
         seen.sort_unstable();
         for (i, p) in seen.iter().enumerate() {
             assert_eq!(*p, i as u32, "positions must be dense");
+        }
+        assert_eq!(lt.order().len(), seen.len());
+        for (p, &id) in lt.order().iter().enumerate() {
+            assert_eq!(lt.postorder(id), p as u32, "order inverts postorder");
         }
     }
 

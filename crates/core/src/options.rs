@@ -82,12 +82,16 @@ pub enum ScheduleOrder {
     /// Topological index order (the paper's naive baseline: "the candidate
     /// selection scheme is disabled").
     Index,
-    /// The priority queue of §4.2.1: prefer candidates with more releasing
-    /// children, then candidates whose parents sit on lower levels.
+    /// The candidate selection of §4.2.1 (release early, allocate late):
+    /// nodes in [`crate::Lifetimes::order`], the depth-first post-order from
+    /// the outputs. A candidate queue keyed by the releasing-children count
+    /// and then the post-order position pops exactly this order (see
+    /// [`crate::ir::lower()`]).
     #[default]
     Priority,
-    /// Lifetime-driven lookahead on top of the priority queue: among the
-    /// heap-best candidates, pick the one with the best *net* RRAM effect —
+    /// Lifetime-driven lookahead: ready nodes wait in a heap keyed by their
+    /// static releasing-children count, then post-order position; among
+    /// the heap-best few, pick the one with the best *net* RRAM effect —
     /// cells freed right now, minus cells the translation must newly
     /// allocate, plus the best release unlocked one step later.
     Lookahead,
