@@ -46,7 +46,7 @@ pub use crate::magic::MagicBackend;
 ///
 /// The pass pipeline's quality gates compare these triples exactly the way
 /// they compared the hard-coded `(#I, #R, max-writes)` metrics before the
-/// trait existed: [`Cost::worse_than`] reverts a `redundant-init` run,
+/// trait existed: [`Cost::worse_than`] reverts an `identity` run,
 /// [`Cost::improves_on`] commits a forwarding edit. For the RM3 backend the
 /// fields are exactly the historical metrics, which keeps every gating
 /// decision — and therefore every emitted byte — unchanged.
@@ -242,7 +242,7 @@ pub trait Backend: Sync {
 
     /// Scores the IR under [`Backend::cost_table`] **without** building
     /// the artifact — the pass pipeline's gate after an editing
-    /// `redundant-init` run, where full emission would dominate compile
+    /// `identity` run, where full emission would dominate compile
     /// time. Forwarding prices its trials through [`Backend::scorer`]
     /// instead, and the pipeline takes its cost from there.
     fn cost(&self, ir: &IrProgram) -> Cost {

@@ -468,8 +468,7 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                 // `⟨x x̄ z⟩` with equal constants is an identity write: the
                 // value is untouched, so neither the complement map nor the
                 // known-constant map moves.
-                let identity = matches!((op.a, op.b), (Value::Const(x), Value::Const(y)) if x == y);
-                if !identity {
+                if !op.identity() {
                     // Cached-complement bookkeeping. The materialization
                     // idiom is `z ← ⟨1 s̄ z⟩` over a freshly *reset* cell —
                     // that and only that computes ¬s. The same operand

@@ -102,16 +102,17 @@ pub fn lower(mig: &Mig, options: CompilerOptions) -> IrProgram {
 /// toward the candidate that unlocks the biggest release one step later,
 /// then toward the heap order.
 fn run_lookahead_schedule(mig: &Mig, lifetimes: &Lifetimes, translator: &mut Translator<'_>) {
-    let fanout = mig.fanout_counts();
+    let references = lifetimes.references();
     let fanouts = mig.fanouts();
     let is_majority = |n: NodeId| mig.node(n).is_majority();
-    // Releasing children (§4.2.1): majority children with single fanout.
+    // Releasing children (§4.2.1): majority children with a single
+    // reference.
     let releasing: Vec<u32> = mig
         .node_ids()
         .map(|id| match mig.node(id) {
             MigNode::Majority(children) => children
                 .iter()
-                .filter(|c| is_majority(c.node()) && fanout[c.node().index()] == 1)
+                .filter(|c| is_majority(c.node()) && references[c.node().index()] == 1)
                 .count() as u32,
             _ => 0,
         })
@@ -199,7 +200,8 @@ struct Translator<'a> {
     loc: Vec<Option<Loc>>,
     /// RRAM holding the *complement* of each node's value, if materialized.
     compl: Vec<Option<RamAddr>>,
-    /// References (parent edges + primary outputs) not yet consumed.
+    /// References (edges from reachable parents + primary outputs) not yet
+    /// consumed.
     remaining: Vec<u32>,
     /// The IR under construction.
     ops: Vec<IrOp>,
@@ -225,7 +227,7 @@ impl<'a> Translator<'a> {
             alloc: RramAllocator::new(opts.allocator),
             loc,
             compl: vec![None; mig.len()],
-            remaining: mig.fanout_counts(),
+            remaining: lifetimes.references().to_vec(),
             ops: Vec::new(),
             cells: Vec::new(),
             events: Vec::new(),
@@ -457,17 +459,10 @@ impl<'a> Translator<'a> {
         debug_assert!(*remaining > 0, "reference count underflow");
         *remaining -= 1;
         if *remaining == 0 {
-            if let Some(Loc::Ram(addr)) = self.loc[node.index()].take() {
+            // Constants and inputs have nothing to release.
+            if let Some(Loc::Ram(addr)) = self.loc[node.index()] {
+                self.loc[node.index()] = None;
                 self.release(addr);
-            } else {
-                // Constants and inputs have nothing to release, but their
-                // location must stay valid for later readers… which cannot
-                // exist since remaining is 0. Restore for robustness.
-                self.loc[node.index()] = match self.mig.node(node) {
-                    MigNode::Constant => Some(Loc::Const),
-                    MigNode::Input(i) => Some(Loc::Pi(*i)),
-                    MigNode::Majority(_) => None,
-                };
             }
             if let Some(addr) = self.compl[node.index()].take() {
                 self.release(addr);
@@ -771,7 +766,7 @@ mod tests {
 
         impl Priorities {
             fn new(mig: &Mig, lifetimes: &Lifetimes) -> Self {
-                let fanout = mig.fanout_counts();
+                let references = lifetimes.references();
                 let levels = mig.levels();
                 let mut releasing = vec![0u32; mig.len()];
                 let mut max_parent_level = vec![u32::MAX; mig.len()];
@@ -780,7 +775,7 @@ mod tests {
                         let mut count = 0;
                         for child in children {
                             let n = child.node();
-                            if mig.node(n).is_majority() && fanout[n.index()] == 1 {
+                            if mig.node(n).is_majority() && references[n.index()] == 1 {
                                 count += 1;
                             }
                             let entry = &mut max_parent_level[n.index()];
@@ -1091,9 +1086,9 @@ mod tests {
         assert!(position(p) < position(deep) && position(deep) < position(m));
         assert_matches_the_reference(&mig, "dynamically releasing before its frame");
 
-        // Dangling nodes: `dead` hangs off the reachable `c` (keeping it
-        // from ever releasing) and `deader` off `dead`; neither is
-        // translated.
+        // Dangling nodes: `dead` hangs off the reachable `c` and `deader`
+        // off `dead`; neither is translated, and neither holds a reference
+        // that would keep `c` from releasing.
         let mut mig = Mig::new();
         let [a, b, e] = [0, 1, 2].map(|i| mig.add_input(format!("x{i}")));
         let c = mig.and(a, b);
@@ -1106,5 +1101,28 @@ mod tests {
         assert_eq!(lifetimes.postorder(deader.node()), u32::MAX);
         assert_matches_the_reference(&mig, "dangling nodes");
         assert_eq!(lower(&mig, CompilerOptions::new()).mig_nodes, 2);
+    }
+
+    /// A dangling parent holds no reference to its reachable child: a
+    /// 20-node chain with a dangling `or` hung off every link lowers to the
+    /// clean chain's `#I` and `#R`, each link overwritten in place.
+    #[test]
+    fn dangling_parents_hold_no_reference() {
+        let chain = |dangling: bool| {
+            let mut mig = Mig::new();
+            let xs: Vec<_> = (0..21).map(|i| mig.add_input(format!("x{i}"))).collect();
+            let mut link = xs[0];
+            for &x in &xs[1..] {
+                link = mig.and(link, x);
+                if dangling {
+                    mig.or(link, !x);
+                }
+            }
+            mig.add_output("f", link);
+            let compiled = crate::compile(&mig, CompilerOptions::new());
+            (compiled.program.len(), compiled.program.num_rams())
+        };
+        assert_eq!(chain(false), (22, 1), "clean chain");
+        assert_eq!(chain(true), chain(false), "dangling parents");
     }
 }

@@ -7,7 +7,7 @@
 //! request/release lifetime, together with the full allocation event stream
 //! and the source-MIG provenance of every op. [`passes::PassManager`] then
 //! rewrites the stream (in-place-overwrite forwarding and
-//! redundant-initialization removal) under the
+//! identity-write removal) under the
 //! [`crate::OptLevel`] selected in [`crate::CompilerOptions`], and [`emit`]
 //! replays the event stream through a fresh [`crate::alloc::RramAllocator`]
 //! to rebuild the physical program — including the exact per-cell write
@@ -105,6 +105,13 @@ impl IrOp {
     #[inline]
     pub fn masking(&self) -> bool {
         matches!((self.a, self.b), (Value::Const(x), Value::Const(y)) if x != y)
+    }
+
+    /// `true` for an identity write `⟨c c̄ z⟩`: both operands are the same
+    /// constant, so the destination keeps its value.
+    #[inline]
+    pub fn identity(&self) -> bool {
+        matches!((self.a, self.b), (Value::Const(x), Value::Const(y)) if x == y)
     }
 
     /// The cells this op reads: `a`, `b`, plus `z`'s old value unless the

@@ -3,8 +3,6 @@
 //! Two passes rewrite the IR event stream under the [`OptLevel`] chosen in
 //! [`crate::CompilerOptions`]:
 //!
-//! * [`redundant_init`] — removes initializations that re-materialize a
-//!   constant already resident in the cell, and identity writes;
 //! * [`forward`] — in-place-overwrite forwarding: when a node's destination
 //!   value was materialized into a fresh cell (a constant load or a copy)
 //!   even though a cell holding one of the instruction's inputs dies
@@ -13,33 +11,37 @@
 //!   past that cell's last read. This harvests slack no scheduler can see:
 //!   the lowering's reference counts overestimate lifetimes, because
 //!   consumers that read a cached complement never touch the value cell.
-//!   It indexes cells by stable event keys once per run and resumes where
-//!   it committed, so its bookkeeping per commit is proportional to the
-//!   edit, and it scores each trial edit through the backend's
-//!   [`TrialScorer`], which replays only from the checkpoint before the
-//!   edit to where the replay reconverges with the committed one (see
-//!   [`forward`]'s cost section).
+//!   It indexes cells by stable event keys once per run and scans the
+//!   stream once, resuming where it committed, so its bookkeeping per
+//!   commit is proportional to the edit, and it scores each trial edit
+//!   through the backend's [`TrialScorer`], which replays only from the
+//!   checkpoint before the edit to where the replay reconverges with the
+//!   committed one (see [`forward`]'s cost section);
+//! * [`drop_identity_writes`] — removes identity writes `⟨c c̄ z⟩` (both
+//!   operands the same constant, so the cell keeps its value). Lowering
+//!   emits none; [`forward`] leaves one each time its rotate candidate
+//!   claims the source `s` of a copy `⟨s 1̄ x⟩`, which turns the copy's
+//!   consumer into `⟨1 1̄ s⟩`.
 //!
-//! `-O0` runs nothing, and `-O2` runs `forward` then `redundant-init`,
-//! round after round, to a fixpoint. A pass is a plain function the
+//! `-O0` runs nothing, and `-O2` runs `forward` then `identity`, round
+//! after round, to a fixpoint. A pass is a plain function the
 //! [`PassManager`] calls; after every run that edited the stream the
 //! manager lint-checks the IR, re-checks it structurally, gates it on cost,
 //! and — in debug/test builds — replays it through the machine-simulator
 //! equivalence check against the source MIG, so a broken pass fails loudly
 //! at the pass boundary, not in some downstream consumer.
 //!
-//! No pass removes dead writes or folds ops whose result resident constants
-//! fix, because no stream the product makes has either. `Mig::maj` applies
-//! Ω.M, so no node has two constant children, and lowering puts a constant
-//! into a cell only as a destination initialization. Lowering writes a cell
-//! only for a value some op or output reads, and [`forward`] renames every
-//! reader onto the cell it claims. Nor does lowering emit an
-//! initialization [`redundant_init`] removes: each virtual cell is
-//! initialized once per lifetime, so the pass only finds work after
-//! [`forward`] has run, which is why no level runs it alone. The analyzer's
-//! `PA0006` lint checks for dead writes on every `-O2` artifact it is
-//! pointed at, and seeded and suite tests in this module check lowered
-//! and optimized streams for all three patterns.
+//! No pass removes dead writes, re-initializations of a cell already
+//! holding the constant, or ops whose result resident constants fix,
+//! because no stream the product makes has any. `Mig::maj` applies Ω.M, so
+//! no node has two constant children, and lowering puts a constant into a
+//! cell only as a destination initialization, once per virtual cell
+//! lifetime. Lowering writes a cell only for a value some op or output
+//! reads, and [`forward`] renames every reader onto the cell it claims.
+//! The analyzer's `PA0006` lint checks for dead writes on every `-O2`
+//! artifact it is pointed at, and seeded and suite tests in this module
+//! check lowered and optimized streams for every pattern, identity writes
+//! included.
 
 use mig::Mig;
 
@@ -125,7 +127,7 @@ impl PassManager {
     /// Trial edits are scored under `backend`'s cost model, and so are the
     /// quality gates: [`forward`] commits only trials that
     /// [improve on](Cost::improves_on) the incumbent, and a
-    /// [`redundant_init`] run that leaves the stream
+    /// [`drop_identity_writes`] run that leaves the stream
     /// [worse than](Cost::worse_than) the incumbent is reverted. Every
     /// round opens with `forward`, whose scorer prices the stream it is
     /// given and ends at the price of the stream it returns, so the manager
@@ -162,7 +164,7 @@ impl PassManager {
             let incumbent = if forwarded > 0 { run.cost } else { run.entry };
             debug_assert_eq!(incumbent, backend.cost(ir), "forward's scorer mispriced");
             let before = Snapshot::take(ir);
-            let edits = redundant_init(ir);
+            let edits = drop_identity_writes(ir);
             // A pass may only trade instructions down, never footprint or
             // endurance up. Allocator replay makes footprint and wear
             // global properties of the stream, so an edit that shifts reuse
@@ -170,7 +172,7 @@ impl PassManager {
             let removed = guard.settle(
                 ir,
                 before,
-                "redundant-init",
+                "identity",
                 edits,
                 TrialCounts::default(),
                 |ir| !backend.cost(ir).worse_than(incumbent),
@@ -309,90 +311,19 @@ fn masked_const(op: &IrOp) -> Option<bool> {
     }
 }
 
-/// Known-constant dataflow along the stream: calls `action` for every op event with
-/// the op's known result (if determined) and whether the cell already holds
-/// exactly that value. `action` returns `true` to *remove* the op event.
-fn const_flow(
-    ir: &mut IrProgram,
-    mut action: impl FnMut(&IrOp, Option<bool>, bool) -> bool,
-) -> usize {
-    let mut known: Vec<Option<bool>> = vec![None; ir.cells.len()];
-    let mut defined = vec![false; ir.cells.len()];
-    let mut keep = vec![true; ir.events.len()];
-    let mut edits = 0;
-    for (pos, &event) in ir.events.iter().enumerate() {
-        match event {
-            Event::Request(c) => {
-                known[c.index()] = None;
-                defined[c.index()] = false;
-            }
-            Event::Release(_) => {}
-            Event::Op(i) => {
-                let value_of = |v: Value, known: &[Option<bool>]| match v {
-                    Value::Const(x) => Some(x),
-                    Value::Input(_) => None,
-                    Value::Cell(c) => known[c.index()],
-                };
-                let op = &ir.ops[i as usize];
-                let z = op.z.index();
-                let result = if let Some(v) = masked_const(op) {
-                    Some(v)
-                } else if matches!((op.a, op.b), (Value::Const(x), Value::Const(y)) if x == y) {
-                    // ⟨x x̄ z⟩ = z: an identity write.
-                    if defined[z] {
-                        known[z]
-                    } else {
-                        None
-                    }
-                } else {
-                    let p = value_of(op.a, &known);
-                    let q = value_of(op.b, &known).map(|v| !v);
-                    let r = if defined[z] { known[z] } else { None };
-                    match (p, q, r) {
-                        (Some(x), Some(y), _) if x == y => Some(x),
-                        (Some(x), _, Some(y)) if x == y => Some(x),
-                        (_, Some(x), Some(y)) if x == y => Some(x),
-                        (Some(x), Some(y), Some(w)) => {
-                            Some(usize::from(x) + usize::from(y) + usize::from(w) >= 2)
-                        }
-                        _ => None,
-                    }
-                };
-                let identity = matches!((op.a, op.b), (Value::Const(x), Value::Const(y)) if x == y)
-                    && defined[z];
-                let resident = defined[z] && result.is_some() && known[z] == result;
-                if (identity || resident) && action(op, result, true)
-                    || (!identity && !resident && action(op, result, false))
-                {
-                    keep[pos] = false;
-                    edits += 1;
-                    continue; // removed: the cell keeps its previous value
-                }
-                known[z] = result;
-                defined[z] = true;
-            }
-        }
-    }
-    if edits > 0 {
-        let mut index = 0;
-        ir.events.retain(|_| {
-            index += 1;
-            keep[index - 1]
-        });
-        gc_cells(ir);
-    }
-    edits
-}
-
-/// Redundant-initialization removal (`redundant-init`): returns the number
-/// of ops removed.
+/// Identity-write removal (`identity`): deletes every op `⟨c c̄ z⟩`, whose
+/// operands are the same constant so the cell keeps its value, and returns
+/// how many it deleted.
 ///
-/// Tracks which constant each cell provably holds and removes ops that
-/// re-materialize exactly that value — a reset of a cell already holding 0,
-/// a constant-foldable RM3 whose result equals the resident value, or an
-/// identity `⟨x x̄ z⟩` write.
-pub fn redundant_init(ir: &mut IrProgram) -> usize {
-    const_flow(ir, |_op, _result, resident| resident)
+/// No cell loses its last reference, so no request or release goes: in a
+/// valid stream an identity write reads a defined cell, so an op that is
+/// no identity write wrote the cell before it, and that op stays.
+pub fn drop_identity_writes(ir: &mut IrProgram) -> usize {
+    let before = ir.events.len();
+    let ops = &ir.ops;
+    ir.events
+        .retain(|&event| !matches!(event, Event::Op(i) if ops[i as usize].identity()));
+    before - ir.events.len()
 }
 
 /// What one [`forward`] run did, and the stream's cost before and after it
@@ -444,13 +375,11 @@ pub struct Forwarded {
 /// moved block, inside the gap it lands in, and renumbers the whole stream
 /// only when that gap runs out. After a commit the index is patched for the
 /// cells the edit touched and the scan resumes at the committed position,
-/// first re-visiting the earlier ops that touch a changed cell. Every other
-/// earlier op still has no applicable edit — its candidates read only
-/// unchanged index entries, and any that reached a trial is memoized as
-/// rejected — so the commits, and the emitted bytes, are exactly those of a
-/// rescan from the start. Bookkeeping per commit is proportional to the
-/// edit (the touched cells' lists and the rewritten event span), apart
-/// from one memory move of the stream's tail when the edit deletes events.
+/// never going back: the commits, and the emitted bytes, are exactly those
+/// of a rescan from the start (the proof is on the scan loop). Bookkeeping
+/// per commit is proportional to the edit (the touched cells' lists and the
+/// rewritten event span), apart from one memory move of the stream's tail
+/// when the edit deletes events.
 ///
 /// Trials are scored by the backend's [`TrialScorer`], told where the edit
 /// changed the stream ([`TrialEdit`], from the undo log: the rewritten
@@ -487,10 +416,8 @@ const DEAD: u64 = u64::MAX;
 enum Touch {
     /// Read as an operand or as a non-masking destination's old value.
     Read,
-    /// Masking write: begins a fresh value, old value unread.
-    DefMask,
-    /// Non-masking write (always paired with a [`Touch::Read`]).
-    DefPlain,
+    /// Written as the destination (a non-masking write also reads it).
+    Write,
 }
 
 /// One touch-list entry: the touching op's event key, the op, and how it
@@ -551,12 +478,10 @@ impl CellIndex {
             }
         }
         let z = &mut self.touches[op.z.index()];
-        if op.masking() {
-            z.push((key, i, Touch::DefMask));
-        } else {
+        if !op.masking() {
             z.push((key, i, Touch::Read));
-            z.push((key, i, Touch::DefPlain));
         }
+        z.push((key, i, Touch::Write));
     }
 
     fn key(&self, event: Event) -> u64 {
@@ -668,9 +593,9 @@ impl CellIndex {
     }
 
     /// If every touch of `cell` after `key` is a plain read (its in-place
-    /// overwrite slot goes unused) and the cell is never written again nor
-    /// an output, the key of its last such read (`key` when there is none);
-    /// otherwise `None`.
+    /// overwrite slot goes unused) and the cell is never written again, the
+    /// key of its last such read (`key` when there is none); otherwise
+    /// `None`. The caller rules out output cells.
     ///
     /// Any later write disqualifies the cell — including a *masking* one.
     /// Neither lowering nor a pass re-initializes a virtual cell
@@ -678,15 +603,12 @@ impl CellIndex {
     /// such a cell would let the rename put reads of the forwarded value
     /// behind that re-initialization.
     fn unused_slot_last_read(&self, cell: CellId, key: u64) -> Option<u64> {
-        if self.is_output[cell.index()] {
-            return None;
-        }
         let list = &self.touches[cell.index()];
         let mut last = key;
         for &(k, _, touch) in &list[list.partition_point(|e| e.0 <= key)..] {
             match touch {
                 Touch::Read => last = k,
-                Touch::DefMask | Touch::DefPlain => return None,
+                Touch::Write => return None,
             }
         }
         Some(last)
@@ -698,7 +620,7 @@ impl CellIndex {
         list[list.partition_point(|e| e.0 <= after)..]
             .iter()
             .take_while(|e| e.0 <= through)
-            .any(|e| e.2 != Touch::Read)
+            .any(|e| e.2 == Touch::Write)
     }
 
     /// The window ops that must move together with the forwarded
@@ -785,8 +707,7 @@ struct Chain {
     value: Value,
 }
 
-/// One [`forward`] run: the index, the quality-gate memo, and the resume
-/// state.
+/// One [`forward`] run: the index and the quality-gate memo.
 struct Forwarder<'a> {
     /// Scores trials against the committed stream.
     scorer: Box<dyn TrialScorer + 'a>,
@@ -796,14 +717,8 @@ struct Forwarder<'a> {
     rejected: std::collections::HashSet<(u32, u32)>,
     /// The current stream's cost.
     baseline: Cost,
-    /// `(key, op)` of ops before the scan cursor that touch a cell a commit
-    /// changed and so must be re-visited before the scan goes on.
-    pending: std::collections::BTreeSet<(u64, u32)>,
     /// Per-op scratch marks for patching the index.
     changed: Vec<bool>,
-    /// Pending ops re-visited.
-    #[cfg_attr(not(test), allow(dead_code))]
-    revisits: usize,
     /// Whole-stream renumberings.
     #[cfg_attr(not(test), allow(dead_code))]
     renumbers: usize,
@@ -817,9 +732,7 @@ impl<'a> Forwarder<'a> {
             index: CellIndex::build(ir, spacing),
             rejected: std::collections::HashSet::new(),
             baseline,
-            pending: std::collections::BTreeSet::new(),
             changed: vec![false; ir.ops.len()],
-            revisits: 0,
             renumbers: 0,
         }
     }
@@ -827,29 +740,40 @@ impl<'a> Forwarder<'a> {
     /// Applies forwarding edits until none applies, returning how many
     /// committed.
     ///
-    /// Invariant: every op before `cursor` that is not pending has no
-    /// applicable edit, so visiting the pending ops in key order and then
-    /// the stream from `cursor` on finds exactly the commit a rescan from
-    /// the start would.
+    /// One scan: after a commit it goes on at the position `commit`
+    /// returns, and never visits an op before that position again. A rescan
+    /// from the start would commit nothing there either:
+    ///
+    /// * before the resume position, a commit only deletes events: the
+    ///   chain's `init` and `copy`, and the request of the old destination
+    ///   `x`;
+    /// * after it, the commit adds writes to the claimed cell `d` (the main
+    ///   op, and the writes renamed from `x`) and reorders touches inside
+    ///   the move window;
+    /// * so for an earlier op, a `None` from [`CellIndex::chain`], from
+    ///   [`CellIndex::unused_slot_last_read`] or from a candidate filter
+    ///   stays `None`. Only the chain ops touch `x` before the main op, and
+    ///   the gap check let no op write the copy source between the copy and
+    ///   the main op, so every earlier chain is what it was; more writes
+    ///   never free a slot, and `d` can only become an output;
+    /// * every candidate that passed them already sits in `rejected`,
+    ///   because its move was blocked or its trial lost.
+    ///
+    /// `rejected` must therefore stay as it is. One deletion falls outside
+    /// the first point: when the claimed cell is a copy source released
+    /// between the copy and the main op, the commit also drops that
+    /// release, which can lift an earlier op's gap-release check, so
+    /// [`apply_forward`] resumes the scan at the dropped release instead.
     fn run(&mut self, ir: &mut IrProgram) -> usize {
         let mut edits = 0;
-        let mut cursor = 0;
-        loop {
-            let pos = if let Some((key, op)) = self.pending.pop_first() {
-                if self.index.op_key[op as usize] != key {
-                    continue; // deleted since it was marked
+        let mut pos = 0;
+        while pos < ir.events.len() {
+            match self.forward_at(ir, pos) {
+                Some(resume) => {
+                    edits += 1;
+                    pos = resume;
                 }
-                self.revisits += 1;
-                self.index.position(ir, key)
-            } else if cursor < ir.events.len() {
-                cursor += 1;
-                cursor - 1
-            } else {
-                break;
-            };
-            if let Some(resume) = self.forward_at(ir, pos) {
-                edits += 1;
-                cursor = resume;
+                None => pos += 1,
             }
         }
         if edits > 0 {
@@ -911,8 +835,8 @@ impl<'a> Forwarder<'a> {
             };
             let Some(moved) = self.index.move_set(ir, key, x, d, new_a, op_b, last_read) else {
                 // Memoized like quality rejections: a blocked move rarely
-                // unblocks, and re-deriving the dependence closure on every
-                // revisit would cost a window walk per candidate.
+                // unblocks, and re-deriving the dependence closure on a
+                // second visit would cost a window walk per candidate.
                 self.rejected.insert((ki, d.0));
                 continue;
             };
@@ -966,9 +890,8 @@ impl<'a> Forwarder<'a> {
         None
     }
 
-    /// Brings the index in step with a committed edit and marks the earlier
-    /// ops it may have made eligible; returns the position to resume the
-    /// scan at.
+    /// Brings the index in step with a committed edit; returns the position
+    /// to resume the scan at.
     fn commit(
         &mut self,
         ir: &IrProgram,
@@ -1002,11 +925,6 @@ impl<'a> Forwarder<'a> {
         }
         if index.key_block(ir, block) {
             self.renumbers += 1;
-            self.pending = std::mem::take(&mut self.pending)
-                .into_iter()
-                .filter(|&(_, i)| index.op_key[i as usize] != DEAD)
-                .map(|(_, i)| (index.op_key[i as usize], i))
-                .collect();
         }
 
         // Patch the lists of every cell a changed op touches, before or
@@ -1042,30 +960,6 @@ impl<'a> Forwarder<'a> {
             index.touches[c.index()].sort_by_key(|e| e.0);
         }
 
-        // Resume: everything from the committed position on is rescanned;
-        // before it, only ops touching a changed cell can have changed
-        // their verdict — plus the main op after a copy reading one, whose
-        // candidate set depends on the copied source.
-        let resume_key = ir.events.get(resume).map_or(DEAD, |&e| index.key(e));
-        drop(self.pending.split_off(&(resume_key, 0)));
-        for &c in &cells {
-            for &(k, i, touch) in &index.touches[c.index()] {
-                if k >= resume_key {
-                    break;
-                }
-                self.pending.insert((k, i));
-                let op = &ir.ops[i as usize];
-                if touch == Touch::Read && op.a == Value::Cell(c) && op.b == Value::Const(true) {
-                    let list = &index.touches[op.z.index()];
-                    if let Some(&(next, j, _)) = list[list.partition_point(|e| e.0 <= k)..].first()
-                    {
-                        if next < resume_key {
-                            self.pending.insert((next, j));
-                        }
-                    }
-                }
-            }
-        }
         #[cfg(test)]
         tests::assert_index_matches(&self.index, ir);
         resume
@@ -1079,7 +973,8 @@ struct Applied {
     /// included.
     block: std::ops::Range<usize>,
     /// Stream position of the first event that followed the main op's
-    /// original position (or of the block, when it did not move).
+    /// original position (or of the block, when it did not move), or the
+    /// claimed cell's release, when the edit dropped one from before it.
     resume: usize,
 }
 
@@ -1269,11 +1164,14 @@ fn apply_forward(
         Some((rp, rep)) if rp == p => rep,
         _ => event,
     };
+    // See `Forwarder::run` for why the scan may resume at the claimed
+    // cell's dropped release.
+    let resume_at = release_d.filter(|&rd| rd < pos).unwrap_or(pos);
     let mut span = Vec::with_capacity(last_read + 1 - lo);
     let mut resume = pos;
     let mut moved_to = pos..pos;
     for p in lo..=last_read {
-        if p == pos {
+        if p == resume_at {
             resume = lo + span.len();
         }
         let in_block = p == pos
@@ -1327,9 +1225,20 @@ mod tests {
     /// kept as the differential oracle: every commit rebuilds the index and
     /// rescans the stream from event 0.
     mod oracle {
-        use super::super::{gc_cells, masked_const, Touch, MOVE_CAP};
+        use super::super::{gc_cells, masked_const, MOVE_CAP};
         use crate::backend::{Backend, Cost};
         use crate::ir::{CellId, Event, IrOutput, IrProgram, Value};
+
+        /// How a position touches a cell.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Touch {
+            /// Read as an operand or as a non-masking destination's old value.
+            Read,
+            /// Masking write: begins a fresh value, old value unread.
+            DefMask,
+            /// Non-masking write (always paired with a [`Touch::Read`]).
+            DefPlain,
+        }
 
         /// The old `forward`.
         pub(super) fn forward(ir: &mut IrProgram, backend: &dyn Backend) -> usize {
@@ -1902,20 +1811,14 @@ mod tests {
         }
     }
 
-    /// What the incremental engine reported besides its edits.
-    struct Outcome {
-        revisits: usize,
-        renumbers: usize,
-    }
-
     /// Runs both engines on copies of `ir` and requires the same stream,
     /// operands, outputs and edit count; returns the optimized program and
-    /// the incremental engine's counters.
+    /// how often the incremental engine renumbered the stream.
     fn assert_engines_agree(
         ir: &IrProgram,
         backend: &dyn Backend,
         spacing: u64,
-    ) -> (IrProgram, Outcome) {
+    ) -> (IrProgram, usize) {
         let mut expected = ir.clone();
         let want = oracle::forward(&mut expected, backend);
         let mut actual = ir.clone();
@@ -1925,11 +1828,7 @@ mod tests {
         assert_eq!(actual.events, expected.events, "event streams differ");
         assert_eq!(actual.ops, expected.ops, "op operands differ");
         assert_eq!(actual.outputs, expected.outputs, "outputs differ");
-        let outcome = Outcome {
-            revisits: engine.revisits,
-            renumbers: engine.renumbers,
-        };
-        (actual, outcome)
+        (actual, engine.renumbers)
     }
 
     fn lowered(
@@ -1947,10 +1846,10 @@ mod tests {
         )
     }
 
-    /// The rest of an `-O2` round after forwarding, one `redundant-init`
-    /// run: the input a later round's forwarding sees.
+    /// The rest of an `-O2` round after forwarding, one `identity` run:
+    /// the input a later round's forwarding sees.
     fn next_round(mut ir: IrProgram) -> IrProgram {
-        redundant_init(&mut ir);
+        drop_identity_writes(&mut ir);
         ir
     }
 
@@ -2167,27 +2066,143 @@ mod tests {
         );
     }
 
-    /// A commit changes the touch lists of its cells, so the earlier ops
-    /// touching them are re-visited before the scan resumes. Deleting the
-    /// committed op's materialization chain is the only change before it,
-    /// and under today's candidate rules that never turns an earlier
-    /// verdict around — a revisit re-derives the verdict it had. The marks
-    /// keep the resume exact without leaning on that argument; this pins
-    /// that they fire and that the commits stay the restart engine's.
-    #[test]
-    fn commits_revisit_the_earlier_ops_touching_their_cells() {
-        let mut revisits = 0;
-        for seed in 0..12 {
-            for alloc in AllocatorStrategy::ALL {
-                let ir = lowered(120, seed, ScheduleOrder::Index, alloc);
-                let (forwarded, outcome) = assert_engines_agree(&ir, &EventCount, KEY_SPACING);
-                revisits += outcome.revisits;
-                let (_, outcome) =
-                    assert_engines_agree(&next_round(forwarded), &Rm3Backend, KEY_SPACING);
-                revisits += outcome.revisits;
+    /// Scores a stream by its event count plus 100 per op whose
+    /// destination differs from the one it had in `original`, except the
+    /// retargets in `allowed`: a model that turns down every trial but
+    /// the ones a test picks.
+    struct Picky {
+        original: Vec<CellId>,
+        allowed: Vec<(usize, CellId)>,
+    }
+
+    impl Backend for Picky {
+        fn name(&self) -> &'static str {
+            "picky"
+        }
+
+        fn description(&self) -> &'static str {
+            "accepts only the retargets a test picks"
+        }
+
+        fn instruction_set(&self) -> &'static [InstructionInfo] {
+            &[]
+        }
+
+        fn cost_table(&self) -> CostTable {
+            unreachable!("the model is no cost table")
+        }
+
+        fn cost(&self, ir: &IrProgram) -> Cost {
+            let penalty = ir
+                .ops
+                .iter()
+                .enumerate()
+                .filter(|&(i, op)| op.z != self.original[i] && !self.allowed.contains(&(i, op.z)))
+                .count();
+            Cost {
+                instructions: ir.events.len() + 100 * penalty,
+                footprint: 0,
+                wear: 0,
+                units: 0,
             }
         }
-        assert!(revisits > 0, "no commit marked an earlier op");
+
+        fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
+            (Box::new(PickyScorer(self)), self.cost(ir))
+        }
+
+        fn emit(&self, _: &IrProgram) -> Box<dyn Artifact> {
+            unreachable!("the forwarding pass never emits")
+        }
+    }
+
+    struct PickyScorer<'a>(&'a Picky);
+
+    impl TrialScorer for PickyScorer<'_> {
+        fn trial(&mut self, ir: &IrProgram, _: &TrialEdit, bound: Cost) -> Option<Cost> {
+            let cost = self.0.cost(ir);
+            cost.improves_on(bound).then_some(cost)
+        }
+
+        fn commit(&mut self) {}
+
+        fn counts(&self) -> TrialCounts {
+            TrialCounts::default()
+        }
+    }
+
+    /// Two ops copy `%0`, which is released between their copies and
+    /// themselves. The second claims `%0` in place, which drops that
+    /// release and so lets the first claim its own operand cell `%3`,
+    /// whose rotate candidate needs the copied `%0` alive at the first op.
+    /// The scan must go back to the dropped release to find it, as the
+    /// restart engine does.
+    #[test]
+    fn a_dropped_release_before_the_main_op_resumes_the_scan_there() {
+        use crate::ir::IrCell;
+        let [d, x_e, x_m, w] = [0, 1, 2, 3].map(CellId);
+        let op = |a, b, z| IrOp {
+            a,
+            b,
+            z,
+            rhs: plim::Rhs::Const(false),
+            node: None,
+        };
+        let set = |z| op(Value::Const(true), Value::Const(false), z);
+        let copy = |a, z| op(a, Value::Const(true), z);
+        let ir = IrProgram {
+            num_inputs: 4,
+            ops: vec![
+                set(d),
+                copy(Value::Input(0), d),
+                set(x_e),
+                copy(Value::Cell(d), x_e),
+                set(x_m),
+                copy(Value::Cell(d), x_m),
+                set(w),
+                copy(Value::Input(1), w),
+                op(Value::Cell(w), Value::Input(2), x_e),
+                op(Value::Input(3), Value::Input(0), x_m),
+            ],
+            cells: vec![
+                IrCell {
+                    pinned: plim::RamAddr(0),
+                    hint: crate::LifetimeClass::Short,
+                };
+                4
+            ],
+            events: vec![
+                Event::Request(d),
+                Event::Op(0),
+                Event::Op(1),
+                Event::Request(x_e),
+                Event::Op(2),
+                Event::Op(3),
+                Event::Request(x_m),
+                Event::Op(4),
+                Event::Op(5),
+                Event::Release(d),
+                Event::Request(w),
+                Event::Op(6),
+                Event::Op(7),
+                Event::Op(8),
+                Event::Op(9),
+                Event::Release(w),
+            ],
+            outputs: vec![
+                ("f".to_string(), IrOutput::Cell(x_e)),
+                ("g".to_string(), IrOutput::Cell(x_m)),
+            ],
+            mig_nodes: 2,
+            allocator: AllocatorStrategy::Fifo,
+        };
+        ir.check().expect("a valid stream");
+        let picky = Picky {
+            original: ir.ops.iter().map(|op| op.z).collect(),
+            allowed: vec![(8, w), (9, d)],
+        };
+        let (forwarded, _) = assert_engines_agree(&ir, &picky, KEY_SPACING);
+        assert_eq!((forwarded.ops[8].z, forwarded.ops[9].z), (w, d));
     }
 
     /// With keys one apart, every moved block exhausts its gap and the
@@ -2199,17 +2214,35 @@ mod tests {
             let mut renumbers = 0;
             for seed in 0..6 {
                 let ir = lowered(150, seed, ScheduleOrder::Priority, AllocatorStrategy::Lifo);
-                let (_, outcome) = assert_engines_agree(&ir, &EventCount, spacing);
-                renumbers += outcome.renumbers;
+                renumbers += assert_engines_agree(&ir, &EventCount, spacing).1;
             }
             assert!(renumbers > 0, "spacing {spacing}: no gap ran out");
         }
         let ir = lowered(150, 1, ScheduleOrder::Priority, AllocatorStrategy::Lifo);
-        let (_, outcome) = assert_engines_agree(&ir, &EventCount, KEY_SPACING);
-        assert_eq!(
-            outcome.renumbers, 0,
-            "wide gaps never run out on a small stream"
-        );
+        let (_, renumbers) = assert_engines_agree(&ir, &EventCount, KEY_SPACING);
+        assert_eq!(renumbers, 0, "wide gaps never run out on a small stream");
+    }
+
+    /// The incremental engine commits exactly what the restart engine
+    /// commits on every reduced suite circuit, rewritten at effort 4, on
+    /// every allocator, under the RM3 cost model and under a model that
+    /// commits every legal candidate.
+    ///
+    /// Release builds only: the restart engine replays the whole stream
+    /// per trial, and debug builds re-check the IR per trial too.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn forward_matches_the_restart_engine_on_the_reduced_suite() {
+        use plim_benchmarks::suite::{self, Scale};
+        for name in suite::ALL {
+            let mig = suite::build(name, Scale::Reduced).expect("suite circuit");
+            let rewritten = mig::rewrite::rewrite(&mig, 4);
+            for alloc in AllocatorStrategy::ALL {
+                let ir = crate::ir::lower(&rewritten, CompilerOptions::new().allocator(alloc));
+                assert_engines_agree(&ir, &Rm3Backend, KEY_SPACING);
+                assert_engines_agree(&ir, &EventCount, KEY_SPACING);
+            }
+        }
     }
 
     /// The `PA0006` findings the analyzer reports on an `-O2` artifact.
@@ -2220,6 +2253,152 @@ mod tests {
             .iter()
             .filter(|d| d.lint == analysis::Lint::DeadWrite)
             .count()
+    }
+
+    /// Known-constant dataflow along the stream: calls `action` for every op event with
+    /// the op's known result (if determined) and whether the cell already holds
+    /// exactly that value. `action` returns `true` to *remove* the op event.
+    fn const_flow(
+        ir: &mut IrProgram,
+        mut action: impl FnMut(&IrOp, Option<bool>, bool) -> bool,
+    ) -> usize {
+        let mut known: Vec<Option<bool>> = vec![None; ir.cells.len()];
+        let mut defined = vec![false; ir.cells.len()];
+        let mut keep = vec![true; ir.events.len()];
+        let mut edits = 0;
+        for (pos, &event) in ir.events.iter().enumerate() {
+            match event {
+                Event::Request(c) => {
+                    known[c.index()] = None;
+                    defined[c.index()] = false;
+                }
+                Event::Release(_) => {}
+                Event::Op(i) => {
+                    let value_of = |v: Value, known: &[Option<bool>]| match v {
+                        Value::Const(x) => Some(x),
+                        Value::Input(_) => None,
+                        Value::Cell(c) => known[c.index()],
+                    };
+                    let op = &ir.ops[i as usize];
+                    let z = op.z.index();
+                    let result = if let Some(v) = masked_const(op) {
+                        Some(v)
+                    } else if matches!((op.a, op.b), (Value::Const(x), Value::Const(y)) if x == y) {
+                        // ⟨x x̄ z⟩ = z: an identity write.
+                        if defined[z] {
+                            known[z]
+                        } else {
+                            None
+                        }
+                    } else {
+                        let p = value_of(op.a, &known);
+                        let q = value_of(op.b, &known).map(|v| !v);
+                        let r = if defined[z] { known[z] } else { None };
+                        match (p, q, r) {
+                            (Some(x), Some(y), _) if x == y => Some(x),
+                            (Some(x), _, Some(y)) if x == y => Some(x),
+                            (_, Some(x), Some(y)) if x == y => Some(x),
+                            (Some(x), Some(y), Some(w)) => {
+                                Some(usize::from(x) + usize::from(y) + usize::from(w) >= 2)
+                            }
+                            _ => None,
+                        }
+                    };
+                    let identity = matches!((op.a, op.b), (Value::Const(x), Value::Const(y)) if x == y)
+                        && defined[z];
+                    let resident = defined[z] && result.is_some() && known[z] == result;
+                    if (identity || resident) && action(op, result, true)
+                        || (!identity && !resident && action(op, result, false))
+                    {
+                        keep[pos] = false;
+                        edits += 1;
+                        continue; // removed: the cell keeps its previous value
+                    }
+                    known[z] = result;
+                    defined[z] = true;
+                }
+            }
+        }
+        if edits > 0 {
+            let mut index = 0;
+            ir.events.retain(|_| {
+                index += 1;
+                keep[index - 1]
+            });
+            gc_cells(ir);
+        }
+        edits
+    }
+
+    /// The known-constant redundant-initialization removal the `identity`
+    /// pass replaced, kept as its reference: removes every op that
+    /// re-materializes the constant its cell provably holds — a reset of a
+    /// cell already holding 0, a constant-foldable op whose result equals
+    /// the resident value, or an identity write to a defined cell.
+    fn redundant_init(ir: &mut IrProgram) -> usize {
+        const_flow(ir, |_op, _result, resident| resident)
+    }
+
+    /// The identity writes `⟨c c̄ z⟩` in `ir`'s stream.
+    fn identity_writes(ir: &IrProgram) -> usize {
+        ir.events
+            .iter()
+            .filter(|&&event| ir.op_of(event).is_some_and(IrOp::identity))
+            .count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// `identity` removes exactly the events the known-constant
+        /// reference removes, and leaves the same program, on lowered
+        /// streams and on their `forward` output under each target, on
+        /// every schedule × allocator × operand policy. Release builds
+        /// draw larger graphs.
+        #[test]
+        fn identity_removal_matches_the_const_flow_reference(seed in any::<u64>()) {
+            let sizes: &[usize] = if cfg!(debug_assertions) {
+                &[16, 80, 250]
+            } else {
+                &[60, 300, 1000]
+            };
+            for &nodes in sizes {
+                let inputs = 3 + (seed % 6) as usize;
+                let outputs = 1 + (seed / 7 % 5) as usize;
+                let mig = random_logic(&RandomLogicSpec::new(inputs, outputs, nodes, seed));
+                for schedule in ScheduleOrder::ALL {
+                    for alloc in AllocatorStrategy::ALL {
+                        for operands in OperandSelection::ALL {
+                            let options = CompilerOptions::new()
+                                .schedule(schedule)
+                                .allocator(alloc)
+                                .operands(operands);
+                            let lowered = crate::ir::lower(&mig, options);
+                            let mut streams = vec![("lowered", lowered.clone())];
+                            for &backend in crate::backend::backends() {
+                                let mut forwarded = lowered.clone();
+                                forward(&mut forwarded, backend);
+                                streams.push((backend.name(), forwarded));
+                            }
+                            for (stream, ir) in streams {
+                                let at = format!("{nodes} nodes, {}, {stream}", options.spec());
+                                let mut want = ir.clone();
+                                let mut got = ir;
+                                prop_assert_eq!(
+                                    drop_identity_writes(&mut got),
+                                    redundant_init(&mut want),
+                                    "{}", at
+                                );
+                                prop_assert_eq!(&got.events, &want.events, "{}", at);
+                                prop_assert_eq!(&got.ops, &want.ops, "{}", at);
+                                prop_assert_eq!(&got.cells, &want.cells, "{}", at);
+                                prop_assert_eq!(&got.outputs, &want.outputs, "{}", at);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The non-masking ops of `ir` whose result the constants resident in
@@ -2278,12 +2457,14 @@ mod tests {
         assert_eq!(dead_writes(&ir), 3);
     }
 
-    /// Checks a lowered stream three ways: no `PA0006` finding, no
-    /// foldable op, and a [`redundant_init`] run removes nothing, so no
-    /// level need run that pass before [`forward`] has.
+    /// Checks a lowered stream four ways: no `PA0006` finding, no
+    /// foldable op, no identity write, and the known-constant reference
+    /// removes nothing, so no level need run a removal pass before
+    /// [`forward`] has.
     fn assert_lowered_stream_is_clean(lowered: &IrProgram, at: &str) {
         assert_eq!(dead_writes(lowered), 0, "lowered, {at}");
         assert_eq!(foldable_ops(lowered), 0, "lowered, {at}");
+        assert_eq!(identity_writes(lowered), 0, "lowered, {at}");
         assert_eq!(redundant_init(&mut lowered.clone()), 0, "lowered, {at}");
     }
 
@@ -2294,10 +2475,10 @@ mod tests {
         /// constants fix, because neither lowering nor the `-O2` pipeline
         /// makes one: on every schedule × allocator × operand policy, the
         /// lowered stream and its `-O2` result under each target carry no
-        /// `PA0006` finding and no such op, and `redundant-init` finds
-        /// nothing to remove in the lowered stream. A change that brings
-        /// any of these back fails here instead of shipping a longer
-        /// stream. Release builds draw larger graphs.
+        /// `PA0006` finding, no such op and no identity write, and the
+        /// known-constant reference finds nothing to remove in either. A
+        /// change that brings any of these back fails here instead of
+        /// shipping a longer stream. Release builds draw larger graphs.
         #[test]
         fn streams_have_no_dead_write_or_foldable_op(seed in any::<u64>()) {
             let sizes: &[usize] = if cfg!(debug_assertions) {
@@ -2325,6 +2506,8 @@ mod tests {
                                 let at = format!("{at}, -O2 on {}", backend.name());
                                 prop_assert_eq!(dead_writes(&ir), 0, "{}", at);
                                 prop_assert_eq!(foldable_ops(&ir), 0, "{}", at);
+                                prop_assert_eq!(identity_writes(&ir), 0, "{}", at);
+                                prop_assert_eq!(redundant_init(&mut ir.clone()), 0, "{}", at);
                             }
                         }
                     }

@@ -33,7 +33,7 @@
 //! * **the IR pass pipeline** ([`ir`]): translation runs as three phases —
 //!   lower (scheduling + node translation into an explicit IR over virtual
 //!   cells), optimize (in-place-overwrite forwarding and
-//!   redundant-initialization removal, selected by [`OptLevel`]), and emit (event-stream replay back to a physical
+//!   identity-write removal, selected by [`OptLevel`]), and emit (event-stream replay back to a physical
 //!   program). `-O0` is byte-identical to the paper reproduction; `-O2`
 //!   harvests instruction-level slack no scheduler can see.
 //!

@@ -12,7 +12,10 @@
 //!   among its consumers (`u32::MAX` for nodes kept alive by a primary
 //!   output, which never die during translation);
 //! * the **lifetime span** `last_use − def`, and a coarse [`LifetimeClass`]
-//!   splitting nodes at the mean span.
+//!   splitting nodes at the mean span;
+//! * each node's **reference count**: the edges from reachable majority
+//!   nodes plus the primary outputs reading it — the references lowering
+//!   consumes before it releases the node's cells.
 //!
 //! The post-order itself is the default [`crate::ScheduleOrder::Priority`]
 //! schedule: [`Lifetimes::order`] keeps the sequence the depth-first search
@@ -37,6 +40,7 @@ pub struct Lifetimes {
     postorder: Vec<u32>,
     order: Vec<NodeId>,
     last_use: Vec<u32>,
+    references: Vec<u32>,
     span_threshold: u32,
 }
 
@@ -83,8 +87,11 @@ impl Lifetimes {
 
         // Last use: the largest consumer position under the reference
         // schedule. Nodes referenced by a primary output stay live to the
-        // end of the program, so their lifetime is unbounded.
+        // end of the program, so their lifetime is unbounded. Dangling
+        // consumers are never translated, so they neither extend a
+        // lifetime nor hold a reference.
         let mut last_use = vec![0u32; mig.len()];
+        let mut references = vec![0u32; mig.len()];
         for id in mig.node_ids() {
             if let MigNode::Majority(children) = mig.node(id) {
                 let here = postorder[id.index()];
@@ -94,11 +101,13 @@ impl Lifetimes {
                 for child in children {
                     let entry = &mut last_use[child.node().index()];
                     *entry = (*entry).max(here);
+                    references[child.node().index()] += 1;
                 }
             }
         }
         for (_, signal) in mig.outputs() {
             last_use[signal.node().index()] = u32::MAX;
+            references[signal.node().index()] += 1;
         }
 
         // Split lifetimes at the mean span of the reachable majority nodes
@@ -120,6 +129,7 @@ impl Lifetimes {
             postorder,
             order,
             last_use,
+            references,
             span_threshold,
         }
     }
@@ -140,6 +150,14 @@ impl Lifetimes {
     /// `u32::MAX` when a primary output keeps the node alive forever.
     pub fn last_use(&self, id: NodeId) -> u32 {
         self.last_use[id.index()]
+    }
+
+    /// Every node's reference count: the child edges of reachable majority
+    /// nodes and the primary outputs that read it (a node read twice by
+    /// one parent counts twice). Unlike [`Mig::fanout_counts`], dangling
+    /// parents do not count.
+    pub fn references(&self) -> &[u32] {
+        &self.references
     }
 
     /// How long the node's value stays live under the reference schedule

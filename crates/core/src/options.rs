@@ -140,8 +140,8 @@ pub enum OptLevel {
     #[default]
     O0,
     /// In-place-overwrite forwarding (which may move an instruction later
-    /// to claim a dying cell) followed by redundant-initialization removal,
-    /// iterated to a fixpoint.
+    /// to claim a dying cell) followed by removal of the identity writes it
+    /// leaves, iterated to a fixpoint.
     O2,
 }
 

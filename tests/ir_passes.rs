@@ -282,7 +282,7 @@ impl plim_compiler::Backend for CountedRm3 {
 
 /// `-O2` takes its costs from `forward`'s scorer: the pipeline replays
 /// the stream neither at entry nor after a `forward` run, only after each
-/// `redundant-init` run that edits (none of these is reverted). The output
+/// `identity` run that edits (none of these is reverted). The output
 /// is the plain RM3 compile's.
 ///
 /// Release builds only: debug builds replay the stream after every
@@ -301,7 +301,7 @@ fn forward_prices_the_o2_pipeline_without_a_cost_replay() {
         let gated = report
             .runs
             .iter()
-            .filter(|r| r.pass == "redundant-init" && r.edits > 0)
+            .filter(|r| r.pass == "identity" && r.edits > 0)
             .count();
         assert_eq!(backend.0.into_inner(), gated, "{name}: cost replays");
         assert_eq!(
