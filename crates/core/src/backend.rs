@@ -44,12 +44,12 @@ pub use crate::magic::MagicBackend;
 
 /// The cost of a program under a backend's model.
 ///
-/// The pass pipeline's quality gates compare these triples exactly the way
-/// they compared the hard-coded `(#I, #R, max-writes)` metrics before the
-/// trait existed: [`Cost::worse_than`] reverts an `identity` run,
-/// [`Cost::improves_on`] commits a forwarding edit. For the RM3 backend the
-/// fields are exactly the historical metrics, which keeps every gating
-/// decision — and therefore every emitted byte — unchanged.
+/// The pass pipeline's quality gate, [`Cost::improves_on`], commits a
+/// forwarding edit by comparing these triples exactly the way it compared
+/// the hard-coded `(#I, #R, max-writes)` metrics before the trait existed.
+/// For the RM3 backend the fields are exactly the historical metrics, which
+/// keeps every gating decision — and therefore every emitted byte —
+/// unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Cost {
     /// Native instruction count (`#I` for RM3, row operations for Ambit,
@@ -67,15 +67,6 @@ pub struct Cost {
 }
 
 impl Cost {
-    /// `true` when this cost regresses `other` on any gated axis — the pass
-    /// pipeline's revert condition.
-    #[must_use]
-    pub fn worse_than(self, other: Cost) -> bool {
-        self.instructions > other.instructions
-            || self.footprint > other.footprint
-            || self.wear > other.wear
-    }
-
     /// `true` when this cost strictly improves instruction count without
     /// regressing footprint or wear — the forwarding pass's commit
     /// condition.
@@ -241,10 +232,10 @@ pub trait Backend: Sync {
     fn cost_table(&self) -> CostTable;
 
     /// Scores the IR under [`Backend::cost_table`] **without** building
-    /// the artifact — the pass pipeline's gate after an editing
-    /// `identity` run, where full emission would dominate compile
-    /// time. Forwarding prices its trials through [`Backend::scorer`]
-    /// instead, and the pipeline takes its cost from there.
+    /// the artifact, for callers that want a compiled stream's cost where
+    /// full emission would dominate. The pass pipeline replays nothing:
+    /// forwarding prices its trials, and the stream it returns, through
+    /// [`Backend::scorer`].
     fn cost(&self, ir: &IrProgram) -> Cost {
         crate::ir::place(ir, self.cost_table(), &mut ()).cost
     }
@@ -497,18 +488,6 @@ mod tests {
             wear: 6,
             units: 10,
         };
-        assert!(!base.worse_than(base));
-        assert!(Cost {
-            instructions: 11,
-            ..base
-        }
-        .worse_than(base));
-        assert!(Cost {
-            footprint: 5,
-            ..base
-        }
-        .worse_than(base));
-        assert!(Cost { wear: 7, ..base }.worse_than(base));
         assert!(Cost {
             instructions: 9,
             ..base

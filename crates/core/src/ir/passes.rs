@@ -1,35 +1,33 @@
 //! The optimizing pass pipeline run between lowering and emission.
 //!
-//! Two passes rewrite the IR event stream under the [`OptLevel`] chosen in
-//! [`crate::CompilerOptions`]:
+//! One pass rewrites the IR event stream under the [`OptLevel`] chosen in
+//! [`crate::CompilerOptions`]: [`forward`], in-place-overwrite forwarding.
+//! When a node's destination value was materialized into a fresh cell (a
+//! constant load or a copy) even though a cell holding one of the
+//! instruction's inputs dies *physically* unread afterwards, the
+//! materialization is deleted and the instruction retargeted to overwrite
+//! the dying cell in place, moving it past that cell's last read. This
+//! harvests slack no scheduler can see: the lowering's reference counts
+//! overestimate lifetimes, because consumers that read a cached complement
+//! never touch the value cell. Each scan indexes cells by stable event keys
+//! once and walks the stream once, resuming where it committed, so its
+//! bookkeeping per commit is proportional to the edit, and it scores each
+//! trial edit through the backend's [`TrialScorer`], which replays only
+//! from the checkpoint before the edit to where the replay reconverges with
+//! the committed one (see [`forward`]'s cost section). Between scans,
+//! [`drop_identity_writes`] removes the identity writes `⟨c c̄ z⟩` (both
+//! operands the same constant, so the cell keeps its value) a scan leaves:
+//! lowering emits none, and a scan leaves one each time its rotate
+//! candidate claims the source `s` of a copy `⟨s 1̄ x⟩`, which turns the
+//! copy's consumer into `⟨1 1̄ s⟩`. [`forward`] rescans until a scan commits
+//! nothing.
 //!
-//! * [`forward`] — in-place-overwrite forwarding: when a node's destination
-//!   value was materialized into a fresh cell (a constant load or a copy)
-//!   even though a cell holding one of the instruction's inputs dies
-//!   *physically* unread afterwards, the materialization is deleted and the
-//!   instruction retargeted to overwrite the dying cell in place, moving it
-//!   past that cell's last read. This harvests slack no scheduler can see:
-//!   the lowering's reference counts overestimate lifetimes, because
-//!   consumers that read a cached complement never touch the value cell.
-//!   It indexes cells by stable event keys once per run and scans the
-//!   stream once, resuming where it committed, so its bookkeeping per
-//!   commit is proportional to the edit, and it scores each trial edit
-//!   through the backend's [`TrialScorer`], which replays only from the
-//!   checkpoint before the edit to where the replay reconverges with the
-//!   committed one (see [`forward`]'s cost section);
-//! * [`drop_identity_writes`] — removes identity writes `⟨c c̄ z⟩` (both
-//!   operands the same constant, so the cell keeps its value). Lowering
-//!   emits none; [`forward`] leaves one each time its rotate candidate
-//!   claims the source `s` of a copy `⟨s 1̄ x⟩`, which turns the copy's
-//!   consumer into `⟨1 1̄ s⟩`.
-//!
-//! `-O0` runs nothing, and `-O2` runs `forward` then `identity`, round
-//! after round, to a fixpoint. A pass is a plain function the
-//! [`PassManager`] calls; after every run that edited the stream the
-//! manager lint-checks the IR, re-checks it structurally, gates it on cost,
-//! and — in debug/test builds — replays it through the machine-simulator
-//! equivalence check against the source MIG, so a broken pass fails loudly
-//! at the pass boundary, not in some downstream consumer.
+//! `-O0` runs nothing, and `-O2` runs `forward` once. The [`PassManager`]
+//! calls it; if it edited the stream, the manager lint-checks the IR,
+//! re-checks it structurally, and — in debug/test builds — replays it
+//! through the machine-simulator equivalence check against the source MIG,
+//! so a broken pass fails loudly at the pass boundary, not in some
+//! downstream consumer.
 //!
 //! No pass removes dead writes, re-initializations of a cell already
 //! holding the constant, or ops whose result resident constants fix,
@@ -102,11 +100,7 @@ impl PassReport {
     }
 }
 
-/// Maximum pipeline rounds; each round must edit the stream to continue,
-/// so this is a backstop, not a tuning knob.
-const MAX_ROUNDS: usize = 8;
-
-/// Runs the pipeline an [`OptLevel`] selects, verifying after every pass.
+/// Runs the pipeline an [`OptLevel`] selects, verifying its result.
 #[derive(Debug)]
 pub struct PassManager {
     /// Whether the `-O2` pipeline runs; `-O0` runs nothing.
@@ -121,26 +115,26 @@ impl PassManager {
         }
     }
 
-    /// Runs the pipeline to its fixpoint, returning the per-pass
-    /// accounting.
+    /// Runs the pipeline, returning its accounting: no run at `-O0`, one
+    /// [`forward`] run at `-O2`.
     ///
-    /// Trial edits are scored under `backend`'s cost model, and so are the
-    /// quality gates: [`forward`] commits only trials that
-    /// [improve on](Cost::improves_on) the incumbent, and a
-    /// [`drop_identity_writes`] run that leaves the stream
-    /// [worse than](Cost::worse_than) the incumbent is reverted. Every
-    /// round opens with `forward`, whose scorer prices the stream it is
-    /// given and ends at the price of the stream it returns, so the manager
-    /// takes its incumbent from there instead of replaying the stream;
-    /// debug builds check that price against a full replay.
+    /// Trial edits are scored under `backend`'s cost model, and so is the
+    /// quality gate: [`forward`] commits only trials that
+    /// [improve on](Cost::improves_on) the incumbent. Its scorers price the
+    /// stream it is given and the stream it returns, so the manager replays
+    /// neither; debug builds check the returned price against a full
+    /// replay.
     ///
-    /// After every pass that edited the stream, the IR is structurally
-    /// re-checked, and in debug/test builds the emitted program is verified
-    /// equivalent to `mig` on the machine simulator.
+    /// Translation validation: a run that raises any structural lint count
+    /// over the pipeline's entry is reverted wholesale. The analyzer is the
+    /// arbiter; the [`IrProgram::check`] panic is only a backstop for
+    /// streams so broken the analyzer itself missed them. A run that stands
+    /// is, in debug/test builds, verified equivalent to `mig` on the
+    /// machine simulator.
     ///
     /// # Panics
     ///
-    /// Panics if a pass produces structurally invalid IR or (debug builds)
+    /// Panics if the pass produces structurally invalid IR or (debug builds)
     /// a program that is not equivalent to the source MIG — both are
     /// compiler bugs that must not reach emitted artifacts.
     pub fn run(&self, ir: &mut IrProgram, mig: &Mig, backend: &dyn Backend) -> PassReport {
@@ -149,100 +143,40 @@ impl PassManager {
             return PassReport::default();
         }
         let structural = analysis::AnalysisConfig::structural();
-        let mut guard = Guard {
-            mig,
-            lints: analysis::lint_counts(&analysis::analyze_events(ir, &structural)),
-            report: PassReport::default(),
-        };
-        for _ in 0..MAX_ROUNDS {
-            let before = Snapshot::take(ir);
-            let run = forward(ir, backend);
-            // Forward's commit rule is its gate: every commit improves on
-            // the incumbent.
-            let forwarded = guard.settle(ir, before, "forward", run.edits, run.scoring, |_| true);
-            // A reverted run leaves the stream `forward` was given.
-            let incumbent = if forwarded > 0 { run.cost } else { run.entry };
-            debug_assert_eq!(incumbent, backend.cost(ir), "forward's scorer mispriced");
-            let before = Snapshot::take(ir);
-            let edits = drop_identity_writes(ir);
-            // A pass may only trade instructions down, never footprint or
-            // endurance up. Allocator replay makes footprint and wear
-            // global properties of the stream, so an edit that shifts reuse
-            // the wrong way is reverted wholesale rather than shipped.
-            let removed = guard.settle(
-                ir,
-                before,
-                "identity",
-                edits,
-                TrialCounts::default(),
-                |ir| !backend.cost(ir).worse_than(incumbent),
-            );
-            if forwarded + removed == 0 {
-                break;
-            }
-        }
-        guard.report
-    }
-}
-
-/// The checks every pass run goes through, and the runs so far.
-struct Guard<'a> {
-    /// The source graph, for the debug equivalence check.
-    mig: &'a Mig,
-    /// The analyzer's structural lint counts at pipeline entry.
-    lints: [usize; analysis::LINT_COUNT],
-    report: PassReport,
-}
-
-impl Guard<'_> {
-    /// Checks a pass run that took `ir` from `before` with `edits` edits
-    /// and records it; returns the edits kept.
-    ///
-    /// Translation validation: a run that raises any structural lint count
-    /// over the pipeline's entry is reverted wholesale, exactly like one
-    /// `keep` turns down. The analyzer is the arbiter; the
-    /// [`IrProgram::check`] panic is only a backstop for streams so broken
-    /// the analyzer itself missed them.
-    fn settle(
-        &mut self,
-        ir: &mut IrProgram,
-        before: Snapshot,
-        pass: &'static str,
-        mut edits: usize,
-        scoring: TrialCounts,
-        keep: impl FnOnce(&IrProgram) -> bool,
-    ) -> usize {
-        let instructions_before = before.instructions;
+        let lints = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
+        let instructions_before = ir.num_instructions();
+        let before = Snapshot::take(ir);
+        let run = forward(ir, backend);
+        let mut edits = run.edits;
         if edits > 0 {
-            let structural = analysis::AnalysisConfig::structural();
             let after = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
-            let valid = !analysis::introduces(&self.lints, &after);
-            if valid {
-                if let Err(error) = ir.check() {
-                    panic!("pass `{pass}` produced invalid IR: {error}");
-                }
-            }
-            if !(valid && keep(ir)) {
+            if analysis::introduces(&lints, &after) {
                 before.restore(ir);
                 edits = 0;
             } else {
+                if let Err(error) = ir.check() {
+                    panic!("pass `forward` produced invalid IR: {error}");
+                }
                 #[cfg(debug_assertions)]
-                if let Err(error) = crate::verify::verify(self.mig, &super::emit(ir), 1, 0xDAC2016)
-                {
-                    panic!("pass `{pass}` broke machine-simulator equivalence: {error}");
+                if let Err(error) = crate::verify::verify(mig, &super::emit(ir), 1, 0xDAC2016) {
+                    panic!("pass `forward` broke machine-simulator equivalence: {error}");
                 }
             }
         }
         #[cfg(not(debug_assertions))]
-        let _ = self.mig;
-        self.report.runs.push(PassRun {
-            pass,
-            instructions_before,
-            instructions_after: ir.num_instructions(),
-            edits,
-            scoring,
-        });
-        edits
+        let _ = mig;
+        // A reverted run leaves the stream `forward` was given.
+        let cost = if edits > 0 { run.cost } else { run.entry };
+        debug_assert_eq!(cost, backend.cost(ir), "forward's scorer mispriced");
+        PassReport {
+            runs: vec![PassRun {
+                pass: "forward",
+                instructions_before,
+                instructions_after: ir.num_instructions(),
+                edits,
+                scoring: run.scoring,
+            }],
+        }
     }
 }
 
@@ -253,14 +187,11 @@ struct Snapshot {
     events: Vec<Event>,
     ops: Vec<IrOp>,
     outputs: Vec<IrOutput>,
-    /// `#I` of the saved stream.
-    instructions: usize,
 }
 
 impl Snapshot {
     fn take(ir: &IrProgram) -> Self {
         Snapshot {
-            instructions: ir.num_instructions(),
             events: ir.events.clone(),
             ops: ir.ops.clone(),
             outputs: ir.outputs.iter().map(|(_, output)| *output).collect(),
@@ -277,32 +208,6 @@ impl Snapshot {
     }
 }
 
-/// Drops request/release events of cells no surviving op or output touches,
-/// so emission never allocates for values the passes optimized away.
-fn gc_cells(ir: &mut IrProgram) {
-    let mut referenced = vec![false; ir.cells.len()];
-    for &event in &ir.events {
-        if let Event::Op(i) = event {
-            let op = &ir.ops[i as usize];
-            for value in [op.a, op.b] {
-                if let Value::Cell(c) = value {
-                    referenced[c.index()] = true;
-                }
-            }
-            referenced[op.z.index()] = true;
-        }
-    }
-    for (_, output) in &ir.outputs {
-        if let IrOutput::Cell(c) = output {
-            referenced[c.index()] = true;
-        }
-    }
-    ir.events.retain(|event| match event {
-        Event::Request(c) | Event::Release(c) => referenced[c.index()],
-        Event::Op(_) => true,
-    });
-}
-
 /// The constant a masking op writes (`None` for non-masking ops).
 fn masked_const(op: &IrOp) -> Option<bool> {
     match (op.a, op.b) {
@@ -311,9 +216,9 @@ fn masked_const(op: &IrOp) -> Option<bool> {
     }
 }
 
-/// Identity-write removal (`identity`): deletes every op `⟨c c̄ z⟩`, whose
-/// operands are the same constant so the cell keeps its value, and returns
-/// how many it deleted.
+/// Identity-write removal: deletes every op `⟨c c̄ z⟩`, whose operands are
+/// the same constant so the cell keeps its value, and returns how many it
+/// deleted. [`forward`] runs it between its scans.
 ///
 /// No cell loses its last reference, so no request or release goes: in a
 /// valid stream an identity write reads a defined cell, so an op that is
@@ -327,17 +232,18 @@ pub fn drop_identity_writes(ir: &mut IrProgram) -> usize {
 }
 
 /// What one [`forward`] run did, and the stream's cost before and after it
-/// as the run's scorer priced them.
+/// as the run's scorers priced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Forwarded {
-    /// Edits committed.
+    /// Edits: the commits of every scan plus the identity writes dropped
+    /// between scans.
     pub edits: usize,
-    /// What scoring the run's trial edits cost.
+    /// What scoring the run's trial edits cost, over every scan.
     pub scoring: TrialCounts,
     /// The cost of the stream the run was given.
     pub entry: Cost,
-    /// The cost of the stream it returns: the last committed trial's, or
-    /// `entry` when none committed.
+    /// The cost of the stream it returns: the entry price of its last scan,
+    /// which committed nothing.
     pub cost: Cost,
 }
 
@@ -369,7 +275,7 @@ pub struct Forwarded {
 /// # Cost
 ///
 /// Candidates are visited in stream order and the first one whose trial
-/// passes the quality gate commits. A run builds its per-cell touch index
+/// passes the quality gate commits. A scan builds its per-cell touch index
 /// once, over stable `u64` event keys (per op, and per cell for its request
 /// and release) that increase along the stream; a commit re-keys only the
 /// moved block, inside the gap it lands in, and renumbers the whole stream
@@ -392,15 +298,38 @@ pub struct Forwarded {
 /// final cost then follows from the committed replay's in O(footprint).
 /// A trial costs the replay from its checkpoint to where it lost or
 /// reconverged, not a replay of the stream's tail.
+///
+/// # Fixpoint
+///
+/// A scan finds edits that an earlier scan's candidates could not see, and
+/// dropping the identity writes a scan leaves frees more, so `forward`
+/// rescans: after a scan that committed, it drops identity writes and scans
+/// again with a fresh index, scorer and rejection memo (a trial that lost
+/// against the old stream's price may win against the new one), and it
+/// returns after the first scan that commits nothing. That ends: every
+/// commit deletes the chain's `init` (and its `copy`) and adds no op, and
+/// dropping identity writes only deletes ops, so each committing scan
+/// lowers `#I`, which cannot fall below zero. A run makes at most `#I` + 1
+/// scans. A further scan leaves the returned stream unchanged, and once a
+/// scan has committed, the stream holds no identity write.
 pub fn forward(ir: &mut IrProgram, backend: &dyn Backend) -> Forwarded {
     let mut forwarder = Forwarder::new(ir, backend, KEY_SPACING);
     let entry = forwarder.baseline;
-    let edits = forwarder.run(ir);
-    Forwarded {
-        edits,
-        scoring: forwarder.scorer.counts(),
-        entry,
-        cost: forwarder.baseline,
+    let mut edits = 0;
+    let mut scoring = TrialCounts::default();
+    loop {
+        let committed = forwarder.run(ir);
+        scoring += forwarder.scorer.counts();
+        if committed == 0 {
+            return Forwarded {
+                edits,
+                scoring,
+                entry,
+                cost: forwarder.baseline,
+            };
+        }
+        edits += committed + drop_identity_writes(ir);
+        forwarder = Forwarder::new(ir, backend, KEY_SPACING);
     }
 }
 
@@ -707,13 +636,13 @@ struct Chain {
     value: Value,
 }
 
-/// One [`forward`] run: the index and the quality-gate memo.
+/// One [`forward`] scan: the index and the quality-gate memo.
 struct Forwarder<'a> {
     /// Scores trials against the committed stream.
     scorer: Box<dyn TrialScorer + 'a>,
     index: CellIndex,
     /// Candidates (op, claimed cell) turned down by the quality gate or a
-    /// blocked move; they stay rejected for the rest of the run.
+    /// blocked move; they stay rejected for the rest of the scan.
     rejected: std::collections::HashSet<(u32, u32)>,
     /// The current stream's cost.
     baseline: Cost,
@@ -737,12 +666,12 @@ impl<'a> Forwarder<'a> {
         }
     }
 
-    /// Applies forwarding edits until none applies, returning how many
-    /// committed.
+    /// Scans the stream once, committing forwarding edits, and returns how
+    /// many committed.
     ///
-    /// One scan: after a commit it goes on at the position `commit`
-    /// returns, and never visits an op before that position again. A rescan
-    /// from the start would commit nothing there either:
+    /// After a commit it goes on at the position `commit` returns, and never
+    /// visits an op before that position again. A rescan from the start
+    /// would commit nothing there either:
     ///
     /// * before the resume position, a commit only deletes events: the
     ///   chain's `init` and `copy`, and the request of the old destination
@@ -775,9 +704,6 @@ impl<'a> Forwarder<'a> {
                 }
                 None => pos += 1,
             }
-        }
-        if edits > 0 {
-            gc_cells(ir);
         }
         edits
     }
@@ -1046,6 +972,16 @@ const MOVE_CAP: usize = 16;
 /// merges the two lifetimes. Only the span from the first deleted event to
 /// the last read of the claimed cell is rewritten, plus at most two release
 /// events past it; the returned undo log holds exactly those.
+///
+/// No request or release of a cell that nothing touches is left behind,
+/// so the edit needs no sweep for such cells. Only the old destination `x`
+/// loses touches outright: the chain ops go, and every later touch of `x`
+/// is renamed onto `d`; the edit drops `x`'s request, and its release is
+/// dropped or becomes `d`'s. The chain's copy source stays read by the main
+/// op (the rotate candidate makes it the new `a`) or becomes `d` (the
+/// source candidate). The main op's old `a` stays its `a` (source) or
+/// becomes `d` (rotate). Every other touch stays where it was or moves
+/// with the block.
 #[allow(clippy::too_many_arguments)]
 fn apply_forward(
     ir: &mut IrProgram,
@@ -1221,11 +1157,40 @@ mod tests {
     use crate::backend::{Artifact, CostTable, InstructionInfo, Rm3Backend};
     use crate::{AllocatorStrategy, CompilerOptions, OperandSelection, ScheduleOrder};
 
+    /// Drops request/release events of cells no surviving op or output
+    /// touches. The product needs no such sweep (see [`apply_forward`]);
+    /// the references below run it after their edits, and the stream
+    /// checks use it to find such cells.
+    fn gc_cells(ir: &mut IrProgram) {
+        let mut referenced = vec![false; ir.cells.len()];
+        for &event in &ir.events {
+            if let Event::Op(i) = event {
+                let op = &ir.ops[i as usize];
+                for value in [op.a, op.b] {
+                    if let Value::Cell(c) = value {
+                        referenced[c.index()] = true;
+                    }
+                }
+                referenced[op.z.index()] = true;
+            }
+        }
+        for (_, output) in &ir.outputs {
+            if let IrOutput::Cell(c) = output {
+                referenced[c.index()] = true;
+            }
+        }
+        ir.events.retain(|event| match event {
+            Event::Request(c) | Event::Release(c) => referenced[c.index()],
+            Event::Op(_) => true,
+        });
+    }
+
     /// The restart-from-0 forwarding engine the incremental one replaced,
     /// kept as the differential oracle: every commit rebuilds the index and
     /// rescans the stream from event 0.
     mod oracle {
-        use super::super::{gc_cells, masked_const, MOVE_CAP};
+        use super::super::{masked_const, MOVE_CAP};
+        use super::gc_cells;
         use crate::backend::{Backend, Cost};
         use crate::ir::{CellId, Event, IrOutput, IrProgram, Value};
 
@@ -1846,9 +1811,9 @@ mod tests {
         )
     }
 
-    /// The rest of an `-O2` round after forwarding, one `identity` run:
-    /// the input a later round's forwarding sees.
-    fn next_round(mut ir: IrProgram) -> IrProgram {
+    /// What [`forward`] does to a scan's output before it scans again: the
+    /// input its next scan sees.
+    fn next_scan(mut ir: IrProgram) -> IrProgram {
         drop_identity_writes(&mut ir);
         ir
     }
@@ -1859,7 +1824,7 @@ mod tests {
         /// The incremental engine commits exactly what the restart engine
         /// commits — under the RM3 cost model and under a model that
         /// commits every legal candidate — on every schedule × allocator,
-        /// on lowered streams and on a second round's input.
+        /// on lowered streams and on a second scan's input.
         #[test]
         fn incremental_forward_matches_the_restart_engine(seed in any::<u64>()) {
             for nodes in [16, 60, 180] {
@@ -1868,7 +1833,7 @@ mod tests {
                         let ir = lowered(nodes, seed, schedule, alloc);
                         assert_engines_agree(&ir, &Rm3Backend, KEY_SPACING);
                         let (forwarded, _) = assert_engines_agree(&ir, &EventCount, KEY_SPACING);
-                        assert_engines_agree(&next_round(forwarded), &EventCount, KEY_SPACING);
+                        assert_engines_agree(&next_scan(forwarded), &EventCount, KEY_SPACING);
                     }
                 }
             }
@@ -1960,7 +1925,7 @@ mod tests {
         /// full replay improves on the incumbent, and scores the accepted
         /// stream exactly as the full replay does — under each target's
         /// cost table, on every allocator, on lowered streams and on a
-        /// second round's input, with streams long enough to hold several
+        /// second scan's input, with streams long enough to hold several
         /// checkpoints. The trials it finishes by reconvergence are among
         /// them: under every table, every allocator whose pool serves cells
         /// by position has some, and wear leveling none. Under RM3's, some
@@ -1979,7 +1944,7 @@ mod tests {
                         let mut audited = ir.clone();
                         let backend = Audited(table);
                         Forwarder::new(&audited, &backend, KEY_SPACING).run(&mut audited);
-                        let mut audited = next_round(audited);
+                        let mut audited = next_scan(audited);
                         Forwarder::new(&audited, &backend, KEY_SPACING).run(&mut audited);
                     }
                     let trials = crate::ir::emit::tests::take_trials();
@@ -2034,21 +1999,23 @@ mod tests {
     /// replays to a fraction of a full replay of each trial's tail.
     ///
     /// At `-O2` on this input, the scorer that replayed every trial to its
-    /// end (checkpoints every max(256, 4 × footprint) events) replayed
-    /// 15,976,312 events over 3,591 trials.
+    /// end (checkpoints every max(256, 4 × footprint) events) replays
+    /// 19,380,542 events over 5,183 trials. (It replayed 15,976,312 over
+    /// 3,591 when `-O2` stopped after eight rounds, short of `forward`'s
+    /// fixpoint.)
     ///
     /// Release builds only, like the Forward scaling test: debug builds
     /// verify the program after every pass and take minutes here.
     #[cfg(not(debug_assertions))]
     #[test]
     fn scorer_cuts_replay_on_control_logic() {
-        const FULL_REPLAYS: u64 = 15_976_312;
+        const FULL_REPLAYS: u64 = 19_380_542;
         let mig = random_logic(&RandomLogicSpec::new(1024, 128, 5500, 1));
         crate::ir::emit::tests::take_trials();
         let options = CompilerOptions::new().opt(crate::OptLevel::O2);
         let (_, report) = crate::compile_ir(&mig, options);
         let scoring = report.scoring();
-        assert_eq!(scoring.trials, 3591, "the trials are the full replays'");
+        assert_eq!(scoring.trials, 5183, "the trials are the full replays'");
         assert!(
             scoring.replayed * 100 <= FULL_REPLAYS * 35,
             "replayed {} of {FULL_REPLAYS} events",
@@ -2330,13 +2297,21 @@ mod tests {
         edits
     }
 
-    /// The known-constant redundant-initialization removal the `identity`
-    /// pass replaced, kept as its reference: removes every op that
-    /// re-materializes the constant its cell provably holds — a reset of a
-    /// cell already holding 0, a constant-foldable op whose result equals
-    /// the resident value, or an identity write to a defined cell.
+    /// The known-constant redundant-initialization removal that
+    /// [`drop_identity_writes`] replaced, kept as its reference: removes
+    /// every op that re-materializes the constant its cell provably holds —
+    /// a reset of a cell already holding 0, a constant-foldable op whose
+    /// result equals the resident value, or an identity write to a defined
+    /// cell.
     fn redundant_init(ir: &mut IrProgram) -> usize {
         const_flow(ir, |_op, _result, resident| resident)
+    }
+
+    /// The request and release events of cells no op or output touches.
+    fn untouched_cell_events(ir: &IrProgram) -> usize {
+        let mut swept = ir.clone();
+        gc_cells(&mut swept);
+        ir.events.len() - swept.events.len()
     }
 
     /// The identity writes `⟨c c̄ z⟩` in `ir`'s stream.
@@ -2350,11 +2325,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// `identity` removes exactly the events the known-constant
-        /// reference removes, and leaves the same program, on lowered
-        /// streams and on their `forward` output under each target, on
-        /// every schedule × allocator × operand policy. Release builds
-        /// draw larger graphs.
+        /// Identity-write removal removes exactly the events the
+        /// known-constant reference removes, and leaves the same program,
+        /// on lowered streams and on the output of one `forward` scan under
+        /// each target, on every schedule × allocator × operand policy.
+        /// Release builds draw larger graphs.
         #[test]
         fn identity_removal_matches_the_const_flow_reference(seed in any::<u64>()) {
             let sizes: &[usize] = if cfg!(debug_assertions) {
@@ -2377,7 +2352,7 @@ mod tests {
                             let mut streams = vec![("lowered", lowered.clone())];
                             for &backend in crate::backend::backends() {
                                 let mut forwarded = lowered.clone();
-                                forward(&mut forwarded, backend);
+                                Forwarder::new(&forwarded, backend, KEY_SPACING).run(&mut forwarded);
                                 streams.push((backend.name(), forwarded));
                             }
                             for (stream, ir) in streams {
@@ -2476,9 +2451,11 @@ mod tests {
         /// makes one: on every schedule × allocator × operand policy, the
         /// lowered stream and its `-O2` result under each target carry no
         /// `PA0006` finding, no such op and no identity write, and the
-        /// known-constant reference finds nothing to remove in either. A
-        /// change that brings any of these back fails here instead of
-        /// shipping a longer stream. Release builds draw larger graphs.
+        /// known-constant reference finds nothing to remove in either.
+        /// Every cell the `-O2` result requests is touched by an op or an
+        /// output, so it needs no sweep for dead cells. A change that
+        /// brings any of these back fails here instead of shipping a
+        /// longer stream. Release builds draw larger graphs.
         #[test]
         fn streams_have_no_dead_write_or_foldable_op(seed in any::<u64>()) {
             let sizes: &[usize] = if cfg!(debug_assertions) {
@@ -2508,6 +2485,7 @@ mod tests {
                                 prop_assert_eq!(foldable_ops(&ir), 0, "{}", at);
                                 prop_assert_eq!(identity_writes(&ir), 0, "{}", at);
                                 prop_assert_eq!(redundant_init(&mut ir.clone()), 0, "{}", at);
+                                prop_assert_eq!(untouched_cell_events(&ir), 0, "{}", at);
                             }
                         }
                     }

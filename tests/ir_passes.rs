@@ -1,4 +1,4 @@
-//! Properties of the IR pass pipeline (`-O{0,1,2}`).
+//! Properties of the IR pass pipeline (`-O0` and `-O2`).
 //!
 //! Three invariants pin the lower → optimize → emit refactor:
 //!
@@ -280,14 +280,12 @@ impl plim_compiler::Backend for CountedRm3 {
     }
 }
 
-/// `-O2` takes its costs from `forward`'s scorer: the pipeline replays
-/// the stream neither at entry nor after a `forward` run, only after each
-/// `identity` run that edits (none of these is reverted). The output
+/// `-O2` takes its costs from `forward`'s scorers: the pipeline replays
+/// the stream neither at entry nor after its one `forward` run. The output
 /// is the plain RM3 compile's.
 ///
-/// Release builds only: debug builds replay the stream after every
-/// `forward` run to check the scorer's price, which is the count a
-/// manager replaying at entry and after each editing run would make too.
+/// Release builds only: debug builds replay the stream after the
+/// `forward` run to check the scorers' price.
 #[cfg(not(debug_assertions))]
 #[test]
 fn forward_prices_the_o2_pipeline_without_a_cost_replay() {
@@ -298,12 +296,7 @@ fn forward_prices_the_o2_pipeline_without_a_cost_replay() {
         let mut ir = ir::lower(&optimized, CompilerOptions::new());
         let report =
             ir::passes::PassManager::for_level(OptLevel::O2).run(&mut ir, &optimized, &backend);
-        let gated = report
-            .runs
-            .iter()
-            .filter(|r| r.pass == "identity" && r.edits > 0)
-            .count();
-        assert_eq!(backend.0.into_inner(), gated, "{name}: cost replays");
+        assert_eq!(backend.0.into_inner(), 0, "{name}: cost replays");
         assert_eq!(
             ir::emit(&ir).program.to_string(),
             compile(&optimized, CompilerOptions::new().opt(OptLevel::O2))
@@ -311,6 +304,55 @@ fn forward_prices_the_o2_pipeline_without_a_cost_replay() {
                 .to_string(),
             "{name}"
         );
+    }
+}
+
+/// Compiles `mig` at `-O2` under `options` and requires the result to be
+/// `forward`'s fixpoint: one reported `forward` run, after which one more
+/// `forward` commits nothing and no identity write is left to drop.
+fn assert_o2_is_a_fixpoint(mig: &mig::Mig, options: CompilerOptions, at: &str) {
+    let (mut ir, report) = plim_compiler::compile_ir(mig, options.opt(OptLevel::O2));
+    let passes: Vec<_> = report.runs.iter().map(|run| run.pass).collect();
+    assert_eq!(passes, ["forward"], "{at}: pass runs");
+    let again = ir::passes::forward(&mut ir, options.target.backend());
+    assert_eq!(again.edits, 0, "{at}: a further forward committed");
+    assert_eq!(
+        ir::passes::drop_identity_writes(&mut ir),
+        0,
+        "{at}: identity writes left"
+    );
+}
+
+/// `-O2` stops at `forward`'s fixpoint on every reduced suite circuit,
+/// rewritten as `plimc` rewrites it, under every target.
+#[test]
+fn forward_reaches_its_fixpoint_on_the_reduced_suite() {
+    for name in suite::ALL {
+        let mig = suite::build(name, Scale::Reduced).expect("suite circuit");
+        let optimized = mig::rewrite::rewrite(&mig, 4);
+        for target in plim_compiler::Target::all() {
+            let options = CompilerOptions::new().target(target);
+            assert_o2_is_a_fixpoint(&optimized, options, &format!("{name}, {}", target.name()));
+        }
+    }
+}
+
+/// Full-scale `mem_ctrl` on RM3 with the FIFO allocator takes more than
+/// eight alternations of a `forward` scan and identity-write removal to
+/// settle under the priority and index schedules; `-O2` still ends at the
+/// fixpoint.
+///
+/// Release builds only: debug builds re-check the IR per trial.
+#[cfg(not(debug_assertions))]
+#[test]
+fn forward_reaches_its_fixpoint_on_full_mem_ctrl() {
+    let mig = suite::build("mem_ctrl", Scale::Full).expect("suite circuit");
+    let optimized = mig::rewrite::rewrite(&mig, 4);
+    for schedule in [ScheduleOrder::Priority, ScheduleOrder::Index] {
+        let options = CompilerOptions::new()
+            .schedule(schedule)
+            .allocator(AllocatorStrategy::Fifo);
+        assert_o2_is_a_fixpoint(&optimized, options, &options.spec());
     }
 }
 
