@@ -9,8 +9,8 @@
 //! pool interface to level wear explicitly (least-written cell first) or to
 //! segregate cells by the expected lifetime of the value they receive.
 //!
-//! The allocator also keeps **per-cell write counters**: the translator
-//! and the emission replay report each op's destination writes through
+//! The allocator also keeps **per-cell write counters**: the emission
+//! replay reports each op's destination writes through
 //! [`RramAllocator::note_writes`] as the target makes them, so the counters
 //! are the emitted program's endurance profile and the wear-budget strategy
 //! levels the target's own writes while the program is still being built.

@@ -72,11 +72,9 @@ pub enum Lint {
     UseAfterRelease,
     /// `PA0003` — a cell is released twice.
     DoubleRelease,
-    /// `PA0004` — two simultaneously live lifetimes alias the same
-    /// physical cell (the same lowering-pinned address), or one cell is
-    /// requested twice. Cross-cell pinned overlap is only checked when
-    /// [`AnalysisConfig::pinned_faithful`] is set: `-O2` forwarding merges
-    /// lifetimes, after which pinned addresses are informational.
+    /// `PA0004` — one cell is requested twice, so two lifetimes would share
+    /// it. Its name, `pinned-aliasing`, is what `--deny`/`--allow` and JSON
+    /// reports match.
     PinnedAliasing,
     /// `PA0005` — a cached complement is read after its source cell was
     /// recomputed by an op carrying the *same* MIG-node provenance, so the
@@ -219,11 +217,6 @@ impl fmt::Display for Diagnostic {
 /// What the analyzer checks beyond the always-on structural lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisConfig {
-    /// Check cross-cell pinned-address aliasing (`PA0004`). Sound for
-    /// streams whose lowering-pinned addresses are still meaningful —
-    /// i.e. `-O0`; `-O2` forwarding merges lifetimes and re-derives
-    /// addresses at emission.
-    pub pinned_faithful: bool,
     /// Report writes no later read observes (`PA0006`). Set for `-O2`
     /// artifacts: no pass removes dead writes, so the promise rests on
     /// lowering (which writes a cell only for a value some op or output
@@ -234,26 +227,22 @@ pub struct AnalysisConfig {
 
 impl AnalysisConfig {
     /// Only the always-on structural lints — what the pass-pipeline
-    /// translation-validation hook runs: forwarding invalidates the pinned
-    /// addresses `PA0004` reads, and `PA0006` judges finished artifacts.
+    /// translation-validation hook runs: `PA0006` judges finished
+    /// artifacts.
     pub fn structural() -> Self {
         AnalysisConfig {
-            pinned_faithful: false,
             expect_optimized: false,
         }
     }
 
     /// The full check set appropriate for a finished artifact compiled at
-    /// `opt`. At `-O0` it checks pinned aliasing (`PA0004`), and at `-O2`
-    /// dead writes (`PA0006`): `plimc lint`, the batch driver's
-    /// `lint_clean` and the pass pipeline's own tests hold every optimized
-    /// stream to having no dead write. The pass pipeline's tests also hold
-    /// every lowered (`-O0`) stream to none.
+    /// `opt`. At `-O2` it adds dead writes (`PA0006`): `plimc lint`, the
+    /// batch driver's `lint_clean` and the pass pipeline's own tests hold
+    /// every optimized stream to having no dead write. The pass pipeline's
+    /// tests also hold every lowered (`-O0`) stream to none.
     pub fn for_level(opt: OptLevel) -> Self {
-        let optimized = opt == OptLevel::O2;
         AnalysisConfig {
-            pinned_faithful: !optimized,
-            expect_optimized: optimized,
+            expect_optimized: opt == OptLevel::O2,
         }
     }
 }
@@ -281,7 +270,7 @@ struct Complement {
 /// event order (end-of-program findings last).
 ///
 /// A structurally valid stream ([`IrProgram::check`] passes) can still
-/// carry `PA0004`–`PA0006` findings; conversely every `check` error maps
+/// carry `PA0005` and `PA0006` findings; conversely every `check` error maps
 /// to one of the structural lints, so `analyze_events(..).is_empty()`
 /// implies `check().is_ok()`.
 pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic> {
@@ -302,18 +291,6 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
     // Per source cell: how many cells its lists hold, so writes to cells
     // nothing depends on skip the lookup.
     let mut indexed = vec![0usize; ir.cells.len()];
-    // Physical address -> currently live virtual cell, per the lowering's
-    // pinned assignment (only consulted under `pinned_faithful`).
-    let mut pinned_live: Vec<Option<CellId>> = Vec::new();
-    if config.pinned_faithful {
-        let slots = ir
-            .cells
-            .iter()
-            .map(|cell| cell.pinned.index() + 1)
-            .max()
-            .unwrap_or(0);
-        pinned_live = vec![None; slots];
-    }
 
     for (pos, &event) in ir.events.iter().enumerate() {
         match event {
@@ -328,30 +305,12 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                         event: Some(pos),
                         cell: Some(c),
                         node: None,
-                        message: format!("event {pos}: %{} requested while already live", c.0),
+                        message: format!("event {pos}: %{} requested twice", c.0),
                     });
                 }
                 *s = CellState::Requested;
                 complement[c.index()] = None;
                 known[c.index()] = None;
-                if config.pinned_faithful {
-                    let addr = ir.cells[c.index()].pinned.index();
-                    if let Some(other) = pinned_live[addr] {
-                        if other != c {
-                            diags.push(Diagnostic {
-                                lint: Lint::PinnedAliasing,
-                                event: Some(pos),
-                                cell: Some(c),
-                                node: None,
-                                message: format!(
-                                    "event {pos}: %{} and live %{} alias physical cell X{addr}",
-                                    c.0, other.0
-                                ),
-                            });
-                        }
-                    }
-                    pinned_live[addr] = Some(c);
-                }
             }
             Event::Release(c) => {
                 let Some(s) = state.get_mut(c.index()) else {
@@ -376,12 +335,6 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     CellState::Requested | CellState::Live => {}
                 }
                 *s = CellState::Released;
-                if config.pinned_faithful {
-                    let addr = ir.cells[c.index()].pinned.index();
-                    if pinned_live[addr] == Some(c) {
-                        pinned_live[addr] = None;
-                    }
-                }
             }
             Event::Op(i) => {
                 let Some(op) = ir.ops.get(i as usize) else {

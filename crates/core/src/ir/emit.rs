@@ -12,10 +12,11 @@
 //! and the [`Scorer`] of the pass pipeline's trial edits sink them into
 //! `()`.
 //!
-//! On an unedited stream the replay performs the identical
-//! request/release/write sequence the lowering performed, so `-O0` output
-//! is byte-identical to the historical single-step translator — listing
-//! comments included, which is why ops carry only the comment's right-hand
+//! The replay is the compiler's only RRAM allocator (§4.2.3): lowering
+//! mints virtual cells and never sees an address. On an unedited stream it
+//! performs the request/release/write sequence the historical single-step
+//! translator performed while translating, so `-O0` output is
+//! byte-identical to it — listing comments included, which is why ops carry only the comment's right-hand
 //! side, a plain [`plim::Rhs`], and the program renders the `X<addr> ←`
 //! prefix from the replayed destination only when a listing is printed.
 //!
@@ -819,7 +820,7 @@ pub fn emit(ir: &IrProgram) -> Rm3Program {
 pub(crate) mod tests {
     use std::cell::RefCell;
 
-    use plim::{RamAddr, Rhs};
+    use plim::Rhs;
 
     use super::{place, Scorer};
     use crate::backend::{CostTable, TrialEdit, TrialScorer};
@@ -862,7 +863,6 @@ pub(crate) mod tests {
     /// with op 0 the reset of `%0` and op 1 the reset of `%1`.
     fn program(events: Vec<Event>) -> IrProgram {
         let cell = IrCell {
-            pinned: RamAddr(0),
             hint: LifetimeClass::Short,
         };
         let reset = |z| IrOp {

@@ -1,12 +1,12 @@
 //! Lowering: MIG → IR (scheduling + node translation, §4.2 of the paper).
 //!
-//! This phase owns everything the original single-step translator did —
-//! candidate scheduling (§4.2.1), the smart per-node operand selection of
-//! §4.2.2 with its complement cache, and RRAM allocation (§4.2.3) — but
-//! records the result as an [`IrProgram`]: every allocator request mints a
-//! fresh virtual cell, every instruction becomes an [`IrOp`] over virtual
-//! cells, and the interleaved request/op/release stream is kept verbatim so
-//! emission can replay it.
+//! This phase owns the scheduling (§4.2.1) and the smart per-node operand
+//! selection of §4.2.2 with its complement cache, and records the result
+//! as an [`IrProgram`]: every request mints a fresh virtual cell, every
+//! instruction becomes an [`IrOp`] over virtual cells, and the interleaved
+//! request/op/release stream is kept verbatim. No physical address exists
+//! here: RRAM allocation (§4.2.3) happens once, when emission replays the
+//! stream through the configured allocator.
 //!
 //! Each majority node `⟨c₀ c₁ c₂⟩` is translated into at least one RM3
 //! instruction `Z ← ⟨A B̄ Z⟩`:
@@ -29,9 +29,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mig::{Mig, MigNode, NodeId, Signal};
-use plim::{Instruction, Operand, RamAddr, Rhs};
+use plim::Rhs;
 
-use crate::alloc::RramAllocator;
 use crate::lifetime::{LifetimeClass, Lifetimes};
 use crate::options::{CompilerOptions, OperandSelection, ScheduleOrder};
 
@@ -176,17 +175,6 @@ fn run_lookahead_schedule(mig: &Mig, lifetimes: &Lifetimes, translator: &mut Tra
     }
 }
 
-/// Where a node's value currently resides during translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// The node is the constant (value 0).
-    Const,
-    /// The node is primary input `i`, readable from the input region.
-    Pi(u32),
-    /// The node's value has been computed into a work RRAM.
-    Ram(RamAddr),
-}
-
 /// Incremental translation state shared by the naive and smart lowerings.
 #[derive(Debug)]
 struct Translator<'a> {
@@ -195,11 +183,11 @@ struct Translator<'a> {
     /// Lifetime analysis shared with the scheduler; supplies the
     /// allocation hints of the lifetime-aware strategies.
     lifetimes: &'a Lifetimes,
-    alloc: RramAllocator,
-    /// Current location of each node's value (indexed by node).
-    loc: Vec<Option<Loc>>,
-    /// RRAM holding the *complement* of each node's value, if materialized.
-    compl: Vec<Option<RamAddr>>,
+    /// What reads each node's value: the constant 0, its primary input,
+    /// or the work cell it was computed into (indexed by node).
+    loc: Vec<Option<Value>>,
+    /// Cell holding the *complement* of each node's value, if materialized.
+    compl: Vec<Option<CellId>>,
     /// References (edges from reachable parents + primary outputs) not yet
     /// consumed.
     remaining: Vec<u32>,
@@ -207,8 +195,6 @@ struct Translator<'a> {
     ops: Vec<IrOp>,
     cells: Vec<IrCell>,
     events: Vec<Event>,
-    /// The live virtual cell behind each physical address.
-    current: Vec<Option<CellId>>,
     /// Majority nodes translated so far (`#N`).
     translated: usize,
 }
@@ -216,51 +202,31 @@ struct Translator<'a> {
 impl<'a> Translator<'a> {
     fn new(mig: &'a Mig, opts: CompilerOptions, lifetimes: &'a Lifetimes) -> Self {
         let mut loc = vec![None; mig.len()];
-        loc[NodeId::CONSTANT.index()] = Some(Loc::Const);
+        loc[NodeId::CONSTANT.index()] = Some(Value::Const(false));
         for (index, &id) in mig.inputs().iter().enumerate() {
-            loc[id.index()] = Some(Loc::Pi(index as u32));
+            loc[id.index()] = Some(Value::Input(index as u32));
         }
         Translator {
             mig,
             opts,
             lifetimes,
-            alloc: RramAllocator::new(opts.allocator),
             loc,
             compl: vec![None; mig.len()],
             remaining: lifetimes.references().to_vec(),
             ops: Vec::new(),
             cells: Vec::new(),
             events: Vec::new(),
-            current: Vec::new(),
             translated: 0,
         }
     }
 
-    /// The virtual cell currently bound to a physical address.
-    fn cell_at(&self, addr: RamAddr) -> CellId {
-        self.current[addr.index()].expect("physical cell has no live virtual cell")
-    }
-
-    /// Translates a physical operand into an IR value.
-    fn value_of(&self, operand: Operand) -> Value {
-        match operand {
-            Operand::Const(v) => Value::Const(v),
-            Operand::Input(i) => Value::Input(i),
-            Operand::Ram(addr) => Value::Cell(self.cell_at(addr)),
-        }
-    }
-
-    /// The operand reading a node's (plain) value.
+    /// The operand that reads a node's (plain) value.
     ///
     /// # Panics
     ///
     /// Panics if the node has not been computed — a scheduling bug.
-    fn read_operand(&self, node: NodeId) -> Operand {
-        match self.loc[node.index()].expect("operand read before computation") {
-            Loc::Const => Operand::Const(false),
-            Loc::Pi(i) => Operand::Input(i),
-            Loc::Ram(addr) => Operand::Ram(addr),
-        }
+    fn read_operand(&self, node: NodeId) -> Value {
+        self.loc[node.index()].expect("operand read before computation")
     }
 
     /// A signal's name in listing comments.
@@ -273,27 +239,12 @@ impl<'a> Translator<'a> {
         }
     }
 
-    /// The single funnel for IR construction: every instruction's
-    /// destination write is recorded on the allocator's per-cell counters,
-    /// keeping them exactly in sync with the lowered stream (and feeding
-    /// the wear-budget reuse strategy mid-lowering). `rhs` is the listing
+    /// Appends the op `z ← ⟨a b̄ z⟩` to the stream. `rhs` is the listing
     /// comment's right-hand side, `node` the op's source-MIG provenance.
-    fn push_instruction(&mut self, instruction: Instruction, rhs: Rhs, node: Option<NodeId>) {
-        self.alloc.note_write(instruction.z);
-        let op = IrOp {
-            a: self.value_of(instruction.a),
-            b: self.value_of(instruction.b),
-            z: self.cell_at(instruction.z),
-            rhs,
-            node,
-        };
+    fn push_op(&mut self, a: Value, b: Value, z: CellId, rhs: Rhs, node: Option<NodeId>) {
         let index = self.ops.len() as u32;
-        self.ops.push(op);
+        self.ops.push(IrOp { a, b, z, rhs, node });
         self.events.push(Event::Op(index));
-    }
-
-    fn emit(&mut self, a: Operand, b: Operand, z: RamAddr, rhs: Rhs, node: Option<NodeId>) {
-        self.push_instruction(Instruction::new(a, b, z), rhs, node);
     }
 
     /// The expected-lifetime class of a node's value (allocation hint).
@@ -301,71 +252,51 @@ impl<'a> Translator<'a> {
         self.lifetimes.class(node)
     }
 
-    /// Requests a physical cell and mints the virtual cell spanning its
-    /// lifetime.
-    fn request(&mut self, hint: LifetimeClass) -> RamAddr {
-        let addr = self.alloc.request_with_hint(hint);
+    /// Mints a virtual cell and begins its lifetime; emission assigns it a
+    /// physical address.
+    fn request(&mut self, hint: LifetimeClass) -> CellId {
         let cell = CellId(self.cells.len() as u32);
-        self.cells.push(IrCell { pinned: addr, hint });
-        if self.current.len() <= addr.index() {
-            self.current.resize(addr.index() + 1, None);
-        }
-        debug_assert!(self.current[addr.index()].is_none(), "cell double-booked");
-        self.current[addr.index()] = Some(cell);
+        self.cells.push(IrCell { hint });
         self.events.push(Event::Request(cell));
-        addr
+        cell
     }
 
-    /// Releases a physical cell, ending its virtual cell's lifetime.
-    fn release(&mut self, addr: RamAddr) {
-        let cell = self.cell_at(addr);
-        self.current[addr.index()] = None;
-        self.events.push(Event::Release(cell));
-        self.alloc.release(addr);
-    }
-
-    /// Allocates an RRAM initialized to a constant (1 instruction). `hint`
+    /// Allocates a cell initialized to a constant (1 instruction). `hint`
     /// describes the lifetime of the value the cell will ultimately hold —
     /// that of the consuming node `node`.
-    fn fresh_const(&mut self, value: bool, hint: LifetimeClass, node: NodeId) -> RamAddr {
-        let addr = self.request(hint);
-        let instruction = if value {
-            Instruction::set(addr)
-        } else {
-            Instruction::reset(addr)
-        };
-        self.push_instruction(instruction, Rhs::Const(value), Some(node));
-        addr
+    fn fresh_const(&mut self, value: bool, hint: LifetimeClass, node: NodeId) -> CellId {
+        let cell = self.request(hint);
+        let (a, b) = (Value::Const(value), Value::Const(!value));
+        self.push_op(a, b, cell, Rhs::Const(value), Some(node));
+        cell
     }
 
-    /// Allocates an RRAM loaded with the *complement* of a node's value
+    /// Allocates a cell loaded with the *complement* of a node's value
     /// (2 instructions: reset, then `⟨1 v̄ 0⟩ = v̄`). When `cache` is set the
-    /// RRAM is remembered as the node's complement for future use. `hint`
+    /// cell is remembered as the node's complement for future use. `hint`
     /// describes the lifetime of the value the cell will ultimately hold —
     /// the complemented child's when the cell serves as an operand, the
     /// consuming node's when it serves as the destination.
-    fn fresh_complement_of(&mut self, node: NodeId, cache: bool, hint: LifetimeClass) -> RamAddr {
-        let addr = self.request(hint);
+    fn fresh_complement_of(&mut self, node: NodeId, cache: bool, hint: LifetimeClass) -> CellId {
+        let cell = self.fresh_const(false, hint, node);
         let src = self.read_operand(node);
-        self.push_instruction(Instruction::reset(addr), Rhs::Const(false), Some(node));
         let name = self.describe(Signal::new(node, true));
-        self.emit(Operand::Const(true), src, addr, name, Some(node));
+        self.push_op(Value::Const(true), src, cell, name, Some(node));
         if cache {
-            self.compl[node.index()] = Some(addr);
+            self.compl[node.index()] = Some(cell);
         }
-        addr
+        cell
     }
 
-    /// Allocates an RRAM loaded with a *copy* of a node's value
+    /// Allocates a cell loaded with a *copy* of a node's value
     /// (2 instructions: set, then `⟨v 0 1⟩ = v`). `hint` describes the
     /// lifetime of the value the cell will ultimately hold.
-    fn fresh_copy_of(&mut self, node: NodeId, hint: LifetimeClass) -> RamAddr {
-        let addr = self.request(hint);
+    fn fresh_copy_of(&mut self, node: NodeId, hint: LifetimeClass) -> CellId {
+        let cell = self.fresh_const(true, hint, node);
         let src = self.read_operand(node);
-        self.push_instruction(Instruction::set(addr), Rhs::Const(true), Some(node));
         let name = self.describe(Signal::new(node, false));
-        self.emit(src, Operand::Const(true), addr, name, Some(node));
-        addr
+        self.push_op(src, Value::Const(true), cell, name, Some(node));
+        cell
     }
 
     /// Whether a child edge is a complemented edge to a non-constant node.
@@ -379,18 +310,17 @@ impl<'a> Translator<'a> {
         self.remaining[s.node().index()]
     }
 
-    /// Whether the child's RRAM may be overwritten: it is an internal node
-    /// held in a work RRAM and this is its last use.
+    /// Whether the child's cell may be overwritten: it is an internal node
+    /// held in a work cell and this is its last use.
     fn overwritable(&self, s: Signal) -> bool {
-        self.remaining_of(s) == 1 && matches!(self.loc[s.node().index()], Some(Loc::Ram(_)))
+        self.remaining_of(s) == 1 && matches!(self.loc[s.node().index()], Some(Value::Cell(_)))
     }
 
-    /// Number of RRAM cells that would actually return to the free pool if
-    /// this node were translated next: for every distinct child whose
-    /// remaining references are all consumed by this node, its value cell
-    /// (if held in work RRAM) plus its cached complement cell. It counts
-    /// *cells*, not children, so it is the quantity the lookahead scheduler
-    /// optimizes.
+    /// Number of cells that would actually be released if this node were
+    /// translated next: for every distinct child whose remaining references
+    /// are all consumed by this node, its value cell (if it has one) plus
+    /// its cached complement cell. It counts *cells*, not children, so it
+    /// is the quantity the lookahead scheduler optimizes.
     fn released_cells_now(&self, id: NodeId) -> i64 {
         let Some(children) = self.mig.node(id).children() else {
             return 0;
@@ -405,7 +335,7 @@ impl<'a> Translator<'a> {
             if self.remaining_of(*child) != occurrences {
                 continue; // survives this node
             }
-            if matches!(self.loc[node.index()], Some(Loc::Ram(_))) {
+            if matches!(self.loc[node.index()], Some(Value::Cell(_))) {
                 total += 1;
             }
             if self.compl[node.index()].is_some() {
@@ -452,7 +382,7 @@ impl<'a> Translator<'a> {
         self.translated += 1;
     }
 
-    /// Decrements a node's pending reference count and releases its RRAMs
+    /// Decrements a node's pending reference count and releases its cells
     /// when it is no longer needed.
     fn consume_reference(&mut self, node: NodeId) {
         let remaining = &mut self.remaining[node.index()];
@@ -460,12 +390,12 @@ impl<'a> Translator<'a> {
         *remaining -= 1;
         if *remaining == 0 {
             // Constants and inputs have nothing to release.
-            if let Some(Loc::Ram(addr)) = self.loc[node.index()] {
+            if let Some(Value::Cell(cell)) = self.loc[node.index()] {
                 self.loc[node.index()] = None;
-                self.release(addr);
+                self.events.push(Event::Release(cell));
             }
-            if let Some(addr) = self.compl[node.index()].take() {
-                self.release(addr);
+            if let Some(cell) = self.compl[node.index()].take() {
+                self.events.push(Event::Release(cell));
             }
         }
     }
@@ -475,15 +405,15 @@ impl<'a> Translator<'a> {
     fn translate_child_order(&mut self, id: NodeId, children: [Signal; 3]) {
         let [c0, c1, c2] = children;
 
-        // Operand B: the hardware inverts it, so a complemented child fits
+        // The B operand: the hardware inverts it, so a complemented child fits
         // directly; otherwise its complement must be materialized.
         let b = if let Some(value) = c1.constant_value() {
-            Operand::Const(!value)
+            Value::Const(!value)
         } else if c1.is_complemented() {
             self.read_operand(c1.node())
         } else {
             let hint = self.class_of(c1.node());
-            Operand::Ram(self.fresh_complement_of(c1.node(), false, hint))
+            Value::Cell(self.fresh_complement_of(c1.node(), false, hint))
         };
 
         // Destination Z must hold the third child's value; its cell ends up
@@ -493,8 +423,8 @@ impl<'a> Translator<'a> {
             self.fresh_const(value, z_hint, id)
         } else if !c2.is_complemented() && self.overwritable(c2) {
             match self.loc[c2.node().index()].take() {
-                Some(Loc::Ram(addr)) => addr,
-                _ => unreachable!("overwritable implies a RAM location"),
+                Some(Value::Cell(cell)) => cell,
+                _ => unreachable!("overwritable implies a cell location"),
             }
         } else if c2.is_complemented() {
             self.fresh_complement_of(c2.node(), false, z_hint)
@@ -502,14 +432,14 @@ impl<'a> Translator<'a> {
             self.fresh_copy_of(c2.node(), z_hint)
         };
 
-        // Operand A is read plain.
+        // The A operand is read plain.
         let a = if let Some(value) = c0.constant_value() {
-            Operand::Const(value)
+            Value::Const(value)
         } else if !c0.is_complemented() {
             self.read_operand(c0.node())
         } else {
             let hint = self.class_of(c0.node());
-            Operand::Ram(self.fresh_complement_of(c0.node(), false, hint))
+            Value::Cell(self.fresh_complement_of(c0.node(), false, hint))
         };
 
         self.finish_node(id, a, b, z);
@@ -525,9 +455,9 @@ impl<'a> Translator<'a> {
         self.finish_node(id, a, b, z);
     }
 
-    /// Operand-B selection, Fig. 5 cases (a)–(h). Returns the operand and
+    /// Selection of operand B, Fig. 5 cases (a)–(h). Returns the operand and
     /// the index of the child it covers.
-    fn select_operand_b(&mut self, children: &[Signal; 3]) -> (Operand, usize) {
+    fn select_operand_b(&mut self, children: &[Signal; 3]) -> (Value, usize) {
         let complemented: Vec<usize> = (0..3)
             .filter(|&k| self.is_complemented_child(children[k]))
             .collect();
@@ -550,7 +480,6 @@ impl<'a> Translator<'a> {
                     .copied()
                     .find(|&k| self.remaining_of(children[k]) > 1)
                     .unwrap_or(complemented[0]);
-                let _ = constant;
                 (self.read_operand(children[k].node()), k)
             }
             // No complemented child.
@@ -558,13 +487,13 @@ impl<'a> Translator<'a> {
                 if let Some(k) = constant {
                     // (c) B takes the inverse of the constant.
                     let value = children[k].constant_value().expect("constant child");
-                    (Operand::Const(!value), k)
+                    (Value::Const(!value), k)
                 } else if let Some(k) =
                     (0..3).find(|&k| self.compl[children[k].node().index()].is_some())
                 {
                     // (f) a complement of this child is already materialized.
-                    let addr = self.compl[children[k].node().index()].expect("checked");
-                    (Operand::Ram(addr), k)
+                    let cell = self.compl[children[k].node().index()].expect("checked");
+                    (Value::Cell(cell), k)
                 } else {
                     // (g) prefer a multiple-fanout child (it is excluded from
                     // serving as destination anyway); (h) otherwise the first.
@@ -572,15 +501,15 @@ impl<'a> Translator<'a> {
                         .find(|&k| self.remaining_of(children[k]) > 1)
                         .unwrap_or(0);
                     let hint = self.class_of(children[k].node());
-                    let addr = self.fresh_complement_of(children[k].node(), true, hint);
-                    (Operand::Ram(addr), k)
+                    let cell = self.fresh_complement_of(children[k].node(), true, hint);
+                    (Value::Cell(cell), k)
                 }
             }
         }
     }
 
     /// Destination-Z selection, Fig. 6 cases (a)–(e), over the two children
-    /// not consumed by operand B. Returns the destination RRAM and the index
+    /// not consumed by operand B. Returns the destination cell and the index
     /// of the child it covers. `id` is the node being translated — the
     /// destination cell ends up holding its result, so fresh allocations
     /// here carry its lifetime hint.
@@ -589,7 +518,7 @@ impl<'a> Translator<'a> {
         id: NodeId,
         children: &[Signal; 3],
         rest: [usize; 2],
-    ) -> (RamAddr, usize) {
+    ) -> (CellId, usize) {
         // (a) complemented last-use child whose complement is materialized:
         // that RRAM already holds the edge's value and is safe to overwrite.
         for &k in &rest {
@@ -598,8 +527,8 @@ impl<'a> Translator<'a> {
                 && self.remaining_of(c) == 1
                 && self.compl[c.node().index()].is_some()
             {
-                let addr = self.compl[c.node().index()].take().expect("checked");
-                return (addr, k);
+                let cell = self.compl[c.node().index()].take().expect("checked");
+                return (cell, k);
             }
         }
         // (b) plain last-use child held in a work RRAM: overwrite in place.
@@ -607,8 +536,8 @@ impl<'a> Translator<'a> {
             let c = children[k];
             if !c.is_complemented() && self.overwritable(c) {
                 match self.loc[c.node().index()].take() {
-                    Some(Loc::Ram(addr)) => return (addr, k),
-                    _ => unreachable!("overwritable implies a RAM location"),
+                    Some(Value::Cell(cell)) => return (cell, k),
+                    _ => unreachable!("overwritable implies a cell location"),
                 }
             }
         }
@@ -631,28 +560,28 @@ impl<'a> Translator<'a> {
         (self.fresh_copy_of(children[k].node(), hint), k)
     }
 
-    /// Operand-A selection, §4.2.2 cases (a)–(d), for the remaining child.
-    fn select_operand_a(&mut self, child: Signal) -> Operand {
+    /// Selection of operand A, §4.2.2 cases (a)–(d), for the remaining child.
+    fn select_operand_a(&mut self, child: Signal) -> Value {
         if let Some(value) = child.constant_value() {
             // (a) constant, complement folded into the value.
-            Operand::Const(value)
+            Value::Const(value)
         } else if !child.is_complemented() {
             // (b) plain child: read its RRAM or input directly.
             self.read_operand(child.node())
-        } else if let Some(addr) = self.compl[child.node().index()] {
+        } else if let Some(cell) = self.compl[child.node().index()] {
             // (c) complement already materialized.
-            Operand::Ram(addr)
+            Value::Cell(cell)
         } else {
             // (d) materialize (and cache) the complement.
             let hint = self.class_of(child.node());
-            Operand::Ram(self.fresh_complement_of(child.node(), true, hint))
+            Value::Cell(self.fresh_complement_of(child.node(), true, hint))
         }
     }
 
     /// Emits the node's main RM3 instruction and records its location.
-    fn finish_node(&mut self, id: NodeId, a: Operand, b: Operand, z: RamAddr) {
-        self.emit(a, b, z, Rhs::Node(id.index() as u32, false), Some(id));
-        self.loc[id.index()] = Some(Loc::Ram(z));
+    fn finish_node(&mut self, id: NodeId, a: Value, b: Value, z: CellId) {
+        self.push_op(a, b, z, Rhs::Node(id.index() as u32, false), Some(id));
+        self.loc[id.index()] = Some(Value::Cell(z));
     }
 
     /// Resolves primary outputs, materializing complemented internal results
@@ -676,15 +605,15 @@ impl<'a> Translator<'a> {
                 },
                 MigNode::Majority(_) => {
                     if signal.is_complemented() {
-                        let addr = match self.compl[node.index()] {
-                            Some(addr) => addr,
+                        let cell = match self.compl[node.index()] {
+                            Some(cell) => cell,
                             // Output cells stay live to the end of the run.
                             None => self.fresh_complement_of(node, true, LifetimeClass::Long),
                         };
-                        IrOutput::Cell(self.cell_at(addr))
+                        IrOutput::Cell(cell)
                     } else {
                         match self.loc[node.index()] {
-                            Some(Loc::Ram(addr)) => IrOutput::Cell(self.cell_at(addr)),
+                            Some(Value::Cell(cell)) => IrOutput::Cell(cell),
                             _ => panic!("primary output `{name}` was never computed"),
                         }
                     }
@@ -979,25 +908,41 @@ mod tests {
         (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))
     }
 
-    /// Lowers `mig` under every schedule × operand policy × `fifo`/`binned`
-    /// and checks the whole program against the reference heaps.
+    /// Lowers `mig` under every schedule × operand policy and checks the
+    /// whole program against the reference heaps.
     fn assert_matches_the_reference(mig: &Mig, at: &str) {
         for schedule in ScheduleOrder::ALL {
             for operands in OperandSelection::ALL {
-                for alloc in [AllocatorStrategy::Fifo, AllocatorStrategy::LifetimeBinned] {
-                    let options = CompilerOptions::new()
-                        .schedule(schedule)
-                        .operands(operands)
-                        .allocator(alloc);
-                    let want = reference::lower(mig, options);
-                    let got = lower(mig, options);
-                    let at = format!("{at}, {}", options.spec());
-                    if let Some(i) = first_difference(&got.events, &want.events) {
-                        panic!("events differ from {i} on, {at}");
-                    }
-                    if let Some(i) = first_difference(&got.ops, &want.ops) {
-                        panic!("op {i} differs, {at}");
-                    }
+                let options = CompilerOptions::new().schedule(schedule).operands(operands);
+                let want = reference::lower(mig, options);
+                let got = lower(mig, options);
+                let at = format!("{at}, {}", options.spec());
+                if let Some(i) = first_difference(&got.events, &want.events) {
+                    panic!("events differ from {i} on, {at}");
+                }
+                if let Some(i) = first_difference(&got.ops, &want.ops) {
+                    panic!("op {i} differs, {at}");
+                }
+                assert_eq!(got.cells, want.cells, "cells, {at}");
+                assert_eq!(got.outputs, want.outputs, "outputs, {at}");
+                assert_eq!(got.mig_nodes, want.mig_nodes, "#N, {at}");
+            }
+        }
+    }
+
+    /// Lowers `mig` under every schedule × operand policy and checks that
+    /// the allocator strategy changes nothing but [`IrProgram::allocator`].
+    fn assert_lowering_ignores_the_allocator(mig: &Mig, at: &str) {
+        for schedule in ScheduleOrder::ALL {
+            for operands in OperandSelection::ALL {
+                let options = CompilerOptions::new().schedule(schedule).operands(operands);
+                let want = lower(mig, options);
+                for alloc in AllocatorStrategy::ALL {
+                    let got = lower(mig, options.allocator(alloc));
+                    let at = format!("{at}, {}", options.allocator(alloc).spec());
+                    assert_eq!(got.allocator, alloc, "allocator, {at}");
+                    assert_eq!(got.events, want.events, "events, {at}");
+                    assert_eq!(got.ops, want.ops, "ops, {at}");
                     assert_eq!(got.cells, want.cells, "cells, {at}");
                     assert_eq!(got.outputs, want.outputs, "outputs, {at}");
                     assert_eq!(got.mig_nodes, want.mig_nodes, "#N, {at}");
@@ -1006,33 +951,44 @@ mod tests {
         }
     }
 
+    /// Runs `check` on seeded control logic and arithmetic, raw and
+    /// rewritten. Release builds draw larger graphs.
+    fn on_random_graphs(seed: u64, check: fn(&Mig, &str)) {
+        let sizes: &[usize] = if cfg!(debug_assertions) {
+            &[12, 60, 200]
+        } else {
+            &[60, 600, 3000]
+        };
+        for &nodes in sizes {
+            let inputs = 3 + (seed % 6) as usize;
+            let outputs = 1 + (seed / 7 % 5) as usize;
+            let mig = random_logic(&RandomLogicSpec::new(inputs, outputs, nodes, seed));
+            let at = format!("random_logic {nodes} nodes, seed {seed}");
+            check(&mig, &at);
+            check(&rewrite(&mig, 2), &format!("{at}, rewritten"));
+        }
+        let inputs = 4 + (seed % 13) as usize;
+        let mig = random_arithmetic(inputs, seed);
+        let at = format!("random_arithmetic {inputs} inputs, seed {seed}");
+        check(&mig, &at);
+        check(&rewrite(&mig, 2), &format!("{at}, rewritten"));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// The post-order walk and the inline lookahead heap lower exactly
-        /// what the candidate heaps lowered, on seeded control logic and
-        /// arithmetic, raw and rewritten. Release builds draw larger
-        /// graphs.
+        /// what the candidate heaps lowered.
         #[test]
         fn schedules_match_the_candidate_heaps_on_random_graphs(seed in any::<u64>()) {
-            let sizes: &[usize] = if cfg!(debug_assertions) {
-                &[12, 60, 200]
-            } else {
-                &[60, 600, 3000]
-            };
-            for &nodes in sizes {
-                let inputs = 3 + (seed % 6) as usize;
-                let outputs = 1 + (seed / 7 % 5) as usize;
-                let mig = random_logic(&RandomLogicSpec::new(inputs, outputs, nodes, seed));
-                let at = format!("random_logic {nodes} nodes, seed {seed}");
-                assert_matches_the_reference(&mig, &at);
-                assert_matches_the_reference(&rewrite(&mig, 2), &format!("{at}, rewritten"));
-            }
-            let inputs = 4 + (seed % 13) as usize;
-            let mig = random_arithmetic(inputs, seed);
-            let at = format!("random_arithmetic {inputs} inputs, seed {seed}");
-            assert_matches_the_reference(&mig, &at);
-            assert_matches_the_reference(&rewrite(&mig, 2), &format!("{at}, rewritten"));
+            on_random_graphs(seed, assert_matches_the_reference);
+        }
+
+        /// Lowering allocates nothing: every allocator gives the same
+        /// stream.
+        #[test]
+        fn lowering_ignores_the_allocator(seed in any::<u64>()) {
+            on_random_graphs(seed, assert_lowering_ignores_the_allocator);
         }
     }
 

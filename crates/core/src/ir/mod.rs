@@ -1,21 +1,22 @@
 //! The PLiM intermediate representation: the compiler's middle end.
 //!
 //! Translation is split into three phases. [`lower`] runs the scheduler and
-//! the per-node operand selection exactly as before, but records the result
-//! as an [`IrProgram`] instead of a finished [`plim::Program`]: RM3-shaped
-//! ops over **virtual cells** ([`CellId`]), each spanning one allocator
-//! request/release lifetime, together with the full allocation event stream
-//! and the source-MIG provenance of every op. [`passes::PassManager`] then
+//! the per-node operand selection and records the result as an
+//! [`IrProgram`] instead of a finished [`plim::Program`]: RM3-shaped ops
+//! over **virtual cells** ([`CellId`]), each spanning one request/release
+//! lifetime, together with the full request/op/release event stream and
+//! the source-MIG provenance of every op. [`passes::PassManager`] then
 //! rewrites the stream (in-place-overwrite forwarding and
 //! identity-write removal) under the
 //! [`crate::OptLevel`] selected in [`crate::CompilerOptions`], and [`emit`]
 //! replays the event stream through a fresh [`crate::alloc::RramAllocator`]
 //! to rebuild the physical program — including the exact per-cell write
-//! counters the endurance model depends on.
+//! counters the endurance model depends on. That replay is the compiler's
+//! only RRAM allocator: no physical address exists before it.
 //!
-//! At `-O0` no pass runs and the replay reproduces the historical
+//! At `-O0` no pass runs and the emitted program matches the historical
 //! single-step translator byte for byte (listing and asm); that identity is
-//! pinned by golden files in `tests/ir_passes.rs`.
+//! pinned by golden files in `tests/golden/`.
 //!
 //! The IR exists so that instruction-stream optimizations can see what no
 //! scheduler can: *physical* cell liveness. The lowering's reference counts
@@ -24,7 +25,7 @@
 //! that slack.
 
 use mig::NodeId;
-use plim::{text, RamAddr, Rhs};
+use plim::{text, Rhs};
 
 use crate::lifetime::LifetimeClass;
 use crate::options::AllocatorStrategy;
@@ -40,9 +41,9 @@ pub use lower::lower;
 
 /// A virtual work cell: one allocator request/release lifetime.
 ///
-/// Unlike a physical [`RamAddr`], a virtual cell is never reused — every
-/// allocator request during lowering mints a fresh one — so def/use
-/// reasoning in the passes is free of false physical aliasing. A cell may
+/// Unlike a physical [`plim::RamAddr`], a virtual cell is never reused —
+/// every request during lowering mints a fresh one — so def/use reasoning
+/// in the passes is free of false physical aliasing. A cell may
 /// still be *written* several times within its lifetime (materialization,
 /// the node's main RM3, in-place overwrites by later nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -122,13 +123,10 @@ impl IrOp {
     }
 }
 
-/// A virtual cell's lowering-time metadata.
+/// A virtual cell's lowering-time metadata. It carries no address: emission
+/// assigns one when it replays the cell's [`Event::Request`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrCell {
-    /// The physical address the lowering allocator chose. Informational
-    /// after optimization (the emitter re-derives addresses by replaying
-    /// the event stream), but at `-O0` the replay reproduces it exactly.
-    pub pinned: RamAddr,
     /// Allocation hint replayed to lifetime-aware strategies.
     pub hint: LifetimeClass,
 }
@@ -387,7 +385,6 @@ mod tests {
     /// `%0 ← ⟨1 %1̄ %0⟩`, op 1 the reset of `%0`, and an output `f` on `%0`.
     fn program(events: Vec<Event>) -> IrProgram {
         let cell = IrCell {
-            pinned: RamAddr(0),
             hint: LifetimeClass::Short,
         };
         let op = |a, b, z| IrOp {

@@ -354,7 +354,7 @@ enum Touch {
 type Entry = (u64, u32, Touch);
 
 /// Event keys plus a per-cell touch index, kept in step with the stream
-/// across a whole [`forward`] run.
+/// across one [`forward`] scan; each scan builds a fresh one.
 struct CellIndex {
     /// Per cell, its touches in stream (key) order.
     touches: Vec<Vec<Entry>>,
@@ -2133,7 +2133,6 @@ mod tests {
             ],
             cells: vec![
                 IrCell {
-                    pinned: plim::RamAddr(0),
                     hint: crate::LifetimeClass::Short,
                 };
                 4
@@ -2404,7 +2403,6 @@ mod tests {
             node: None,
         };
         let cell = IrCell {
-            pinned: plim::RamAddr(0),
             hint: crate::LifetimeClass::Short,
         };
         let mut ir = IrProgram {

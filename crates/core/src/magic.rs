@@ -400,7 +400,6 @@ mod tests {
         use crate::{AllocatorStrategy, LifetimeClass};
         use plim::Rhs;
         let cell = IrCell {
-            pinned: RamAddr(0),
             hint: LifetimeClass::Short,
         };
         let op = |a, z| IrOp {

@@ -139,7 +139,7 @@ pub(crate) mod oracle {
     use crate::ir::passes::PassManager;
     use crate::ir::{self, CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
     use crate::{AllocatorStrategy, Backend, CompilerOptions, LifetimeClass, OptLevel};
-    use plim::{RamAddr, Rhs};
+    use plim::Rhs;
     use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 
     /// The rows of the work region, derived without an allocator: a pool
@@ -188,7 +188,6 @@ pub(crate) mod oracle {
     /// released untouched.
     fn untouched_cell() -> IrProgram {
         let cell = IrCell {
-            pinned: RamAddr(0),
             hint: LifetimeClass::Short,
         };
         let op = |a, rhs| IrOp {

@@ -14,7 +14,9 @@ use proptest::prelude::*;
 
 use mig::NodeId;
 use plim::{RamAddr, Rhs};
-use plim_analysis::{analyze_artifact, analyze_events, certify, cross_check, AnalysisConfig, Lint};
+use plim_analysis::{
+    analyze_artifact, analyze_events, certify, cross_check, AnalysisConfig, Lint, Severity,
+};
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::ir::{CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
@@ -130,12 +132,9 @@ proptest! {
 const C0: CellId = CellId(0);
 const C1: CellId = CellId(1);
 
-fn cell(pinned: u32) -> IrCell {
-    IrCell {
-        pinned: RamAddr(pinned),
-        hint: LifetimeClass::Short,
-    }
-}
+const CELL: IrCell = IrCell {
+    hint: LifetimeClass::Short,
+};
 
 fn reset(z: CellId) -> IrOp {
     IrOp {
@@ -163,7 +162,7 @@ fn base_program() -> IrProgram {
     IrProgram {
         num_inputs: 2,
         ops: vec![reset(C0), main_op(C0, 3)],
-        cells: vec![cell(0)],
+        cells: vec![CELL],
         events: vec![Event::Request(C0), Event::Op(0), Event::Op(1)],
         outputs: vec![("f".to_string(), IrOutput::Cell(C0))],
         mig_nodes: 1,
@@ -253,34 +252,27 @@ fn pa0003_negative_single_release_is_clean() {
     assert_eq!(lints_of(&ir, &structural()), vec![]);
 }
 
-#[test]
-fn pa0004_pinned_aliasing_fires_on_overlapping_lifetimes() {
+/// Requests %0 again after `before`, then resets it: one `PA0004` finding,
+/// with `check`'s message.
+fn assert_rerequest_is_pa0004(before: &[Event], at: usize) {
     let mut ir = base_program();
-    // A second virtual cell pinned to the same physical address, live
-    // while %0 still is.
-    ir.cells.push(cell(0));
-    ir.ops.push(reset(C1));
-    ir.events.push(Event::Request(C1));
-    ir.events.push(Event::Op(2));
-    let config = AnalysisConfig::for_level(OptLevel::O0);
-    assert!(config.pinned_faithful);
-    let lints = lints_of(&ir, &config);
-    assert_eq!(lints, vec![Lint::PinnedAliasing]);
+    ir.events.extend(before);
+    ir.events.extend([Event::Request(C0), Event::Op(0)]);
+    let message = format!("event {at}: %0 requested twice");
+    let diags = analyze_events(&ir, &structural());
+    let found: Vec<_> = diags.iter().map(|d| (d.lint, d.message.as_str())).collect();
+    assert_eq!(found, vec![(Lint::PinnedAliasing, message.as_str())]);
+    assert_eq!(ir.check(), Err(message));
 }
 
 #[test]
-fn pa0004_negative_aliasing_is_ignored_when_addresses_are_stale() {
-    let mut ir = base_program();
-    ir.cells.push(cell(0));
-    ir.ops.push(reset(C1));
-    ir.events.push(Event::Request(C1));
-    ir.events.push(Event::Op(2));
-    // `-O2` re-derives addresses at emission, so pinned overlap means
-    // nothing there — and the structural config never checks it.
-    assert!(
-        !lints_of(&ir, &AnalysisConfig::for_level(OptLevel::O2)).contains(&Lint::PinnedAliasing)
-    );
-    assert_eq!(lints_of(&ir, &structural()), vec![]);
+fn pa0004_fires_on_rerequesting_a_live_cell() {
+    assert_rerequest_is_pa0004(&[], 3);
+}
+
+#[test]
+fn pa0004_fires_on_rerequesting_a_released_cell() {
+    assert_rerequest_is_pa0004(&[Event::Release(C0)], 4);
 }
 
 /// A program with the complement-materialization idiom: %0 holds node 3,
@@ -303,7 +295,7 @@ fn complement_program() -> IrProgram {
     IrProgram {
         num_inputs: 2,
         ops: vec![reset(C0), main_op(C0, 3), reset(C1), compl, consume],
-        cells: vec![cell(0), cell(1)],
+        cells: vec![CELL; 2],
         events: vec![
             Event::Request(C0),
             Event::Op(0),
@@ -418,6 +410,87 @@ fn doctored_write_after_release_fails_the_battery() {
 }
 
 // ---------------------------------------------------------------------------
+// The structural lints cover `IrProgram::check`: `PassManager::run` lets the
+// analyzer decide and keeps `check` only as a backstop.
+// ---------------------------------------------------------------------------
+
+/// A draw below `n` (`n > 0`).
+fn below(rng: &mut TestRng, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
+}
+
+/// Applies one random edit to `ir`: delete, duplicate or swap events, point
+/// an op's operand or destination at another cell, or release an output's
+/// cell.
+fn mutate(ir: &mut IrProgram, rng: &mut TestRng) {
+    let len = ir.events.len();
+    match below(rng, 5) {
+        0 => drop(ir.events.remove(below(rng, len))),
+        1 => {
+            let event = ir.events[below(rng, len)];
+            ir.events.insert(below(rng, len + 1), event);
+        }
+        2 => ir.events.swap(below(rng, len), below(rng, len)),
+        3 => {
+            if let Event::Op(i) = ir.events[below(rng, len)] {
+                let cell = CellId(below(rng, ir.cells.len()) as u32);
+                let op = &mut ir.ops[i as usize];
+                match below(rng, 3) {
+                    0 => op.a = Value::Cell(cell),
+                    1 => op.b = Value::Cell(cell),
+                    _ => op.z = cell,
+                }
+            }
+        }
+        _ => {
+            let output = ir.outputs.get(below(rng, ir.outputs.len().max(1)));
+            if let Some(&(_, IrOutput::Cell(cell))) = output {
+                ir.events.insert(below(rng, len + 1), Event::Release(cell));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// 64 mutants (one to three edits each) of a lowered and an `-O2`
+    /// stream: whenever `check` rejects one, the structural lints report
+    /// an error, so a clean analysis implies `check().is_ok()`.
+    #[test]
+    fn structural_lints_cover_every_check_error(
+        spec in spec_strategy(),
+        options in options_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let mig = random_logic(&spec);
+        let mut rng = TestRng::new(seed);
+        for opt in LEVELS {
+            let ir = compile_full(&mig, options.opt(opt)).ir;
+            let mut rejected = 0;
+            for _ in 0..64 {
+                let mut mutant = ir.clone();
+                for _ in 0..1 + below(&mut rng, 3) {
+                    if !mutant.events.is_empty() {
+                        mutate(&mut mutant, &mut rng);
+                    }
+                }
+                let Err(error) = mutant.check() else {
+                    continue;
+                };
+                rejected += 1;
+                let diags = analyze_events(&mutant, &structural());
+                prop_assert!(
+                    diags.iter().any(|d| d.lint.severity() == Severity::Error),
+                    "check rejects the mutant ({error}), the analyzer reports {diags:?}"
+                );
+            }
+            prop_assert!(rejected > 0, "no mutant broke the {opt:?} stream");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Stale-complement tracking against a quadratic reference, plus its cost.
 // ---------------------------------------------------------------------------
 
@@ -504,7 +577,7 @@ impl Stream {
             ir: IrProgram {
                 num_inputs: 2,
                 ops: Vec::new(),
-                cells: (0..cells as u32).map(cell).collect(),
+                cells: vec![CELL; cells],
                 events: Vec::new(),
                 outputs: Vec::new(),
                 mig_nodes: 0,
