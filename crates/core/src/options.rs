@@ -382,67 +382,33 @@ impl CompilerOptions {
         )
     }
 
-    /// Parses the [`CompilerOptions::spec`] spelling.
-    ///
-    /// The historical three-part (`schedule+operands+allocator`),
-    /// four-part (`…+opt`) and five-part (`…+target`) spellings are still
-    /// accepted and imply `o0`, the RM3 target and the arena rewrite
-    /// engine respectively, so requests from older clients keep compiling
-    /// — and keep hitting the same cache entries as an explicit
-    /// `-O0 --target rm3 --rewrite arena`.
+    /// Parses the [`CompilerOptions::spec`] spelling: exactly six
+    /// `+`-separated component names, so every spelling it accepts is the
+    /// `spec()` of the options it returns.
     ///
     /// # Errors
     ///
-    /// Returns a one-line message when the spec is not three to six
-    /// `+`-separated component names.
+    /// Returns a one-line message naming the six-part form when the spec
+    /// has another number of components, or naming the valid values of
+    /// the first component that is not one of them.
     pub fn parse_spec(spec: &str) -> Result<Self, String> {
-        let parts: Vec<&str> = spec.split('+').collect();
-        let (schedule, operands, allocator, opt, target, rewrite) = match parts.as_slice() {
-            [schedule, operands, allocator] => (
-                schedule,
-                operands,
-                allocator,
-                OptLevel::O0,
-                Target::RM3,
-                RewriteMode::Arena,
-            ),
-            [schedule, operands, allocator, opt] => (
-                schedule,
-                operands,
-                allocator,
-                OptLevel::parse(opt)?,
-                Target::RM3,
-                RewriteMode::Arena,
-            ),
-            [schedule, operands, allocator, opt, target] => (
-                schedule,
-                operands,
-                allocator,
-                OptLevel::parse(opt)?,
-                Target::parse(target)?,
-                RewriteMode::Arena,
-            ),
-            [schedule, operands, allocator, opt, target, rewrite] => (
-                schedule,
-                operands,
-                allocator,
-                OptLevel::parse(opt)?,
-                Target::parse(target)?,
-                RewriteMode::parse(rewrite)?,
-            ),
-            _ => {
-                return Err(format!(
-                "bad options spec `{spec}` (expected schedule+operands+allocator[+opt][+target][+rewrite])"
-            ))
-            }
-        };
+        let [schedule, operands, allocator, opt, target, rewrite] = spec
+            .split('+')
+            .collect::<Vec<_>>()
+            .try_into()
+            .map_err(|_| {
+                format!(
+                    "bad options spec `{spec}` (expected \
+                     schedule+operands+allocator+opt+target+rewrite)"
+                )
+            })?;
         Ok(CompilerOptions {
             schedule: ScheduleOrder::parse(schedule)?,
             operands: OperandSelection::parse(operands)?,
             allocator: AllocatorStrategy::parse(allocator)?,
-            opt,
-            target,
-            rewrite,
+            opt: OptLevel::parse(opt)?,
+            target: Target::parse(target)?,
+            rewrite: RewriteMode::parse(rewrite)?,
         })
     }
 }
@@ -526,29 +492,29 @@ mod tests {
     }
 
     #[test]
-    fn three_to_five_part_specs_imply_o0_rm3_and_arena() {
-        let options = CompilerOptions::parse_spec("priority+smart+fifo").unwrap();
-        assert_eq!(options, CompilerOptions::new());
-        assert_eq!(options.opt, OptLevel::O0);
-        assert_eq!(options.target, Target::RM3);
-        assert_eq!(options.rewrite, RewriteMode::Arena);
-        let four = CompilerOptions::parse_spec("priority+smart+fifo+o2").unwrap();
-        assert_eq!(four.opt, OptLevel::O2);
-        assert_eq!(four.target, Target::RM3);
-        // Back-compat keys stay *identical* to the explicit spellings, so
-        // an old client and a new one share cache entries.
-        assert_eq!(four, CompilerOptions::new().opt(OptLevel::O2));
-        let five = CompilerOptions::parse_spec("priority+smart+fifo+o2+rm3").unwrap();
-        assert_eq!(five, four);
-        assert_eq!(five.rewrite, RewriteMode::Arena);
+    fn only_the_six_part_spelling_parses() {
+        for spec in [
+            "priority+smart+fifo",
+            "priority+smart+fifo+o0",
+            "priority+smart+fifo+o0+rm3",
+            "priority+smart+fifo+o0+rm3+arena+extra",
+        ] {
+            let err = CompilerOptions::parse_spec(spec).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "bad options spec `{spec}` (expected \
+                     schedule+operands+allocator+opt+target+rewrite)"
+                )
+            );
+        }
         let six = CompilerOptions::parse_spec("priority+smart+fifo+o2+rm3+egraph").unwrap();
         assert_eq!(six.rewrite, RewriteMode::Egraph);
-        assert_ne!(six.spec(), five.spec());
-        let err = CompilerOptions::parse_spec("priority+smart+fifo+o7").unwrap_err();
+        let err = CompilerOptions::parse_spec("priority+smart+fifo+o7+rm3+arena").unwrap_err();
         assert!(err.contains("o7") && err.contains("o0|o2"), "{err}");
         let err = CompilerOptions::parse_spec("priority+smart+fifo+o1+rm3+arena").unwrap_err();
         assert_eq!(err, "unknown opt level `o1` (expected o0|o2)");
-        let err = CompilerOptions::parse_spec("priority+smart+fifo+o0+gpu").unwrap_err();
+        let err = CompilerOptions::parse_spec("priority+smart+fifo+o0+gpu+arena").unwrap_err();
         assert!(err.contains("gpu") && err.contains("rm3"), "{err}");
         let err = CompilerOptions::parse_spec("priority+smart+fifo+o0+rm3+loop").unwrap_err();
         assert!(err.contains("loop") && err.contains("egraph"), "{err}");
@@ -566,11 +532,17 @@ mod tests {
     #[test]
     fn bad_specs_are_rejected_with_context() {
         let err = CompilerOptions::parse_spec("priority+smart").unwrap_err();
-        assert!(err.contains("schedule+operands+allocator"), "{err}");
-        let err = CompilerOptions::parse_spec("priority+smart+zigzag").unwrap_err();
-        assert!(err.contains("zigzag"), "{err}");
-        let err = CompilerOptions::parse_spec("priority+sideways+fifo").unwrap_err();
-        assert!(err.contains("sideways"), "{err}");
+        assert!(
+            err.contains("schedule+operands+allocator+opt+target+rewrite"),
+            "{err}"
+        );
+        let err = CompilerOptions::parse_spec("priority+smart+zigzag+o0+rm3+arena").unwrap_err();
+        assert!(err.contains("zigzag") && err.contains("wear"), "{err}");
+        let err = CompilerOptions::parse_spec("priority+sideways+fifo+o0+rm3+arena").unwrap_err();
+        assert!(
+            err.contains("sideways") && err.contains("child-order"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -275,6 +275,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--limit explores schedules/allocators itself; drop --schedule/--alloc".to_string(),
         );
     }
+    pipeline::check_spec(&args.spec())?;
     Ok(args)
 }
 
@@ -321,6 +322,7 @@ fn read_input(args: &Args) -> Result<Mig, String> {
 
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
+    pipeline::check_emit(&args.emit, args.options().target)?;
     let input = read_input(&args)?;
     let spec = args.spec();
 
@@ -688,10 +690,7 @@ fn run_request(argv: &[String]) -> Result<(), String> {
         return match response {
             Response::Error(error) => Err(error.message),
             other => {
-                println!(
-                    "{}",
-                    other.to_json(plim_service::protocol::PROTOCOL_VERSION)
-                );
+                println!("{}", other.to_json());
                 Ok(())
             }
         };
@@ -714,10 +713,7 @@ fn run_request(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         Response::Error(error) => Err(error.message),
-        other => Err(format!(
-            "unexpected response: {}",
-            other.to_json(plim_service::protocol::PROTOCOL_VERSION)
-        )),
+        other => Err(format!("unexpected response: {}", other.to_json())),
     }
 }
 

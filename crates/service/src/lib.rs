@@ -54,7 +54,7 @@
 //!   (`plim_egraph::optimize_compiled`) directly, and every target is
 //!   built into `plim-compiler`, so no binary or test sets anything up
 //!   before compiling;
-//! * [`protocol`] — the versioned wire protocol (requests, responses,
+//! * [`protocol`] — the v2 wire protocol (requests, responses,
 //!   error codes, stats), built on [`plim_compiler::json`];
 //! * [`poller`] — the safe edge-triggered readiness facade over
 //!   `epoll`/`kqueue` (the workspace's only `unsafe` code);
@@ -69,16 +69,18 @@
 //!
 //! One JSON object per line, one response line per request, responses in
 //! request order; see [`protocol`] for the exact fields and error codes.
-//! Requests carry `"v":2`; versionless requests are treated as v1 and
-//! answered in the v1 shape (flat error strings). A session transcript:
+//! Every request carries `"v":2`, and every error is a `{"code","message"}`
+//! object. A session transcript:
 //!
 //! ```text
 //! → {"v":2,"op":"compile","format":"mig","source":"inputs a b\nn = maj(0, a, b)\noutput f = n\n"}
-//! ← {"ok":true,"op":"compile","cached":false,"key":"…","instructions":2,"rams":1,"output":"01: …"}
+//! ← {"ok":true,"op":"compile","cached":false,"key":"…","instructions":3,"rams":1,"max_cell_writes":3,"output":"01: …"}
 //! → {"v":2,"op":"stats"}
 //! ← {"ok":true,"op":"stats","hits":0,"misses":1,…,"store":{"hits":0,"misses":1,"corrupt":0,"writes":1},…}
 //! → {"v":2,"op":"nonsense"}
 //! ← {"ok":false,"error":{"code":"unknown_op","message":"unknown op `nonsense`"}}
+//! → {"op":"stats"}
+//! ← {"ok":false,"error":{"code":"unsupported_version","message":"unsupported protocol version none (this daemon speaks v2)"}}
 //! → {"v":2,"op":"shutdown"}
 //! ← {"ok":true,"op":"shutdown"}
 //! ```

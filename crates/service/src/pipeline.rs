@@ -97,7 +97,8 @@ pub fn parse_network(format: InputFormat, text: &str) -> Result<Mig, String> {
 pub struct CompileSpec {
     /// Rewrite effort; 0 disables rewriting (the graph is only cleaned).
     pub effort: usize,
-    /// Use rewrite + majority resynthesis instead of plain rewriting.
+    /// Use rewrite + majority resynthesis instead of plain rewriting; it
+    /// takes only the `arena` rewrite engine (see [`check_spec`]).
     pub extended: bool,
     /// Compiler configuration.
     pub options: CompilerOptions,
@@ -114,6 +115,23 @@ impl Default for CompileSpec {
             verify: true,
         }
     }
+}
+
+/// Refuses a spec that [`execute`] would not honour in full: `extended`
+/// runs its own rewriting, so it takes no rewrite engine but `arena`.
+/// Every front end calls this before compiling.
+///
+/// # Errors
+///
+/// Returns a one-line message naming the engine `extended` would drop.
+pub fn check_spec(spec: &CompileSpec) -> Result<(), String> {
+    if spec.extended && spec.options.rewrite != RewriteMode::Arena {
+        return Err(format!(
+            "--extended rewrites by majority resynthesis; it does not run --rewrite {}",
+            spec.options.rewrite.name()
+        ));
+    }
+    Ok(())
 }
 
 /// Runs the optimization stage of the pipeline on `input`.
@@ -282,6 +300,27 @@ pub fn with_artifact<R>(artifacts: &Artifacts, f: impl FnOnce(&dyn Artifact) -> 
     }
 }
 
+/// Refuses an artifact kind that [`emit`] cannot render for `target`,
+/// with the message `emit` gives, so a front end can refuse it before
+/// compiling.
+///
+/// # Errors
+///
+/// Returns a one-line message for unknown artifact kinds, and for `asm`
+/// on a non-RM3 target.
+pub fn check_emit(kind: &str, target: Target) -> Result<(), String> {
+    if !EMIT_KINDS.contains(&kind) {
+        return Err(format!("unknown --emit `{kind}`"));
+    }
+    if kind == "asm" && target != Target::RM3 {
+        return Err(format!(
+            "--emit asm renders RM3 assembly; target `{target}` prints its native \
+             form via --emit listing"
+        ));
+    }
+    Ok(())
+}
+
 /// Renders the requested artifact. The returned string is printed with
 /// `print!` by every consumer (it already ends in a newline), so daemon
 /// and offline output agree byte-for-byte.
@@ -291,25 +330,18 @@ pub fn with_artifact<R>(artifacts: &Artifacts, f: impl FnOnce(&dyn Artifact) -> 
 ///
 /// # Errors
 ///
-/// Returns a one-line message for unknown artifact kinds, and for `asm`
-/// on a non-RM3 target.
+/// Returns [`check_emit`]'s message for a kind the target cannot print.
 pub fn emit(kind: &str, artifacts: &Artifacts) -> Result<String, String> {
-    match kind {
-        "listing" => Ok(with_artifact(artifacts, |artifact| artifact.listing())),
-        "stats" => Ok(with_artifact(artifacts, |artifact| artifact.stats_text())),
-        "asm" if artifacts.target != Target::RM3 => Err(format!(
-            "--emit asm renders RM3 assembly; target `{}` prints its native \
-             form via --emit listing",
-            artifacts.target
-        )),
-        "asm" => Ok(plim::asm::write_asm(
-            &artifacts.compilation.compiled.program,
-        )),
-        "dot" => Ok(mig::dot::to_dot(&artifacts.optimized)),
-        "mig" => Ok(mig::io::write_mig(&artifacts.optimized)),
-        "ir" => Ok(artifacts.compilation.ir.dump()),
-        other => Err(format!("unknown --emit `{other}`")),
-    }
+    check_emit(kind, artifacts.target)?;
+    Ok(match kind {
+        "listing" => with_artifact(artifacts, |artifact| artifact.listing()),
+        "stats" => with_artifact(artifacts, |artifact| artifact.stats_text()),
+        "asm" => plim::asm::write_asm(&artifacts.compilation.compiled.program),
+        "dot" => mig::dot::to_dot(&artifacts.optimized),
+        "mig" => mig::io::write_mig(&artifacts.optimized),
+        "ir" => artifacts.compilation.ir.dump(),
+        other => unreachable!("check_emit admitted `{other}`"),
+    })
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The `plimd` wire protocol: newline-delimited JSON, versioned (v2).
+//! The `plimd` wire protocol: newline-delimited JSON, version 2.
 //!
 //! Framing: the client writes one JSON object per line; the server answers
 //! each with one JSON object line, in request order (the server pipelines
@@ -7,67 +7,64 @@
 //! encoded documents never contain a raw newline, so multi-line circuit
 //! sources travel safely inside one frame.
 //!
-//! ## Versioning
+//! ## Version
 //!
-//! Requests carry `"v":2`; a request without a `v` field is a protocol-v1
-//! request from an older client. Success responses are identical in both
-//! versions. *Error* responses differ: v2 errors are structured objects
-//! with a machine-readable code, v1 errors remain flat strings so old
-//! clients keep parsing them:
+//! Every request carries `"v":2`. A request without `v`, or with any
+//! other value, is answered with code `unsupported_version`. Every error
+//! response is one object with a machine-readable code and a one-line
+//! message:
 //!
 //! ```text
-//! v2 → {"ok":false,"error":{"code":"parse_error","message":"mig: …"}}
-//! v1 → {"ok":false,"error":"mig: …"}
+//! {"ok":false,"error":{"code":"parse_error","message":"mig: …"}}
 //! ```
 //!
-//! Unknown request fields are ignored (which is what lets a v2 client talk
-//! to a v1 daemon), and a version this daemon does not speak is answered
-//! with code `unsupported_version`. The error codes are enumerated by
+//! Unknown request fields are ignored. The error codes are enumerated by
 //! [`ErrorCode`]; clients must treat unknown codes as opaque failures.
 //!
 //! ## Requests
 //!
 //! ```text
 //! {"v":2,"op":"compile","format":"mig"|"aag","source":"…",
-//!  "effort":4,"extended":false,"options":"priority+smart+fifo+o0",
+//!  "effort":4,"extended":false,"options":"priority+smart+fifo+o0+rm3+arena",
 //!  "emit":"listing","verify":true}
 //! {"v":2,"op":"stats"}
 //! {"v":2,"op":"shutdown"}
 //! ```
 //!
 //! Only `source` is required for `compile`; every other field has the
-//! offline `plimc` default. The `options` spec carries every compiler
-//! option including the `-O` level (`o0` or `o2`; any other level is a
-//! `bad_request`) and the emission target (older three- and four-part
-//! specs without them are accepted and mean `o0` / `rm3`); because the cache key is derived from this exact spelling, two requests
-//! differing only in `-O` — or only in target — can never share a cache
-//! entry. The protocol version is deliberately *not* part of the cache
-//! key: v1 and v2 spellings of the same request share one artifact.
+//! offline `plimc` default. The `options` spec is the six-part
+//! [`CompilerOptions::spec`] spelling, which carries every compiler option
+//! including the `-O` level (`o0` or `o2`) and the emission target; any
+//! other spelling is a `bad_request`. Because the cache key is derived
+//! from this spelling, two requests differing only in `-O` — or only in
+//! target — can never share a cache entry. `extended` requires the `arena`
+//! rewrite engine, and `emit` must be a kind the target prints; both are
+//! checked before any compile.
 //!
 //! ## Responses
 //!
 //! Responses carry `"ok":true` plus op-specific fields, or `"ok":false`
-//! with the version-dependent `error` shape above. A `stats` response
-//! advertises the emission targets in a `targets` array (the order of
-//! `plim_compiler::backend::backends`, `rm3` first) and — when the daemon runs with
-//! `--store` — the persistent store's counters in a `store` object.
+//! with the `error` object above. A `stats` response advertises the
+//! emission targets in a `targets` array (the order of
+//! `plim_compiler::backend::backends`, `rm3` first) and — when the daemon
+//! runs with `--store` — the persistent store's counters in a `store`
+//! object.
 
 use plim_compiler::cache::{fnv128, CacheKey, CacheStats};
 use plim_compiler::json::Value;
 use plim_compiler::store::StoreCounters;
 use plim_compiler::CompilerOptions;
 
-use crate::pipeline::{CompileSpec, InputFormat};
+use crate::pipeline::{self, CompileSpec, InputFormat};
 
-/// The newest protocol version this build speaks (and the one its own
-/// clients send).
+/// The one protocol version this build speaks and sends.
 pub const PROTOCOL_VERSION: u64 = 2;
 
-/// Machine-readable failure categories of v2 error responses.
+/// Machine-readable failure categories of error responses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The request was malformed: bad JSON, a wrong field type, an
-    /// unknown `--emit` kind, an invalid options spec.
+    /// `--emit` kind the target cannot print, an invalid options spec.
     BadRequest,
     /// The `op` field named no known operation.
     UnknownOp,
@@ -77,15 +74,12 @@ pub enum ErrorCode {
     VerifyError,
     /// One request line exceeded the daemon's size bound.
     TooLarge,
-    /// The request's `v` is a version this daemon does not speak.
+    /// The request carries no `v`, or a `v` other than 2.
     UnsupportedVersion,
     /// The daemon is draining and no longer accepts work.
     ShuttingDown,
     /// The daemon failed internally (e.g. a compile worker died).
     Internal,
-    /// A flat v1 error string decoded by a v2 client; carries no code on
-    /// the wire.
-    Legacy,
     /// A code this client build does not know (a newer server). Treat as
     /// an opaque failure.
     Other(String),
@@ -103,7 +97,6 @@ impl ErrorCode {
             ErrorCode::UnsupportedVersion => "unsupported_version",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::Internal => "internal",
-            ErrorCode::Legacy => "legacy",
             ErrorCode::Other(code) => code,
         }
     }
@@ -118,7 +111,6 @@ impl ErrorCode {
             "unsupported_version" => ErrorCode::UnsupportedVersion,
             "shutting_down" => ErrorCode::ShuttingDown,
             "internal" => ErrorCode::Internal,
-            "legacy" => ErrorCode::Legacy,
             other => ErrorCode::Other(other.to_string()),
         }
     }
@@ -183,9 +175,7 @@ impl CompileRequest {
     /// artifact — the options half of the result-cache key. The input
     /// *format* is deliberately excluded: the graph digest already
     /// identifies the parsed structure, so the same circuit arriving as
-    /// MIG text or as AIGER shares one cache entry. The protocol version
-    /// is excluded for the same reason — it shapes the error envelope,
-    /// never the artifact.
+    /// MIG text or as AIGER shares one cache entry.
     pub fn fingerprint(&self) -> u64 {
         let spec = format!(
             "effort={};extended={};options={};emit={};verify={}",
@@ -201,22 +191,8 @@ impl CompileRequest {
     }
 }
 
-/// One decoded request line: the protocol version to answer with, and the
-/// request itself (or the structured error to answer instead).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Decoded {
-    /// 1 for legacy (versionless) requests, 2 otherwise — including for
-    /// malformed lines that did parse far enough to carry `"v":2`, and
-    /// clamped down to 2 for versions newer than this build (whose error
-    /// response is best delivered in the newest shape we both may share).
-    pub version: u64,
-    /// The request, or the error to answer with.
-    pub body: Result<Request, WireError>,
-}
-
 impl Request {
-    /// Encodes the request as one JSON line (no trailing newline), always
-    /// in the newest protocol version.
+    /// Encodes the request as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         match self {
             Request::Stats => Value::object([
@@ -244,129 +220,90 @@ impl Request {
         }
     }
 
-    /// Decodes one request line, reporting the protocol version alongside
-    /// the request (or the structured error that should answer it).
-    pub fn decode(line: &str) -> Decoded {
-        let value = match Value::parse(line.trim()) {
-            Ok(value) => value,
-            Err(e) => {
-                // Unparseable lines carry no usable version marker; answer
-                // in the legacy shape every client understands.
-                return Decoded {
-                    version: 1,
-                    body: Err(WireError::new(
-                        ErrorCode::BadRequest,
-                        format!("bad request JSON: {e}"),
-                    )),
-                };
-            }
-        };
-        let version = match value.get("v") {
-            None => 1,
-            Some(v) => match v.as_u64() {
-                Some(v) => v,
-                None => {
-                    return Decoded {
-                        version: PROTOCOL_VERSION,
-                        body: Err(WireError::new(
-                            ErrorCode::BadRequest,
-                            "field 'v' must be a number",
-                        )),
-                    }
-                }
-            },
-        };
-        let answer_version = version.clamp(1, PROTOCOL_VERSION);
-        if version == 0 || version > PROTOCOL_VERSION {
-            return Decoded {
-                version: answer_version,
-                body: Err(WireError::new(
-                    ErrorCode::UnsupportedVersion,
-                    format!(
-                        "unsupported protocol version {version} (this daemon speaks v1 and v2)"
-                    ),
-                )),
-            };
-        }
-        Decoded {
-            version,
-            body: Request::from_value(&value).map_err(|message| {
-                // "unknown op `…`" only: "unknown opt level" is a bad
-                // options spec.
-                let code = if value.get("op").and_then(Value::as_str).is_some()
-                    && message.starts_with("unknown op `")
-                {
-                    ErrorCode::UnknownOp
-                } else {
-                    ErrorCode::BadRequest
-                };
-                WireError::new(code, message)
-            }),
-        }
-    }
-
-    /// Decodes one request line, dropping the version information.
+    /// Decodes one request line.
     ///
     /// # Errors
     ///
-    /// Returns a one-line message for malformed JSON, an unknown `op`, a
-    /// missing `source`, or invalid option values.
-    pub fn from_json(line: &str) -> Result<Request, String> {
-        let decoded = Request::decode(line);
-        decoded.body.map_err(|error| error.message)
-    }
-
-    fn from_value(value: &Value) -> Result<Request, String> {
-        let op = value
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or("request is missing field 'op'")?;
-        match op {
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            "compile" => {
-                let mut request = CompileRequest {
-                    source: value
-                        .get("source")
-                        .and_then(Value::as_str)
-                        .ok_or("compile request is missing field 'source'")?
-                        .to_string(),
-                    ..CompileRequest::default()
-                };
-                if let Some(format) = value.get("format") {
-                    let name = format.as_str().ok_or("field 'format' must be a string")?;
-                    request.format = InputFormat::parse(name)?;
-                }
-                if let Some(effort) = value.get("effort") {
-                    request.spec.effort = effort
-                        .as_u64()
-                        .ok_or("field 'effort' must be a non-negative number")?
-                        as usize;
-                }
-                if let Some(extended) = value.get("extended") {
-                    request.spec.extended = extended
-                        .as_bool()
-                        .ok_or("field 'extended' must be a boolean")?;
-                }
-                if let Some(options) = value.get("options") {
-                    let spec = options.as_str().ok_or("field 'options' must be a string")?;
-                    request.spec.options = CompilerOptions::parse_spec(spec)?;
-                }
-                if let Some(emit) = value.get("emit") {
-                    request.emit = emit
-                        .as_str()
-                        .ok_or("field 'emit' must be a string")?
-                        .to_string();
-                }
-                if let Some(verify) = value.get("verify") {
-                    request.spec.verify =
-                        verify.as_bool().ok_or("field 'verify' must be a boolean")?;
-                }
-                Ok(Request::Compile(request))
+    /// Returns the structured error that answers the line: malformed JSON,
+    /// a missing or unsupported `v`, an unknown `op`, a missing `source`,
+    /// or invalid field values.
+    pub fn decode(line: &str) -> Result<Request, WireError> {
+        let value =
+            Value::parse(line.trim()).map_err(|e| bad_request(format!("bad request JSON: {e}")))?;
+        match value.get("v") {
+            Some(v) if v.as_u64() == Some(PROTOCOL_VERSION) => {}
+            v => {
+                return Err(WireError::new(
+                    ErrorCode::UnsupportedVersion,
+                    format!(
+                        "unsupported protocol version {} (this daemon speaks v2)",
+                        v.map_or_else(|| "none".to_string(), Value::to_json)
+                    ),
+                ))
             }
-            other => Err(format!("unknown op `{other}`")),
+        }
+        match value.get("op").and_then(Value::as_str) {
+            Some("stats") => Ok(Request::Stats),
+            Some("shutdown") => Ok(Request::Shutdown),
+            Some("compile") => compile_from(&value)
+                .map(Request::Compile)
+                .map_err(bad_request),
+            Some(other) => Err(WireError::new(
+                ErrorCode::UnknownOp,
+                format!("unknown op `{other}`"),
+            )),
+            None => Err(bad_request("request is missing field 'op'")),
         }
     }
+}
+
+fn bad_request(message: impl Into<String>) -> WireError {
+    WireError::new(ErrorCode::BadRequest, message)
+}
+
+/// The fields of a `compile` request, checked with
+/// [`pipeline::check_spec`] and [`pipeline::check_emit`] so that a
+/// request the pipeline would refuse never reaches a compile.
+fn compile_from(value: &Value) -> Result<CompileRequest, String> {
+    let mut request = CompileRequest {
+        source: value
+            .get("source")
+            .and_then(Value::as_str)
+            .ok_or("compile request is missing field 'source'")?
+            .to_string(),
+        ..CompileRequest::default()
+    };
+    if let Some(format) = value.get("format") {
+        let name = format.as_str().ok_or("field 'format' must be a string")?;
+        request.format = InputFormat::parse(name)?;
+    }
+    if let Some(effort) = value.get("effort") {
+        request.spec.effort = effort
+            .as_u64()
+            .ok_or("field 'effort' must be a non-negative number")?
+            as usize;
+    }
+    if let Some(extended) = value.get("extended") {
+        request.spec.extended = extended
+            .as_bool()
+            .ok_or("field 'extended' must be a boolean")?;
+    }
+    if let Some(options) = value.get("options") {
+        let spec = options.as_str().ok_or("field 'options' must be a string")?;
+        request.spec.options = CompilerOptions::parse_spec(spec)?;
+    }
+    if let Some(emit) = value.get("emit") {
+        request.emit = emit
+            .as_str()
+            .ok_or("field 'emit' must be a string")?
+            .to_string();
+    }
+    if let Some(verify) = value.get("verify") {
+        request.spec.verify = verify.as_bool().ok_or("field 'verify' must be a boolean")?;
+    }
+    pipeline::check_spec(&request.spec)?;
+    pipeline::check_emit(&request.emit, request.spec.options.target)?;
+    Ok(request)
 }
 
 /// One shard's view in a stats response.
@@ -386,7 +323,7 @@ pub struct ServiceStats {
     /// Emission-target names, in table order (`rm3` first).
     pub targets: Vec<String>,
     /// Persistent-store counters; `None` when the daemon runs without
-    /// `--store` (and in responses from older daemons).
+    /// `--store`.
     pub store: Option<StoreCounters>,
 }
 
@@ -434,22 +371,20 @@ pub struct CompileResponse {
 }
 
 impl Response {
-    /// Encodes the response as one JSON line (no trailing newline), in
-    /// the error shape of the given protocol version. Success responses
-    /// are identical across versions.
-    pub fn to_json(&self, version: u64) -> String {
+    /// Encodes the response as one JSON line (no trailing newline).
+    pub fn to_json(&self) -> String {
         match self {
-            Response::Error(error) => {
-                let payload = if version >= 2 {
+            Response::Error(error) => Value::object([
+                ("ok", Value::Bool(false)),
+                (
+                    "error",
                     Value::object([
                         ("code", Value::string(error.code.as_str())),
                         ("message", Value::string(error.message.clone())),
-                    ])
-                } else {
-                    Value::string(error.message.clone())
-                };
-                Value::object([("ok", Value::Bool(false)), ("error", payload)]).to_json()
-            }
+                    ]),
+                ),
+            ])
+            .to_json(),
             Response::Shutdown => {
                 Value::object([("ok", Value::Bool(true)), ("op", Value::string("shutdown"))])
                     .to_json()
@@ -513,7 +448,7 @@ impl Response {
         }
     }
 
-    /// Decodes one response line (either protocol version).
+    /// Decodes one response line.
     ///
     /// # Errors
     ///
@@ -527,23 +462,16 @@ impl Response {
             .ok_or("response is missing field 'ok'")?;
         if !ok {
             let error = value.get("error").ok_or("error response without 'error'")?;
-            // v2 daemons send an object, v1 daemons a flat string; this
-            // client decodes both so it can talk to either.
-            let error = if let Some(message) = error.as_str() {
-                WireError::new(ErrorCode::Legacy, message)
-            } else {
-                WireError::new(
-                    error
-                        .get("code")
-                        .and_then(Value::as_str)
-                        .map_or(ErrorCode::Legacy, ErrorCode::parse),
-                    error
-                        .get("message")
-                        .and_then(Value::as_str)
-                        .unwrap_or("unspecified server error"),
-                )
+            let field = |name: &str| {
+                error
+                    .get(name)
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| format!("error response is missing string field '{name}'"))
             };
-            return Ok(Response::Error(error));
+            return Ok(Response::Error(WireError::new(
+                ErrorCode::parse(field("code")?),
+                field("message")?,
+            )));
         }
         let op = value
             .get("op")
@@ -603,25 +531,18 @@ impl Response {
                         })
                     })
                     .collect();
-                // Absent in responses from pre-target daemons: default to
-                // "unadvertised" rather than rejecting the whole snapshot.
                 let targets = value
                     .get("targets")
                     .and_then(Value::as_array)
-                    .map(|names| {
-                        names
-                            .iter()
-                            .map(|name| {
-                                name.as_str()
-                                    .map(str::to_string)
-                                    .ok_or_else(|| "stats targets must be strings".to_string())
-                            })
-                            .collect::<Result<Vec<String>, String>>()
+                    .ok_or("stats response is missing field 'targets'")?
+                    .iter()
+                    .map(|name| {
+                        name.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| "stats targets must be strings".to_string())
                     })
-                    .transpose()?
-                    .unwrap_or_default();
-                // Same back-compat posture for the store block: absent
-                // means "daemon has no persistent store" (or predates it).
+                    .collect::<Result<Vec<String>, String>>()?;
+                // Absent when the daemon has no persistent store.
                 let store = value.get("store").map(|store| {
                     let number = |name: &str| {
                         store
@@ -688,40 +609,32 @@ mod tests {
                 line.starts_with(r#"{"v":2,"#),
                 "unversioned request: {line}"
             );
-            assert_eq!(Request::from_json(&line).unwrap(), request);
-            let decoded = Request::decode(&line);
-            assert_eq!(decoded.version, 2);
-            assert_eq!(decoded.body.unwrap(), request);
+            assert_eq!(Request::decode(&line).unwrap(), request);
         }
-    }
-
-    #[test]
-    fn versionless_requests_decode_as_v1() {
-        let decoded = Request::decode(r#"{"op":"stats"}"#);
-        assert_eq!(decoded.version, 1);
-        assert_eq!(decoded.body.unwrap(), Request::Stats);
     }
 
     #[test]
     fn unsupported_versions_are_rejected_with_a_code() {
-        for (line, expect_version) in [
-            (r#"{"v":3,"op":"stats"}"#, 2),
-            (r#"{"v":0,"op":"stats"}"#, 1),
-            (r#"{"v":99,"op":"compile","source":"x"}"#, 2),
+        for (line, version) in [
+            (r#"{"op":"stats"}"#, "none"),
+            (r#"{"v":1,"op":"stats"}"#, "1"),
+            (r#"{"v":3,"op":"stats"}"#, "3"),
+            (r#"{"v":0,"op":"stats"}"#, "0"),
+            (r#"{"v":"two","op":"stats"}"#, r#""two""#),
+            (r#"{"v":99,"op":"compile","source":"x"}"#, "99"),
         ] {
-            let decoded = Request::decode(line);
-            assert_eq!(decoded.version, expect_version, "{line}");
-            let error = decoded.body.unwrap_err();
+            let error = Request::decode(line).unwrap_err();
             assert_eq!(error.code, ErrorCode::UnsupportedVersion, "{line}");
-            assert!(error.message.contains("speaks v1 and v2"), "{line}");
+            assert_eq!(
+                error.message,
+                format!("unsupported protocol version {version} (this daemon speaks v2)")
+            );
         }
-        let decoded = Request::decode(r#"{"v":"two","op":"stats"}"#);
-        assert_eq!(decoded.body.unwrap_err().code, ErrorCode::BadRequest);
     }
 
     #[test]
     fn compile_defaults_match_offline_plimc() {
-        let request = Request::from_json(r#"{"op":"compile","source":"x"}"#).unwrap();
+        let request = Request::decode(r#"{"v":2,"op":"compile","source":"x"}"#).unwrap();
         let Request::Compile(compile) = request else {
             panic!("wrong kind");
         };
@@ -734,37 +647,48 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_diagnosed_with_codes() {
-        let cases: [(&str, ErrorCode, &str); 7] = [
+        let cases: [(&str, ErrorCode, &str); 8] = [
             ("not json", ErrorCode::BadRequest, "bad request JSON"),
-            ("{}", ErrorCode::BadRequest, "'op'"),
-            (r#"{"op":"frobnicate"}"#, ErrorCode::UnknownOp, "unknown op"),
-            (r#"{"op":"compile"}"#, ErrorCode::BadRequest, "'source'"),
+            (r#"{"v":2}"#, ErrorCode::BadRequest, "'op'"),
             (
-                r#"{"op":"compile","source":"x","effort":-1}"#,
+                r#"{"v":2,"op":"frobnicate"}"#,
+                ErrorCode::UnknownOp,
+                "unknown op",
+            ),
+            (
+                r#"{"v":2,"op":"compile"}"#,
+                ErrorCode::BadRequest,
+                "'source'",
+            ),
+            (
+                r#"{"v":2,"op":"compile","source":"x","effort":-1}"#,
                 ErrorCode::BadRequest,
                 "effort",
             ),
             (
-                r#"{"op":"compile","source":"x","options":"bogus"}"#,
+                r#"{"v":2,"op":"compile","source":"x","options":"bogus"}"#,
                 ErrorCode::BadRequest,
-                "",
+                "bad options spec `bogus`",
             ),
             (
-                r#"{"op":"compile","source":"x","options":"priority+smart+fifo+o7"}"#,
+                r#"{"v":2,"op":"compile","source":"x","options":"priority+smart+fifo+o7+rm3+arena"}"#,
                 ErrorCode::BadRequest,
                 "unknown opt level `o7` (expected o0|o2)",
             ),
+            (
+                r#"{"v":2,"op":"compile","source":"x","options":"priority+smart+fifo+o0+rm3"}"#,
+                ErrorCode::BadRequest,
+                "(expected schedule+operands+allocator+opt+target+rewrite)",
+            ),
         ];
         for (line, code, fragment) in cases {
-            let error = Request::decode(line).body.unwrap_err();
+            let error = Request::decode(line).unwrap_err();
             assert_eq!(error.code, code, "{line}");
             assert!(
                 error.message.contains(fragment),
                 "{line} → {}",
                 error.message
             );
-            // The legacy wrapper agrees.
-            assert_eq!(Request::from_json(line).unwrap_err(), error.message);
         }
     }
 
@@ -805,29 +729,21 @@ mod tests {
             }),
         ];
         for response in responses {
-            let line = response.to_json(PROTOCOL_VERSION);
+            let line = response.to_json();
             assert!(!line.contains('\n'), "framing-unsafe response: {line}");
             assert_eq!(Response::from_json(&line).unwrap(), response);
         }
     }
 
     #[test]
-    fn v1_errors_stay_flat_strings_and_decode_as_legacy() {
+    fn errors_are_code_and_message_objects() {
         let error = Response::Error(WireError::new(ErrorCode::ParseError, "mig: boom"));
-        let v1 = error.to_json(1);
-        assert_eq!(v1, r#"{"ok":false,"error":"mig: boom"}"#);
-        let decoded = Response::from_json(&v1).unwrap();
+        let line = error.to_json();
         assert_eq!(
-            decoded,
-            Response::Error(WireError::new(ErrorCode::Legacy, "mig: boom"))
-        );
-        // And the v2 shape carries the machine-readable code.
-        let v2 = error.to_json(2);
-        assert_eq!(
-            v2,
+            line,
             r#"{"ok":false,"error":{"code":"parse_error","message":"mig: boom"}}"#
         );
-        assert_eq!(Response::from_json(&v2).unwrap(), error);
+        assert_eq!(Response::from_json(&line).unwrap(), error);
         // Codes from a future server survive as opaque strings.
         let future = r#"{"ok":false,"error":{"code":"quota_exceeded","message":"no"}}"#;
         let Response::Error(error) = Response::from_json(future).unwrap() else {
@@ -835,6 +751,14 @@ mod tests {
         };
         assert_eq!(error.code, ErrorCode::Other("quota_exceeded".to_string()));
         assert_eq!(error.code.as_str(), "quota_exceeded");
+        // An error without a code is a malformed response.
+        for line in [
+            r#"{"ok":false,"error":"mig: boom"}"#,
+            r#"{"ok":false,"error":{"message":"mig: boom"}}"#,
+        ] {
+            let err = Response::from_json(line).unwrap_err();
+            assert_eq!(err, "error response is missing string field 'code'");
+        }
     }
 
     #[test]
@@ -866,7 +790,7 @@ mod tests {
             store: None,
         };
         assert_eq!(stats.totals().hits, 5);
-        let line = Response::Stats(stats.clone()).to_json(PROTOCOL_VERSION);
+        let line = Response::Stats(stats.clone()).to_json();
         assert!(line.contains("\"hits\":5"), "{line}");
         assert!(line.contains("\"cached_bytes\":40"), "{line}");
         assert!(line.contains("\"targets\":[\"rm3\"]"), "{line}");
@@ -877,7 +801,7 @@ mod tests {
             corrupt: 0,
             writes: 2,
         });
-        let line = Response::Stats(stats).to_json(PROTOCOL_VERSION);
+        let line = Response::Stats(stats).to_json();
         assert!(
             line.contains(r#""store":{"hits":1,"misses":2,"corrupt":0,"writes":2}"#),
             "{line}"
@@ -885,15 +809,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_responses_without_targets_or_store_decode_leniently() {
-        // A pre-target daemon's stats line (no `targets`, no `store`) must
-        // still decode; the client sees empty advertisements.
-        let line = r#"{"ok":true,"op":"stats","hits":0,"misses":0,"evictions":0,"cached_bytes":0,"cached_entries":0,"shards":[]}"#;
+    fn stats_responses_need_targets_but_not_store() {
+        let line = r#"{"ok":true,"op":"stats","hits":0,"misses":0,"evictions":0,"cached_bytes":0,"cached_entries":0,"targets":["rm3"],"shards":[]}"#;
         let Response::Stats(stats) = Response::from_json(line).unwrap() else {
             panic!("wrong kind");
         };
-        assert!(stats.targets.is_empty());
+        assert_eq!(stats.targets, ["rm3"]);
         assert!(stats.store.is_none());
+        let err = Response::from_json(&line.replace(r#""targets":["rm3"],"#, "")).unwrap_err();
+        assert_eq!(err, "stats response is missing field 'targets'");
     }
 
     #[test]
@@ -911,23 +835,6 @@ mod tests {
         let key = cache_key(7, &base);
         assert_eq!(key.graph, 7);
         assert_eq!(key.options, base.fingerprint());
-    }
-
-    #[test]
-    fn protocol_version_never_reaches_the_cache_key() {
-        // The same request spelled as v1 and as v2 must land on one cache
-        // entry — the version shapes the error envelope, not the artifact.
-        let v1 =
-            Request::from_json(r#"{"op":"compile","source":"inputs a\noutput f = a\n"}"#).unwrap();
-        let v2 =
-            Request::from_json(r#"{"v":2,"op":"compile","source":"inputs a\noutput f = a\n"}"#)
-                .unwrap();
-        assert_eq!(v1, v2);
-        let (Request::Compile(v1), Request::Compile(v2)) = (v1, v2) else {
-            panic!("wrong kind");
-        };
-        assert_eq!(v1.fingerprint(), v2.fingerprint());
-        assert_eq!(cache_key(7, &v1), cache_key(7, &v2));
     }
 
     #[test]
@@ -951,17 +858,17 @@ mod tests {
         let mut allocator = base.clone();
         allocator.spec.options = allocator.spec.options.allocator(AllocatorStrategy::Lifo);
         variants.push(("allocator", allocator));
-        // The target reaches the fingerprint through the 5-part options
-        // spec, so a warm cache entry can never serve a different target.
+        // The target reaches the fingerprint through the options spec, so
+        // a warm cache entry can never serve a different target.
         let mut target = base.clone();
         target.spec.options = target
             .spec
             .options
             .target(plim_compiler::Target::parse("ambit").expect("built-in target"));
         variants.push(("target", target));
-        // The rewrite engine reaches the fingerprint through the 6-part
-        // options spec, so a warm `arena` artifact can never satisfy an
-        // `egraph` request.
+        // The rewrite engine reaches the fingerprint through the options
+        // spec, so a warm `arena` artifact can never satisfy an `egraph`
+        // request.
         let mut rewrite = base.clone();
         rewrite.spec.options = rewrite
             .spec

@@ -65,7 +65,6 @@ enum Pending {
     /// A dispatched compile; its completion carries the same `seq`.
     Waiting {
         seq: u64,
-        version: u64,
         op: &'static str,
         started: Instant,
     },
@@ -352,7 +351,6 @@ impl Reactor {
                         conn.scanned = 0;
                         self.push_error(
                             slot,
-                            1,
                             ErrorCode::TooLarge,
                             format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
                         );
@@ -382,9 +380,8 @@ impl Reactor {
     fn handle_raw_line(&mut self, slot: usize, line: &[u8]) {
         let Ok(text) = std::str::from_utf8(line) else {
             // A stray non-UTF-8 byte gets a diagnosable error response,
-            // not a dropped connection. Version 1: binary garbage carries
-            // no version marker.
-            self.push_error(slot, 1, ErrorCode::BadRequest, "request is not valid UTF-8");
+            // not a dropped connection.
+            self.push_error(slot, ErrorCode::BadRequest, "request is not valid UTF-8");
             return;
         };
         if text.trim().is_empty() {
@@ -403,13 +400,12 @@ impl Reactor {
                 if self.shared.log {
                     log_response(outcome.op, &response, started.elapsed());
                 }
-                self.push_ready(slot, outcome.version, &response);
+                self.push_ready(slot, &response);
             }
             Disposition::Dispatched => {
                 if let Some(conn) = self.conns[slot].as_mut() {
                     conn.pending.push_back(Pending::Waiting {
                         seq,
-                        version: outcome.version,
                         op: outcome.op,
                         started,
                     });
@@ -419,33 +415,27 @@ impl Reactor {
                 if self.shared.log {
                     log_response(outcome.op, &response, started.elapsed());
                 }
-                self.push_ready(slot, outcome.version, &response);
+                self.push_ready(slot, &response);
                 self.shared.shutdown.store(true, Ordering::SeqCst);
             }
         }
     }
 
-    fn push_ready(&mut self, slot: usize, version: u64, response: &Response) {
+    fn push_ready(&mut self, slot: usize, response: &Response) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let mut encoded = response.to_json(version);
+        let mut encoded = response.to_json();
         encoded.push('\n');
         conn.pending.push_back(Pending::Ready(encoded.into_bytes()));
     }
 
-    fn push_error(
-        &mut self,
-        slot: usize,
-        version: u64,
-        code: ErrorCode,
-        message: impl Into<String>,
-    ) {
+    fn push_error(&mut self, slot: usize, code: ErrorCode, message: impl Into<String>) {
         let response = Response::Error(WireError::new(code, message));
         if self.shared.log {
             log_response("invalid", &response, Duration::ZERO);
         }
-        self.push_ready(slot, version, &response);
+        self.push_ready(slot, &response);
     }
 
     /// Resolves finished compiles into their `Waiting` placeholders.
@@ -459,18 +449,12 @@ impl Reactor {
             };
             let mut resolved = false;
             for pending in &mut conn.pending {
-                if let Pending::Waiting {
-                    seq,
-                    version,
-                    op,
-                    started,
-                } = pending
-                {
+                if let Pending::Waiting { seq, op, started } = pending {
                     if *seq == completion.seq {
                         if self.shared.log {
                             log_response(op, &completion.response, started.elapsed());
                         }
-                        let mut encoded = completion.response.to_json(*version);
+                        let mut encoded = completion.response.to_json();
                         encoded.push('\n');
                         *pending = Pending::Ready(encoded.into_bytes());
                         resolved = true;

@@ -66,7 +66,7 @@ use plim_compiler::store::{ArtifactStore, StoreLookup, StoredArtifact};
 use plim_parallel::pool::WorkerPool;
 use plim_parallel::queue::CompletionQueue;
 
-use crate::pipeline::{self, EMIT_KINDS};
+use crate::pipeline;
 use crate::poller::Waker;
 use crate::protocol::{
     cache_key, CompileRequest, CompileResponse, ErrorCode, Request, Response, ServiceStats,
@@ -250,8 +250,6 @@ pub(crate) enum Disposition {
 
 /// The reactor-facing result of handling one request line.
 pub(crate) struct LineOutcome {
-    /// Protocol version the response must be encoded in.
-    pub(crate) version: u64,
     /// Op tag for the request log.
     pub(crate) op: &'static str,
     pub(crate) disposition: Disposition,
@@ -260,30 +258,16 @@ pub(crate) struct LineOutcome {
 /// Handles one request line on the reactor thread: decode, answer
 /// stats/shutdown/warm hits inline, dispatch compile work to its shard.
 pub(crate) fn handle_line(shared: &Arc<Shared>, conn: u64, seq: u64, line: &str) -> LineOutcome {
-    let decoded = Request::decode(line);
-    let version = decoded.version;
-    match decoded.body {
-        Err(error) => LineOutcome {
-            version,
-            op: "invalid",
-            disposition: Disposition::Ready(Response::Error(error)),
-        },
-        Ok(Request::Stats) => LineOutcome {
-            version,
-            op: "stats",
-            disposition: Disposition::Ready(Response::Stats(gather_stats(shared))),
-        },
-        Ok(Request::Shutdown) => LineOutcome {
-            version,
-            op: "shutdown",
-            disposition: Disposition::StartShutdown(Response::Shutdown),
-        },
-        Ok(Request::Compile(request)) => LineOutcome {
-            version,
-            op: "compile",
-            disposition: dispatch_compile(shared, conn, seq, request),
-        },
-    }
+    let (op, disposition) = match Request::decode(line) {
+        Err(error) => ("invalid", Disposition::Ready(Response::Error(error))),
+        Ok(Request::Stats) => (
+            "stats",
+            Disposition::Ready(Response::Stats(gather_stats(shared))),
+        ),
+        Ok(Request::Shutdown) => ("shutdown", Disposition::StartShutdown(Response::Shutdown)),
+        Ok(Request::Compile(request)) => ("compile", dispatch_compile(shared, conn, seq, request)),
+    };
+    LineOutcome { op, disposition }
 }
 
 fn gather_stats(shared: &Shared) -> ServiceStats {
@@ -322,13 +306,6 @@ fn dispatch_compile(
     seq: u64,
     request: CompileRequest,
 ) -> Disposition {
-    // Reject unknown artifact kinds before burning a compile on them.
-    if !EMIT_KINDS.contains(&request.emit.as_str()) {
-        return Disposition::Ready(Response::Error(WireError::new(
-            ErrorCode::BadRequest,
-            format!("unknown --emit `{}`", request.emit),
-        )));
-    }
     // L1: exact-text index. A byte-identical resubmission resolves its
     // structural digest without re-parsing the source.
     let indexed = shared

@@ -230,13 +230,45 @@ fn user_errors_exit_one_with_a_one_line_diagnostic() {
     );
 }
 
+/// A kind the target cannot print is refused before the input is read:
+/// on an input file that does not exist, the `--emit` diagnostic wins.
 #[test]
-fn unknown_emit_exits_one_after_compilation() {
-    let output = run_with_stdin(&["--emit", "png", "--no-verify", "-"], AND_MIG);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("unknown --emit `png`"), "{stderr}");
-    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+fn bad_emit_kinds_exit_one_before_compiling() {
+    let missing = "/nonexistent/plimc-test-input.mig";
+    for (args, expected) in [
+        (&["--emit", "png", missing][..], "unknown --emit `png`"),
+        (
+            &["--target", "ambit", "--emit", "asm", missing],
+            "--emit asm renders RM3 assembly; target `ambit` prints its native form via \
+             --emit listing",
+        ),
+    ] {
+        let output = plimc().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+        assert_eq!(stderr, format!("plimc: {expected}\n"));
+    }
+}
+
+/// `--extended` runs its own rewriting, so every subcommand that compiles
+/// refuses another engine beside it instead of dropping that engine.
+#[test]
+fn extended_with_another_rewrite_engine_exits_one() {
+    for args in [
+        &["--extended", "--rewrite", "egraph", "-"][..],
+        &["verify", "--extended", "--rewrite", "rebuild", "-"],
+        &["request", "--extended", "--rewrite", "egraph", "-"],
+    ] {
+        let mode = args[args.len() - 2];
+        assert_user_error(
+            args,
+            &format!(
+                "--extended rewrites by majority resynthesis; it does not run --rewrite {mode}"
+            ),
+        );
+    }
+    let output = run_with_stdin(&["--extended", "--rewrite", "arena", "-"], AND_MIG);
+    assert!(output.status.success());
 }
 
 #[test]

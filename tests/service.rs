@@ -7,6 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::thread::JoinHandle;
 
+use plim_compiler::CompilerOptions;
 use plim_service::client::{self, Connection};
 use plim_service::pipeline::{self, CompileSpec, InputFormat};
 use plim_service::protocol::{CompileRequest, Request, Response};
@@ -548,15 +549,18 @@ fn malformed_requests_get_error_responses_not_hangups() {
         assert!(response.contains(needle), "{line} → {response}");
     };
     expect_error("this is not json", "bad request JSON");
-    expect_error(r#"{"op":"frobnicate"}"#, "unknown op");
-    expect_error(r#"{"op":"compile"}"#, "source");
-    expect_error(r#"{"op":"compile","source":"garbage"}"#, "mig: line 1");
+    expect_error(r#"{"v":2,"op":"frobnicate"}"#, "unknown op");
+    expect_error(r#"{"v":2,"op":"compile"}"#, "source");
     expect_error(
-        r#"{"op":"compile","source":"inputs a\noutput f = a\n","emit":"png"}"#,
+        r#"{"v":2,"op":"compile","source":"garbage"}"#,
+        "mig: line 1",
+    );
+    expect_error(
+        r#"{"v":2,"op":"compile","source":"inputs a\noutput f = a\n","emit":"png"}"#,
         "unknown --emit",
     );
     expect_error(
-        r#"{"op":"compile","source":"inputs a\noutput f = a\n","options":"bogus"}"#,
+        r#"{"v":2,"op":"compile","source":"inputs a\noutput f = a\n","options":"bogus"}"#,
         "bad options spec",
     );
     // Invalid UTF-8 must get a diagnosis, not a silent hangup.
@@ -716,59 +720,139 @@ fn v2_requests_get_structured_error_objects() {
     let (addr, handle) = start_server(1, 1 << 20);
     let mut stream = TcpStream::connect(&addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut roundtrip = |line: &str| -> String {
-        writeln!(stream, "{line}").unwrap();
+    let mut roundtrip = |line: &[u8]| -> String {
+        stream.write_all(&[line, b"\n"].concat()).unwrap();
         let mut response = String::new();
         reader.read_line(&mut response).unwrap();
         response
     };
-    // v2: errors are objects with a machine-readable code.
-    let response = roundtrip(r#"{"v":2,"op":"frobnicate"}"#);
+    // Errors are objects with a machine-readable code.
+    let response = roundtrip(br#"{"v":2,"op":"frobnicate"}"#);
     assert!(
         response.contains(r#""error":{"code":"unknown_op""#),
         "{response}"
     );
-    let response = roundtrip(r#"{"v":2,"op":"compile","source":"garbage"}"#);
+    let response = roundtrip(br#"{"v":2,"op":"compile","source":"garbage"}"#);
     assert!(
         response.contains(r#""error":{"code":"parse_error""#),
         "{response}"
     );
-    // A version this daemon does not speak is refused with its own code,
-    // answered at the highest version it does speak.
-    let response = roundtrip(r#"{"v":99,"op":"stats"}"#);
+    // A version this daemon does not speak is refused with its own code.
+    let response = roundtrip(br#"{"v":99,"op":"stats"}"#);
     assert!(
         response.contains(r#""error":{"code":"unsupported_version""#),
         "{response}"
     );
-    // A spec naming `o1` (the levels are `o0` and `o2`), in every spelling
-    // that carries a level, is a bad request, and the worker then serves a
-    // normal one.
+    // A spec naming `o1` (the levels are `o0` and `o2`) is a bad request.
     let source = "inputs a b\\nn = maj(0, a, b)\\noutput f = n\\n";
-    for spec in [
-        "priority+smart+fifo+o1",
-        "priority+smart+fifo+o1+rm3",
-        "priority+smart+fifo+o1+rm3+arena",
+    let response = roundtrip(
+        format!(
+            r#"{{"v":2,"op":"compile","source":"{source}","options":"priority+smart+fifo+o1+rm3+arena"}}"#
+        )
+        .as_bytes(),
+    );
+    assert_eq!(
+        response,
+        "{\"ok\":false,\"error\":{\"code\":\"bad_request\",\
+         \"message\":\"unknown opt level `o1` (expected o0|o2)\"}}\n"
+    );
+    // The shapes older clients sent are refused with a structured error:
+    // no version, version 1, a non-UTF-8 line, unparseable JSON, a
+    // five-part spec.
+    for (line, code) in [
+        (br#"{"op":"frobnicate"}"#.to_vec(), "unsupported_version"),
+        (br#"{"v":1,"op":"stats"}"#.to_vec(), "unsupported_version"),
+        (b"\xff\xfe garbage \xff".to_vec(), "bad_request"),
+        (br#"{"v":2,"#.to_vec(), "bad_request"),
+        (
+            format!(
+                r#"{{"v":2,"op":"compile","source":"{source}","options":"priority+smart+fifo+o0+rm3"}}"#
+            )
+            .into_bytes(),
+            "bad_request",
+        ),
     ] {
-        let response = roundtrip(&format!(
-            r#"{{"v":2,"op":"compile","source":"{source}","options":"{spec}"}}"#
-        ));
-        assert!(
-            response.contains(
-                r#""error":{"code":"bad_request","message":"unknown opt level `o1` (expected o0|o2)"}"#
-            ),
-            "{spec}: {response}"
-        );
+        let response = roundtrip(&line);
+        let Response::Error(error) = Response::from_json(&response).unwrap() else {
+            panic!("served: {response}");
+        };
+        assert_eq!(error.code.as_str(), code, "{response}");
     }
+    // The same connection then serves a normal compile.
     let and = "inputs a b\nn = maj(0, a, b)\noutput f = n\n";
-    let response = roundtrip(&compile_request(and).to_json());
+    let response = roundtrip(compile_request(and).to_json().as_bytes());
     let Response::Compile(served) = Response::from_json(&response).unwrap() else {
         panic!("the request after the rejected ones failed: {response}");
     };
     assert_eq!(served.output, offline_listing(and));
-    // Versionless (v1) requests keep the flat error-string shape forever.
-    let response = roundtrip(r#"{"op":"frobnicate"}"#);
-    assert!(response.contains(r#""error":"unknown op"#), "{response}");
-    assert!(!response.contains(r#""code""#), "{response}");
+    shut_down(&addr, handle);
+}
+
+/// Requests the pipeline would refuse are refused before any compile,
+/// with the pipeline's own message: `extended` beside another rewrite
+/// engine, and `asm` for a target that cannot print it. The cache counts
+/// neither a hit nor a miss, however often they are sent.
+#[test]
+fn refused_requests_never_reach_a_compile() {
+    let (addr, handle) = start_server(1, 1 << 20);
+    for (extended, options, emit) in [
+        (true, "priority+smart+fifo+o0+rm3+rebuild", "listing"),
+        (true, "priority+smart+fifo+o2+rm3+egraph", "listing"),
+        (false, "priority+smart+fifo+o2+ambit+arena", "asm"),
+        (false, "priority+smart+fifo+o0+magic+egraph", "asm"),
+        (false, "priority+smart+fifo+o2+ambit+arena", "asm"),
+    ] {
+        let spec = CompileSpec {
+            extended,
+            options: CompilerOptions::parse_spec(options).unwrap(),
+            ..CompileSpec::default()
+        };
+        let request = Request::Compile(CompileRequest {
+            source: suite_source("ctrl"),
+            spec,
+            emit: emit.to_string(),
+            ..CompileRequest::default()
+        });
+        let Response::Error(error) = client::send(&addr, &request).unwrap() else {
+            panic!("{options} {emit} was served");
+        };
+        assert_eq!(error.code.as_str(), "bad_request");
+        let expected = pipeline::check_spec(&spec)
+            .and_then(|()| pipeline::check_emit(emit, spec.options.target));
+        assert_eq!(Err(error.message), expected, "{options} {emit}");
+    }
+    let totals = stats(&addr).totals();
+    assert_eq!((totals.hits, totals.misses), (0, 0));
+    shut_down(&addr, handle);
+}
+
+/// The cache keys of two canonical requests, as the daemon returned them
+/// before it refused versionless requests and short specs: a `--store`
+/// directory written then keeps hitting.
+#[test]
+fn cache_keys_of_canonical_requests_do_not_move() {
+    let (addr, handle) = start_server(1, 1 << 20);
+    for (options, key) in [
+        (
+            "priority+smart+fifo+o0+rm3+arena",
+            "6e47f3872682416d44ee629a3b31cdffa78465ed5a3860e0",
+        ),
+        (
+            "priority+smart+fifo+o2+magic+arena",
+            "6e47f3872682416d44ee629a3b31cdfff5792d872a8d85f9",
+        ),
+    ] {
+        let mut request = CompileRequest {
+            source: "inputs a b\nn = maj(0, a, b)\noutput f = n\n".to_string(),
+            ..CompileRequest::default()
+        };
+        request.spec.options = CompilerOptions::parse_spec(options).unwrap();
+        let Response::Compile(served) = client::send(&addr, &Request::Compile(request)).unwrap()
+        else {
+            panic!("{options} failed");
+        };
+        assert_eq!(served.key, key, "{options}");
+    }
     shut_down(&addr, handle);
 }
 
