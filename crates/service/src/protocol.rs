@@ -614,9 +614,27 @@ mod tests {
     }
 
     #[test]
+    fn versionless_requests_are_refused_as_unsupported() {
+        // Without "v" the version check comes first: neither a missing nor
+        // an unknown op is diagnosed, and a well-formed op is not served.
+        for line in [
+            r#"{"op":"stats"}"#,
+            r#"{"op":"compile","source":"x"}"#,
+            r#"{"op":"frobnicate"}"#,
+            "{}",
+        ] {
+            let error = Request::decode(line).unwrap_err();
+            assert_eq!(error.code, ErrorCode::UnsupportedVersion, "{line}");
+            assert_eq!(
+                error.message,
+                "unsupported protocol version none (this daemon speaks v2)"
+            );
+        }
+    }
+
+    #[test]
     fn unsupported_versions_are_rejected_with_a_code() {
         for (line, version) in [
-            (r#"{"op":"stats"}"#, "none"),
             (r#"{"v":1,"op":"stats"}"#, "1"),
             (r#"{"v":3,"op":"stats"}"#, "3"),
             (r#"{"v":0,"op":"stats"}"#, "0"),
