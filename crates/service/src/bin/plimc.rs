@@ -9,12 +9,22 @@
 //! [`pipeline::execute`], once per attempt; `scenario` rewrites through
 //! [`pipeline::optimize`] and compiles one program per allocator.
 //!
+//! Every subcommand reads its arguments with [`Flags`], and `--help`/`-h`
+//! anywhere prints the usage and exits 0. The subcommands that compile
+//! take the compile options below as far as they honour them, and refuse
+//! the rest with `<flag> is not supported by <subcommand>` before the
+//! input is read: `verify` and `lint` take the *program options* (all but
+//! `--limit`, `--emit` and `--no-verify`), `scenario` the program options
+//! but `--alloc`, and `request` all but `--limit`.
+//!
 //! ```text
 //! plimc [OPTIONS] FILE        (FILE of `-` reads stdin)
 //!
 //!   --format mig|aag     input format (default: by extension, mig otherwise)
-//!   --effort N           rewrite effort, 0 disables rewriting (default 4)
-//!   --extended           use rewrite+majority-resynthesis (stronger)
+//!   --effort N           rewrite effort, 0 disables rewriting (default 4);
+//!                        0 takes no --extended and no engine but arena
+//!   --extended           use rewrite+majority-resynthesis (stronger);
+//!                        takes no engine but arena
 //!   --rewrite arena|rebuild|egraph
 //!                        rewrite engine (default: arena). `egraph`
 //!                        saturates an e-graph under the MIG axioms and
@@ -45,7 +55,7 @@
 //!   Binary AIGER (.aig) is parsed natively: the magic is sniffed from
 //!   the payload, so `.aig` files work wherever `.aag` files do.
 //!
-//! plimc verify [compile OPTIONS] FILE
+//! plimc verify [program OPTIONS] FILE
 //!                             compile and prove the program equal to the
 //!                             source network over the FULL input space
 //!                             (up to 20 primary inputs). Exit codes: 0 the
@@ -53,7 +63,7 @@
 //!                             error), 2 the circuit is too wide for an
 //!                             exhaustive proof — a refusal, not a disproof
 //!
-//! plimc lint [compile OPTIONS] [--json] [--deny LINT] [--allow LINT]
+//! plimc lint [program OPTIONS] [--json] [--deny LINT] [--allow LINT]
 //!            [--doctor write-after-release|stale-complement] FILE
 //!                             run the static analyzer over the compiled
 //!                             artifact: event-stream lints, program-level
@@ -66,7 +76,7 @@
 //!                             the analyzer catches the injected violation.
 //!                             Exit 1 if any error-level finding survives
 //!
-//! plimc scenario [compile OPTIONS] [--patterns N] [--drift P]
+//! plimc scenario [program OPTIONS but --alloc] [--patterns N] [--drift P]
 //!                [--stuck ADDR:LEVEL] [--seed N] [--endurance N]
 //!                [--noise P] [--max-invocations N] FILE
 //!                             fault-injection and device-lifetime sweep
@@ -83,7 +93,7 @@
 //!                             restarted daemon serves repeats warm
 //!
 //! plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N]
-//!               [compile OPTIONS] FILE
+//!               [compile OPTIONS but --limit] FILE
 //! plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N]
 //!               --stats | --shutdown
 //!                             send one request to a running service and
@@ -131,6 +141,7 @@ use mig::Mig;
 use plim_compiler::{
     AllocatorStrategy, CompilerOptions, OptLevel, RewriteMode, ScheduleOrder, Target,
 };
+use plim_service::flags::{self, Flags};
 use plim_service::pipeline::{self, CompileSpec, InputFormat};
 use plim_service::protocol::{CompileRequest, Request, Response};
 use plim_service::{client, server};
@@ -154,128 +165,100 @@ impl From<String> for Failure {
     }
 }
 
+/// A compile invocation: the input, how to compile it, and what to print.
 struct Args {
     file: String,
     format: Option<String>,
-    effort: usize,
-    extended: bool,
-    naive: bool,
-    schedule: Option<ScheduleOrder>,
-    alloc: Option<AllocatorStrategy>,
-    opt: Option<OptLevel>,
-    target: Option<Target>,
-    rewrite: Option<RewriteMode>,
+    spec: CompileSpec,
     limit: Option<u32>,
     emit: String,
-    verify: bool,
 }
 
-impl Args {
-    /// The compiler options this invocation asks for.
-    fn options(&self) -> CompilerOptions {
-        let mut options = if self.naive {
-            CompilerOptions::naive()
-        } else {
-            CompilerOptions::new()
-        };
-        if let Some(schedule) = self.schedule {
-            options = options.schedule(schedule);
-        }
-        if let Some(alloc) = self.alloc {
-            options = options.allocator(alloc);
-        }
-        if let Some(opt) = self.opt {
-            options = options.opt(opt);
-        }
-        if let Some(target) = self.target {
-            options = options.target(target);
-        }
-        if let Some(rewrite) = self.rewrite {
-            options = options.rewrite(rewrite);
-        }
-        options
-    }
+/// The compile flags, as `parse_args` matches them (`-O` stands for `-O0`
+/// and `-O2`). Each subcommand that compiles passes the ones it honours;
+/// `parse_args` refuses the others before the input is read.
+#[rustfmt::skip]
+const COMPILE_FLAGS: &[&str] = &["--format", "--effort", "--extended", "--naive", "--schedule",
+    "--alloc", "-O", "--target", "--rewrite", "--limit", "--emit", "--no-verify"];
 
-    fn spec(&self) -> CompileSpec {
-        CompileSpec {
-            effort: self.effort,
-            extended: self.extended,
-            options: self.options(),
-            verify: self.verify,
-        }
-    }
-}
+/// What `verify` and `lint` honour: the flags that shape the program.
+/// They check it their own way and print no artifact.
+#[rustfmt::skip]
+const PROGRAM_FLAGS: &[&str] = &["--format", "--effort", "--extended", "--naive", "--schedule",
+    "--alloc", "-O", "--target", "--rewrite"];
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// What `scenario` honours: the program flags but `--alloc`, because it
+/// sweeps every allocator.
+#[rustfmt::skip]
+const SCENARIO_FLAGS: &[&str] = &["--format", "--effort", "--extended", "--naive", "--schedule",
+    "-O", "--target", "--rewrite"];
+
+/// What `request` honours: every compile flag but `--limit`, which the
+/// service does not run.
+#[rustfmt::skip]
+const REQUEST_FLAGS: &[&str] = &["--format", "--effort", "--extended", "--naive", "--schedule",
+    "--alloc", "-O", "--target", "--rewrite", "--emit", "--no-verify"];
+
+/// Reads the compile flags and the input file of subcommand `sub` (empty
+/// for the plain compile), refusing every compile flag not in `honours`.
+fn parse_args(sub: &str, honours: &[&str], argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         file: String::new(),
         format: None,
-        effort: 4,
-        extended: false,
-        naive: false,
-        schedule: None,
-        alloc: None,
-        opt: None,
-        target: None,
-        rewrite: None,
+        spec: CompileSpec::default(),
         limit: None,
         emit: "listing".to_string(),
-        verify: true,
     };
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--format" => args.format = Some(value("--format")?),
-            "--effort" => {
-                args.effort = value("--effort")?
-                    .parse()
-                    .map_err(|_| "--effort needs a number".to_string())?;
+    let mut options = CompilerOptions::new();
+    // `--schedule` beats `--naive` (index scheduling) in either order.
+    let (mut naive, mut schedule, mut alloc) = (false, None, None);
+    let mut flags = Flags::new(sub, USAGE, argv);
+    while let Some(arg) = flags.next() {
+        let flag = if arg.starts_with("-O") { "-O" } else { arg };
+        if COMPILE_FLAGS.contains(&flag) && !honours.contains(&flag) {
+            return Err(format!("{arg} is not supported by {sub}"));
+        }
+        match flag {
+            "--format" => args.format = Some(flags.value(arg)?.to_string()),
+            "--effort" => args.spec.effort = flags.number(arg)?,
+            "--extended" => args.spec.extended = true,
+            "--naive" => naive = true,
+            "--schedule" => schedule = Some(ScheduleOrder::parse(flags.value(arg)?)?),
+            "--alloc" => alloc = Some(AllocatorStrategy::parse(flags.value(arg)?)?),
+            "-O" => options = options.opt(OptLevel::parse(&format!("o{}", &arg[2..]))?),
+            "--target" => options = options.target(Target::parse(flags.value(arg)?)?),
+            "--rewrite" => options = options.rewrite(RewriteMode::parse(flags.value(arg)?)?),
+            "--limit" => args.limit = Some(flags.number(arg)?),
+            "--emit" => args.emit = flags.value(arg)?.to_string(),
+            "--no-verify" => args.spec.verify = false,
+            _ => {
+                let file = flags.operand(arg)?;
+                if !args.file.is_empty() {
+                    return Err(format!(
+                        "multiple input files (`{}` and `{file}`)",
+                        args.file
+                    ));
+                }
+                args.file = file.to_string();
             }
-            "--extended" => args.extended = true,
-            "--naive" => args.naive = true,
-            "--schedule" => args.schedule = Some(ScheduleOrder::parse(&value("--schedule")?)?),
-            "--alloc" => args.alloc = Some(AllocatorStrategy::parse(&value("--alloc")?)?),
-            level if level.starts_with("-O") => {
-                args.opt = Some(OptLevel::parse(&format!("o{}", &level[2..]))?);
-            }
-            "--target" => args.target = Some(Target::parse(&value("--target")?)?),
-            "--rewrite" => args.rewrite = Some(RewriteMode::parse(&value("--rewrite")?)?),
-            "--limit" => {
-                args.limit = Some(
-                    value("--limit")?
-                        .parse()
-                        .map_err(|_| "--limit needs a number".to_string())?,
-                );
-            }
-            "--emit" => args.emit = value("--emit")?,
-            "--no-verify" => args.verify = false,
-            "--help" | "-h" => return Err("help".to_string()),
-            _ if arg.starts_with('-') && arg != "-" => {
-                return Err(format!("unknown option `{arg}`"))
-            }
-            _ if !args.file.is_empty() => {
-                return Err(format!(
-                    "multiple input files (`{}` and `{arg}`)",
-                    args.file
-                ))
-            }
-            _ => args.file = arg.clone(),
         }
     }
     if args.file.is_empty() {
         return Err("no input file (use `-` for stdin)".to_string());
     }
-    if args.limit.is_some() && (args.schedule.is_some() || args.alloc.is_some()) {
+    if args.limit.is_some() && (schedule.is_some() || alloc.is_some()) {
         return Err(
             "--limit explores schedules/allocators itself; drop --schedule/--alloc".to_string(),
         );
     }
-    pipeline::check_spec(&args.spec())?;
+    if let Some(schedule) = schedule.or_else(|| naive.then_some(ScheduleOrder::Index)) {
+        options = options.schedule(schedule);
+    }
+    if let Some(alloc) = alloc {
+        options = options.allocator(alloc);
+    }
+    args.spec.options = options;
+    pipeline::check_spec(&args.spec)?;
     Ok(args)
 }
 
@@ -321,14 +304,12 @@ fn read_input(args: &Args) -> Result<Mig, String> {
 }
 
 fn run(argv: &[String]) -> Result<(), String> {
-    let args = parse_args(argv)?;
-    pipeline::check_emit(&args.emit, args.options().target)?;
+    let args = parse_args("", COMPILE_FLAGS, argv)?;
+    pipeline::check_emit(&args.emit, args.spec.options.target)?;
     let input = read_input(&args)?;
-    let spec = args.spec();
-
     let artifacts = match args.limit {
-        Some(limit) => pipeline::execute_within(&input, &spec, limit)?,
-        None => pipeline::execute(&input, &spec)?,
+        Some(limit) => pipeline::execute_within(&input, &args.spec, limit)?,
+        None => pipeline::execute(&input, &args.spec)?,
     };
 
     let output = pipeline::emit(&args.emit, &artifacts)?;
@@ -348,21 +329,14 @@ fn run(argv: &[String]) -> Result<(), String> {
 /// caller may fall back from (e.g. to sampled verification), distinct from
 /// a disproof.
 fn run_verify(argv: &[String]) -> Result<(), Failure> {
-    let args = parse_args(argv)?;
-    if args.limit.is_some() {
-        return Err(
-            "--limit is not supported by verify; compile first, then verify"
-                .to_string()
-                .into(),
-        );
-    }
+    let args = parse_args("verify", PROGRAM_FLAGS, argv)?;
     let input = read_input(&args)?;
     // The exhaustive proof below is stronger than the pipeline's sampled check.
     let artifacts = pipeline::execute(
         &input,
         &CompileSpec {
             verify: false,
-            ..args.spec()
+            ..args.spec
         },
     )?;
     let target = artifacts.target;
@@ -397,7 +371,7 @@ fn run_verify(argv: &[String]) -> Result<(), Failure> {
 /// with its native instruction set and per-instruction costs — the offline
 /// twin of the wire protocol's `targets` advertisement in `stats`.
 fn run_targets(argv: &[String]) -> Result<(), String> {
-    if let Some(arg) = argv.first() {
+    if let Some(arg) = Flags::new("targets", USAGE, argv).next() {
         return Err(format!("targets takes no arguments (got `{arg}`)"));
     }
     for backend in plim_compiler::backend::backends() {
@@ -430,27 +404,23 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
     type Injection = fn(&mut plim_compiler::ir::IrProgram) -> Option<plim_compiler::ir::CellId>;
     let mut doctor: Option<(Injection, &str)> = None;
     let mut compile_argv: Vec<String> = Vec::new();
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let lint = |name: &str, text: &str| -> Result<Lint, String> {
+    let mut flags = Flags::new("lint", USAGE, argv);
+    while let Some(arg) = flags.next() {
+        let lint = |text: &str| -> Result<Lint, String> {
             Lint::from_code(text).ok_or_else(|| {
                 format!(
-                    "{name}: unknown lint `{text}` (expected a code like PA0001 \
+                    "{arg}: unknown lint `{text}` (expected a code like PA0001 \
                      or a name like use-before-init)"
                 )
             })
         };
-        match arg.as_str() {
+        match arg {
             "--json" => json = true,
-            "--deny" => config.deny(lint("--deny", value("--deny")?)?),
-            "--allow" => config.allow(lint("--allow", value("--allow")?)?),
+            "--deny" => config.deny(lint(flags.value(arg)?)?),
+            "--allow" => config.allow(lint(flags.value(arg)?)?),
             "--doctor" => {
                 use plim_analysis::doctor;
-                doctor = Some(match value("--doctor")?.as_str() {
+                doctor = Some(match flags.value(arg)? {
                     "write-after-release" => (
                         doctor::inject_write_after_release as Injection,
                         "the program has no ops to corrupt",
@@ -468,20 +438,17 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
                     }
                 });
             }
-            _ => compile_argv.push(arg.clone()),
+            _ => compile_argv.push(arg.to_string()),
         }
     }
 
-    let args = parse_args(&compile_argv)?;
-    if args.limit.is_some() {
-        return Err("--limit is not supported by lint".to_string().into());
-    }
+    let args = parse_args("lint", PROGRAM_FLAGS, &compile_argv)?;
     let input = read_input(&args)?;
     // The analyzer is this subcommand's check; the pipeline's sampled
     // simulation stays off.
     let spec = CompileSpec {
         verify: false,
-        ..args.spec()
+        ..args.spec
     };
     let mut artifacts = pipeline::execute(&input, &spec)?;
     let compilation = &mut artifacts.compilation;
@@ -519,70 +486,44 @@ fn run_scenario(argv: &[String]) -> Result<(), String> {
     let mut fault = FaultScenario::default();
     let mut lifetime = LifetimeScenario::default();
     let mut compile_argv: Vec<String> = Vec::new();
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let number = |name: &str, text: &str| -> Result<u64, String> {
-            text.parse()
-                .map_err(|_| format!("{name} needs a number (got `{text}`)"))
-        };
-        let rate = |name: &str, text: &str| -> Result<f64, String> {
-            text.parse::<f64>()
-                .ok()
-                .filter(|p| (0.0..=1.0).contains(p))
-                .ok_or_else(|| format!("{name} needs a probability in [0, 1] (got `{text}`)"))
-        };
-        match arg.as_str() {
-            "--patterns" => fault.patterns = number("--patterns", value("--patterns")?)?,
-            "--drift" => {
-                fault.model.drift_probability = rate("--drift", value("--drift")?)?;
-            }
+    let mut flags = Flags::new("scenario", USAGE, argv);
+    while let Some(arg) = flags.next() {
+        let probability = "a probability in [0, 1]";
+        let rate = |p: &f64| (0.0..=1.0).contains(p);
+        match arg {
+            "--patterns" => fault.patterns = flags.number(arg)?,
+            "--drift" => fault.model.drift_probability = flags.typed(arg, probability, rate)?,
             "--stuck" => {
-                let text = value("--stuck")?;
+                let text = flags.value(arg)?;
                 let (addr, level) = match text.split_once(':') {
                     Some((addr, "0")) => (addr, false),
                     Some((addr, "1")) => (addr, true),
                     _ => return Err(format!("--stuck needs ADDR:0 or ADDR:1 (got `{text}`)")),
                 };
-                fault
-                    .model
-                    .stuck
-                    .push((plim::RamAddr(number("--stuck", addr)? as u32), level));
+                let addr = flags::parse_value(arg, "a number", addr, |_| true)?;
+                fault.model.stuck.push((plim::RamAddr(addr), level));
             }
             "--seed" => {
-                let seed = number("--seed", value("--seed")?)?;
+                let seed = flags.number(arg)?;
                 fault.seed = seed;
                 lifetime.seed = seed;
             }
-            "--endurance" => {
-                lifetime.cell_endurance = number("--endurance", value("--endurance")?)?;
-            }
-            "--noise" => lifetime.write_noise = rate("--noise", value("--noise")?)?,
-            "--max-invocations" => {
-                lifetime.max_invocations =
-                    number("--max-invocations", value("--max-invocations")?)?;
-            }
-            _ => compile_argv.push(arg.clone()),
+            "--endurance" => lifetime.cell_endurance = flags.number(arg)?,
+            "--noise" => lifetime.write_noise = flags.typed(arg, probability, rate)?,
+            "--max-invocations" => lifetime.max_invocations = flags.number(arg)?,
+            _ => compile_argv.push(arg.to_string()),
         }
     }
 
-    let args = parse_args(&compile_argv)?;
-    if args.limit.is_some() {
-        return Err("--limit is not supported by scenario".to_string());
-    }
-    if let Some(target) = args.target.filter(|&target| target != Target::RM3) {
+    let args = parse_args("scenario", SCENARIO_FLAGS, &compile_argv)?;
+    let target = args.spec.options.target;
+    if target != Target::RM3 {
         return Err(format!(
             "--target {target} is not supported by scenario; it models the RM3 machine"
         ));
     }
-    if args.alloc.is_some() {
-        return Err("--alloc is not supported by scenario; it sweeps every allocator".to_string());
-    }
     let input = read_input(&args)?;
-    let spec = args.spec();
+    let spec = args.spec;
     let optimized = pipeline::optimize(&input, &spec);
 
     let stuck = if fault.model.stuck.is_empty() {
@@ -648,43 +589,34 @@ fn run_request(argv: &[String]) -> Result<(), String> {
     let mut timeout: Option<std::time::Duration> = None;
     let mut retries = 0u32;
     let mut compile_argv: Vec<String> = Vec::new();
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => addr = iter.next().ok_or("--addr requires a value")?.clone(),
+    let mut flags = Flags::new("request", USAGE, argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = flags.value(arg)?.to_string(),
             "--stats" => stats = true,
             "--shutdown" => shutdown = true,
             "--timeout" => {
-                let text = iter.next().ok_or("--timeout requires a value")?;
-                let seconds = text
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s > 0.0)
-                    .ok_or_else(|| {
-                        format!("--timeout needs a positive number of seconds (got `{text}`)")
-                    })?;
+                let seconds = flags.typed(arg, "a positive number of seconds", |s: &f64| {
+                    s.is_finite() && *s > 0.0
+                })?;
                 timeout = Some(std::time::Duration::from_secs_f64(seconds));
             }
-            "--retries" => {
-                let text = iter.next().ok_or("--retries requires a value")?;
-                retries = text
-                    .parse()
-                    .map_err(|_| format!("--retries needs a number (got `{text}`)"))?;
-            }
-            _ => compile_argv.push(arg.clone()),
+            "--retries" => retries = flags.number(arg)?,
+            _ => compile_argv.push(arg.to_string()),
         }
     }
     if stats || shutdown {
-        if !compile_argv.is_empty() {
+        if let Some(arg) = compile_argv.first() {
             return Err(format!(
-                "--stats/--shutdown take no further arguments (got `{}`)",
-                compile_argv[0]
+                "--stats/--shutdown take no further arguments (got `{arg}`)"
             ));
         }
-        let request = if stats {
-            Request::Stats
-        } else {
-            Request::Shutdown
+        let request = match (stats, shutdown) {
+            (true, true) => {
+                return Err("--stats and --shutdown are two requests; send one".to_string())
+            }
+            (true, false) => Request::Stats,
+            (false, _) => Request::Shutdown,
         };
         let response = client::send_with(&addr, &request, timeout, retries)?;
         return match response {
@@ -696,15 +628,12 @@ fn run_request(argv: &[String]) -> Result<(), String> {
         };
     }
 
-    let args = parse_args(&compile_argv)?;
-    if args.limit.is_some() {
-        return Err("--limit is not supported over the service; run plimc offline".to_string());
-    }
+    let args = parse_args("request", REQUEST_FLAGS, &compile_argv)?;
     let (format, source) = read_source(&args.file, &args.format)?;
     let request = Request::Compile(CompileRequest {
         format,
         source,
-        spec: args.spec(),
+        spec: args.spec,
         emit: args.emit,
     });
     match client::send_with(&addr, &request, timeout, retries)? {
@@ -742,28 +671,14 @@ fn run_loadtest(argv: &[String]) -> Result<(), String> {
         addr: DEFAULT_ADDR.to_string(),
         ..LoadtestConfig::default()
     };
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let number = |name: &str, text: &str| -> Result<usize, String> {
-            text.parse()
-                .ok()
-                .filter(|n| *n > 0)
-                .ok_or_else(|| format!("{name} needs a positive number (got `{text}`)"))
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr")?.clone(),
-            "--connections" => {
-                config.connections = number("--connections", value("--connections")?)?;
-            }
-            "--pipeline" => config.pipeline = number("--pipeline", value("--pipeline")?)?,
-            "--requests" => {
-                config.requests_per_conn = number("--requests", value("--requests")?)?;
-            }
-            other => return Err(format!("unknown loadtest option `{other}`")),
+    let mut flags = Flags::new("loadtest", USAGE, argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => config.addr = flags.value(arg)?.to_string(),
+            "--connections" => config.connections = flags.positive(arg)?,
+            "--pipeline" => config.pipeline = flags.positive(arg)?,
+            "--requests" => config.requests_per_conn = flags.positive(arg)?,
+            other => return Err(flags.unknown(other)),
         }
     }
     for (name, source) in LOADTEST_CIRCUITS {
@@ -790,14 +705,16 @@ fn run_loadtest(argv: &[String]) -> Result<(), String> {
 fn run_dump(argv: &[String]) -> Result<(), String> {
     use plim_benchmarks::suite::{self, Scale};
 
-    let mut name: Option<&String> = None;
+    let mut name: Option<&str> = None;
     let mut scale = Scale::Full;
-    for arg in argv {
-        match arg.as_str() {
+    let mut flags = Flags::new("dump", USAGE, argv);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--reduced" => scale = Scale::Reduced,
-            _ if arg.starts_with('-') => return Err(format!("unknown dump option `{arg}`")),
-            _ if name.is_some() => return Err(format!("multiple circuits (got `{arg}`)")),
-            _ => name = Some(arg),
+            _ if name.replace(flags.operand(arg)?).is_some() => {
+                return Err(format!("multiple circuits (got `{arg}`)"))
+            }
+            _ => {}
         }
     }
     let name = name.ok_or("dump needs a circuit name")?;
@@ -814,7 +731,7 @@ fn run_dump(argv: &[String]) -> Result<(), String> {
 /// The `plimc bench` subcommand: regenerates Table 1 through the
 /// [`plim_service::bench`] driver, optionally emitting the `BENCH.json`
 /// bench-gate artifact.
-fn run_bench(args: &[String]) -> Result<(), String> {
+fn run_bench(argv: &[String]) -> Result<(), String> {
     use plim_benchmarks::suite::{self, Scale};
     use plim_compiler::batch::{format_row, table_header, totals, Circuit, PAPER_EFFORT};
     use plim_parallel::Parallelism;
@@ -823,29 +740,15 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     let mut reduced = false;
     let mut effort = PAPER_EFFORT;
     let mut parallelism = Parallelism::Auto;
-    let mut json: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
+    let mut json: Option<&str> = None;
+    let mut flags = Flags::new("bench", USAGE, argv);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--reduced" => reduced = true,
-            "--effort" => {
-                effort = value("--effort")?
-                    .parse()
-                    .map_err(|_| "--effort needs a number".to_string())?;
-            }
-            "--jobs" => {
-                parallelism = Parallelism::from_jobs(Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|_| "--jobs needs a number".to_string())?,
-                ));
-            }
-            "--json" => json = Some(value("--json")?.clone()),
-            other => return Err(format!("unknown bench option `{other}`")),
+            "--effort" => effort = flags.number(arg)?,
+            "--jobs" => parallelism = Parallelism::from_jobs(Some(flags.number(arg)?)),
+            "--json" => json = Some(flags.value(arg)?),
+            other => return Err(flags.unknown(other)),
         }
     }
 
@@ -889,7 +792,7 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     );
     if let Some(path) = json {
         let document = benchfile::to_json(&run.records);
-        std::fs::write(&path, document).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, document).map_err(|e| format!("writing {path}: {e}"))?;
         println!("bench records written to {path}");
     }
     Ok(())
@@ -898,34 +801,27 @@ fn run_bench(args: &[String]) -> Result<(), String> {
 /// The `plimc bench-diff` subcommand: the bench-regression gate. Exits
 /// nonzero when the current run regresses `#I`/`#R`, loses a circuit, or
 /// slows down beyond the tolerance.
-fn run_bench_diff(args: &[String]) -> Result<(), String> {
+fn run_bench_diff(argv: &[String]) -> Result<(), String> {
     use plim_service::benchfile;
 
-    let mut files: Vec<&String> = Vec::new();
+    let mut files: Vec<&str> = Vec::new();
     let mut tolerance = 25.0f64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--time-tolerance" => {
-                tolerance = iter
-                    .next()
-                    .ok_or("--time-tolerance requires a value")?
-                    .parse()
-                    .map_err(|_| "--time-tolerance needs a number (percent)".to_string())?;
-            }
+    let mut flags = Flags::new("bench-diff", USAGE, argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--time-tolerance" => tolerance = flags.number(arg)?,
             // Timing becomes a note: the right mode when the current run's
             // machine differs from the baseline's (e.g. hosted CI runners
             // diffing a dev-machine baseline), where even a wide tolerance
             // flakes on millisecond-scale totals.
             "--no-time-gate" => tolerance = f64::INFINITY,
-            _ if arg.starts_with('-') => return Err(format!("unknown bench-diff option `{arg}`")),
-            _ => files.push(arg),
+            _ => files.push(flags.operand(arg)?),
         }
     }
     let [baseline_path, current_path] = files.as_slice() else {
         return Err("bench-diff needs exactly two files: BASELINE CURRENT".to_string());
     };
-    let read = |path: &String| -> Result<Vec<benchfile::BenchRecord>, String> {
+    let read = |path: &str| -> Result<Vec<benchfile::BenchRecord>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         // benchfile errors are one-liners like `missing field 'rams'
         // (circuit "adder")`; prefixing the file name makes the final
@@ -964,21 +860,26 @@ usage: plimc [--format mig|aag] [--effort N] [--extended] [--naive]
              [-O0|-O2] [--target rm3|ambit|magic] [--rewrite arena|rebuild|egraph]
              [--limit R] [--emit asm|listing|stats|dot|mig|ir] [--no-verify] FILE
        (binary AIGER .aig is parsed natively; no aigtoaig conversion needed)
-       plimc verify [compile options] FILE
+       (--effort 0 takes no --extended, and --effort 0 or --extended no --rewrite but arena)
+       (compile options: the options above; program options: the compile options
+        but --limit, --emit and --no-verify)
+       plimc verify [program options] FILE
              (exit 0: proven; 1: disproof/error; 2: too wide for an exhaustive proof)
-       plimc lint [compile options] [--json] [--deny LINT] [--allow LINT]
+       plimc lint [program options] [--json] [--deny LINT] [--allow LINT]
                   [--doctor write-after-release|stale-complement] FILE
-       plimc scenario [compile options] [--patterns N] [--drift P] [--stuck ADDR:LEVEL]
-                      [--seed N] [--endurance N] [--noise P] [--max-invocations N] FILE
+       plimc scenario [program options but --alloc] [--patterns N] [--drift P]
+                      [--stuck ADDR:LEVEL] [--seed N] [--endurance N] [--noise P]
+                      [--max-invocations N] FILE
        plimc serve [--addr HOST:PORT] [--threads N] [--cache-bytes N] [--store DIR]
                    [--idle-timeout SECS] [--max-pipeline N] [--quiet]
-       plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N] [compile options] FILE
+       plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N]
+                     [compile options but --limit] FILE
        plimc request [--addr HOST:PORT] [--timeout SECS] [--retries N] --stats | --shutdown
        plimc loadtest [--addr HOST:PORT] [--connections N] [--pipeline N] [--requests N]
        plimc targets
        plimc dump CIRCUIT [--reduced]
        plimc bench [--reduced] [--effort N] [--jobs N] [--json PATH]
-       plimc bench-diff BASELINE CURRENT [--time-tolerance PCT]
+       plimc bench-diff BASELINE CURRENT [--time-tolerance PCT | --no-time-gate]
 ";
 
 fn main() -> ExitCode {
@@ -998,10 +899,6 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(failure) if failure.message == "help" => {
-            eprint!("{USAGE}");
-            ExitCode::SUCCESS
-        }
         Err(failure) => {
             eprintln!("plimc: {}", failure.message);
             ExitCode::from(failure.code)

@@ -60,6 +60,8 @@
 //!   `epoll`/`kqueue` (the workspace's only `unsafe` code);
 //! * [`server`] — daemon configuration, shard dispatch, cache and store
 //!   plumbing, `serve` CLI;
+//! * [`flags`] — the one flag reader every `plimc` subcommand and `plimd`
+//!   walk their arguments with;
 //! * [`client`] — the blocking client used by `plimc request`, with
 //!   timeout and connect-retry support;
 //! * [`loadtest`] — the `plimc loadtest` harness: thousands of concurrent
@@ -88,6 +90,7 @@
 pub mod bench;
 pub mod benchfile;
 pub mod client;
+pub mod flags;
 pub mod loadtest;
 pub mod pipeline;
 pub mod poller;

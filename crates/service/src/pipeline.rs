@@ -98,7 +98,8 @@ pub struct CompileSpec {
     /// Rewrite effort; 0 disables rewriting (the graph is only cleaned).
     pub effort: usize,
     /// Use rewrite + majority resynthesis instead of plain rewriting; it
-    /// takes only the `arena` rewrite engine (see [`check_spec`]).
+    /// takes only the `arena` rewrite engine and an effort above 0 (see
+    /// [`check_spec`]).
     pub extended: bool,
     /// Compiler configuration.
     pub options: CompilerOptions,
@@ -118,17 +119,25 @@ impl Default for CompileSpec {
 }
 
 /// Refuses a spec that [`execute`] would not honour in full: `extended`
-/// runs its own rewriting, so it takes no rewrite engine but `arena`.
-/// Every front end calls this before compiling.
+/// runs its own rewriting, so it takes no rewrite engine but `arena`, and
+/// effort 0 only cleans the graph, so it takes neither `extended` nor an
+/// engine but `arena`. Every front end calls this before compiling.
 ///
 /// # Errors
 ///
-/// Returns a one-line message naming the engine `extended` would drop.
+/// Returns a one-line message naming what the spec would drop.
 pub fn check_spec(spec: &CompileSpec) -> Result<(), String> {
-    if spec.extended && spec.options.rewrite != RewriteMode::Arena {
+    let engine = format!("--rewrite {}", spec.options.rewrite.name());
+    let arena = spec.options.rewrite == RewriteMode::Arena;
+    if spec.extended && !arena {
         return Err(format!(
-            "--extended rewrites by majority resynthesis; it does not run --rewrite {}",
-            spec.options.rewrite.name()
+            "--extended rewrites by majority resynthesis; it does not run {engine}"
+        ));
+    }
+    if spec.effort == 0 && (spec.extended || !arena) {
+        let dropped = if spec.extended { "--extended" } else { &engine };
+        return Err(format!(
+            "--effort 0 skips rewriting; it does not run {dropped}"
         ));
     }
     Ok(())

@@ -38,8 +38,9 @@
 //! other spelling is a `bad_request`. Because the cache key is derived
 //! from this spelling, two requests differing only in `-O` — or only in
 //! target — can never share a cache entry. `extended` requires the `arena`
-//! rewrite engine, and `emit` must be a kind the target prints; both are
-//! checked before any compile.
+//! rewrite engine, `"effort":0` takes neither `extended` nor an engine but
+//! `arena` (effort 0 only cleans the graph), and `emit` must be a kind the
+//! target prints; all three are checked before any compile.
 //!
 //! ## Responses
 //!

@@ -66,6 +66,7 @@ use plim_compiler::store::{ArtifactStore, StoreLookup, StoredArtifact};
 use plim_parallel::pool::WorkerPool;
 use plim_parallel::queue::CompletionQueue;
 
+use crate::flags::Flags;
 use crate::pipeline;
 use crate::poller::Waker;
 use crate::protocol::{
@@ -552,6 +553,13 @@ pub(crate) fn log_response(op: &str, response: &Response, elapsed: Duration) {
     }
 }
 
+/// The `--help` text of `plimc serve` and `plimd`.
+const SERVE_USAGE: &str = "\
+usage: plimd [--addr HOST:PORT] [--threads N] [--cache-bytes N] [--store DIR]
+             [--idle-timeout SECS] [--max-pipeline N] [--quiet]
+       plimc serve takes the same options
+";
+
 /// Runs `plimc serve` / `plimd`: parses the serve flags, binds, prints the
 /// listening line, and serves until shutdown.
 ///
@@ -563,42 +571,20 @@ pub fn serve_cli(args: &[String]) -> Result<(), String> {
         log: true,
         ..ServerConfig::default()
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr")?.clone(),
-            "--threads" => {
-                config.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?;
-            }
-            "--cache-bytes" => {
-                config.cache_bytes = value("--cache-bytes")?
-                    .parse()
-                    .map_err(|_| "--cache-bytes needs a number".to_string())?;
-            }
-            "--store" => config.store = Some(value("--store")?.clone()),
+    let mut flags = Flags::new("serve", SERVE_USAGE, args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => config.addr = flags.value(arg)?.to_string(),
+            "--threads" => config.threads = flags.number(arg)?,
+            "--cache-bytes" => config.cache_bytes = flags.number(arg)?,
+            "--store" => config.store = Some(flags.value(arg)?.to_string()),
             "--idle-timeout" => {
-                config.idle_timeout = Duration::from_secs(
-                    value("--idle-timeout")?
-                        .parse()
-                        .map_err(|_| "--idle-timeout needs a number of seconds".to_string())?,
-                );
+                config.idle_timeout =
+                    Duration::from_secs(flags.typed(arg, "a number of seconds", |_| true)?);
             }
-            "--max-pipeline" => {
-                config.max_pipeline = value("--max-pipeline")?
-                    .parse()
-                    .map_err(|_| "--max-pipeline needs a number".to_string())?;
-                if config.max_pipeline == 0 {
-                    return Err("--max-pipeline must be at least 1".to_string());
-                }
-            }
+            "--max-pipeline" => config.max_pipeline = flags.positive(arg)?,
             "--quiet" => config.log = false,
-            other => return Err(format!("unknown serve option `{other}`")),
+            other => return Err(flags.unknown(other)),
         }
     }
     let server = Server::bind(&config)?;

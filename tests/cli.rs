@@ -271,6 +271,105 @@ fn extended_with_another_rewrite_engine_exits_one() {
     assert!(output.status.success());
 }
 
+/// `--effort 0` only cleans the graph, so every subcommand that compiles
+/// refuses `--extended` or an engine but arena beside it instead of
+/// compiling (and, over the service, caching) one identical artifact per
+/// engine.
+#[test]
+fn effort_zero_with_a_rewrite_choice_exits_one() {
+    for (args, dropped) in [
+        (
+            &["--effort", "0", "--rewrite", "rebuild", "-"][..],
+            "--rewrite rebuild",
+        ),
+        (
+            &["verify", "--effort", "0", "--extended", "-"],
+            "--extended",
+        ),
+        (
+            &["lint", "--effort", "0", "--rewrite", "egraph", "-"],
+            "--rewrite egraph",
+        ),
+        (
+            &["request", "--effort", "0", "--rewrite", "egraph", "-"],
+            "--rewrite egraph",
+        ),
+    ] {
+        assert_user_error(
+            args,
+            &format!("--effort 0 skips rewriting; it does not run {dropped}"),
+        );
+    }
+    let output = run_with_stdin(&["--effort", "0", "--rewrite", "arena", "-"], AND_MIG);
+    assert!(output.status.success());
+}
+
+/// Each subcommand that compiles refuses the compile flags it would
+/// ignore, in one line and before it reads the input (the file is
+/// missing, so reading it would fail differently).
+#[test]
+fn subcommands_refuse_the_compile_flags_they_do_not_honour() {
+    let missing = "/nonexistent/plimc-test-input.mig";
+    let limit = ["--limit", "3"];
+    let emit = ["--emit", "stats"];
+    let no_verify = ["--no-verify"];
+    let alloc = ["--alloc", "wear"];
+    for (sub, refused) in [
+        ("verify", &[&limit[..], &emit, &no_verify][..]),
+        ("lint", &[&limit, &emit, &no_verify]),
+        ("scenario", &[&limit, &alloc, &emit, &no_verify]),
+        ("request", &[&limit]),
+    ] {
+        for flag in refused {
+            let args = [&[sub][..], flag, &[missing]].concat();
+            let output = plimc().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+            assert_eq!(
+                stderr,
+                format!("plimc: {} is not supported by {sub}\n", flag[0]),
+                "{args:?}"
+            );
+        }
+    }
+}
+
+/// `--help` and `-h` print the usage and exit 0 on every subcommand and
+/// on `plimd`, wherever they appear among the arguments.
+#[test]
+fn every_subcommand_answers_help_with_the_usage() {
+    for sub in [
+        &[][..],
+        &["verify"],
+        &["lint"],
+        &["scenario"],
+        &["serve"],
+        &["request"],
+        &["loadtest"],
+        &["targets"],
+        &["dump"],
+        &["bench"],
+        &["bench-diff"],
+        &["request", "--stats"],
+        &["bench", "--reduced"],
+    ] {
+        for help in ["--help", "-h"] {
+            let output = plimc().args(sub).arg(help).output().unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(0), "{sub:?} {help}: {stderr}");
+            assert!(stderr.starts_with("usage: "), "{sub:?} {help}: {stderr}");
+            assert!(output.stdout.is_empty(), "{sub:?} {help}");
+        }
+    }
+    let output = Command::new(env!("CARGO_BIN_EXE_plimd"))
+        .arg("--help")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "plimd --help: {stderr}");
+    assert!(stderr.starts_with("usage: plimd"), "{stderr}");
+}
+
 #[test]
 fn opt_levels_compile_end_to_end_and_o0_is_the_default() {
     let baseline = run_with_stdin(&["--emit", "listing", "-"], AND_MIG);
@@ -922,6 +1021,11 @@ fn request_against_a_dead_service_is_a_user_error() {
     assert_user_error(
         &["request", "--stats", "--shutdown", "extra"],
         "take no further arguments",
+    );
+    // Two requests in one invocation would send only the first.
+    assert_user_error(
+        &["request", "--stats", "--shutdown"],
+        "--stats and --shutdown are two requests; send one",
     );
 }
 

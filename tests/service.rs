@@ -790,19 +790,24 @@ fn v2_requests_get_structured_error_objects() {
 
 /// Requests the pipeline would refuse are refused before any compile,
 /// with the pipeline's own message: `extended` beside another rewrite
-/// engine, and `asm` for a target that cannot print it. The cache counts
-/// neither a hit nor a miss, however often they are sent.
+/// engine, effort 0 beside `extended` or an engine but arena, and `asm`
+/// for a target that cannot print it. The cache counts neither a hit nor
+/// a miss, however often they are sent.
 #[test]
 fn refused_requests_never_reach_a_compile() {
     let (addr, handle) = start_server(1, 1 << 20);
-    for (extended, options, emit) in [
-        (true, "priority+smart+fifo+o0+rm3+rebuild", "listing"),
-        (true, "priority+smart+fifo+o2+rm3+egraph", "listing"),
-        (false, "priority+smart+fifo+o2+ambit+arena", "asm"),
-        (false, "priority+smart+fifo+o0+magic+egraph", "asm"),
-        (false, "priority+smart+fifo+o2+ambit+arena", "asm"),
+    for (effort, extended, options, emit) in [
+        (4, true, "priority+smart+fifo+o0+rm3+rebuild", "listing"),
+        (4, true, "priority+smart+fifo+o2+rm3+egraph", "listing"),
+        (0, true, "priority+smart+fifo+o0+rm3+arena", "listing"),
+        (0, false, "priority+smart+fifo+o0+rm3+rebuild", "listing"),
+        (0, false, "priority+smart+fifo+o2+magic+egraph", "stats"),
+        (4, false, "priority+smart+fifo+o2+ambit+arena", "asm"),
+        (4, false, "priority+smart+fifo+o0+magic+egraph", "asm"),
+        (4, false, "priority+smart+fifo+o2+ambit+arena", "asm"),
     ] {
         let spec = CompileSpec {
+            effort,
             extended,
             options: CompilerOptions::parse_spec(options).unwrap(),
             ..CompileSpec::default()
