@@ -9,12 +9,12 @@
 //! the dying cell in place, moving it past that cell's last read. This
 //! harvests slack no scheduler can see: the lowering's reference counts
 //! overestimate lifetimes, because consumers that read a cached complement
-//! never touch the value cell. Each scan indexes cells by stable event keys
-//! once and walks the stream once, resuming where it committed, so its
-//! bookkeeping per commit is proportional to the edit, and it scores each
-//! trial edit through the backend's [`TrialScorer`], which replays only
-//! from the checkpoint before the edit to where the replay reconverges with
-//! the committed one (see [`forward`]'s cost section). Between scans,
+//! never touch the value cell. A run indexes cells by stable event keys
+//! once, and each scan walks the stream once, resuming where it committed,
+//! so its bookkeeping per commit is proportional to the edit, and it scores
+//! each trial edit through the backend's [`TrialScorer`], which replays
+//! only from the checkpoint before the edit to where the replay reconverges
+//! with the committed one (see [`forward`]'s cost section). Between scans,
 //! [`drop_identity_writes`] removes the identity writes `⟨c c̄ z⟩` (both
 //! operands the same constant, so the cell keeps its value) a scan leaves:
 //! lowering emits none, and a scan leaves one each time its rotate
@@ -41,6 +41,7 @@
 //! check lowered and optimized streams for every pattern, identity writes
 //! included.
 
+use mig::hash::KeyedState;
 use mig::Mig;
 
 use crate::backend::{Backend, Cost, TrialCounts, TrialEdit, TrialScorer};
@@ -63,6 +64,8 @@ pub struct PassRun {
     /// the trials finished early by reconvergence — deterministic, like
     /// every other field.
     pub scoring: TrialCounts,
+    /// Forward's bookkeeping outside the scorer, counted.
+    pub bookkeeping: ForwardCounts,
 }
 
 impl PassRun {
@@ -175,6 +178,7 @@ impl PassManager {
                 instructions_after: ir.num_instructions(),
                 edits,
                 scoring: run.scoring,
+                bookkeeping: run.bookkeeping,
             }],
         }
     }
@@ -245,6 +249,30 @@ pub struct Forwarded {
     /// The cost of the stream it returns: the entry price of its last scan,
     /// which committed nothing.
     pub cost: Cost,
+    /// The run's bookkeeping outside the scorer, over every scan.
+    pub bookkeeping: ForwardCounts,
+}
+
+/// Forward's bookkeeping outside the scorer, counted over one run —
+/// deterministic, like [`TrialCounts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForwardCounts {
+    /// Touch indexes built from the whole stream: one per run.
+    pub index_builds: usize,
+    /// Scans of the stream: one more than the scans that committed.
+    pub scans: usize,
+    /// Candidate moves checked for legality.
+    pub checks: usize,
+    /// Dependence closures started: the checked moves that passed the
+    /// cheap rejections, which look only at the first ops the closure
+    /// would take in.
+    pub closures: usize,
+    /// Touch-list entries the move checks walked, cheap rejections
+    /// included.
+    pub touches_walked: u64,
+    /// Stream events the trial edits walked: the rewritten span and the
+    /// move window. The memory move of the stream's tail is not counted.
+    pub events_walked: u64,
 }
 
 /// In-place-overwrite forwarding (`forward`, the `-O2` workhorse).
@@ -275,17 +303,20 @@ pub struct Forwarded {
 /// # Cost
 ///
 /// Candidates are visited in stream order and the first one whose trial
-/// passes the quality gate commits. A scan builds its per-cell touch index
+/// passes the quality gate commits. A run builds its per-cell touch index
 /// once, over stable `u64` event keys (per op, and per cell for its request
-/// and release) that increase along the stream; a commit re-keys only the
-/// moved block, inside the gap it lands in, and renumbers the whole stream
-/// only when that gap runs out. After a commit the index is patched for the
-/// cells the edit touched and the scan resumes at the committed position,
-/// never going back: the commits, and the emitted bytes, are exactly those
-/// of a rescan from the start (the proof is on the scan loop). Bookkeeping
+/// and release) that increase along the stream, and keeps it for every
+/// scan; a commit re-keys only the moved block, inside the gap it lands
+/// in, and renumbers the whole stream only when that gap runs out. After a
+/// commit the index is patched for the cells the edit touched and the scan
+/// resumes at the committed position, never going back: the commits, and
+/// the emitted bytes, are exactly those of a rescan from the start (the
+/// proof is on the scan loop). Most candidate moves are illegal; the move
+/// check rejects most of those from the touch lists before it builds a
+/// dependence closure, and builds closures on reused buffers. Bookkeeping
 /// per commit is proportional to the edit (the touched cells' lists and the
 /// rewritten event span), apart from one memory move of the stream's tail
-/// when the edit deletes events.
+/// when the edit deletes events. [`ForwardCounts`] counts it.
 ///
 /// Trials are scored by the backend's [`TrialScorer`], told where the edit
 /// changed the stream ([`TrialEdit`], from the undo log: the rewritten
@@ -303,33 +334,38 @@ pub struct Forwarded {
 ///
 /// A scan finds edits that an earlier scan's candidates could not see, and
 /// dropping the identity writes a scan leaves frees more, so `forward`
-/// rescans: after a scan that committed, it drops identity writes and scans
-/// again with a fresh index, scorer and rejection memo (a trial that lost
-/// against the old stream's price may win against the new one), and it
-/// returns after the first scan that commits nothing. That ends: every
-/// commit deletes the chain's `init` (and its `copy`) and adds no op, and
-/// dropping identity writes only deletes ops, so each committing scan
+/// rescans: after a scan that committed, it drops identity writes, patches
+/// the index for them (each touches only its own destination, so its
+/// entries leave that cell's lists and its key goes; the other keys stay
+/// increasing), and scans again with a fresh scorer and rejection memo (a
+/// trial that lost against the old stream's price may win against the new
+/// one). It returns after the first scan that commits nothing. That ends:
+/// every commit deletes the chain's `init` (and its `copy`) and adds no op,
+/// and dropping identity writes only deletes ops, so each committing scan
 /// lowers `#I`, which cannot fall below zero. A run makes at most `#I` + 1
 /// scans. A further scan leaves the returned stream unchanged, and once a
 /// scan has committed, the stream holds no identity write.
 pub fn forward(ir: &mut IrProgram, backend: &dyn Backend) -> Forwarded {
-    let mut forwarder = Forwarder::new(ir, backend, KEY_SPACING);
-    let entry = forwarder.baseline;
+    let mut engine = Forwarder::new(ir, KEY_SPACING);
+    let mut scan = Scan::new(ir, backend);
+    let entry = scan.baseline;
     let mut edits = 0;
     let mut scoring = TrialCounts::default();
     loop {
-        let committed = forwarder.run(ir);
-        scoring += forwarder.scorer.counts();
+        let committed = engine.run(ir, &mut scan);
+        engine.counts.scans += 1;
+        scoring += scan.scorer.counts();
         if committed == 0 {
             return Forwarded {
                 edits,
                 scoring,
                 entry,
-                cost: forwarder.baseline,
+                cost: scan.baseline,
+                bookkeeping: engine.counts,
             };
         }
-        edits += committed + drop_identity_writes(ir);
-        forwarder = Forwarder::new(ir, backend, KEY_SPACING);
+        edits += committed + engine.drop_identity_writes(ir);
+        scan = Scan::new(ir, backend);
     }
 }
 
@@ -340,24 +376,60 @@ const KEY_SPACING: u64 = 1 << 32;
 /// The key of an op no event references (deleted, or never scheduled).
 const DEAD: u64 = u64::MAX;
 
-/// How a position touches a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Touch {
-    /// Read as an operand or as a non-masking destination's old value.
-    Read,
-    /// Written as the destination (a non-masking write also reads it).
-    Write,
+/// One touch-list entry: the touching op's event key and the op.
+type Entry = (u64, u32);
+
+/// An offset into the touch lists, which [`Span`] keeps in 32 bits.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("touch lists hold under 2^32 entries")
 }
 
-/// One touch-list entry: the touching op's event key, the op, and how it
-/// touches the cell.
-type Entry = (u64, u32, Touch);
+/// The entries of a touch list keyed in `(after, through]`.
+fn window(list: &[Entry], after: u64, through: u64) -> &[Entry] {
+    // Most lists the move check asks about end before the window.
+    if list.last().is_none_or(|e| e.0 <= after) {
+        return &[];
+    }
+    let rest = &list[prefix(list, |e| e.0 <= after)..];
+    &rest[..prefix(rest, |e| e.0 <= through)]
+}
 
-/// Event keys plus a per-cell touch index, kept in step with the stream
-/// across one [`forward`] scan; each scan builds a fresh one.
+/// How many leading entries of `list` pass `keep`, which holds for a
+/// prefix of it: a scan of a short list, where it beats a binary search,
+/// or a binary search of a long one.
+fn prefix(list: &[Entry], keep: impl Fn(&Entry) -> bool) -> usize {
+    if list.len() <= 8 {
+        list.iter().position(|e| !keep(e)).unwrap_or(list.len())
+    } else {
+        list.partition_point(keep)
+    }
+}
+
+/// Where one cell's touch list sits in [`CellIndex::entries`]: the ops
+/// writing the cell, then the ops reading it (as an operand, or as a
+/// non-masking destination's old value; once per read), each part in
+/// stream (key) order.
+#[derive(Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    /// Entries in use.
+    len: u32,
+    /// Entries reserved for the list.
+    cap: u32,
+    /// How many of the entries in use are writes.
+    writes: u32,
+}
+
+/// Event keys plus a per-cell touch index, built once per [`forward`] run
+/// and kept in step with the stream across all its scans.
 struct CellIndex {
-    /// Per cell, its touches in stream (key) order.
-    touches: Vec<Vec<Entry>>,
+    /// Every cell's touch list, in one allocation. The build lays the
+    /// lists out in cell order, each in exactly the room it needs; a list
+    /// that outgrows its room moves to the end, leaving the old room
+    /// unused.
+    entries: Vec<Entry>,
+    /// Per cell, where its list sits.
+    spans: Vec<Span>,
     /// Per op, its event key ([`DEAD`] when no event runs it).
     op_key: Vec<u64>,
     /// Per cell, the key of its request event.
@@ -370,8 +442,26 @@ struct CellIndex {
 
 impl CellIndex {
     fn build(ir: &IrProgram, spacing: u64) -> Self {
+        // Each list's room first (`len` counts its writes for now), so the
+        // lists fill in place.
+        let mut spans = vec![Span::default(); ir.cells.len()];
+        for &event in &ir.events {
+            if let Some(op) = ir.op_of(event) {
+                for c in op.reads() {
+                    spans[c.index()].cap += 1;
+                }
+                spans[op.z.index()].cap += 1;
+                spans[op.z.index()].len += 1;
+            }
+        }
+        let mut end = 0;
+        for span in &mut spans {
+            span.start = end;
+            end = offset(end as usize + span.cap as usize);
+        }
         let mut index = CellIndex {
-            touches: vec![Vec::new(); ir.cells.len()],
+            entries: vec![(0, 0); end as usize],
+            spans,
             op_key: vec![DEAD; ir.ops.len()],
             request: vec![None; ir.cells.len()],
             release: vec![None; ir.cells.len()],
@@ -385,7 +475,15 @@ impl CellIndex {
                     index.op_key[i as usize], DEAD,
                     "op {i} appears twice in the stream"
                 );
-                index.push_touches(ir, i, key);
+                let op = &ir.ops[i as usize];
+                let z = &mut index.spans[op.z.index()];
+                index.entries[(z.start + z.writes) as usize] = (key, i);
+                z.writes += 1;
+                for c in op.reads() {
+                    let span = &mut index.spans[c.index()];
+                    index.entries[(span.start + span.len) as usize] = (key, i);
+                    span.len += 1;
+                }
             }
             index.set_key(event, key);
         }
@@ -397,20 +495,84 @@ impl CellIndex {
         index
     }
 
-    /// Appends op `i`'s touches at `key` to the lists of the cells it
-    /// touches.
+    /// The ops writing `cell`, in stream order.
+    fn writes(&self, cell: CellId) -> &[Entry] {
+        let span = self.spans[cell.index()];
+        &self.entries[span.start as usize..(span.start + span.writes) as usize]
+    }
+
+    /// The ops reading `cell`, in stream order.
+    fn reads(&self, cell: CellId) -> &[Entry] {
+        let span = self.spans[cell.index()];
+        &self.entries[(span.start + span.writes) as usize..(span.start + span.len) as usize]
+    }
+
+    /// The whole of `cell`'s list, writes first.
+    fn list_mut(&mut self, cell: CellId) -> &mut [Entry] {
+        let span = self.spans[cell.index()];
+        &mut self.entries[span.start as usize..(span.start + span.len) as usize]
+    }
+
+    /// Adds op `i`'s touches at `key` to the cells it touches, at the end
+    /// of each part, in the order [`CellIndex::build`] lists them.
     fn push_touches(&mut self, ir: &IrProgram, i: u32, key: u64) {
         let op = &ir.ops[i as usize];
-        for value in [op.a, op.b] {
-            if let Value::Cell(c) = value {
-                self.touches[c.index()].push((key, i, Touch::Read));
+        let z = self.room(op.z);
+        let at = (z.start + z.writes) as usize;
+        self.entries
+            .copy_within(at..(z.start + z.len) as usize, at + 1);
+        self.entries[at] = (key, i);
+        let z = &mut self.spans[op.z.index()];
+        z.writes += 1;
+        z.len += 1;
+        for c in op.reads() {
+            let span = self.room(c);
+            self.entries[(span.start + span.len) as usize] = (key, i);
+            self.spans[c.index()].len += 1;
+        }
+    }
+
+    /// Makes room for one more entry in `cell`'s list, moving the list to
+    /// the end with twice the room when it is full; returns its span.
+    fn room(&mut self, cell: CellId) -> Span {
+        let span = &mut self.spans[cell.index()];
+        if span.len == span.cap {
+            let start = self.entries.len();
+            let cap = span.cap.saturating_mul(2).max(4);
+            self.entries
+                .extend_from_within(span.start as usize..(span.start + span.len) as usize);
+            self.entries
+                .resize(offset(start + cap as usize) as usize, (0, 0));
+            span.start = offset(start);
+            span.cap = cap;
+        }
+        *span
+    }
+
+    /// Drops from `cell`'s list every entry of an op `changed` marks.
+    fn unlist(&mut self, cell: CellId, changed: &[bool]) {
+        let Span { writes, .. } = self.spans[cell.index()];
+        let list = self.list_mut(cell);
+        let (mut kept, mut kept_writes) = (0, 0);
+        for j in 0..list.len() {
+            let entry = list[j];
+            if !changed[entry.1 as usize] {
+                list[kept] = entry;
+                kept += 1;
+                kept_writes += u32::from(j < writes as usize);
             }
         }
-        let z = &mut self.touches[op.z.index()];
-        if !op.masking() {
-            z.push((key, i, Touch::Read));
-        }
-        z.push((key, i, Touch::Write));
+        let span = &mut self.spans[cell.index()];
+        span.len = offset(kept);
+        span.writes = kept_writes;
+    }
+
+    /// Restores stream order in both parts of `cell`'s list.
+    fn sort(&mut self, cell: CellId) {
+        let writes = self.spans[cell.index()].writes as usize;
+        let (writes, reads) = self.list_mut(cell).split_at_mut(writes);
+        writes.sort_by_key(|e| e.0);
+        reads.sort_by_key(|e| e.0);
     }
 
     fn key(&self, event: Event) -> u64 {
@@ -433,6 +595,18 @@ impl CellIndex {
     /// after it, when no event carries that key).
     fn position(&self, ir: &IrProgram, key: u64) -> usize {
         ir.events.partition_point(|&event| self.key(event) < key)
+    }
+
+    /// [`CellIndex::position`] for a key no less than that of the event at
+    /// `from`: a galloping search from there, costing the log of the
+    /// distance rather than of the stream.
+    fn position_from(&self, ir: &IrProgram, from: usize, key: u64) -> usize {
+        let rest = &ir.events[from..];
+        let mut end = 1;
+        while end < rest.len() && self.key(rest[end]) < key {
+            end *= 2;
+        }
+        from + rest[..end.min(rest.len())].partition_point(|&event| self.key(event) < key)
     }
 
     /// Keys the events at `block` inside the gap between their neighbours,
@@ -466,7 +640,8 @@ impl CellIndex {
         for (pos, &event) in ir.events.iter().enumerate() {
             self.set_key(event, (pos as u64 + 1) * self.spacing);
         }
-        for list in &mut self.touches {
+        for span in &self.spans {
+            let list = &mut self.entries[span.start as usize..(span.start + span.len) as usize];
             for entry in list {
                 entry.0 = self.op_key[entry.1 as usize];
             }
@@ -477,40 +652,25 @@ impl CellIndex {
     /// keyed `key`: the distinct ops touching `x` before it must be exactly
     /// `init` or `set; copy`.
     fn chain(&self, ir: &IrProgram, x: CellId, key: u64) -> Option<Chain> {
-        let mut ops = [0u32; 2];
-        let mut len = 0;
-        for &(k, i, _) in &self.touches[x.index()] {
-            if k >= key {
-                break;
+        let writes = self.writes(x);
+        let writes = &writes[..writes.partition_point(|e| e.0 < key)];
+        // Both chain ops write `x`; only the copy reads it. A read list can
+        // be long, so it is walked only up to the first read that rules
+        // the chain out.
+        let mut reads = self.reads(x).iter().take_while(|e| e.0 < key).map(|e| e.1);
+        match *writes {
+            [(_, init)] if reads.next().is_none() => {
+                masked_const(&ir.ops[init as usize]).map(|value| Chain {
+                    init,
+                    copy: None,
+                    value: Value::Const(value),
+                })
             }
-            if len > 0 && ops[len - 1] == i {
-                continue;
-            }
-            if len == ops.len() {
-                return None;
-            }
-            ops[len] = i;
-            len += 1;
-        }
-        match ops[..len] {
-            [init] => {
-                let init_op = &ir.ops[init as usize];
-                match masked_const(init_op) {
-                    Some(value) if init_op.z == x => Some(Chain {
-                        init,
-                        copy: None,
-                        value: Value::Const(value),
-                    }),
-                    _ => None,
-                }
-            }
-            [init, copy] => {
-                let init_op = &ir.ops[init as usize];
+            [(_, init), (_, copy)] if reads.all(|i| i == copy) => {
                 let copy_op = &ir.ops[copy as usize];
-                let is_set = masked_const(init_op) == Some(true) && init_op.z == x;
-                let is_copy = copy_op.z == x
-                    && copy_op.b == Value::Const(true)
-                    && !matches!(copy_op.a, Value::Const(_));
+                let is_set = masked_const(&ir.ops[init as usize]) == Some(true);
+                let is_copy =
+                    copy_op.b == Value::Const(true) && !matches!(copy_op.a, Value::Const(_));
                 (is_set && is_copy).then_some(Chain {
                     init,
                     copy: Some(copy),
@@ -532,24 +692,15 @@ impl CellIndex {
     /// such a cell would let the rename put reads of the forwarded value
     /// behind that re-initialization.
     fn unused_slot_last_read(&self, cell: CellId, key: u64) -> Option<u64> {
-        let list = &self.touches[cell.index()];
-        let mut last = key;
-        for &(k, _, touch) in &list[list.partition_point(|e| e.0 <= key)..] {
-            match touch {
-                Touch::Read => last = k,
-                Touch::Write => return None,
-            }
+        if self.writes(cell).last().is_some_and(|e| e.0 > key) {
+            return None;
         }
-        Some(last)
+        Some(self.reads(cell).last().map_or(key, |e| e.0.max(key)))
     }
 
     /// Whether `cell` is written by an op keyed in `(after, through]`.
     fn defined_in(&self, cell: CellId, after: u64, through: u64) -> bool {
-        let list = &self.touches[cell.index()];
-        list[list.partition_point(|e| e.0 <= after)..]
-            .iter()
-            .take_while(|e| e.0 <= through)
-            .any(|e| e.2 == Touch::Write)
+        !window(self.writes(cell), after, through).is_empty()
     }
 
     /// The window ops that must move together with the forwarded
@@ -566,13 +717,21 @@ impl CellIndex {
     /// move is rejected.
     ///
     /// The closure is the least fixpoint of the join rule, so whether it is
-    /// rejected does not depend on the order ops join in. It is computed as
-    /// a worklist over the touch lists: a cell entering the written set
-    /// pulls in every window op touching it, a cell entering the read set
-    /// every window op writing it — O(closure), not O(window × sweeps).
+    /// rejected does not depend on the order ops join in. Most moves are
+    /// rejected at a `d`-reader among the first joiners (the window ops
+    /// touching `x`, or writing a cell the forwarded op reads), so those
+    /// are checked first, before any closure state exists. The closure is
+    /// then a worklist over the touch lists: a cell entering the written
+    /// set pulls in every window op touching it, a cell entering the read
+    /// set every window op writing it (its write list, so its reads are not
+    /// walked) — O(closure), not O(window × sweeps). It runs on `closure`'s
+    /// reused, generation-stamped marks, so only a move that succeeds
+    /// allocates: the returned block.
     #[allow(clippy::too_many_arguments)]
     fn move_set(
         &self,
+        closure: &mut Closure,
+        counts: &mut ForwardCounts,
         ir: &IrProgram,
         key: u64,
         x: CellId,
@@ -581,49 +740,118 @@ impl CellIndex {
         b: Value,
         last_read: u64,
     ) -> Option<Vec<(u64, u32)>> {
-        let mut defined: Vec<CellId> = vec![x];
-        let mut read: Vec<CellId> = Vec::new();
-        // `(cell, written)`: a written cell joins every window op touching
-        // it, a read cell only the window ops writing it.
-        let mut work: Vec<(CellId, bool)> = vec![(x, true)];
-        for c in [new_a.cell(), b.cell(), Some(d)].into_iter().flatten() {
-            if !read.contains(&c) {
-                read.push(c);
-                work.push((c, false));
+        counts.checks += 1;
+        let reads_in = |c: CellId| window(self.reads(c), key, last_read);
+        let writes_in = |c: CellId| window(self.writes(c), key, last_read);
+        let reads_d = |i: u32| ir.ops[i as usize].reads().any(|c| c == d);
+        let read = [new_a.cell(), b.cell(), Some(d)];
+        let first = reads_in(x)
+            .iter()
+            .chain(writes_in(x))
+            .chain(read.into_iter().flatten().flat_map(writes_in));
+        for &(_, i) in first {
+            counts.touches_walked += 1;
+            if reads_d(i) {
+                return None; // a d-reader may not cross the overwrite
             }
         }
-        let mut moved: Vec<(u64, u32)> = Vec::new();
-        while let Some((cell, written)) = work.pop() {
-            let list = &self.touches[cell.index()];
-            for &(k, i, touch) in &list[list.partition_point(|e| e.0 <= key)..] {
-                if k > last_read {
-                    break;
-                }
-                if (!written && touch == Touch::Read) || moved.iter().any(|&(_, j)| j == i) {
+
+        counts.closures += 1;
+        let stamp = closure.next_stamp();
+        closure.written[x.index()] = stamp;
+        closure.written_work.clear();
+        closure.written_work.push(x);
+        closure.read_work.clear();
+        for c in read.into_iter().flatten() {
+            if closure.read[c.index()] != stamp {
+                closure.read[c.index()] = stamp;
+                closure.read_work.push(c);
+            }
+        }
+        closure.block.clear();
+        // Written cells first: they pull in every window op touching them,
+        // so a block over the cap reaches it after fewer lists.
+        loop {
+            let (cell, reads) = if let Some(cell) = closure.written_work.pop() {
+                (cell, reads_in(cell))
+            } else if let Some(cell) = closure.read_work.pop() {
+                (cell, &[][..])
+            } else {
+                break;
+            };
+            for &(k, i) in reads.iter().chain(writes_in(cell)) {
+                counts.touches_walked += 1;
+                if closure.joined[i as usize] == stamp {
                     continue;
                 }
-                let op = &ir.ops[i as usize];
-                if op.reads().any(|c| c == d) {
-                    return None; // a d-reader may not cross the overwrite
-                }
-                moved.push((k, i));
-                if moved.len() > MOVE_CAP {
+                if reads_d(i) {
                     return None;
                 }
-                if !defined.contains(&op.z) {
-                    defined.push(op.z);
-                    work.push((op.z, true));
+                closure.joined[i as usize] = stamp;
+                closure.block.push((k, i));
+                if closure.block.len() > MOVE_CAP {
+                    return None;
+                }
+                let op = &ir.ops[i as usize];
+                if closure.written[op.z.index()] != stamp {
+                    closure.written[op.z.index()] = stamp;
+                    closure.written_work.push(op.z);
                 }
                 for c in op.reads() {
-                    if !read.contains(&c) {
-                        read.push(c);
-                        work.push((c, false));
+                    if closure.read[c.index()] != stamp {
+                        closure.read[c.index()] = stamp;
+                        closure.read_work.push(c);
                     }
                 }
             }
         }
-        moved.sort_unstable();
-        Some(moved)
+        closure.block.sort_unstable();
+        Some(closure.block.clone())
+    }
+}
+
+/// [`CellIndex::move_set`]'s reused buffers. A mark holds the stamp of the
+/// closure that set it, so a new closure starts empty without clearing
+/// them.
+struct Closure {
+    stamp: u32,
+    /// Per op: joined the block.
+    joined: Vec<u32>,
+    /// Per cell: written by the block.
+    written: Vec<u32>,
+    /// Per cell: read by the block.
+    read: Vec<u32>,
+    /// Written cells whose window touchers are still to join.
+    written_work: Vec<CellId>,
+    /// Read cells whose window writers are still to join.
+    read_work: Vec<CellId>,
+    /// The block, as `(key, op)` pairs.
+    block: Vec<(u64, u32)>,
+}
+
+impl Closure {
+    fn new(ir: &IrProgram) -> Self {
+        Closure {
+            stamp: 0,
+            joined: vec![0; ir.ops.len()],
+            written: vec![0; ir.cells.len()],
+            read: vec![0; ir.cells.len()],
+            written_work: Vec::new(),
+            read_work: Vec::new(),
+            block: Vec::new(),
+        }
+    }
+
+    /// A stamp no mark holds yet.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            for marks in [&mut self.joined, &mut self.written, &mut self.read] {
+                marks.fill(0);
+            }
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.stamp
     }
 }
 
@@ -636,34 +864,85 @@ struct Chain {
     value: Value,
 }
 
-/// One [`forward`] scan: the index and the quality-gate memo.
-struct Forwarder<'a> {
+/// One [`forward`] scan's scoring state.
+struct Scan<'a> {
     /// Scores trials against the committed stream.
     scorer: Box<dyn TrialScorer + 'a>,
-    index: CellIndex,
-    /// Candidates (op, claimed cell) turned down by the quality gate or a
-    /// blocked move; they stay rejected for the rest of the scan.
-    rejected: std::collections::HashSet<(u32, u32)>,
+    /// Candidates turned down by the quality gate or a blocked move, as
+    /// [`candidate`] words; they stay rejected for the rest of the scan.
+    rejected: std::collections::HashSet<u128, KeyedState>,
     /// The current stream's cost.
     baseline: Cost,
+}
+
+impl<'a> Scan<'a> {
+    fn new(ir: &IrProgram, backend: &'a dyn Backend) -> Self {
+        let (scorer, baseline) = backend.scorer(ir);
+        Scan {
+            scorer,
+            rejected: std::collections::HashSet::default(),
+            baseline,
+        }
+    }
+}
+
+/// A forwarding candidate, op `ki` claiming `d`, as one `u128`: the word
+/// [`KeyedState`] hashes with one multiply.
+fn candidate(ki: u32, d: CellId) -> u128 {
+    u128::from(ki) << 32 | u128::from(d.0)
+}
+
+/// What one [`forward`] run keeps across its scans: the index, and reused
+/// scratch.
+struct Forwarder {
+    index: CellIndex,
+    /// The move check's closure buffers.
+    closure: Closure,
     /// Per-op scratch marks for patching the index.
     changed: Vec<bool>,
+    counts: ForwardCounts,
     /// Whole-stream renumberings.
     #[cfg_attr(not(test), allow(dead_code))]
     renumbers: usize,
 }
 
-impl<'a> Forwarder<'a> {
-    fn new(ir: &IrProgram, backend: &'a dyn Backend, spacing: u64) -> Self {
-        let (scorer, baseline) = backend.scorer(ir);
+impl Forwarder {
+    fn new(ir: &IrProgram, spacing: u64) -> Self {
         Forwarder {
-            scorer,
             index: CellIndex::build(ir, spacing),
-            rejected: std::collections::HashSet::new(),
-            baseline,
+            closure: Closure::new(ir),
             changed: vec![false; ir.ops.len()],
+            counts: ForwardCounts {
+                index_builds: 1,
+                ..ForwardCounts::default()
+            },
             renumbers: 0,
         }
+    }
+
+    /// [`drop_identity_writes`], with the index patched to match: an
+    /// identity write `⟨c c̄ z⟩` touches only `z`, so its op loses its key
+    /// and its entries leave `z`'s lists. The remaining keys still increase
+    /// along the stream.
+    fn drop_identity_writes(&mut self, ir: &mut IrProgram) -> usize {
+        let dropped = drop_identity_writes(ir);
+        let mut cells: Vec<CellId> = Vec::new();
+        for (i, op) in ir.ops.iter().enumerate() {
+            if op.identity() && self.index.op_key[i] != DEAD {
+                self.index.op_key[i] = DEAD;
+                self.changed[i] = true;
+                cells.push(op.z);
+            }
+        }
+        cells.sort_unstable();
+        cells.dedup();
+        for &c in &cells {
+            self.index.unlist(c, &self.changed);
+        }
+        self.changed.fill(false);
+        #[cfg(test)]
+        tests::assert_index_matches(&self.index, ir);
+        dropped
     }
 
     /// Scans the stream once, committing forwarding edits, and returns how
@@ -693,11 +972,11 @@ impl<'a> Forwarder<'a> {
     /// between the copy and the main op, the commit also drops that
     /// release, which can lift an earlier op's gap-release check, so
     /// [`apply_forward`] resumes the scan at the dropped release instead.
-    fn run(&mut self, ir: &mut IrProgram) -> usize {
+    fn run(&mut self, ir: &mut IrProgram, scan: &mut Scan) -> usize {
         let mut edits = 0;
         let mut pos = 0;
         while pos < ir.events.len() {
-            match self.forward_at(ir, pos) {
+            match self.forward_at(ir, scan, pos) {
                 Some(resume) => {
                     edits += 1;
                     pos = resume;
@@ -711,7 +990,7 @@ impl<'a> Forwarder<'a> {
     /// Trials the forwarding candidates of the op at `pos` in order and
     /// commits the first the quality gate accepts, returning the position
     /// to resume the scan at; `None` when no candidate commits.
-    fn forward_at(&mut self, ir: &mut IrProgram, pos: usize) -> Option<usize> {
+    fn forward_at(&mut self, ir: &mut IrProgram, scan: &mut Scan, pos: usize) -> Option<usize> {
         let Event::Op(ki) = ir.events[pos] else {
             return None;
         };
@@ -752,18 +1031,36 @@ impl<'a> Forwarder<'a> {
                 || Some(d) == op_b.cell()
                 || new_a.cell() == Some(d)
                 || self.index.is_output[d.index()]
-                || self.rejected.contains(&(ki, d.0))
+                || scan.rejected.contains(&candidate(ki, d))
             {
                 continue;
             }
             let Some(last_read) = self.index.unused_slot_last_read(d, key) else {
                 continue;
             };
-            let Some(moved) = self.index.move_set(ir, key, x, d, new_a, op_b, last_read) else {
+            let moved = self.index.move_set(
+                &mut self.closure,
+                &mut self.counts,
+                ir,
+                key,
+                x,
+                d,
+                new_a,
+                op_b,
+                last_read,
+            );
+            #[cfg(test)]
+            assert_eq!(
+                moved,
+                tests::move_set_reference(&self.index, ir, key, x, d, new_a, op_b, last_read),
+                "move_set verdict for op {ki} claiming %{}",
+                d.0
+            );
+            let Some(moved) = moved else {
                 // Memoized like quality rejections: a blocked move rarely
                 // unblocks, and re-deriving the dependence closure on a
                 // second visit would cost a window walk per candidate.
-                self.rejected.insert((ki, d.0));
+                scan.rejected.insert(candidate(ki, d));
                 continue;
             };
             // Trial the edit and commit only if it strictly improves the
@@ -779,14 +1076,19 @@ impl<'a> Forwarder<'a> {
                 .iter()
                 .map(|&i| self.index.position(ir, self.index.op_key[i as usize]))
                 .collect();
-            let moved_positions: Vec<usize> = moved
-                .iter()
-                .map(|&(k, _)| self.index.position(ir, k))
-                .collect();
-            let last_read = self.index.position(ir, last_read);
+            // The block and the last read lie after the main op, in key
+            // order.
+            let mut at = pos;
+            let mut position = |key| {
+                at = self.index.position_from(ir, at, key);
+                at
+            };
+            let moved_positions: Vec<usize> = moved.iter().map(|&(k, _)| position(k)).collect();
+            let last_read = position(last_read);
             let applied = apply_forward(
                 ir,
                 &self.index,
+                &mut self.counts,
                 ki,
                 pos,
                 &chain_positions,
@@ -804,14 +1106,14 @@ impl<'a> Forwarder<'a> {
                     x.0, d.0
                 );
             }
-            if let Some(after) = self.scorer.trial(ir, &applied.undo.edit(d), self.baseline) {
-                self.scorer.commit();
-                self.baseline = after;
+            if let Some(after) = scan.scorer.trial(ir, &applied.undo.edit(d), scan.baseline) {
+                scan.scorer.commit();
+                scan.baseline = after;
                 let moved_ops: Vec<u32> = moved.iter().map(|&(_, i)| i).collect();
                 return Some(self.commit(ir, ki, &chain_ops, &moved_ops, applied));
             }
             applied.undo.revert(ir);
-            self.rejected.insert((ki, d.0));
+            scan.rejected.insert(candidate(ki, d));
         }
         None
     }
@@ -875,7 +1177,7 @@ impl<'a> Forwarder<'a> {
         cells.sort_unstable();
         cells.dedup();
         for &c in &cells {
-            index.touches[c.index()].retain(|e| !self.changed[e.1 as usize]);
+            index.unlist(c, &self.changed);
         }
         for &i in &changed_ops {
             if std::mem::take(&mut self.changed[i as usize]) && index.op_key[i as usize] != DEAD {
@@ -883,7 +1185,7 @@ impl<'a> Forwarder<'a> {
             }
         }
         for &c in &cells {
-            index.touches[c.index()].sort_by_key(|e| e.0);
+            index.sort(c);
         }
 
         #[cfg(test)]
@@ -986,6 +1288,7 @@ const MOVE_CAP: usize = 16;
 fn apply_forward(
     ir: &mut IrProgram,
     index: &CellIndex,
+    counts: &mut ForwardCounts,
     ki: u32,
     pos: usize,
     chain: &[usize],
@@ -1010,10 +1313,17 @@ fn apply_forward(
     ir.ops[ki as usize].a = new_a;
     ir.ops[ki as usize].z = d;
 
-    // Rename every later use of the old destination onto the claimed cell.
-    let list = &index.touches[x.index()];
-    for &(_, i, _) in &list[list.partition_point(|e| e.0 <= key)..] {
-        if i == ki || undo.renamed.last().is_some_and(|&(j, ..)| j == i) {
+    // Rename every later use of the old destination onto the claimed cell:
+    // the ops reading it, then the masking ops writing it (a non-masking
+    // write reads it too).
+    let reads = window(index.reads(x), key, DEAD);
+    let writes = window(index.writes(x), key, DEAD);
+    let later = reads.iter().map(|e| (e.1, true));
+    for (i, reads_x) in later.chain(writes.iter().map(|e| (e.1, false))) {
+        if i == ki
+            || undo.renamed.last().is_some_and(|&(j, ..)| j == i)
+            || !reads_x && !ir.ops[i as usize].masking()
+        {
             continue;
         }
         let op = &mut ir.ops[i as usize];
@@ -1060,17 +1370,24 @@ fn apply_forward(
         .copied()
         .filter(|&p| p < pos)
         .fold(pos, usize::min);
+    // The window scan for releases below, and the rewritten span.
+    counts.events_walked += (last_read - pos + last_read + 1 - lo) as u64;
 
     // The moved block, in original relative order (the forwarded op led it
-    // in the original stream, so it stays first). Touch sets per entry let
-    // relocated releases re-enter as early as legality allows.
+    // in the original stream, so it stays first), and per cell it touches,
+    // the last entry touching it, so relocated releases re-enter as early
+    // as legality allows.
     let block: Vec<usize> = std::iter::once(pos).chain(moved.iter().copied()).collect();
-    let touches_cell = |p: usize, c: CellId| -> bool {
-        match ir.op_of(ir.events[p]) {
-            Some(op) => op.z == c || op.reads().any(|r| r == c),
-            None => false,
+    let mut last_touch: Vec<(CellId, usize)> = Vec::new();
+    for (entry, &q) in block.iter().enumerate() {
+        let op = ir.op_of(ir.events[q]).expect("the block holds ops");
+        for c in op.reads().chain([op.z]) {
+            match last_touch.iter_mut().find(|(cell, _)| *cell == c) {
+                Some(last) => last.1 = entry,
+                None => last_touch.push((c, entry)),
+            }
         }
-    };
+    }
     // Any release inside the window whose cell the block touches must not
     // fire before the block runs; relocate it to just after the last block
     // entry touching the cell, keeping the lifetime as tight as the move
@@ -1090,45 +1407,53 @@ fn apply_forward(
             // The old destination was renamed onto the claimed cell, so its
             // release follows the claimed cell's touches.
             let cell = if c == x { d } else { c };
-            if let Some(entry) = block.iter().rposition(|&q| touches_cell(q, cell)) {
+            if let Some(&(_, entry)) = last_touch.iter().find(|(t, _)| *t == cell) {
                 relocated.push((entry, p));
             }
         }
     }
 
+    // The span keeps its events but the block, the relocated releases and
+    // the dropped events, copied run by run between those positions.
+    let mut gone: Vec<usize> = dropped
+        .iter()
+        .copied()
+        .filter(|&p| p <= last_read)
+        .chain(block.iter().copied())
+        .chain(relocated.iter().map(|&(_, q)| q))
+        .collect();
+    gone.sort_unstable();
+    gone.dedup();
+    // The position an event at `p` of the span takes in it, when it stays.
+    let kept_at = |p: usize| p - gone.partition_point(|&q| q < p);
+    let mut span = Vec::with_capacity(last_read + 1 - lo);
+    let mut from = lo;
+    for &p in gone.iter().chain([last_read + 1].iter()) {
+        span.extend_from_slice(&ir.events[from..p]);
+        from = p + 1;
+    }
+    if let Some((rp, event)) = replace.filter(|&(p, _)| p <= last_read) {
+        if gone.binary_search(&rp).is_err() {
+            span[kept_at(rp) - lo] = event;
+        }
+    }
     let resolve = |p: usize, event: Event| match replace {
         Some((rp, rep)) if rp == p => rep,
         _ => event,
     };
-    // See `Forwarder::run` for why the scan may resume at the claimed
-    // cell's dropped release.
-    let resume_at = release_d.filter(|&rd| rd < pos).unwrap_or(pos);
-    let mut span = Vec::with_capacity(last_read + 1 - lo);
-    let mut resume = pos;
-    let mut moved_to = pos..pos;
-    for p in lo..=last_read {
-        if p == resume_at {
-            resume = lo + span.len();
-        }
-        let in_block = p == pos
-            || moved.binary_search(&p).is_ok()
-            || relocated.binary_search_by_key(&p, |&(_, q)| q).is_ok();
-        if !in_block && !dropped.contains(&p) {
-            span.push(resolve(p, ir.events[p]));
-        }
-        if p == last_read {
-            let start = lo + span.len();
-            for (entry, &q) in block.iter().enumerate() {
-                span.push(resolve(q, ir.events[q]));
-                for &(after, rel) in &relocated {
-                    if after == entry {
-                        span.push(resolve(rel, ir.events[rel]));
-                    }
-                }
+    let start = lo + span.len();
+    for (entry, &q) in block.iter().enumerate() {
+        span.push(resolve(q, ir.events[q]));
+        for &(after, rel) in &relocated {
+            if after == entry {
+                span.push(resolve(rel, ir.events[rel]));
             }
-            moved_to = start..lo + span.len();
         }
     }
+    let moved_to = start..lo + span.len();
+    // See `Forwarder::run` for why the scan may resume at the claimed
+    // cell's dropped release.
+    let resume = kept_at(release_d.filter(|&rd| rd < pos).unwrap_or(pos));
     // Release edits past the span are point edits, so the far release of a
     // long-lived value does not widen the rewritten span.
     if let Some((p, event)) = replace.filter(|&(p, _)| p > last_read) {
@@ -1698,7 +2023,7 @@ mod tests {
     }
 
     /// Checks the incrementally patched index against a fresh build: keys
-    /// increase along the stream, every list holds the same touches in the
+    /// increase along the stream, every list holds the same ops in the
     /// same order under the owning op's current key, and the request,
     /// release and output maps agree.
     pub(super) fn assert_index_matches(index: &CellIndex, ir: &IrProgram) {
@@ -1711,16 +2036,92 @@ mod tests {
         let live = index.op_key.iter().filter(|&&k| k != DEAD).count();
         assert_eq!(live, ir.num_instructions(), "stale op keys");
         let fresh = CellIndex::build(ir, 1);
-        for (cell, (patched, built)) in index.touches.iter().zip(&fresh.touches).enumerate() {
-            let strip = |list: &[Entry]| list.iter().map(|&(_, i, t)| (i, t)).collect::<Vec<_>>();
-            assert_eq!(strip(patched), strip(built), "touches of %{cell}");
-            for &(k, i, _) in patched {
-                assert_eq!(k, index.op_key[i as usize], "entry key of op {i}");
+        for cell in (0..ir.cells.len()).map(|c| CellId(c as u32)) {
+            let patched = [("reads", index.reads(cell)), ("writes", index.writes(cell))];
+            let built = [fresh.reads(cell), fresh.writes(cell)];
+            for ((kind, patched), built) in patched.into_iter().zip(built) {
+                let ops = |list: &[Entry]| list.iter().map(|e| e.1).collect::<Vec<_>>();
+                assert_eq!(ops(patched), ops(built), "{kind} of %{}", cell.0);
+                for &(k, i) in patched {
+                    assert_eq!(k, index.op_key[i as usize], "entry key of op {i}");
+                }
             }
-            assert_eq!(index.request[cell].is_some(), fresh.request[cell].is_some());
-            assert_eq!(index.release[cell].is_some(), fresh.release[cell].is_some());
+            let c = cell.index();
+            assert_eq!(index.request[c].is_some(), fresh.request[c].is_some());
+            assert_eq!(index.release[c].is_some(), fresh.release[c].is_some());
         }
         assert_eq!(index.is_output, fresh.is_output);
+    }
+
+    /// The move check [`CellIndex::move_set`] replaced, kept as its
+    /// reference: the dependence-closure worklist over each cell's touches
+    /// in stream order (its reads and writes merged), with `Vec` sets and
+    /// no early rejection. Test builds assert every production verdict
+    /// against it.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn move_set_reference(
+        index: &CellIndex,
+        ir: &IrProgram,
+        key: u64,
+        x: CellId,
+        d: CellId,
+        new_a: Value,
+        b: Value,
+        last_read: u64,
+    ) -> Option<Vec<(u64, u32)>> {
+        // Per cell, `(key, op, writes)` in stream order, a write after the
+        // same op's reads, as the index listed touches before it split
+        // reads from writes.
+        let touches = |cell: CellId| {
+            let reads = index.reads(cell).iter().map(|&(k, i)| (k, i, false));
+            let writes = index.writes(cell).iter().map(|&(k, i)| (k, i, true));
+            let mut list: Vec<(u64, u32, bool)> = reads.chain(writes).collect();
+            list.sort_by_key(|e| (e.0, e.2));
+            list
+        };
+        let mut defined: Vec<CellId> = vec![x];
+        let mut read: Vec<CellId> = Vec::new();
+        // `(cell, written)`: a written cell joins every window op touching
+        // it, a read cell only the window ops writing it.
+        let mut work: Vec<(CellId, bool)> = vec![(x, true)];
+        for c in [new_a.cell(), b.cell(), Some(d)].into_iter().flatten() {
+            if !read.contains(&c) {
+                read.push(c);
+                work.push((c, false));
+            }
+        }
+        let mut moved: Vec<(u64, u32)> = Vec::new();
+        while let Some((cell, written)) = work.pop() {
+            let list = touches(cell);
+            for &(k, i, writes) in &list[list.partition_point(|e| e.0 <= key)..] {
+                if k > last_read {
+                    break;
+                }
+                if (!written && !writes) || moved.iter().any(|&(_, j)| j == i) {
+                    continue;
+                }
+                let op = &ir.ops[i as usize];
+                if op.reads().any(|c| c == d) {
+                    return None; // a d-reader may not cross the overwrite
+                }
+                moved.push((k, i));
+                if moved.len() > MOVE_CAP {
+                    return None;
+                }
+                if !defined.contains(&op.z) {
+                    defined.push(op.z);
+                    work.push((op.z, true));
+                }
+                for c in op.reads() {
+                    if !read.contains(&c) {
+                        read.push(c);
+                        work.push((c, false));
+                    }
+                }
+            }
+        }
+        moved.sort_unstable();
+        Some(moved)
     }
 
     /// Scores a stream by its length: every legal forwarding candidate
@@ -1787,13 +2188,20 @@ mod tests {
         let mut expected = ir.clone();
         let want = oracle::forward(&mut expected, backend);
         let mut actual = ir.clone();
-        let mut engine = Forwarder::new(&actual, backend, spacing);
-        let got = engine.run(&mut actual);
+        let (got, renumbers) = scan_once(&mut actual, backend, spacing);
         assert_eq!(got, want, "edit counts differ");
         assert_eq!(actual.events, expected.events, "event streams differ");
         assert_eq!(actual.ops, expected.ops, "op operands differ");
         assert_eq!(actual.outputs, expected.outputs, "outputs differ");
-        (actual, engine.renumbers)
+        (actual, renumbers)
+    }
+
+    /// One [`forward`] scan of `ir` on a fresh index keyed `spacing`
+    /// apart; returns its commits and how often it renumbered the stream.
+    fn scan_once(ir: &mut IrProgram, backend: &dyn Backend, spacing: u64) -> (usize, usize) {
+        let mut engine = Forwarder::new(ir, spacing);
+        let commits = engine.run(ir, &mut Scan::new(ir, backend));
+        (commits, engine.renumbers)
     }
 
     fn lowered(
@@ -1834,6 +2242,79 @@ mod tests {
                         assert_engines_agree(&ir, &Rm3Backend, KEY_SPACING);
                         let (forwarded, _) = assert_engines_agree(&ir, &EventCount, KEY_SPACING);
                         assert_engines_agree(&next_scan(forwarded), &EventCount, KEY_SPACING);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`forward`] as it was before it kept one index per run: every scan
+    /// builds a fresh index, and identity writes are dropped by the plain
+    /// [`drop_identity_writes`], with no index to patch.
+    fn forward_with_fresh_indexes(ir: &mut IrProgram, backend: &dyn Backend) -> Forwarded {
+        let mut scan = Scan::new(ir, backend);
+        let entry = scan.baseline;
+        let mut edits = 0;
+        let mut scoring = TrialCounts::default();
+        loop {
+            let committed = Forwarder::new(ir, KEY_SPACING).run(ir, &mut scan);
+            scoring += scan.scorer.counts();
+            if committed == 0 {
+                return Forwarded {
+                    edits,
+                    scoring,
+                    entry,
+                    cost: scan.baseline,
+                    bookkeeping: ForwardCounts::default(),
+                };
+            }
+            edits += committed + drop_identity_writes(ir);
+            scan = Scan::new(ir, backend);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// One index per run, patched for the identity writes dropped
+        /// between scans, gives what a fresh index per scan gives: the same
+        /// edits, scoring, entry and final cost, and the same emitted
+        /// bytes, under every target on the FIFO, LIFO and wear-leveling
+        /// allocators. The run builds its index once. (Test builds also
+        /// check every move verdict against [`tests::move_set_reference`]
+        /// and the patched index against a fresh build.) Release builds
+        /// draw larger graphs.
+        #[test]
+        fn one_index_per_run_matches_the_fresh_index_engine(seed in any::<u64>()) {
+            let sizes: &[usize] = if cfg!(debug_assertions) {
+                &[40, 200]
+            } else {
+                &[200, 800, 2000]
+            };
+            let allocators = [
+                AllocatorStrategy::Fifo,
+                AllocatorStrategy::Lifo,
+                AllocatorStrategy::WearLeveled,
+            ];
+            for &nodes in sizes {
+                for alloc in allocators {
+                    let lowered = lowered(nodes, seed, ScheduleOrder::Priority, alloc);
+                    for &backend in crate::backend::backends() {
+                        let at = format!("{nodes} nodes, {alloc:?}, {}", backend.name());
+                        let mut want_ir = lowered.clone();
+                        let want = forward_with_fresh_indexes(&mut want_ir, backend);
+                        let mut got_ir = lowered.clone();
+                        let got = forward(&mut got_ir, backend);
+                        prop_assert_eq!(got.edits, want.edits, "{}", at);
+                        prop_assert_eq!(got.scoring, want.scoring, "{}", at);
+                        prop_assert_eq!(got.entry, want.entry, "{}", at);
+                        prop_assert_eq!(got.cost, want.cost, "{}", at);
+                        prop_assert_eq!(got.bookkeeping.index_builds, 1, "{}", at);
+                        prop_assert_eq!(
+                            backend.emit(&got_ir).listing(),
+                            backend.emit(&want_ir).listing(),
+                            "{}", at
+                        );
                     }
                 }
             }
@@ -1943,9 +2424,9 @@ mod tests {
                         let ir = lowered(nodes, seed, ScheduleOrder::Priority, alloc);
                         let mut audited = ir.clone();
                         let backend = Audited(table);
-                        Forwarder::new(&audited, &backend, KEY_SPACING).run(&mut audited);
+                        scan_once(&mut audited, &backend, KEY_SPACING);
                         let mut audited = next_scan(audited);
-                        Forwarder::new(&audited, &backend, KEY_SPACING).run(&mut audited);
+                        scan_once(&mut audited, &backend, KEY_SPACING);
                     }
                     let trials = crate::ir::emit::tests::take_trials();
                     let cuts = trials.iter().filter(|t| t.reconverged_at.is_some()).count();
@@ -2351,7 +2832,7 @@ mod tests {
                             let mut streams = vec![("lowered", lowered.clone())];
                             for &backend in crate::backend::backends() {
                                 let mut forwarded = lowered.clone();
-                                Forwarder::new(&forwarded, backend, KEY_SPACING).run(&mut forwarded);
+                                scan_once(&mut forwarded, backend, KEY_SPACING);
                                 streams.push((backend.name(), forwarded));
                             }
                             for (stream, ir) in streams {

@@ -456,3 +456,54 @@ fn forward_bookkeeping_is_subquadratic() {
         "Forward at 4n nodes took {ratio:.1}× its time at n ({large:.4}s vs {small:.4}s)"
     );
 }
+
+/// Forward's bookkeeping outside the scorer, counted, on seeded control
+/// logic at n and 2n nodes: the `-O2` run builds its touch index once at
+/// either size, a move check walks as many touch-list entries at 2n as at n
+/// (at most 1.25× as many per check), and a trial edit walks a window of
+/// the stream, never the whole of it (under an eighth of the stream's
+/// events per trial). An engine that re-indexed the stream per scan, walked
+/// whole touch lists per check, or walked the stream per trial would fail
+/// here on any host, where the wall-clock test above needs a quiet one.
+///
+/// The raw counts grow faster than the node count on this generator, and
+/// by amounts this pass does not control: the lowered stream grows 2.1 to
+/// 2.5× per doubling, the fixpoint takes more or fewer scans, and the
+/// trials' windows follow the lifetimes. So the counts are compared per
+/// move check and per trial.
+///
+/// Release builds only, like the wall-clock test.
+#[cfg(not(debug_assertions))]
+#[test]
+fn forward_bookkeeping_counts_scale() {
+    let run = |nodes: usize| {
+        let mig = random_logic(&RandomLogicSpec::new(64, 16, nodes, 7));
+        let options = CompilerOptions::new().opt(OptLevel::O2);
+        let (ir, report) = plim_compiler::compile_ir(&mig, options);
+        let [run] = report.runs.as_slice() else {
+            panic!("{nodes} nodes: runs {:?}", report.runs);
+        };
+        let counts = run.bookkeeping;
+        assert_eq!(counts.index_builds, 1, "{nodes} nodes: index builds");
+        assert!(
+            counts.checks > 0 && run.scoring.trials > 0,
+            "{nodes} nodes: {run:?}"
+        );
+        assert!(
+            counts.closures <= counts.checks,
+            "{nodes} nodes: {counts:?}"
+        );
+        let per_trial = counts.events_walked / run.scoring.trials as u64;
+        assert!(
+            per_trial * 8 < ir.events.len() as u64,
+            "{nodes} nodes: {per_trial} events walked per trial of a {}-event stream",
+            ir.events.len()
+        );
+        counts.touches_walked as f64 / counts.checks as f64
+    };
+    let (n, two_n) = (run(3000), run(6000));
+    assert!(
+        two_n <= 1.25 * n,
+        "touch entries walked per move check: {two_n:.1} at 2n against {n:.1} at n"
+    );
+}
