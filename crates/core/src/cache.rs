@@ -6,10 +6,10 @@
 //! options — and bounds memory with a byte budget: inserting past the
 //! budget evicts least-recently-used entries until the new value fits.
 //!
-//! The cache itself is single-threaded; the service shards one
-//! [`LruCache`] per worker so shard-local access needs no further locking
-//! discipline. Hit/miss/eviction counters and the live byte total are
-//! tracked for the `stats` endpoint.
+//! The cache itself is single-threaded; the service keeps one
+//! [`LruCache`] behind a mutex that its workers and its reactor share.
+//! Hit/miss/eviction counters and the live byte total are tracked for
+//! the `stats` endpoint.
 //!
 //! ```
 //! use plim_compiler::cache::{CacheKey, LruCache};
@@ -52,21 +52,9 @@ impl CacheKey {
     pub fn hex(&self) -> String {
         format!("{:032x}{:016x}", self.graph, self.options)
     }
-
-    /// The shard index this key maps to among `shards` shards.
-    pub fn shard(&self, shards: usize) -> usize {
-        debug_assert!(shards > 0);
-        // Fold and avalanche: the two components can be correlated (both
-        // derived from the same request), so a plain XOR is not enough.
-        let mut x = self.graph as u64 ^ (self.graph >> 64) as u64 ^ self.options.rotate_left(32);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51afd7ed558ccd);
-        x ^= x >> 33;
-        (x % shards as u64) as usize
-    }
 }
 
-/// Cumulative counters of one cache (or one shard).
+/// Cumulative counters of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// `get` calls that found a live entry.
@@ -79,17 +67,6 @@ pub struct CacheStats {
     pub bytes: usize,
     /// Entries currently held.
     pub entries: usize,
-}
-
-impl CacheStats {
-    /// Folds another shard's counters into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.bytes += other.bytes;
-        self.entries += other.entries;
-    }
 }
 
 /// Slab slot of one entry, intrusively linked in recency order.
@@ -179,8 +156,7 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// Looks up `key` without touching counters or recency — for re-checks
-    /// by a caller that already recorded the lookup via [`LruCache::get`].
+    /// Looks up `key` without touching counters or recency.
     pub fn peek(&self, key: &CacheKey) -> Option<&V> {
         self.map
             .get(key)
@@ -434,19 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_stable_and_in_range() {
-        for n in 0..64 {
-            let k = key(n);
-            let shard = k.shard(7);
-            assert!(shard < 7);
-            assert_eq!(shard, k.shard(7), "routing must be deterministic");
-        }
-        // Different keys spread over shards (not all on one).
-        let shards: std::collections::HashSet<usize> = (0..64).map(|n| key(n).shard(7)).collect();
-        assert!(shards.len() > 1);
-    }
-
-    #[test]
     fn hex_spelling_is_fixed_width() {
         let k = CacheKey::new(0xABC, 0x123);
         let hex = k.hex();
@@ -460,20 +423,5 @@ mod tests {
         assert_ne!(fnv128(b"a"), fnv128(b"b"));
         assert_ne!(fnv128(b"ab"), fnv128(b"ba"));
         assert_eq!(fnv128(b"inputs a b\n"), fnv128(b"inputs a b\n"));
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let mut a = CacheStats {
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-            bytes: 4,
-            entries: 5,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.hits, 2);
-        assert_eq!(a.bytes, 8);
-        assert_eq!(a.entries, 10);
     }
 }

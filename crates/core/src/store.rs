@@ -170,7 +170,7 @@ impl ArtifactStore {
         let path = self.path_for(key);
         let dir = path.parent().expect("artifact paths always have a parent");
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        // Unique per process *and* per call: concurrent shards committing
+        // Unique per process *and* per call: concurrent workers committing
         // the same key must not scribble on each other's temp file.
         let tmp = dir.join(format!(
             ".tmp-{}-{}",

@@ -11,8 +11,9 @@
 //! shape; swapping rayon in later is a one-function change in [`par_map`].
 //!
 //! For long-running services that need persistent workers rather than
-//! one-shot fan-outs, the [`pool`] module provides a shard-addressed
-//! [`pool::WorkerPool`] with graceful shutdown, and the [`queue`] module
+//! one-shot fan-outs, the [`pool`] module provides a
+//! [`pool::WorkerPool`] draining one FIFO job queue with graceful
+//! shutdown, and the [`queue`] module
 //! a wakeable [`queue::CompletionQueue`] for handing finished work back
 //! to an event-loop consumer.
 //!

@@ -1,15 +1,12 @@
-//! A reusable, shard-addressed worker pool with graceful shutdown.
+//! A reusable worker pool with one FIFO job queue and graceful shutdown.
 //!
 //! [`par_map`](crate::par_map) covers one-shot fan-outs; a long-running
 //! daemon needs the opposite shape — threads that outlive any single
 //! batch, accept work continuously, and drain cleanly on shutdown.
-//! [`WorkerPool`] provides exactly that, with one twist tailored to the
-//! compile service: every job is submitted to a *shard*, each shard is
-//! pinned to one worker thread, and a worker drains its own queue in FIFO
-//! order. Jobs that share a shard therefore never run concurrently —
-//! which is how `plimd` serializes requests that hash to the same cache
-//! shard, so a burst of identical requests compiles once and the rest hit
-//! the cache.
+//! [`WorkerPool`] provides exactly that: every job joins one queue, and
+//! whichever worker is idle takes the oldest job. Jobs start in
+//! submission order, and a slow job occupies one worker only — the rest
+//! keep draining the queue around it.
 //!
 //! ```
 //! use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,9 +15,9 @@
 //!
 //! let pool = WorkerPool::new(4);
 //! let counter = Arc::new(AtomicUsize::new(0));
-//! for shard in 0..16 {
+//! for _ in 0..16 {
 //!     let counter = Arc::clone(&counter);
-//!     pool.submit(shard, move || {
+//!     pool.submit(move || {
 //!         counter.fetch_add(1, Ordering::Relaxed);
 //!     });
 //! }
@@ -34,26 +31,26 @@ use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One worker's mailbox.
 #[derive(Default)]
 struct Queue {
     jobs: VecDeque<Job>,
     closed: bool,
 }
 
-struct Mailbox {
+/// The job queue every worker takes from.
+#[derive(Default)]
+struct Shared {
     queue: Mutex<Queue>,
     available: Condvar,
 }
 
-/// A fixed-size pool of named worker threads, each draining its own FIFO
-/// queue. See the [module docs](self) for the sharding contract.
+/// A fixed-size pool of named worker threads draining one FIFO queue.
 ///
 /// Dropping the pool shuts it down gracefully (equivalent to calling
-/// [`WorkerPool::shutdown`]): queues close, already-queued jobs still run,
-/// and the worker threads are joined.
+/// [`WorkerPool::shutdown`]): the queue closes, already-queued jobs still
+/// run, and the worker threads are joined.
 pub struct WorkerPool {
-    mailboxes: Vec<Arc<Mailbox>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -68,65 +65,56 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawns a pool of `workers` threads (at least 1).
     pub fn new(workers: usize) -> Self {
-        let count = workers.max(1);
-        let mailboxes: Vec<Arc<Mailbox>> = (0..count)
-            .map(|_| {
-                Arc::new(Mailbox {
-                    queue: Mutex::new(Queue::default()),
-                    available: Condvar::new(),
-                })
-            })
-            .collect();
-        let workers = mailboxes
-            .iter()
-            .enumerate()
-            .map(|(index, mailbox)| {
-                let mailbox = Arc::clone(mailbox);
+        let shared = Arc::new(Shared::default());
+        let workers = (0..workers.max(1))
+            .map(|index| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("plim-worker-{index}"))
-                    .spawn(move || worker_loop(&mailbox))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning a worker thread")
             })
             .collect();
-        WorkerPool { mailboxes, workers }
+        WorkerPool { shared, workers }
     }
 
-    /// Number of worker threads (= number of shards).
+    /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.mailboxes.len()
+        self.workers.len()
     }
 
-    /// Queues `job` on the worker owning `shard % workers`. Returns `false`
-    /// (dropping the job) when the pool is already shutting down.
-    pub fn submit(&self, shard: usize, job: impl FnOnce() + Send + 'static) -> bool {
-        let mailbox = &self.mailboxes[shard % self.mailboxes.len()];
-        let mut queue = mailbox.queue.lock().expect("pool lock poisoned");
+    /// Queues `job` for the next idle worker. Returns `false` (dropping
+    /// the job) when the pool is already shutting down.
+    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
+        let mut queue = self.shared.queue.lock().expect("pool lock poisoned");
         if queue.closed {
             return false;
         }
         queue.jobs.push_back(Box::new(job));
         drop(queue);
-        mailbox.available.notify_one();
+        self.shared.available.notify_one();
         true
     }
 
-    /// Jobs currently waiting (not yet started) on the given shard's queue.
-    pub fn queue_depth(&self, shard: usize) -> usize {
-        let mailbox = &self.mailboxes[shard % self.mailboxes.len()];
-        mailbox.queue.lock().expect("pool lock poisoned").jobs.len()
+    /// Jobs currently waiting (not yet started) in the queue.
+    pub fn queue_depth(&self) -> usize {
+        self.shared
+            .queue
+            .lock()
+            .expect("pool lock poisoned")
+            .jobs
+            .len()
     }
 
-    /// Closes every queue, runs the jobs already queued, and joins the
+    /// Closes the queue, runs the jobs already queued, and joins the
     /// worker threads. Idempotent; also invoked by `Drop`.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        for mailbox in &self.mailboxes {
-            mailbox.queue.lock().expect("pool lock poisoned").closed = true;
-            mailbox.available.notify_all();
-        }
+        self.shared.queue.lock().expect("pool lock poisoned").closed = true;
+        self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             // Worker loops catch job panics, so a join failure is
             // exceptional. Never re-raise while already unwinding (Drop
@@ -146,10 +134,10 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(mailbox: &Mailbox) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut queue = mailbox.queue.lock().expect("pool lock poisoned");
+            let mut queue = shared.queue.lock().expect("pool lock poisoned");
             loop {
                 if let Some(job) = queue.jobs.pop_front() {
                     break job;
@@ -157,14 +145,13 @@ fn worker_loop(mailbox: &Mailbox) {
                 if queue.closed {
                     return;
                 }
-                queue = mailbox.available.wait(queue).expect("pool lock poisoned");
+                queue = shared.available.wait(queue).expect("pool lock poisoned");
             }
         };
-        // A panicking job must not take its worker (and thus its whole
-        // shard) down with it: the queue would stay open, later
-        // submissions would never run, and their requesters would wait
-        // forever. The job's side channel (e.g. a dropped mpsc sender)
-        // reports the failure to whoever submitted it.
+        // A panicking job must not take its worker down with it: the pool
+        // would silently shrink, and at zero workers queued jobs would
+        // never run. Answering the job's submitter is the job's own
+        // business (the daemon's compile job catches its panic itself).
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
     }
 }
@@ -179,9 +166,9 @@ mod tests {
     fn runs_every_submitted_job() {
         let pool = WorkerPool::new(3);
         let counter = Arc::new(AtomicUsize::new(0));
-        for shard in 0..50 {
+        for _ in 0..50 {
             let counter = Arc::clone(&counter);
-            assert!(pool.submit(shard, move || {
+            assert!(pool.submit(move || {
                 counter.fetch_add(1, Ordering::Relaxed);
             }));
         }
@@ -190,12 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn same_shard_jobs_run_in_fifo_order() {
-        let pool = WorkerPool::new(4);
+    fn jobs_start_in_fifo_order_on_one_worker() {
+        let pool = WorkerPool::new(1);
         let (tx, rx) = mpsc::channel();
         for n in 0..20 {
             let tx = tx.clone();
-            pool.submit(2, move || tx.send(n).unwrap());
+            pool.submit(move || tx.send(n).unwrap());
         }
         pool.shutdown();
         let seen: Vec<i32> = rx.try_iter().collect();
@@ -203,20 +190,38 @@ mod tests {
     }
 
     #[test]
-    fn shards_map_onto_workers_by_modulo() {
+    fn an_idle_worker_takes_the_job_behind_a_busy_one() {
         let pool = WorkerPool::new(2);
         assert_eq!(pool.workers(), 2);
-        // Block worker 0 so its queue depth is observable.
+        // Block one worker; the next job must still run on the other.
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
-        pool.submit(0, move || {
+        pool.submit(move || {
             started_tx.send(()).unwrap();
             release_rx.recv().unwrap();
         });
         started_rx.recv().unwrap();
-        pool.submit(2, || {}); // shard 2 → worker 0, stuck behind the block
-        assert_eq!(pool.queue_depth(0), 1);
-        assert_eq!(pool.queue_depth(1), 0);
+        let (done_tx, done_rx) = mpsc::channel();
+        pool.submit(move || done_tx.send("ran").unwrap());
+        assert_eq!(done_rx.recv().unwrap(), "ran");
+        release_tx.send(()).unwrap();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn queue_depth_counts_jobs_not_yet_started() {
+        let pool = WorkerPool::new(1);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        pool.submit(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        started_rx.recv().unwrap();
+        assert_eq!(pool.queue_depth(), 0);
+        pool.submit(|| {});
+        pool.submit(|| {});
+        assert_eq!(pool.queue_depth(), 2);
         release_tx.send(()).unwrap();
         pool.shutdown();
     }
@@ -226,9 +231,9 @@ mod tests {
         let pool = WorkerPool::new(1);
         // Simulate the race by closing the queue directly: after close,
         // submit reports failure instead of silently dropping work.
-        pool.mailboxes[0].queue.lock().unwrap().closed = true;
-        assert!(!pool.submit(0, || panic!("must not run")));
-        pool.mailboxes[0].available.notify_all();
+        pool.shared.queue.lock().unwrap().closed = true;
+        assert!(!pool.submit(|| panic!("must not run")));
+        pool.shared.available.notify_all();
     }
 
     #[test]
@@ -236,9 +241,9 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         {
             let pool = WorkerPool::new(2);
-            for shard in 0..10 {
+            for _ in 0..10 {
                 let counter = Arc::clone(&counter);
-                pool.submit(shard, move || {
+                pool.submit(move || {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -248,12 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_job_does_not_wedge_its_shard() {
+    fn a_panicking_job_does_not_wedge_the_pool() {
         let pool = WorkerPool::new(1);
         let (tx, rx) = mpsc::channel();
-        pool.submit(0, || panic!("job blew up"));
-        // The shard's worker must survive and run the next job.
-        pool.submit(0, move || tx.send("still alive").unwrap());
+        pool.submit(|| panic!("job blew up"));
+        // The only worker must survive and run the next job.
+        pool.submit(move || tx.send("still alive").unwrap());
         assert_eq!(rx.recv().unwrap(), "still alive");
         // Shutdown joins cleanly — the panic was contained.
         pool.shutdown();
@@ -264,7 +269,7 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 1);
         let (tx, rx) = mpsc::channel();
-        pool.submit(7, move || tx.send(42).unwrap());
+        pool.submit(move || tx.send(42).unwrap());
         pool.shutdown();
         assert_eq!(rx.recv().unwrap(), 42);
     }

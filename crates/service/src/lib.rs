@@ -4,7 +4,7 @@
 //! rewrite + compile cost per invocation, even for identical inputs. This
 //! crate turns the pipeline into a long-running daemon, `plimd`: a
 //! std-only TCP service that accepts compile requests as newline-delimited
-//! JSON, shards them across a pinned worker pool
+//! JSON, queues compile work for a worker pool
 //! ([`plim_parallel::pool::WorkerPool`]), and serves repeats from a
 //! content-addressed result cache
 //! ([`plim_compiler::cache::LruCache`]) keyed by the canonical structural
@@ -22,8 +22,10 @@
 //! edge-triggered reactor ([`poller`] wraps `epoll`/`kqueue`; the event
 //! loop lives in the private `reactor` module). One thread owns every
 //! connection: requests are parsed out of per-connection read buffers
-//! (arbitrarily pipelined), compile work is dispatched to the pinned
-//! worker shards, and completions flow back over a wakeable queue
+//! (arbitrarily pipelined), compile work joins one FIFO job queue that
+//! any idle worker takes from — identical cold requests attach to one
+//! in-flight compile instead of queueing their own — and completions
+//! flow back over a wakeable queue
 //! ([`plim_parallel::queue::CompletionQueue`]) to be written out *in
 //! request order*. A connection with [`server::ServerConfig::max_pipeline`]
 //! responses outstanding stops being read until it drains — backpressure
@@ -58,8 +60,8 @@
 //!   error codes, stats), built on [`plim_compiler::json`];
 //! * [`poller`] — the safe edge-triggered readiness facade over
 //!   `epoll`/`kqueue` (the workspace's only `unsafe` code);
-//! * [`server`] — daemon configuration, shard dispatch, cache and store
-//!   plumbing, `serve` CLI;
+//! * [`server`] — daemon configuration, job dispatch, the single-flight
+//!   table, cache and store plumbing, `serve` CLI;
 //! * [`flags`] — the one flag reader every `plimc` subcommand and `plimd`
 //!   walk their arguments with;
 //! * [`client`] — the blocking client used by `plimc request`, with

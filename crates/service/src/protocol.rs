@@ -307,36 +307,21 @@ fn compile_from(value: &Value) -> Result<CompileRequest, String> {
     Ok(request)
 }
 
-/// One shard's view in a stats response.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Jobs waiting (not yet started) on the shard's queue.
-    pub queue_depth: usize,
-    /// The shard cache's counters.
-    pub cache: CacheStats,
-}
-
 /// The payload of a `stats` response.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Per-shard breakdown, in shard order.
-    pub shards: Vec<ShardStats>,
+    /// Compile jobs waiting (not yet started) in the worker queue.
+    pub queue_depth: usize,
+    /// The result cache's counters. Each compile request that parses
+    /// counts once: a hit when it is answered from memory without
+    /// compiling (warm, or attached to the running compile of its key),
+    /// else a miss.
+    pub cache: CacheStats,
     /// Emission-target names, in table order (`rm3` first).
     pub targets: Vec<String>,
     /// Persistent-store counters; `None` when the daemon runs without
     /// `--store`.
     pub store: Option<StoreCounters>,
-}
-
-impl ServiceStats {
-    /// Counters summed over all shards.
-    pub fn totals(&self) -> CacheStats {
-        let mut totals = CacheStats::default();
-        for shard in &self.shards {
-            totals.merge(&shard.cache);
-        }
-        totals
-    }
 }
 
 /// A server response.
@@ -402,21 +387,6 @@ impl Response {
             ])
             .to_json(),
             Response::Stats(stats) => {
-                let totals = stats.totals();
-                let shards: Vec<Value> = stats
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        Value::object([
-                            ("queue_depth", Value::number(shard.queue_depth as u64)),
-                            ("hits", Value::number(shard.cache.hits)),
-                            ("misses", Value::number(shard.cache.misses)),
-                            ("evictions", Value::number(shard.cache.evictions)),
-                            ("bytes", Value::number(shard.cache.bytes as u64)),
-                            ("entries", Value::number(shard.cache.entries as u64)),
-                        ])
-                    })
-                    .collect();
                 let targets: Vec<Value> = stats
                     .targets
                     .iter()
@@ -425,11 +395,12 @@ impl Response {
                 let mut fields = vec![
                     ("ok", Value::Bool(true)),
                     ("op", Value::string("stats")),
-                    ("hits", Value::number(totals.hits)),
-                    ("misses", Value::number(totals.misses)),
-                    ("evictions", Value::number(totals.evictions)),
-                    ("cached_bytes", Value::number(totals.bytes as u64)),
-                    ("cached_entries", Value::number(totals.entries as u64)),
+                    ("hits", Value::number(stats.cache.hits)),
+                    ("misses", Value::number(stats.cache.misses)),
+                    ("evictions", Value::number(stats.cache.evictions)),
+                    ("cached_bytes", Value::number(stats.cache.bytes as u64)),
+                    ("cached_entries", Value::number(stats.cache.entries as u64)),
+                    ("queue_depth", Value::number(stats.queue_depth as u64)),
                     ("targets", Value::Array(targets)),
                 ];
                 if let Some(store) = &stats.store {
@@ -443,7 +414,6 @@ impl Response {
                         ]),
                     ));
                 }
-                fields.push(("shards", Value::Array(shards)));
                 Value::object(fields).to_json()
             }
         }
@@ -508,30 +478,20 @@ impl Response {
                 }))
             }
             "stats" => {
-                let shards = value
-                    .get("shards")
-                    .and_then(Value::as_array)
-                    .ok_or("stats response is missing field 'shards'")?;
-                let shard_stats: Result<Vec<ShardStats>, String> = shards
-                    .iter()
-                    .map(|shard| {
-                        let number = |name: &str| {
-                            shard.get(name).and_then(Value::as_u64).ok_or_else(|| {
-                                format!("stats shard is missing numeric field '{name}'")
-                            })
-                        };
-                        Ok(ShardStats {
-                            queue_depth: number("queue_depth")? as usize,
-                            cache: CacheStats {
-                                hits: number("hits")?,
-                                misses: number("misses")?,
-                                evictions: number("evictions")?,
-                                bytes: number("bytes")? as usize,
-                                entries: number("entries")? as usize,
-                            },
-                        })
-                    })
-                    .collect();
+                let number = |name: &str| {
+                    value
+                        .get(name)
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| format!("stats response is missing numeric field '{name}'"))
+                };
+                let cache = CacheStats {
+                    hits: number("hits")?,
+                    misses: number("misses")?,
+                    evictions: number("evictions")?,
+                    bytes: number("cached_bytes")? as usize,
+                    entries: number("cached_entries")? as usize,
+                };
+                let queue_depth = number("queue_depth")? as usize;
                 let targets = value
                     .get("targets")
                     .and_then(Value::as_array)
@@ -559,7 +519,8 @@ impl Response {
                     })
                 });
                 Ok(Response::Stats(ServiceStats {
-                    shards: shard_stats?,
+                    queue_depth,
+                    cache,
                     targets,
                     store: store.transpose()?,
                 }))
@@ -725,19 +686,14 @@ mod tests {
                 output: "01: 0, 1, @X1\n".to_string(),
             }),
             Response::Stats(ServiceStats {
-                shards: vec![
-                    ShardStats {
-                        queue_depth: 2,
-                        cache: CacheStats {
-                            hits: 5,
-                            misses: 3,
-                            evictions: 1,
-                            bytes: 100,
-                            entries: 2,
-                        },
-                    },
-                    ShardStats::default(),
-                ],
+                queue_depth: 2,
+                cache: CacheStats {
+                    hits: 5,
+                    misses: 3,
+                    evictions: 1,
+                    bytes: 100,
+                    entries: 2,
+                },
                 targets: vec!["rm3".to_string(), "ambit".to_string()],
                 store: Some(StoreCounters {
                     hits: 4,
@@ -783,35 +739,21 @@ mod tests {
     #[test]
     fn stats_response_exposes_totals_and_optional_store() {
         let mut stats = ServiceStats {
-            shards: vec![
-                ShardStats {
-                    queue_depth: 0,
-                    cache: CacheStats {
-                        hits: 2,
-                        misses: 1,
-                        evictions: 0,
-                        bytes: 10,
-                        entries: 1,
-                    },
-                },
-                ShardStats {
-                    queue_depth: 1,
-                    cache: CacheStats {
-                        hits: 3,
-                        misses: 4,
-                        evictions: 2,
-                        bytes: 30,
-                        entries: 3,
-                    },
-                },
-            ],
+            queue_depth: 1,
+            cache: CacheStats {
+                hits: 5,
+                misses: 5,
+                evictions: 2,
+                bytes: 40,
+                entries: 4,
+            },
             targets: vec!["rm3".to_string()],
             store: None,
         };
-        assert_eq!(stats.totals().hits, 5);
         let line = Response::Stats(stats.clone()).to_json();
         assert!(line.contains("\"hits\":5"), "{line}");
         assert!(line.contains("\"cached_bytes\":40"), "{line}");
+        assert!(line.contains("\"queue_depth\":1"), "{line}");
         assert!(line.contains("\"targets\":[\"rm3\"]"), "{line}");
         assert!(!line.contains("\"store\""), "{line}");
         stats.store = Some(StoreCounters {
@@ -829,13 +771,13 @@ mod tests {
 
     #[test]
     fn stats_responses_need_targets_but_not_store() {
-        let line = r#"{"ok":true,"op":"stats","hits":0,"misses":0,"evictions":0,"cached_bytes":0,"cached_entries":0,"targets":["rm3"],"shards":[]}"#;
+        let line = r#"{"ok":true,"op":"stats","hits":0,"misses":0,"evictions":0,"cached_bytes":0,"cached_entries":0,"queue_depth":0,"targets":["rm3"]}"#;
         let Response::Stats(stats) = Response::from_json(line).unwrap() else {
             panic!("wrong kind");
         };
         assert_eq!(stats.targets, ["rm3"]);
         assert!(stats.store.is_none());
-        let err = Response::from_json(&line.replace(r#""targets":["rm3"],"#, "")).unwrap_err();
+        let err = Response::from_json(&line.replace(r#","targets":["rm3"]"#, "")).unwrap_err();
         assert_eq!(err, "stats response is missing field 'targets'");
     }
 

@@ -10,9 +10,10 @@
 //! * **Reading and framing.** Sockets are read in chunks into a
 //!   per-connection buffer and split on newlines; each complete line is
 //!   handled by [`server::handle_line`](crate::server). Warm cache hits,
-//!   stats, and malformed requests are answered inline; compile work is
-//!   dispatched to the worker shards and a `Waiting` placeholder keeps
-//!   its place in the response queue.
+//!   stats, and malformed requests are answered inline; compile work
+//!   joins the worker pool's job queue (or attaches to the running
+//!   compile of its key) and a `Waiting` placeholder keeps its place in
+//!   the response queue.
 //! * **Pipelining with ordered responses.** The per-connection `pending`
 //!   queue holds one entry per in-flight request, in arrival order.
 //!   Responses are flushed strictly from the front, so a fast compile

@@ -1,30 +1,33 @@
-//! The `plimd` daemon: reactor front end, shard-pinned compile workers,
-//! tiered result cache.
+//! The `plimd` daemon: reactor front end, one job queue, one result
+//! cache, and a single-flight table.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!  clients ──► reactor thread (epoll/kqueue, edge-triggered)
-//!                │  parse lines · answer warm hits · order responses
-//!                ▼ submit(shard, job)
-//!              WorkerPool (N pinned workers, one LRU shard each)
-//!                │  parse · compile · verify · emit
+//!                │  parse lines · admit known keys · order responses
+//!                ▼ submit(job)
+//!              WorkerPool (N workers, one FIFO queue)
+//!                │  parse · admit · compile · verify · emit
 //!                ▼ CompletionQueue.push + Waker.wake
 //!              reactor thread (encode, flush in request order)
 //! ```
 //!
-//! One thread runs the reactor: it accepts
-//! connections, reads newline-delimited requests from non-blocking
-//! sockets, and answers warm cache hits inline. Compile work never runs
-//! on the reactor: a cold request is dispatched to the shard that owns
-//! its cache key — one of N workers of a
-//! [`plim_parallel::pool::WorkerPool`], each paired with its own
-//! [`LruCache`] shard. Pinning a key range to one worker serializes
-//! same-key requests, so a burst of identical submissions compiles once
-//! and the rest are answered from the cache the first one filled.
-//! Finished compiles flow back over a
-//! [`CompletionQueue`] whose
-//! notifier rings the reactor's [`Waker`].
+//! One thread runs the reactor: it accepts connections, reads
+//! newline-delimited requests from non-blocking sockets, and answers warm
+//! cache hits inline. Compile work never runs on the reactor: a cold
+//! request becomes a job on the one queue of a
+//! [`plim_parallel::pool::WorkerPool`], and whichever worker is idle takes
+//! it, so a slow compile occupies one worker and never the requests
+//! queued behind it. Finished compiles flow back over a
+//! [`CompletionQueue`] whose notifier rings the reactor's [`Waker`].
+//!
+//! Identical requests compile once through one mechanism, the
+//! single-flight table (the pattern of Go's `singleflight`): once a
+//! request's cache key is known, [`admit`] either answers it from the
+//! cache, attaches its `(conn, seq)` to the compile already running for
+//! that key, or makes it the key's leader. The leader compiles, fills the
+//! cache, and then answers itself and every request attached meanwhile.
 //!
 //! Connections pipeline: a client may write many requests before reading
 //! a response, and responses always come back in request order. Each
@@ -45,17 +48,19 @@
 //!
 //! With `--store DIR` the in-memory cache gains a persistent layer: every
 //! compiled artifact is written through to an on-disk
-//! [`ArtifactStore`], and an in-memory miss consults the store before
-//! compiling — so a restarted daemon answers repeat requests warm. Store
-//! files are self-verifying; a corrupt or truncated file is logged,
-//! counted, and treated as a miss, never served.
+//! [`ArtifactStore`], and a leader consults the store before compiling —
+//! so a restarted daemon answers repeat requests warm. Store files are
+//! self-verifying; a corrupt or truncated file is logged, counted, and
+//! treated as a miss, never served.
 //!
 //! The daemon needs no start-up wiring: every target is a row of
 //! `plim_compiler::backend::backends` and the e-graph is a plain call in
 //! [`pipeline`], so any `+target` or `+egraph` spec compiles from the
 //! first request on.
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -71,7 +76,7 @@ use crate::pipeline;
 use crate::poller::Waker;
 use crate::protocol::{
     cache_key, CompileRequest, CompileResponse, ErrorCode, Request, Response, ServiceStats,
-    ShardStats, WireError,
+    WireError,
 };
 
 /// Configuration of a [`Server`].
@@ -79,12 +84,10 @@ use crate::protocol::{
 pub struct ServerConfig {
     /// Address to bind (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads (= cache shards); 0 means one per hardware thread.
+    /// Compile worker threads; 0 means one per hardware thread.
     pub threads: usize,
-    /// Byte budget of the result cache, split evenly across shards. An
-    /// artifact larger than `cache_bytes / threads` is never cached (the
-    /// daemon logs when that happens) — on many-core hosts serving large
-    /// circuits, raise the budget accordingly.
+    /// Byte budget of the result cache. An artifact larger than the
+    /// whole budget is never cached (the daemon logs when that happens).
     pub cache_bytes: usize,
     /// Directory of the persistent artifact store; `None` disables
     /// persistence (in-memory cache only).
@@ -121,9 +124,21 @@ pub(crate) struct Completion {
     pub(crate) response: Response,
 }
 
+/// The single-flight table: every key being compiled, with the
+/// `(conn, seq)` of each request waiting on that compile.
+#[derive(Default)]
+pub(crate) struct InFlight {
+    waiters: HashMap<CacheKey, Vec<(u64, u64)>>,
+    /// Requests answered by attaching to a running compile; they are
+    /// cache hits the cache itself never saw.
+    attached: u64,
+}
+
 pub(crate) struct Shared {
     pub(crate) pool: WorkerPool,
-    pub(crate) caches: Vec<Mutex<LruCache<Arc<StoredArtifact>>>>,
+    /// Lock order: `in_flight` before `cache`, never the reverse.
+    pub(crate) in_flight: Mutex<InFlight>,
+    pub(crate) cache: Mutex<LruCache<Arc<StoredArtifact>>>,
     /// First-level index: `(fnv128(source), fnv128(format))` → the
     /// canonical structural digest of the parsed graph. A hit here skips
     /// the parser entirely for byte-identical resubmissions — under *any*
@@ -131,7 +146,7 @@ pub(crate) struct Shared {
     /// key is derived by adding the request fingerprint at lookup). The
     /// format belongs in the key: the same bytes under another format
     /// would parse differently or not at all. Artifacts themselves live
-    /// in (and are accounted to) the sharded caches above.
+    /// in (and are accounted to) the cache above.
     pub(crate) text_index: Mutex<LruCache<u128>>,
     pub(crate) store: Option<ArtifactStore>,
     pub(crate) completions: CompletionQueue<Completion>,
@@ -142,16 +157,10 @@ pub(crate) struct Shared {
     pub(crate) log: bool,
 }
 
-impl Shared {
-    pub(crate) fn shards(&self) -> usize {
-        self.caches.len()
-    }
-}
-
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            .field("shards", &self.shards())
+            .field("workers", &self.pool.workers())
             .finish()
     }
 }
@@ -183,10 +192,6 @@ impl Server {
         } else {
             config.threads
         };
-        let shard_budget = config.cache_bytes / threads.max(1);
-        let caches = (0..threads.max(1))
-            .map(|_| Mutex::new(LruCache::new(shard_budget)))
-            .collect();
         let store = config.store.as_ref().map(ArtifactStore::open).transpose()?;
         let waker = Waker::new().map_err(|e| format!("creating the reactor waker: {e}"))?;
         let completions = CompletionQueue::new();
@@ -198,7 +203,8 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 pool: WorkerPool::new(threads),
-                caches,
+                in_flight: Mutex::new(InFlight::default()),
+                cache: Mutex::new(LruCache::new(config.cache_bytes)),
                 // ~16k text mappings; entries weigh a fixed 64 bytes.
                 text_index: Mutex::new(LruCache::new(1 << 20)),
                 store,
@@ -257,7 +263,7 @@ pub(crate) struct LineOutcome {
 }
 
 /// Handles one request line on the reactor thread: decode, answer
-/// stats/shutdown/warm hits inline, dispatch compile work to its shard.
+/// stats/shutdown/warm hits inline, queue compile work.
 pub(crate) fn handle_line(shared: &Arc<Shared>, conn: u64, seq: u64, line: &str) -> LineOutcome {
     let (op, disposition) = match Request::decode(line) {
         Err(error) => ("invalid", Disposition::Ready(Response::Error(error))),
@@ -272,21 +278,20 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, conn: u64, seq: u64, line: &str)
 }
 
 fn gather_stats(shared: &Shared) -> ServiceStats {
-    let shards = (0..shared.shards())
-        .map(|index| ShardStats {
-            queue_depth: shared.pool.queue_depth(index),
-            cache: shared.caches[index]
-                .lock()
-                .expect("cache lock poisoned")
-                .stats(),
-        })
-        .collect();
+    let attached = shared
+        .in_flight
+        .lock()
+        .expect("in-flight lock poisoned")
+        .attached;
+    let mut cache = shared.cache.lock().expect("cache lock poisoned").stats();
+    cache.hits += attached;
     let targets = plim_compiler::backend::backends()
         .iter()
         .map(|backend| backend.name().to_string())
         .collect();
     ServiceStats {
-        shards,
+        queue_depth: shared.pool.queue_depth(),
+        cache,
         targets,
         store: shared.store.as_ref().map(ArtifactStore::counters),
     }
@@ -299,164 +304,176 @@ fn text_key(request: &CompileRequest) -> CacheKey {
     )
 }
 
-/// Routes a compile request: warm in-memory hits are answered inline on
-/// the reactor thread (no queueing); everything else goes to a worker.
+/// Routes a compile request. A byte-identical resubmission has a known
+/// key and is admitted right here, so a warm hit or a request attached to
+/// a running compile never queues; everything else becomes a job.
 fn dispatch_compile(
     shared: &Arc<Shared>,
     conn: u64,
     seq: u64,
     request: CompileRequest,
 ) -> Disposition {
-    // L1: exact-text index. A byte-identical resubmission resolves its
-    // structural digest without re-parsing the source.
     let indexed = shared
         .text_index
         .lock()
         .expect("index lock poisoned")
         .get(&text_key(&request))
         .copied();
-    let (digest, shard) = match indexed {
-        Some(digest) => {
-            let key = cache_key(digest, &request);
-            let shard = key.shard(shared.shards());
-            // Fast path: a warm request never queues. Only the Arc is
-            // cloned under the lock; the response (which copies the
-            // artifact body) is built after it is released.
-            let hit = {
-                let mut cache = shared.caches[shard].lock().expect("cache lock poisoned");
-                cache.get(&key).cloned()
-            };
-            if let Some(artifact) = hit {
-                return Disposition::Ready(compile_response(&key.hex(), true, &artifact));
+    let leader = match indexed.map(|digest| cache_key(digest, &request)) {
+        Some(key) => match admit(shared, key, conn, seq) {
+            Admission::Hit(artifact) => {
+                return Disposition::Ready(compile_response(&key, true, &artifact));
             }
-            (Some(digest), shard)
-        }
-        // Unknown text: parsing is compile work and stays off the reactor
-        // thread. A provisional shard keyed on the raw text serializes
-        // identical cold submissions until the digest is known.
-        None => (
-            None,
-            (fnv128(request.source.as_bytes()) % shared.shards() as u128) as usize,
-        ),
-    };
-    let worker = Arc::clone(shared);
-    let submitted = shared.pool.submit(shard, move || {
-        run_compile_job(&worker, conn, seq, request, digest, shard);
-    });
-    if submitted {
-        Disposition::Dispatched
-    } else {
-        Disposition::Ready(Response::Error(WireError::new(
-            ErrorCode::ShuttingDown,
-            "service is shutting down",
-        )))
-    }
-}
-
-/// First worker stage: resolve the digest (parsing if needed), then
-/// compile on the shard that owns the full cache key — handing off when
-/// that is a different shard, so same-key serialization always holds.
-fn run_compile_job(
-    shared: &Arc<Shared>,
-    conn: u64,
-    seq: u64,
-    request: CompileRequest,
-    digest: Option<u128>,
-    current_shard: usize,
-) {
-    // With a known digest, the reactor already did (and counted) the
-    // in-memory lookup; for cold text the first lookup happens on the
-    // shard and must be counted there.
-    let counted = digest.is_some();
-    let (digest, mig) = match digest {
-        Some(digest) => (digest, None),
-        None => match pipeline::parse_network(request.format, &request.source) {
-            Ok(mig) => {
-                let digest = structural_digest(&mig);
-                shared
-                    .text_index
-                    .lock()
-                    .expect("index lock poisoned")
-                    .insert(text_key(&request), digest, 64);
-                (digest, Some(mig))
-            }
-            Err(message) => {
-                complete(
-                    shared,
-                    conn,
-                    seq,
-                    Response::Error(WireError::new(ErrorCode::ParseError, message)),
-                );
-                return;
-            }
+            Admission::Attached => return Disposition::Dispatched,
+            Admission::Leader => Some(key),
         },
+        // Unknown text: parsing is compile work and stays off the reactor.
+        None => None,
     };
-    let key = cache_key(digest, &request);
-    let owner = key.shard(shared.shards());
-    if owner == current_shard {
-        let response = compile_on_shard(shared, owner, &request, mig, key, counted);
-        complete(shared, conn, seq, response);
-        return;
-    }
     let worker = Arc::clone(shared);
-    let submitted = shared.pool.submit(owner, move || {
-        let response = compile_on_shard(&worker, owner, &request, mig, key, counted);
-        complete(&worker, conn, seq, response);
+    let submitted = shared.pool.submit(move || match leader {
+        Some(key) => lead(&worker, key, conn, seq, || {
+            compile(&worker, &request, None, key)
+        }),
+        None => compile_text(&worker, conn, seq, &request),
     });
     if !submitted {
-        complete(
-            shared,
-            conn,
-            seq,
+        let refused = || {
             Response::Error(WireError::new(
                 ErrorCode::ShuttingDown,
                 "service is shutting down",
-            )),
-        );
+            ))
+        };
+        // A leader's refusal also answers everything attached to it.
+        match leader {
+            Some(key) => lead(shared, key, conn, seq, refused),
+            None => complete(shared, conn, seq, refused()),
+        }
+    }
+    Disposition::Dispatched
+}
+
+/// How [`admit`] placed a compile request whose key is known.
+enum Admission {
+    /// Warm: answer from this cached artifact.
+    Hit(Arc<StoredArtifact>),
+    /// Attached to the compile running for the key; its leader answers.
+    Attached,
+    /// The key is cold and now in flight: the caller must [`lead`] it.
+    Leader,
+}
+
+/// The single-flight decision, counting each request exactly once in the
+/// stats: attaching is a hit, and otherwise the cache lookup counts the
+/// hit or the miss. The cache is looked up under the in-flight lock, so
+/// no request can miss both a finished compile's entry and its flight.
+fn admit(shared: &Shared, key: CacheKey, conn: u64, seq: u64) -> Admission {
+    let mut in_flight = shared.in_flight.lock().expect("in-flight lock poisoned");
+    if let Some(waiters) = in_flight.waiters.get_mut(&key) {
+        waiters.push((conn, seq));
+        in_flight.attached += 1;
+        return Admission::Attached;
+    }
+    // Only the Arc is cloned under the locks; the response (which copies
+    // the artifact body) is built after they are released.
+    let hit = shared
+        .cache
+        .lock()
+        .expect("cache lock poisoned")
+        .get(&key)
+        .cloned();
+    match hit {
+        Some(artifact) => Admission::Hit(artifact),
+        None => {
+            in_flight.waiters.insert(key, Vec::new());
+            Admission::Leader
+        }
     }
 }
 
-fn compile_on_shard(
+/// The leader's job: runs `work` (which fills the cache), then removes
+/// the key's flight and answers the leader and every attached request —
+/// the latter with `cached: true`. A panicking `work` answers `internal`
+/// to all of them; the flight is removed either way.
+fn lead(shared: &Shared, key: CacheKey, conn: u64, seq: u64, work: impl FnOnce() -> Response) {
+    let response = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| panicked());
+    let waiters = shared
+        .in_flight
+        .lock()
+        .expect("in-flight lock poisoned")
+        .waiters
+        .remove(&key)
+        .unwrap_or_default();
+    if !waiters.is_empty() {
+        let mut shared_response = response.clone();
+        if let Response::Compile(compile) = &mut shared_response {
+            compile.cached = true;
+        }
+        for (conn, seq) in waiters {
+            complete(shared, conn, seq, shared_response.clone());
+        }
+    }
+    complete(shared, conn, seq, response);
+}
+
+fn panicked() -> Response {
+    Response::Error(WireError::new(
+        ErrorCode::Internal,
+        "the compile job panicked",
+    ))
+}
+
+/// The job of a request whose text the index has not seen: parse, learn
+/// the digest, then admit the request as the reactor would have.
+fn compile_text(shared: &Shared, conn: u64, seq: u64, request: &CompileRequest) {
+    let parsed = catch_unwind(|| {
+        pipeline::parse_network(request.format, &request.source).map(|mig| {
+            let digest = structural_digest(&mig);
+            (mig, digest)
+        })
+    });
+    let (mig, digest) = match parsed {
+        Ok(Ok(parsed)) => parsed,
+        Ok(Err(message)) => {
+            let error = WireError::new(ErrorCode::ParseError, message);
+            return complete(shared, conn, seq, Response::Error(error));
+        }
+        Err(_) => return complete(shared, conn, seq, panicked()),
+    };
+    shared
+        .text_index
+        .lock()
+        .expect("index lock poisoned")
+        .insert(text_key(request), digest, 64);
+    let key = cache_key(digest, request);
+    match admit(shared, key, conn, seq) {
+        Admission::Hit(artifact) => {
+            complete(shared, conn, seq, compile_response(&key, true, &artifact));
+        }
+        Admission::Attached => {}
+        Admission::Leader => lead(shared, key, conn, seq, || {
+            compile(shared, request, Some(mig), key)
+        }),
+    }
+}
+
+/// A leader's work: the persistent store, else parse (unless the caller
+/// already did), compile, verify and emit; the artifact is cached before
+/// this returns.
+fn compile(
     shared: &Shared,
-    shard: usize,
     request: &CompileRequest,
     mig: Option<mig::Mig>,
     key: CacheKey,
-    // Whether the reactor already counted an in-memory lookup for this
-    // key; false for cold text, whose first lookup is counted here.
-    counted: bool,
 ) -> Response {
-    let key_hex = key.hex();
-    // Same-shard requests are serialized by the pinned worker, so an
-    // identical request queued behind the one that compiles lands here
-    // after the insert: re-check before doing the work. The reactor
-    // already counted its lookup as a miss, so peek first and only count
-    // a hit when the dedup actually pays off (and count the miss here for
-    // requests the reactor never looked up). As on the fast path, only
-    // the Arc clone happens under the lock.
-    let deduped = {
-        let mut cache = shared.caches[shard].lock().expect("cache lock poisoned");
-        if cache.peek(&key).is_some() {
-            Some(cache.get(&key).cloned().expect("peeked entry is live"))
-        } else {
-            if !counted {
-                let _ = cache.get(&key);
-            }
-            None
-        }
-    };
-    if let Some(artifact) = deduped {
-        return compile_response(&key_hex, true, &artifact);
-    }
-    // L2→L3: consult the persistent store before compiling. A verified
-    // disk hit is promoted into the in-memory shard; a corrupt file is
-    // logged and recompiled (the overwrite heals it).
+    // A verified disk hit is promoted into the in-memory cache; a corrupt
+    // file is logged and recompiled (the overwrite heals it).
     if let Some(store) = &shared.store {
         match store.load(&key) {
             StoreLookup::Hit(artifact) => {
                 let artifact = Arc::new(artifact);
-                insert_artifact(shared, shard, key, &artifact);
-                return compile_response(&key_hex, true, &artifact);
+                insert_artifact(shared, key, &artifact);
+                return compile_response(&key, true, &artifact);
             }
             StoreLookup::Corrupt(diagnostic) => {
                 if shared.log {
@@ -489,7 +506,7 @@ fn compile_on_shard(
         max_cell_writes: stats.max_cell_writes,
         output,
     });
-    insert_artifact(shared, shard, key, &artifact);
+    insert_artifact(shared, key, &artifact);
     if let Some(store) = &shared.store {
         if let Err(message) = store.save(&key, &artifact) {
             // A failed write-through only costs warmth after a restart;
@@ -499,18 +516,17 @@ fn compile_on_shard(
             }
         }
     }
-    compile_response(&key_hex, false, &artifact)
+    compile_response(&key, false, &artifact)
 }
 
-fn insert_artifact(shared: &Shared, shard: usize, key: CacheKey, artifact: &Arc<StoredArtifact>) {
+fn insert_artifact(shared: &Shared, key: CacheKey, artifact: &Arc<StoredArtifact>) {
     let weight = artifact.weight();
-    let mut cache = shared.caches[shard].lock().expect("cache lock poisoned");
+    let mut cache = shared.cache.lock().expect("cache lock poisoned");
     if weight > cache.budget() && shared.log {
-        // The per-shard budget is cache_bytes / workers, so on a
-        // many-core host a large listing can exceed it. insert()
-        // would silently skip it; make the lost warm path visible.
+        // insert() would silently skip it; make the lost warm path
+        // visible.
         eprintln!(
-            "plimd: artifact of {weight} bytes exceeds the {}-byte shard budget; \
+            "plimd: artifact of {weight} bytes exceeds the {}-byte cache budget; \
              not cached (raise --cache-bytes)",
             cache.budget()
         );
@@ -526,10 +542,10 @@ fn complete(shared: &Shared, conn: u64, seq: u64, response: Response) {
     });
 }
 
-fn compile_response(key_hex: &str, cached: bool, artifact: &Arc<StoredArtifact>) -> Response {
+fn compile_response(key: &CacheKey, cached: bool, artifact: &StoredArtifact) -> Response {
     Response::Compile(CompileResponse {
         cached,
-        key: key_hex.to_string(),
+        key: key.hex(),
         instructions: artifact.instructions,
         rams: artifact.rams,
         max_cell_writes: artifact.max_cell_writes,
@@ -589,21 +605,78 @@ pub fn serve_cli(args: &[String]) -> Result<(), String> {
     }
     let server = Server::bind(&config)?;
     let addr = server.local_addr()?;
-    let workers = server.shared.shards();
+    let workers = server.shared.pool.workers();
     // Stdout is line-buffered, so this line is visible to a supervising
     // process (CI greps it for the port) as soon as the daemon is ready.
     println!(
         "plimd: listening on {addr} ({workers} workers, {} cache bytes)",
-        {
-            let per_shard = server.shared.caches[0]
-                .lock()
-                .expect("cache lock poisoned")
-                .budget();
-            per_shard * workers
-        }
+        config.cache_bytes
     );
     if let Some(store) = &server.shared.store {
         println!("plimd: persistent store at {}", store.root().display());
     }
     server.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    fn bind() -> Server {
+        Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind on a free port")
+    }
+
+    /// Waits for `count` completions, keyed by `(conn, seq)`.
+    fn completions(shared: &Shared, count: usize) -> HashMap<(u64, u64), Response> {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut answered = HashMap::new();
+        while answered.len() < count {
+            assert!(Instant::now() < deadline, "only {answered:?} answered");
+            for done in shared.completions.drain() {
+                answered.insert((done.conn, done.seq), done.response);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        answered
+    }
+
+    #[test]
+    fn a_panicking_compile_answers_internal_to_everyone_waiting_on_it() {
+        let server = bind();
+        let shared = &server.shared;
+        let key = CacheKey::new(7, 7);
+        assert!(matches!(admit(shared, key, 0, 0), Admission::Leader));
+        assert!(matches!(admit(shared, key, 1, 0), Admission::Attached));
+        // Pipelined behind the leader on its connection: an unrelated
+        // compile through the reactor's own entry point.
+        let request = Request::Compile(CompileRequest {
+            source: "inputs a b\nn = maj(0, a, b)\noutput f = n\n".to_string(),
+            ..CompileRequest::default()
+        });
+        let outcome = handle_line(shared, 0, 1, &request.to_json());
+        assert!(matches!(outcome.disposition, Disposition::Dispatched));
+
+        lead(shared, key, 0, 0, || panic!("injected compile failure"));
+
+        let answered = completions(shared, 3);
+        for requester in [(0, 0), (1, 0)] {
+            let Some(Response::Error(error)) = answered.get(&requester) else {
+                panic!("{requester:?} got {:?}", answered.get(&requester));
+            };
+            assert_eq!(error.code, ErrorCode::Internal);
+        }
+        assert!(
+            matches!(answered.get(&(0, 1)), Some(Response::Compile(_))),
+            "{:?}",
+            answered.get(&(0, 1))
+        );
+        // The flight is gone: the next request for the key leads anew.
+        assert!(matches!(admit(shared, key, 2, 0), Admission::Leader));
+    }
 }

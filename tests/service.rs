@@ -91,7 +91,7 @@ fn served_output_is_byte_identical_and_repeats_hit_the_cache() {
         assert_eq!(warm.output, expected);
         assert_eq!(warm.key, cold.key, "cache key must be stable");
     }
-    let totals = stats(&addr).totals();
+    let totals = stats(&addr).cache;
     assert_eq!(totals.hits, 2, "one warm hit per circuit");
     assert_eq!(totals.misses, 2, "one cold miss per circuit");
     assert_eq!(totals.entries, 2);
@@ -148,7 +148,7 @@ fn warm_hits_never_serve_a_different_opt_level() {
         assert_eq!(&warm.key, &cold.key);
         assert_eq!(&warm.output, &cold.output);
     }
-    let totals = stats(&addr).totals();
+    let totals = stats(&addr).cache;
     assert_eq!(totals.misses, 2, "one miss per level");
     assert_eq!(totals.hits, 2, "one hit per level");
     assert_eq!(totals.entries, 2, "one entry per level");
@@ -211,7 +211,7 @@ fn warm_hits_never_serve_a_different_target() {
         assert_eq!(&warm.key, &cold.key);
         assert_eq!(&warm.output, &cold.output);
     }
-    let totals = stats(&addr).totals();
+    let totals = stats(&addr).cache;
     assert_eq!(totals.misses, 2, "one miss per target");
     assert_eq!(totals.hits, 2, "one hit per target");
     assert_eq!(totals.entries, 2, "one entry per target");
@@ -282,7 +282,7 @@ fn warm_hits_never_serve_a_different_rewrite_mode() {
         assert_eq!(&warm.key, &cold.key);
         assert_eq!(&warm.output, &cold.output);
     }
-    let totals = stats(&addr).totals();
+    let totals = stats(&addr).cache;
     assert_eq!(totals.misses, 2, "one miss per rewrite mode");
     assert_eq!(totals.hits, 2, "one hit per rewrite mode");
     assert_eq!(totals.entries, 2, "one entry per rewrite mode");
@@ -476,7 +476,7 @@ fn byte_budget_evicts_least_recently_used_artifacts() {
             assert!(!response.cached, "budget must force an eviction cycle");
         }
     }
-    let totals = stats(&addr).totals();
+    let totals = stats(&addr).cache;
     assert!(totals.evictions >= 2, "evictions: {}", totals.evictions);
     assert_eq!(totals.hits, 0);
     assert_eq!(totals.entries, 1);
@@ -523,15 +523,14 @@ fn concurrent_clients_agree_and_the_cache_dedups() {
     for response in &responses {
         assert_eq!(response.output, expected);
     }
-    // All requests carry one key, whose pinned shard worker serializes
-    // them: exactly one compile happened, everyone else was served from
-    // the cache the first one filled.
+    // All requests carry one key: the first compiles, and every other one
+    // attaches to that compile or hits the entry it filled.
     assert_eq!(
         responses.iter().filter(|r| !r.cached).count(),
         1,
         "exactly one compile per key"
     );
-    let totals = stats(&addr).totals();
+    let totals = stats(&addr).cache;
     assert_eq!(totals.entries, 1);
     shut_down(&addr, handle);
 }
@@ -635,7 +634,7 @@ fn a_huge_aiger_header_is_an_error_response_and_the_daemon_lives_on() {
         }
         other => panic!("expected a parse error, got {other:?}"),
     }
-    assert_eq!(stats(&addr).shards.len(), 1);
+    assert_eq!(stats(&addr).queue_depth, 0);
     shut_down(&addr, handle);
 }
 
@@ -826,7 +825,7 @@ fn refused_requests_never_reach_a_compile() {
             .and_then(|()| pipeline::check_emit(emit, spec.options.target));
         assert_eq!(Err(error.message), expected, "{options} {emit}");
     }
-    let totals = stats(&addr).totals();
+    let totals = stats(&addr).cache;
     assert_eq!((totals.hits, totals.misses), (0, 0));
     shut_down(&addr, handle);
 }
@@ -888,16 +887,170 @@ fn idle_connections_are_reaped_but_active_ones_survive() {
 }
 
 #[test]
-fn stats_report_one_shard_per_worker() {
+fn stats_report_the_queue_the_cache_and_every_target() {
     let (addr, handle) = start_server(3, 1 << 20);
     let snapshot = stats(&addr);
     // The stats response advertises every target a `+target` spec may
     // name.
     assert_eq!(snapshot.targets, ["rm3", "ambit", "magic"]);
-    assert_eq!(snapshot.shards.len(), 3);
-    for shard in &snapshot.shards {
-        assert_eq!(shard.queue_depth, 0);
-        assert_eq!(shard.cache.entries, 0);
+    assert_eq!(snapshot.queue_depth, 0);
+    assert_eq!(snapshot.cache.entries, 0);
+    assert_eq!(snapshot.cache.bytes, 0);
+    shut_down(&addr, handle);
+}
+
+/// A slow compile occupies one worker, never the requests queued behind
+/// it: with two workers, eight small cold compiles sent after one slow
+/// one are all answered before it. The slow circuit is generated and
+/// doubled until its offline compile takes five times the eight small
+/// ones together in this build, and at least half a second so thread
+/// start-up cannot outlast it; no assertion reads a clock. The slow one
+/// asks for `--emit stats`, so decoding its response takes no time.
+#[test]
+fn a_slow_compile_does_not_hold_up_small_ones_behind_it() {
+    use plim_benchmarks::random::{random_logic, RandomLogicSpec};
+    use std::time::{Duration, Instant};
+    let small: Vec<(String, String)> = [
+        "ctrl",
+        "dec",
+        "int2float",
+        "priority",
+        "router",
+        "cavlc",
+        "adder",
+        "max",
+    ]
+    .iter()
+    .map(|name| suite_source(name))
+    .map(|source| {
+        let listing = offline_listing(&source);
+        (source, listing)
+    })
+    .collect();
+    let started = Instant::now();
+    for (source, _) in &small {
+        offline_listing(source);
+    }
+    let small_total = started.elapsed();
+    let mut nodes = 500;
+    let (slow, slow_stats) = loop {
+        let mig = random_logic(&RandomLogicSpec::new(64, 64, nodes, 0x510E));
+        let started = Instant::now();
+        let artifacts = pipeline::execute(&mig, &CompileSpec::default()).unwrap();
+        let stats = pipeline::emit("stats", &artifacts).unwrap();
+        if started.elapsed() >= (small_total * 5).max(Duration::from_millis(500)) {
+            let mut request = compile_request(&mig::io::write_mig(&mig));
+            let Request::Compile(compile) = &mut request else {
+                unreachable!()
+            };
+            compile.emit = "stats".to_string();
+            break (request, stats);
+        }
+        nodes *= 2;
+    };
+
+    let (addr, handle) = start_server(2, 16 << 20);
+    let slow_client = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let response = client::send(&addr, &slow).unwrap();
+            (Instant::now(), response)
+        })
+    };
+    // The slow job's cache miss shows once a worker has parsed it and is
+    // compiling.
+    while stats(&addr).cache.misses == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let small_clients: Vec<_> = small
+        .into_iter()
+        .map(|(source, listing)| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let response = client::send(&addr, &compile_request(&source)).unwrap();
+                let answered = Instant::now();
+                let Response::Compile(compile) = response else {
+                    panic!("small compile failed: {response:?}");
+                };
+                assert_eq!(compile.output, listing);
+                answered
+            })
+        })
+        .collect();
+    let small_answers: Vec<Instant> = small_clients
+        .into_iter()
+        .map(|client| client.join().unwrap())
+        .collect();
+    let (slow_answered, response) = slow_client.join().unwrap();
+    let Response::Compile(compile) = response else {
+        panic!("slow compile failed: {response:?}");
+    };
+    assert_eq!(compile.output, slow_stats);
+    for (index, answered) in small_answers.iter().enumerate() {
+        assert!(
+            *answered < slow_answered,
+            "small compile {index} waited for the slow one ({nodes} nodes)"
+        );
     }
     shut_down(&addr, handle);
+}
+
+/// Fifty identical cold requests over five pipelining connections compile
+/// once: one response is a fresh compile, the other 49 are hits (attached
+/// to that compile or served from the entry it filled), and the store is
+/// written once.
+#[test]
+fn identical_cold_requests_compile_once() {
+    let store = std::env::temp_dir().join(format!("plim-single-flight-{}", std::process::id()));
+    let (addr, handle) = start_server_with(&ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        cache_bytes: 1 << 20,
+        store: Some(store.to_string_lossy().into_owned()),
+        log: false,
+        ..ServerConfig::default()
+    });
+    let source = suite_source("i2c");
+    let expected = offline_listing(&source);
+    let mut batch = String::new();
+    for _ in 0..10 {
+        batch.push_str(&compile_request(&source).to_json());
+        batch.push('\n');
+    }
+    let start = std::sync::Arc::new(std::sync::Barrier::new(5));
+    let clients: Vec<_> = (0..5)
+        .map(|_| {
+            let (addr, batch, start) = (addr.clone(), batch.clone(), start.clone());
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(&addr).unwrap();
+                start.wait();
+                stream.write_all(batch.as_bytes()).unwrap();
+                let mut reader = BufReader::new(stream);
+                (0..10)
+                    .map(|_| {
+                        let mut line = String::new();
+                        reader.read_line(&mut line).unwrap();
+                        match Response::from_json(&line).unwrap() {
+                            Response::Compile(response) => response,
+                            other => panic!("unexpected response: {other:?}"),
+                        }
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let responses: Vec<_> = clients
+        .into_iter()
+        .flat_map(|client| client.join().unwrap())
+        .collect();
+    assert_eq!(responses.len(), 50);
+    for response in &responses {
+        assert_eq!(response.output, expected);
+    }
+    assert_eq!(responses.iter().filter(|r| !r.cached).count(), 1);
+    let snapshot = stats(&addr);
+    assert_eq!((snapshot.cache.misses, snapshot.cache.hits), (1, 49));
+    assert_eq!(snapshot.store.expect("daemon runs with --store").writes, 1);
+    shut_down(&addr, handle);
+    std::fs::remove_dir_all(&store).unwrap();
 }
