@@ -240,13 +240,13 @@ pub trait Backend: Sync {
         crate::ir::place(ir, self.cost_table(), &mut ()).cost
     }
 
-    /// A scorer for trial edits of `ir`, and `ir`'s cost: the checkpointed
-    /// replay of [`Backend::cost`], which resumes each trial from the last
-    /// checkpoint before its edit and stops it as soon as the footprint or
-    /// wear passes the incumbent's.
+    /// A scorer for trial edits of `ir`, and `ir`'s cost: the replay of
+    /// [`Backend::cost`], bounded. Under `fifo` each trial forks the
+    /// committed replay at its edit; under every other allocator it resumes
+    /// from the last checkpoint before its edit. Either way it stops as
+    /// soon as the footprint or wear passes the incumbent's.
     fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
-        let (scorer, cost) = crate::ir::Scorer::new(ir, self.cost_table());
-        (Box::new(scorer), cost)
+        crate::ir::scorer(ir, self.cost_table())
     }
 
     /// Emits the target-native artifact.
@@ -295,6 +295,11 @@ pub struct TrialCounts {
     pub trials: usize,
     /// Events replayed to score them.
     pub replayed: u64,
+    /// Of those, the events the trials that reconverged replayed outside
+    /// their edited spans — before the first event an edit changed, or
+    /// past the last, in the edited stream and in the committed one where
+    /// a scorer replays that too: what finding the reconvergence cost.
+    pub overhead: u64,
     /// Trials finished early because their replay reconverged with the
     /// committed one.
     pub cuts: usize,
@@ -304,6 +309,7 @@ impl std::ops::AddAssign for TrialCounts {
     fn add_assign(&mut self, other: TrialCounts) {
         self.trials += other.trials;
         self.replayed += other.replayed;
+        self.overhead += other.overhead;
         self.cuts += other.cuts;
     }
 }

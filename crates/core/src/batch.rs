@@ -155,6 +155,8 @@ pub struct JobResult {
     pub ir: crate::ir::IrProgram,
     /// Wall-clock time of the compile call (excluding any shared rewrite).
     pub compile_time: Duration,
+    /// What scoring the pass pipeline's trial edits cost (zero at `-O0`).
+    pub scoring: crate::TrialCounts,
     /// `true` when the static analyzer reported zero diagnostics on the
     /// artifact, its statically re-derived #I/#R/max-writes match the
     /// recorded [`crate::Rm3Stats`], and the emitted program obeys the
@@ -304,6 +306,7 @@ pub fn run_batch(circuits: &[Circuit], specs: &[JobSpec], parallelism: Paralleli
         let lint_clean = job_lint_clean(&compilation, spec.options.opt);
         JobResult {
             spec: *spec,
+            scoring: compilation.report.scoring(),
             compiled: compilation.compiled,
             ir: compilation.ir,
             compile_time,

@@ -9,8 +9,8 @@
 //! and handed with its placed addresses to an [`OpSink`]. Every target
 //! places and scores through it: [`emit`] and the other targets' lowerings
 //! sink the ops into programs ([`place`]), while [`crate::Backend::cost`]
-//! and the [`Scorer`] of the pass pipeline's trial edits sink them into
-//! `()`.
+//! and the [`scorer`]s of the pass pipeline's trial edits sink them into
+//! `()` or replay them as this replay does.
 //!
 //! The replay is the compiler's only RRAM allocator (§4.2.3): lowering
 //! mints virtual cells and never sees an address. On an unedited stream it
@@ -20,21 +20,33 @@
 //! side, a plain [`plim::Rhs`], and the program renders the `X<addr> ←`
 //! prefix from the replayed destination only when a listing is printed.
 //!
-//! The scorer checkpoints the replay of the committed stream — allocator,
-//! owner per physical address and running metrics, every max(256,
-//! footprint) events — so a trial resumes from the last checkpoint before
-//! the first event its edit changed, and stops as soon as its footprint or
-//! wear, which only grow, passes the incumbent's.
+//! A trial stops as soon as its footprint or wear, which only grow, passes
+//! the incumbent's. Past the edit, the edited stream repeats the committed
+//! one, and a few events later the trial's replay is usually the committed
+//! replay again up to a renaming of physical addresses. Once the renaming
+//! exists, the rest of the trial is the committed replay renamed, so the
+//! final cost follows from the committed end state: early cutoff, as in
+//! incremental build systems (Mokhov, Mitchell and Peyton Jones, "Build
+//! Systems à la Carte", ICFP 2018), taken down to single events (Acar,
+//! "Self-Adjusting Computation", CMU 2005). The cut only saves work; every
+//! cost it reports is the one a full replay computes. [`scorer`] picks the
+//! scorer by allocator:
 //!
-//! Past the edit, the edited stream repeats the committed one, and a few
-//! events later the trial's replay is usually the committed replay again
-//! up to a renaming of physical addresses. The scorer tests for that at the
-//! committed checkpoints past the edit. Once the renaming exists, the rest
-//! of the trial is the committed replay renamed, so the final cost follows
-//! from the committed end state in O(footprint), and a commit adopts the
-//! committed checkpoints past that point instead of replaying them: early
-//! cutoff, as in incremental build systems. The cut only saves work; every
-//! cost it reports is the one a full replay computes.
+//! * under `fifo`, the default, the [`FifoScorer`] forks the committed
+//!   replay at the first event the edit changed, replays nothing before
+//!   it, tests for the renaming at every event past the edit, and prices
+//!   the rest from the committed end write counts, renaming only the
+//!   addresses that moved; a commit writes the new end state in place;
+//! * under `lifo`, `fresh`, `binned` and `wear`, the [`Scorer`]
+//!   checkpoints the committed replay — allocator, owner per physical
+//!   address and running metrics, every max(256, footprint) events — so a
+//!   trial resumes from the last checkpoint before its edit and tests for
+//!   the renaming at the committed checkpoints past it, the rest costs
+//!   O(footprint), and a commit adopts the committed checkpoints past the
+//!   cut instead of replaying them. Under `wear` no trial is cut, since
+//!   its choices read every write count, which no renaming preserves, so
+//!   each replays to the stream's end. The checkpointed scorer is also the
+//!   reference the `fifo` one is tested against.
 
 use std::collections::HashMap;
 
@@ -43,6 +55,7 @@ use plim::{Instruction, Operand, OutputLoc, Program, RamAddr};
 use crate::alloc::{Renaming, RramAllocator};
 use crate::backend::{Cost, CostTable, TrialCounts, TrialEdit, TrialScorer, WorkRegion};
 use crate::program::{Rm3Program, Rm3Stats};
+use crate::AllocatorStrategy;
 
 use super::{CellId, Event, IrOp, IrOutput, IrProgram, Value};
 
@@ -147,6 +160,36 @@ struct Metrics {
 }
 
 impl Metrics {
+    /// Prices an op reading `a` and `b` and writing the cell at `z`, with
+    /// `addr` the address of a cell it reads, as [`Replay::run`] does;
+    /// returns the writes it makes to `z`.
+    fn op(
+        &mut self,
+        table: &CostTable,
+        (a, b): (Value, Value),
+        z: RamAddr,
+        addr: impl Fn(CellId) -> RamAddr,
+    ) -> u64 {
+        let masking = matches!((a, b), (Value::Const(x), Value::Const(y)) if x != y);
+        let price = if masking {
+            &table.masking
+        } else {
+            &table.other
+        };
+        self.instructions += price.instructions;
+        self.units += price.units;
+        self.general += usize::from(!masking);
+        self.rams = self.rams.max(z.0 + 1);
+        for value in [a, b] {
+            match value {
+                Value::Const(_) => self.units -= price.const_discount,
+                Value::Input(_) => {}
+                Value::Cell(c) => self.rams = self.rams.max(addr(c).0 + 1),
+            }
+        }
+        price.writes
+    }
+
     fn cost(self, table: &CostTable) -> Cost {
         Cost {
             instructions: self.instructions,
@@ -682,6 +725,11 @@ impl TrialScorer for Scorer {
         let accepted = within && cost.improves_on(bound);
         self.counts.trials += 1;
         self.counts.replayed += replayed as u64;
+        if cut {
+            let (end, span) = (start + replayed, shifted(edit.until, edit.shift));
+            let inside = end.min(span).saturating_sub(start.max(edit.from));
+            self.counts.overhead += (replayed - inside) as u64;
+        }
         self.counts.cuts += usize::from(cut);
         #[cfg(test)]
         tests::note_trial(tests::TrialRecord {
@@ -780,6 +828,749 @@ impl TrialScorer for Scorer {
     }
 }
 
+/// The scorer of `ir` under `table` that the pass pipeline uses, and `ir`'s
+/// cost: a [`FifoScorer`] under the `fifo` allocator, the checkpointed
+/// [`Scorer`] under every other.
+pub(crate) fn scorer(ir: &IrProgram, table: CostTable) -> (Box<dyn TrialScorer>, Cost) {
+    if ir.allocator == AllocatorStrategy::Fifo {
+        let (scorer, cost) = FifoScorer::new(ir, table);
+        (Box::new(scorer), cost)
+    } else {
+        let (scorer, cost) = Scorer::new(ir, table);
+        (Box::new(scorer), cost)
+    }
+}
+
+/// The cells an op touches: its operands and its destination.
+type OpCells = (Value, Value, CellId);
+
+fn op_cells(op: &IrOp) -> OpCells {
+    (op.a, op.b, op.z)
+}
+
+/// The `fifo` allocator's [`TrialScorer`]: a trial replays the events its
+/// edit changed and those up to where it reconverges, and nothing before
+/// the edit.
+///
+/// Under `fifo` the free pool is one queue, so a replay is cheap to fork:
+/// the scorer keeps the committed replay before the last trial's edit
+/// (`base`), moved forward over the committed events up to each trial's
+/// `edit.from` (Forward scans the stream in order, so it nearly never moves
+/// back; when it must, it replays from event 0). A trial replays the edited
+/// stream from there as a [`Delta`] that stores only what it changed over
+/// `base`. Per-cell flags of the committed stream — whether its request
+/// took a fresh address, whether it is released — give the committed
+/// replay's fresh counter and live count past the edit without replaying
+/// it (see [`FifoScorer::trial`]). At the first event past `edit.until`
+/// where both agree with the trial's, and the trial's footprint covers its
+/// cells, the two replays are equal up to a renaming of addresses: the
+/// live cells pair up by name, the free queues by position. The scorer
+/// then replays the committed stream from `edit.from` to that event, as a
+/// second [`Delta`], and prices the rest of the trial — the committed
+/// replay renamed — from the committed end write counts it keeps per
+/// address, renaming only the addresses that moved.
+///
+/// A commit writes the priced end counts in place, splices the trial's
+/// events into its copy of the committed stream, updates the flags and
+/// records the merged cell; `base` stays valid, because it lies before the
+/// edit.
+pub(crate) struct FifoScorer {
+    table: CostTable,
+    /// The committed stream's events, and the cells each op touches; a
+    /// cell an earlier commit merged away is read through `merges`.
+    events: Vec<Event>,
+    ops: Vec<OpCells>,
+    merges: Vec<Option<CellId>>,
+    /// Per cell, whether the committed replay gives it a fresh address,
+    /// and whether the committed stream releases it.
+    fresh: Vec<bool>,
+    released: Vec<bool>,
+    /// The committed replay before the event at `base.0`.
+    base: (usize, Fork),
+    /// The committed replay's write count per address at the stream's end,
+    /// how many addresses hold each count, and its metrics there.
+    end_writes: Vec<u64>,
+    tally: Tally,
+    end: Metrics,
+    trial: Delta,
+    committed: Delta,
+    /// The last cut's renaming of committed addresses onto the trial's,
+    /// where it moves an address or its count, stamped by `pricing`, with
+    /// the addresses it covers in `renamed`.
+    image: Vec<(u32, u32)>,
+    pricing: u32,
+    renamed: Vec<u32>,
+    /// The end write counts of the last cut's stream where they differ
+    /// from the committed stream's.
+    priced: Vec<(u32, u64)>,
+    /// What committing the last trial changes, if it was accepted.
+    accepted: Option<FifoCommit>,
+    counts: TrialCounts,
+}
+
+/// An accepted trial's edit, as [`FifoScorer::commit`] applies it.
+struct FifoCommit {
+    /// The committed events `from..until` give way to `events`.
+    from: usize,
+    until: usize,
+    events: Vec<Event>,
+    /// The ops those events hold, with the cells they touch now.
+    ops: Vec<(u32, OpCells)>,
+    /// The cells the edited stream requests from `from` to where the trial
+    /// stopped, and whether each took a fresh address.
+    requests: Vec<(CellId, bool)>,
+    merged: (CellId, CellId),
+    /// The edited stream's metrics at its end.
+    end: Metrics,
+    /// Whether the trial reconverged, leaving its end counts in
+    /// [`FifoScorer::priced`], rather than replaying to the end.
+    cut: bool,
+}
+
+/// A `fifo` replay that keeps, beside its metrics, each cell's address,
+/// each address's owner and write count, and the free queue: what a
+/// [`FifoScorer`] forks its trials from. It replays as [`Replay::run`] does
+/// under `fifo`, and keeps no pool for another strategy.
+struct Fork {
+    table: CostTable,
+    /// The address each cell was last given.
+    addr: Vec<RamAddr>,
+    /// The cell live at each address handed out so far.
+    owner: Vec<Option<CellId>>,
+    writes: Vec<u64>,
+    queue: std::collections::VecDeque<RamAddr>,
+    live: usize,
+    metrics: Metrics,
+}
+
+impl Fork {
+    fn new(ir: &IrProgram, table: CostTable) -> Self {
+        Fork {
+            table,
+            addr: vec![RamAddr(0); ir.cells.len()],
+            owner: Vec::new(),
+            writes: Vec::new(),
+            queue: std::collections::VecDeque::new(),
+            live: 0,
+            metrics: Metrics::default(),
+        }
+    }
+
+    /// The addresses handed out so far.
+    fn fresh(&self) -> u32 {
+        self.owner.len() as u32
+    }
+
+    fn step(&mut self, ir: &IrProgram, event: Event) {
+        match event {
+            Event::Request(c) => {
+                let a = self.queue.pop_front().unwrap_or_else(|| {
+                    self.owner.push(None);
+                    self.writes.push(0);
+                    RamAddr(self.fresh() - 1)
+                });
+                self.owner[a.index()] = Some(c);
+                self.addr[c.index()] = a;
+                self.live += 1;
+                if self.table.work_region == WorkRegion::Requested {
+                    self.metrics.rams = self.metrics.rams.max(a.0 + 1);
+                }
+            }
+            Event::Release(c) => {
+                let a = self.addr[c.index()];
+                self.owner[a.index()] = None;
+                self.queue.push_back(a);
+                self.live -= 1;
+            }
+            Event::Op(i) => {
+                let op = &ir.ops[i as usize];
+                let addr = &self.addr;
+                let z = addr[op.z.index()];
+                let writes = self
+                    .metrics
+                    .op(&self.table, (op.a, op.b), z, |c| addr[c.index()]);
+                self.writes[z.index()] += writes;
+                self.metrics.wear = self.metrics.wear.max(self.writes[z.index()]);
+            }
+        }
+    }
+}
+
+/// One replay from a fork point that stores only what it changed there:
+/// per cell its address (`None` once released), per address its owner and
+/// write count, each stamped with the replay's generation, and the free
+/// queue as the fork's queue less the `served` entries it popped, then the
+/// addresses `released` since.
+struct Delta {
+    generation: u32,
+    /// Per cell its address, and whether its request took a fresh one.
+    cells: Vec<(u32, Option<RamAddr>, bool)>,
+    /// Per address its owner and write count, copied from the fork when
+    /// the replay first changes either.
+    addrs: Vec<(u32, Option<CellId>, u64)>,
+    /// The addresses it changed, each once.
+    touched: Vec<u32>,
+    served: usize,
+    released: std::collections::VecDeque<RamAddr>,
+    fresh: u32,
+    live: usize,
+    metrics: Metrics,
+}
+
+impl Delta {
+    fn new(cells: usize) -> Self {
+        Delta {
+            generation: 0,
+            cells: vec![(0, None, false); cells],
+            addrs: Vec::new(),
+            touched: Vec::new(),
+            served: 0,
+            released: std::collections::VecDeque::new(),
+            fresh: 0,
+            live: 0,
+            metrics: Metrics::default(),
+        }
+    }
+
+    /// Forks a replay from `base`, forgetting every change in O(1).
+    fn fork(&mut self, base: &Fork) {
+        if self.generation == u32::MAX {
+            self.cells.fill((0, None, false));
+            self.addrs.fill((0, None, 0));
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.touched.clear();
+        self.served = 0;
+        self.released.clear();
+        self.fresh = base.fresh();
+        self.live = base.live;
+        self.metrics = base.metrics;
+    }
+
+    /// The address of `c`, live in this replay.
+    fn addr(&self, base: &Fork, c: CellId) -> Option<RamAddr> {
+        match self.cells[c.index()] {
+            (stamp, a, _) if stamp == self.generation => a,
+            _ => Some(base.addr[c.index()]),
+        }
+    }
+
+    /// Whether this replay's request of `c` took a fresh address.
+    fn took_fresh(&self, c: CellId) -> bool {
+        let (stamp, _, fresh) = self.cells[c.index()];
+        stamp == self.generation && fresh
+    }
+
+    fn owner(&self, base: &Fork, a: usize) -> Option<CellId> {
+        match self.addrs.get(a) {
+            Some(&(stamp, c, _)) if stamp == self.generation => c,
+            _ => base.owner.get(a).copied().flatten(),
+        }
+    }
+
+    fn writes(&self, base: &Fork, a: usize) -> u64 {
+        match self.addrs.get(a) {
+            Some(&(stamp, _, count)) if stamp == self.generation => count,
+            _ => base.writes.get(a).copied().unwrap_or(0),
+        }
+    }
+
+    /// The owner and write count of `a`, to change.
+    fn entry(&mut self, base: &Fork, a: RamAddr) -> &mut (u32, Option<CellId>, u64) {
+        if self.addrs.len() <= a.index() {
+            self.addrs.resize(a.index() + 1, (0, None, 0));
+        }
+        let entry = &mut self.addrs[a.index()];
+        if entry.0 != self.generation {
+            let owner = base.owner.get(a.index()).copied().flatten();
+            let count = base.writes.get(a.index()).copied().unwrap_or(0);
+            *entry = (self.generation, owner, count);
+            self.touched.push(a.0);
+        }
+        entry
+    }
+
+    /// The free queue, oldest release first.
+    fn queue<'a>(&'a self, base: &'a Fork) -> impl Iterator<Item = RamAddr> + 'a {
+        let pool = &base.queue;
+        pool.range(self.served.min(pool.len())..)
+            .chain(&self.released)
+            .copied()
+    }
+
+    /// Replays `event`, whose op touches `op`'s cells, as [`Fork::step`]
+    /// does.
+    fn step(&mut self, base: &Fork, event: Event, op: OpCells) {
+        match event {
+            Event::Request(c) => {
+                let fresh = self.fresh;
+                let a = if let Some(&a) = base.queue.get(self.served) {
+                    self.served += 1;
+                    a
+                } else if let Some(a) = self.released.pop_front() {
+                    a
+                } else {
+                    self.fresh += 1;
+                    RamAddr(fresh)
+                };
+                self.cells[c.index()] = (self.generation, Some(a), self.fresh > fresh);
+                self.entry(base, a).1 = Some(c);
+                self.live += 1;
+                if base.table.work_region == WorkRegion::Requested {
+                    self.metrics.rams = self.metrics.rams.max(a.0 + 1);
+                }
+            }
+            Event::Release(c) => {
+                let a = self.addr(base, c).expect("release before request");
+                let fresh = self.took_fresh(c);
+                self.cells[c.index()] = (self.generation, None, fresh);
+                self.entry(base, a).1 = None;
+                self.released.push_back(a);
+                self.live -= 1;
+            }
+            Event::Op(_) => {
+                let (a, b, z) = op;
+                let addr = |c| self.addr(base, c).expect("an op touches live cells");
+                let z = addr(z);
+                let mut metrics = self.metrics;
+                let writes = metrics.op(&base.table, (a, b), z, addr);
+                let entry = self.entry(base, z);
+                entry.2 += writes;
+                metrics.wear = metrics.wear.max(entry.2);
+                self.metrics = metrics;
+            }
+        }
+    }
+}
+
+impl FifoScorer {
+    /// The scorer of `ir`, whose allocator is `fifo`, under `table`, and
+    /// `ir`'s cost.
+    pub(crate) fn new(ir: &IrProgram, table: CostTable) -> (Self, Cost) {
+        let mut end = Fork::new(ir, table);
+        let mut fresh = vec![false; ir.cells.len()];
+        let mut released = vec![false; ir.cells.len()];
+        for &event in &ir.events {
+            match event {
+                Event::Request(c) => fresh[c.index()] = end.queue.is_empty(),
+                Event::Release(c) => released[c.index()] = true,
+                Event::Op(_) => {}
+            }
+            end.step(ir, event);
+        }
+        let cost = end.metrics.cost(&table);
+        let scorer = FifoScorer {
+            table,
+            events: ir.events.clone(),
+            ops: ir.ops.iter().map(op_cells).collect(),
+            merges: vec![None; ir.cells.len()],
+            fresh,
+            released,
+            base: (0, Fork::new(ir, table)),
+            tally: Tally::new(&end.writes),
+            end_writes: end.writes,
+            end: end.metrics,
+            trial: Delta::new(ir.cells.len()),
+            committed: Delta::new(ir.cells.len()),
+            image: Vec::new(),
+            pricing: 0,
+            renamed: Vec::new(),
+            priced: Vec::new(),
+            accepted: None,
+            counts: TrialCounts::default(),
+        };
+        (scorer, cost)
+    }
+
+    /// The committed cell `c` stands for now.
+    fn resolve(&self, mut c: CellId) -> CellId {
+        while let Some(d) = self.merges[c.index()] {
+            c = d;
+        }
+        c
+    }
+
+    /// Steps the committed replay over committed event `pos`.
+    fn step_committed(&mut self, pos: usize) {
+        let event = match self.events[pos] {
+            Event::Request(c) => Event::Request(self.resolve(c)),
+            Event::Release(c) => Event::Release(self.resolve(c)),
+            op @ Event::Op(_) => op,
+        };
+        let op = match event {
+            Event::Op(i) => {
+                let (a, b, z) = self.ops[i as usize];
+                let cell = |v: Value| match v {
+                    Value::Cell(c) => Value::Cell(self.resolve(c)),
+                    v => v,
+                };
+                (cell(a), cell(b), self.resolve(z))
+            }
+            _ => NO_OP,
+        };
+        self.committed.step(&self.base.1, event, op);
+    }
+
+    /// Moves `base` to the committed replay before event `to`, replaying
+    /// from event 0 when `to` lies behind it.
+    fn advance(&mut self, ir: &IrProgram, to: usize) {
+        let (at, fork) = &mut self.base;
+        if to < *at {
+            *at = 0;
+            *fork = Fork::new(ir, self.table);
+        }
+        for &event in &ir.events[*at..to] {
+            fork.step(ir, event);
+        }
+        *at = to;
+    }
+
+    /// The edited stream's metrics at its end, from a cut where the trial
+    /// replay equals the committed one up to a renaming, with `merged.0`
+    /// read as `merged.1`; leaves in `priced` the end write counts that
+    /// differ from the committed stream's. This is
+    /// [`Replay::adopted_metrics`] on the deltas: the sums and the work
+    /// region shifted past the cut's, and the committed end counts renamed.
+    ///
+    /// Only the addresses either replay touched, and the free queue's
+    /// entries that do not pair with themselves, can move or change their
+    /// count: a cell live at the fork and untouched since holds its address
+    /// in both replays, and when both popped the fork's queue equally far,
+    /// its unpopped entries pair with themselves. So the renaming and the
+    /// counts are built on those addresses only, and every other address
+    /// keeps its committed end count, the largest of which `tally` gives.
+    fn price(&mut self, merged: (CellId, CellId)) -> Metrics {
+        let (_, base) = &self.base;
+        let (trial, committed) = (&self.trial, &self.committed);
+        if self.pricing == u32::MAX {
+            self.image.fill((0, 0));
+            self.pricing = 0;
+        }
+        self.pricing += 1;
+        let pricing = self.pricing;
+        self.image
+            .resize(self.image.len().max(trial.fresh as usize), (0, 0));
+        let (image, renamed) = (&mut self.image, &mut self.renamed);
+        renamed.clear();
+        let mut rename = |b: RamAddr, a: RamAddr| {
+            if image[b.index()].0 != pricing {
+                image[b.index()] = (pricing, a.0);
+                renamed.push(b.0);
+            }
+        };
+        for &b in committed.touched.iter().chain(&trial.touched) {
+            if let Some(c) = committed.owner(base, b as usize) {
+                let c = if c == merged.0 { merged.1 } else { c };
+                let a = trial.addr(base, c).expect("a cell live in both replays");
+                rename(RamAddr(b), a);
+            }
+        }
+        let pool = base.queue.len();
+        let shared = if committed.served == trial.served {
+            pool.saturating_sub(committed.served)
+        } else {
+            0
+        };
+        for (b, a) in committed.queue(base).zip(trial.queue(base)).skip(shared) {
+            rename(b, a);
+        }
+        #[cfg(test)]
+        self.check_renaming(merged);
+        let (_, base) = &self.base;
+        let (trial, committed) = (&self.trial, &self.committed);
+        self.priced.clear();
+        for &b in &self.renamed {
+            let a = self.image[b as usize].1;
+            let gained = self.end_writes[b as usize] - committed.writes(base, b as usize);
+            let count = gained + trial.writes(base, a as usize);
+            self.priced.push((a, count));
+        }
+        for &b in &self.renamed {
+            self.tally.remove(self.end_writes[b as usize]);
+        }
+        let unchanged = self.tally.highest();
+        for &b in &self.renamed {
+            self.tally.add(self.end_writes[b as usize]);
+        }
+        let (end, here, cut) = (self.end, committed.metrics, trial.metrics);
+        Metrics {
+            instructions: end.instructions - here.instructions + cut.instructions,
+            units: end.units - here.units + cut.units,
+            general: end.general - here.general + cut.general,
+            rams: end.rams.max(cut.rams),
+            wear: self
+                .priced
+                .iter()
+                .map(|&(_, count)| count)
+                .fold(cut.wear.max(unchanged), u64::max),
+        }
+    }
+
+    /// Checks the sparse renaming [`FifoScorer::price`] built against the
+    /// whole one: live cells pair by name, free queues by position, every
+    /// address below the fresh counter is mapped once, and the addresses
+    /// left out map to themselves.
+    #[cfg(test)]
+    fn check_renaming(&self, merged: (CellId, CellId)) {
+        let (_, base) = &self.base;
+        let (trial, committed) = (&self.trial, &self.committed);
+        const UNSET: u32 = u32::MAX;
+        let fresh = trial.fresh as usize;
+        let mut whole = vec![UNSET; fresh];
+        for (b, slot) in whole.iter_mut().enumerate() {
+            if let Some(c) = committed.owner(base, b) {
+                let c = if c == merged.0 { merged.1 } else { c };
+                *slot = trial.addr(base, c).expect("a cell live in both replays").0;
+            }
+        }
+        for (b, a) in committed.queue(base).zip(trial.queue(base)) {
+            whole[b.index()] = a.0;
+        }
+        let mut seen = vec![false; fresh];
+        for (b, &a) in whole.iter().enumerate() {
+            assert!(
+                a != UNSET && !std::mem::replace(&mut seen[a as usize], true),
+                "the cut's renaming is one-to-one"
+            );
+            let sparse = match self.image[b] {
+                (stamp, a) if stamp == self.pricing => a,
+                _ => b as u32,
+            };
+            assert_eq!(sparse, a, "the image of address {b}");
+        }
+    }
+}
+
+/// How many addresses hold each write count.
+struct Tally(Vec<u32>);
+
+impl Tally {
+    fn new(writes: &[u64]) -> Self {
+        let mut tally = Tally(Vec::new());
+        for &count in writes {
+            tally.add(count);
+        }
+        tally
+    }
+
+    fn add(&mut self, count: u64) {
+        let count = usize::try_from(count).expect("a write count fits memory");
+        if self.0.len() <= count {
+            self.0.resize(count + 1, 0);
+        }
+        self.0[count] += 1;
+    }
+
+    /// Takes one address off `count`, which one holds, and drops the
+    /// counts no address holds from the top.
+    fn remove(&mut self, count: u64) {
+        self.0[count as usize] -= 1;
+        while self.0.last() == Some(&0) {
+            self.0.pop();
+        }
+    }
+
+    /// The highest count an address holds, 0 for none.
+    fn highest(&self) -> u64 {
+        self.0.len().saturating_sub(1) as u64
+    }
+}
+
+/// The cells of an event that is no op.
+const NO_OP: OpCells = (Value::Const(false), Value::Const(false), CellId(0));
+
+impl TrialScorer for FifoScorer {
+    /// Replays the edited stream from `edit.from`. The committed replay's
+    /// fresh counter and live count follow from the committed stream's
+    /// per-cell flags without replaying it: over the edited span, the
+    /// committed stream requests the cells the edited one does plus the
+    /// merged-away cell, and it releases one cell more exactly when it
+    /// releases either merged cell; past `edit.until` both streams request
+    /// and release alike, and a request takes a fresh cell when the queue —
+    /// fresh counter less live count — is empty. At the first event past
+    /// `edit.until` where the counters say the two replays are equal up to
+    /// a renaming (see [`FifoScorer`]), the committed stream is replayed to
+    /// that event, the counters are confirmed, and the cost is
+    /// [priced](FifoScorer::price) from the committed end state.
+    fn trial(&mut self, ir: &IrProgram, edit: &TrialEdit, bound: Cost) -> Option<Cost> {
+        let TrialEdit {
+            from,
+            until,
+            shift,
+            merged: (x, d),
+        } = *edit;
+        self.advance(ir, from);
+        self.trial.fork(&self.base.1);
+        self.committed.fork(&self.base.1);
+        let table = self.table;
+        let within = |metrics: Metrics| {
+            let cost = metrics.cost(&table);
+            cost.footprint <= bound.footprint && cost.wear <= bound.wear
+        };
+        let step_trial = |scorer: &mut Self, pos: usize| {
+            let event = ir.events[pos];
+            let op = ir.op_of(event).map_or(NO_OP, op_cells);
+            scorer.trial.step(&scorer.base.1, event, op);
+            !matches!(event, Event::Op(_)) || within(scorer.trial.metrics)
+        };
+        let mut pos = from;
+        let mut alive = true;
+        let mut committed_fresh = self.committed.fresh + u32::from(self.fresh[x.index()]);
+        while alive && pos < shifted(until, shift) {
+            if let Event::Request(c) = ir.events[pos] {
+                committed_fresh += u32::from(self.fresh[c.index()]);
+            }
+            alive = step_trial(self, pos);
+            pos += 1;
+        }
+        let mut comparable = self.released[x.index()] || self.released[d.index()];
+        let mut committed_pos = from;
+        let cut = loop {
+            if !alive {
+                break false;
+            }
+            if comparable
+                && self.trial.fresh == committed_fresh
+                && self.trial.metrics.rams == self.trial.fresh
+            {
+                // The committed position the trial's `pos` repeats.
+                let aligned = shifted(pos, -shift);
+                while committed_pos < aligned {
+                    self.step_committed(committed_pos);
+                    committed_pos += 1;
+                }
+                let confirmed = self.committed.live == self.trial.live
+                    && self.committed.fresh == committed_fresh;
+                debug_assert!(confirmed, "the committed counters at {edit:?}");
+                if confirmed {
+                    break true;
+                }
+                comparable = false;
+            }
+            if pos == ir.events.len() {
+                break false;
+            }
+            if matches!(ir.events[pos], Event::Request(_))
+                && committed_fresh as usize == self.trial.live
+            {
+                committed_fresh += 1;
+            }
+            alive = step_trial(self, pos);
+            pos += 1;
+        };
+        let metrics = if cut {
+            self.price((x, d))
+        } else {
+            self.trial.metrics
+        };
+        let cost = metrics.cost(&table);
+        let accepted = alive && cost.improves_on(bound);
+        self.counts.trials += 1;
+        self.counts.replayed += (pos - from + committed_pos - from) as u64;
+        if cut {
+            let past = pos - shifted(until, shift) + committed_pos - until;
+            self.counts.overhead += past as u64;
+        }
+        self.counts.cuts += usize::from(cut);
+        #[cfg(test)]
+        tests::note_trial(tests::TrialRecord {
+            resumed: from,
+            spacing: 1,
+            from,
+            accepted,
+            reconverged_at: cut.then_some(pos),
+        });
+        self.accepted = None;
+        if !accepted {
+            return None;
+        }
+        let trial = &self.trial;
+        let requests = ir.events[from..pos]
+            .iter()
+            .filter_map(|&event| match event {
+                Event::Request(c) => Some((c, trial.took_fresh(c))),
+                _ => None,
+            })
+            .collect();
+        let events = ir.events[from..shifted(until, shift)].to_vec();
+        let ops = events
+            .iter()
+            .filter_map(|&event| match event {
+                Event::Op(i) => Some((i, op_cells(&ir.ops[i as usize]))),
+                _ => None,
+            })
+            .collect();
+        self.accepted = Some(FifoCommit {
+            from,
+            until,
+            events,
+            ops,
+            requests,
+            merged: (x, d),
+            end: metrics,
+            cut,
+        });
+        Some(cost)
+    }
+
+    /// Writes the accepted trial's end state, events and flags over the
+    /// committed ones.
+    fn commit(&mut self) {
+        let commit = self
+            .accepted
+            .take()
+            .expect("commit after an accepted trial");
+        if commit.cut {
+            for &(a, count) in &self.priced {
+                let old = std::mem::replace(&mut self.end_writes[a as usize], count);
+                self.tally.remove(old);
+                self.tally.add(count);
+            }
+        } else {
+            let (_, base) = &self.base;
+            let trial = &self.trial;
+            self.end_writes = (0..trial.fresh as usize)
+                .map(|a| trial.writes(base, a))
+                .collect();
+            self.tally = Tally::new(&self.end_writes);
+        }
+        self.end = commit.end;
+        self.events.splice(commit.from..commit.until, commit.events);
+        for (i, cells) in commit.ops {
+            self.ops[i as usize] = cells;
+        }
+        for (c, fresh) in commit.requests {
+            self.fresh[c.index()] = fresh;
+        }
+        let (x, d) = commit.merged;
+        if x != d {
+            self.released[d.index()] &= self.released[x.index()];
+            self.merges[x.index()] = Some(d);
+        }
+    }
+
+    fn counts(&self) -> TrialCounts {
+        self.counts
+    }
+}
+
+#[cfg(test)]
+impl Scorer {
+    /// The committed stream's cost and end write count per address.
+    pub(crate) fn committed(&self) -> (Cost, Vec<u64>) {
+        (self.end.cost(), self.end.alloc.write_counts().to_vec())
+    }
+}
+
+#[cfg(test)]
+impl FifoScorer {
+    /// The committed stream's cost and end write count per address.
+    pub(crate) fn committed(&self) -> (Cost, Vec<u64>) {
+        (self.end.cost(&self.table), self.end_writes.clone())
+    }
+}
+
 /// Replays the IR into an executable RM3 program with its cost metrics.
 ///
 /// # Panics
@@ -822,7 +1613,7 @@ pub(crate) mod tests {
 
     use plim::Rhs;
 
-    use super::{place, Scorer};
+    use super::{place, FifoScorer, Scorer};
     use crate::backend::{CostTable, TrialEdit, TrialScorer};
     use crate::ir::{CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
     use crate::{AllocatorStrategy, LifetimeClass};
@@ -830,19 +1621,21 @@ pub(crate) mod tests {
     /// One [`super::Scorer`] trial.
     #[derive(Debug, Clone, Copy)]
     pub(crate) struct TrialRecord {
-        /// The position of the checkpoint the replay resumed from.
+        /// The first position the trial replayed: the checkpoint it
+        /// resumed from, or the edit's first changed event under `fifo`.
         pub(crate) resumed: usize,
         /// That checkpoint's spacing: the committed stream's next one is
-        /// this many events later.
+        /// this many events later (1 under `fifo`).
         pub(crate) spacing: usize,
         /// The first position the trial edit changed.
         pub(crate) from: usize,
         /// Whether the trial improved on its bound.
         pub(crate) accepted: bool,
         /// Where the trial finished early because its replay reconverged
-        /// with the committed one: the position of the committed checkpoint
-        /// it matched, in the trial's stream. A commit adopts the committed
-        /// checkpoints from there on.
+        /// with the committed one: the position, in the trial's stream, of
+        /// the committed checkpoint it matched, or under `fifo` of the
+        /// event it matched at. A commit adopts the committed state from
+        /// there on.
         pub(crate) reconverged_at: Option<usize>,
     }
 
@@ -857,6 +1650,42 @@ pub(crate) mod tests {
     /// The trials this thread's scorers ran since the last call.
     pub(crate) fn take_trials() -> Vec<TrialRecord> {
         TRIALS.with(|log| std::mem::take(&mut *log.borrow_mut()))
+    }
+
+    /// `ir`'s cost under `table` and its end write count per address, from
+    /// one full replay.
+    pub(crate) fn full_replay(ir: &IrProgram, table: CostTable) -> (crate::Cost, Vec<u64>) {
+        let mut state = super::Replay::new(ir, table);
+        let mut cells = super::CellTable::new(ir);
+        let all = 0..ir.events.len();
+        state.run(ir, &mut cells, all, super::UNBOUNDED, None, &mut ());
+        (state.cost(), state.alloc.write_counts().to_vec())
+    }
+
+    /// Under `fifo`, a trial replays nothing before the first event its
+    /// edit changed — it forks the committed replay there — and under
+    /// every target's cost table some trials reconverge.
+    #[test]
+    fn fifo_trials_replay_nothing_before_their_edit() {
+        use plim_benchmarks::random::{random_logic, RandomLogicSpec};
+        take_trials();
+        for &backend in crate::backend::backends() {
+            for seed in 0..3 {
+                let mig = random_logic(&RandomLogicSpec::new(8, 4, 400, seed));
+                let mut ir = crate::ir::lower(&mig, crate::CompilerOptions::new());
+                crate::ir::passes::forward(&mut ir, backend);
+            }
+            let trials = take_trials();
+            assert!(!trials.is_empty(), "{}: no trials", backend.name());
+            for t in &trials {
+                assert_eq!(t.resumed, t.from, "{}: {t:?}", backend.name());
+            }
+            assert!(
+                trials.iter().any(|t| t.reconverged_at.is_some()),
+                "{}: no trial reconverged",
+                backend.name()
+            );
+        }
     }
 
     /// A FIFO program over cells `%0` and `%1` whose stream is `events`,
@@ -897,20 +1726,31 @@ pub(crate) mod tests {
         let committed = program(head.into_iter().chain(tail).collect());
         let mut trial = committed.clone();
         trial.events.remove(3);
-        let (mut scorer, cost) = Scorer::new(&committed, CostTable::RM3);
-        assert_eq!(cost.footprint, 2);
         let edit = TrialEdit {
             from: 3,
             until: 4,
             shift: -1,
             merged: (c1, c1),
         };
-        let got = scorer.trial(&trial, &edit, cost).expect("one write fewer");
-        assert_eq!(got, place(&trial, CostTable::RM3, &mut ()).cost);
-        assert_eq!(got.footprint, 1);
-        assert_eq!(
-            take_trials().last().expect("one trial").reconverged_at,
-            None
-        );
+        let scorers: [(Box<dyn TrialScorer>, _); 2] = [
+            {
+                let (scorer, cost) = Scorer::new(&committed, CostTable::RM3);
+                (Box::new(scorer), cost)
+            },
+            {
+                let (scorer, cost) = FifoScorer::new(&committed, CostTable::RM3);
+                (Box::new(scorer), cost)
+            },
+        ];
+        for (mut scorer, cost) in scorers {
+            assert_eq!(cost.footprint, 2);
+            let got = scorer.trial(&trial, &edit, cost).expect("one write fewer");
+            assert_eq!(got, place(&trial, CostTable::RM3, &mut ()).cost);
+            assert_eq!(got.footprint, 1);
+            assert_eq!(
+                take_trials().last().expect("one trial").reconverged_at,
+                None
+            );
+        }
     }
 }

@@ -35,7 +35,7 @@ mod emit;
 mod lower;
 pub mod passes;
 
-pub(crate) use emit::Scorer;
+pub(crate) use emit::scorer;
 pub use emit::{emit, place, OpSink, Placement};
 pub use lower::lower;
 

@@ -30,7 +30,11 @@ pub enum AllocatorStrategy {
     /// allocator's per-cell write counters at request time. It does not
     /// look at how many writes the new value will take, so its peak cell
     /// wear can end above FIFO's: reduced `-O0` int2float 36 against 33,
-    /// sqrt 23 against 21, mem_ctrl 25 against 23.
+    /// sqrt 23 against 21, mem_ctrl 25 against 23. Since its choices read
+    /// every write count, no `-O2` trial edit reconverges with the
+    /// committed replay, so each trial replays to the stream's end: full
+    /// mem_ctrl rm3 `-O2 --alloc wear` takes about 7 s, against about 0.6 s
+    /// under FIFO.
     WearLeveled,
     /// Lifetime-binned reuse: cells that last held a long-lived value are
     /// kept apart from short-lived churn, so the hottest slots rotate

@@ -181,11 +181,17 @@ fn plain_names(mig: &Mig) -> bool {
 /// Returns [`ParseMigError`] on malformed lines, references to undefined
 /// signals, or duplicate definitions.
 pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
-    let mut mig = Mig::new();
+    // Room for a node per `=` (each definition line has one), but no more
+    // than the text could define: the shortest definition line,
+    // `a=maj(b,c,d)` and its newline, takes 13 bytes, so neither blank
+    // lines nor a flood of `=` reserve more than the text's length allows.
+    let definitions = text.bytes().filter(|&b| b == b'=').count();
+    let capacity = definitions.min(text.len() / 13 + 1);
+    let mut mig = Mig::with_capacity(capacity);
     // Keyed by slices of `text`: no line allocates. String keys keep the
     // default SipHash (the text may come from an untrusted client); the
     // one-word `hash::KeyedState` is only for the fixed-width strash keys.
-    let mut names: HashMap<&str, Signal> = HashMap::new();
+    let mut names: HashMap<&str, Signal> = HashMap::with_capacity(capacity);
 
     let err = |line: usize, message: &str| ParseMigError {
         line,

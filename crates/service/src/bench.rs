@@ -136,6 +136,8 @@ pub fn run(
             o2_instructions: o2.compiled.stats.instructions as u64,
             o2_rams: u64::from(o2.compiled.stats.rams),
             o2_max_writes: o2.compiled.stats.max_cell_writes,
+            o2_trials: o2.scoring.trials as u64,
+            o2_replayed: o2.scoring.replayed,
             ambit_ops: ambit.instructions as u64,
             ambit_cost: ambit.units,
             magic_ops: magic.instructions as u64,
@@ -198,6 +200,11 @@ mod tests {
                 compiled(CompilerOptions::new()),
                 compiled(CompilerOptions::new().opt(OptLevel::O2)),
             );
+            let scoring = compile_full(&rewritten, CompilerOptions::new().opt(OptLevel::O2))
+                .report
+                .scoring();
+            assert_eq!(record.o2_trials, scoring.trials as u64, "{name}");
+            assert_eq!(record.o2_replayed, scoring.replayed, "{name}");
             let lookahead = compiled(CompilerOptions::new().schedule(ScheduleOrder::Lookahead));
             let wear = compiled(CompilerOptions::new().allocator(AllocatorStrategy::WearLeveled));
             let fidelity = fidelity_for(mig, &smart, &[&o2], &FidelityConfig::default());

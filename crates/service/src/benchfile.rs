@@ -177,6 +177,10 @@ columns! {
     o2_rams: Count, Note;
     /// Highest per-cell write count of the default compiler at `-O2`.
     o2_max_writes: Count, Note;
+    /// Trial edits the default `-O2` compile scored.
+    o2_trials: Count, Note;
+    /// Events the default `-O2` compile replayed to score its trials.
+    o2_replayed: Count, Hard("-O2 replayed events");
     /// Instructions of the default compiler's IR emitted through the
     /// `ambit` (bulk-bitwise DRAM majority) backend.
     ambit_ops: Count, Annotated;
@@ -630,6 +634,8 @@ mod tests {
             o2_instructions: instructions.saturating_sub(2),
             o2_rams: rams,
             o2_max_writes: 9,
+            o2_trials: 4,
+            o2_replayed: instructions * 3,
             ambit_ops: instructions * 5,
             ambit_cost: instructions * 11,
             magic_ops: instructions * 7,
@@ -665,6 +671,7 @@ mod tests {
         let text = r#"[{"rams": 3, "note": "hi", "circuit": "x", "instructions": 9,
             "max_writes": 1, "lookahead_rams": 3, "wear_max_writes": 1,
             "o2_instructions": 8, "o2_rams": 3, "o2_max_writes": 1,
+            "o2_trials": 2, "o2_replayed": 30,
             "ambit_ops": 45, "ambit_cost": 99, "magic_ops": 63, "magic_cost": 63,
             "egraph_instructions": 7, "egraph_rams": 3,
             "verified_exhaustive": false, "fault_error_rate": 0.25,

@@ -457,8 +457,9 @@ fn alternative_targets_place_destinations_as_the_rm3_replay_does() {
 
 /// Scoring an `-O2` trial costs every target about what it costs RM3: on
 /// reduced mem_ctrl, Ambit and MAGIC replay at most twice RM3's mean
-/// events per trial (about 1,180 against 1,156). A scorer that replays the
-/// whole stream per trial replays about 9,000, nearly 8× RM3's.
+/// events per trial (about 1,009 against 948; 1,180 against 1,156 with
+/// the checkpointed scorer `fifo` used before). A scorer that replays the
+/// whole stream per trial replays about 9,000, over 9× RM3's.
 #[test]
 fn o2_trials_replay_about_as_many_events_on_every_target() {
     let mig = suite::build("mem_ctrl", Scale::Reduced).expect("suite circuit");

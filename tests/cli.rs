@@ -671,6 +671,7 @@ fn bench_json(instructions: u64) -> String {
         "[{{\"circuit\": \"adder\", \"instructions\": {instructions}, \"rams\": 11, \
          \"max_writes\": 22, \"lookahead_rams\": 11, \"wear_max_writes\": 22, \
          \"o2_instructions\": {instructions}, \"o2_rams\": 11, \"o2_max_writes\": 22, \
+         \"o2_trials\": 0, \"o2_replayed\": 0, \
          \"ambit_ops\": 490, \"ambit_cost\": 1078, \"magic_ops\": 686, \"magic_cost\": 686, \
          \"egraph_instructions\": {instructions}, \"egraph_rams\": 11, \
          \"rewrite_ms\": 1.0, \"compile_ms\": 2.0, \"verified_exhaustive\": true, \

@@ -466,6 +466,14 @@ fn forward_bookkeeping_is_subquadratic() {
 /// whole touch lists per check, or walked the stream per trial would fail
 /// here on any host, where the wall-clock test above needs a quiet one.
 ///
+/// The scorer's replay, counted the same way at 1,500 and 4 × 1,500 nodes:
+/// a trial that reconverges with the committed replay replays at most
+/// 1.5× as many events outside its edited span at the larger size. A
+/// scorer that resumed from checkpoints spaced by the footprint, or that
+/// stopped only at one, would replay more there as the footprint grows. (A
+/// trial that never reconverges — one that saves a cell, say — replays to
+/// the stream's end under any scorer, so those are not counted.)
+///
 /// The raw counts grow faster than the node count on this generator, and
 /// by amounts this pass does not control: the lowered stream grows 2.1 to
 /// 2.5× per doubling, the fixpoint takes more or fewer scans, and the
@@ -499,11 +507,18 @@ fn forward_bookkeeping_counts_scale() {
             "{nodes} nodes: {per_trial} events walked per trial of a {}-event stream",
             ir.events.len()
         );
-        counts.touches_walked as f64 / counts.checks as f64
+        let scoring = run.scoring;
+        let outside = scoring.overhead as f64 / scoring.cuts as f64;
+        (counts.touches_walked as f64 / counts.checks as f64, outside)
     };
-    let (n, two_n) = (run(3000), run(6000));
+    let ((_, outside_m), (n, _), (two_n, outside_4m)) = (run(1500), run(3000), run(6000));
     assert!(
         two_n <= 1.25 * n,
         "touch entries walked per move check: {two_n:.1} at 2n against {n:.1} at n"
+    );
+    assert!(
+        outside_4m <= 1.5 * outside_m,
+        "events replayed per reconverged trial outside its edit: {outside_4m:.1} at 6,000 \
+         nodes against {outside_m:.1} at 1,500"
     );
 }
