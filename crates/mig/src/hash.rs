@@ -10,8 +10,10 @@
 //! collide without knowing the key.
 //!
 //! Only fixed-width keys use it, each hashed as one packed word. Tables
-//! keyed by strings (such as [`parse_mig`](crate::io::parse_mig)'s name
-//! map) keep SipHash, which is built for variable-length input. Every
+//! keyed by strings keep SipHash, which is built for variable-length
+//! input: [`parse_mig`](crate::io::parse_mig) keeps input names, and every
+//! name but the canonical node names `n<k>` it looks up by number, in a
+//! SipHash map, since its text may come from a client. Every
 //! table here was randomly keyed before, too, so no output can depend on
 //! iteration order.
 

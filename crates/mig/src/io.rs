@@ -12,7 +12,31 @@
 //!
 //! Signals are referenced by name (`a`, `n1`), optionally prefixed with `!`
 //! for complementation; `0` and `1` denote the constants. Node definitions
-//! must precede their uses.
+//! must precede their uses. Lines end at `\n`; everything from a `#` to the
+//! end of its line is a comment, and tokens are trimmed of Unicode
+//! whitespace, `\r` included.
+//!
+//! ## Reading
+//!
+//! [`parse_mig`] reads the text in one pass over its bytes: each line's
+//! `=`, operand commas, `#` and end are found by the same scan, and a
+//! token is trimmed at its two ends only. Before it, a vectorised count of
+//! `=` sizes the graph. On the 23 seed-3 `compile-o2` inputs of the
+//! repository's benchmark (4.6 MB, 145,397 node lines) it takes 18–20 ms
+//! on a two-core VM, about half the time of the line-by-line parser its
+//! tests keep as the oracle, which walks each line several times with
+//! `str` methods and hashes every name.
+//!
+//! Names live in one of two stores. A canonical node name, `n` and a
+//! decimal number without a leading zero (how [`write_mig`] names majority
+//! nodes), is found by that number in a vector, with no hashing. Every
+//! other name, each input's among them, is a key of a SipHash map, since
+//! the text may come from an untrusted client. The vector serves
+//! only numbers below half the text's length, a bound fixed before
+//! reading and never taken from a name: a node name at or past it is
+//! hashed like any other, so `n99999999999999999999` in a short text costs
+//! one map entry, and no text grows the vector past a few bytes per byte
+//! of its own.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -121,12 +145,11 @@ const NODE_LINE_BYTES: usize = 36;
 /// constants and majority nodes by signal, inputs by complement and name,
 /// so two inputs that share a name print alike.
 ///
-/// The structure pins the text only while every name prints as one
-/// unambiguous token. If a name contains whitespace, `!`, `,` or `=`, or
-/// reads `0`, `1` or `n` followed by digits (the spellings of constants
-/// and majority nodes), both graphs are rendered and their text compared.
+/// The structure pins the text only while no name is ambiguous (see
+/// [`ambiguous_name`]). Otherwise both graphs are rendered and their text
+/// compared.
 pub fn same_text(a: &Mig, b: &Mig) -> bool {
-    if !(plain_names(a) && plain_names(b)) {
+    if ambiguous_name(a).is_some() || ambiguous_name(b).is_some() {
         return write_mig(a) == write_mig(b);
     }
     if a.len() != b.len()
@@ -159,19 +182,28 @@ pub fn same_text(a: &Mig, b: &Mig) -> bool {
         .all(|((m, x), (n, y))| m == n && same_signal(*x, *y))
 }
 
-/// Whether every input and output name of `mig` prints as a token no
-/// other name, constant or majority node prints as, and splits no line.
-fn plain_names(mig: &Mig) -> bool {
-    let plain = |name: &str| {
-        !(name == "0"
-            || name == "1"
-            || name.contains(|c: char| c.is_whitespace() || matches!(c, '!' | ',' | '='))
-            || name
-                .strip_prefix('n')
-                .is_some_and(|digits| digits.bytes().all(|b| b.is_ascii_digit())))
-    };
-    (0..mig.num_inputs()).all(|i| plain(mig.input_name(i)))
-        && mig.outputs().iter().all(|(name, _)| plain(name))
+/// The first input or output name of `mig` that [`write_mig`] would
+/// print as text that reads back as another circuit, or not at all, if
+/// any: an empty name, `0`, `1`, `n` followed by digits (the spellings of
+/// constants and majority nodes), or a name holding whitespace, `!`, `,`,
+/// `=` or `#`.
+pub fn ambiguous_name(mig: &Mig) -> Option<&str> {
+    (0..mig.num_inputs())
+        .map(|i| mig.input_name(i))
+        .chain(mig.outputs().iter().map(|(name, _)| name.as_str()))
+        .find(|name| !plain_name(name))
+}
+
+/// Whether `name` prints as one token that no other name, constant or
+/// majority node prints as, and that splits no line.
+fn plain_name(name: &str) -> bool {
+    !(name.is_empty()
+        || name == "0"
+        || name == "1"
+        || name.contains(|c: char| c.is_whitespace() || matches!(c, '!' | ',' | '=' | '#'))
+        || name
+            .strip_prefix('n')
+            .is_some_and(|digits| digits.bytes().all(|b| b.is_ascii_digit())))
 }
 
 /// Parses the MIG text format produced by [`write_mig`].
@@ -181,112 +213,329 @@ fn plain_names(mig: &Mig) -> bool {
 /// Returns [`ParseMigError`] on malformed lines, references to undefined
 /// signals, or duplicate definitions.
 pub fn parse_mig(text: &str) -> Result<Mig, ParseMigError> {
-    // Room for a node per `=` (each definition line has one), but no more
-    // than the text could define: the shortest definition line,
-    // `a=maj(b,c,d)` and its newline, takes 13 bytes, so neither blank
-    // lines nor a flood of `=` reserve more than the text's length allows.
-    let definitions = text.bytes().filter(|&b| b == b'=').count();
-    let capacity = definitions.min(text.len() / 13 + 1);
-    let mut mig = Mig::with_capacity(capacity);
-    // Keyed by slices of `text`: no line allocates. String keys keep the
-    // default SipHash (the text may come from an untrusted client); the
-    // one-word `hash::KeyedState` is only for the fixed-width strash keys.
-    let mut names: HashMap<&str, Signal> = HashMap::with_capacity(capacity);
+    let mut reader = Reader::new(text);
+    reader.read()?;
+    Ok(reader.mig)
+}
 
-    let err = |line: usize, message: &str| ParseMigError {
-        line,
-        message: message.to_string(),
-    };
+/// Nodes to reserve for `text`: one per `=` (each definition line has
+/// one), but no more than the text could define. The shortest definition
+/// line, `a=maj(b,c,d)` and its newline, takes 13 bytes, so neither blank
+/// lines nor a flood of `=` reserve more than the text's length allows.
+///
+/// Counted into a `u8` per 255-byte chunk, a loop the compiler vectorises:
+/// a tenth of the time of a `usize` count, under 2 % of the read. Sizing
+/// from the length alone overshoots by a third on `write_mig`'s text,
+/// which can double the strash table a compile keeps to its end.
+fn capacity(text: &str) -> usize {
+    let definitions: usize = text
+        .as_bytes()
+        .chunks(255)
+        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'='))))
+        .sum();
+    definitions.min(text.len() / 13 + 1)
+}
 
-    let resolve = |token: &str,
-                   names: &HashMap<&str, Signal>,
-                   line: usize|
-     -> Result<Signal, ParseMigError> {
-        let (compl, name) = match token.strip_prefix('!') {
+/// The one-pass reader behind [`parse_mig`].
+struct Reader<'a> {
+    text: &'a str,
+    mig: Mig,
+    names: Names<'a>,
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        let capacity = capacity(text);
+        Reader {
+            text,
+            mig: Mig::with_capacity(capacity),
+            names: Names::new(text, capacity),
+        }
+    }
+
+    /// Reads every line into `mig`, stopping at the first error.
+    fn read(&mut self) -> Result<(), ParseMigError> {
+        let bytes = self.text.as_bytes();
+        let mut at = 0;
+        let mut line = 0;
+        while at < bytes.len() {
+            line += 1;
+            let start = skip_space(self.text, at);
+            at = match bytes.get(start) {
+                None => break,
+                Some(b'\n') => start + 1,
+                Some(b'#') => next_line(bytes, start),
+                Some(_) => self.line(start, line)?,
+            };
+        }
+        Ok(())
+    }
+
+    /// Reads the line whose first non-blank byte is at `start` and returns
+    /// where the next line starts.
+    fn line(&mut self, start: usize, line: usize) -> Result<usize, ParseMigError> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        if let Some(rest) = self.keyword(start, "inputs") {
+            let end = content_end(bytes, rest);
+            for name in text[rest..end].split_whitespace() {
+                let key = self.names.key(name);
+                if self.names.get(key).is_some() {
+                    return Err(error(line, format!("duplicate input `{name}`")));
+                }
+                let signal = self.mig.add_input(name);
+                self.names.set(key, signal);
+            }
+            Ok(next_line(bytes, end))
+        } else if let Some(rest) = self.keyword(start, "output") {
+            let end = content_end(bytes, rest);
+            let (name, token) = match text[rest..end].split_once('=') {
+                Some((name, token)) => (name.trim(), token.trim()),
+                None => (text[rest..end].trim(), ""),
+            };
+            if name.is_empty() {
+                return Err(error(line, "missing output name".into()));
+            }
+            if token.is_empty() {
+                return Err(error(line, "missing `=` in output".into()));
+            }
+            let signal = self.resolve(token, line)?;
+            self.mig.add_output(name, signal);
+            Ok(next_line(bytes, end))
+        } else {
+            self.definition(start, line)
+        }
+    }
+
+    /// The position after a leading `keyword` at `start`, if the keyword is
+    /// a whole token there: followed by whitespace, a comment or the end of
+    /// the line, so that `inputsx = …` and `output_q = …` define nodes.
+    fn keyword(&self, start: usize, keyword: &str) -> Option<usize> {
+        let rest = self.text[start..].strip_prefix(keyword)?;
+        match rest.chars().next() {
+            None | Some('#') => Some(start + keyword.len()),
+            Some(c) if c.is_whitespace() => Some(start + keyword.len()),
+            Some(_) => None,
+        }
+    }
+
+    /// Reads `name = maj(a, b, c)`, scanning its bytes once: up to the
+    /// `=`, then the operands' commas up to the end of the line or a `#`.
+    fn definition(&mut self, start: usize, line: usize) -> Result<usize, ParseMigError> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        let mut eq = start;
+        while eq < bytes.len() && !matches!(bytes[eq], b'=' | b'#' | b'\n') {
+            eq += 1;
+        }
+        if bytes.get(eq) != Some(&b'=') {
+            return Err(error(line, "unrecognized line".into()));
+        }
+        let name = text[start..eq].trim_end();
+        let key = self.names.key(name);
+        if self.names.get(key).is_some() {
+            return Err(error(line, format!("duplicate definition `{name}`")));
+        }
+
+        let open = skip_space(text, eq + 1);
+        if !bytes[open..].starts_with(b"maj(") {
+            return Err(error(line, "expected `maj(a, b, c)`".into()));
+        }
+        let first = open + 4;
+        let (mut commas, mut count) = ([0; 2], 0);
+        let mut end = first;
+        while end < bytes.len() {
+            match bytes[end] {
+                b',' => {
+                    if count < 2 {
+                        commas[count] = end;
+                    }
+                    count += 1;
+                }
+                b'#' | b'\n' => break,
+                _ => {}
+            }
+            end += 1;
+        }
+        let close = first + text[first..end].trim_end().len();
+        if close == first || bytes[close - 1] != b')' {
+            return Err(error(line, "expected `maj(a, b, c)`".into()));
+        }
+        if count != 2 {
+            return Err(error(line, "maj takes exactly three operands".into()));
+        }
+        let a = self.resolve(text[first..commas[0]].trim(), line)?;
+        let b = self.resolve(text[commas[0] + 1..commas[1]].trim(), line)?;
+        let c = self.resolve(text[commas[1] + 1..close - 1].trim(), line)?;
+        let signal = self.mig.maj(a, b, c);
+        self.names.set(key, signal);
+        Ok(next_line(bytes, end))
+    }
+
+    /// The signal a token names: `0`, `1` or a defined name, complemented
+    /// by one leading `!`.
+    fn resolve(&mut self, token: &'a str, line: usize) -> Result<Signal, ParseMigError> {
+        let (complement, name) = match token.strip_prefix('!') {
             Some(rest) => (true, rest),
             None => (false, token),
         };
         let base = match name {
             "0" => Signal::FALSE,
             "1" => Signal::TRUE,
-            _ => *names
-                .get(name)
-                .ok_or_else(|| err(line, &format!("undefined signal `{name}`")))?,
+            _ => {
+                let key = self.names.key(name);
+                self.names
+                    .get(key)
+                    .ok_or_else(|| error(line, format!("undefined signal `{name}`")))?
+            }
         };
-        Ok(base.complement_if(compl))
-    };
-
-    for (index, raw_line) in text.lines().enumerate() {
-        let line_no = index + 1;
-        let line = raw_line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-
-        if let Some(rest) = keyword(line, "inputs") {
-            for name in rest.split_whitespace() {
-                if names.contains_key(name) {
-                    return Err(err(line_no, &format!("duplicate input `{name}`")));
-                }
-                let s = mig.add_input(name);
-                names.insert(name, s);
-            }
-        } else if let Some(rest) = keyword(line, "output") {
-            let mut parts = rest.splitn(2, '=');
-            let name = parts
-                .next()
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| err(line_no, "missing output name"))?;
-            let token = parts
-                .next()
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| err(line_no, "missing `=` in output"))?;
-            let signal = resolve(token, &names, line_no)?;
-            mig.add_output(name, signal);
-        } else if line.contains('=') {
-            let mut parts = line.splitn(2, '=');
-            let name = parts.next().unwrap().trim();
-            let body = parts.next().unwrap().trim();
-            if names.contains_key(name) {
-                return Err(err(line_no, &format!("duplicate definition `{name}`")));
-            }
-            let inner = body
-                .strip_prefix("maj(")
-                .and_then(|s| s.strip_suffix(')'))
-                .ok_or_else(|| err(line_no, "expected `maj(a, b, c)`"))?;
-            let mut tokens = inner.split(',').map(str::trim);
-            let (Some(a), Some(b), Some(c), None) =
-                (tokens.next(), tokens.next(), tokens.next(), tokens.next())
-            else {
-                return Err(err(line_no, "maj takes exactly three operands"));
-            };
-            let a = resolve(a, &names, line_no)?;
-            let b = resolve(b, &names, line_no)?;
-            let c = resolve(c, &names, line_no)?;
-            let signal = mig.maj(a, b, c);
-            names.insert(name, signal);
-        } else {
-            return Err(err(line_no, "unrecognized line"));
-        }
+        Ok(base.complement_if(complement))
     }
-    Ok(mig)
 }
 
-/// The rest of `line` after a leading `keyword`, if the keyword is a whole
-/// token there: followed by whitespace or the end of the line, so that
-/// `inputsx = …` and `output_q = …` define nodes.
-fn keyword<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(keyword)?;
-    (rest.is_empty() || rest.starts_with(char::is_whitespace)).then_some(rest)
+fn error(line: usize, message: String) -> ParseMigError {
+    ParseMigError { line, message }
+}
+
+/// The first position at or after `at` that is not whitespace other than
+/// a newline (Unicode's, as `str::trim` has it).
+fn skip_space(text: &str, mut at: usize) -> usize {
+    let bytes = text.as_bytes();
+    while let Some(&byte) = bytes.get(at) {
+        match byte {
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => at += 1,
+            0..=0x7f => break,
+            _ => match text[at..].chars().next() {
+                Some(c) if c.is_whitespace() => at += c.len_utf8(),
+                _ => break,
+            },
+        }
+    }
+    at
+}
+
+/// Where the line content from `at` ends: at a `#`, a newline or the end.
+fn content_end(bytes: &[u8], mut at: usize) -> usize {
+    while at < bytes.len() && !matches!(bytes[at], b'#' | b'\n') {
+        at += 1;
+    }
+    at
+}
+
+/// Where the line holding position `at` ends, past its newline.
+fn next_line(bytes: &[u8], mut at: usize) -> usize {
+    while at < bytes.len() && bytes[at] != b'\n' {
+        at += 1;
+    }
+    at + 1
+}
+
+/// What each defined name denotes.
+///
+/// A canonical node name, `n` and a decimal number without a leading zero,
+/// is looked up by that number in `nodes` while the number is below
+/// `limit`. Every other name, and a node name at or past `limit`, is a
+/// SipHash key of `hashed`. Which store a name uses depends only on its
+/// spelling and the text's length, so a name always meets itself.
+struct Names<'a> {
+    nodes: Vec<Option<Signal>>,
+    /// Half the text's length, plus one: [`write_mig`] prints a graph of
+    /// `k` nodes in more than `2 k` bytes, as each input takes two and each
+    /// node line more. It is never a number read out of a name, so no text
+    /// grows `nodes` past a few bytes per byte of its own.
+    limit: usize,
+    hashed: HashMap<&'a str, Signal>,
+    #[cfg(test)]
+    probes: Probes,
+}
+
+/// Where a name is kept: its `nodes` slot, or its `hashed` key.
+#[derive(Clone, Copy)]
+enum Key<'a> {
+    Slot(usize),
+    Hashed(&'a str),
+}
+
+/// Name lookups and definitions by store, counted in test builds.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Probes {
+    indexed: usize,
+    hashed: usize,
+}
+
+impl<'a> Names<'a> {
+    fn new(text: &str, capacity: usize) -> Self {
+        Names {
+            nodes: Vec::with_capacity(capacity),
+            limit: text.len() / 2 + 1,
+            hashed: HashMap::new(),
+            #[cfg(test)]
+            probes: Probes::default(),
+        }
+    }
+
+    /// Where `name` is kept.
+    #[inline]
+    fn key(&self, name: &'a str) -> Key<'a> {
+        let slot = || {
+            let (&first, rest) = name.as_bytes().strip_prefix(b"n")?.split_first()?;
+            if !first.is_ascii_digit() || (first == b'0' && !rest.is_empty()) {
+                return None;
+            }
+            let mut k = usize::from(first - b'0');
+            for &digit in rest {
+                if !digit.is_ascii_digit() {
+                    return None;
+                }
+                k = k.checked_mul(10)?.checked_add(usize::from(digit - b'0'))?;
+            }
+            (k < self.limit).then_some(k)
+        };
+        slot().map_or(Key::Hashed(name), Key::Slot)
+    }
+
+    #[inline]
+    fn get(&mut self, key: Key<'a>) -> Option<Signal> {
+        #[cfg(test)]
+        self.probes.count(key);
+        match key {
+            Key::Slot(k) => self.nodes.get(k).copied().flatten(),
+            Key::Hashed(name) => self.hashed.get(name).copied(),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, key: Key<'a>, signal: Signal) {
+        #[cfg(test)]
+        self.probes.count(key);
+        match key {
+            Key::Slot(k) => {
+                if k >= self.nodes.len() {
+                    self.nodes.resize(k + 1, None);
+                }
+                self.nodes[k] = Some(signal);
+            }
+            Key::Hashed(name) => {
+                self.hashed.insert(name, signal);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Probes {
+    fn count(&mut self, key: Key<'_>) {
+        match key {
+            Key::Slot(_) => self.indexed += 1,
+            Key::Hashed(_) => self.hashed += 1,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::equiv::check_equivalence;
-    use proptest::{any, prop_assert_eq, proptest, ProptestConfig, TestRng};
+    use proptest::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig, TestRng};
 
     /// The `format!` renderer [`write_mig`] replaced, kept as its oracle.
     fn format_mig(mig: &Mig) -> String {
@@ -332,6 +581,110 @@ mod tests {
         out
     }
 
+    /// The line-by-line `str` parser [`parse_mig`] replaced, kept as its
+    /// oracle.
+    fn parse_mig_by_lines(text: &str) -> Result<Mig, ParseMigError> {
+        // Room for a node per `=` (each definition line has one), but no more
+        // than the text could define: the shortest definition line,
+        // `a=maj(b,c,d)` and its newline, takes 13 bytes, so neither blank
+        // lines nor a flood of `=` reserve more than the text's length allows.
+        let definitions = text.bytes().filter(|&b| b == b'=').count();
+        let capacity = definitions.min(text.len() / 13 + 1);
+        let mut mig = Mig::with_capacity(capacity);
+        // Keyed by slices of `text`: no line allocates. String keys keep the
+        // default SipHash (the text may come from an untrusted client); the
+        // one-word `hash::KeyedState` is only for the fixed-width strash keys.
+        let mut names: HashMap<&str, Signal> = HashMap::with_capacity(capacity);
+
+        let err = |line: usize, message: &str| ParseMigError {
+            line,
+            message: message.to_string(),
+        };
+
+        let resolve = |token: &str,
+                       names: &HashMap<&str, Signal>,
+                       line: usize|
+         -> Result<Signal, ParseMigError> {
+            let (compl, name) = match token.strip_prefix('!') {
+                Some(rest) => (true, rest),
+                None => (false, token),
+            };
+            let base = match name {
+                "0" => Signal::FALSE,
+                "1" => Signal::TRUE,
+                _ => *names
+                    .get(name)
+                    .ok_or_else(|| err(line, &format!("undefined signal `{name}`")))?,
+            };
+            Ok(base.complement_if(compl))
+        };
+
+        for (index, raw_line) in text.lines().enumerate() {
+            let line_no = index + 1;
+            let line = raw_line.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+
+            if let Some(rest) = keyword(line, "inputs") {
+                for name in rest.split_whitespace() {
+                    if names.contains_key(name) {
+                        return Err(err(line_no, &format!("duplicate input `{name}`")));
+                    }
+                    let s = mig.add_input(name);
+                    names.insert(name, s);
+                }
+            } else if let Some(rest) = keyword(line, "output") {
+                let mut parts = rest.splitn(2, '=');
+                let name = parts
+                    .next()
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .ok_or_else(|| err(line_no, "missing output name"))?;
+                let token = parts
+                    .next()
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .ok_or_else(|| err(line_no, "missing `=` in output"))?;
+                let signal = resolve(token, &names, line_no)?;
+                mig.add_output(name, signal);
+            } else if line.contains('=') {
+                let mut parts = line.splitn(2, '=');
+                let name = parts.next().unwrap().trim();
+                let body = parts.next().unwrap().trim();
+                if names.contains_key(name) {
+                    return Err(err(line_no, &format!("duplicate definition `{name}`")));
+                }
+                let inner = body
+                    .strip_prefix("maj(")
+                    .and_then(|s| s.strip_suffix(')'))
+                    .ok_or_else(|| err(line_no, "expected `maj(a, b, c)`"))?;
+                let mut tokens = inner.split(',').map(str::trim);
+                let (Some(a), Some(b), Some(c), None) =
+                    (tokens.next(), tokens.next(), tokens.next(), tokens.next())
+                else {
+                    return Err(err(line_no, "maj takes exactly three operands"));
+                };
+                let a = resolve(a, &names, line_no)?;
+                let b = resolve(b, &names, line_no)?;
+                let c = resolve(c, &names, line_no)?;
+                let signal = mig.maj(a, b, c);
+                names.insert(name, signal);
+            } else {
+                return Err(err(line_no, "unrecognized line"));
+            }
+        }
+        Ok(mig)
+    }
+
+    /// The rest of `line` after a leading `keyword`, if the keyword is a whole
+    /// token there: followed by whitespace or the end of the line, so that
+    /// `inputsx = …` and `output_q = …` define nodes.
+    fn keyword<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
+        let rest = line.strip_prefix(keyword)?;
+        (rest.is_empty() || rest.starts_with(char::is_whitespace)).then_some(rest)
+    }
+
     /// A random graph of up to `nodes` majority nodes over inputs whose
     /// names include the constants' spellings and a majority node's, with
     /// complemented and plain outputs on every kind of signal.
@@ -369,6 +722,297 @@ mod tests {
         fn write_mig_matches_the_format_oracle(seed in any::<u64>(), nodes in 0usize..200) {
             let mig = arbitrary_mig(&mut TestRng::new(seed), nodes);
             prop_assert_eq!(write_mig(&mig), format_mig(&mig));
+        }
+    }
+
+    /// Byte offsets of the tokens `n<digits>` in `text`.
+    fn node_name_spans(text: &str) -> Vec<(usize, usize)> {
+        let bytes = text.as_bytes();
+        let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+        let mut spans = Vec::new();
+        for start in 0..bytes.len() {
+            if bytes[start] != b'n' || (start > 0 && word(bytes[start - 1])) {
+                continue;
+            }
+            let end = start
+                + 1
+                + bytes[start + 1..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count();
+            if end > start + 1 && !bytes.get(end).is_some_and(|&b| word(b)) {
+                spans.push((start, end));
+            }
+        }
+        spans
+    }
+
+    /// One seeded edit of `text` aimed at one of the reader's rules.
+    fn mutate(text: &mut String, rng: &mut TestRng) {
+        let mut below = |n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
+        let boundaries: Vec<usize> = (0..=text.len())
+            .filter(|&i| text.is_char_boundary(i))
+            .collect();
+        let anywhere = boundaries[below(boundaries.len())];
+        let lines: Vec<(usize, usize)> = text
+            .match_indices('\n')
+            .scan(0, |start, (at, _)| {
+                let line = (*start, at + 1);
+                *start = at + 1;
+                Some(line)
+            })
+            .collect();
+        match below(12) {
+            0 => *text = text.replace('\n', "\r\n"),
+            1 => text.push('\r'),
+            2 => {
+                // Whitespace where a token starts or ends, line starts included.
+                const SPACES: [char; 6] = ['\t', '\u{b}', '\u{c}', '\u{a0}', '\u{3000}', ' '];
+                let b = text.as_bytes();
+                let edges: Vec<usize> = (0..=b.len())
+                    .filter(|&i| {
+                        i == 0
+                            || b"\n ,(=!".contains(&b[i - 1])
+                            || b.get(i).is_some_and(|c| b"\r\n ,)=".contains(c))
+                    })
+                    .collect();
+                let at = edges[below(edges.len())];
+                text.insert(at, SPACES[below(SPACES.len())]);
+            }
+            3 => text.insert(anywhere, '#'),
+            4 => {
+                // Respell a node name at one use, or at all of them.
+                let spans = node_name_spans(text);
+                if let Some(&(start, end)) = spans.get(below(spans.len())) {
+                    let old = text[start..end].to_string();
+                    let new = match below(5) {
+                        0 => "n0".to_string(),
+                        1 => format!("n0{}", &old[1..]),
+                        2 => format!("n{}", "9".repeat(20)),
+                        3 => format!("n{}", 4_294_967_296u64 + below(3) as u64),
+                        _ => "a".to_string(),
+                    };
+                    if below(2) == 0 {
+                        text.replace_range(start..end, &new);
+                    } else {
+                        for &(start, end) in spans.iter().rev() {
+                            if text[start..end] == old {
+                                text.replace_range(start..end, &new);
+                            }
+                        }
+                    }
+                }
+            }
+            5 => {
+                // A space inside a token.
+                let inner: Vec<usize> = (1..text.len())
+                    .filter(|&i| {
+                        let b = text.as_bytes();
+                        b[i - 1].is_ascii_alphanumeric() && b[i].is_ascii_alphanumeric()
+                    })
+                    .collect();
+                if let Some(&at) = inner.get(below(inner.len())) {
+                    text.insert(at, ' ');
+                }
+            }
+            6 => {
+                let closes: Vec<usize> = text.match_indices(')').map(|(at, _)| at).collect();
+                if let Some(&at) = closes.get(below(closes.len())) {
+                    text.remove(at);
+                }
+            }
+            7 => {
+                // Two operands: drop the one after a comma.
+                let commas: Vec<usize> = text.match_indices(',').map(|(at, _)| at).collect();
+                if let Some(&at) = commas.get(below(commas.len())) {
+                    let end = at + 1 + text[at + 1..].find([',', ')', '\n']).unwrap_or(0);
+                    text.replace_range(at..end, "");
+                }
+            }
+            8 => {
+                // Four operands.
+                let closes: Vec<usize> = text.match_indices(')').map(|(at, _)| at).collect();
+                if let Some(&at) = closes.get(below(closes.len())) {
+                    text.insert_str(at, [", 0", ", a", ", !n3"][below(3)]);
+                }
+            }
+            9 => {
+                // Names that start with a keyword, defined and used.
+                let name = ["inputsx", "output_q"][below(2)];
+                let spans = node_name_spans(text);
+                if let Some(&(start, end)) = spans.get(below(spans.len())) {
+                    let old = text[start..end].to_string();
+                    for &(start, end) in spans.iter().rev() {
+                        if text[start..end] == old {
+                            text.replace_range(start..end, name);
+                        }
+                    }
+                } else {
+                    text.insert_str(0, &format!("{name} = maj(0, 1, 1)\n"));
+                }
+            }
+            10 => {
+                // A duplicate line: an input list or a node definition.
+                if let Some(&(start, end)) = lines.get(below(lines.len())) {
+                    let line = text[start..end].to_string();
+                    text.insert_str(end, &line);
+                }
+            }
+            _ => {
+                // One more input: a node's name, an input's, or a fresh one.
+                if let Some(at) = text.find("inputs").map(|at| at + "inputs".len()) {
+                    let name = ["n3", "n5", "n05", "a", "i0", "fresh"][below(6)];
+                    text.insert_str(at, &format!(" {name}"));
+                }
+            }
+        }
+    }
+
+    /// [`write_mig`]'s text of a random graph after up to four edits.
+    fn mutated_text(seed: u64) -> String {
+        let mut rng = TestRng::new(seed);
+        let nodes = (rng.next_u64() % 40) as usize;
+        let mut text = write_mig(&arbitrary_mig(&mut rng, nodes));
+        for _ in 0..rng.next_u64() % 5 {
+            mutate(&mut text, &mut rng);
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass reader builds the graph the line-by-line parser
+        /// builds, or fails with its line and message.
+        #[test]
+        fn parse_mig_matches_the_line_parser_oracle(seed in any::<u64>()) {
+            let text = mutated_text(seed);
+            match (parse_mig(&text), parse_mig_by_lines(&text)) {
+                (Ok(read), Ok(oracle)) => prop_assert!(same_text(&read, &oracle), "{text:?}"),
+                (read, oracle) => prop_assert_eq!(read.map(|_| ()), oracle.map(|_| ()), "{text:?}"),
+            }
+        }
+    }
+
+    /// The mutated texts reach every outcome: some parse, and each of the
+    /// reader's diagnostics comes up.
+    #[test]
+    fn mutated_texts_reach_every_diagnostic() {
+        let mut parsed = 0;
+        let mut messages = std::collections::BTreeSet::new();
+        for seed in 0..2000 {
+            match parse_mig(&mutated_text(seed)) {
+                Ok(_) => parsed += 1,
+                Err(e) => {
+                    messages.insert(e.message.split(" `").next().unwrap().to_string());
+                }
+            }
+        }
+        assert!(parsed > 500, "{parsed} of 2000 parsed");
+        for message in [
+            "undefined signal",
+            "duplicate input",
+            "duplicate definition",
+            "expected",
+            "maj takes exactly three operands",
+            "unrecognized line",
+        ] {
+            assert!(
+                messages.contains(message),
+                "{message} not reached: {messages:?}"
+            );
+        }
+    }
+
+    /// Node names past what the text could number are hashed like any
+    /// other name, and the index stays within a bound of the text's size.
+    #[test]
+    fn hostile_node_names_are_hashed_and_the_index_stays_small() {
+        let text = "inputs a b n99999999999999999999\n\
+                    n4294967296 = maj(a, !b, n99999999999999999999)\n\
+                    n7 = maj(n4294967296, !a, 1)\n\
+                    output f = !n7\n\
+                    output g = n4294967296\n";
+        let mut reader = Reader::new(text);
+        reader.read().unwrap();
+        assert!(same_text(&reader.mig, &parse_mig_by_lines(text).unwrap()));
+        assert_eq!(reader.mig.num_majority_nodes(), 2);
+        assert!(reader.names.nodes.len() <= text.len() / 2 + 1);
+        assert_eq!(reader.names.nodes.len(), 8);
+        assert!(reader.names.hashed.contains_key("n4294967296"));
+        assert!(reader.names.hashed.contains_key("n99999999999999999999"));
+
+        // A name just inside the limit is indexed, one at it is not.
+        let limit = reader.names.limit;
+        assert!(matches!(reader.names.key("n1"), Key::Slot(1)));
+        assert!(matches!(
+            reader.names.key(&format!("n{}", limit - 1)),
+            Key::Slot(_)
+        ));
+        assert!(matches!(
+            reader.names.key(&format!("n{limit}")),
+            Key::Hashed(_)
+        ));
+        for name in ["n", "n05", "n00", "nx", "n1x", "m1", "n١"] {
+            assert!(matches!(reader.names.key(name), Key::Hashed(_)), "{name}");
+        }
+    }
+
+    /// Random logic of `nodes` majority nodes over 16 inputs `x<i>` with 8
+    /// outputs, in the layered, locality-biased shape of the suite's
+    /// seeded control logic: children come from the last few dozen signals.
+    fn layered_logic(seed: u64, nodes: usize) -> Mig {
+        let mut rng = TestRng::new(seed);
+        let mut below = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let mut mig = Mig::new();
+        let mut signals = mig.add_inputs("x", 16);
+        while mig.num_majority_nodes() < nodes {
+            let window = signals.len().min(48);
+            let mut pick =
+                || signals[signals.len() - 1 - below(window)].complement_if(below(3) == 0);
+            let (a, b, c) = (pick(), pick(), pick());
+            let c = if c.is_complemented() {
+                c
+            } else {
+                Signal::FALSE
+            };
+            signals.push(mig.maj(a, b, c));
+        }
+        for k in 0..8 {
+            mig.add_output(format!("f{k}"), signals[signals.len() - 1 - k]);
+        }
+        mig
+    }
+
+    /// The reader's name lookups, counted: at `n` and `4 n` nodes the only
+    /// hashed names are the inputs', defined once and looked up where
+    /// used; every node name goes through the index.
+    #[test]
+    fn only_input_names_are_hashed_at_every_size() {
+        for nodes in [1_000, 4_000] {
+            let mig = layered_logic(3, nodes);
+            let text = write_mig(&mig);
+            let mut reader = Reader::new(&text);
+            reader.read().unwrap();
+            assert!(same_text(&reader.mig, &mig));
+
+            let uses = |input: bool| {
+                let children = mig
+                    .majority_ids()
+                    .flat_map(|id| mig.node(id).children().unwrap().to_vec());
+                children
+                    .chain(mig.outputs().iter().map(|(_, s)| *s))
+                    .filter(|s| matches!(mig.node(s.node()), MigNode::Input(_)) == input)
+                    .filter(|s| !s.node().is_constant())
+                    .count()
+            };
+            // Each definition checks its name, then sets it.
+            let expected = Probes {
+                indexed: 2 * mig.num_majority_nodes() + uses(false),
+                hashed: 2 * mig.num_inputs() + uses(true),
+            };
+            assert_eq!(reader.names.probes, expected, "{nodes} nodes");
+            assert_eq!(reader.names.hashed.len(), mig.num_inputs());
         }
     }
 

@@ -339,9 +339,21 @@ pub fn check_emit(kind: &str, target: Target) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Returns [`check_emit`]'s message for a kind the target cannot print.
+/// Returns [`check_emit`]'s message for a kind the target cannot print,
+/// and refuses `mig` for a graph with an input or output name that the
+/// MIG text cannot carry ([`mig::io::ambiguous_name`]): printed, it would
+/// read back as another circuit or not at all.
 pub fn emit(kind: &str, artifacts: &Artifacts) -> Result<String, String> {
     check_emit(kind, artifacts.target)?;
+    if kind == "mig" {
+        if let Some(name) = mig::io::ambiguous_name(&artifacts.optimized) {
+            return Err(format!(
+                "--emit mig cannot print the name `{}`: the text would not read back \
+                 as the same circuit",
+                name.escape_debug()
+            ));
+        }
+    }
     Ok(match kind {
         "listing" => with_artifact(artifacts, |artifact| artifact.listing()),
         "stats" => with_artifact(artifacts, |artifact| artifact.stats_text()),

@@ -24,7 +24,7 @@
 //!
 //! Identical requests compile once through one mechanism, the
 //! single-flight table (the pattern of Go's `singleflight`): once a
-//! request's cache key is known, [`admit`] either answers it from the
+//! request's cache key is known, `admit` either answers it from the
 //! cache, attaches its `(conn, seq)` to the compile already running for
 //! that key, or makes it the key's leader. The leader compiles, fills the
 //! cache, and then answers itself and every request attached meanwhile.

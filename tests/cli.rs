@@ -230,6 +230,35 @@ fn user_errors_exit_one_with_a_one_line_diagnostic() {
     );
 }
 
+/// `--emit mig` refuses a name the MIG text cannot carry. AIGER inputs
+/// named `my input` and `0` would print as `inputs my input 0` with the
+/// constant where the input `0` was, text that reads back as another
+/// circuit or not at all; every other kind still prints.
+#[test]
+fn emit_mig_refuses_names_the_text_cannot_carry() {
+    let aag = b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 my input\ni1 0\no0 f\n";
+    let output = run_with_stdin(&["--format", "aag", "--emit", "mig", "-"], aag);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(output.stdout.is_empty());
+    assert_eq!(
+        stderr,
+        "plimc: --emit mig cannot print the name `my input`: the text would not read back as \
+         the same circuit\n"
+    );
+    let output = run_with_stdin(&["--format", "aag", "--emit", "stats", "-"], aag);
+    assert!(output.status.success());
+
+    // A plain name still prints, and the text reads back.
+    let plain = b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni1 b\no0 f\n";
+    let output = run_with_stdin(&["--format", "aag", "--emit", "mig", "-"], plain);
+    assert!(output.status.success());
+    let text = String::from_utf8(output.stdout).unwrap();
+    assert!(text.contains("inputs a b\n"), "{text}");
+    let output = run_with_stdin(&["--emit", "stats", "-"], text.as_bytes());
+    assert!(output.status.success());
+}
+
 /// A kind the target cannot print is refused before the input is read:
 /// on an input file that does not exist, the `--emit` diagnostic wins.
 #[test]
