@@ -448,9 +448,13 @@ impl<'a> Translator<'a> {
     /// Smart translation implementing the case analyses of §4.2.2.
     fn translate_smart(&mut self, id: NodeId, children: [Signal; 3]) {
         let (b, b_index) = self.select_operand_b(&children);
-        let rest: Vec<usize> = (0..3).filter(|&k| k != b_index).collect();
-        let (z, z_index) = self.select_destination_z(id, &children, [rest[0], rest[1]]);
-        let a_index = rest.into_iter().find(|&k| k != z_index).expect("one left");
+        let rest = match b_index {
+            0 => [1, 2],
+            1 => [0, 2],
+            _ => [0, 1],
+        };
+        let (z, z_index) = self.select_destination_z(id, &children, rest);
+        let a_index = if rest[0] == z_index { rest[1] } else { rest[0] };
         let a = self.select_operand_a(children[a_index]);
         self.finish_node(id, a, b, z);
     }
@@ -458,9 +462,15 @@ impl<'a> Translator<'a> {
     /// Selection of operand B, Fig. 5 cases (a)–(h). Returns the operand and
     /// the index of the child it covers.
     fn select_operand_b(&mut self, children: &[Signal; 3]) -> (Value, usize) {
-        let complemented: Vec<usize> = (0..3)
-            .filter(|&k| self.is_complemented_child(children[k]))
-            .collect();
+        let mut indices = [0usize; 3];
+        let mut count = 0;
+        for (k, &child) in children.iter().enumerate() {
+            if self.is_complemented_child(child) {
+                indices[count] = k;
+                count += 1;
+            }
+        }
+        let complemented = &indices[..count];
         let constant = (0..3).find(|&k| children[k].is_constant());
 
         match complemented.len() {

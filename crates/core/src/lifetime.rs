@@ -72,7 +72,7 @@ impl Lifetimes {
             if let MigNode::Majority(children) = mig.node(id) {
                 stack.push((id, true));
                 // Deepest child last on the stack ⇒ visited first.
-                let mut kids: Vec<NodeId> = children.iter().map(|c| c.node()).collect();
+                let mut kids = children.map(|c| c.node());
                 kids.sort_by_key(|n| levels[n.index()]);
                 for n in kids {
                     if postorder[n.index()] == u32::MAX {

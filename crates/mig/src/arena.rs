@@ -45,6 +45,17 @@
 //!   cycles therefore cost almost nothing. [`RewriteArena::profile`] counts
 //!   the sweeps run and skipped and the orders computed and reused.
 //!
+//! Only structure that is new gets hashed. [`Mig::maj`] hash-conses each
+//! node as a graph is parsed or built, and the arena keeps that work: when
+//! the import is the identity (inputs are nodes `1..=k`, every majority
+//! node is reachable, and the graph's table is built — the shape of every
+//! parsed suite circuit), [`RewriteArena::load`] adopts the graph's node
+//! table and copies its hash table. Any other input is imported node by
+//! node through the arena's hashing `maj`. [`RewriteArena::compact`]
+//! copies the live cone without hashing, and the result builds its table
+//! on first use. A compile through the arena therefore hash-conses each
+//! input node once, plus the nodes the passes create or re-strash.
+//!
 //! The arena itself is reusable: [`RewriteArena::rewrite_with_stats`] clears
 //! and refills the node table, hash map, and scratch buffers in place, so a
 //! driver compiling many circuits (the batch pipeline, the Table 1 harness)
@@ -72,7 +83,7 @@
 //! ```
 
 use crate::algebra::{find_shared_pair, invert_triple, trivial_triple};
-use crate::graph::Mig;
+use crate::graph::{canonical_table, push_canonical, Mig};
 use crate::hash::Strash;
 use crate::node::MigNode;
 use crate::rewrite::RewriteStats;
@@ -331,13 +342,19 @@ impl RewriteArena {
 
     /// Clears the arena (keeping its allocations) and imports the cone of
     /// `mig` reachable from the primary outputs.
+    ///
+    /// When the import is the identity — the inputs are nodes `1..=k`,
+    /// every majority node is reachable, and `mig` has built its
+    /// structural-hash table — the arena adopts `mig`'s node table and a
+    /// copy of its hash table. Any other input is imported through the
+    /// arena's own hashing `maj`, as the test reference arena
+    /// does with every input.
     pub fn load(&mut self, mig: &Mig) {
         self.nodes.clear();
         self.forward.clear();
         self.refcount.clear();
         self.dead_at.clear();
         self.mark.clear();
-        self.strash.clear();
         self.inputs.clear();
         self.input_names.clear();
         self.outputs.clear();
@@ -347,6 +364,66 @@ impl RewriteArena {
         self.live_majority = 0;
         self.profile = RewriteProfile::default();
 
+        if !(self.shortcuts() && self.adopt(mig)) {
+            self.import(mig);
+        }
+        self.peak_len = self.nodes.len();
+    }
+
+    /// Adopts `mig`'s node and hash tables when the import is the identity
+    /// (see [`load`](Self::load)); otherwise leaves the arena empty and
+    /// returns `false`.
+    fn adopt(&mut self, mig: &Mig) -> bool {
+        let Some(strash) = mig.built_strash() else {
+            return false;
+        };
+        let first_majority = 1 + mig.num_inputs();
+        let dense = mig
+            .inputs()
+            .iter()
+            .enumerate()
+            .all(|(k, id)| id.index() == 1 + k);
+        if !dense {
+            return false;
+        }
+        // A node's references are its fanout. In a topological table every
+        // majority node is reachable exactly when each has a reference:
+        // the last unreachable one would have none.
+        let nodes = mig.node_table();
+        self.refcount.resize(nodes.len(), 0);
+        for node in nodes {
+            if let MigNode::Majority(children) = node {
+                for child in children {
+                    self.refcount[child.node().index()] += 1;
+                }
+            }
+        }
+        for (_, signal) in mig.outputs() {
+            self.refcount[signal.node().index()] += 1;
+        }
+        if self.refcount[first_majority..].contains(&0) {
+            self.refcount.clear();
+            return false;
+        }
+
+        self.nodes.extend_from_slice(nodes);
+        self.forward
+            .extend((0..nodes.len()).map(|index| Signal::new(NodeId::from_index(index), false)));
+        self.dead_at.resize(nodes.len(), LIVE);
+        self.mark.resize(nodes.len(), 0);
+        self.strash.clone_from(strash);
+        self.inputs.extend_from_slice(mig.inputs());
+        self.input_names
+            .extend((0..mig.num_inputs()).map(|k| mig.input_name(k).to_string()));
+        self.outputs.extend_from_slice(mig.outputs());
+        self.live_majority = nodes.len() - first_majority;
+        true
+    }
+
+    /// Imports the reachable cone of `mig` node by node through the
+    /// hashing `maj`.
+    fn import(&mut self, mig: &Mig) {
+        self.strash.clear();
         self.push_node(MigNode::Constant);
         for k in 0..mig.num_inputs() {
             let id = self.push_node(MigNode::Input(k as u32));
@@ -382,20 +459,23 @@ impl RewriteArena {
         // (their only would-be parent simplified away); reclaim them so the
         // fanout counts the passes rely on match the live cone exactly.
         self.collect_unreferenced();
-        self.peak_len = self.nodes.len();
     }
 
-    /// The single end-of-rewrite compaction: rebuilds the live cone into a
+    /// The single end-of-rewrite compaction: copies the live cone into a
     /// fresh canonical [`Mig`] (children before parents, dead slots and
     /// forward pointers dropped). All primary inputs are preserved.
+    ///
+    /// Nothing is hashed. The live nodes' resolved triples are canonical:
+    /// a sweep normalizes every node it reaches and merges it into any
+    /// structural twin. Numbering them afresh maps distinct nodes to
+    /// distinct ones, so sorting each mapped triple keeps the copy
+    /// canonical. The result builds its hash table on first use.
     pub fn compact(&mut self) -> Mig {
-        let mut result = Mig::with_capacity(self.live_majority);
+        let mut nodes = canonical_table(self.inputs.len(), self.live_majority);
         self.scratch_map.clear();
         self.scratch_map.resize(self.nodes.len(), Signal::FALSE);
-        for k in 0..self.inputs.len() {
-            let id = self.inputs[k];
-            let signal = result.add_input(self.input_names[k].clone());
-            self.scratch_map[id.index()] = signal;
+        for (k, id) in self.inputs.iter().enumerate() {
+            self.scratch_map[id.index()] = Signal::new(NodeId::from_index(1 + k), false);
         }
 
         self.compute_topo_order();
@@ -410,20 +490,18 @@ impl RewriteArena {
                 mapped[k] = self.scratch_map[resolved.node().index()]
                     .complement_if(resolved.is_complemented());
             }
-            let signal = result.maj(mapped[0], mapped[1], mapped[2]);
-            self.scratch_map[id.index()] = signal;
+            self.scratch_map[id.index()] = push_canonical(&mut nodes, mapped);
         }
         self.order = order;
 
+        let mut outputs = Vec::with_capacity(self.outputs.len());
         for k in 0..self.outputs.len() {
-            let signal = self.outputs[k].1;
-            let resolved = self.resolve(signal);
+            let resolved = self.resolve(self.outputs[k].1);
             let mapped =
                 self.scratch_map[resolved.node().index()].complement_if(resolved.is_complemented());
-            let name = self.outputs[k].0.clone();
-            result.add_output(name, mapped);
+            outputs.push((self.outputs[k].0.clone(), mapped));
         }
-        result
+        Mig::from_canonical(nodes, self.input_names.clone(), outputs)
     }
 
     // -----------------------------------------------------------------
@@ -894,7 +972,8 @@ impl RewriteArena {
 mod tests {
     use super::*;
     use crate::equiv::check_equivalence;
-    use crate::io::write_mig;
+    use crate::hash::Strash;
+    use crate::io::{parse_mig, write_mig};
     use crate::rewrite::{rewrite_rebuild, rewrite_rebuild_with_stats};
     use crate::simulate::XorShift64;
     use proptest::prelude::*;
@@ -908,6 +987,45 @@ mod tests {
                 ..RewriteArena::new()
             }
         }
+    }
+
+    /// `f`'s result and the strash inserts it made.
+    fn inserts_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = Strash::inserts();
+        let result = f();
+        (result, Strash::inserts() - before)
+    }
+
+    /// `mig` written and parsed back: inputs first, every majority node
+    /// reachable, the hash table built by the parser — the shape of every
+    /// parsed suite circuit.
+    fn parsed(mig: &Mig) -> Mig {
+        parse_mig(&write_mig(&mig.cleaned())).expect("write_mig text parses")
+    }
+
+    /// Loads `mig` into a fresh arena, checks whether the import adopted
+    /// its tables (it hashes nothing then), and checks the rewrite against
+    /// the reference arena, which always hashes.
+    fn assert_load_matches_the_reference(mig: &Mig, adopts: bool) {
+        let mut fast = RewriteArena::new();
+        let ((), load_inserts) = inserts_of(|| fast.load(mig));
+        assert_eq!(load_inserts == 0, adopts, "{load_inserts} inserts on load");
+        let mut slow = RewriteArena::reference();
+        slow.load(mig);
+        assert_eq!(fast.len(), slow.len());
+        assert_eq!(fast.live_majority_count(), slow.live_majority_count());
+        assert_eq!(write_mig(&fast.compact()), write_mig(&slow.compact()));
+
+        let (fast_out, fast_stats) = fast.rewrite_with_stats(mig, 4);
+        let (slow_out, slow_stats) = slow.rewrite_with_stats(mig, 4);
+        assert_eq!(write_mig(&fast_out), write_mig(&slow_out));
+        assert_eq!(fast_stats, slow_stats);
+        assert_eq!(fast.len(), slow.len());
+        for idx in 0..fast.len() {
+            let id = NodeId::from_index(idx);
+            assert_eq!(fast.died_in_generation(id), slow.died_in_generation(id));
+        }
+        assert_equivalent(mig, &fast_out);
     }
 
     fn assert_equivalent(a: &Mig, b: &Mig) {
@@ -1259,6 +1377,88 @@ mod tests {
         assert_eq!(arena.live_majority_count(), 1);
     }
 
+    /// A parsed graph is adopted as it is; a graph with a dangling node, an
+    /// input declared after a majority node, or no hash table built yet is
+    /// imported node by node. Every branch matches the reference arena.
+    #[test]
+    fn load_adopts_only_identity_imports() {
+        let dense = parsed(&adder(5));
+        assert_load_matches_the_reference(&dense, true);
+        assert_load_matches_the_reference(&adder(5), true);
+        // A canonical copy builds its table on first use, not on load.
+        assert_load_matches_the_reference(&adder(5).cleaned(), false);
+
+        let mut dangling = adder(3);
+        let [x, y] = [dangling.inputs()[0], dangling.inputs()[3]].map(|id| Signal::new(id, false));
+        dangling.maj(x, !y, Signal::TRUE);
+        assert_load_matches_the_reference(&dangling, false);
+
+        let mut late_input = Mig::new();
+        let [a, b, c] = late_input.add_inputs("x", 3)[..] else {
+            unreachable!()
+        };
+        let m = late_input.maj(!a, !b, c);
+        let d = late_input.add_input("late");
+        let top = late_input.maj(m, d, !a);
+        late_input.add_output("f", top);
+        late_input.add_output("g", !m);
+        assert_load_matches_the_reference(&late_input, false);
+    }
+
+    /// A compile hashes each node once, when it is parsed: loading a parsed
+    /// graph, compacting, and the canonical copies hash nothing.
+    #[test]
+    fn load_compact_and_copies_insert_nothing() {
+        let dense = parsed(&random_mig(7, 8, 300));
+        let mut arena = RewriteArena::new();
+        let ((), load) = inserts_of(|| arena.load(&dense));
+        assert_eq!(load, 0, "load hashed an identity import");
+        let (compacted, compact) = inserts_of(|| arena.compact());
+        assert_eq!(compact, 0, "compact hashed");
+        assert_eq!(compacted.num_majority_nodes(), dense.num_majority_nodes());
+
+        let source = random_mig(11, 6, 200);
+        let (cleaned, clean) = inserts_of(|| source.cleaned());
+        let (levelized, level) = inserts_of(|| source.levelized());
+        assert_eq!((clean, level), (0, 0), "a canonical copy hashed");
+        assert_equivalent(&source, &cleaned);
+        assert_equivalent(&source, &levelized);
+
+        let (_, rewrite) = inserts_of(|| arena.rewrite_with_stats(&dense, 4));
+        let (_, reference) = inserts_of(|| RewriteArena::reference().rewrite_with_stats(&dense, 4));
+        assert!(
+            rewrite + dense.num_majority_nodes() <= reference,
+            "the rewrite hashed {rewrite}, the reference {reference}"
+        );
+    }
+
+    /// A copied graph builds its table on first use: `find_maj` then finds
+    /// every node, and `maj` of an existing triple returns that node
+    /// without growing the graph.
+    #[test]
+    fn copied_graphs_find_every_node() {
+        let source = random_mig(3, 7, 250);
+        let mut arena = RewriteArena::new();
+        for copy in [
+            arena.rewrite(&source, 4),
+            source.cleaned(),
+            source.levelized(),
+        ] {
+            let mut grown = copy.clone();
+            for (k, id) in copy.majority_ids().enumerate() {
+                let [a, b, c] = *copy.node(id).children().expect("majority node");
+                let node = Some(Signal::new(id, false));
+                let (found, inserts) = inserts_of(|| copy.find_maj(c, a, b));
+                assert_eq!(found, node);
+                let expected = if k == 0 { copy.num_majority_nodes() } else { 0 };
+                assert_eq!(inserts, expected, "only the first probe indexes the nodes");
+                assert_eq!(Some(grown.maj(b, c, a)), node);
+            }
+            assert_eq!(grown.len(), copy.len());
+            assert_eq!(write_mig(&grown), write_mig(&copy));
+        }
+    }
+
     /// A seeded random MIG that gives every pass work: random majority
     /// nodes over recent signals with random complements, plus planted
     /// distributivity (`⟨⟨x y u⟩ ⟨x y v⟩ z⟩`) and associativity
@@ -1318,8 +1518,13 @@ mod tests {
             let steps = if cfg!(debug_assertions) { size } else { 20 * size };
             let mut fast = RewriteArena::new();
             let mut slow = RewriteArena::reference();
-            for round in 0..2u64 {
-                let mig = random_mig(seed ^ round, 3 + (seed + round) as usize % 10, steps);
+            for round in 0..4u64 {
+                // Odd rounds load a parsed copy, which the fast arena adopts.
+                let mig = random_mig(seed ^ (round / 2), 3 + (seed + round / 2) as usize % 10, steps);
+                let mig = if round % 2 == 1 { parsed(&mig) } else { mig };
+                if round % 2 == 1 {
+                    prop_assert_eq!(inserts_of(|| fast.load(&mig)).1, 0);
+                }
                 let (fast_out, fast_stats) = fast.rewrite_with_stats(&mig, effort);
                 let (slow_out, slow_stats) = slow.rewrite_with_stats(&mig, effort);
                 prop_assert_eq!(write_mig(&fast_out), write_mig(&slow_out));

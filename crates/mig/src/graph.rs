@@ -1,6 +1,7 @@
 //! The Majority-Inverter Graph.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::hash::Strash;
 use crate::node::MigNode;
@@ -19,6 +20,15 @@ use crate::signal::{NodeId, Signal};
 ///   `⟨x x y⟩ = x` and `⟨x x̄ y⟩ = y`;
 /// * structural hashing guarantees that no two majority nodes have the same
 ///   (sorted) child triple.
+///
+/// Only [`Mig::maj`] hashes. A graph made by [`Mig::new`] or
+/// [`Mig::with_capacity`] (the builders, [`parse_mig`](crate::io::parse_mig))
+/// keeps its structural-hash table from the start. A copied graph —
+/// [`Mig::cleaned`], [`Mig::levelized`] and the rewrite arena's compaction —
+/// maps a canonical graph node for node, so it keeps the invariants without
+/// hashing and builds its table on first use, by the first `maj` or
+/// [`Mig::find_maj`]. A compile that never probes the result hash-conses
+/// each node once, when it is parsed or built.
 ///
 /// Complement placement is **not** canonicalized: `⟨x̄ ȳ z̄⟩` and `!⟨x y z⟩`
 /// are distinct structures. This is deliberate — the PLiM compiler's cost
@@ -44,8 +54,16 @@ pub struct Mig {
     inputs: Vec<NodeId>,
     input_names: Vec<String>,
     outputs: Vec<(String, Signal)>,
-    strash: Strash,
+    /// Index of the majority nodes by child triple; built on first use in
+    /// a copied graph.
+    strash: OnceLock<Strash>,
 }
+
+/// The batch shares `&Mig` across worker threads.
+const _: fn() = || {
+    fn send_and_sync<T: Send + Sync>() {}
+    send_and_sync::<Mig>();
+};
 
 impl Mig {
     /// Creates an empty graph containing only the constant node.
@@ -55,7 +73,7 @@ impl Mig {
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
-            strash: Strash::default(),
+            strash: OnceLock::from(Strash::default()),
         }
     }
 
@@ -68,7 +86,7 @@ impl Mig {
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
-            strash: Strash::with_capacity(nodes),
+            strash: OnceLock::from(Strash::with_capacity(nodes)),
         }
     }
 
@@ -123,12 +141,14 @@ impl Mig {
             return x;
         }
 
-        if let Some(id) = self.strash.get(children) {
+        self.strash.get_or_init(|| Strash::index(&self.nodes));
+        let strash = self.strash.get_mut().expect("built above");
+        if let Some(id) = strash.get(children) {
             return Signal::new(id, false);
         }
         let id = NodeId::from_index(self.nodes.len());
+        strash.insert(children, id);
         self.nodes.push(MigNode::Majority(children));
-        self.strash.insert(children, id);
         Signal::new(id, false)
     }
 
@@ -143,7 +163,10 @@ impl Mig {
         if x.node() == y.node() || y.node() == z.node() {
             return None;
         }
-        self.strash.get(children).map(|id| Signal::new(id, false))
+        self.strash
+            .get_or_init(|| Strash::index(&self.nodes))
+            .get(children)
+            .map(|id| Signal::new(id, false))
     }
 
     /// `a ∧ b`, built as `⟨0 a b⟩`.
@@ -337,44 +360,13 @@ impl Mig {
     /// the primary outputs ("dangling" nodes are removed). All primary inputs
     /// are kept to preserve the interface.
     pub fn cleaned(&self) -> Mig {
-        let mut result = Mig::with_capacity(self.num_majority_nodes());
-        let mut map: Vec<Option<Signal>> = vec![None; self.nodes.len()];
-        map[0] = Some(Signal::FALSE);
-        for (&id, name) in self.inputs.iter().zip(&self.input_names) {
-            map[id.index()] = Some(result.add_input(name.clone()));
-        }
-
         let reachable = self.reachable_mask();
-
-        for id in self.node_ids() {
-            if !reachable[id.index()] {
-                continue;
-            }
-            if let MigNode::Majority(children) = self.node(id) {
-                let mapped: Vec<Signal> = children
-                    .iter()
-                    .map(|c| {
-                        map[c.node().index()]
-                            .expect("children precede parents")
-                            .complement_if(c.is_complemented())
-                    })
-                    .collect();
-                let s = result.maj(mapped[0], mapped[1], mapped[2]);
-                map[id.index()] = Some(s);
-            }
-        }
-
-        for (name, signal) in &self.outputs {
-            let mapped = map[signal.node().index()]
-                .expect("output cone is reachable")
-                .complement_if(signal.is_complemented());
-            result.add_output(name.clone(), mapped);
-        }
-        result
+        let order = self
+            .node_ids()
+            .filter(|id| reachable[id.index()] && self.node(*id).is_majority());
+        self.copied_in(order, self.num_majority_nodes())
     }
-}
 
-impl Mig {
     /// Returns a copy of this graph with majority nodes stored in
     /// *levelized* order: all level-1 nodes first, then level 2, and so on
     /// (ties broken by original index). Dangling nodes are removed.
@@ -394,32 +386,143 @@ impl Mig {
             .filter(|id| reachable[id.index()] && self.node(*id).is_majority())
             .collect();
         order.sort_by_key(|id| (levels[id.index()], id.index()));
+        let len = order.len();
+        self.copied_in(order, len)
+    }
 
-        let mut result = Mig::with_capacity(order.len());
+    /// A copy of this graph with its inputs first and then the majority
+    /// nodes of `order` (a topological order of `count` of them that
+    /// includes the output cone), without hashing: the copy maps distinct
+    /// nodes to distinct nodes, so its triples stay distinct and
+    /// irreducible, and sorting each mapped triple keeps it canonical.
+    fn copied_in(&self, order: impl IntoIterator<Item = NodeId>, count: usize) -> Mig {
+        let mut nodes = canonical_table(self.inputs.len(), count);
         let mut map: Vec<Option<Signal>> = vec![None; self.nodes.len()];
         map[0] = Some(Signal::FALSE);
-        for (&id, name) in self.inputs.iter().zip(&self.input_names) {
-            map[id.index()] = Some(result.add_input(name.clone()));
+        for (k, &id) in self.inputs.iter().enumerate() {
+            map[id.index()] = Some(Signal::new(NodeId::from_index(1 + k), false));
         }
         for id in order {
             let children = self.node(id).children().expect("majority nodes only");
-            let mapped: Vec<Signal> = children
-                .iter()
-                .map(|c| {
-                    map[c.node().index()]
-                        .expect("children are on lower levels")
-                        .complement_if(c.is_complemented())
-                })
-                .collect();
-            map[id.index()] = Some(result.maj(mapped[0], mapped[1], mapped[2]));
+            let mapped = children.map(|c| {
+                map[c.node().index()]
+                    .expect("children precede parents")
+                    .complement_if(c.is_complemented())
+            });
+            map[id.index()] = Some(push_canonical(&mut nodes, mapped));
         }
-        for (name, signal) in &self.outputs {
-            let mapped = map[signal.node().index()]
-                .expect("output cone is reachable")
-                .complement_if(signal.is_complemented());
-            result.add_output(name.clone(), mapped);
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|(name, signal)| {
+                let mapped = map[signal.node().index()]
+                    .expect("output cone is reachable")
+                    .complement_if(signal.is_complemented());
+                (name.clone(), mapped)
+            })
+            .collect();
+        Mig::from_canonical(nodes, self.input_names.clone(), outputs)
+    }
+
+    /// A graph over a node table that is canonical by construction. The
+    /// table holds the constant, one input node per name, then majority
+    /// nodes whose children precede them, each triple sorted, irreducible
+    /// by Ω.M and unlike every other. Nothing is hashed: the graph builds
+    /// its structural-hash table on first use.
+    ///
+    /// Every build checks that no triple is Ω.M-reducible; debug builds
+    /// also check the order, the sorting and that no triple repeats.
+    pub(crate) fn from_canonical(
+        nodes: Vec<MigNode>,
+        input_names: Vec<String>,
+        outputs: Vec<(String, Signal)>,
+    ) -> Mig {
+        let majority = 1 + input_names.len();
+        for node in &nodes[majority..] {
+            let MigNode::Majority([x, y, z]) = node else {
+                panic!("canonical table: {node:?} after the inputs");
+            };
+            assert!(
+                x.node() != y.node() && y.node() != z.node(),
+                "canonical table: ⟨{x} {y} {z}⟩ is Ω.M-reducible"
+            );
         }
-        result
+        #[cfg(debug_assertions)]
+        check_canonical(&nodes, majority, &outputs);
+        Mig {
+            nodes,
+            inputs: (1..majority).map(NodeId::from_index).collect(),
+            input_names,
+            outputs,
+            strash: OnceLock::new(),
+        }
+    }
+
+    /// The node table, for the rewrite arena's import.
+    pub(crate) fn node_table(&self) -> &[MigNode] {
+        &self.nodes
+    }
+
+    /// The structural-hash table, if it has been built.
+    pub(crate) fn built_strash(&self) -> Option<&Strash> {
+        self.strash.get()
+    }
+}
+
+/// The start of a canonical node table: the constant and `inputs` input
+/// nodes, with room for `majority` majority nodes.
+pub(crate) fn canonical_table(inputs: usize, majority: usize) -> Vec<MigNode> {
+    let mut nodes = Vec::with_capacity(1 + inputs + majority);
+    nodes.push(MigNode::Constant);
+    nodes.extend((0..inputs as u32).map(MigNode::Input));
+    nodes
+}
+
+/// Appends the majority node over `children` to a canonical table and
+/// returns its signal. Only the sorting is left of [`Mig::maj`]'s work:
+/// the caller maps a canonical graph injectively.
+#[inline]
+pub(crate) fn push_canonical(nodes: &mut Vec<MigNode>, mut children: [Signal; 3]) -> Signal {
+    children.sort_unstable();
+    let id = NodeId::from_index(nodes.len());
+    nodes.push(MigNode::Majority(children));
+    Signal::new(id, false)
+}
+
+/// The debug check behind [`Mig::from_canonical`].
+#[cfg(debug_assertions)]
+fn check_canonical(nodes: &[MigNode], majority: usize, outputs: &[(String, Signal)]) {
+    assert_eq!(nodes[0], MigNode::Constant, "canonical table: node 0");
+    for (k, node) in nodes[1..majority].iter().enumerate() {
+        assert_eq!(
+            *node,
+            MigNode::Input(k as u32),
+            "canonical table: input {k}"
+        );
+    }
+    let mut seen = std::collections::HashSet::with_capacity(nodes.len() - majority);
+    for (index, node) in nodes.iter().enumerate().skip(majority) {
+        let MigNode::Majority(children) = node else {
+            unreachable!("checked by the caller");
+        };
+        assert!(
+            children[0] < children[1] && children[1] < children[2],
+            "canonical table: node {index} is not sorted"
+        );
+        assert!(
+            children[2].node().index() < index,
+            "canonical table: node {index} precedes a child"
+        );
+        assert!(
+            seen.insert(*children),
+            "canonical table: node {index} repeats a triple"
+        );
+    }
+    for (name, signal) in outputs {
+        assert!(
+            signal.node().index() < nodes.len(),
+            "canonical table: output {name} is out of range"
+        );
     }
 }
 
@@ -592,6 +695,47 @@ mod tests {
         let x = mig.xor3(a, b, c);
         mig.add_output("s", x);
         assert_eq!(mig.num_majority_nodes(), 3);
+    }
+
+    /// A two-input canonical table with `triples` as its majority nodes.
+    fn canonical_graph(triples: &[[Signal; 3]]) -> Mig {
+        let mut nodes = canonical_table(2, triples.len());
+        nodes.extend(triples.iter().map(|&t| MigNode::Majority(t)));
+        Mig::from_canonical(nodes, vec!["a".into(), "b".into()], Vec::new())
+    }
+
+    fn input(k: usize) -> Signal {
+        Signal::new(NodeId::from_index(1 + k), false)
+    }
+
+    #[test]
+    fn the_canonical_constructor_takes_a_canonical_table() {
+        let (a, b) = (input(0), input(1));
+        let mig = canonical_graph(&[[Signal::FALSE, a, b], [Signal::TRUE, a, !b]]);
+        assert_eq!(mig.num_majority_nodes(), 2);
+        assert_eq!(
+            mig.inputs(),
+            &[NodeId::from_index(1), NodeId::from_index(2)]
+        );
+        assert_eq!(
+            mig.find_maj(b, a, Signal::FALSE),
+            Some(Signal::new(NodeId::from_index(3), false))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is Ω.M-reducible")]
+    fn the_canonical_constructor_refuses_a_reducible_triple() {
+        let (a, b) = (input(0), input(1));
+        canonical_graph(&[[a, !a, b]]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "repeats a triple")]
+    fn the_canonical_constructor_refuses_a_duplicated_triple() {
+        let (a, b) = (input(0), input(1));
+        canonical_graph(&[[Signal::FALSE, a, b], [Signal::FALSE, a, b]]);
     }
 
     #[test]

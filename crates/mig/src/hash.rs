@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 
+use crate::node::MigNode;
 use crate::signal::{NodeId, Signal};
 
 /// Odd constant (the fractional bits of π) that keeps the high-word
@@ -133,12 +134,36 @@ impl Hash for Triple {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Strash(HashMap<Triple, NodeId, KeyedState>);
 
+#[cfg(test)]
+thread_local! {
+    /// Strash inserts made on this thread, so a test can count the hashing
+    /// of the code it calls.
+    static INSERTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl Strash {
     pub(crate) fn with_capacity(capacity: usize) -> Strash {
         Strash(HashMap::with_capacity_and_hasher(
             capacity,
             KeyedState::new(),
         ))
+    }
+
+    /// The table of every majority node of a canonical node table.
+    pub(crate) fn index(nodes: &[MigNode]) -> Strash {
+        let mut strash = Strash::with_capacity(nodes.len());
+        for (index, node) in nodes.iter().enumerate() {
+            if let MigNode::Majority(children) = node {
+                strash.insert(*children, NodeId::from_index(index));
+            }
+        }
+        strash
+    }
+
+    /// Inserts made on the calling thread so far.
+    #[cfg(test)]
+    pub(crate) fn inserts() -> usize {
+        INSERTS.with(|count| count.get())
     }
 
     #[inline]
@@ -148,6 +173,8 @@ impl Strash {
 
     #[inline]
     pub(crate) fn insert(&mut self, children: [Signal; 3], node: NodeId) {
+        #[cfg(test)]
+        INSERTS.with(|count| count.set(count.get() + 1));
         self.0.insert(Triple(children), node);
     }
 
