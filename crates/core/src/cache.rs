@@ -24,11 +24,11 @@
 
 use std::collections::HashMap;
 
-/// 128-bit FNV-1a over a byte string — the hash used for exact-text
-/// content addressing (the service's first-level index maps
-/// `hash(source)` to the canonical structural key, skipping the parser
-/// for byte-identical resubmissions). Re-exported from [`mig::canon`] so
-/// every content-addressing layer shares one implementation.
+/// 128-bit FNV-1a over a byte string — the unkeyed hash of the values
+/// that must agree across processes (store checksums, the options
+/// fingerprint). Re-exported from [`mig::canon`] so those layers share one
+/// implementation; text a client chooses is hashed with the keyed
+/// [`mig::hash::TextHash`] instead.
 pub use mig::canon::fnv128;
 
 /// Content address of one cached compile result.

@@ -25,8 +25,13 @@
 //! assert_eq!(value.get("rams").and_then(Value::as_u64), Some(12));
 //! ```
 
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
 use std::fmt::Write as _;
+
+#[cfg(test)]
+mod oracle;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +77,7 @@ impl Value {
     /// grammar; duplicate keys within one object are rejected.
     pub fn parse(text: &str) -> Result<Value, ParseJsonError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -98,7 +104,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Number(n) => write_number(*n, out),
-            Value::String(s) => write_string(s, out),
+            Value::String(s) => write_str(s, out),
             Value::Array(items) => {
                 out.push('[');
                 for (index, item) in items.iter().enumerate() {
@@ -110,16 +116,11 @@ impl Value {
                 out.push(']');
             }
             Value::Object(members) => {
-                out.push('{');
-                for (index, (key, value)) in members.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
+                let mut object = ObjectWriter::new(out);
+                for (key, value) in members {
+                    object.member(key, value);
                 }
-                out.push('}');
+                object.finish();
             }
         }
     }
@@ -185,6 +186,15 @@ impl Value {
             .map(|(_, v)| v)
     }
 
+    /// Looks up a key in an object for changing its value in place, for
+    /// instance to move a large string out with [`std::mem::take`].
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        match self {
+            Value::Object(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Builds an object from `(key, value)` pairs, preserving order.
     pub fn object(members: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
         Value::Object(
@@ -218,25 +228,136 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `text` as a JSON string literal: quoted, with `"`, `\` and the
+/// control characters escaped (`\n`, `\r`, `\t`, else `\u00xx`).
+///
+/// Everything between two such bytes is copied in one run, the string
+/// scanning of Langdale and Lemire's "Parsing Gigabytes of JSON per
+/// Second" without the SIMD: plimd's responses carry listings of tens of
+/// kilobytes whose only escapes are their line ends.
+fn write_str(text: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(text.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let bytes = text.as_bytes();
+    let mut start = 0;
+    loop {
+        // A run ends at an ASCII byte or at the end, so both ends of the
+        // slice are char boundaries.
+        let end = start + plain_run(&bytes[start..]);
+        out.push_str(&text[start..end]);
+        let Some(&byte) = bytes.get(end) else {
+            break;
+        };
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xF)]));
             }
-            c => out.push(c),
         }
+        start = end + 1;
     }
     out.push('"');
 }
 
+/// Writes one JSON object member by member, byte for byte as
+/// [`Value::to_json`] writes the same members, for a caller that holds a
+/// large string it should not first copy into a [`Value`].
+///
+/// ```
+/// use plim_compiler::json::{ObjectWriter, Value};
+///
+/// let mut line = String::new();
+/// let mut object = ObjectWriter::new(&mut line);
+/// object.member("ok", &Value::Bool(true)).str_member("output", "a\nb");
+/// object.finish();
+/// assert_eq!(line, r#"{"ok":true,"output":"a\nb"}"#);
+/// ```
+#[derive(Debug)]
+pub struct ObjectWriter<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl<'o> ObjectWriter<'o> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'o mut String) -> ObjectWriter<'o> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Appends the member `key: value`.
+    pub fn member(&mut self, key: &str, value: &Value) -> &mut Self {
+        self.key(key);
+        value.write(self.out);
+        self
+    }
+
+    /// Appends the member `key: text`, a string, without copying `text`
+    /// into a [`Value`].
+    pub fn str_member(&mut self, key: &str, text: &str) -> &mut Self {
+        self.key(key);
+        write_str(text, self.out);
+        self
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(key, self.out);
+        self.out.push(':');
+    }
+}
+
+/// The length of the prefix of `bytes` that a JSON string holds verbatim:
+/// the offset of the first `"`, `\` or control byte (below 0x20), or the
+/// length when there is none. Scans a word of eight bytes per step.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight-byte chunk"));
+        let quote = word ^ (ONES * u64::from(b'"'));
+        let backslash = word ^ (ONES * u64::from(b'\\'));
+        // `(x - ONES) & !x & HIGHS` flags the zero bytes of `x`, and
+        // `(x - 0x20 * ONES) & !x & HIGHS` the bytes below 0x20. A borrow
+        // can flag a byte above a true hit but never one below it, so the
+        // lowest flag is exact. Bytes from 0x80 up (all of UTF-8's
+        // multi-byte sequences) are never flagged.
+        let hits = (quote.wrapping_sub(ONES) & !quote
+            | backslash.wrapping_sub(ONES) & !backslash
+            | word.wrapping_sub(ONES * 0x20) & !word)
+            & HIGHS;
+        if hits != 0 {
+            return offset + (hits.trailing_zeros() / 8) as usize;
+        }
+        offset += 8;
+    }
+    let tail = words.remainder();
+    offset
+        + tail
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(tail.len())
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
@@ -248,7 +369,12 @@ struct Parser<'a> {
 /// process. 128 matches serde_json's default.
 const MAX_DEPTH: u32 = 128;
 
-impl Parser<'_> {
+/// Objects up to this many members check a new key for a duplicate by
+/// scanning the members; larger ones index their keys in a hash set, so an
+/// object of n keys costs O(n) and not O(n²).
+const SCANNED_KEYS: usize = 8;
+
+impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> ParseJsonError {
         ParseJsonError {
             at: self.pos,
@@ -288,7 +414,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.nested(Parser::object),
             Some(b'[') => self.nested(Parser::array),
-            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'n') => self.keyword("null", Value::Null),
@@ -316,6 +442,9 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Value, ParseJsonError> {
         self.expect(b'{')?;
         let mut members: Vec<(String, Value)> = Vec::new();
+        // Filled once the object outgrows `SCANNED_KEYS`; a key without
+        // escapes borrows the input.
+        let mut keys: HashSet<Cow<'a, str>> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -325,7 +454,15 @@ impl Parser<'_> {
             self.skip_ws();
             let key_at = self.pos;
             let key = self.string()?;
-            if members.iter().any(|(k, _)| *k == key) {
+            let duplicate = if members.len() < SCANNED_KEYS {
+                members.iter().any(|(k, _)| *k == key)
+            } else {
+                if keys.is_empty() {
+                    keys.extend(members.iter().map(|(k, _)| Cow::Owned(k.clone())));
+                }
+                !keys.insert(key.clone())
+            };
+            if duplicate {
                 return Err(ParseJsonError {
                     at: key_at,
                     message: format!("duplicate key \"{key}\""),
@@ -335,7 +472,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            members.push((key, value));
+            members.push((key.into_owned(), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -371,92 +508,87 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseJsonError> {
+    /// A string literal, copied run by run: everything up to the next `"`,
+    /// `\` or control byte at once. The input is a `&str`, so no UTF-8 is
+    /// checked again, and a run ends on a char boundary (at an ASCII byte).
+    /// A string without escapes borrows the input.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseJsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut decoded: Option<String> = None;
+        let mut start = self.pos;
         loop {
-            let Some(byte) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match byte {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(escape) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
+            self.pos += plain_run(&self.bytes[self.pos..]);
+            let run = &self.text[start..self.pos];
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let unit = self.hex4()?;
-                            // Combine a UTF-16 surrogate pair when the lead
-                            // half is immediately followed by `\uXXXX`.
-                            let c = if (0xD800..0xDC00).contains(&unit) {
-                                if self.peek() == Some(b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let trail = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&trail) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let code = 0x10000
-                                        + ((unit as u32 - 0xD800) << 10)
-                                        + (trail as u32 - 0xDC00);
-                                    char::from_u32(code)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else {
-                                char::from_u32(unit as u32)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid \\u escape")),
-                            }
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
                         }
-                        other => {
-                            self.pos -= 1;
-                            return Err(
-                                self.err(format!("unsupported escape `\\{}`", other as char))
-                            );
-                        }
-                    }
+                    });
                 }
-                b if b < 0x20 => {
-                    self.pos -= 1;
-                    return Err(self.err("unescaped control character in string"));
+                Some(b'\\') => {
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.pos += 1;
+                    self.escape(out)?;
+                    start = self.pos;
                 }
-                _ => {
-                    // Re-assemble the full UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = utf8_len(byte);
-                    let end = start + len;
-                    if len == 0 || end > self.bytes.len() {
-                        self.pos = start;
-                        return Err(self.err("invalid UTF-8 in string"));
-                    }
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => {
-                            out.push_str(s);
-                            self.pos = end;
-                        }
-                        Err(_) => {
-                            self.pos = start;
-                            return Err(self.err("invalid UTF-8 in string"));
-                        }
-                    }
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
+    }
+
+    /// Decodes the escape after a `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseJsonError> {
+        let Some(escape) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        match escape {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let unit = self.hex4()?;
+                // Combine a UTF-16 surrogate pair when the lead half is
+                // immediately followed by `\uXXXX`.
+                let c = if (0xD800..0xDC00).contains(&unit) {
+                    if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
+                        self.pos += 2;
+                        let trail = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&trail) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        let code =
+                            0x10000 + ((unit as u32 - 0xD800) << 10) + (trail as u32 - 0xDC00);
+                        char::from_u32(code)
+                    } else {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                } else {
+                    char::from_u32(unit as u32)
+                };
+                match c {
+                    Some(c) => out.push(c),
+                    None => return Err(self.err("invalid \\u escape")),
+                }
+            }
+            other => {
+                self.pos -= 1;
+                return Err(self.err(format!("unsupported escape `\\{}`", other as char)));
+            }
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u16, ParseJsonError> {
@@ -484,7 +616,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Number(n)),
             _ => {
@@ -495,20 +627,11 @@ impl Parser<'_> {
     }
 }
 
-/// Length of the UTF-8 sequence introduced by `byte` (0 for invalid leads).
-fn utf8_len(byte: u8) -> usize {
-    match byte {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     #[test]
     fn parses_scalars() {
@@ -665,5 +788,276 @@ mod tests {
     #[test]
     fn raw_newlines_in_strings_are_rejected() {
         assert!(Value::parse("\"line\nbreak\"").is_err());
+    }
+
+    /// Text the codec treats specially, drawn far more often than its
+    /// share of real text: the quote, the backslash, control bytes and
+    /// DEL, two- to four-byte chars, and plain runs of several lengths.
+    const PIECES: &[&str] = &[
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{8}",
+        "\u{c}",
+        "\u{1b}",
+        "\u{1f}",
+        "\u{7f}",
+        "¬",
+        "←",
+        "\u{1D11E}",
+        "\u{1F600}",
+        "a",
+        "0, 1, @X1",
+        "a plain run of text that spans several words",
+    ];
+
+    /// What may follow a `\` inside a literal: every valid escape, paired,
+    /// unpaired and reversed surrogates, and malformed ones.
+    const ESCAPES: &[&str] = &[
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\u0041",
+        "\\u00e9",
+        "\\u20AC",
+        "\\u0000",
+        "\\u001f",
+        "\\ud834\\udd1e",
+        "\\uD83D\\uDE00",
+        "\\ud834",
+        "\\ud834x",
+        "\\ud834\\u0041",
+        "\\ud834\\n",
+        "\\udc00",
+        "\\udd1e\\ud834",
+        "\\u12",
+        "\\u12g4",
+        "\\u+041",
+        "\\q",
+        "\\",
+    ];
+
+    fn pick<'t>(rng: &mut TestRng, items: &[&'t str]) -> &'t str {
+        items[rng.next_u64() as usize % items.len()]
+    }
+
+    /// A string of up to `max` pieces, with any control byte as a piece.
+    fn arbitrary_text(rng: &mut TestRng, max: u64) -> String {
+        let mut text = String::new();
+        for _ in 0..rng.next_u64() % (max + 1) {
+            if rng.next_u64().is_multiple_of(8) {
+                text.push(char::from((rng.next_u64() % 0x20) as u8));
+            } else {
+                text.push_str(pick(rng, PIECES));
+            }
+        }
+        text
+    }
+
+    /// A string literal as a client might write it: escapes valid or not,
+    /// raw text (control bytes included), sometimes unterminated.
+    fn arbitrary_literal(rng: &mut TestRng) -> String {
+        let mut literal = String::from("\"");
+        for _ in 0..rng.next_u64() % 8 {
+            match rng.next_u64() % 3 {
+                0 => literal.push_str(pick(rng, ESCAPES)),
+                1 => literal.push_str(&arbitrary_text(rng, 3).replace('"', "")),
+                _ => write_str(&arbitrary_text(rng, 4), &mut literal),
+            }
+        }
+        if !rng.next_u64().is_multiple_of(16) {
+            literal.push('"');
+        }
+        literal
+    }
+
+    /// A document of nested containers whose object keys repeat often
+    /// (`a` also spelled `\u0061`), in objects both below and above the
+    /// size where the duplicate check switches to a hash set.
+    fn arbitrary_document(rng: &mut TestRng, depth: u32, out: &mut String) {
+        const KEYS: &[&str] = &["\"a\"", "\"\\u0061\"", "\"b\"", "\"\u{1D11E}\"", "\"\""];
+        const SCALARS: &[&str] = &["0", "-1.5e2", "12", "1.2.3", "--5", "true", "null", "fals"];
+        match rng.next_u64() % if depth == 0 { 2 } else { 4 } {
+            0 => out.push_str(&arbitrary_literal(rng)),
+            1 => out.push_str(pick(rng, SCALARS)),
+            2 => {
+                out.push('[');
+                for index in 0..rng.next_u64() % 4 {
+                    if index > 0 {
+                        out.push(',');
+                    }
+                    arbitrary_document(rng, depth - 1, out);
+                }
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                let members = rng.next_u64() % (2 * SCANNED_KEYS as u64 + 4);
+                for index in 0..members {
+                    if index > 0 {
+                        out.push_str(", ");
+                    }
+                    if rng.next_u64().is_multiple_of(4) {
+                        out.push_str(pick(rng, KEYS));
+                    } else {
+                        let _ = write!(out, "\"k{}\"", rng.next_u64() % 64);
+                    }
+                    out.push(':');
+                    arbitrary_document(rng, depth - 1, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Cuts or splices a document at a char boundary, so the parsers meet
+    /// truncated and garbled input.
+    fn mutate(rng: &mut TestRng, document: &mut String) {
+        if document.is_empty() {
+            return;
+        }
+        let mut at = rng.next_u64() as usize % document.len();
+        while !document.is_char_boundary(at) {
+            at -= 1;
+        }
+        match rng.next_u64() % 3 {
+            0 => document.truncate(at),
+            1 => document.insert_str(at, pick(rng, PIECES)),
+            _ => document.insert_str(at, pick(rng, ESCAPES)),
+        }
+    }
+
+    /// Cases per property: the release-mode CI step runs 40 times more.
+    fn codec_cases() -> ProptestConfig {
+        ProptestConfig::with_cases(if cfg!(debug_assertions) { 512 } else { 20_480 })
+    }
+
+    proptest! {
+        #![proptest_config(codec_cases())]
+
+        /// Run-copying encodes byte for byte like the char-at-a-time
+        /// writer, and its output decodes back to the string.
+        #[test]
+        fn encoding_matches_the_char_oracle(seed in any::<u64>()) {
+            let rng = &mut TestRng::new(seed);
+            let text = arbitrary_text(rng, 24);
+            let value = Value::Array(vec![
+                Value::string(text.clone()),
+                Value::Object(vec![(text.clone(), Value::Number(0.5))]),
+            ]);
+            let json = value.to_json();
+            prop_assert_eq!(&json, &oracle::to_json(&value));
+            prop_assert_eq!(Value::parse(&json), Ok(value));
+            let mut literal = String::new();
+            write_str(&text, &mut literal);
+            prop_assert_eq!(Value::parse(&literal), Ok(Value::String(text)));
+        }
+
+        /// Run-copying decodes every document, well-formed or not, to the
+        /// char-at-a-time parser's value or to its error, offset included.
+        #[test]
+        fn decoding_matches_the_char_oracle(seed in any::<u64>()) {
+            let rng = &mut TestRng::new(seed);
+            let mut document = String::new();
+            arbitrary_document(rng, 3, &mut document);
+            for _ in 0..2 {
+                prop_assert_eq!(Value::parse(&document), oracle::parse(&document), "{}", document);
+                mutate(rng, &mut document);
+            }
+        }
+
+        /// Flat objects of up to 40 members, their keys (some spelled with
+        /// an escape) drawn from 48, so the hash-set duplicate check meets
+        /// repeats at every position past its first members.
+        #[test]
+        fn large_objects_find_the_duplicates_the_char_oracle_finds(seed in any::<u64>()) {
+            let rng = &mut TestRng::new(seed);
+            let mut document = String::from("{");
+            for index in 0..rng.next_u64() % 41 {
+                if index > 0 {
+                    document.push(',');
+                }
+                let key = rng.next_u64() % 48;
+                if rng.next_u64().is_multiple_of(4) {
+                    let _ = write!(document, "\"\\u006b{key}\":{index}");
+                } else {
+                    let _ = write!(document, "\"k{key}\":{index}");
+                }
+            }
+            document.push('}');
+            prop_assert_eq!(Value::parse(&document), oracle::parse(&document), "{}", document);
+        }
+    }
+
+    #[test]
+    fn the_word_scan_finds_each_special_byte_at_each_offset() {
+        for special in (0u8..0x20).chain([b'"', b'\\']) {
+            for len in 0..20 {
+                for at in 0..len {
+                    let mut bytes = vec![b'x'; len];
+                    bytes[at] = special;
+                    assert_eq!(plain_run(&bytes), at, "{special:#x} at {at} of {len}");
+                }
+                assert_eq!(plain_run(&vec![b'x'; len]), len);
+            }
+        }
+        // Bytes next to the special ones, and every UTF-8 byte, run on.
+        let plain: Vec<u8> = (b' '..=0xFF)
+            .filter(|b| !matches!(b, b'"' | b'\\'))
+            .collect();
+        assert_eq!(plain_run(&plain), plain.len());
+    }
+
+    /// The duplicate check is linear: 200,000 keys took minutes when each
+    /// new key was compared with every earlier one.
+    #[test]
+    fn objects_of_many_keys_decode_in_linear_time() {
+        const KEYS: usize = 200_000;
+        let mut text = String::from("{");
+        for key in 0..KEYS {
+            let _ = write!(text, "\"k{key}\":{key},");
+        }
+        text.push_str("\"last\":0}");
+        let value = Value::parse(&text).unwrap();
+        assert_eq!(value.as_object().map(<[_]>::len), Some(KEYS + 1));
+        assert_eq!(value.get("k199999").and_then(Value::as_u64), Some(199_999));
+
+        // The duplicate as the last key is found, at its own offset, also
+        // when spelled with an escape.
+        let at = text.len() - "\"last\":0}".len();
+        for spelling in ["\"k7\"", "\"\\u006b7\""] {
+            let duplicated = format!("{}{spelling}:0}}", &text[..at]);
+            let err = Value::parse(&duplicated).unwrap_err();
+            assert_eq!(err.message, "duplicate key \"k7\"");
+            assert_eq!(err.at, at);
+        }
+    }
+
+    #[test]
+    fn object_writer_matches_the_value_writer() {
+        let members = vec![
+            ("ok".to_string(), Value::Bool(true)),
+            ("n".to_string(), Value::number(7)),
+            ("text".to_string(), Value::string("line\\n\"quoted\"\\u{1}")),
+        ];
+        let mut line = String::new();
+        let mut object = ObjectWriter::new(&mut line);
+        object
+            .member("ok", &Value::Bool(true))
+            .member("n", &Value::number(7));
+        object.str_member("text", "line\\n\"quoted\"\\u{1}");
+        object.finish();
+        assert_eq!(line, Value::Object(members).to_json());
+        let mut empty = String::from("[");
+        ObjectWriter::new(&mut empty).finish();
+        assert_eq!(empty, "[{}");
     }
 }

@@ -102,9 +102,12 @@ impl Mixer {
 }
 
 /// Plain 128-bit FNV-1a over a byte string — the primitive the digest's
-/// internal mixer builds on, exported so every content-addressing layer
-/// (e.g. the compile service's exact-text index) shares one
-/// implementation and one set of constants.
+/// internal mixer builds on, exported for the values that must be the same
+/// in every process: the artifact store's file checksums, the request
+/// options fingerprint of the cache key, and `perfbench`'s input and output
+/// digests. It is unkeyed, so text a client
+/// chooses is indexed with the keyed [`TextHash`](crate::hash::TextHash)
+/// instead.
 pub fn fnv128(bytes: &[u8]) -> u128 {
     let mut hash = FNV_OFFSET;
     for &byte in bytes {

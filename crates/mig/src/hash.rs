@@ -9,11 +9,14 @@
 //! standard library's [`RandomState`], so an input cannot be crafted to
 //! collide without knowing the key.
 //!
-//! Only fixed-width keys use it, each hashed as one packed word. Tables
-//! keyed by strings keep SipHash, which is built for variable-length
-//! input: [`parse_mig`](crate::io::parse_mig) keeps input names, and every
-//! name but the canonical node names `n<k>` it looks up by number, in a
-//! SipHash map, since its text may come from a client. Every
+//! Fixed-width keys hash as one packed word. Tables keyed by short strings
+//! keep SipHash, which is built for variable-length input:
+//! [`parse_mig`](crate::io::parse_mig) keeps input names, and every name
+//! but the canonical node names `n<k>` it looks up by number, in a SipHash
+//! map, since its text may come from a client. Whole documents, such as the
+//! circuit texts `plimd` indexes, are hashed by [`TextHash`]: two
+//! independently keyed lanes of the same folded multiply over 16-byte
+//! words, for a 128-bit value no client can aim a collision at. Every
 //! table here was randomly keyed before, too, so no output can depend on
 //! iteration order.
 
@@ -98,17 +101,69 @@ impl Hasher for KeyedHasher {
     /// Byte strings are folded in 16-byte words; fixed-width keys never
     /// come through here.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(16) {
-            let mut word = [0u8; 16];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u128(u128::from_le_bytes(word));
-        }
-        self.write_u128(bytes.len() as u128);
+        for_each_word(bytes, |word| self.write_u128(word));
     }
 
     #[inline]
     fn finish(&self) -> u64 {
         self.acc
+    }
+}
+
+/// Feeds `bytes` to `fold` as little-endian 16-byte words, the last one
+/// padded with zeros, then the length as one more word.
+#[inline]
+fn for_each_word(bytes: &[u8], mut fold: impl FnMut(u128)) {
+    let mut words = bytes.chunks_exact(16);
+    for word in &mut words {
+        fold(u128::from_le_bytes(word.try_into().expect("16-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 16];
+        word[..tail.len()].copy_from_slice(tail);
+        fold(u128::from_le_bytes(word));
+    }
+    fold(bytes.len() as u128);
+}
+
+/// A keyed 128-bit hash of whole byte strings: two [`KeyedState`] lanes
+/// with independent random keys fold every 16-byte word in one pass, one
+/// multiply per lane and word.
+///
+/// It identifies texts a client sends (`plimd`'s index from a circuit's
+/// text to its digest) where an unkeyed hash such as FNV-1a would let a
+/// client craft a text that collides with another's entry. The keys are
+/// drawn per value, so hashes differ between processes and must never be
+/// stored.
+#[derive(Clone, Copy, Default)]
+pub struct TextHash {
+    lanes: [KeyedState; 2],
+}
+
+impl TextHash {
+    /// A hash with two fresh random keys.
+    pub fn new() -> TextHash {
+        TextHash {
+            lanes: [KeyedState::new(), KeyedState::new()],
+        }
+    }
+
+    /// The 128-bit hash of `bytes`.
+    pub fn hash(&self, bytes: &[u8]) -> u128 {
+        let [mut low, mut high] = self.lanes.map(|lane| lane.build_hasher());
+        for_each_word(bytes, |word| {
+            low.write_u128(word);
+            high.write_u128(word);
+        });
+        u128::from(high.finish()) << 64 | u128::from(low.finish())
+    }
+}
+
+/// The keys stay out of debug output.
+impl fmt::Debug for TextHash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TextHash").finish_non_exhaustive()
     }
 }
 
@@ -198,6 +253,35 @@ mod tests {
         let (one, two) = (KeyedState::new(), KeyedState::new());
         assert_ne!(one.key, two.key);
         assert_ne!(one.hash_one(12345u128), two.hash_one(12345u128));
+    }
+
+    #[test]
+    fn text_hashes_are_keyed_and_see_every_byte_and_the_length() {
+        let (one, two) = (TextHash::new(), TextHash::new());
+        let text = b"inputs a b c\nn1 = maj(a, b, c)\noutput f = n1\n";
+        assert_eq!(one.hash(text), one.hash(text));
+        assert_ne!(one.hash(text), two.hash(text));
+        // Both halves are keyed apart.
+        let hash = one.hash(text);
+        assert_ne!(hash as u64, (hash >> 64) as u64);
+        // Each byte of each word, the padded tail and the length count.
+        let mut seen = HashSet::new();
+        for len in 0..=text.len() {
+            assert!(seen.insert(one.hash(&text[..len])), "prefix {len}");
+            for at in 0..len {
+                let mut flipped = text[..len].to_vec();
+                flipped[at] ^= 1;
+                assert!(seen.insert(one.hash(&flipped)), "byte {at} of {len}");
+            }
+        }
+        assert_ne!(one.hash(&[0; 15]), one.hash(&[0; 16]));
+        // The std hasher path folds the same words.
+        let state = KeyedState::new();
+        let mut a = state.build_hasher();
+        a.write(text);
+        let mut b = state.build_hasher();
+        for_each_word(text, |word| b.write_u128(word));
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

@@ -52,11 +52,14 @@
 //! object.
 
 use plim_compiler::cache::{fnv128, CacheKey, CacheStats};
-use plim_compiler::json::Value;
+use plim_compiler::json::{ObjectWriter, Value};
 use plim_compiler::store::StoreCounters;
 use plim_compiler::CompilerOptions;
 
 use crate::pipeline::{self, CompileSpec, InputFormat};
+
+#[cfg(test)]
+mod oracle;
 
 /// The one protocol version this build speaks and sends.
 pub const PROTOCOL_VERSION: u64 = 2;
@@ -206,18 +209,24 @@ impl Request {
                 ("op", Value::string("shutdown")),
             ])
             .to_json(),
-            Request::Compile(compile) => Value::object([
-                ("v", Value::number(PROTOCOL_VERSION)),
-                ("op", Value::string("compile")),
-                ("format", Value::string(compile.format.name())),
-                ("source", Value::string(compile.source.clone())),
-                ("effort", Value::number(compile.spec.effort as u64)),
-                ("extended", Value::Bool(compile.spec.extended)),
-                ("options", Value::string(compile.spec.options.spec())),
-                ("emit", Value::string(compile.emit.clone())),
-                ("verify", Value::Bool(compile.spec.verify)),
-            ])
-            .to_json(),
+            // Written member by member, so the source is escaped straight
+            // from the request instead of being copied into a `Value`.
+            Request::Compile(compile) => {
+                let mut line = String::with_capacity(compile.source.len() + 192);
+                let mut object = ObjectWriter::new(&mut line);
+                object
+                    .member("v", &Value::number(PROTOCOL_VERSION))
+                    .str_member("op", "compile")
+                    .str_member("format", compile.format.name())
+                    .str_member("source", &compile.source)
+                    .member("effort", &Value::number(compile.spec.effort as u64))
+                    .member("extended", &Value::Bool(compile.spec.extended))
+                    .str_member("options", &compile.spec.options.spec())
+                    .str_member("emit", &compile.emit)
+                    .member("verify", &Value::Bool(compile.spec.verify));
+                object.finish();
+                line
+            }
         }
     }
 
@@ -229,7 +238,7 @@ impl Request {
     /// a missing or unsupported `v`, an unknown `op`, a missing `source`,
     /// or invalid field values.
     pub fn decode(line: &str) -> Result<Request, WireError> {
-        let value =
+        let mut value =
             Value::parse(line.trim()).map_err(|e| bad_request(format!("bad request JSON: {e}")))?;
         match value.get("v") {
             Some(v) if v.as_u64() == Some(PROTOCOL_VERSION) => {}
@@ -246,7 +255,7 @@ impl Request {
         match value.get("op").and_then(Value::as_str) {
             Some("stats") => Ok(Request::Stats),
             Some("shutdown") => Ok(Request::Shutdown),
-            Some("compile") => compile_from(&value)
+            Some("compile") => compile_from(&mut value)
                 .map(Request::Compile)
                 .map_err(bad_request),
             Some(other) => Err(WireError::new(
@@ -264,14 +273,11 @@ fn bad_request(message: impl Into<String>) -> WireError {
 
 /// The fields of a `compile` request, checked with
 /// [`pipeline::check_spec`] and [`pipeline::check_emit`] so that a
-/// request the pipeline would refuse never reaches a compile.
-fn compile_from(value: &Value) -> Result<CompileRequest, String> {
+/// request the pipeline would refuse never reaches a compile. The source
+/// is moved out of `value`, not copied.
+fn compile_from(value: &mut Value) -> Result<CompileRequest, String> {
     let mut request = CompileRequest {
-        source: value
-            .get("source")
-            .and_then(Value::as_str)
-            .ok_or("compile request is missing field 'source'")?
-            .to_string(),
+        source: take_string(value, "source").ok_or("compile request is missing field 'source'")?,
         ..CompileRequest::default()
     };
     if let Some(format) = value.get("format") {
@@ -305,6 +311,15 @@ fn compile_from(value: &Value) -> Result<CompileRequest, String> {
     pipeline::check_spec(&request.spec)?;
     pipeline::check_emit(&request.emit, request.spec.options.target)?;
     Ok(request)
+}
+
+/// Moves the string member `name` out of an object, leaving an empty
+/// string behind; `None` when the member is absent or not a string.
+fn take_string(value: &mut Value, name: &str) -> Option<String> {
+    match value.get_mut(name)? {
+        Value::String(text) => Some(std::mem::take(text)),
+        _ => None,
+    }
 }
 
 /// The payload of a `stats` response.
@@ -375,17 +390,18 @@ impl Response {
                 Value::object([("ok", Value::Bool(true)), ("op", Value::string("shutdown"))])
                     .to_json()
             }
-            Response::Compile(compile) => Value::object([
-                ("ok", Value::Bool(true)),
-                ("op", Value::string("compile")),
-                ("cached", Value::Bool(compile.cached)),
-                ("key", Value::string(compile.key.clone())),
-                ("instructions", Value::number(compile.instructions)),
-                ("rams", Value::number(compile.rams)),
-                ("max_cell_writes", Value::number(compile.max_cell_writes)),
-                ("output", Value::string(compile.output.clone())),
-            ])
-            .to_json(),
+            Response::Compile(compile) => {
+                let mut line = String::new();
+                let quality = [compile.instructions, compile.rams, compile.max_cell_writes];
+                write_compile(
+                    &mut line,
+                    compile.cached,
+                    &compile.key,
+                    quality,
+                    &compile.output,
+                );
+                line
+            }
             Response::Stats(stats) => {
                 let targets: Vec<Value> = stats
                     .targets
@@ -426,7 +442,7 @@ impl Response {
     /// Returns a one-line message for malformed JSON or a response shape
     /// this client does not understand.
     pub fn from_json(line: &str) -> Result<Response, String> {
-        let value = Value::parse(line.trim()).map_err(|e| format!("bad response JSON: {e}"))?;
+        let mut value = Value::parse(line.trim()).map_err(|e| format!("bad response JSON: {e}"))?;
         let ok = value
             .get("ok")
             .and_then(Value::as_bool)
@@ -451,30 +467,35 @@ impl Response {
         match op {
             "shutdown" => Ok(Response::Shutdown),
             "compile" => {
-                let field = |name: &str| {
-                    value
-                        .get(name)
-                        .ok_or_else(|| format!("compile response is missing field '{name}'"))
+                let missing = |name: &str| format!("compile response is missing field '{name}'");
+                let field = |name: &str| value.get(name).ok_or_else(|| missing(name));
+                let cached = field("cached")?
+                    .as_bool()
+                    .ok_or("'cached' must be a boolean")?;
+                let key = field("key")?
+                    .as_str()
+                    .ok_or("'key' must be a string")?
+                    .to_string();
+                let instructions = field("instructions")?
+                    .as_u64()
+                    .ok_or("'instructions' must be a number")?;
+                let rams = field("rams")?.as_u64().ok_or("'rams' must be a number")?;
+                let max_cell_writes = field("max_cell_writes")?
+                    .as_u64()
+                    .ok_or("'max_cell_writes' must be a number")?;
+                // The artifact text is moved out of the parsed line.
+                let output = match value.get_mut("output") {
+                    None => return Err(missing("output")),
+                    Some(Value::String(output)) => std::mem::take(output),
+                    Some(_) => return Err("'output' must be a string".to_string()),
                 };
                 Ok(Response::Compile(CompileResponse {
-                    cached: field("cached")?
-                        .as_bool()
-                        .ok_or("'cached' must be a boolean")?,
-                    key: field("key")?
-                        .as_str()
-                        .ok_or("'key' must be a string")?
-                        .to_string(),
-                    instructions: field("instructions")?
-                        .as_u64()
-                        .ok_or("'instructions' must be a number")?,
-                    rams: field("rams")?.as_u64().ok_or("'rams' must be a number")?,
-                    max_cell_writes: field("max_cell_writes")?
-                        .as_u64()
-                        .ok_or("'max_cell_writes' must be a number")?,
-                    output: field("output")?
-                        .as_str()
-                        .ok_or("'output' must be a string")?
-                        .to_string(),
+                    cached,
+                    key,
+                    instructions,
+                    rams,
+                    max_cell_writes,
+                    output,
                 }))
             }
             "stats" => {
@@ -528,6 +549,34 @@ impl Response {
             other => Err(format!("unknown response op `{other}`")),
         }
     }
+}
+
+/// Writes one compile response (no newline) from its parts: the layout of
+/// [`Response::to_json`] for a compile, which the daemon also writes
+/// straight from a cached artifact, escaping its text once and copying it
+/// nowhere else. `quality` is `[instructions, rams, max_cell_writes]`.
+pub(crate) fn write_compile(
+    out: &mut String,
+    cached: bool,
+    key: &str,
+    quality: [u64; 3],
+    output: &str,
+) {
+    let [instructions, rams, max_cell_writes] = quality;
+    // Listings escape one line end per 15-20 bytes; one reservation
+    // covers that.
+    out.reserve(output.len() + output.len() / 8 + 192);
+    let mut object = ObjectWriter::new(out);
+    object
+        .member("ok", &Value::Bool(true))
+        .str_member("op", "compile")
+        .member("cached", &Value::Bool(cached))
+        .str_member("key", key)
+        .member("instructions", &Value::number(instructions))
+        .member("rams", &Value::number(rams))
+        .member("max_cell_writes", &Value::number(max_cell_writes))
+        .str_member("output", output);
+    object.finish();
 }
 
 /// Builds the full cache key of a compile request given the graph digest.
@@ -868,5 +917,200 @@ mod tests {
             .target(Target::parse("ambit").expect("built-in target"))
             .rewrite(RewriteMode::Egraph);
         assert_eq!(optimized.fingerprint(), 0xe4dc_4e57_8d06_8de1);
+    }
+
+    /// Real request and response lines: suite circuits as MIG text and as
+    /// AIGER under several specs, their listings, and the other ops.
+    fn real_lines() -> &'static (Vec<String>, Vec<String>) {
+        static LINES: std::sync::OnceLock<(Vec<String>, Vec<String>)> = std::sync::OnceLock::new();
+        LINES.get_or_init(|| {
+            use plim_benchmarks::suite::{build, Scale};
+            use plim_compiler::{OptLevel, Target};
+            let mut requests = vec![Request::Stats, Request::Shutdown];
+            let mut responses = vec![
+                Response::Shutdown,
+                Response::Error(WireError::new(
+                    ErrorCode::ParseError,
+                    "mig: line 3: unknown node \"n7\"\t(¬ ← \u{1D11E} \u{1})",
+                )),
+                Response::Stats(ServiceStats {
+                    queue_depth: 1,
+                    cache: CacheStats {
+                        hits: 5,
+                        misses: 2,
+                        evictions: 0,
+                        bytes: 4096,
+                        entries: 2,
+                    },
+                    targets: vec!["rm3".to_string(), "ambit".to_string()],
+                    store: Some(StoreCounters::default()),
+                }),
+            ];
+            for (index, name) in ["ctrl", "dec", "int2float", "i2c"].into_iter().enumerate() {
+                let mig = build(name, Scale::Reduced).expect("suite circuit");
+                let mut request = CompileRequest {
+                    source: mig::io::write_mig(&mig),
+                    ..CompileRequest::default()
+                };
+                let artifacts =
+                    pipeline::execute(&mig, &request.spec).expect("suite circuits verify");
+                let stats = &artifacts.compilation.compiled.stats;
+                responses.push(Response::Compile(CompileResponse {
+                    cached: index % 2 == 0,
+                    key: cache_key(mig::canon::structural_digest(&mig), &request).hex(),
+                    instructions: stats.instructions as u64,
+                    rams: u64::from(stats.rams),
+                    max_cell_writes: stats.max_cell_writes,
+                    output: pipeline::emit("listing", &artifacts).expect("listing"),
+                }));
+                requests.push(Request::Compile(request.clone()));
+                request.format = InputFormat::Aag;
+                request.source = mig::aiger::write_aiger(&mig);
+                request.spec.options = request
+                    .spec
+                    .options
+                    .opt(OptLevel::O2)
+                    .target(Target::parse("ambit").expect("built-in target"));
+                request.spec.effort = index;
+                request.emit = "stats".to_string();
+                requests.push(Request::Compile(request));
+            }
+            (
+                requests.iter().map(Request::to_json).collect(),
+                responses.iter().map(Response::to_json).collect(),
+            )
+        })
+    }
+
+    /// Edits that reach the decoders' error paths: cut lines, raw and
+    /// escaped specials, changed or repeated fields, other ops and shapes.
+    const SPLICES: &[&str] = &[
+        "\"",
+        "\\",
+        "\n",
+        "\u{1}",
+        "¬",
+        "\\u0000",
+        "\\ud834",
+        "\\udd1e\\ud834",
+        "\\u00e9",
+        "\\q",
+        "}",
+        "{",
+        ",",
+        "null",
+        r#","source":"x""#,
+        r#","source":7"#,
+        r#","v":1"#,
+        r#","v":2"#,
+        r#","op":"stats""#,
+        r#","op":"frobnicate""#,
+        r#","ok":false"#,
+        r#","error":{"code":"internal","message":"m"}"#,
+        r#","output":3"#,
+        r#","effort":-1"#,
+        r#","options":"bogus""#,
+        r#","emit":"png""#,
+        r#","format":"blif""#,
+        r#","targets":[1]"#,
+        r#","store":{}"#,
+    ];
+
+    /// Values a member can be given in place of its own.
+    const VALUES: &[&str] = &[
+        "2",
+        "-1",
+        "0.5",
+        "null",
+        "true",
+        "[1]",
+        "{}",
+        r#""x""#,
+        r#""compile""#,
+        r#""stats""#,
+        r#""\u0000""#,
+    ];
+
+    fn mutate(rng: &mut proptest::TestRng, line: &mut String) {
+        let mut pick = |items: &[&'static str]| items[rng.next_u64() as usize % items.len()];
+        let (splice, value) = (pick(SPLICES), pick(VALUES));
+        let mut at = rng.next_u64() as usize % (line.len() + 1);
+        while !line.is_char_boundary(at) {
+            at -= 1;
+        }
+        // Where the members of the line's objects start: `,"` and `{"`
+        // never occur inside a string, whose quotes are escaped.
+        let members: Vec<usize> = line
+            .match_indices('"')
+            .map(|(at, _)| at)
+            .filter(|&at| at > 0 && matches!(line.as_bytes()[at - 1], b',' | b'{'))
+            .collect();
+        let member = members.get(rng.next_u64() as usize % members.len().max(1));
+        // A member's value runs from its `":` to the next member or the
+        // line's last char.
+        let last = line.char_indices().last().map_or(0, |(at, _)| at);
+        let value_span = |key: usize| {
+            let start = line[key + 1..].find("\":").map(|colon| key + colon + 3)?;
+            let end = line[start..].find(",\"").map_or(last, |end| start + end);
+            (start <= end).then_some((start, end))
+        };
+        let after_comma = member.filter(|&&key| line.as_bytes()[key - 1] == b',');
+        match (rng.next_u64() % 8, member) {
+            (0, _) => line.truncate(at),
+            (1, _) | (_, None) => line.insert_str(at, splice),
+            // Add a member, so the line stays JSON but changes its shape.
+            (2, Some(&key)) => line.insert_str(after_comma.map_or(key, |&key| key - 1), splice),
+            // Drop a member with its comma, so a field goes missing.
+            (3 | 4, Some(&key)) => {
+                if let Some((_, end)) = value_span(key) {
+                    match after_comma {
+                        Some(_) => line.replace_range(key - 1..end, ""),
+                        None if line[end..].starts_with(',') => line.replace_range(key..=end, ""),
+                        None => line.replace_range(key..end, ""),
+                    }
+                }
+            }
+            // Give a member another value, often of another type.
+            (_, Some(&key)) => {
+                if let Some((start, end)) = value_span(key) {
+                    line.replace_range(start..end, value);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lines_are_written_byte_for_byte_like_the_value_writer() {
+        let (requests, responses) = real_lines();
+        for line in requests {
+            let request = Request::decode(line).unwrap();
+            assert_eq!(*line, oracle::request_to_json(&request));
+        }
+        for line in responses {
+            if let Response::Compile(compile) = Response::from_json(line).unwrap() {
+                assert_eq!(*line, oracle::compile_to_json(&compile));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 256 } else { 4096 }
+        ))]
+
+        /// Request and response lines, real or mutated, decode to the
+        /// values and the error strings the copying decoders gave.
+        #[test]
+        fn decoding_matches_the_copying_oracle(seed in proptest::prelude::any::<u64>()) {
+            let rng = &mut proptest::TestRng::new(seed);
+            let (requests, responses) = real_lines();
+            let pool = if rng.next_u64().is_multiple_of(2) { requests } else { responses };
+            let mut line = pool[rng.next_u64() as usize % pool.len()].clone();
+            for _ in 0..4 {
+                proptest::prop_assert_eq!(Request::decode(&line), oracle::decode(&line));
+                proptest::prop_assert_eq!(Response::from_json(&line), oracle::from_json(&line));
+                mutate(rng, &mut line);
+            }
+        }
     }
 }

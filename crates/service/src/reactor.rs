@@ -7,9 +7,10 @@
 //!   drained to `WouldBlock`. Connections live in a slab indexed by their
 //!   poller token; a slot freed mid-batch is not reused until the batch
 //!   ends, so a stale event can never reach a new connection.
-//! * **Reading and framing.** Sockets are read in chunks into a
-//!   per-connection buffer and split on newlines; each complete line is
-//!   handled by [`server::handle_line`](crate::server). Warm cache hits,
+//! * **Reading and framing.** Sockets are read through the reactor's one
+//!   read chunk into a per-connection buffer and split on newlines; each
+//!   complete line is handled in place (never copied out) by
+//!   [`server::handle_line`](crate::server). Warm cache hits,
 //!   stats, and malformed requests are answered inline; compile work
 //!   joins the worker pool's job queue (or attaches to the running
 //!   compile of its key) and a `Waiting` placeholder keeps its place in
@@ -18,7 +19,9 @@
 //!   queue holds one entry per in-flight request, in arrival order.
 //!   Responses are flushed strictly from the front, so a fast compile
 //!   queued behind a slow one waits — bytes on the wire always match
-//!   request order.
+//!   request order. An answer with nothing queued before it is encoded
+//!   straight into the connection's write buffer, so a warm hit's artifact
+//!   is escaped from the cache entry into the bytes the socket sends.
 //! * **Backpressure.** Past `max_pipeline` in-flight requests the
 //!   reactor simply stops reading the socket (no re-registration — the
 //!   interest set never changes). The kernel's receive buffer fills and
@@ -42,8 +45,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::poller::{Event, Interest, Poller};
-use crate::protocol::{ErrorCode, Response, WireError};
-use crate::server::{handle_line, log_response, Disposition, Shared};
+use crate::protocol::ErrorCode;
+use crate::server::{handle_line, log_reply, Disposition, Reply, Shared};
 
 /// Upper bound on one request line. Without it a client that streams
 /// bytes with no newline would grow the read buffer without limit,
@@ -61,8 +64,8 @@ const READ_CHUNK: usize = 64 << 10;
 
 /// One slot of a connection's ordered response queue.
 enum Pending {
-    /// Encoded response bytes (newline included), ready to flush.
-    Ready(Vec<u8>),
+    /// An encoded response line (newline included), ready to flush.
+    Ready(String),
     /// A dispatched compile; its completion carries the same `seq`.
     Waiting {
         seq: u64,
@@ -78,7 +81,8 @@ struct Conn {
     read_buf: Vec<u8>,
     /// Prefix of `read_buf` already scanned for a newline.
     scanned: usize,
-    write_buf: Vec<u8>,
+    /// Encoded responses, in request order; `write_pos` of it is sent.
+    write_buf: String,
     write_pos: usize,
     pending: VecDeque<Pending>,
     next_seq: u64,
@@ -113,6 +117,8 @@ struct Reactor {
     next_conn_id: u64,
     live: usize,
     events: Vec<Event>,
+    /// The one buffer every socket read lands in, allocated once.
+    chunk: Vec<u8>,
     draining: bool,
     drain_deadline: Option<Instant>,
     last_sweep: Instant,
@@ -141,6 +147,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) -> Result<(), Stri
         next_conn_id: 0,
         live: 0,
         events: Vec::new(),
+        chunk: vec![0; READ_CHUNK],
         draining: false,
         drain_deadline: None,
         last_sweep: Instant::now(),
@@ -255,7 +262,7 @@ impl Reactor {
             stream,
             read_buf: Vec::new(),
             scanned: 0,
-            write_buf: Vec::new(),
+            write_buf: String::new(),
             write_pos: 0,
             pending: VecDeque::new(),
             next_seq: 0,
@@ -287,7 +294,6 @@ impl Reactor {
     /// Reads until `WouldBlock`, parsing after every chunk so
     /// backpressure can stop the reads mid-stream.
     fn on_readable(&mut self, slot: usize) {
-        let mut chunk = vec![0u8; READ_CHUNK];
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
@@ -296,7 +302,7 @@ impl Reactor {
                 conn.read_ready = true;
                 return;
             }
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     conn.peer_closed = true;
                     self.parse_lines(slot);
@@ -304,7 +310,7 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    conn.read_buf.extend_from_slice(&self.chunk[..n]);
                     conn.last_activity = Instant::now();
                     self.parse_lines(slot);
                 }
@@ -318,64 +324,71 @@ impl Reactor {
         }
     }
 
-    /// Splits buffered bytes into lines and handles each; returns whether
-    /// any request was consumed.
+    /// Splits buffered bytes into lines and handles each where it lies in
+    /// the buffer; the handled prefix is dropped once at the end. Returns
+    /// whether any request was consumed.
     fn parse_lines(&mut self, slot: usize) -> bool {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return false;
+        };
+        let mut buf = std::mem::take(&mut conn.read_buf);
+        let mut scanned = conn.scanned;
+        // Start of the first unhandled line.
+        let mut start = 0;
         let mut progressed = false;
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return progressed;
             };
             if conn.closing || self.draining {
-                return progressed;
+                break;
             }
             if conn.pending.len() >= self.shared.max_pipeline {
                 conn.paused = true;
-                return progressed;
+                break;
             }
-            let position = conn.read_buf[conn.scanned..]
-                .iter()
-                .position(|&byte| byte == b'\n');
-            let line = match position {
-                Some(offset) => {
-                    let end = conn.scanned + offset;
-                    let line: Vec<u8> = conn.read_buf.drain(..=end).collect();
-                    conn.scanned = 0;
-                    line
-                }
-                None => {
-                    conn.scanned = conn.read_buf.len();
-                    if conn.read_buf.len() > MAX_REQUEST_BYTES {
-                        // The rest of the stream is unframed garbage:
-                        // answer once and drop the connection.
-                        conn.read_buf = Vec::new();
-                        conn.scanned = 0;
-                        self.push_error(
-                            slot,
-                            ErrorCode::TooLarge,
-                            format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                        );
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.closing = true;
-                        }
-                        return true;
-                    }
-                    if conn.peer_closed && !conn.read_buf.is_empty() {
-                        // EOF with an unterminated final line: treat it as
-                        // a request (matching the blocking server's
-                        // read_until behavior).
-                        let line = std::mem::take(&mut conn.read_buf);
-                        conn.scanned = 0;
-                        self.handle_raw_line(slot, &line);
-                        progressed = true;
-                        continue;
-                    }
-                    return progressed;
-                }
-            };
-            self.handle_raw_line(slot, &line);
-            progressed = true;
+            if let Some(offset) = buf[scanned..].iter().position(|&byte| byte == b'\n') {
+                let end = scanned + offset + 1;
+                self.handle_raw_line(slot, &buf[start..end]);
+                (start, scanned) = (end, end);
+                progressed = true;
+                continue;
+            }
+            scanned = buf.len();
+            if buf.len() - start > MAX_REQUEST_BYTES {
+                // The rest of the stream is unframed garbage: answer once
+                // and drop the connection.
+                conn.closing = true;
+                (buf, start, scanned) = (Vec::new(), 0, 0);
+                self.push_error(
+                    slot,
+                    ErrorCode::TooLarge,
+                    format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
+                );
+                progressed = true;
+                break;
+            }
+            if conn.peer_closed && start < buf.len() {
+                // EOF with an unterminated final line: treat it as a
+                // request (matching the blocking server's read_until
+                // behavior).
+                self.handle_raw_line(slot, &buf[start..]);
+                start = buf.len();
+                progressed = true;
+                continue;
+            }
+            break;
         }
+        if let Some(conn) = self.conns[slot].as_mut() {
+            buf.drain(..start);
+            if buf.is_empty() && buf.capacity() > 4 * READ_CHUNK {
+                // Give back what one large request grew.
+                buf = Vec::new();
+            }
+            conn.read_buf = buf;
+            conn.scanned = scanned - start;
+        }
+        progressed
     }
 
     fn handle_raw_line(&mut self, slot: usize, line: &[u8]) {
@@ -397,11 +410,11 @@ impl Reactor {
         let started = Instant::now();
         let outcome = handle_line(&self.shared, conn_id, seq, text);
         match outcome.disposition {
-            Disposition::Ready(response) => {
+            Disposition::Ready(reply) => {
                 if self.shared.log {
-                    log_response(outcome.op, &response, started.elapsed());
+                    log_reply(outcome.op, &reply, started.elapsed());
                 }
-                self.push_ready(slot, &response);
+                self.push_ready(slot, &reply);
             }
             Disposition::Dispatched => {
                 if let Some(conn) = self.conns[slot].as_mut() {
@@ -412,31 +425,37 @@ impl Reactor {
                     });
                 }
             }
-            Disposition::StartShutdown(response) => {
+            Disposition::StartShutdown(reply) => {
                 if self.shared.log {
-                    log_response(outcome.op, &response, started.elapsed());
+                    log_reply(outcome.op, &reply, started.elapsed());
                 }
-                self.push_ready(slot, &response);
+                self.push_ready(slot, &reply);
                 self.shared.shutdown.store(true, Ordering::SeqCst);
             }
         }
     }
 
-    fn push_ready(&mut self, slot: usize, response: &Response) {
+    /// Queues an answer behind the connection's earlier ones; with none
+    /// in flight it goes straight into the write buffer.
+    fn push_ready(&mut self, slot: usize, reply: &Reply) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let mut encoded = response.to_json();
-        encoded.push('\n');
-        conn.pending.push_back(Pending::Ready(encoded.into_bytes()));
+        if conn.pending.is_empty() {
+            reply.encode(&mut conn.write_buf);
+        } else {
+            let mut line = String::new();
+            reply.encode(&mut line);
+            conn.pending.push_back(Pending::Ready(line));
+        }
     }
 
     fn push_error(&mut self, slot: usize, code: ErrorCode, message: impl Into<String>) {
-        let response = Response::Error(WireError::new(code, message));
+        let reply = Reply::error(code, message);
         if self.shared.log {
-            log_response("invalid", &response, Duration::ZERO);
+            log_reply("invalid", &reply, Duration::ZERO);
         }
-        self.push_ready(slot, &response);
+        self.push_ready(slot, &reply);
     }
 
     /// Resolves finished compiles into their `Waiting` placeholders.
@@ -448,25 +467,28 @@ impl Reactor {
             let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
             };
-            let mut resolved = false;
-            for pending in &mut conn.pending {
-                if let Pending::Waiting { seq, op, started } = pending {
-                    if *seq == completion.seq {
-                        if self.shared.log {
-                            log_response(op, &completion.response, started.elapsed());
-                        }
-                        let mut encoded = completion.response.to_json();
-                        encoded.push('\n');
-                        *pending = Pending::Ready(encoded.into_bytes());
-                        resolved = true;
-                        break;
-                    }
+            let waiting = conn.pending.iter().position(
+                |pending| matches!(pending, Pending::Waiting { seq, .. } if *seq == completion.seq),
+            );
+            let Some(index) = waiting else {
+                continue;
+            };
+            if let Pending::Waiting { op, started, .. } = &conn.pending[index] {
+                if self.shared.log {
+                    log_reply(op, &completion.reply, started.elapsed());
                 }
             }
-            if resolved {
-                conn.last_activity = Instant::now();
-                self.pump(slot);
+            if index == 0 {
+                // Next in line: encode straight into the write buffer.
+                conn.pending.pop_front();
+                completion.reply.encode(&mut conn.write_buf);
+            } else {
+                let mut line = String::new();
+                completion.reply.encode(&mut line);
+                conn.pending[index] = Pending::Ready(line);
             }
+            conn.last_activity = Instant::now();
+            self.pump(slot);
         }
     }
 
@@ -508,15 +530,18 @@ impl Reactor {
         };
         let mut progressed = false;
         while matches!(conn.pending.front(), Some(Pending::Ready(_))) {
-            let Some(Pending::Ready(bytes)) = conn.pending.pop_front() else {
+            let Some(Pending::Ready(line)) = conn.pending.pop_front() else {
                 unreachable!("front was just matched as Ready");
             };
-            conn.write_buf.extend_from_slice(&bytes);
+            conn.write_buf.push_str(&line);
             progressed = true;
         }
         let mut dead = false;
         while conn.write_pos < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+            match conn
+                .stream
+                .write(&conn.write_buf.as_bytes()[conn.write_pos..])
+            {
                 Ok(0) => {
                     dead = true;
                     break;
