@@ -369,11 +369,6 @@ struct Parser<'a> {
 /// process. 128 matches serde_json's default.
 const MAX_DEPTH: u32 = 128;
 
-/// Objects up to this many members check a new key for a duplicate by
-/// scanning the members; larger ones index their keys in a hash set, so an
-/// object of n keys costs O(n) and not O(n²).
-const SCANNED_KEYS: usize = 8;
-
 impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> ParseJsonError {
         ParseJsonError {
@@ -442,8 +437,8 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<Value, ParseJsonError> {
         self.expect(b'{')?;
         let mut members: Vec<(String, Value)> = Vec::new();
-        // Filled once the object outgrows `SCANNED_KEYS`; a key without
-        // escapes borrows the input.
+        // Every key seen so far, so an object of n keys costs O(n) and not
+        // O(n²); a key without escapes borrows the input.
         let mut keys: HashSet<Cow<'a, str>> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -454,15 +449,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key_at = self.pos;
             let key = self.string()?;
-            let duplicate = if members.len() < SCANNED_KEYS {
-                members.iter().any(|(k, _)| *k == key)
-            } else {
-                if keys.is_empty() {
-                    keys.extend(members.iter().map(|(k, _)| Cow::Owned(k.clone())));
-                }
-                !keys.insert(key.clone())
-            };
-            if duplicate {
+            if !keys.insert(key.clone()) {
                 return Err(ParseJsonError {
                     at: key_at,
                     message: format!("duplicate key \"{key}\""),
@@ -880,8 +867,7 @@ mod tests {
     }
 
     /// A document of nested containers whose object keys repeat often
-    /// (`a` also spelled `\u0061`), in objects both below and above the
-    /// size where the duplicate check switches to a hash set.
+    /// (`a` also spelled `\u0061`), in objects of up to 19 members.
     fn arbitrary_document(rng: &mut TestRng, depth: u32, out: &mut String) {
         const KEYS: &[&str] = &["\"a\"", "\"\\u0061\"", "\"b\"", "\"\u{1D11E}\"", "\"\""];
         const SCALARS: &[&str] = &["0", "-1.5e2", "12", "1.2.3", "--5", "true", "null", "fals"];
@@ -900,7 +886,7 @@ mod tests {
             }
             _ => {
                 out.push('{');
-                let members = rng.next_u64() % (2 * SCANNED_KEYS as u64 + 4);
+                let members = rng.next_u64() % 20;
                 for index in 0..members {
                     if index > 0 {
                         out.push_str(", ");

@@ -19,9 +19,9 @@
 //!   queue holds one entry per in-flight request, in arrival order.
 //!   Responses are flushed strictly from the front, so a fast compile
 //!   queued behind a slow one waits — bytes on the wire always match
-//!   request order. An answer with nothing queued before it is encoded
-//!   straight into the connection's write buffer, so a warm hit's artifact
-//!   is escaped from the cache entry into the bytes the socket sends.
+//!   request order. A warm hit's artifact is escaped once, from the cache
+//!   entry into its response line, and a line reaching an empty write
+//!   buffer becomes that buffer without a copy.
 //! * **Backpressure.** Past `max_pipeline` in-flight requests the
 //!   reactor simply stops reading the socket (no re-registration — the
 //!   interest set never changes). The kernel's receive buffer fills and
@@ -435,19 +435,14 @@ impl Reactor {
         }
     }
 
-    /// Queues an answer behind the connection's earlier ones; with none
-    /// in flight it goes straight into the write buffer.
+    /// Queues an answer behind the connection's earlier ones.
     fn push_ready(&mut self, slot: usize, reply: &Reply) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        if conn.pending.is_empty() {
-            reply.encode(&mut conn.write_buf);
-        } else {
-            let mut line = String::new();
-            reply.encode(&mut line);
-            conn.pending.push_back(Pending::Ready(line));
-        }
+        let mut line = String::new();
+        reply.encode(&mut line);
+        conn.pending.push_back(Pending::Ready(line));
     }
 
     fn push_error(&mut self, slot: usize, code: ErrorCode, message: impl Into<String>) {
@@ -478,15 +473,9 @@ impl Reactor {
                     log_reply(op, &completion.reply, started.elapsed());
                 }
             }
-            if index == 0 {
-                // Next in line: encode straight into the write buffer.
-                conn.pending.pop_front();
-                completion.reply.encode(&mut conn.write_buf);
-            } else {
-                let mut line = String::new();
-                completion.reply.encode(&mut line);
-                conn.pending[index] = Pending::Ready(line);
-            }
+            let mut line = String::new();
+            completion.reply.encode(&mut line);
+            conn.pending[index] = Pending::Ready(line);
             conn.last_activity = Instant::now();
             self.pump(slot);
         }
@@ -522,8 +511,8 @@ impl Reactor {
     }
 
     /// Moves ready responses into the write buffer (strictly from the
-    /// queue front — response order is request order) and writes as much
-    /// as the socket accepts.
+    /// queue front — response order is request order; a line reaching an
+    /// empty buffer becomes it) and writes as much as the socket accepts.
     fn flush(&mut self, slot: usize) -> bool {
         let Some(conn) = self.conns[slot].as_mut() else {
             return false;
@@ -533,7 +522,11 @@ impl Reactor {
             let Some(Pending::Ready(line)) = conn.pending.pop_front() else {
                 unreachable!("front was just matched as Ready");
             };
-            conn.write_buf.push_str(&line);
+            if conn.write_buf.is_empty() {
+                conn.write_buf = line;
+            } else {
+                conn.write_buf.push_str(&line);
+            }
             progressed = true;
         }
         let mut dead = false;

@@ -64,10 +64,10 @@
 //! index, looks the key up, and encodes the cached listing. The JSON
 //! codec copies whole runs between escapes, the source is moved out of
 //! the parsed line, and the response is escaped straight from the cached
-//! [`StoredArtifact`] into the connection's write buffer (see `Reply`),
-//! so no body is copied on the way. Measured on a two-core VM, medians of
-//! 300 calls, for full-scale i2c (a 28.8 KB source and a 64.8 KB
-//! listing), before and after that change:
+//! [`StoredArtifact`] into its line (see `Reply`), which the reactor sends
+//! without a further copy when nothing is queued before it. Measured on a
+//! two-core VM, medians of 300 calls, for full-scale i2c (a 28.8 KB source
+//! and a 64.8 KB listing), before and after that change:
 //!
 //! | step | before | after |
 //! |---|---|---|
@@ -81,9 +81,10 @@
 //! Requests are decoded on the reactor thread, which serves every
 //! connection, so decoding is linear in the line (an object's duplicate
 //! keys are found through a hash set), and a line longer than
-//! `REACTOR_LINE_BYTES` is decoded on a worker instead.
+//! `REACTOR_LINE_BYTES` is decoded on a worker instead, one such line at
+//! a time.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -151,8 +152,8 @@ pub(crate) struct Completion {
 
 /// An answer as the daemon holds it until the reactor encodes it. A
 /// compile result stays the cached artifact itself, so its text is
-/// escaped once, straight into the connection's buffer, and copied
-/// nowhere else; its bytes are [`Response::to_json`]'s for the same
+/// escaped once, straight into its response line, and copied nowhere
+/// else; its bytes are [`Response::to_json`]'s for the same
 /// compile.
 #[derive(Clone, Debug)]
 pub(crate) enum Reply {
@@ -218,6 +219,7 @@ pub(crate) struct Shared {
     pub(crate) text_index: Mutex<LruCache<u128>>,
     /// The text index's hash, keyed when the daemon binds.
     pub(crate) text_hash: TextHash,
+    pub(crate) long_lines: Mutex<LongLines>,
     pub(crate) store: Option<ArtifactStore>,
     pub(crate) completions: CompletionQueue<Completion>,
     pub(crate) waker: Waker,
@@ -278,6 +280,7 @@ impl Server {
                 // ~16k text mappings; entries weigh a fixed 64 bytes.
                 text_index: Mutex::new(LruCache::new(1 << 20)),
                 text_hash: TextHash::new(),
+                long_lines: Mutex::new(LongLines::default()),
                 store,
                 completions,
                 waker,
@@ -335,39 +338,75 @@ pub(crate) struct LineOutcome {
 
 /// Lines longer than this are decoded on a worker. Decoding is linear,
 /// but an object of millions of keys still takes seconds (a 64 MiB line of
-/// 5.2 million keys, about 3 s), and the reactor serves every connection.
-/// Below it, where every real request lies, the reactor decodes at once.
+/// 5.2 million keys, 4.3 s), and the reactor serves every connection.
+/// Real requests lie well below it, so the reactor decodes them at once:
+/// the largest `perfbench` `plimd-mixed` line is 30,054 bytes, and the
+/// largest suite circuit's (full-scale div) 1,340,385 bytes.
 const REACTOR_LINE_BYTES: usize = 4 << 20;
+
+/// Lines longer than [`REACTOR_LINE_BYTES`], as `(conn, seq, line)`,
+/// waiting for the one worker that decodes them in turn. One at a time
+/// bounds their memory: a decoded 64 MiB line of distinct keys weighs
+/// about 700 MB.
+#[derive(Default)]
+pub(crate) struct LongLines {
+    queue: VecDeque<(u64, u64, String)>,
+    /// A worker is draining `queue`.
+    draining: bool,
+}
 
 /// Handles one request line on the reactor thread: decode, answer
 /// stats/shutdown/warm hits inline, queue compile work. A line longer
-/// than [`REACTOR_LINE_BYTES`] is copied into a job that does all of this
-/// on a worker and answers through the completion queue.
+/// than [`REACTOR_LINE_BYTES`] is copied into [`LongLines`], whose worker
+/// does all of this and answers through the completion queue.
 pub(crate) fn handle_line(shared: &Arc<Shared>, conn: u64, seq: u64, line: &str) -> LineOutcome {
     if line.len() <= REACTOR_LINE_BYTES {
         return route(shared, conn, seq, line);
     }
-    let worker = Arc::clone(shared);
-    let line = line.to_string();
-    let submitted = shared.pool.submit(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| route(&worker, conn, seq, &line)));
-        match outcome.map(|outcome| outcome.disposition) {
-            Ok(Disposition::Ready(reply)) => complete(&worker, conn, seq, reply),
-            Ok(Disposition::Dispatched) => {}
-            Ok(Disposition::StartShutdown(reply)) => {
-                // Set before the answer rings the reactor, which drains.
-                worker.shutdown.store(true, Ordering::SeqCst);
-                complete(&worker, conn, seq, reply);
+    let mut long = shared.long_lines.lock().expect("long-line lock poisoned");
+    long.queue.push_back((conn, seq, line.to_string()));
+    if !long.draining {
+        long.draining = true;
+        drop(long);
+        let worker = Arc::clone(shared);
+        if !shared.pool.submit(move || decode_long_lines(&worker)) {
+            let mut long = shared.long_lines.lock().expect("long-line lock poisoned");
+            long.draining = false;
+            for (conn, seq, _) in long.queue.drain(..) {
+                complete(shared, conn, seq, shutting_down());
             }
-            Err(_) => complete(&worker, conn, seq, panicked()),
         }
-    });
-    if !submitted {
-        complete(shared, conn, seq, shutting_down());
     }
     LineOutcome {
         op: "request",
         disposition: Disposition::Dispatched,
+    }
+}
+
+/// Decodes and routes the queued long lines one after another, until the
+/// queue is empty.
+fn decode_long_lines(shared: &Arc<Shared>) {
+    loop {
+        let next = {
+            let mut long = shared.long_lines.lock().expect("long-line lock poisoned");
+            let next = long.queue.pop_front();
+            long.draining = next.is_some();
+            next
+        };
+        let Some((conn, seq, line)) = next else {
+            return;
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| route(shared, conn, seq, &line)));
+        match outcome.map(|outcome| outcome.disposition) {
+            Ok(Disposition::Ready(reply)) => complete(shared, conn, seq, reply),
+            Ok(Disposition::Dispatched) => {}
+            Ok(Disposition::StartShutdown(reply)) => {
+                // Set before the answer rings the reactor, which drains.
+                shared.shutdown.store(true, Ordering::SeqCst);
+                complete(shared, conn, seq, reply);
+            }
+            Err(_) => complete(shared, conn, seq, panicked()),
+        }
     }
 }
 
@@ -784,7 +823,8 @@ mod tests {
     }
 
     /// A line past `REACTOR_LINE_BYTES` is answered through the completion
-    /// queue, by the same routing as a short one.
+    /// queue, by the same routing as a short one, and the long-line worker
+    /// stops once its queue is empty.
     #[test]
     fn long_lines_are_decoded_on_a_worker() {
         let server = bind();
@@ -812,6 +852,22 @@ mod tests {
             Some(Reply::Response(Response::Shutdown))
         ));
         assert!(shared.shutdown.load(Ordering::SeqCst));
+
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while shared.long_lines.lock().unwrap().draining {
+            assert!(
+                Instant::now() < deadline,
+                "the long-line worker never stopped"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The next long line starts the worker again.
+        handle_line(shared, 2, 0, &stats);
+        let answered = completions(shared, 1);
+        assert!(matches!(
+            answered.get(&(2, 0)),
+            Some(Reply::Response(Response::Stats(_)))
+        ));
     }
 
     #[test]
