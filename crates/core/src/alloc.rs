@@ -14,8 +14,21 @@
 //! [`RramAllocator::note_writes`] as the target makes them, so the counters
 //! are the emitted program's endurance profile and the wear-budget strategy
 //! levels the target's own writes while the program is still being built.
+//!
+//! The `-O2` trial scorer (`ir::emit`) forks the committed replay at each
+//! trial edit, and every pool rule it needs lives here too. An
+//! `AllocDelta` is an allocator forked from a base [`RramAllocator`] that
+//! stores only what it changed there. Every pool serves the base's entries
+//! as a prefix of some order — its queue, its stack from the top, each
+//! lifetime bin, or the write counts, which cannot change while a cell is
+//! pooled — so the delta keeps how far it served and the cells it released
+//! since, in a pool of its own. Two deltas over one base tell when they
+//! serve every later request alike under a renaming of addresses, and
+//! which addresses that renaming pairs.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 
 use plim::RamAddr;
 
@@ -25,138 +38,123 @@ use crate::options::AllocatorStrategy;
 /// The reuse-policy layer: one free-cell pool per [`AllocatorStrategy`].
 ///
 /// Every variant stores released cells and serves them back under its own
-/// discipline; a strategy that needs more context receives it at pop time
-/// (the lifetime hint of the requesting value, the per-cell write counters).
-/// Adding a strategy means adding a variant here — the exhaustive matches
-/// below make the compiler point at every site that must learn about it.
+/// discipline; a strategy that needs more context receives it at push or
+/// pop time (the lifetime class of the cell, its write count, the lifetime
+/// hint of the requesting value). Adding a strategy means adding a variant
+/// here — the exhaustive matches below make the compiler point at every
+/// site that must learn about it.
 #[derive(Debug, Clone)]
 enum FreePool {
     /// Oldest-released-first (the paper's endurance-aware rotation).
     Fifo(VecDeque<RamAddr>),
-    /// Most-recently-released-first.
-    Lifo(Vec<RamAddr>),
-    /// Released cells are parked and never served again.
-    Fresh(Vec<RamAddr>),
-    /// Served least-written-first by the write counters at request time,
-    /// blind to the writes the new value will take.
-    WearLeveled(Vec<RamAddr>),
-    /// Two FIFO bins keyed by the lifetime class a cell last held.
-    Binned {
-        short: VecDeque<RamAddr>,
-        long: VecDeque<RamAddr>,
-    },
+    /// Most-recently-released-first: pushed and served at the back.
+    Lifo(VecDeque<RamAddr>),
+    /// Released cells are parked and never served again; only their
+    /// number is kept.
+    Fresh(usize),
+    /// Served least-written-first by the write counts at request time,
+    /// blind to the writes the new value will take: keyed by (write count,
+    /// address), which cannot change while the cell is pooled, since only
+    /// live cells take writes.
+    WearLeveled(BTreeSet<(u64, u32)>),
+    /// The cells an [`AllocDelta`] of a wear-leveled pool released, served
+    /// as [`FreePool::WearLeveled`] serves them, from a heap, since nothing
+    /// reads them in order.
+    WearReleased(BinaryHeap<Reverse<(u64, u32)>>),
+    /// Two FIFO bins, indexed by [`bin`], of the lifetime class a cell
+    /// last held.
+    Binned([VecDeque<RamAddr>; 2]),
+}
+
+/// The bin of a [`FreePool::Binned`] pool that holds cells of `class`.
+fn bin(class: LifetimeClass) -> usize {
+    match class {
+        LifetimeClass::Short => 0,
+        LifetimeClass::Long => 1,
+    }
 }
 
 impl FreePool {
     fn new(strategy: AllocatorStrategy) -> Self {
         match strategy {
             AllocatorStrategy::Fifo => FreePool::Fifo(VecDeque::new()),
-            AllocatorStrategy::Lifo => FreePool::Lifo(Vec::new()),
-            AllocatorStrategy::Fresh => FreePool::Fresh(Vec::new()),
-            AllocatorStrategy::WearLeveled => FreePool::WearLeveled(Vec::new()),
-            AllocatorStrategy::LifetimeBinned => FreePool::Binned {
-                short: VecDeque::new(),
-                long: VecDeque::new(),
-            },
+            AllocatorStrategy::Lifo => FreePool::Lifo(VecDeque::new()),
+            AllocatorStrategy::Fresh => FreePool::Fresh(0),
+            AllocatorStrategy::WearLeveled => FreePool::WearLeveled(BTreeSet::new()),
+            AllocatorStrategy::LifetimeBinned => {
+                FreePool::Binned([VecDeque::new(), VecDeque::new()])
+            }
+        }
+    }
+
+    /// An empty pool for the cells an [`AllocDelta`] releases.
+    fn released(strategy: AllocatorStrategy) -> Self {
+        match strategy {
+            AllocatorStrategy::WearLeveled => FreePool::WearReleased(BinaryHeap::new()),
+            strategy => FreePool::new(strategy),
         }
     }
 
     /// Returns a reusable cell for a value of class `hint`, or `None` when
     /// the caller must allocate a fresh one.
-    fn pop(&mut self, hint: LifetimeClass, writes: &[u64]) -> Option<RamAddr> {
+    fn pop(&mut self, hint: LifetimeClass) -> Option<RamAddr> {
         match self {
             FreePool::Fifo(pool) => pool.pop_front(),
-            FreePool::Lifo(pool) => pool.pop(),
+            FreePool::Lifo(pool) => pool.pop_back(),
             FreePool::Fresh(_) => None,
+            FreePool::WearLeveled(pool) => pool.pop_first().map(|(_, a)| RamAddr(a)),
+            FreePool::WearReleased(pool) => pool.pop().map(|Reverse((_, a))| RamAddr(a)),
+            FreePool::Binned(bins) => {
+                let preferred = bin(hint);
+                bins[preferred]
+                    .pop_front()
+                    .or_else(|| bins[1 - preferred].pop_front())
+            }
+        }
+    }
+
+    /// Pools `addr`, which last held a value of class `class` and has taken
+    /// `writes` writes.
+    fn push(&mut self, addr: RamAddr, class: LifetimeClass, writes: u64) {
+        match self {
+            FreePool::Fifo(pool) | FreePool::Lifo(pool) => pool.push_back(addr),
+            FreePool::Fresh(parked) => *parked += 1,
             FreePool::WearLeveled(pool) => {
-                let best = pool
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, addr)| (writes[addr.index()], addr.index()))?
-                    .0;
-                // Order within the pool is irrelevant — only the counters
-                // decide — so a swap_remove keeps the scan linear.
-                Some(pool.swap_remove(best))
+                pool.insert((writes, addr.0));
             }
-            FreePool::Binned { short, long } => {
-                let (preferred, fallback) = match hint {
-                    LifetimeClass::Short => (short, long),
-                    LifetimeClass::Long => (long, short),
-                };
-                preferred.pop_front().or_else(|| fallback.pop_front())
-            }
+            FreePool::WearReleased(pool) => pool.push(Reverse((writes, addr.0))),
+            FreePool::Binned(bins) => bins[bin(class)].push_back(addr),
         }
     }
 
-    fn push(&mut self, addr: RamAddr, class: LifetimeClass) {
+    fn clear(&mut self) {
         match self {
-            FreePool::Fifo(pool) => pool.push_back(addr),
-            FreePool::Lifo(pool) | FreePool::Fresh(pool) | FreePool::WearLeveled(pool) => {
-                pool.push(addr);
-            }
-            FreePool::Binned { short, long } => match class {
-                LifetimeClass::Short => short.push_back(addr),
-                LifetimeClass::Long => long.push_back(addr),
-            },
-        }
-    }
-
-    /// Calls `pair` on the addresses of `self` and `other` position by
-    /// position, while it returns `true`; `false` when the pools differ in
-    /// shape or do not serve cells by position (`fresh` never serves one,
-    /// `wear` serves by write count).
-    fn pair(&self, other: &FreePool, mut pair: impl FnMut(RamAddr, RamAddr) -> bool) -> bool {
-        fn zip<'a>(
-            mine: impl ExactSizeIterator<Item = &'a RamAddr>,
-            theirs: impl ExactSizeIterator<Item = &'a RamAddr>,
-            pair: &mut impl FnMut(RamAddr, RamAddr) -> bool,
-        ) -> bool {
-            mine.len() == theirs.len() && mine.zip(theirs).all(|(&a, &b)| pair(a, b))
-        }
-        match (self, other) {
-            (FreePool::Fifo(mine), FreePool::Fifo(theirs)) => {
-                zip(mine.iter(), theirs.iter(), &mut pair)
-            }
-            (FreePool::Lifo(mine), FreePool::Lifo(theirs)) => {
-                zip(mine.iter(), theirs.iter(), &mut pair)
-            }
-            (
-                FreePool::Binned { short, long },
-                FreePool::Binned {
-                    short: their_short,
-                    long: their_long,
-                },
-            ) => {
-                zip(short.iter(), their_short.iter(), &mut pair)
-                    && zip(long.iter(), their_long.iter(), &mut pair)
-            }
-            _ => false,
-        }
-    }
-
-    /// This pool with every address `a` renamed to `image(a)`.
-    fn renamed(&self, image: impl Fn(RamAddr) -> RamAddr) -> FreePool {
-        let vec = |pool: &Vec<RamAddr>| pool.iter().map(|&a| image(a)).collect();
-        let deque = |pool: &VecDeque<RamAddr>| pool.iter().map(|&a| image(a)).collect();
-        match self {
-            FreePool::Fifo(pool) => FreePool::Fifo(deque(pool)),
-            FreePool::Lifo(pool) => FreePool::Lifo(vec(pool)),
-            FreePool::Fresh(pool) => FreePool::Fresh(vec(pool)),
-            FreePool::WearLeveled(pool) => FreePool::WearLeveled(vec(pool)),
-            FreePool::Binned { short, long } => FreePool::Binned {
-                short: deque(short),
-                long: deque(long),
-            },
+            FreePool::Fifo(pool) | FreePool::Lifo(pool) => pool.clear(),
+            FreePool::Fresh(parked) => *parked = 0,
+            FreePool::WearLeveled(pool) => pool.clear(),
+            FreePool::WearReleased(pool) => pool.clear(),
+            FreePool::Binned(bins) => bins.iter_mut().for_each(VecDeque::clear),
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            FreePool::Fifo(pool) => pool.len(),
-            FreePool::Lifo(pool) | FreePool::Fresh(pool) | FreePool::WearLeveled(pool) => {
-                pool.len()
-            }
-            FreePool::Binned { short, long } => short.len() + long.len(),
+            FreePool::Fifo(pool) | FreePool::Lifo(pool) => pool.len(),
+            FreePool::Fresh(parked) => *parked,
+            FreePool::WearLeveled(pool) => pool.len(),
+            FreePool::WearReleased(pool) => pool.len(),
+            FreePool::Binned(bins) => bins.iter().map(VecDeque::len).sum(),
+        }
+    }
+
+    /// The bins of a pool that serves cells by their position in it, each
+    /// in the order the pool stores it; none for `fresh`, which never
+    /// serves a cell, and `wear`, which serves by write count.
+    fn bins(&self) -> &[VecDeque<RamAddr>] {
+        match self {
+            FreePool::Fifo(pool) | FreePool::Lifo(pool) => std::slice::from_ref(pool),
+            FreePool::Binned(bins) => bins,
+            FreePool::Fresh(_) | FreePool::WearLeveled(_) | FreePool::WearReleased(_) => &[],
         }
     }
 }
@@ -218,7 +216,7 @@ impl RramAllocator {
     /// strategies consult the hint; for the others the call is identical to
     /// `request`.
     pub fn request_with_hint(&mut self, hint: LifetimeClass) -> RamAddr {
-        let addr = self.pool.pop(hint, &self.writes).unwrap_or_else(|| {
+        let addr = self.pool.pop(hint).unwrap_or_else(|| {
             let addr = RamAddr(self.next_fresh);
             self.next_fresh += 1;
             self.live.push(false);
@@ -242,7 +240,8 @@ impl RramAllocator {
         debug_assert!(self.live[addr.index()], "double release of {addr}");
         self.live[addr.index()] = false;
         self.live_count -= 1;
-        self.pool.push(addr, self.class[addr.index()]);
+        let a = addr.index();
+        self.pool.push(addr, self.class[a], self.writes[a]);
     }
 
     /// Records one write to a cell. The counters feed the wear-budget
@@ -253,7 +252,13 @@ impl RramAllocator {
 
     /// Records `count` writes to a cell: what one op of the target writes
     /// to its destination (one for RM3 and Ambit, up to two for MAGIC).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the cell is not live: the wear-leveled
+    /// pool keys its cells by the write counts they were released with.
     pub fn note_writes(&mut self, addr: RamAddr, count: u64) {
+        debug_assert!(self.live[addr.index()], "write to free cell {addr}");
         self.writes[addr.index()] += count;
     }
 
@@ -284,157 +289,266 @@ impl RramAllocator {
         self.pool.len()
     }
 
-    /// Whether the pool serves cells by their position in it — every
-    /// strategy but wear leveling, which serves by write count — so that a
-    /// [`Renaming`] can be read off two pools.
-    pub(crate) fn serves_by_position(&self) -> bool {
-        !matches!(self.pool, FreePool::WearLeveled(_))
+    /// Whether a request, with `allocated` cells handed out and `live` of
+    /// them live, takes a fresh cell under this allocator's strategy: when
+    /// the pool is empty, and always where it parks released cells.
+    pub(crate) fn takes_fresh(&self, allocated: u32, live: usize) -> bool {
+        matches!(self.pool, FreePool::Fresh(_)) || allocated as usize == live
     }
 
-    /// The renaming of `other`'s addresses under which this allocator, from
-    /// now on, serves the same requests and releases as `other` does, or
-    /// `None` when there is none.
-    ///
-    /// `live` fills in, for each of `other`'s live cells, the address this
-    /// allocator holds the same value in (it returns `false` when some
-    /// value is not live here). The free pools are then read off position
-    /// by position. They must agree in shape and order, the renaming must
-    /// be one-to-one, and where the pool reads lifetime classes, the live
-    /// cells' classes must agree. A pool that never serves a cell again
-    /// (`fresh`) is not compared, and its cells stay unmapped. Both
-    /// allocators then hand out the same number of fresh cells, so
-    /// addresses past `other`'s fresh counter shift by the difference of
-    /// the two counters.
-    pub(crate) fn renaming(
-        &self,
-        other: &RramAllocator,
-        live: impl FnOnce(&mut [u32]) -> bool,
-    ) -> Option<Renaming> {
-        let parks = matches!(self.pool, FreePool::Fresh(_));
-        if self.live_count != other.live_count
-            || !parks
-                && (self.next_fresh != other.next_fresh || self.pool.len() != other.pool.len())
-        {
-            return None;
+    /// Whether two replays of this allocator's strategy, with `mine` and
+    /// `theirs` cells handed out, may serve every later request alike under
+    /// a renaming of addresses: never under wear leveling, whose choices
+    /// read every write count, which no renaming keeps; under `fresh`
+    /// whatever the counters, since the cells either hands out later shift
+    /// by their difference; under every other strategy only with equal
+    /// counters.
+    pub(crate) fn may_rename(&self, mine: u32, theirs: u32) -> bool {
+        match self.pool {
+            FreePool::WearLeveled(_) => false,
+            FreePool::Fresh(_) => true,
+            _ => mine == theirs,
         }
-        let mut below = vec![UNSET; other.live.len()];
-        if !live(&mut below) {
-            return None;
+    }
+}
+
+/// An allocator forked from a base [`RramAllocator`] that stores only what
+/// it changed there: per address its lifetime class and write count,
+/// copied from the base when it first changes either and stamped with the
+/// fork's generation; how many entries of each base pool bin it served,
+/// which are a prefix of the bin in serving order (under wear leveling,
+/// the next entry it would serve); and the cells it released since, in a
+/// pool of the base's strategy (under wear leveling, a heap). It serves
+/// requests exactly as the base would if replayed on. A fork forgets every
+/// change in O(1) plus the cells it released.
+#[derive(Debug)]
+pub(crate) struct AllocDelta {
+    generation: u32,
+    cells: Vec<(u32, LifetimeClass, u64)>,
+    /// The addresses it requested, released or wrote, each once.
+    touched: Vec<u32>,
+    served: [usize; 2],
+    next: Option<(u64, u32)>,
+    released: FreePool,
+    next_fresh: u32,
+    live_count: usize,
+}
+
+impl AllocDelta {
+    /// A delta of an allocator with the given strategy; fork it before use.
+    pub(crate) fn new(strategy: AllocatorStrategy) -> Self {
+        AllocDelta {
+            generation: 0,
+            cells: Vec::new(),
+            touched: Vec::new(),
+            served: [0; 2],
+            next: None,
+            released: FreePool::released(strategy),
+            next_fresh: 0,
+            live_count: 0,
         }
-        let paired = parks
-            || self.pool.pair(&other.pool, |mine, theirs| {
-                let slot = &mut below[theirs.index()];
-                *slot == UNSET && {
-                    *slot = mine.0;
-                    true
-                }
-            });
-        let binned = matches!(self.pool, FreePool::Binned { .. });
-        let mut seen = vec![false; self.live.len()];
-        let valid = paired
-            && below.iter().enumerate().all(|(b, &a)| {
-                if a == UNSET {
-                    return parks && !other.live[b];
-                }
-                !std::mem::replace(&mut seen[a as usize], true)
-                    && (!binned || !other.live[b] || self.class[a as usize] == other.class[b])
-            });
-        valid.then_some(Renaming {
-            below,
-            fresh: self.next_fresh,
-        })
     }
 
-    /// This allocator — at or past `base`, where the allocator `cut` was
-    /// `base` under `renaming` — as `cut` reaches the same point: addresses
-    /// renamed, the cells `cut` had parked unchanged, and the writes this
-    /// allocator recorded since `base` added to `cut`'s counts.
-    pub(crate) fn adopted(
-        &self,
+    /// Forks `base`, forgetting every change.
+    pub(crate) fn fork(&mut self, base: &RramAllocator) {
+        if self.generation == u32::MAX {
+            self.cells.fill((0, LifetimeClass::Short, 0));
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.touched.clear();
+        self.served = [0; 2];
+        self.next = match &base.pool {
+            FreePool::WearLeveled(pool) => pool.first().copied(),
+            _ => None,
+        };
+        self.released.clear();
+        self.next_fresh = base.next_fresh;
+        self.live_count = base.live_count;
+    }
+
+    /// See [`RramAllocator::num_allocated`].
+    pub(crate) fn num_allocated(&self) -> u32 {
+        self.next_fresh
+    }
+
+    /// See [`RramAllocator::num_live`].
+    pub(crate) fn num_live(&self) -> usize {
+        self.live_count
+    }
+
+    /// The addresses it requested, released or wrote since the fork, each
+    /// once.
+    pub(crate) fn touched(&self) -> &[u32] {
+        &self.touched
+    }
+
+    /// The write count of address `a`.
+    pub(crate) fn writes(&self, base: &RramAllocator, a: usize) -> u64 {
+        match self.cells.get(a) {
+            Some(&(stamp, _, count)) if stamp == self.generation => count,
+            _ => base.writes.get(a).copied().unwrap_or(0),
+        }
+    }
+
+    /// The lifetime class address `a` was last requested under.
+    fn class(&self, base: &RramAllocator, a: usize) -> LifetimeClass {
+        match self.cells.get(a) {
+            Some(&(stamp, class, _)) if stamp == self.generation => class,
+            _ => base.class.get(a).copied().unwrap_or_default(),
+        }
+    }
+
+    /// The class and write count of `a`, to change.
+    fn entry(&mut self, base: &RramAllocator, a: RamAddr) -> &mut (u32, LifetimeClass, u64) {
+        if self.cells.len() <= a.index() {
+            self.cells
+                .resize(a.index() + 1, (0, LifetimeClass::Short, 0));
+        }
+        let entry = &mut self.cells[a.index()];
+        if entry.0 != self.generation {
+            let class = base.class.get(a.index()).copied().unwrap_or_default();
+            let count = base.writes.get(a.index()).copied().unwrap_or(0);
+            *entry = (self.generation, class, count);
+            self.touched.push(a.0);
+        }
+        entry
+    }
+
+    /// See [`RramAllocator::request_with_hint`].
+    pub(crate) fn request_with_hint(
+        &mut self,
         base: &RramAllocator,
-        cut: &RramAllocator,
-        renaming: &Renaming,
-    ) -> Self {
-        let n = renaming
-            .image(self.live.len())
-            .expect("addresses past the fresh counter are renamed");
-        let mut live = cut.live.clone();
-        let mut class = cut.class.clone();
-        let mut writes = cut.writes.clone();
-        live.resize(n, false);
-        class.resize(n, LifetimeClass::Short);
-        writes.resize(n, 0);
-        for b in 0..self.live.len() {
-            if let Some(a) = renaming.image(b) {
-                live[a] = self.live[b];
-                class[a] = self.class[b];
-                writes[a] = self.writes[b] - base.writes.get(b).copied().unwrap_or(0)
-                    + cut.writes.get(a).copied().unwrap_or(0);
+        hint: LifetimeClass,
+    ) -> RamAddr {
+        let addr = self.pop(base, hint).unwrap_or_else(|| {
+            self.next_fresh += 1;
+            RamAddr(self.next_fresh - 1)
+        });
+        self.entry(base, addr).1 = hint;
+        self.live_count += 1;
+        addr
+    }
+
+    /// See [`RramAllocator::release`].
+    pub(crate) fn release(&mut self, base: &RramAllocator, addr: RamAddr) {
+        let &mut (_, class, writes) = self.entry(base, addr);
+        self.released.push(addr, class, writes);
+        self.live_count -= 1;
+    }
+
+    /// Records `count` writes to a cell, as [`RramAllocator::note_writes`]
+    /// does; returns the cell's write count now.
+    pub(crate) fn note_writes(&mut self, base: &RramAllocator, addr: RamAddr, count: u64) -> u64 {
+        let entry = self.entry(base, addr);
+        entry.2 += count;
+        entry.2
+    }
+
+    /// The cell the pool serves a value of class `hint`, as the base pool
+    /// holding its unserved entries and then the released ones would.
+    fn pop(&mut self, base: &RramAllocator, hint: LifetimeClass) -> Option<RamAddr> {
+        fn front(bin: &VecDeque<RamAddr>, served: &mut usize) -> Option<RamAddr> {
+            let a = *bin.get(*served)?;
+            *served += 1;
+            Some(a)
+        }
+        let served = &mut self.served;
+        match (&base.pool, &mut self.released) {
+            (FreePool::Fifo(pool), FreePool::Fifo(released)) => {
+                front(pool, &mut served[0]).or_else(|| released.pop_front())
+            }
+            (FreePool::Lifo(pool), FreePool::Lifo(released)) => released.pop_back().or_else(|| {
+                let a = *pool.get(pool.len().checked_sub(served[0] + 1)?)?;
+                served[0] += 1;
+                Some(a)
+            }),
+            (FreePool::Fresh(_), FreePool::Fresh(_)) => None,
+            (FreePool::WearLeveled(pool), FreePool::WearReleased(released)) => {
+                match (self.next, released.peek()) {
+                    (Some(next), mine) if mine.is_none_or(|&Reverse(mine)| next < mine) => {
+                        self.next = pool.range((Excluded(next), Unbounded)).next().copied();
+                        Some(RamAddr(next.1))
+                    }
+                    _ => released.pop().map(|Reverse((_, a))| RamAddr(a)),
+                }
+            }
+            (FreePool::Binned(bins), FreePool::Binned(released)) => {
+                let preferred = bin(hint);
+                [preferred, 1 - preferred].into_iter().find_map(|i| {
+                    front(&bins[i], &mut served[i]).or_else(|| released[i].pop_front())
+                })
+            }
+            _ => unreachable!("a delta forks a pool of its own strategy"),
+        }
+    }
+
+    /// Bin `i` of the pool in the order the pool stores it: the base bin's
+    /// entries not yet served, then the cells released since.
+    fn bin<'a>(&'a self, base: &'a RramAllocator, i: usize) -> impl Iterator<Item = RamAddr> + 'a {
+        let pool = &base.pool.bins()[i];
+        let unserved = match base.pool {
+            FreePool::Lifo(_) => pool.range(..pool.len() - self.served[i]),
+            _ => pool.range(self.served[i]..),
+        };
+        unserved.chain(&self.released.bins()[i]).copied()
+    }
+
+    fn bin_len(&self, base: &RramAllocator, i: usize) -> usize {
+        base.pool.bins()[i].len() - self.served[i] + self.released.bins()[i].len()
+    }
+
+    /// Whether this replay, from here on, serves every request and release
+    /// as `other`, forked from the same base, does under a renaming of
+    /// addresses, given that their live cells pair up one to one and hold
+    /// values of the same lifetime classes (see
+    /// [`AllocDelta::classes_agree`]): the renaming pairs the bins of the
+    /// two pools position by position, and shifts the addresses past this
+    /// replay's fresh counter by the difference of the two counters (which
+    /// only `fresh` lets differ). The cells a `fresh` pool parks are never
+    /// served again and stay unmapped.
+    pub(crate) fn renames(&self, other: &AllocDelta, base: &RramAllocator) -> bool {
+        let bins = base.pool.bins().len();
+        self.live_count == other.live_count
+            && base.may_rename(self.next_fresh, other.next_fresh)
+            && (0..bins).all(|i| self.bin_len(base, i) == other.bin_len(base, i))
+    }
+
+    /// Whether the cells at `mine` here and at `theirs` in `other` were
+    /// requested under the same lifetime class, where the pool reads
+    /// classes (`binned`): the bin each goes to on release.
+    pub(crate) fn classes_agree(
+        &self,
+        other: &AllocDelta,
+        base: &RramAllocator,
+        (mine, theirs): (RamAddr, RamAddr),
+    ) -> bool {
+        !matches!(base.pool, FreePool::Binned(_))
+            || self.class(base, mine.index()) == other.class(base, theirs.index())
+    }
+
+    /// Calls `pair(mine, theirs)` on the entries of this pool and of
+    /// `other`'s, forked from the same base, position by position in each
+    /// bin: the pairs [`AllocDelta::renames`]'s renaming may move. Unless
+    /// `whole`, it leaves out the base entries both still hold, which pair
+    /// with themselves.
+    pub(crate) fn pair(
+        &self,
+        other: &AllocDelta,
+        base: &RramAllocator,
+        whole: bool,
+        mut pair: impl FnMut(RamAddr, RamAddr),
+    ) {
+        for (i, pool) in base.pool.bins().iter().enumerate() {
+            let shared = if !whole && self.served[i] == other.served[i] {
+                pool.len() - self.served[i]
+            } else {
+                0
+            };
+            for (mine, theirs) in self.bin(base, i).zip(other.bin(base, i)).skip(shared) {
+                pair(mine, theirs);
             }
         }
-        let image = |a: RamAddr| {
-            RamAddr(renaming.image(a.index()).expect("a pooled cell is renamed") as u32)
-        };
-        let pool = match (&self.pool, &base.pool, &cut.pool) {
-            // Parked cells stay parked: keep the cut's, then park what
-            // this allocator parked since `base`.
-            (FreePool::Fresh(pool), FreePool::Fresh(parked), FreePool::Fresh(cut_parked)) => {
-                let later = pool[parked.len()..].iter().map(|&a| image(a));
-                FreePool::Fresh(cut_parked.iter().copied().chain(later).collect())
-            }
-            _ => self.pool.renamed(image),
-        };
-        RramAllocator {
-            pool,
-            next_fresh: n as u32,
-            live,
-            live_count: self.live_count,
-            class,
-            writes,
-        }
-    }
-}
-
-/// An address no [`Renaming`] maps.
-const UNSET: u32 = u32::MAX;
-
-/// A renaming of one allocator's cell addresses onto another's, under which
-/// both serve the same requests and releases alike (see
-/// [`RramAllocator::renaming`]).
-#[derive(Debug, Clone)]
-pub(crate) struct Renaming {
-    /// The image of each address below the renamed allocator's fresh
-    /// counter; [`UNSET`] for a parked cell no request is served again.
-    below: Vec<u32>,
-    /// The image's fresh counter, the image of the renamed one's.
-    fresh: u32,
-}
-
-impl Renaming {
-    /// The image of address `b`, `None` for a parked cell.
-    pub(crate) fn image(&self, b: usize) -> Option<usize> {
-        match self.below.get(b) {
-            Some(&a) => (a != UNSET).then_some(a as usize),
-            None => Some(b - self.below.len() + self.fresh as usize),
-        }
-    }
-
-    /// This renaming after `first`, as one renaming of the addresses of an
-    /// allocator with `len` cells that `first` renames.
-    pub(crate) fn after(&self, first: &Renaming, len: usize) -> Renaming {
-        let image = |b: usize| first.image(b).and_then(|a| self.image(a));
-        let fresh = image(len).expect("addresses past the fresh counter are renamed");
-        Renaming {
-            below: (0..len)
-                .map(|b| image(b).map_or(UNSET, |a| a as u32))
-                .collect(),
-            fresh: fresh as u32,
-        }
-    }
-
-    /// The image's fresh counter minus the renamed allocator's.
-    pub(crate) fn shift(&self) -> i64 {
-        i64::from(self.fresh) - self.below.len() as i64
     }
 }
 

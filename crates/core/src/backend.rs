@@ -241,10 +241,9 @@ pub trait Backend: Sync {
     }
 
     /// A scorer for trial edits of `ir`, and `ir`'s cost: the replay of
-    /// [`Backend::cost`], bounded. Under `fifo` each trial forks the
-    /// committed replay at its edit; under every other allocator it resumes
-    /// from the last checkpoint before its edit. Either way it stops as
-    /// soon as the footprint or wear passes the incumbent's.
+    /// [`Backend::cost`], bounded. Each trial forks the committed replay at
+    /// its edit and stops as soon as the footprint or wear passes the
+    /// incumbent's.
     fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
         crate::ir::scorer(ir, self.cost_table())
     }

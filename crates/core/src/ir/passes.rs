@@ -13,14 +13,14 @@
 //! once, and each scan walks the stream once, resuming where it committed,
 //! so its bookkeeping per commit is proportional to the edit, and it scores
 //! each trial edit through the backend's [`TrialScorer`], which replays
-//! only from the edit (under `fifo`) or the checkpoint before it to where
-//! the replay reconverges with the committed one (see [`forward`]'s cost
-//! section). Between scans, [`drop_identity_writes`] removes the identity
-//! writes `⟨c c̄ z⟩` (both operands the same constant, so the cell keeps its
-//! value) a scan leaves: lowering emits none, and a scan leaves one each
-//! time its rotate candidate claims the source `s` of a copy `⟨s 1̄ x⟩`,
-//! which turns the copy's consumer into `⟨1 1̄ s⟩`. [`forward`] rescans
-//! until a scan commits nothing.
+//! only from the edit to where the replay reconverges with the committed
+//! one (see [`forward`]'s cost section). Between scans,
+//! [`drop_identity_writes`] removes the identity writes `⟨c c̄ z⟩` (both
+//! operands the same constant, so the cell keeps its value) a scan leaves:
+//! lowering emits none, and a scan leaves one each time its rotate
+//! candidate claims the source `s` of a copy `⟨s 1̄ x⟩`, which turns the
+//! copy's consumer into `⟨1 1̄ s⟩`. [`forward`] rescans until a scan
+//! commits nothing.
 //!
 //! `-O0` runs nothing, and `-O2` runs `forward` once. The [`PassManager`]
 //! calls it; if it edited the stream, the manager lint-checks the IR,
@@ -331,18 +331,16 @@ pub struct ForwardCounts {
 ///
 /// Trials are scored by the backend's [`TrialScorer`], told where the edit
 /// changed the stream ([`TrialEdit`], from the undo log: the rewritten
-/// span, the release it removed past the span, and the merged cells). Under
-/// `fifo` the scorer forks the committed replay at the first changed event
-/// and stops at the first event past the change where the replay has
-/// reconverged with the committed one up to a renaming of addresses; under
-/// the other allocators it resumes from the last checkpoint of the
-/// committed stream at or before the first changed event and can stop only
-/// at a committed checkpoint. Either way it abandons the replay as soon as
-/// the footprint or wear passes the incumbent's, and the final cost of a
-/// reconverged replay follows from the committed replay's. A trial costs
-/// the replay from where it started to where it lost or reconverged, not a
-/// replay of the stream's tail. A scan builds its scorer before its first
-/// trial, so a scan that trials nothing replays nothing.
+/// span, the release it removed past the span, and the merged cells). The
+/// scorer forks the committed replay at the first changed event and stops
+/// at the first event past the change where the replay has reconverged
+/// with the committed one up to a renaming of addresses (never under
+/// `wear`), or as soon as the footprint or wear passes the incumbent's;
+/// the final cost of a reconverged replay follows from the committed
+/// replay's. A trial costs the replay from its edit to where it lost or
+/// reconverged, not a replay of the stream's tail. A scan builds its
+/// scorer before its first trial, so a scan that trials nothing replays
+/// nothing.
 ///
 /// # Fixpoint
 ///
@@ -2365,9 +2363,21 @@ mod tests {
     }
 
     /// A cost table behind a scorer that checks every verdict of the
-    /// pipeline's scorer — the `fifo` one, or the checkpointed one under
-    /// every other allocator — against a full replay.
-    struct Audited(CostTable);
+    /// pipeline's scorer against a full replay, checks the committed end
+    /// state against a full replay after every commit, and counts the
+    /// commits of trials whose edit changed the stream's length.
+    struct Audited(CostTable, std::sync::atomic::AtomicUsize);
+
+    impl Audited {
+        fn new(table: CostTable) -> Self {
+            Audited(table, std::sync::atomic::AtomicUsize::new(0))
+        }
+
+        /// The commits so far whose edit changed the stream's length.
+        fn shifted(&self) -> usize {
+            self.1.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
 
     impl Backend for Audited {
         fn name(&self) -> &'static str {
@@ -2375,7 +2385,7 @@ mod tests {
         }
 
         fn description(&self) -> &'static str {
-            "every trial verdict checked against a full replay"
+            "every trial verdict and commit checked against a full replay"
         }
 
         fn instruction_set(&self) -> &'static [InstructionInfo] {
@@ -2387,71 +2397,10 @@ mod tests {
         }
 
         fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
-            let (inner, cost) = crate::ir::scorer(ir, self.0);
+            let (inner, cost) = crate::ir::emit::DeltaScorer::new(ir, self.0);
             assert_eq!(cost, self.cost(ir), "initial cost");
-            (Box::new(AuditedScorer(inner, self.0)), cost)
-        }
-
-        fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
-            Rm3Backend.emit(ir)
-        }
-    }
-
-    struct AuditedScorer(Box<dyn TrialScorer>, CostTable);
-
-    impl TrialScorer for AuditedScorer {
-        fn trial(&mut self, ir: &IrProgram, edit: &TrialEdit, bound: Cost) -> Option<Cost> {
-            let got = self.0.trial(ir, edit, bound);
-            let full = crate::ir::place(ir, self.1, &mut ()).cost;
-            assert_eq!(
-                got.is_some(),
-                full.improves_on(bound),
-                "verdict at {edit:?}"
-            );
-            if let Some(cost) = got {
-                assert_eq!(cost, full, "cost at {edit:?}");
-            }
-            got
-        }
-
-        fn commit(&mut self) {
-            self.0.commit();
-        }
-
-        fn counts(&self) -> TrialCounts {
-            self.0.counts()
-        }
-    }
-
-    /// A cost table behind a scorer that runs the `fifo` delta scorer and
-    /// the checkpointed one side by side, and counts the commits of trials
-    /// whose edit changed the stream's length.
-    struct Paired(CostTable, std::sync::atomic::AtomicUsize);
-
-    impl Backend for Paired {
-        fn name(&self) -> &'static str {
-            "paired"
-        }
-
-        fn description(&self) -> &'static str {
-            "the fifo delta scorer checked against the checkpointed one"
-        }
-
-        fn instruction_set(&self) -> &'static [InstructionInfo] {
-            Rm3Backend.instruction_set()
-        }
-
-        fn cost_table(&self) -> CostTable {
-            self.0
-        }
-
-        fn scorer(&self, ir: &IrProgram) -> (Box<dyn TrialScorer + '_>, Cost) {
-            let (delta, cost) = crate::ir::emit::FifoScorer::new(ir, self.0);
-            let (reference, want) = crate::ir::emit::Scorer::new(ir, self.0);
-            assert_eq!(cost, want, "initial cost");
-            let scorer = PairedScorer {
-                delta,
-                reference,
+            let scorer = AuditedScorer {
+                inner,
                 backend: self,
                 accepted: None,
             };
@@ -2463,34 +2412,34 @@ mod tests {
         }
     }
 
-    struct PairedScorer<'a> {
-        delta: crate::ir::emit::FifoScorer,
-        reference: crate::ir::emit::Scorer,
-        backend: &'a Paired,
+    struct AuditedScorer<'a> {
+        inner: crate::ir::emit::DeltaScorer,
+        backend: &'a Audited,
         /// The last accepted trial's stream and edit.
         accepted: Option<(IrProgram, TrialEdit)>,
     }
 
-    impl TrialScorer for PairedScorer<'_> {
+    impl TrialScorer for AuditedScorer<'_> {
         fn trial(&mut self, ir: &IrProgram, edit: &TrialEdit, bound: Cost) -> Option<Cost> {
-            let got = self.delta.trial(ir, edit, bound);
-            let want = self.reference.trial(ir, edit, bound);
-            assert_eq!(got, want, "trial at {edit:?}");
+            let got = self.inner.trial(ir, edit, bound);
+            let full = crate::ir::place(ir, self.backend.0, &mut ()).cost;
+            assert_eq!(
+                got.is_some(),
+                full.improves_on(bound),
+                "verdict at {edit:?}"
+            );
+            if let Some(cost) = got {
+                assert_eq!(cost, full, "cost at {edit:?}");
+            }
             self.accepted = got.map(|_| (ir.clone(), *edit));
             got
         }
 
         fn commit(&mut self) {
             let (ir, edit) = self.accepted.take().expect("an accepted trial");
-            self.delta.commit();
-            self.reference.commit();
+            self.inner.commit();
             let full = crate::ir::emit::tests::full_replay(&ir, self.backend.0);
-            assert_eq!(self.delta.committed(), full, "delta scorer after {edit:?}");
-            assert_eq!(
-                self.reference.committed(),
-                full,
-                "checkpoints after {edit:?}"
-            );
+            assert_eq!(self.inner.committed(), full, "after {edit:?}");
             if edit.shift != 0 {
                 self.backend
                     .1
@@ -2499,172 +2448,137 @@ mod tests {
         }
 
         fn counts(&self) -> TrialCounts {
-            self.delta.counts()
+            self.inner.counts()
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// The `fifo` delta scorer and the checkpointed scorer agree on
-        /// every trial's verdict and cost, and after every commit both
-        /// hold the committed stream's cost and end write counts as a full
-        /// replay computes them — under each target's cost table, on every
-        /// schedule, on lowered streams and on a second scan's input. Some
-        /// commits change the stream's length under every table.
-        #[test]
-        fn fifo_scorer_matches_the_checkpointed_scorer(seed in any::<u64>()) {
-            for table in crate::backend::backends().iter().map(|b| b.cost_table()) {
-                let backend = Paired(table, std::sync::atomic::AtomicUsize::new(0));
-                for schedule in ScheduleOrder::ALL {
-                    for nodes in [40, 250, 900] {
-                        let mut ir = lowered(nodes, seed, schedule, AllocatorStrategy::Fifo);
-                        scan_once(&mut ir, &backend, KEY_SPACING);
-                        let mut ir = next_scan(ir);
-                        scan_once(&mut ir, &backend, KEY_SPACING);
-                    }
-                }
-                let shifted = backend.1.load(std::sync::atomic::Ordering::Relaxed);
-                prop_assert!(shifted > 0, "{table:?}: no commit shifted the stream");
-            }
-        }
-    }
-
-    /// The trials that resume from a checkpoint the last commit adopted
-    /// past its cut, where that commit and the one before both cut
-    /// their trials short.
-    fn resumed_past_two_cuts(trials: &[crate::ir::emit::tests::TrialRecord]) -> usize {
-        let mut cuts: Vec<usize> = Vec::new();
-        let mut count = 0;
-        for t in trials {
-            if cuts.len() >= 2 && cuts.last().is_some_and(|&at| t.resumed >= at) {
-                count += 1;
-            }
-            if t.accepted {
-                match t.reconverged_at {
-                    Some(at) => cuts.push(at),
-                    None => cuts.clear(),
-                }
-            }
-        }
-        count
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(3))]
-
-        /// At every trial, the pipeline's scorer accepts exactly when a
-        /// full replay improves on the incumbent, and scores the accepted
-        /// stream exactly as the full replay does — under each target's
-        /// cost table, on every allocator, on lowered streams and on a
-        /// second scan's input, with streams long enough to hold several
-        /// checkpoints. The trials it finishes by reconvergence are among
-        /// them: under every table, every allocator whose pool serves cells
-        /// by position has some, and wear leveling none. Under RM3's, some
-        /// checkpointed trial resumes from a checkpoint the last commit
-        /// adopted past its cut, after two or more consecutive commits that
-        /// cut; that path does not read the table, and the other tables'
-        /// streams reach it too seldom to require it.
+        /// At every trial, the scorer accepts exactly when a full replay
+        /// improves on the incumbent, and scores the accepted stream
+        /// exactly as the full replay does; after every commit it holds
+        /// the committed stream's cost and end write counts as a full
+        /// replay computes them — under every allocator, each target's
+        /// cost table and every schedule, on lowered streams and on a
+        /// second scan's input. The trials it finishes by reconvergence
+        /// are among them: under every table, every allocator but wear
+        /// leveling has some, and wear leveling none. Some commits change
+        /// the stream's length under every table.
         #[test]
         fn scorer_matches_full_replays(seed in any::<u64>()) {
             for table in crate::backend::backends().iter().map(|b| b.cost_table()) {
-                let mut resumed_past_cuts = 0;
+                let backend = Audited::new(table);
                 for alloc in AllocatorStrategy::ALL {
                     crate::ir::emit::tests::take_trials();
-                    for nodes in [40, 250, 900] {
-                        let ir = lowered(nodes, seed, ScheduleOrder::Priority, alloc);
-                        let mut audited = ir.clone();
-                        let backend = Audited(table);
-                        scan_once(&mut audited, &backend, KEY_SPACING);
-                        let mut audited = next_scan(audited);
-                        scan_once(&mut audited, &backend, KEY_SPACING);
+                    for schedule in ScheduleOrder::ALL {
+                        for nodes in [40, 250, 900] {
+                            let mut ir = lowered(nodes, seed, schedule, alloc);
+                            scan_once(&mut ir, &backend, KEY_SPACING);
+                            let mut ir = next_scan(ir);
+                            scan_once(&mut ir, &backend, KEY_SPACING);
+                        }
                     }
                     let trials = crate::ir::emit::tests::take_trials();
                     let cuts = trials.iter().filter(|t| t.reconverged_at.is_some()).count();
-                    if alloc != AllocatorStrategy::Fifo {
-                        resumed_past_cuts += resumed_past_two_cuts(&trials);
-                    }
                     if alloc == AllocatorStrategy::WearLeveled {
                         prop_assert_eq!(cuts, 0);
                     } else {
                         prop_assert!(cuts > 0, "{table:?}, {alloc:?}: no trial reconverged");
                     }
                 }
-                if table == CostTable::RM3 {
-                    prop_assert!(
-                        resumed_past_cuts > 0,
-                        "no trial resumed past two consecutive cut commits"
-                    );
-                }
+                prop_assert!(backend.shifted() > 0, "{table:?}: no commit shifted the stream");
             }
         }
     }
 
-    /// Every trial resumes from the last checkpoint at or before the
-    /// first event its edit changed — never from further back, so a
+    /// No trial replays an event before the first event its edit changed,
+    /// under any allocator: it forks the committed replay there, so a
     /// rejected trial cannot silently fall back to a replay of the whole
-    /// stream.
+    /// stream. The events the scorer counts are exactly the spans its
+    /// trials replayed.
     #[test]
-    fn scorer_resumes_trials_from_the_checkpoint_before_the_edit() {
+    fn scorer_replays_no_event_before_the_edit() {
         crate::ir::emit::tests::take_trials();
+        let mut rejected = 0;
         for alloc in AllocatorStrategy::ALL {
             let mut ir = lowered(900, 1, ScheduleOrder::Priority, alloc);
-            forward(&mut ir, &Rm3Backend);
+            let run = forward(&mut ir, &Rm3Backend);
+            let trials = crate::ir::emit::tests::take_trials();
+            assert!(!trials.is_empty(), "{alloc:?}: no trials");
+            rejected += trials.iter().filter(|t| !t.accepted).count();
+            for t in &trials {
+                assert!(t.replayed.iter().all(|r| r.start >= t.from), "{t:?}");
+            }
+            let replayed: usize = trials
+                .iter()
+                .flat_map(|t| &t.replayed)
+                .map(|r| r.len())
+                .sum();
+            assert_eq!(replayed as u64, run.scoring.replayed, "{alloc:?}");
         }
-        let trials = crate::ir::emit::tests::take_trials();
-        for t in &trials {
-            assert!(
-                t.resumed <= t.from && t.from < t.resumed + t.spacing,
-                "{t:?}"
-            );
-        }
-        let rejected: Vec<_> = trials.iter().filter(|t| !t.accepted).collect();
-        let resumed_late = rejected.iter().filter(|t| t.resumed > 0).count();
-        assert!(
-            resumed_late * 2 > rejected.len(),
-            "{resumed_late} of {} rejected trials resumed past event 0",
-            rejected.len()
-        );
+        assert!(rejected > 0, "no trial rejected");
     }
 
     /// On seeded control logic — the kind `compile-o2` times — most forward
     /// trials reconverge with the committed replay a few events past their
-    /// edit, and finishing them there cuts the events the RM3 scorer
-    /// replays to a fraction of a full replay of each trial's tail.
+    /// edit under every allocator but `wear`, and finishing them there cuts
+    /// the events the RM3 scorer replays to a fraction of a full replay of
+    /// each trial's tail.
     ///
-    /// At `-O2` on this input, the scorer that replayed every trial to its
-    /// end (checkpoints every max(256, 4 × footprint) events) replays
-    /// 19,380,542 events over 5,183 trials. (It replayed 15,976,312 over
-    /// 3,591 when `-O2` stopped after eight rounds, short of `forward`'s
-    /// fixpoint.)
+    /// Each row holds an allocator's trials at `-O2` on this input, which
+    /// the scorer must match, and the events the scorers before it
+    /// replayed, which it may not exceed: under `fifo` its own count, under
+    /// the other four the count of the checkpointed scorer they used, which
+    /// resumed each trial from the last checkpoint before its edit and
+    /// could stop only at a committed checkpoint. The scorer that replayed
+    /// every `fifo` trial to its end (checkpoints every max(256, 4 ×
+    /// footprint) events) replayed 19,380,542 events over its 5,183 trials.
+    /// The delta scorer replays 3,188,011 under `fifo`, 906,408 under
+    /// `lifo`, 910,626 under `fresh`, 9,498,510 under `wear` and 3,048,846
+    /// under `binned`.
     ///
     /// Release builds only, like the Forward scaling test: debug builds
     /// verify the program after every pass and take minutes here.
     #[cfg(not(debug_assertions))]
     #[test]
     fn scorer_cuts_replay_on_control_logic() {
-        const FULL_REPLAYS: u64 = 19_380_542;
+        const ROWS: [(AllocatorStrategy, usize, u64); 5] = [
+            (AllocatorStrategy::Fifo, 5183, 3_188_011),
+            (AllocatorStrategy::Lifo, 1247, 994_379),
+            (AllocatorStrategy::Fresh, 1171, 1_795_827),
+            (AllocatorStrategy::WearLeveled, 1251, 9_665_411),
+            (AllocatorStrategy::LifetimeBinned, 4291, 3_148_909),
+        ];
         let mig = random_logic(&RandomLogicSpec::new(1024, 128, 5500, 1));
-        crate::ir::emit::tests::take_trials();
-        let options = CompilerOptions::new().opt(crate::OptLevel::O2);
-        let (_, report) = crate::compile_ir(&mig, options);
-        let scoring = report.scoring();
-        assert_eq!(scoring.trials, 5183, "the trials are the full replays'");
-        assert!(
-            scoring.replayed * 100 <= FULL_REPLAYS * 35,
-            "replayed {} of {FULL_REPLAYS} events",
-            scoring.replayed
-        );
-        let trials = crate::ir::emit::tests::take_trials();
-        let accepted = trials.iter().filter(|t| t.accepted).count();
-        let cut = trials
-            .iter()
-            .filter(|t| t.accepted && t.reconverged_at.is_some())
-            .count();
-        assert!(
-            cut * 10 >= accepted * 9,
-            "{cut} of {accepted} accepted trials cut"
-        );
+        for (alloc, trials, replayed) in ROWS {
+            crate::ir::emit::tests::take_trials();
+            let options = CompilerOptions::new()
+                .opt(crate::OptLevel::O2)
+                .allocator(alloc);
+            let (_, report) = crate::compile_ir(&mig, options);
+            let scoring = report.scoring();
+            assert_eq!(scoring.trials, trials, "{alloc:?}: the trials");
+            assert!(
+                scoring.replayed <= replayed,
+                "{alloc:?}: replayed {} events, more than {replayed}",
+                scoring.replayed
+            );
+            let records = crate::ir::emit::tests::take_trials();
+            let accepted = records.iter().filter(|t| t.accepted).count();
+            let cut = records
+                .iter()
+                .filter(|t| t.accepted && t.reconverged_at.is_some())
+                .count();
+            if alloc == AllocatorStrategy::WearLeveled {
+                assert_eq!(cut, 0, "wear leveling never cuts");
+            } else {
+                assert!(
+                    cut * 10 >= accepted * 9,
+                    "{alloc:?}: {cut} of {accepted} accepted trials cut"
+                );
+            }
+        }
     }
 
     /// Scores a stream by its event count plus 100 per op whose

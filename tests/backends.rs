@@ -456,10 +456,12 @@ fn alternative_targets_place_destinations_as_the_rm3_replay_does() {
 }
 
 /// Scoring an `-O2` trial costs every target about what it costs RM3: on
-/// reduced mem_ctrl, Ambit and MAGIC replay at most twice RM3's mean
-/// events per trial (about 1,009 against 948; 1,180 against 1,156 with
-/// the checkpointed scorer `fifo` used before). A scorer that replays the
-/// whole stream per trial replays about 9,000, over 9× RM3's.
+/// reduced mem_ctrl under the default `fifo` allocator, Ambit and MAGIC
+/// replay at most twice RM3's mean events per trial (about 1,009 against
+/// 948). The one scorer serves every target and allocator; the
+/// checkpointed scorer it replaced replayed 1,180 against 1,156 here. A
+/// scorer that replays the whole stream per trial replays about 9,000,
+/// over 9× RM3's.
 #[test]
 fn o2_trials_replay_about_as_many_events_on_every_target() {
     let mig = suite::build("mem_ctrl", Scale::Reduced).expect("suite circuit");

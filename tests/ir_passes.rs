@@ -294,8 +294,7 @@ fn forward_prices_the_o2_pipeline_without_a_cost_replay() {
         let optimized = mig::rewrite::rewrite(&mig, 4);
         let backend = CountedRm3::default();
         let mut ir = ir::lower(&optimized, CompilerOptions::new());
-        let report =
-            ir::passes::PassManager::for_level(OptLevel::O2).run(&mut ir, &optimized, &backend);
+        ir::passes::PassManager::for_level(OptLevel::O2).run(&mut ir, &optimized, &backend);
         assert_eq!(backend.0.into_inner(), 0, "{name}: cost replays");
         assert_eq!(
             ir::emit(&ir).program.to_string(),
