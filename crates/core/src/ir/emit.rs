@@ -1028,6 +1028,47 @@ pub(crate) mod tests {
         (state.cost(), state.alloc.write_counts().to_vec())
     }
 
+    /// Under `fifo`, a trial replays nothing before the first event its
+    /// edit changed — it forks the committed replay there, and the events
+    /// the scorer counts are exactly the spans its trials replayed — and
+    /// under every target's cost table some trials reconverge.
+    #[test]
+    fn fifo_trials_replay_nothing_before_their_edit() {
+        use plim_benchmarks::random::{random_logic, RandomLogicSpec};
+        take_trials();
+        for &backend in crate::backend::backends() {
+            let mut counted = 0;
+            for seed in 0..3 {
+                let mig = random_logic(&RandomLogicSpec::new(8, 4, 400, seed));
+                let mut ir = crate::ir::lower(&mig, crate::CompilerOptions::new());
+                assert_eq!(ir.allocator, AllocatorStrategy::Fifo);
+                counted += crate::ir::passes::forward(&mut ir, backend)
+                    .scoring
+                    .replayed;
+            }
+            let trials = take_trials();
+            assert!(!trials.is_empty(), "{}: no trials", backend.name());
+            for t in &trials {
+                assert!(
+                    t.replayed.iter().all(|r| r.start == t.from),
+                    "{}: {t:?}",
+                    backend.name()
+                );
+            }
+            let replayed: usize = trials
+                .iter()
+                .flat_map(|t| &t.replayed)
+                .map(Range::len)
+                .sum();
+            assert_eq!(replayed as u64, counted, "{}", backend.name());
+            assert!(
+                trials.iter().any(|t| t.reconverged_at.is_some()),
+                "{}: no trial reconverged",
+                backend.name()
+            );
+        }
+    }
+
     /// A program over cells `%0` and `%1` whose stream is `events`, with
     /// op 0 the reset of `%0` and op 1 the reset of `%1`.
     fn program(events: Vec<Event>, allocator: AllocatorStrategy) -> IrProgram {
