@@ -56,10 +56,8 @@ use mig::rewrite::rewrite;
 use mig::Mig;
 use plim_parallel::{par_map, Parallelism};
 
-use crate::ir::analysis::{analyze_events, AnalysisConfig};
-use crate::{
-    compile, compile_full, Backend, Compilation, CompilerOptions, OptLevel, RewriteMode, Rm3Program,
-};
+use crate::ir::analysis::analyze_artifact;
+use crate::{compile, compile_full, CompilerOptions, RewriteMode, Rm3Program};
 
 /// Rewrite effort used throughout the evaluation (the paper fixes 4).
 pub const PAPER_EFFORT: usize = 4;
@@ -157,26 +155,12 @@ pub struct JobResult {
     pub compile_time: Duration,
     /// What scoring the pass pipeline's trial edits cost (zero at `-O0`).
     pub scoring: crate::TrialCounts,
-    /// `true` when the static analyzer reported zero diagnostics on the
-    /// artifact, its statically re-derived #I/#R/max-writes match the
-    /// recorded [`crate::Rm3Stats`], and the emitted program obeys the
-    /// machine's initialization discipline.
+    /// `true` when [`analyze_artifact`] finds nothing at the job's
+    /// optimization level: no event-stream lint, no uninitialized read in
+    /// the emitted program, and `#I`, `#R` and the per-cell wear re-derived
+    /// by an independent replay equal to the recorded [`crate::Rm3Stats`]
+    /// and the program's writes.
     pub lint_clean: bool,
-}
-
-/// Whether one compilation's artifacts pass the full static-analysis gate
-/// at the job's optimization level.
-fn job_lint_clean(compilation: &Compilation, opt: OptLevel) -> bool {
-    let config = AnalysisConfig::for_level(opt);
-    if !analyze_events(&compilation.ir, &config).is_empty() {
-        return false;
-    }
-    let stats = &compilation.compiled.stats;
-    let cost = crate::backend::Rm3Backend.cost(&compilation.ir);
-    cost.instructions == stats.instructions
-        && cost.footprint == stats.rams
-        && cost.wear == stats.max_cell_writes
-        && crate::verify::check_init_discipline(&compilation.compiled).is_ok()
 }
 
 /// One distinct rewrite pass executed by a batch.
@@ -303,7 +287,7 @@ pub fn run_batch(circuits: &[Circuit], specs: &[JobSpec], parallelism: Paralleli
         let clock = Instant::now();
         let compilation = compile_full(input, spec.options);
         let compile_time = clock.elapsed();
-        let lint_clean = job_lint_clean(&compilation, spec.options.opt);
+        let lint_clean = analyze_artifact(&compilation, spec.options.opt).is_empty();
         JobResult {
             spec: *spec,
             scoring: compilation.report.scoring(),

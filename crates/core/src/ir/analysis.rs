@@ -1,22 +1,23 @@
-//! Static dataflow analysis over the IR event stream: the lint engine.
+//! Static analysis of compiled artifacts: the one checker.
 //!
-//! One linear pass over [`IrProgram::events`] tracks a per-cell abstract
-//! state — uninitialized / live / released / cached-complement — and turns
-//! every violation of the machine's cell discipline into a numbered
-//! [`Lint`] diagnostic instead of a hard error. The same state machine
-//! backs three consumers:
+//! [`analyze_events`] walks [`IrProgram::events`] once, tracking a per-cell
+//! abstract state — uninitialized / live / released / cached-complement —
+//! and turns every violation of the machine's cell discipline into a
+//! numbered [`Lint`] diagnostic. [`analyze_artifact`] adds the emitted
+//! program's analysis ([`analyze_program`]) and resource certification
+//! ([`certify`] / [`cross_check`]), a replay independent of the emitter
+//! that re-derives `#I`, `#R` and the per-cell wear. `plimc lint`, the
+//! bench `lint_clean` column and table1's
+//! [`JobResult::lint_clean`](crate::batch::JobResult::lint_clean) run
+//! [`analyze_artifact`]; [`PassManager`](super::passes::PassManager) runs
+//! the structural lints after an editing `forward` run, reverting a run
+//! that *introduces* a finding and panicking on an error-level finding in
+//! a run that stands. [`doctor`] corrupts streams on purpose, so a dry run
+//! can prove the battery fires.
 //!
-//! * [`passes::PassManager`](super::passes::PassManager) runs it after
-//!   every pass as a translation-validation hook, wholesale-reverting any
-//!   pass run that *introduces* a diagnostic;
-//! * the `plim-analysis` crate re-exports it and layers program-level
-//!   analysis and resource certification on top;
-//! * `plimc lint` renders the diagnostics as text or JSON.
-//!
-//! The engine is deliberately total: it never panics on malformed streams
-//! (unknown cells or op indexes become diagnostics too), so it can be
-//! pointed at hand-doctored or hostile inputs where
-//! [`IrProgram::check`]'s `Result` would stop at the first violation.
+//! The engine is total: it never panics on a malformed stream (unknown
+//! cells or op indexes become diagnostics too), so it reports every
+//! violation of a hand-doctored or hostile input, not only the first.
 //!
 //! # Cost
 //!
@@ -34,12 +35,18 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use mig::hash::KeyedState;
 use mig::NodeId;
+use plim::{OutputLoc, RamAddr};
 
+use crate::alloc::RramAllocator;
 use crate::json::Value as Json;
 use crate::options::OptLevel;
+use crate::{Compilation, Rm3Program, UninitializedRead};
 
 use super::{CellId, Event, IrOutput, IrProgram, Value};
+
+pub mod doctor;
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,9 +94,8 @@ pub enum Lint {
     /// `PA0007` — a release of a cell whose lifetime never began.
     ReleaseNeverRequested,
     /// `PA0008` — statically re-derived resources (#I, #R, per-cell wear)
-    /// disagree with the recorded `Rm3Stats`; reported by the
-    /// certification layer in `plim-analysis`, never by
-    /// [`analyze_events`].
+    /// disagree with the recorded `Rm3Stats`; reported by
+    /// [`cross_check`], never by [`analyze_events`].
     StatsMismatch,
 }
 
@@ -153,12 +159,10 @@ impl Lint {
             .find(|lint| lint.code() == text || lint.name() == text)
     }
 
-    /// The lint's ordinal in [`Lint::ALL`] (stable, used for counting).
+    /// The lint's ordinal in [`Lint::ALL`] (stable, used for counting):
+    /// `ALL` lists the lints in declaration order.
     pub fn ordinal(self) -> usize {
-        Lint::ALL
-            .iter()
-            .position(|&l| l == self)
-            .expect("every lint is in ALL")
+        self as usize
     }
 }
 
@@ -179,9 +183,20 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Renders the diagnostic as a JSON object (the `plimc lint --json`
-    /// element format).
-    pub fn to_json(&self) -> Json {
+    /// A `PA0008` finding, which names no event, cell or node.
+    fn stats_mismatch(message: String) -> Self {
+        Diagnostic {
+            lint: Lint::StatsMismatch,
+            event: None,
+            cell: None,
+            node: None,
+            message,
+        }
+    }
+
+    /// Renders the finding at `severity` as a JSON object (the `plimc lint
+    /// --json` element format).
+    pub fn to_json(&self, severity: Severity) -> Json {
         let opt_num = |v: Option<u64>| match v {
             Some(n) => Json::number(n),
             None => Json::Null,
@@ -189,21 +204,22 @@ impl Diagnostic {
         Json::object([
             ("lint", Json::string(self.lint.code())),
             ("name", Json::string(self.lint.name())),
-            ("severity", Json::string(self.lint.severity().name())),
+            ("severity", Json::string(severity.name())),
             ("event", opt_num(self.event.map(|e| e as u64))),
             ("cell", opt_num(self.cell.map(|c| u64::from(c.0)))),
             ("node", opt_num(self.node.map(|n| n.index() as u64))),
             ("message", Json::string(self.message.clone())),
         ])
     }
-}
 
-impl fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Writes the finding at `severity` as one line of text (the `plimc
+    /// lint` format): `error[PA0002]: <message>`, then ` (node N<i>)` when
+    /// the provenance is known.
+    pub fn write_text(&self, f: &mut impl fmt::Write, severity: Severity) -> fmt::Result {
         write!(
             f,
             "{}[{}]: {}",
-            self.lint.severity().name(),
+            severity.name(),
             self.lint.code(),
             self.message
         )?;
@@ -211,6 +227,13 @@ impl fmt::Display for Diagnostic {
             write!(f, " (node N{})", node.index())?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for Diagnostic {
+    /// The text line at the lint's default severity.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_text(f, self.lint.severity())
     }
 }
 
@@ -247,9 +270,18 @@ impl AnalysisConfig {
     }
 }
 
+/// The first error-level finding of the structural lints, or `None` for a
+/// stream whose only findings, if any, are warnings.
+pub fn first_error(ir: &IrProgram) -> Option<Diagnostic> {
+    analyze_events(ir, &AnalysisConfig::structural())
+        .into_iter()
+        .find(|d| d.lint.severity() == Severity::Error)
+}
+
 /// Per-cell abstract state of the linear dataflow pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum CellState {
+    #[default]
     Uninit,
     Requested,
     Live,
@@ -266,40 +298,51 @@ struct Complement {
     stale: bool,
 }
 
+/// What the linear dataflow pass knows about one cell.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellFacts {
+    state: CellState,
+    /// The constant the cell provably holds, fed by masking writes only.
+    /// Used to recognize the complement-materialization idiom (reset, then
+    /// `z ← ⟨1 s̄ z⟩` over the known-zero cell): a *main* RM3 can carry the
+    /// same operand shape, but never over a known-zero destination.
+    known: Option<bool>,
+    /// The complement the cell caches.
+    complement: Option<Complement>,
+    /// How many cells the dependents index lists under this cell as the
+    /// source, so writes to cells nothing depends on skip the lookup.
+    indexed: usize,
+}
+
 /// Runs the analyzer over the event stream and returns every finding, in
 /// event order (end-of-program findings last).
 ///
-/// A structurally valid stream ([`IrProgram::check`] passes) can still
-/// carry `PA0005` and `PA0006` findings; conversely every `check` error maps
-/// to one of the structural lints, so `analyze_events(..).is_empty()`
-/// implies `check().is_ok()`.
+/// The error-level findings are the stream's structural faults: per cell,
+/// exactly one request before every other touch, at most one release
+/// after every other touch, no read of a cell that holds no value (the
+/// machine's initialization discipline, lifted to virtual cells), and
+/// every output cell live at program end. A stream without them is one
+/// [`place`](super::place) can replay; it can still carry the `PA0005`
+/// and `PA0006` warnings.
 pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut state = vec![CellState::Uninit; ir.cells.len()];
-    let mut complement: Vec<Option<Complement>> = vec![None; ir.cells.len()];
-    // The constant a cell provably holds, fed by masking writes only. Used
-    // to recognize the complement-materialization idiom (reset, then
-    // `z ← ⟨1 s̄ z⟩` over the known-zero cell): a *main* RM3 can carry the
-    // same operand shape, but never over a known-zero destination.
-    let mut known: Vec<Option<bool>> = vec![None; ir.cells.len()];
+    let mut cells = vec![CellFacts::default(); ir.cells.len()];
     // The dependents index: `(source, node)` -> the cells recorded as
     // caching `¬source` for `node` since that pair was last written. A
     // cell re-materialized or re-requested since its push keeps a dead
     // entry here, which the complement check skips when the list is
     // consumed.
-    let mut dependents: HashMap<(CellId, NodeId), Vec<CellId>> = HashMap::new();
-    // Per source cell: how many cells its lists hold, so writes to cells
-    // nothing depends on skip the lookup.
-    let mut indexed = vec![0usize; ir.cells.len()];
+    let mut dependents: HashMap<u128, Vec<CellId>, KeyedState> = HashMap::default();
+    let key = |source: CellId, node: NodeId| u128::from(source.0) << 64 | node.index() as u128;
 
     for (pos, &event) in ir.events.iter().enumerate() {
         match event {
             Event::Request(c) => {
-                let Some(s) = state.get_mut(c.index()) else {
+                let Some(facts) = cells.get_mut(c.index()) else {
                     diags.push(unknown_cell(pos, c));
                     continue;
                 };
-                if *s != CellState::Uninit {
+                if facts.state != CellState::Uninit {
                     diags.push(Diagnostic {
                         lint: Lint::PinnedAliasing,
                         event: Some(pos),
@@ -308,16 +351,16 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                         message: format!("event {pos}: %{} requested twice", c.0),
                     });
                 }
-                *s = CellState::Requested;
-                complement[c.index()] = None;
-                known[c.index()] = None;
+                facts.state = CellState::Requested;
+                facts.complement = None;
+                facts.known = None;
             }
             Event::Release(c) => {
-                let Some(s) = state.get_mut(c.index()) else {
+                let Some(facts) = cells.get_mut(c.index()) else {
                     diags.push(unknown_cell(pos, c));
                     continue;
                 };
-                match *s {
+                match facts.state {
                     CellState::Uninit => diags.push(Diagnostic {
                         lint: Lint::ReleaseNeverRequested,
                         event: Some(pos),
@@ -334,7 +377,7 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     }),
                     CellState::Requested | CellState::Live => {}
                 }
-                *s = CellState::Released;
+                facts.state = CellState::Released;
             }
             Event::Op(i) => {
                 let Some(op) = ir.ops.get(i as usize) else {
@@ -347,57 +390,23 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     });
                     continue;
                 };
-                for c in op.reads() {
-                    match state.get(c.index()).copied() {
-                        Some(CellState::Live) => {
-                            if let Some(entry) = complement.get(c.index()).and_then(|e| *e) {
-                                if entry.stale {
-                                    diags.push(Diagnostic {
-                                        lint: Lint::StaleComplement,
-                                        event: Some(pos),
-                                        cell: Some(c),
-                                        node: op.node,
-                                        message: format!(
-                                            "event {pos}: op reads %{} caching ¬%{}, \
-                                             but %{} was recomputed since",
-                                            c.0, entry.source.0, entry.source.0
-                                        ),
-                                    });
-                                }
-                            }
-                        }
-                        Some(CellState::Uninit | CellState::Requested) => {
-                            diags.push(Diagnostic {
-                                lint: Lint::UseBeforeInit,
-                                event: Some(pos),
-                                cell: Some(c),
-                                node: op.node,
-                                message: format!(
-                                    "event {pos}: op reads %{} which holds no value",
-                                    c.0
-                                ),
-                            });
-                        }
-                        Some(CellState::Released) => {
-                            diags.push(Diagnostic {
-                                lint: Lint::UseAfterRelease,
-                                event: Some(pos),
-                                cell: Some(c),
-                                node: op.node,
-                                message: format!(
-                                    "event {pos}: op reads %{} after its release",
-                                    c.0
-                                ),
-                            });
-                        }
-                        None => diags.push(unknown_cell(pos, c)),
-                    }
+                // The reads of `op.reads()`, spelled out: this loop is the
+                // per-trial check of `-O2` in debug builds.
+                if let Value::Cell(c) = op.a {
+                    check_read(&cells, pos, op.node, c, &mut diags);
                 }
-                let Some(s) = state.get_mut(op.z.index()) else {
+                if let Value::Cell(c) = op.b {
+                    check_read(&cells, pos, op.node, c, &mut diags);
+                }
+                if !op.masking() {
+                    check_read(&cells, pos, op.node, op.z, &mut diags);
+                }
+                let z = op.z.index();
+                let Some(facts) = cells.get_mut(z) else {
                     diags.push(unknown_cell(pos, op.z));
                     continue;
                 };
-                match *s {
+                match facts.state {
                     CellState::Uninit => diags.push(Diagnostic {
                         lint: Lint::UseBeforeInit,
                         event: Some(pos),
@@ -417,59 +426,59 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     }),
                     CellState::Requested | CellState::Live => {}
                 }
-                *s = CellState::Live;
+                facts.state = CellState::Live;
                 // `⟨x x̄ z⟩` with equal constants is an identity write: the
-                // value is untouched, so neither the complement map nor the
-                // known-constant map moves.
-                if !op.identity() {
-                    // Cached-complement bookkeeping. The materialization
-                    // idiom is `z ← ⟨1 s̄ z⟩` over a freshly *reset* cell —
-                    // that and only that computes ¬s. The same operand
-                    // shape on a cell holding a meaningful value is an
-                    // ordinary majority op.
-                    let was_zero = known[op.z.index()] == Some(false);
-                    complement[op.z.index()] = match (op.a, op.b, op.node) {
-                        (Value::Const(true), Value::Cell(source), Some(node)) if was_zero => {
-                            // No write reaches an unknown source cell, so
-                            // nothing is indexed under one.
-                            if let Some(count) = indexed.get_mut(source.index()) {
-                                *count += 1;
-                                dependents.entry((source, node)).or_default().push(op.z);
-                            }
-                            Some(Complement {
-                                source,
-                                node,
-                                stale: false,
-                            })
+                // value is untouched, so neither the complement nor the
+                // known constant moves.
+                if op.identity() {
+                    continue;
+                }
+                // Cached-complement bookkeeping. The materialization idiom
+                // is `z ← ⟨1 s̄ z⟩` over a freshly *reset* cell — that and
+                // only that computes ¬s. The same operand shape on a cell
+                // holding a meaningful value is an ordinary majority op.
+                let was_zero = facts.known == Some(false);
+                facts.known = None;
+                facts.complement = None;
+                match (op.a, op.b, op.node) {
+                    // Not an identity write, so a masking one.
+                    (Value::Const(x), Value::Const(_), _) => facts.known = Some(x),
+                    (Value::Const(true), Value::Cell(source), Some(node)) if was_zero => {
+                        facts.complement = Some(Complement {
+                            source,
+                            node,
+                            stale: false,
+                        });
+                        // No write reaches an unknown source cell, so
+                        // nothing is indexed under one.
+                        if let Some(source_facts) = cells.get_mut(source.index()) {
+                            source_facts.indexed += 1;
+                            dependents.entry(key(source, node)).or_default().push(op.z);
                         }
-                        _ => None,
-                    };
-                    known[op.z.index()] = match (op.a, op.b) {
-                        (Value::Const(x), Value::Const(y)) if x != y => Some(x),
-                        _ => None,
-                    };
-                    // A value-changing write under node provenance `n`
-                    // invalidates cached complements of the same cell *for
-                    // the same node*: that is a recomputation, which
-                    // correct lowering never emits while the complement is
-                    // still consumed. Forwarding retargets carry the *new*
-                    // node's provenance and so never trip this. Only the
-                    // cells indexed under `(z, n)` can be affected, and the
-                    // walk consumes their list: each ends up stale or no
-                    // longer caching `¬z` for `n`, which no later write
-                    // changes. `z` itself is skipped, as any later
-                    // value-changing write to `z` rewrites its entry first.
-                    if let Some(node) = op.node.filter(|_| indexed[op.z.index()] > 0) {
-                        let list = dependents.remove(&(op.z, node)).unwrap_or_default();
-                        indexed[op.z.index()] -= list.len();
-                        for cell in list {
-                            if cell == op.z {
-                                continue;
-                            }
-                            if let Some(entry) = &mut complement[cell.index()] {
-                                if entry.source == op.z && entry.node == node {
-                                    entry.stale = true;
-                                }
+                    }
+                    _ => {}
+                }
+                // A value-changing write under node provenance `n`
+                // invalidates cached complements of the same cell *for the
+                // same node*: that is a recomputation, which correct
+                // lowering never emits while the complement is still
+                // consumed. Forwarding retargets carry the *new* node's
+                // provenance and so never trip this. Only the cells indexed
+                // under `(z, n)` can be affected, and the walk consumes
+                // their list: each ends up stale or no longer caching `¬z`
+                // for `n`, which no later write changes. `z` itself is
+                // skipped, as any later value-changing write to `z`
+                // rewrites its entry first.
+                if let Some(node) = op.node.filter(|_| cells[z].indexed > 0) {
+                    let list = dependents.remove(&key(op.z, node)).unwrap_or_default();
+                    cells[z].indexed -= list.len();
+                    for cell in list {
+                        if cell == op.z {
+                            continue;
+                        }
+                        if let Some(entry) = &mut cells[cell.index()].complement {
+                            if entry.source == op.z && entry.node == node {
+                                entry.stale = true;
                             }
                         }
                     }
@@ -480,7 +489,7 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
 
     for (name, output) in &ir.outputs {
         if let IrOutput::Cell(c) = output {
-            if state.get(c.index()).copied() != Some(CellState::Live) {
+            if cells.get(c.index()).map(|facts| facts.state) != Some(CellState::Live) {
                 diags.push(Diagnostic {
                     lint: Lint::UseBeforeInit,
                     event: None,
@@ -501,6 +510,47 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
 
     diags.sort_by_key(|d| (d.event.unwrap_or(usize::MAX), d.lint.ordinal()));
     diags
+}
+
+/// The findings of one op's read of `c` at event `pos`: a read of a cell
+/// that holds no value, of a released or unknown cell, or of a cached
+/// complement gone stale.
+fn check_read(
+    cells: &[CellFacts],
+    pos: usize,
+    node: Option<NodeId>,
+    c: CellId,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let Some(facts) = cells.get(c.index()) else {
+        diags.push(unknown_cell(pos, c));
+        return;
+    };
+    let (lint, message) = match (facts.state, facts.complement) {
+        (CellState::Live, Some(entry)) if entry.stale => (
+            Lint::StaleComplement,
+            format!(
+                "event {pos}: op reads %{} caching ¬%{}, but %{} was recomputed since",
+                c.0, entry.source.0, entry.source.0
+            ),
+        ),
+        (CellState::Live, _) => return,
+        (CellState::Uninit | CellState::Requested, _) => (
+            Lint::UseBeforeInit,
+            format!("event {pos}: op reads %{} which holds no value", c.0),
+        ),
+        (CellState::Released, _) => (
+            Lint::UseAfterRelease,
+            format!("event {pos}: op reads %{} after its release", c.0),
+        ),
+    };
+    diags.push(Diagnostic {
+        lint,
+        event: Some(pos),
+        cell: Some(c),
+        node,
+        message,
+    });
 }
 
 /// A backward liveness sweep over virtual cells: every write no later
@@ -570,4 +620,183 @@ pub fn lint_counts(diags: &[Diagnostic]) -> [usize; LINT_COUNT] {
 /// pass-pipeline revert criterion.
 pub fn introduces(before: &[usize; LINT_COUNT], after: &[usize; LINT_COUNT]) -> bool {
     before.iter().zip(after.iter()).any(|(b, a)| a > b)
+}
+
+/// Resources re-derived from the event stream alone, by replaying it
+/// through a fresh allocator of the program's strategy — no numbers are
+/// taken from the emitter or from [`Rm3Stats`](crate::Rm3Stats).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Certificate {
+    /// Instruction count (`#I`): one per [`Event::Op`].
+    pub instructions: usize,
+    /// Work-cell count (`#R`): the highest physical address any replayed
+    /// instruction touches, plus one.
+    pub rams: u32,
+    /// The largest per-cell destination-write count.
+    pub max_cell_writes: u64,
+    /// Destination writes per physical cell, indexed by address.
+    pub write_counts: Vec<u64>,
+}
+
+/// Replays `ir.events` through a fresh [`RramAllocator`] and returns the
+/// re-derived resource profile.
+///
+/// Returns `None` if the stream is malformed (a release before a request,
+/// an op touching a cell outside its lifetime, an unknown cell or op) —
+/// exactly the streams on which [`analyze_events`] reports structural
+/// errors, so a `None` here never goes unexplained.
+pub fn certify(ir: &IrProgram) -> Option<Certificate> {
+    let mut alloc = RramAllocator::new(ir.allocator);
+    let mut addr: Vec<Option<RamAddr>> = vec![None; ir.cells.len()];
+    let mut instructions = 0usize;
+    let mut rams = 0u32;
+    for &event in &ir.events {
+        match event {
+            Event::Request(c) => {
+                let hint = ir.cells.get(c.index())?.hint;
+                *addr.get_mut(c.index())? = Some(alloc.request_with_hint(hint));
+            }
+            Event::Release(c) => {
+                let a = addr.get_mut(c.index())?.take()?;
+                alloc.release(a);
+            }
+            Event::Op(i) => {
+                let op = ir.ops.get(i as usize)?;
+                let z = (*addr.get(op.z.index())?)?;
+                instructions += 1;
+                alloc.note_write(z);
+                rams = rams.max(z.0 + 1);
+                for value in [op.a, op.b] {
+                    if let Value::Cell(c) = value {
+                        let a = (*addr.get(c.index())?)?;
+                        rams = rams.max(a.0 + 1);
+                    }
+                }
+            }
+        }
+    }
+    Some(Certificate {
+        instructions,
+        rams,
+        max_cell_writes: alloc.max_writes(),
+        write_counts: alloc.write_counts().to_vec(),
+    })
+}
+
+/// Compares a [`Certificate`] against the emitted artifact, reporting
+/// every disagreement as a `PA0008` diagnostic: `#I`, `#R`, and
+/// `max_cell_writes` versus [`Rm3Stats`](crate::Rm3Stats), and the full
+/// per-cell wear profile versus [`Rm3Program::static_write_counts`].
+pub fn cross_check(certificate: &Certificate, compiled: &Rm3Program) -> Vec<Diagnostic> {
+    let stats = &compiled.stats;
+    let mut diags: Vec<Diagnostic> = [
+        (
+            "#I",
+            certificate.instructions as u64,
+            stats.instructions as u64,
+        ),
+        ("#R", u64::from(certificate.rams), u64::from(stats.rams)),
+        (
+            "max cell writes",
+            certificate.max_cell_writes,
+            stats.max_cell_writes,
+        ),
+    ]
+    .into_iter()
+    .filter(|(_, replayed, recorded)| replayed != recorded)
+    .map(|(what, replayed, recorded)| {
+        Diagnostic::stats_mismatch(format!(
+            "re-derived {what} = {replayed} but Rm3Stats records {recorded}"
+        ))
+    })
+    .collect();
+    let emitted = compiled.static_write_counts();
+    let cells = certificate.write_counts.len().max(emitted.len());
+    for index in 0..cells {
+        let replayed = certificate.write_counts.get(index).copied().unwrap_or(0);
+        let actual = emitted.get(index).copied().unwrap_or(0);
+        if replayed != actual {
+            diags.push(Diagnostic::stats_mismatch(format!(
+                "cell X{}: re-derived wear {replayed} but the program performs {actual} writes",
+                index + 1
+            )));
+        }
+    }
+    diags
+}
+
+/// Analyzes the emitted physical program, reporting every read of an
+/// uninitialized cell as `PA0001`: operand reads, non-masking destination
+/// reads (the old value of `Z` participates in the majority unless both
+/// `A` and `B` are differing constants), and outputs resident in
+/// never-written cells.
+///
+/// The instruction findings are [`Rm3Program::uninitialized_reads`], the
+/// walk whose first finding
+/// [`verify::check_init_discipline`](crate::verify::check_init_discipline)
+/// reports; an output is uninitialized when no instruction writes its
+/// cell. In the resulting diagnostics, `event` holds the 0-based
+/// instruction index (`pc`), not an event-stream position.
+pub fn analyze_program(compiled: &Rm3Program) -> Vec<Diagnostic> {
+    let uninit = |event, message| Diagnostic {
+        lint: Lint::UseBeforeInit,
+        event,
+        cell: None,
+        node: None,
+        message,
+    };
+    let mut diags: Vec<Diagnostic> = compiled
+        .uninitialized_reads()
+        .into_iter()
+        .map(|read| match read {
+            UninitializedRead::Operand(pc, addr) => uninit(
+                Some(pc),
+                format!("pc {}: instruction reads {addr} before any write", pc + 1),
+            ),
+            UninitializedRead::Destination(pc, addr) => uninit(
+                Some(pc),
+                format!(
+                    "pc {}: non-masking write observes uninitialized destination {addr}",
+                    pc + 1
+                ),
+            ),
+        })
+        .collect();
+    let writes = compiled.static_write_counts();
+    for (name, loc) in compiled.program.outputs() {
+        if let OutputLoc::Ram(addr) = *loc {
+            if writes.get(addr.index()).copied().unwrap_or(0) == 0 {
+                diags.push(uninit(
+                    None,
+                    format!("output `{name}` reads never-written cell {addr}"),
+                ));
+            }
+        }
+    }
+    diags
+}
+
+/// Runs the full analysis battery over one compilation artifact: the
+/// event-stream lints at the check level appropriate for `opt`
+/// ([`AnalysisConfig::for_level`]), the physical-program analysis
+/// ([`analyze_program`]), and resource certification ([`certify`] +
+/// [`cross_check`]).
+///
+/// An empty result is the artifact's clean bill of health — the claim the
+/// `lint_clean` benchmark column and the `plimc lint` exit status stand
+/// on.
+pub fn analyze_artifact(compilation: &Compilation, opt: OptLevel) -> Vec<Diagnostic> {
+    let mut diags = analyze_events(&compilation.ir, &AnalysisConfig::for_level(opt));
+    diags.extend(analyze_program(&compilation.compiled));
+    match certify(&compilation.ir) {
+        Some(certificate) => diags.extend(cross_check(&certificate, &compilation.compiled)),
+        // A malformed stream always carries structural errors from
+        // `analyze_events`; this guards against the two analyses ever
+        // disagreeing about malformedness.
+        None if diags.is_empty() => diags.push(Diagnostic::stats_mismatch(
+            "event stream could not be replayed for certification".into(),
+        )),
+        None => {}
+    }
+    diags
 }

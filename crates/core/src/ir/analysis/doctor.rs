@@ -6,7 +6,7 @@
 //! injected — and requires the run to fail with the expected lint. These
 //! helpers perform the injections; each documents the lint it guarantees.
 
-use plim_compiler::ir::{CellId, Event, IrProgram, Value};
+use crate::ir::{CellId, Event, IrProgram, Value};
 
 /// Injects a write-after-release: releases the destination cell of the
 /// first op event immediately before that op runs, so the op's write (and
@@ -109,8 +109,8 @@ fn read_later(ir: &IrProgram, pos: usize, z: CellId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plim_compiler::ir::analysis::{analyze_events, AnalysisConfig, Lint};
-    use plim_compiler::{compile_full, CompilerOptions};
+    use crate::ir::analysis::{analyze_events, AnalysisConfig, Lint};
+    use crate::{compile_full, CompilerOptions};
 
     #[test]
     fn injection_trips_use_after_release() {

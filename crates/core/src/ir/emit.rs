@@ -86,7 +86,9 @@ pub struct Placement {
 ///
 /// # Panics
 ///
-/// Panics if the stream is malformed (see [`IrProgram::check`]).
+/// May panic on a malformed stream: one on which
+/// [`analyze_events`](super::analysis::analyze_events) reports an
+/// error-level finding.
 pub fn place(ir: &IrProgram, table: CostTable, sink: &mut impl OpSink) -> Placement {
     let mut state = Replay::new(ir, table);
     state.run(ir, 0..ir.events.len(), sink);

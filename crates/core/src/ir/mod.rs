@@ -202,91 +202,6 @@ impl IrProgram {
         }
     }
 
-    /// Structurally verifies the program; run after every pass.
-    ///
-    /// Checks, per cell: exactly one request (before every other touch), at
-    /// most one release (after every other touch), no reads of undefined
-    /// values (the machine's initialization discipline, lifted to virtual
-    /// cells), and that output cells are defined at program end.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line description of the first violation.
-    pub fn check(&self) -> Result<(), String> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum State {
-            Unborn,
-            Requested,
-            Defined,
-            Released,
-        }
-        let mut state = vec![State::Unborn; self.cells.len()];
-        for (pos, &event) in self.events.iter().enumerate() {
-            match event {
-                Event::Request(c) => {
-                    let s = state
-                        .get_mut(c.index())
-                        .ok_or_else(|| format!("event {pos}: unknown cell %{}", c.0))?;
-                    if *s != State::Unborn {
-                        return Err(format!("event {pos}: %{} requested twice", c.0));
-                    }
-                    *s = State::Requested;
-                }
-                Event::Release(c) => {
-                    let s = state
-                        .get_mut(c.index())
-                        .ok_or_else(|| format!("event {pos}: unknown cell %{}", c.0))?;
-                    if !matches!(*s, State::Requested | State::Defined) {
-                        return Err(format!("event {pos}: %{} released while not live", c.0));
-                    }
-                    *s = State::Released;
-                }
-                Event::Op(i) => {
-                    let op = self
-                        .ops
-                        .get(i as usize)
-                        .ok_or_else(|| format!("event {pos}: unknown op {i}"))?;
-                    for c in op.reads() {
-                        match state.get(c.index()) {
-                            Some(State::Defined) => {}
-                            Some(_) => {
-                                return Err(format!(
-                                    "event {pos}: op reads %{} which holds no value",
-                                    c.0
-                                ))
-                            }
-                            None => return Err(format!("event {pos}: unknown cell %{}", c.0)),
-                        }
-                    }
-                    match state.get_mut(op.z.index()) {
-                        Some(s @ (State::Requested | State::Defined)) => *s = State::Defined,
-                        Some(_) => {
-                            return Err(format!(
-                                "event {pos}: op writes %{} outside its lifetime",
-                                op.z.0
-                            ))
-                        }
-                        None => return Err(format!("event {pos}: unknown cell %{}", op.z.0)),
-                    }
-                }
-            }
-        }
-        for (name, output) in &self.outputs {
-            if let IrOutput::Cell(c) = output {
-                match state.get(c.index()) {
-                    Some(State::Defined) => {}
-                    _ => {
-                        return Err(format!(
-                            "output `{name}` reads %{} which is not live at program end",
-                            c.0
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Renders the program in the stable `plimc --emit ir` text form: a
     /// header, one instruction per line with its def/use annotation and
     /// provenance comment, and the output directory.
@@ -408,40 +323,6 @@ mod tests {
         }
     }
 
-    /// Every violation `check` reports, with its message.
-    #[test]
-    fn check_reports_each_violation() {
-        use Event::{Op, Release, Request};
-        let (c0, c1, c9) = (CellId(0), CellId(1), CellId(9));
-        assert_eq!(program(vec![Request(c0), Op(1)]).check(), Ok(()));
-        for (events, message) in [
-            (vec![Request(c9)], "event 0: unknown cell %9"),
-            (vec![Release(c9)], "event 0: unknown cell %9"),
-            (
-                vec![Request(c0), Request(c0)],
-                "event 1: %0 requested twice",
-            ),
-            (vec![Release(c0)], "event 0: %0 released while not live"),
-            (vec![Op(7)], "event 0: unknown op 7"),
-            (
-                vec![Request(c0), Request(c1), Op(0)],
-                "event 2: op reads %1 which holds no value",
-            ),
-            (vec![Op(1)], "event 0: op writes %0 outside its lifetime"),
-            (
-                vec![Request(c0), Op(1), Release(c0)],
-                "output `f` reads %0 which is not live at program end",
-            ),
-        ] {
-            assert_eq!(program(events).check(), Err(message.to_string()));
-        }
-        let mut unknown = program(vec![Request(c0), Op(1), Op(0)]);
-        unknown.ops[0].b = Value::Cell(c9);
-        assert_eq!(unknown.check(), Err("event 2: unknown cell %9".to_string()));
-        unknown.ops[1].z = c9;
-        assert_eq!(unknown.check(), Err("event 1: unknown cell %9".to_string()));
-    }
-
     /// The `format!` renderer [`IrProgram::dump`] replaced, kept as its
     /// oracle.
     fn format_dump(ir: &IrProgram) -> String {
@@ -506,7 +387,7 @@ mod tests {
     /// A random program of `len` ops with request and release events
     /// between them, over every `Value`, `Rhs` and `IrOutput` form, masking
     /// and non-masking ops, and cell numbers large enough that some columns
-    /// pass their padded width. It need not pass [`IrProgram::check`].
+    /// pass their padded width. It need not be structurally valid.
     fn arbitrary_ir(rng: &mut TestRng, len: usize) -> IrProgram {
         let mut ir = program(Vec::new());
         ir.num_inputs = below(rng, 40) as usize;

@@ -47,7 +47,8 @@ use mig::Mig;
 use crate::backend::{Backend, Cost, TrialCounts, TrialEdit, TrialScorer};
 use crate::options::OptLevel;
 
-use super::{analysis, CellId, Event, IrOp, IrOutput, IrProgram, Value};
+use super::analysis::{self, Severity};
+use super::{CellId, Event, IrOp, IrOutput, IrProgram, Value};
 
 /// One pass execution's accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,10 +133,9 @@ impl PassManager {
     /// structural lint count over the pipeline's entry is reverted
     /// wholesale. The entry is linted only then, from the snapshot the
     /// revert would restore, so a run that edits nothing lints nothing.
-    /// The analyzer is the arbiter; the [`IrProgram::check`] panic is only
-    /// a backstop for streams so broken the analyzer itself missed them. A
-    /// run that stands is, in debug/test builds, verified equivalent to
-    /// `mig` on the machine simulator.
+    /// A run that stands and still carries an error-level finding panics,
+    /// and in debug/test builds it is verified equivalent to `mig` on the
+    /// machine simulator.
     ///
     /// # Panics
     ///
@@ -152,15 +152,15 @@ impl PassManager {
         let run = forward(ir, backend);
         let mut edits = run.edits;
         if edits > 0 {
-            let after = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
+            let after = analysis::analyze_events(ir, &structural);
             before.swap(ir);
             let lints = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
             before.swap(ir);
-            if analysis::introduces(&lints, &after) {
+            if analysis::introduces(&lints, &analysis::lint_counts(&after)) {
                 before.restore(ir);
                 edits = 0;
             } else {
-                if let Err(error) = ir.check() {
+                if let Some(error) = after.iter().find(|d| d.lint.severity() == Severity::Error) {
                     panic!("pass `forward` produced invalid IR: {error}");
                 }
                 #[cfg(debug_assertions)]
@@ -1135,7 +1135,7 @@ impl Forwarder {
                 &moved_positions,
             );
             #[cfg(debug_assertions)]
-            if let Err(e) = ir.check() {
+            if let Some(e) = analysis::first_error(ir) {
                 panic!(
                     "forwarding produced invalid IR: {e} \
                      (pos={pos} x=%{} d=%{} last_read={last_read} moved={moved_positions:?} \
@@ -1555,7 +1555,7 @@ mod tests {
         use super::super::{masked_const, MOVE_CAP};
         use super::gc_cells;
         use crate::backend::{Backend, Cost};
-        use crate::ir::{CellId, Event, IrOutput, IrProgram, Value};
+        use crate::ir::{analysis, CellId, Event, IrOutput, IrProgram, Value};
 
         /// How a position touches a cell.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1806,7 +1806,7 @@ mod tests {
                         &moved,
                     );
                     #[cfg(debug_assertions)]
-                    if let Err(e) = ir.check() {
+                    if let Some(e) = analysis::first_error(ir) {
                         panic!(
                             "forwarding produced invalid IR: {e} \
                              (pos={pos} x=%{} d=%{} last_read={last_read} moved={moved:?} chain={chain_ops:?})",
@@ -2716,7 +2716,7 @@ mod tests {
             mig_nodes: 2,
             allocator: AllocatorStrategy::Fifo,
         };
-        ir.check().expect("a valid stream");
+        assert_eq!(analysis::first_error(&ir), None, "a valid stream");
         let picky = Picky {
             original: ir.ops.iter().map(|op| op.z).collect(),
             allowed: vec![(8, w), (9, d)],
@@ -2786,7 +2786,7 @@ mod tests {
             mig_nodes: 8,
             allocator: AllocatorStrategy::Fifo,
         };
-        ir.check().expect("a valid stream");
+        assert_eq!(analysis::first_error(&ir), None, "a valid stream");
         let structural = analysis::AnalysisConfig::structural();
         let stale = |ir: &IrProgram| {
             analysis::analyze_events(ir, &structural)

@@ -396,9 +396,10 @@ fn run_targets(argv: &[String]) -> Result<(), String> {
 /// event stream *before* analysis so CI can prove the gate actually fires.
 /// Exits 1 when any error-level finding survives the configuration.
 fn run_lint(argv: &[String]) -> Result<(), Failure> {
-    use plim_analysis::{analyze_artifact, Lint, LintConfig, Report};
+    use plim_compiler::ir::analysis::{analyze_artifact, doctor, Lint};
+    use plim_service::{LintConfig, Report};
 
-    let mut config = LintConfig::new();
+    let mut config = LintConfig::default();
     let mut json = false;
     // A `--doctor` injection and its error when there is nothing to corrupt.
     type Injection = fn(&mut plim_compiler::ir::IrProgram) -> Option<plim_compiler::ir::CellId>;
@@ -419,7 +420,6 @@ fn run_lint(argv: &[String]) -> Result<(), Failure> {
             "--deny" => config.deny(lint(flags.value(arg)?)?),
             "--allow" => config.allow(lint(flags.value(arg)?)?),
             "--doctor" => {
-                use plim_analysis::doctor;
                 doctor = Some(match flags.value(arg)? {
                     "write-after-release" => (
                         doctor::inject_write_after_release as Injection,

@@ -69,6 +69,11 @@
 //! * [`loadtest`] — the `plimc loadtest` harness: thousands of concurrent
 //!   pipelined connections, byte-compared against the offline pipeline.
 //!
+//! At the root, [`LintConfig`] and [`Report`] turn the findings of
+//! [`analyze_artifact`](plim_compiler::ir::analysis::analyze_artifact)
+//! into `plimc lint`'s verdict: per-lint `--deny`/`--allow` and the text
+//! and `--json` reports.
+//!
 //! ## Wire protocol (v2)
 //!
 //! One JSON object per line, one response line per request, responses in
@@ -99,3 +104,226 @@ pub mod poller;
 pub mod protocol;
 mod reactor;
 pub mod server;
+
+use std::fmt;
+
+use plim_compiler::ir::analysis::{Diagnostic, Lint, Severity, LINT_COUNT};
+use plim_compiler::json::Value as Json;
+
+/// Per-lint severity policy: `--deny` promotes a lint to [`Severity::Error`],
+/// `--allow` suppresses it entirely. A later setting for the same lint wins
+/// over an earlier one.
+#[derive(Debug, Clone)]
+pub struct LintConfig {
+    /// Each lint's severity, indexed by [`Lint::ordinal`]; `None` when
+    /// suppressed.
+    severity: [Option<Severity>; LINT_COUNT],
+}
+
+impl Default for LintConfig {
+    /// Every lint at its built-in severity.
+    fn default() -> Self {
+        LintConfig {
+            severity: Lint::ALL.map(|lint| Some(lint.severity())),
+        }
+    }
+}
+
+impl LintConfig {
+    /// Treats `lint` as an error regardless of its default severity.
+    pub fn deny(&mut self, lint: Lint) {
+        self.severity[lint.ordinal()] = Some(Severity::Error);
+    }
+
+    /// Suppresses `lint` entirely.
+    pub fn allow(&mut self, lint: Lint) {
+        self.severity[lint.ordinal()] = None;
+    }
+
+    /// The severity `lint` is reported at, or `None` if suppressed.
+    pub fn effective(&self, lint: Lint) -> Option<Severity> {
+        self.severity[lint.ordinal()]
+    }
+}
+
+/// A rendered lint run over one artifact: the diagnostics that survived
+/// the [`LintConfig`], each with its effective severity.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// What was analyzed (a circuit name or file path).
+    pub subject: String,
+    /// Surviving findings with their effective severities, in input order.
+    pub findings: Vec<(Severity, Diagnostic)>,
+    /// Number of findings the config suppressed.
+    pub suppressed: usize,
+}
+
+impl Report {
+    /// Applies `config` to raw diagnostics.
+    pub fn new(
+        subject: impl Into<String>,
+        diags: impl IntoIterator<Item = Diagnostic>,
+        config: &LintConfig,
+    ) -> Report {
+        let mut findings = Vec::new();
+        let mut suppressed = 0usize;
+        for diag in diags {
+            match config.effective(diag.lint) {
+                Some(severity) => findings.push((severity, diag)),
+                None => suppressed += 1,
+            }
+        }
+        Report {
+            subject: subject.into(),
+            findings,
+            suppressed,
+        }
+    }
+
+    /// Number of error-level findings.
+    pub fn errors(&self) -> usize {
+        self.findings
+            .iter()
+            .filter(|(s, _)| *s == Severity::Error)
+            .count()
+    }
+
+    /// Number of warning-level findings.
+    pub fn warnings(&self) -> usize {
+        self.findings.len() - self.errors()
+    }
+
+    /// `true` if no findings survived — warnings included.
+    pub fn clean(&self) -> bool {
+        self.findings.is_empty()
+    }
+
+    /// `true` if the run should fail (any error-level finding).
+    pub fn failing(&self) -> bool {
+        self.errors() > 0
+    }
+
+    /// Renders the report as a JSON object — the `plimc lint --json`
+    /// element format. Each diagnostic carries its *effective* severity.
+    pub fn to_json(&self) -> Json {
+        let diagnostics = self
+            .findings
+            .iter()
+            .map(|(severity, diag)| diag.to_json(*severity))
+            .collect();
+        Json::object([
+            ("subject", Json::string(self.subject.clone())),
+            ("clean", Json::Bool(self.clean())),
+            ("failing", Json::Bool(self.failing())),
+            ("errors", Json::number(self.errors() as u64)),
+            ("warnings", Json::number(self.warnings() as u64)),
+            ("suppressed", Json::number(self.suppressed as u64)),
+            ("diagnostics", Json::Array(diagnostics)),
+        ])
+    }
+}
+
+impl fmt::Display for Report {
+    /// The `plimc lint` text format: a one-line verdict, then one indented
+    /// line per finding.
+    ///
+    /// ```text
+    /// adder4: 1 error, 2 warnings
+    ///   error[PA0002]: event 17: op writes %3 after its release
+    /// ```
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let suppressed = match self.suppressed {
+            0 => String::new(),
+            n => format!(" ({n} suppressed)"),
+        };
+        if self.clean() {
+            return write!(f, "{}: clean{suppressed}", self.subject);
+        }
+        let plural = |n: usize| if n == 1 { "" } else { "s" };
+        let (errors, warnings) = (self.errors(), self.warnings());
+        write!(f, "{}: ", self.subject)?;
+        match (errors, warnings) {
+            (0, w) => write!(f, "{w} warning{}", plural(w))?,
+            (e, 0) => write!(f, "{e} error{}", plural(e))?,
+            (e, w) => write!(f, "{e} error{}, {w} warning{}", plural(e), plural(w))?,
+        }
+        write!(f, "{suppressed}")?;
+        for (severity, diag) in &self.findings {
+            f.write_str("\n  ")?;
+            diag.write_text(f, *severity)?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lint_config_precedence_is_last_wins() {
+        let mut config = LintConfig::default();
+        config.deny(Lint::StaleComplement);
+        assert_eq!(
+            config.effective(Lint::StaleComplement),
+            Some(Severity::Error)
+        );
+        config.allow(Lint::StaleComplement);
+        assert_eq!(config.effective(Lint::StaleComplement), None);
+        config.deny(Lint::StaleComplement);
+        assert_eq!(
+            config.effective(Lint::StaleComplement),
+            Some(Severity::Error)
+        );
+        // Untouched lints keep their defaults.
+        assert_eq!(config.effective(Lint::DeadWrite), Some(Severity::Warning));
+        assert_eq!(
+            config.effective(Lint::UseAfterRelease),
+            Some(Severity::Error)
+        );
+    }
+
+    #[test]
+    fn report_counts_and_rendering() {
+        let diag = |lint: Lint, message: &str| Diagnostic {
+            lint,
+            event: Some(3),
+            cell: None,
+            node: None,
+            message: message.into(),
+        };
+        let mut config = LintConfig::default();
+        config.allow(Lint::DeadWrite);
+        let report = Report::new(
+            "adder",
+            [
+                diag(Lint::UseAfterRelease, "boom"),
+                diag(Lint::StaleComplement, "meh"),
+                diag(Lint::DeadWrite, "gone"),
+            ],
+            &config,
+        );
+        assert_eq!(report.errors(), 1);
+        assert_eq!(report.warnings(), 1);
+        assert_eq!(report.suppressed, 1);
+        assert!(report.failing());
+        assert!(!report.clean());
+        let text = report.to_string();
+        assert!(text.starts_with("adder: 1 error, 1 warning (1 suppressed)"));
+        assert!(text.contains("error[PA0002]: boom"));
+        assert!(text.contains("warning[PA0005]: meh"));
+        assert!(!text.contains("PA0006"));
+        let json = report.to_json().to_json();
+        assert!(json.contains("\"failing\":true"));
+        assert!(json.contains("\"suppressed\":1"));
+    }
+
+    #[test]
+    fn clean_report_renders_and_passes() {
+        let report = Report::new("xor", [], &LintConfig::default());
+        assert!(report.clean());
+        assert!(!report.failing());
+        assert_eq!(report.to_string(), "xor: clean");
+        assert!(report.to_json().to_json().contains("\"clean\":true"));
+    }
+}

@@ -13,12 +13,13 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use mig::NodeId;
-use plim::{RamAddr, Rhs};
-use plim_analysis::{
-    analyze_artifact, analyze_events, certify, cross_check, AnalysisConfig, Lint, Severity,
-};
+use plim::{Instruction, Program, RamAddr, Rhs};
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
+use plim_compiler::ir::analysis::{
+    analyze_artifact, analyze_events, analyze_program, certify, cross_check, doctor,
+    AnalysisConfig, Lint, Severity,
+};
 use plim_compiler::ir::{CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
 use plim_compiler::{
     compile_full, AllocatorStrategy, CompilerOptions, LifetimeClass, OptLevel, ScheduleOrder,
@@ -181,10 +182,17 @@ fn structural() -> AnalysisConfig {
     AnalysisConfig::structural()
 }
 
+/// `Lint::ordinal` is the declaration order, which `Lint::ALL` must keep.
+#[test]
+fn lint_ordinals_follow_all() {
+    for (i, lint) in Lint::ALL.into_iter().enumerate() {
+        assert_eq!(lint.ordinal(), i, "{}", lint.code());
+    }
+}
+
 #[test]
 fn base_program_is_clean_under_every_config() {
     let ir = base_program();
-    assert!(ir.check().is_ok());
     for config in [
         structural(),
         AnalysisConfig::for_level(OptLevel::O0),
@@ -253,7 +261,7 @@ fn pa0003_negative_single_release_is_clean() {
 }
 
 /// Requests %0 again after `before`, then resets it: one `PA0004` finding,
-/// with `check`'s message.
+/// with its message.
 fn assert_rerequest_is_pa0004(before: &[Event], at: usize) {
     let mut ir = base_program();
     ir.events.extend(before);
@@ -262,7 +270,6 @@ fn assert_rerequest_is_pa0004(before: &[Event], at: usize) {
     let diags = analyze_events(&ir, &structural());
     let found: Vec<_> = diags.iter().map(|d| (d.lint, d.message.as_str())).collect();
     assert_eq!(found, vec![(Lint::PinnedAliasing, message.as_str())]);
-    assert_eq!(ir.check(), Err(message));
 }
 
 #[test]
@@ -394,6 +401,66 @@ fn pa0008_negative_honest_stats_certify() {
     assert_eq!(cross_check(&certificate, &compilation.compiled), vec![]);
 }
 
+/// One write moved between two cells keeps `#I`, `#R` and the largest
+/// per-cell count, so only the per-cell wear comparison sees it: it must
+/// name both cells, and nothing else may fire.
+#[test]
+fn pa0008_per_cell_wear_mismatch_names_the_moved_write() {
+    let mig = suite::build("ctrl", Scale::Reduced).expect("known circuit");
+    let mut compilation = compile_full(&mig, CompilerOptions::new());
+    let certificate = certify(&compilation.ir).expect("clean stream certifies");
+    let writes = compilation.compiled.static_write_counts();
+    let max = compilation.compiled.stats.max_cell_writes;
+    // Both cells sit below the maximum, so another cell keeps it.
+    let below_max: Vec<usize> = (0..writes.len())
+        .filter(|&x| writes[x] > 0 && writes[x] < max)
+        .collect();
+    let [from, to] = below_max[..2] else {
+        panic!("ctrl has fewer than two cells below {max} writes: {writes:?}");
+    };
+    let program = &compilation.compiled.program;
+    let pc = program
+        .instructions()
+        .iter()
+        .position(|instruction| instruction.z.index() == from)
+        .expect("the cell is written");
+    let mut doctored = Program::new(program.num_inputs());
+    for (i, &instruction) in program.instructions().iter().enumerate() {
+        doctored.push(if i == pc {
+            Instruction {
+                z: RamAddr(to as u32),
+                ..instruction
+            }
+        } else {
+            instruction
+        });
+    }
+    for (name, loc) in program.outputs() {
+        doctored.add_output(name.clone(), *loc);
+    }
+    assert_eq!(doctored.len(), program.len());
+    assert_eq!(doctored.num_rams(), program.num_rams());
+    compilation.compiled.program = doctored;
+    let moved = compilation.compiled.static_write_counts();
+    assert_eq!(moved.iter().max(), Some(&max));
+
+    let diags = cross_check(&certificate, &compilation.compiled);
+    assert!(
+        diags.iter().all(|d| d.lint == Lint::StatsMismatch),
+        "{diags:?}"
+    );
+    let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+    let cell = |x: usize| {
+        format!(
+            "cell X{}: re-derived wear {} but the program performs {} writes",
+            x + 1,
+            writes[x],
+            moved[x]
+        )
+    };
+    assert_eq!(messages, [cell(from), cell(to)]);
+}
+
 /// The doctor's injection must be caught end to end through the full
 /// artifact battery — the CI dry-run's in-process twin.
 #[test]
@@ -401,7 +468,7 @@ fn doctored_write_after_release_fails_the_battery() {
     let mig = suite::build(suite::ALL[0], Scale::Reduced).expect("known circuit");
     let mut compilation = compile_full(&mig, CompilerOptions::new());
     assert!(analyze_artifact(&compilation, OptLevel::O0).is_empty());
-    plim_analysis::doctor::inject_write_after_release(&mut compilation.ir).expect("stream has ops");
+    doctor::inject_write_after_release(&mut compilation.ir).expect("stream has ops");
     let diags = analyze_artifact(&compilation, OptLevel::O0);
     assert!(
         diags.iter().any(|d| d.lint == Lint::UseAfterRelease),
@@ -410,8 +477,8 @@ fn doctored_write_after_release_fails_the_battery() {
 }
 
 // ---------------------------------------------------------------------------
-// The structural lints cover `IrProgram::check`: `PassManager::run` lets the
-// analyzer decide and keeps `check` only as a backstop.
+// The structural lints' errors are the faults emission cannot survive:
+// `PassManager::run` panics on them and on nothing else.
 // ---------------------------------------------------------------------------
 
 /// A draw below `n` (`n > 0`).
@@ -455,8 +522,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// 64 mutants (one to three edits each) of a lowered and an `-O2`
-    /// stream: whenever `check` rejects one, the structural lints report
-    /// an error, so a clean analysis implies `check().is_ok()`.
+    /// stream: every mutant without an error-level structural finding goes
+    /// through `ir::emit` without a panic, and the errors flag at least one
+    /// mutant of each stream.
     #[test]
     fn structural_lints_cover_every_check_error(
         spec in spec_strategy(),
@@ -467,7 +535,7 @@ proptest! {
         let mut rng = TestRng::new(seed);
         for opt in LEVELS {
             let ir = compile_full(&mig, options.opt(opt)).ir;
-            let mut rejected = 0;
+            let mut flagged = 0;
             for _ in 0..64 {
                 let mut mutant = ir.clone();
                 for _ in 0..1 + below(&mut rng, 3) {
@@ -475,17 +543,18 @@ proptest! {
                         mutate(&mut mutant, &mut rng);
                     }
                 }
-                let Err(error) = mutant.check() else {
-                    continue;
-                };
-                rejected += 1;
                 let diags = analyze_events(&mutant, &structural());
+                if diags.iter().any(|d| d.lint.severity() == Severity::Error) {
+                    flagged += 1;
+                    continue;
+                }
+                let emitted = std::panic::catch_unwind(|| plim_compiler::ir::emit(&mutant));
                 prop_assert!(
-                    diags.iter().any(|d| d.lint.severity() == Severity::Error),
-                    "check rejects the mutant ({error}), the analyzer reports {diags:?}"
+                    emitted.is_ok(),
+                    "emission panics on a mutant the analyzer passes: {diags:?}"
                 );
             }
-            prop_assert!(rejected > 0, "no mutant broke the {opt:?} stream");
+            prop_assert!(flagged > 0, "no mutant broke the {opt:?} stream");
         }
     }
 }
@@ -875,7 +944,7 @@ fn doctored_stale_complement_fails_the_battery() {
     let mig = suite::build("i2c", Scale::Reduced).expect("known circuit");
     let mut compilation = compile_full(&mig, CompilerOptions::new());
     assert!(analyze_artifact(&compilation, OptLevel::O0).is_empty());
-    let cell = plim_analysis::doctor::inject_stale_complement(&mut compilation.ir)
+    let cell = doctor::inject_stale_complement(&mut compilation.ir)
         .expect("i2c reads a cached complement");
     let diags = analyze_artifact(&compilation, OptLevel::O0);
     assert!(
@@ -905,7 +974,7 @@ fn pa0001_program_analysis_reports_every_uninitialized_read() {
         program,
         stats: plim_compiler::Rm3Stats::default(),
     };
-    let found: Vec<(Option<usize>, String)> = plim_analysis::analyze_program(&compiled)
+    let found: Vec<(Option<usize>, String)> = analyze_program(&compiled)
         .into_iter()
         .map(|d| {
             assert_eq!(d.lint, Lint::UseBeforeInit);
